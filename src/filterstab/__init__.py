@@ -37,7 +37,7 @@ from .model import (
     unit_space,
 )
 from .rng import Xoshiro256StarStar, derive_seed
-from .simulate import Trajectory, likelihood_vector, sample_trajectory
+from .simulate import Trajectory, likelihood_rows, likelihood_vector, sample_trajectory
 from .filtering import (
     DecayEstimate,
     FilterRun,
@@ -54,8 +54,10 @@ from .filtering import (
 from .backward import (
     BackwardContext,
     BackwardDensity,
+    BackwardPass,
     OscillationRecord,
     backward_init,
+    backward_pass,
     backward_step,
     brute_force_backward,
     change_of_measure_residual,

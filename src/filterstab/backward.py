@@ -16,6 +16,11 @@ filter forget a misspecified prior. The oscillation admits an explicit
 per-run envelope (`oscillation_bound`) whose exponent accumulates the
 filter-averaged row minima of the transition density.
 
+`backward_pass` replays the recursion along the densities of a filter run
+that already exists, on plain arrays; `BackwardContext` advances filter and
+backward density together one observation at a time. Both call the same
+arithmetic helpers, so they agree bit for bit.
+
 The expected prior ratio under the backward density is the likelihood ratio
 between the observation laws of the two priors; `change_of_measure_residual`
 verifies the algebraic identities tying that ratio to the filter pair.
@@ -66,6 +71,22 @@ class BackwardDensity:
 
 
 @dataclass(frozen=True)
+class BackwardPass:
+    """The backward density along one filter run, reduced to what the
+    stability experiment reports.
+
+    Row ``n-1`` of ``oscillations`` and of ``bounds`` belongs to step ``n``;
+    ``bounds`` is None when the envelope is vacuous (zero averaged row
+    minimum). ``likelihood_ratios[n]`` is the ratio after ``n`` observations,
+    so it has one entry more.
+    """
+
+    oscillations: np.ndarray
+    bounds: Optional[np.ndarray]
+    likelihood_ratios: np.ndarray
+
+
+@dataclass(frozen=True)
 class OscillationRecord:
     """Per-``u`` column extrema and spread of a backward density, with the
     accumulated contraction exponent and (when coefficients permit) the
@@ -82,11 +103,7 @@ class OscillationRecord:
 def backward_init(theta0: Density, kernel: TransitionKernel, space: StateSpace) -> BackwardDensity:
     """Backward density after one step from a strictly positive initial prior."""
     _require_positive(theta0, space, "initial backward prior")
-    numerator = kernel.matrix * theta0.values[:, None]
-    denominator = (theta0.values * space.weights) @ kernel.matrix
-    if np.any(denominator <= 0.0):
-        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
-    return BackwardDensity(_renormalize_columns(numerator / denominator[None, :], space))
+    return BackwardDensity(_rho_init(theta0.values, kernel.matrix, space.weights))
 
 
 def backward_step(
@@ -98,11 +115,7 @@ def backward_step(
     """Advance the backward density one step using the filter density of the
     previous time (which must come from the same prior as `rho_prev`)."""
     weighted = pi_prev.values * space.weights
-    numerator = (rho_prev.matrix * weighted[None, :]) @ kernel.matrix
-    denominator = weighted @ kernel.matrix
-    if np.any(denominator <= 0.0):
-        raise NumericalError("state has zero predicted mass")
-    return BackwardDensity(_renormalize_columns(numerator / denominator[None, :], space))
+    return BackwardDensity(_rho_advance(rho_prev.matrix, weighted, kernel.matrix, space.weights))
 
 
 def oscillation(rho: BackwardDensity) -> OscillationRecord:
@@ -120,7 +133,7 @@ def oscillation(rho: BackwardDensity) -> OscillationRecord:
 
 
 def oscillation_bound(
-    pi_history: Sequence[Density],
+    pi_history: np.ndarray,
     model: FiniteModel,
     coeffs: Coefficients,
     theta0: Density,
@@ -128,8 +141,9 @@ def oscillation_bound(
     """Envelope for the backward oscillation along a run.
 
     ``pi_history`` is the filter trajectory ``pi_0..pi_N`` started from
-    ``theta0``. Returns an ``(N, d)`` array whose row ``n-1`` bounds the
-    oscillation after ``n`` steps:
+    ``theta0``, as an ``(N+1, d)`` array (`FilterRun.densities`). Returns an
+    ``(N, d)`` array whose row ``n-1`` bounds the oscillation after ``n``
+    steps:
 
         bound_n(u) = max**2 / (theta_min * avg) * theta0[u]
                      * exp(-(1/max) * sum_{k=2..n} sum_z pi_{k-1}[z] row_min[z] w[z])
@@ -140,22 +154,72 @@ def oscillation_bound(
     """
     space = model.space
     _require_positive(theta0, space, "initial backward prior")
-    steps = len(pi_history) - 1
+    pis = np.asarray(pi_history, dtype=float)
+    steps = len(pis) - 1
     if steps < 1:
         return np.zeros((0, space.num_states)), coeffs.mixing_coefficient <= 0.0
-    if coeffs.mixing_coefficient <= 0.0:
+    scale = _envelope_scale(theta0.values, space.weights, coeffs)
+    if scale is None:
         return np.full((steps, space.num_states), np.inf), True
-    theta_min = float(theta0.values[space.weights > 0.0].min())
-    prefactor = coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient)
-    mins = row_minima(model.kernel, space)
-    increments = np.array([
-        float(pi.values @ (mins * space.weights)) for pi in pi_history[1:steps]
-    ])
-    exponents = np.concatenate(([0.0], np.cumsum(increments)))
-    bounds = prefactor * theta0.values[None, :] * np.exp(
-        -exponents / coeffs.max_density
-    )[:, None]
-    return bounds, False
+    row_min_weighted = row_minima(model.kernel, space) * space.weights
+    return _envelope(scale, pis, row_min_weighted, coeffs.max_density), False
+
+
+def backward_pass(
+    model: FiniteModel,
+    theta0: Density,
+    coeffs: Coefficients,
+    pi_history: np.ndarray,
+    prior_ratio: np.ndarray,
+) -> BackwardPass:
+    """Oscillations, envelope and likelihood ratios along an existing filter run.
+
+    ``pi_history`` is the ``(N+1, d)`` density array of the filter started
+    from `theta0` (`FilterRun.densities`); the backward density consumes it
+    step by step and no filter is run here. ``prior_ratio`` is the entrywise
+    ratio of the data-generating prior to `theta0`. Row ``n-1`` of the
+    results agrees bit for bit with `BackwardContext` after ``n`` steps.
+    """
+    space = model.space
+    _require_positive(theta0, space, "initial backward prior")
+    weights, matrix = space.weights, model.kernel.matrix
+    d = space.num_states
+    pis = np.asarray(pi_history, dtype=float)
+    ratio = np.asarray(prior_ratio, dtype=float)
+    if pis.ndim != 2 or pis.shape[1] != d or len(pis) < 1 or ratio.shape != (d,):
+        raise InvalidModelError(
+            f"dimension mismatch: filter history shape {pis.shape}, prior ratio shape "
+            f"{ratio.shape} vs {d} states"
+        )
+    n_steps = len(pis) - 1
+    ratio_weighted = ratio * weights
+    rhos = np.empty((n_steps, d, d))
+    ratios = np.empty(n_steps + 1)
+    ratios[0] = float((ratio * theta0.values) @ weights)
+    rho = weighted = None
+    for k in range(n_steps):
+        if k == 0:
+            rho = _rho_init(theta0.values, matrix, weights)
+        else:
+            rho = _rho_advance(rho, weighted, matrix, weights)
+        rhos[k] = rho
+        weighted = pis[k + 1] * weights
+        ratios[k + 1] = float((ratio_weighted @ rho) @ weighted)
+    upper = rhos.max(axis=2)
+    lower = rhos.min(axis=2)
+    if not np.all(np.isfinite(upper)) or np.any(lower < 0.0):
+        raise InvalidModelError("backward density entries must be finite and nonnegative")
+    bad = np.flatnonzero(~np.isfinite(ratios) | (ratios < 0.0))
+    if bad.size:
+        raise NumericalError(
+            f"likelihood ratio must be finite and nonnegative, got {float(ratios[bad[0]])!r}"
+        )
+    scale = _envelope_scale(theta0.values, weights, coeffs)
+    bounds = None
+    if scale is not None:
+        row_min_weighted = row_minima(model.kernel, space) * weights
+        bounds = _envelope(scale, pis, row_min_weighted, coeffs.max_density)
+    return BackwardPass(oscillations=upper - lower, bounds=bounds, likelihood_ratios=ratios)
 
 
 def likelihood_ratio(
@@ -205,7 +269,7 @@ def change_of_measure_residual(
     pi_wrong = run_wrong.densities[-1]
     pi_reference = run_reference.densities[-1]
     d = space.num_states
-    if pi_wrong.dim != d or pi_reference.dim != d or rho.dim != d:
+    if pi_wrong.shape != (d,) or pi_reference.shape != (d,) or rho.dim != d:
         raise InvalidModelError("dimension mismatch between runs, backward density and space")
     ratio = np.asarray(prior_ratio, dtype=float)
     if ratio.shape != (d,):
@@ -214,12 +278,12 @@ def change_of_measure_residual(
         )
     w = space.weights
     per_state = (ratio * w) @ rho.matrix
-    value = float(per_state @ (pi_wrong.values * w))
+    value = float(per_state @ (pi_wrong * w))
     res_centered = np.abs(
-        value * (pi_reference.values - pi_wrong.values)
-        - pi_wrong.values * (per_state - value)
+        value * (pi_reference - pi_wrong)
+        - pi_wrong * (per_state - value)
     )
-    res_direct = np.abs(value * pi_reference.values - per_state * pi_wrong.values) * w
+    res_direct = np.abs(value * pi_reference - per_state * pi_wrong) * w
     return float(max(res_centered.max(), res_direct.max()))
 
 
@@ -282,11 +346,7 @@ class BackwardContext:
         self.steps = 0
         self.exponent_sum = 0.0
         self._row_min_weighted = row_minima(model.kernel, model.space) * model.space.weights
-        if coeffs is not None and coeffs.mixing_coefficient > 0.0:
-            theta_min = float(theta0.values[model.space.weights > 0.0].min())
-            self._prefactor = coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient)
-        else:
-            self._prefactor = None
+        self._scale = _envelope_scale(theta0.values, model.space.weights, coeffs)
 
     def step(self, y) -> None:
         model, space = self.model, self.model.space
@@ -306,12 +366,11 @@ class BackwardContext:
         base = oscillation(self.rho)
         if self.coeffs is None:
             return base
-        if self._prefactor is None:
+        if self._scale is None:
             bound = None
             vacuous = True
         else:
-            decay = math.exp(-self.exponent_sum / self.coeffs.max_density)
-            bound = self._prefactor * self.theta0.values * decay
+            bound = self._scale * math.exp(-self.exponent_sum / self.coeffs.max_density)
             vacuous = False
         return OscillationRecord(
             oscillation=base.oscillation,
@@ -331,9 +390,55 @@ class BackwardContext:
         return likelihood_ratio(self.rho, self.pi, prior_ratio, space)
 
 
-def _renormalize_columns(matrix: np.ndarray, space: StateSpace) -> np.ndarray:
-    column_mass = space.weights @ matrix
+def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Backward density after the first step, on plain arrays."""
+    numerator = matrix * theta0[:, None]
+    denominator = (theta0 * weights) @ matrix
+    if np.any(denominator <= 0.0):
+        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
+    return _renormalize_columns(numerator / denominator[None, :], weights)
+
+
+def _rho_advance(rho: np.ndarray, weighted: np.ndarray, matrix: np.ndarray,
+                 weights: np.ndarray) -> np.ndarray:
+    """One backward step on plain arrays; ``weighted`` is ``pi_prev * w``."""
+    numerator = (rho * weighted[None, :]) @ matrix
+    denominator = weighted @ matrix
+    if denominator.min() <= 0.0:
+        raise NumericalError("state has zero predicted mass")
+    return _renormalize_columns(numerator / denominator[None, :], weights)
+
+
+def _renormalize_columns(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    column_mass = weights @ matrix
     return matrix / column_mass[None, :]
+
+
+def _envelope_scale(theta0: np.ndarray, weights: np.ndarray,
+                    coeffs: Optional[Coefficients]) -> Optional[np.ndarray]:
+    """``max**2 / (theta_min * avg) * theta0``, or None when the envelope is
+    vacuous (no coefficients, or a zero averaged row minimum)."""
+    if coeffs is None or coeffs.mixing_coefficient <= 0.0:
+        return None
+    theta_min = float(theta0[weights > 0.0].min())
+    return coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient) * theta0
+
+
+def _envelope(scale: np.ndarray, pis: np.ndarray, row_min_weighted: np.ndarray,
+              max_density: float) -> np.ndarray:
+    """Envelope rows ``scale * exp(-exponent_n / max)`` for ``n = 1..N``.
+
+    The exponent accumulates one filter average per step in the order
+    `BackwardContext` does, and ``math.exp`` is taken per step, so each row
+    equals that context's ``record.bound`` exactly.
+    """
+    decays = np.empty(len(pis) - 1)
+    exponent = 0.0
+    for k in range(len(decays)):
+        if k:
+            exponent += float(pis[k] @ row_min_weighted)
+        decays[k] = math.exp(-exponent / max_density)
+    return scale[None, :] * decays[:, None]
 
 
 def _require_positive(density: Density, space: StateSpace, what: str) -> None:

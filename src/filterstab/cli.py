@@ -26,7 +26,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .backward import BackwardContext
+from .backward import backward_pass
 from .errors import InvalidModelError, NumericalError
 from .ergodicity import geometric_ergodicity_report
 from .filtering import run_filter
@@ -431,19 +431,17 @@ def _cmd_backward(args) -> int:
     coeffs = mixing_coefficients(model, invariant)
     seed = derive_seed(scenario.seed, 0)
     trajectory = sample_trajectory(model, model.true_prior, scenario.horizon, seed)
-    context = BackwardContext(model, model.wrong_prior, coeffs)
-    rows = []
-    violation = False
-    for n, y in enumerate(trajectory.observations, start=1):
-        context.step(y)
-        rec = context.record
-        delta_max = float(rec.oscillation.max())
-        if rec.bound_vacuous:
-            rows.append((n, delta_max, None))
-        else:
-            rows.append((n, delta_max, float(rec.bound.max())))
-            if np.any(rec.oscillation > rec.bound + 1e-12):
-                violation = True
+    run = run_filter(model.wrong_prior, trajectory.observations, model, prior_label="wrong")
+    prior_ratio = np.divide(model.true_prior.values, model.wrong_prior.values)
+    backward = backward_pass(model, model.wrong_prior, coeffs, run.densities, prior_ratio)
+    steps = range(1, len(trajectory.observations) + 1)
+    delta_max = backward.oscillations.max(axis=1).tolist()
+    if backward.bounds is None:
+        rows = list(zip(steps, delta_max, [None] * len(delta_max)))
+        violation = False
+    else:
+        rows = list(zip(steps, delta_max, backward.bounds.max(axis=1).tolist()))
+        violation = bool(np.any(backward.oscillations > backward.bounds + 1e-12))
     _write_text(
         _resolve_output(args.output),
         _table_text(["n", "delta_max", "osc_bound_max"], rows, args.format),
@@ -475,7 +473,7 @@ def _cmd_lln(args) -> int:
         run = run_filter(model.true_prior, trajectory.observations, model, prior_label="correct")
     space = model.space
     d = space.num_states
-    weighted = np.array([pi.values * space.weights for pi in run.densities[:-1]])
+    weighted = run.densities[:-1] * space.weights
     partial = np.cumsum(weighted, axis=0) / np.arange(1, horizon + 1)[:, None]
     targets = invariant.values * space.weights
     rows = []

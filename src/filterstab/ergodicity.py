@@ -264,6 +264,6 @@ def lln_average(run: FilterRun, f: Sequence[float], invariant: Density,
     if n == 0:
         raise InvalidModelError("run has no steps to average over")
     weighted = fv * space.weights
-    average = float(np.mean([pi.values @ weighted for pi in densities[:-1]]))
+    average = float(np.mean([pi @ weighted for pi in densities[:-1]]))
     target = float(invariant.values @ weighted)
     return LlnAverage(average=average, target=target, gap=abs(average - target))

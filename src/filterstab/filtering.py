@@ -13,13 +13,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
 from .model import Density, FiniteModel, StateSpace, TransitionKernel, as_density
-from .simulate import likelihood_vector
+from .simulate import likelihood_rows, likelihood_vector
 
 UNDERFLOW_FLOOR = 1e-300
 TV_FLOOR = 1e-280
@@ -29,12 +29,14 @@ TV_FLOOR = 1e-280
 class FilterRun:
     """Posterior densities ``pi_0..pi_N`` from one prior on one observation record.
 
-    ``log_normalizers[k]`` is the log of the Bayes normalizing constant of step
-    ``k+1``; their sum is the log marginal likelihood of the record under this
-    prior, which tests use as an independent route to likelihood ratios.
+    ``densities`` is a read-only ``(N+1, d)`` array whose row ``n`` is
+    ``pi_n``. ``log_normalizers[k]`` is the log of the Bayes normalizing
+    constant of step ``k+1``; their sum is the log marginal likelihood of the
+    record under this prior, which tests use as an independent route to
+    likelihood ratios.
     """
 
-    densities: tuple
+    densities: np.ndarray
     prior_label: str
     observations: np.ndarray
     log_normalizers: np.ndarray
@@ -53,6 +55,48 @@ class PairRun:
 class DecayEstimate:
     slope: float
     converged: bool
+
+
+ZERO_LIKELIHOOD = (
+    "zero-likelihood observation: observation has probability 0 under the predicted law"
+)
+
+
+def _filter_update(pi: np.ndarray, likelihood: np.ndarray, matrix: np.ndarray,
+                   weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """Prediction plus Bayes reweighting on plain arrays: the one filter kernel.
+
+    Returns the posterior and the normalizing constant
+    ``sum_x likelihood[x] * predicted[x] * w[x]``; raises when that constant
+    is not finite or sits at or below the underflow floor.
+    """
+    predicted = matrix.T @ (pi * weights)
+    unnormalized = likelihood * predicted
+    normalizer = float(unnormalized @ weights)
+    if not math.isfinite(normalizer) or normalizer <= UNDERFLOW_FLOOR:
+        raise NumericalError(ZERO_LIKELIHOOD)
+    return unnormalized / normalizer, normalizer
+
+
+def _log_domain_update(pi: np.ndarray, y, model: FiniteModel) -> Optional[tuple[np.ndarray, float]]:
+    """One Gaussian filter step computed in the log domain.
+
+    Used only where the linear-domain normalizer underflows: the log joint
+    ``log lik[x] + log(predicted[x] w[x])`` is shifted by its maximum before
+    exponentiating, and the shift goes back into the log normalizer. Returns
+    None when the observation has no positive density at all (e.g. NaN).
+    """
+    obs, weights = model.observation, model.space.weights
+    z = (float(y) - obs.means) / obs.sigma
+    log_lik = -0.5 * z * z - math.log(obs.sigma * math.sqrt(2.0 * math.pi))
+    with np.errstate(divide="ignore"):
+        log_joint = log_lik + np.log((model.kernel.matrix.T @ (pi * weights)) * weights)
+    shift = float(log_joint.max())
+    if not math.isfinite(shift):
+        return None
+    joint = np.exp(log_joint - shift)
+    total = float(joint.sum())
+    return joint / total / weights, shift + math.log(total)
 
 
 def predict(pi: Density, kernel: TransitionKernel, space: StateSpace) -> Density:
@@ -74,14 +118,10 @@ def filter_step_with_likelihood(
     the underflow floor means the observation has probability zero under the
     predicted law.
     """
-    predicted = kernel.matrix.T @ (pi_prev.values * space.weights)
-    unnormalized = np.asarray(likelihood, dtype=float) * predicted
-    normalizer = float(unnormalized @ space.weights)
-    if not np.isfinite(normalizer) or normalizer <= UNDERFLOW_FLOOR:
-        raise NumericalError(
-            "zero-likelihood observation: observation has probability 0 under the predicted law"
-        )
-    return Density(unnormalized / normalizer), normalizer
+    posterior, normalizer = _filter_update(
+        pi_prev.values, np.asarray(likelihood, dtype=float), kernel.matrix, space.weights
+    )
+    return Density(posterior), normalizer
 
 
 def filter_step(pi_prev: Density, y, model: FiniteModel) -> Density:
@@ -93,20 +133,33 @@ def filter_step(pi_prev: Density, y, model: FiniteModel) -> Density:
 
 def run_filter(prior: Density, observations: Sequence, model: FiniteModel,
                prior_label: str = "custom") -> FilterRun:
-    """Fold the filter over an observation record, keeping every posterior."""
-    densities = [prior]
-    log_norms = np.empty(len(observations))
-    pi = prior
-    for n, y in enumerate(observations):
-        lik = likelihood_vector(model.observation, y)
+    """Fold the filter over an observation record, keeping every posterior.
+
+    On a Gaussian channel a step whose normalizer underflows (an outlier far
+    from every mean) is redone in the log domain; on a finite alphabet it is
+    a genuine impossibility and raises.
+    """
+    liks = likelihood_rows(model.observation, observations)
+    n_obs = len(liks)
+    matrix, weights = model.kernel.matrix, model.space.weights
+    gaussian = model.observation.kind == "gaussian"
+    densities = np.empty((n_obs + 1, model.space.num_states))
+    densities[0] = prior.values
+    log_norms = np.empty(n_obs)
+    for n in range(n_obs):
         try:
-            pi, normalizer = filter_step_with_likelihood(pi, lik, model.kernel, model.space)
+            densities[n + 1], normalizer = _filter_update(densities[n], liks[n], matrix, weights)
+            log_norms[n] = math.log(normalizer)
         except NumericalError as exc:
-            raise NumericalError(f"{exc} (at step {n + 1})") from exc
-        densities.append(pi)
-        log_norms[n] = math.log(normalizer)
+            rescued = _log_domain_update(densities[n], observations[n], model) if gaussian else None
+            if rescued is None:
+                raise NumericalError(f"{exc} (at step {n + 1})") from exc
+            densities[n + 1], log_norms[n] = rescued
+    if not np.all(np.isfinite(densities)) or np.any(densities < 0.0):
+        raise InvalidModelError("density values must be finite and nonnegative")
+    densities.flags.writeable = False
     return FilterRun(
-        densities=tuple(densities),
+        densities=densities,
         prior_label=prior_label,
         observations=np.asarray(observations),
         log_normalizers=log_norms,
@@ -142,10 +195,9 @@ def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Seq
         )
     run_correct = run_filter(true_prior, observations, model, prior_label="correct")
     run_wrong = run_filter(wrong_prior, observations, model, prior_label="wrong")
-    tv = np.array([
-        tv_norm(p, q, space)
-        for p, q in zip(run_correct.densities, run_wrong.densities)
-    ])
+    # one dot per row, the same product `tv_norm` takes on a single pair
+    gaps = np.abs(run_correct.densities - run_wrong.densities)
+    tv = np.array([row @ space.weights for row in gaps])
     return PairRun(run_correct=run_correct, run_wrong=run_wrong, tv=tv)
 
 

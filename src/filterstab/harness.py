@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backward import BackwardContext
+from .backward import backward_pass
 from .errors import InvalidModelError
 from .filtering import DecayEstimate, PairRun, decay_rate, run_filter_pair
 from .model import (
@@ -290,13 +290,11 @@ def kaijser_closed_form(true_prior, wrong_prior, observations) -> np.ndarray:
     return gaps
 
 
-def _verify_kaijser_on(model: FiniteModel, observations) -> KaijserReport:
-    pair = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
+def _verify_kaijser_on(model: FiniteModel, observations, pair: PairRun) -> KaijserReport:
+    """Gate the generic filter pair of `model`'s two priors on `observations`
+    against the closed form; `pair` is that pair, already computed."""
     gaps = kaijser_closed_form(model.true_prior.values, model.wrong_prior.values, observations)
-    generic_gaps = np.abs(
-        np.array([p.values for p in pair.run_correct.densities])
-        - np.array([q.values for q in pair.run_wrong.densities])
-    )
+    generic_gaps = np.abs(pair.run_correct.densities - pair.run_wrong.densities)
     agreement_gap = float(np.abs(generic_gaps - gaps).max())
     constants = kaijser_constants(model.true_prior.values, model.wrong_prior.values)
     tv = pair.tv
@@ -325,7 +323,8 @@ def kaijser_verify(true_prior, wrong_prior, horizon: int, seed: int) -> KaijserR
     floor when the first-step constants allow one."""
     model = kaijser_model(true_prior, wrong_prior)
     trajectory = sample_trajectory(model, model.true_prior, horizon, seed)
-    return _verify_kaijser_on(model, trajectory.observations)
+    pair = run_filter_pair(model.true_prior, model.wrong_prior, trajectory.observations, model)
+    return _verify_kaijser_on(model, trajectory.observations, pair)
 
 
 def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRecord]:
@@ -335,10 +334,13 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
     Records are returned ordered by replicate index, so output is a pure
     function of (scenario, seed). Replicates are independent and safe to
     compute concurrently; this implementation runs them sequentially.
+
+    A replicate makes two filter passes over its record, one per prior: the
+    backward density replays the wrong-prior run's densities, and the
+    Kaijser gate reuses the pair.
     """
     model = scenario.model
-    space = model.space
-    invariant = invariant_density(model.kernel, space)
+    invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
     prior_ratio = np.divide(model.true_prior.values, model.wrong_prior.values)
     records = []
@@ -348,33 +350,21 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
         pair = run_filter_pair(
             model.true_prior, model.wrong_prior, trajectory.observations, model
         )
-        context = BackwardContext(model, model.wrong_prior, coeffs)
-        n_steps = len(trajectory.observations)
-        d = space.num_states
-        oscillations = np.empty((n_steps, d))
-        bounds = np.empty((n_steps, d))
-        ratios = np.empty(n_steps + 1)
-        ratios[0] = context.likelihood_ratio(prior_ratio)
-        vacuous = False
-        for k, y in enumerate(trajectory.observations):
-            context.step(y)
-            rec = context.record
-            oscillations[k] = rec.oscillation
-            vacuous = rec.bound_vacuous
-            bounds[k] = np.inf if rec.bound is None else rec.bound
-            ratios[k + 1] = context.likelihood_ratio(prior_ratio)
+        backward = backward_pass(
+            model, model.wrong_prior, coeffs, pair.run_wrong.densities, prior_ratio
+        )
         report = None
         if scenario.name == "kaijser":
-            report = _verify_kaijser_on(model, trajectory.observations)
+            report = _verify_kaijser_on(model, trajectory.observations, pair)
         records.append(RunRecord(
             replicate=replicate,
             seed=seed,
             trajectory=trajectory,
             pair=pair,
-            oscillations=oscillations,
-            oscillation_bounds=None if vacuous else bounds,
-            bounds_vacuous=vacuous,
-            likelihood_ratios=ratios,
+            oscillations=backward.oscillations,
+            oscillation_bounds=backward.bounds,
+            bounds_vacuous=backward.bounds is None,
+            likelihood_ratios=backward.likelihood_ratios,
             decay=decay_rate(pair.tv, window_fraction),
             coeffs=coeffs,
             kaijser=report,

@@ -72,15 +72,32 @@ def sample_trajectory(model: FiniteModel, initial: Density, horizon: int, seed: 
 
 def likelihood_vector(observation: ObservationModel, y) -> np.ndarray:
     """Observation density evaluated at ``y`` for every state."""
+    return likelihood_rows(observation, [y])[0]
+
+
+def likelihood_rows(observation: ObservationModel, observations) -> np.ndarray:
+    """Observation densities of a whole record, validated and computed at once.
+
+    Row ``n`` is the likelihood vector of ``observations[n]``: an
+    emission-table column for a finite alphabet, the Gaussian density
+    otherwise. The first invalid symbol, if any, is reported by value.
+    """
+    y = np.asarray(observations)
     if observation.kind == "finite":
-        symbol = int(y)
-        if symbol != y:
-            raise InvalidModelError(f"finite-alphabet observation must be integral, got {y!r}")
-        if not 0 <= symbol < observation.num_symbols:
+        p = observation.num_symbols
+        with np.errstate(invalid="ignore"):
+            symbols = y.astype(np.int64)
+        fractional = symbols != y
+        bad = np.flatnonzero(fractional | (symbols < 0) | (symbols >= p))
+        if bad.size:
+            first = bad[0]
+            if fractional[first]:
+                raise InvalidModelError(
+                    f"finite-alphabet observation must be integral, got {observations[first]!r}"
+                )
             raise InvalidModelError(
-                f"observation symbol {symbol} outside alphabet of size {observation.num_symbols}"
+                f"observation symbol {symbols[first]} outside alphabet of size {p}"
             )
-        return observation.emission[:, symbol].copy()
-    value = float(y)
-    z = (value - observation.means) / observation.sigma
+        return observation.emission.T[symbols]
+    z = (y.astype(float)[:, None] - observation.means[None, :]) / observation.sigma
     return np.exp(-0.5 * z * z) / (observation.sigma * math.sqrt(2.0 * math.pi))

@@ -92,7 +92,7 @@ def test_ac3_oracle_equivalence():
             oracle = brute_force_posterior(model, model.true_prior, obs[:n])
             worst_filter = max(
                 worst_filter,
-                float(np.abs(run.densities[n].values - oracle.values).max()),
+                float(np.abs(run.densities[n] - oracle.values).max()),
             )
         context = BackwardContext(model, model.wrong_prior)
         for n in range(1, len(obs) + 1):

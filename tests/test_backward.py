@@ -160,7 +160,7 @@ class TestBackwardStep:
         ctx.step(t.observations[0])
         np.testing.assert_allclose(rho.matrix, ctx.rho.matrix, atol=1e-15)
         for n in range(2, 9):
-            rho = backward_step(rho, run.densities[n - 1], model.kernel, model.space)
+            rho = backward_step(rho, Density(run.densities[n - 1]), model.kernel, model.space)
             ctx.step(t.observations[n - 1])
             np.testing.assert_allclose(rho.matrix, ctx.rho.matrix, atol=1e-14)
 
@@ -246,10 +246,10 @@ class TestOscillationBound:
         coeffs = mixing_coefficients(model, m)
         t = sample_trajectory(model, model.true_prior, 40, seed=seed)
         ctx = BackwardContext(model, model.wrong_prior, coeffs)
-        pis = [ctx.pi]
+        pis = [ctx.pi.values]
         for y in t.observations:
             ctx.step(y)
-            pis.append(ctx.pi)
+            pis.append(ctx.pi.values)
             rec = ctx.record
             assert not rec.bound_vacuous
             assert np.all(rec.oscillation <= rec.bound + 1e-12)

@@ -115,14 +115,14 @@ class TestRunFilter:
         model = two_state_model()
         run = run_filter(model.true_prior, [], model)
         assert len(run.densities) == 1
-        np.testing.assert_array_equal(run.densities[0].values, model.true_prior.values)
+        np.testing.assert_array_equal(run.densities[0], model.true_prior.values)
 
     def test_kaijser_support_alternates_with_observations(self):
         model = kaijser_model()
         t = sample_trajectory(model, model.true_prior, 200, seed=2)
         run = run_filter(uniform_density(model.space), t.observations, model)
         for y, pi in zip(t.observations, run.densities[1:]):
-            support = np.nonzero(pi.values)[0]
+            support = np.nonzero(pi)[0]
             expected = (0, 2) if y == 1 else (1, 3)
             assert set(support).issubset(expected)
 
@@ -131,7 +131,7 @@ class TestRunFilter:
         t = sample_trajectory(model, model.true_prior, 300, seed=21)
         run = run_filter(model.true_prior, t.observations, model)
         expected = kaijser_filter_recursion(model.true_prior.values, t.observations)
-        actual = np.array([pi.values for pi in run.densities])
+        actual = run.densities
         assert np.abs(actual - expected).max() <= 1e-14
 
     def test_matches_brute_force_gaussian(self):
@@ -141,7 +141,7 @@ class TestRunFilter:
         for n in range(len(t.observations) + 1):
             oracle = brute_force_posterior(model, model.true_prior, t.observations[:n])
             np.testing.assert_allclose(
-                run.densities[n].values, oracle.values, atol=1e-10
+                run.densities[n], oracle.values, atol=1e-10
             )
 
     def test_error_reports_failing_step(self):
@@ -160,7 +160,7 @@ class TestRunFilter:
         t = sample_trajectory(model, model.true_prior, 10_000, seed=13)
         run = run_filter(model.true_prior, t.observations, model)
         masses = np.array([
-            pi.values @ model.space.weights for pi in run.densities
+            pi @ model.space.weights for pi in run.densities
         ])
         assert np.abs(masses - 1.0).max() <= 1e-10
 
@@ -285,4 +285,4 @@ class TestBruteForcePosterior:
         run = run_filter(model.true_prior, t.observations, model)
         for n in range(len(t.observations) + 1):
             oracle = brute_force_posterior(model, model.true_prior, t.observations[:n])
-            assert np.abs(run.densities[n].values - oracle.values).max() <= 1e-10
+            assert np.abs(run.densities[n] - oracle.values).max() <= 1e-10

@@ -67,10 +67,7 @@ class TestKaijserClosedForm:
         t = sample_trajectory(model, model.true_prior, 400, seed=8)
         pair = run_filter_pair(model.true_prior, model.wrong_prior, t.observations, model)
         gaps = kaijser_closed_form(AC1_TRUE, UNIFORM4, t.observations)
-        generic = np.abs(
-            np.array([p.values for p in pair.run_correct.densities])
-            - np.array([q.values for q in pair.run_wrong.densities])
-        )
+        generic = np.abs(pair.run_correct.densities - pair.run_wrong.densities)
         assert np.abs(generic - gaps).max() <= 1e-12
 
 

@@ -30,13 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
-from .filtering import FilterRun, filter_step_with_likelihood
+from .filtering import FilterRun, _path_mass, filter_step_with_likelihood
 from .model import (
     Coefficients,
     Density,
@@ -299,28 +298,13 @@ def brute_force_backward(
     Y_1..Y_n)`` under the prior `theta0`. Guarded against instances beyond
     ``d**(N+1) > 1e7`` paths.
     """
-    space = model.space
-    d = space.num_states
-    n = len(observations)
-    if d ** (n + 1) > 10**7:
-        raise InvalidModelError(f"instance too large: {d}^{n + 1} paths")
-    if not 0 <= conditioning_state < d:
+    if not 0 <= conditioning_state < model.space.num_states:
         raise InvalidModelError(f"conditioning state {conditioning_state} out of range")
-    liks = [likelihood_vector(model.observation, y) for y in observations]
-    weights = space.weights
-    matrix = model.kernel.matrix
-    mass = np.zeros(d)
-    for path in product(range(d), repeat=n + 1):
-        if path[-1] != conditioning_state:
-            continue
-        w = theta0.values[path[0]] * weights[path[0]]
-        for k in range(1, n + 1):
-            w *= matrix[path[k - 1], path[k]] * weights[path[k]] * liks[k - 1][path[k]]
-        mass[path[0]] += w
+    mass = _path_mass(model, theta0, observations)[:, conditioning_state]
     total = mass.sum()
     if total <= 0.0:
         raise NumericalError("conditioning event has probability 0")
-    return Density(mass / total / weights)
+    return Density(mass / total / model.space.weights)
 
 
 class BackwardContext:

@@ -227,28 +227,36 @@ def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstima
     return DecayEstimate(slope=slope, converged=False)
 
 
-def brute_force_posterior(model: FiniteModel, prior: Density, observations: Sequence) -> Density:
-    """Exact posterior of the final state by full path enumeration (test oracle).
+def _path_mass(model: FiniteModel, prior: Density, observations: Sequence) -> np.ndarray:
+    """Joint mass table of (x_0, x_n) by full path enumeration (oracle core).
 
-    Sums ``prior(x0) w(x0) * prod_k matrix[x_{k-1}, x_k] w(x_k) * lik_k(x_k)``
-    over all state paths and marginalizes the final state. Deliberately naive;
-    guarded against instances beyond ``d**(N+1) > 1e7``.
+    Entry ``[u, x]`` sums ``prior(x0) w(x0) * prod_k matrix[x_{k-1}, x_k] w(x_k)
+    * lik_k(x_k)`` over all state paths from ``x0 = u`` to ``x_n = x``.
+    Deliberately naive; guarded against instances beyond ``d**(N+1) > 1e7``.
     """
-    space = model.space
-    d = space.num_states
+    d = model.space.num_states
     n = len(observations)
     if d ** (n + 1) > 10**7:
         raise InvalidModelError(f"instance too large: {d}^{n + 1} paths")
-    liks = [likelihood_vector(model.observation, y) for y in observations]
-    weights = space.weights
-    matrix = model.kernel.matrix
-    mass = np.zeros(d)
+    weights = model.space.weights
+    start = (prior.values * weights).tolist()
+    # factor[k - 1][i][j] = matrix[i, j] w(j) lik_k(j), the weight of step k
+    factor = [(model.kernel.matrix * weights * likelihood_vector(model.observation, y)).tolist()
+              for y in observations]
+    mass = np.zeros((d, d))
     for path in product(range(d), repeat=n + 1):
-        w = prior.values[path[0]] * weights[path[0]]
+        w = start[path[0]]
         for k in range(1, n + 1):
-            w *= matrix[path[k - 1], path[k]] * weights[path[k]] * liks[k - 1][path[k]]
-        mass[path[-1]] += w
+            w *= factor[k - 1][path[k - 1]][path[k]]
+        mass[path[0], path[-1]] += w
+    return mass
+
+
+def brute_force_posterior(model: FiniteModel, prior: Density, observations: Sequence) -> Density:
+    """Exact posterior of the final state by full path enumeration (test oracle):
+    the final-state marginal of `_path_mass`."""
+    mass = _path_mass(model, prior, observations).sum(axis=0)
     total = mass.sum()
     if total <= 0.0:
         raise NumericalError("zero-likelihood observation: record impossible under this prior")
-    return as_density(mass / total / weights, space)
+    return as_density(mass / total / model.space.weights, model.space)

@@ -1,7 +1,8 @@
 """Built-in scenarios, replicate orchestration, and the four-state
 counterexample verifier.
 
-The scenario registry covers the qualitatively distinct regimes:
+The scenario registry holds model documents, built like a model file by
+`build_model`; it covers the qualitatively distinct regimes:
 
 * ``kaijser``: the four-state cyclic-overlap chain with a deterministic
   binary read-out. The chain is ergodic (its cube is strictly positive) yet
@@ -30,22 +31,14 @@ from .filtering import DecayEstimate, PairRun, decay_rate, run_filter_pair
 from .model import (
     Coefficients,
     FiniteModel,
-    as_density,
     build_model,
     invariant_density,
     mixing_coefficients,
+    with_priors,
 )
 from .rng import derive_seed
 from .simulate import Trajectory, sample_trajectory
 
-KAIJSER_TRANSITION = (
-    (0.5, 0.5, 0.0, 0.0),
-    (0.0, 0.5, 0.5, 0.0),
-    (0.0, 0.0, 0.5, 0.5),
-    (0.5, 0.0, 0.0, 0.5),
-)
-# states 0 and 2 deterministically emit symbol 1, states 1 and 3 emit 0
-KAIJSER_EMISSION = ((0.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0))
 KAIJSER_TRUE_PRIOR = (0.5, 0.2, 0.2, 0.1)
 
 
@@ -118,69 +111,65 @@ class RunRecord:
     kaijser: Optional[KaijserReport] = None
 
 
-def kaijser_model(true_prior=KAIJSER_TRUE_PRIOR, wrong_prior=(0.25, 0.25, 0.25, 0.25)) -> FiniteModel:
-    return build_model({
+_UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
+_THIRD = 1.0 / 3.0
+
+# the registry: every builtin scenario is a model document, built by `build_model`
+BUILTIN_DOCUMENTS = {
+    "kaijser": {
         "states": 4,
-        "transition": KAIJSER_TRANSITION,
-        "observation": {"type": "finite", "gamma": KAIJSER_EMISSION},
-        "nu": list(true_prior),
-        "beta": list(wrong_prior),
-    })
-
-
-def example11_model() -> FiniteModel:
-    return build_model({
+        "transition": (
+            (0.5, 0.5, 0.0, 0.0),
+            (0.0, 0.5, 0.5, 0.0),
+            (0.0, 0.0, 0.5, 0.5),
+            (0.5, 0.0, 0.0, 0.5),
+        ),
+        # states 0 and 2 deterministically emit symbol 1, states 1 and 3 emit 0
+        "observation": {"type": "finite", "gamma": (
+            (0.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0, 0.0),
+        )},
+        "nu": KAIJSER_TRUE_PRIOR,
+        "beta": _UNIFORM4,
+    },
+    "example11": {
         "states": 4,
-        "transition": [
-            [0.25, 0.25, 0.25, 0.25],
-            [0.0, 0.5, 0.25, 0.25],
-            [0.25, 0.0, 0.5, 0.25],
-            [0.25, 0.25, 0.0, 0.5],
-        ],
-        "observation": {"type": "finite", "gamma": [
-            [0.9, 0.1], [0.6, 0.4], [0.4, 0.6], [0.1, 0.9],
-        ]},
-        "nu": [0.7, 0.1, 0.1, 0.1],
-        "beta": [0.25, 0.25, 0.25, 0.25],
-    })
-
-
-def mixing2_model() -> FiniteModel:
-    return build_model({
+        "transition": (
+            (0.25, 0.25, 0.25, 0.25),
+            (0.0, 0.5, 0.25, 0.25),
+            (0.25, 0.0, 0.5, 0.25),
+            (0.25, 0.25, 0.0, 0.5),
+        ),
+        "observation": {"type": "finite", "gamma": (
+            (0.9, 0.1), (0.6, 0.4), (0.4, 0.6), (0.1, 0.9),
+        )},
+        "nu": (0.7, 0.1, 0.1, 0.1),
+        "beta": _UNIFORM4,
+    },
+    "mixing2": {
         "states": 2,
-        "transition": [[0.5, 0.5], [0.3, 0.7]],
-        "observation": {"type": "finite", "gamma": [[0.8, 0.2], [0.2, 0.8]]},
-        "nu": [0.9, 0.1],
-        "beta": [0.5, 0.5],
-    })
-
-
-def uniform_kernel_model() -> FiniteModel:
-    third = 1.0 / 3.0
-    return build_model({
+        "transition": ((0.5, 0.5), (0.3, 0.7)),
+        "observation": {"type": "finite", "gamma": ((0.8, 0.2), (0.2, 0.8))},
+        "nu": (0.9, 0.1),
+        "beta": (0.5, 0.5),
+    },
+    "uniformK": {
         "states": 3,
-        "transition": [[third] * 3] * 3,
-        "observation": {"type": "finite", "gamma": [[0.7, 0.3], [0.5, 0.5], [0.2, 0.8]]},
-        "nu": [0.6, 0.3, 0.1],
-        "beta": [third] * 3,
-    })
-
-
-_BUILTIN_MODELS = {
-    "kaijser": kaijser_model,
-    "example11": example11_model,
-    "mixing2": mixing2_model,
-    "uniformK": uniform_kernel_model,
+        "transition": ((_THIRD,) * 3,) * 3,
+        "observation": {"type": "finite", "gamma": ((0.7, 0.3), (0.5, 0.5), (0.2, 0.8))},
+        "nu": (0.6, 0.3, 0.1),
+        "beta": (_THIRD,) * 3,
+    },
 }
 
-_BUILTIN_DEFAULTS = {
-    "kaijser": {"horizon": 10_000, "replicates": 1},
-    "example11": {"horizon": 500, "replicates": 1},
-    "mixing2": {"horizon": 500, "replicates": 1},
-    "uniformK": {"horizon": 200, "replicates": 1},
-}
+# default horizon of each scenario; every scenario defaults to one replicate
+SCENARIO_HORIZONS = {"kaijser": 10_000, "example11": 500, "mixing2": 500, "uniformK": 200}
 
-SCENARIO_NAMES = tuple(sorted(_BUILTIN_MODELS))
+SCENARIO_NAMES = tuple(sorted(BUILTIN_DOCUMENTS))
+
+
+def kaijser_model(true_prior=None, wrong_prior=None) -> FiniteModel:
+    """The counterexample model; priors default to `KAIJSER_TRUE_PRIOR` and uniform."""
+    return build_model(with_priors(BUILTIN_DOCUMENTS["kaijser"], true_prior, wrong_prior))
 
 
 def builtin_scenario(
@@ -192,24 +181,15 @@ def builtin_scenario(
     wrong_prior=None,
 ) -> Scenario:
     """Instantiate a registry scenario, optionally overriding priors and sizes."""
-    if name not in _BUILTIN_MODELS:
+    if name not in BUILTIN_DOCUMENTS:
         raise InvalidModelError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
-    model = _BUILTIN_MODELS[name]()
-    if true_prior is not None or wrong_prior is not None:
-        space = model.space
-        new_true = model.true_prior if true_prior is None else as_density(true_prior, space, tol=1e-9)
-        new_wrong = model.wrong_prior if wrong_prior is None else as_density(wrong_prior, space, tol=1e-9)
-        if np.any(new_wrong.values <= 0.0):
-            raise InvalidModelError("beta not bounded below: filter prior has a zero atom")
-        model = FiniteModel(model.space, model.kernel, model.observation, new_true, new_wrong)
-    defaults = _BUILTIN_DEFAULTS[name]
     return Scenario(
         name=name,
-        model=model,
-        horizon=defaults["horizon"] if horizon is None else horizon,
-        replicates=defaults["replicates"] if replicates is None else replicates,
+        model=build_model(with_priors(BUILTIN_DOCUMENTS[name], true_prior, wrong_prior)),
+        horizon=SCENARIO_HORIZONS[name] if horizon is None else horizon,
+        replicates=1 if replicates is None else replicates,
         seed=seed,
     )
 

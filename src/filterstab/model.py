@@ -126,21 +126,43 @@ class TransitionKernel:
         return self.matrix.shape[0]
 
 
+def _as_array(key: str, value, shape: tuple) -> np.ndarray:
+    """`value` as a float array of `shape`; a None in `shape` matches any length."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf":
+        raise InvalidModelError(f"invalid model document: '{key}' must be numeric")
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        def text(dims):
+            return "(" + ", ".join("any" if n is None else str(n) for n in dims) + ")"
+        raise InvalidModelError(
+            f"dimension mismatch: '{key}' has shape {text(arr.shape)}, expected {text(shape)}"
+        )
+    return arr.astype(float)
+
+
+def _normalized_rows(key: str, matrix: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
+    """Check that every row integrates to 1 against `weights` within `tol`,
+    then divide each row by its integral."""
+    if not np.all(np.isfinite(matrix)) or np.any(matrix < 0.0):
+        raise InvalidModelError(f"invalid kernel: '{key}' entries must be finite and nonnegative")
+    sums = matrix @ weights
+    worst = int(np.argmax(np.abs(sums - 1.0)))
+    if abs(sums[worst] - 1.0) > tol:
+        raise InvalidModelError(
+            f"invalid kernel: '{key}' row {worst} integrates to {float(sums[worst])!r}, "
+            f"not 1 (tolerance {tol})"
+        )
+    return matrix / sums[:, None]
+
+
 def as_kernel(matrix, space: StateSpace, tol: float = ROW_SUM_TOL) -> TransitionKernel:
     """Validate row sums against the weights (within `tol`) and renormalize rows."""
-    a = np.asarray(matrix, dtype=float)
-    if a.shape != (space.num_states, space.num_states):
-        raise InvalidModelError(
-            f"dimension mismatch: transition shape {a.shape} vs {space.num_states} states"
-        )
-    kernel = TransitionKernel(a)
-    row_sums = kernel.matrix @ space.weights
-    if np.any(np.abs(row_sums - 1.0) > tol):
-        worst = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise InvalidModelError(
-            f"invalid kernel: row {worst} integrates to {row_sums[worst]!r}, not 1"
-        )
-    return TransitionKernel(kernel.matrix / row_sums[:, None])
+    d = space.num_states
+    rows = _as_array("transition", matrix, (d, d))
+    return TransitionKernel(_normalized_rows("transition", rows, space.weights, tol))
 
 
 @dataclass(frozen=True)
@@ -167,34 +189,27 @@ class ObservationModel:
 
 
 def finite_observation(emission, symbol_weights=None, tol: float = ROW_SUM_TOL) -> ObservationModel:
-    a = np.asarray(emission, dtype=float)
-    if a.ndim != 2:
-        raise InvalidModelError(f"emission matrix must be 2-d, got shape {a.shape}")
-    if not np.all(np.isfinite(a)) or np.any(a < 0.0):
-        raise InvalidModelError("emission entries must be finite and nonnegative")
-    p = a.shape[1]
-    w = np.ones(p) if symbol_weights is None else np.asarray(symbol_weights, dtype=float)
-    if w.shape != (p,):
-        raise InvalidModelError(f"dimension mismatch: {p} symbols but symbol weights shape {w.shape}")
+    rows = _as_array("observation.gamma", emission, (None, None))
+    p = rows.shape[1]
+    if symbol_weights is None:
+        w = np.ones(p)
+    else:
+        w = _as_array("observation.theta", symbol_weights, (p,))
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise InvalidModelError("symbol weights must be finite and strictly positive")
-    row_sums = a @ w
-    if np.any(np.abs(row_sums - 1.0) > tol):
-        worst = int(np.argmax(np.abs(row_sums - 1.0)))
-        raise InvalidModelError(
-            f"emission row {worst} integrates to {row_sums[worst]!r}, not 1"
-        )
-    return ObservationModel(kind="finite", emission=_frozen(a / row_sums[:, None]),
+    return ObservationModel(kind="finite",
+                            emission=_frozen(_normalized_rows("observation.gamma", rows, w, tol)),
                             symbol_weights=_frozen(w))
 
 
 def gaussian_observation(means, sigma: float) -> ObservationModel:
-    mu = np.asarray(means, dtype=float)
-    if mu.ndim != 1 or not np.all(np.isfinite(mu)):
+    mu = _as_array("observation.means", means, (None,))
+    if not np.all(np.isfinite(mu)):
         raise InvalidModelError("gaussian means must be a finite vector")
+    sigma = float(_as_array("observation.sigma", sigma, ()))
     if not np.isfinite(sigma) or sigma <= 0.0:
         raise InvalidModelError(f"gaussian sigma must be positive, got {sigma!r}")
-    return ObservationModel(kind="gaussian", means=_frozen(mu), sigma=float(sigma))
+    return ObservationModel(kind="gaussian", means=_frozen(mu), sigma=sigma)
 
 
 @dataclass(frozen=True)
@@ -392,61 +407,87 @@ def primitivity_check(kernel: TransitionKernel, r_max: Optional[int] = None) -> 
     return None
 
 
-def build_model(config: Mapping) -> FiniteModel:
-    """Build and validate a model from a parsed description.
+def with_priors(document, nu=None, beta=None):
+    """`document` with its priors replaced where `nu` or `beta` is given.
 
-    Expected keys: ``states`` (int), optional ``psi`` (weights), ``transition``
-    (matrix), ``observation`` (with ``type`` "finite" or "gaussian"), ``nu``
-    (data-generating prior) and ``beta`` (filter prior, strictly positive).
+    Prior overrides edit the document, so the model they give is built, and
+    its rows renormalized, exactly once by `build_model`.
     """
-    try:
-        d = int(config["states"])
-    except KeyError:
-        raise InvalidModelError("missing key: states") from None
-    weights = config.get("psi")
-    space = unit_space(d) if weights is None else StateSpace(d, weights)
+    if isinstance(document, Mapping):
+        document = dict(document)
+        if nu is not None:
+            document["nu"] = nu
+        if beta is not None:
+            document["beta"] = beta
+    return document
 
-    if "transition" not in config:
-        raise InvalidModelError("missing key: transition")
-    kernel = as_kernel(config["transition"], space)
 
-    if "observation" not in config:
-        raise InvalidModelError("missing key: observation")
-    obs_cfg = config["observation"]
-    obs_kind = obs_cfg.get("type")
-    if obs_kind == "finite":
-        if "gamma" not in obs_cfg:
-            raise InvalidModelError("missing key: observation.gamma")
-        obs = finite_observation(obs_cfg["gamma"], obs_cfg.get("theta"))
-        if obs.emission.shape[0] != d:
-            raise InvalidModelError(
-                f"dimension mismatch: emission has {obs.emission.shape[0]} rows for {d} states"
-            )
-    elif obs_kind == "gaussian":
-        if "means" not in obs_cfg:
-            raise InvalidModelError("missing key: observation.means")
-        if "sigma" not in obs_cfg:
-            raise InvalidModelError("missing key: observation.sigma")
-        obs = gaussian_observation(obs_cfg["means"], obs_cfg["sigma"])
-        if obs.means.shape != (d,):
-            raise InvalidModelError(
-                f"dimension mismatch: {obs.means.shape[0]} means for {d} states"
-            )
+def _state_count(value) -> int:
+    """`states` as a positive integer; integral floats pass, booleans do not."""
+    number = (int, float, np.integer, np.floating)
+    if (isinstance(value, bool) or not isinstance(value, number)
+            or not float(value).is_integer() or value < 1):
+        raise InvalidModelError(
+            f"invalid model document: 'states' must be a positive integer, got {value!r}"
+        )
+    return int(value)
+
+
+def build_model(document: Mapping, row_tol: float = ROW_SUM_TOL) -> FiniteModel:
+    """Validate a model document and build the model: the one way in.
+
+    Keys: ``states`` (positive integer), optional ``psi`` (state weights),
+    ``transition`` (matrix), ``observation`` ({"type": "finite", "gamma": ...,
+    "theta" optional} or {"type": "gaussian", "means": ..., "sigma": ...}),
+    ``nu`` (data-generating prior) and ``beta`` (filter prior, strictly
+    positive). Transition and emission rows whose integral misses 1 by at most
+    `row_tol` are renormalized, once; larger misses are rejected. Both priors
+    must have mass 1 within 1e-9. Every failure is an `InvalidModelError`
+    whose message names the offending key.
+    """
+    if not isinstance(document, Mapping):
+        raise InvalidModelError("invalid model document: expected a JSON object")
+    for key in ("states", "transition", "observation", "nu", "beta"):
+        if key not in document:
+            raise InvalidModelError(f"invalid model document: missing key '{key}'")
+    d = _state_count(document["states"])
+    # shape-check the document's own matrix before allocating d weights
+    transition = _as_array("transition", document["transition"], (d, d))
+    psi = document.get("psi")
+    space = unit_space(d) if psi is None else StateSpace(d, _as_array("psi", psi, (d,)))
+    kernel = as_kernel(transition, space, row_tol)
+
+    obs = document["observation"]
+    kind = obs.get("type") if isinstance(obs, Mapping) else None
+    if kind not in ("finite", "gaussian"):
+        raise InvalidModelError(
+            "invalid model document: 'observation.type' must be 'finite' or 'gaussian', "
+            f"got {kind!r}"
+        )
+    for key in ("gamma",) if kind == "finite" else ("means", "sigma"):
+        if key not in obs:
+            raise InvalidModelError(f"invalid model document: missing key 'observation.{key}'")
+    if kind == "finite":
+        gamma = _as_array("observation.gamma", obs["gamma"], (d, None))
+        observation = finite_observation(gamma, obs.get("theta"), row_tol)
     else:
-        raise InvalidModelError(f"observation.type must be 'finite' or 'gaussian', got {obs_kind!r}")
+        observation = gaussian_observation(_as_array("observation.means", obs["means"], (d,)),
+                                           obs["sigma"])
 
+    priors = []
     for key in ("nu", "beta"):
-        if key not in config:
-            raise InvalidModelError(f"missing key: {key}")
-    true_prior = as_density(config["nu"], space, tol=ROW_SUM_TOL)
-    wrong_prior = as_density(config["beta"], space, tol=ROW_SUM_TOL)
-    if np.any(wrong_prior.values[space.weights > 0.0] <= 0.0):
+        values = _as_array(key, document[key], (d,))
+        try:
+            priors.append(as_density(values, space, tol=ROW_SUM_TOL))
+        except InvalidModelError as exc:
+            raise InvalidModelError(f"invalid model document: '{key}': {exc}") from None
+    true_prior, wrong_prior = priors
+    if np.any(wrong_prior.values <= 0.0):
         raise InvalidModelError("beta not bounded below: filter prior has a zero atom")
-
     return FiniteModel(
         space=space,
         kernel=kernel,
-        observation=obs,
+        observation=observation,
         true_prior=true_prior,
         wrong_prior=wrong_prior,
     )

@@ -4,16 +4,43 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from filterstab import invariant_density, mixing_coefficients
-from filterstab.cli import main, model_to_config, parse_config
+from filterstab import build_model
+from filterstab.cli import load_model, main, parse_config
 from filterstab.errors import InvalidModelError
-from helpers import random_positive_model
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "kaijser.json"
 
 
 def fixture_document():
     return json.loads(FIXTURE.read_text())
+
+
+# a 3-state model whose rows change bits when renormalized a second time
+REPRO = {
+    "states": 3,
+    "transition": [[0.1, 0.2, 0.7], [0.2, 0.7, 0.1], [0.7, 0.1, 0.2]],
+    "observation": {"type": "finite", "gamma": [[0.9, 0.1], [0.5, 0.5], [0.2, 0.8]]},
+    "nu": [0.6, 0.3, 0.1],
+    "beta": [0.3, 0.3, 0.4],
+}
+
+GAUSSIAN = {
+    "states": 2,
+    "transition": [[0.9, 0.1], [0.2, 0.8]],
+    "observation": {"type": "gaussian", "means": [0.0, 1.0], "sigma": 0.5},
+    "nu": [0.9, 0.1],
+    "beta": [0.5, 0.5],
+}
+
+
+def copy_of(document):
+    return json.loads(json.dumps(document))
+
+
+def write_model(tmp_path, document):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(document))
+    return path
 
 
 class TestParseConfig:
@@ -41,23 +68,80 @@ class TestParseConfig:
         with pytest.raises(InvalidModelError, match="transition"):
             parse_config(doc)
 
-    def test_round_trip_preserves_coefficients(self):
-        model = random_positive_model(77, 4)
-        rebuilt = parse_config(model_to_config(model))
-        m1 = invariant_density(model.kernel, model.space)
-        m2 = invariant_density(rebuilt.kernel, rebuilt.space)
-        c1 = mixing_coefficients(model, m1)
-        c2 = mixing_coefficients(rebuilt, m2)
-        assert abs(c1.mixing_coefficient - c2.mixing_coefficient) <= 1e-15
-        assert c1.min_density == c2.min_density
-        assert c1.max_density == c2.max_density
-        np.testing.assert_array_equal(model.kernel.matrix, rebuilt.kernel.matrix)
 
-    def test_gaussian_round_trip(self):
-        model = random_positive_model(78, 3, gaussian=True)
-        rebuilt = parse_config(model_to_config(model))
-        np.testing.assert_array_equal(model.observation.means, rebuilt.observation.means)
-        assert model.observation.sigma == rebuilt.observation.sigma
+class TestMalformedDocuments:
+    CASES = {
+        "nu-string": (fixture_document(), lambda d: d.update(nu=["a", 0, 0, 0]), "'nu'"),
+        "gamma-ragged": (fixture_document(),
+                         lambda d: d["observation"].update(gamma=[[0.0, 1.0], [1.0], [0.0, 1.0], [1.0, 0.0]]),
+                         "'observation.gamma'"),
+        "sigma-string": (GAUSSIAN, lambda d: d["observation"].update(sigma="x"), "'observation.sigma'"),
+        "means-string": (GAUSSIAN, lambda d: d["observation"].update(means=["a", 1]), "'observation.means'"),
+        "states-fraction": (fixture_document(), lambda d: d.update(states=4.7), "'states'"),
+        "states-bool": (fixture_document(), lambda d: d.update(states=True), "'states'"),
+        "states-string": (fixture_document(), lambda d: d.update(states="4"), "'states'"),
+        "transition-null": (fixture_document(), lambda d: d.update(transition=None), "'transition'"),
+        "beta-bool": (fixture_document(), lambda d: d.update(beta=[True] * 4), "'beta'"),
+        "psi-short": (fixture_document(), lambda d: d.update(psi=[1.0, 1.0]), "'psi'"),
+        "nu-mass": (fixture_document(), lambda d: d.update(nu=[0.5, 0.5, 0.5, 0.5]), "'nu'"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_exit_code_one_and_key_named(self, case, tmp_path, capsys):
+        document, edit, key = self.CASES[case]
+        doc = copy_of(document)
+        edit(doc)
+        path = write_model(tmp_path, doc)
+        assert main(["validate", "--model", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert key in err
+
+    def test_integral_float_states_accepted(self):
+        doc = fixture_document()
+        doc["states"] = 4.0
+        model = parse_config(doc)
+        assert model.space.num_states == 4
+
+    def test_row_error_prints_a_plain_float(self):
+        doc = fixture_document()
+        doc["transition"][1] = [0.0, 0.1, 0.1, 0.0]
+        with pytest.raises(InvalidModelError) as info:
+            parse_config(doc)
+        assert str(info.value) == (
+            "invalid kernel: 'transition' row 1 integrates to 0.2, not 1 (tolerance 1e-06)"
+        )
+
+    def test_zero_weight_is_a_weight_error(self):
+        doc = fixture_document()
+        doc["psi"] = [1.0, 0.0, 1.0, 1.0]
+        with pytest.raises(InvalidModelError, match="state weights must be finite and strictly positive"):
+            parse_config(doc)
+
+
+class TestOneIngestionPath:
+    def test_prior_override_does_not_move_bits(self, tmp_path, capsys):
+        path = write_model(tmp_path, REPRO)
+        assert main(["validate", "--model", str(path)]) == 0
+        plain = capsys.readouterr().out
+        assert main(["validate", "--model", str(path), "--nu", "0.6,0.3,0.1"]) == 0
+        assert capsys.readouterr().out == plain
+        expected = build_model(REPRO).kernel.matrix
+        np.testing.assert_array_equal(load_model(path).kernel.matrix, expected)
+        np.testing.assert_array_equal(load_model(path, [0.6, 0.3, 0.1]).kernel.matrix, expected)
+        np.testing.assert_array_equal(json.loads(plain)["min_density"], expected.min())
+
+    def test_rows_are_renormalized_once(self):
+        doc = copy_of(REPRO)
+        doc["transition"][0] = [x * (1 + 1e-7) for x in doc["transition"][0]]
+        m = np.array(doc["transition"])
+        w = np.ones(3)
+        np.testing.assert_array_equal(parse_config(doc).kernel.matrix, m / (m @ w)[:, None])
+
+    def test_prior_override_on_a_file_is_validated(self, tmp_path, capsys):
+        path = write_model(tmp_path, REPRO)
+        assert main(["validate", "--model", str(path), "--beta", "0.5,0.5,0.0"]) == 1
+        assert "beta not bounded below" in capsys.readouterr().err
 
 
 class TestValidateCommand:

@@ -36,8 +36,14 @@ from .model import (
     uniform_density,
     unit_space,
 )
-from .rng import Xoshiro256StarStar, derive_seed
-from .simulate import Trajectory, likelihood_rows, likelihood_vector, sample_trajectory
+from .rng import Xoshiro256StarStar, Xoshiro256StarStarLanes, derive_seed
+from .simulate import (
+    Trajectory,
+    likelihood_rows,
+    likelihood_vector,
+    sample_trajectories,
+    sample_trajectory,
+)
 from .filtering import (
     DecayEstimate,
     FilterRun,

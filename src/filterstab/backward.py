@@ -35,7 +35,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
-from .filtering import FilterRun, _path_mass, filter_step_with_likelihood
+from .filtering import FilterRun, _path_mass, _raise_first, filter_step_with_likelihood
 from .model import (
     Coefficients,
     Density,
@@ -45,6 +45,9 @@ from .model import (
     row_minima,
 )
 from .simulate import likelihood_vector
+
+# entries of backward densities held at once before they are reduced
+_CHUNK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,8 @@ def backward_step(
     """Advance the backward density one step using the filter density of the
     previous time (which must come from the same prior as `rho_prev`)."""
     weighted = pi_prev.values * space.weights
-    return BackwardDensity(_rho_advance(rho_prev.matrix, weighted, kernel.matrix, space.weights))
+    return BackwardDensity(_rho_advance(rho_prev.matrix, weighted[None], kernel.matrix,
+                                        space.weights))
 
 
 def oscillation(rho: BackwardDensity) -> OscillationRecord:
@@ -179,10 +183,8 @@ def backward_pass(
     ratio of the data-generating prior to `theta0`. Row ``n-1`` of the
     results agrees bit for bit with `BackwardContext` after ``n`` steps.
     """
-    space = model.space
-    _require_positive(theta0, space, "initial backward prior")
-    weights, matrix = space.weights, model.kernel.matrix
-    d = space.num_states
+    _require_positive(theta0, model.space, "initial backward prior")
+    d = model.space.num_states
     pis = np.asarray(pi_history, dtype=float)
     ratio = np.asarray(prior_ratio, dtype=float)
     if pis.ndim != 2 or pis.shape[1] != d or len(pis) < 1 or ratio.shape != (d,):
@@ -190,35 +192,86 @@ def backward_pass(
             f"dimension mismatch: filter history shape {pis.shape}, prior ratio shape "
             f"{ratio.shape} vs {d} states"
         )
-    n_steps = len(pis) - 1
-    ratio_weighted = ratio * weights
-    rhos = np.empty((n_steps, d, d))
-    ratios = np.empty(n_steps + 1)
-    ratios[0] = float((ratio * theta0.values) @ weights)
-    rho = weighted = None
-    for k in range(n_steps):
-        if k == 0:
-            rho = _rho_init(theta0.values, matrix, weights)
-        else:
-            rho = _rho_advance(rho, weighted, matrix, weights)
-        rhos[k] = rho
-        weighted = pis[k + 1] * weights
-        ratios[k + 1] = float((ratio_weighted @ rho) @ weighted)
-    upper = rhos.max(axis=2)
-    lower = rhos.min(axis=2)
-    if not np.all(np.isfinite(upper)) or np.any(lower < 0.0):
-        raise InvalidModelError("backward density entries must be finite and nonnegative")
-    bad = np.flatnonzero(~np.isfinite(ratios) | (ratios < 0.0))
-    if bad.size:
-        raise NumericalError(
-            f"likelihood ratio must be finite and nonnegative, got {float(ratios[bad[0]])!r}"
-        )
+    oscillations, bounds, ratios, errors = _backward_records(model, theta0, coeffs, pis[None],
+                                                             ratio)
+    _raise_first(errors)
+    return BackwardPass(oscillations=oscillations[0],
+                        bounds=None if bounds is None else bounds[0],
+                        likelihood_ratios=ratios[0])
+
+
+def _backward_records(model: FiniteModel, theta0: Density, coeffs: Coefficients,
+                      pis: np.ndarray, ratio: np.ndarray):
+    """`backward_pass` along ``R`` filter runs at once, ``pis`` being ``(R, N+1, d)``.
+
+    ρ advances as an ``(R, d, d)`` stack, kept for a chunk of steps
+    (``_CHUNK_ENTRIES`` entries) and then reduced to its per-``u`` column
+    extrema and likelihood ratios, so no ``(R, N, d, d)`` array is built.
+    Returns the ``(R, N, d)`` oscillations and envelope (None when
+    vacuous), the ``(R, N+1)`` likelihood ratios and, per run, the error
+    `backward_pass` raises on it alone (or None). A run whose predicted mass
+    hits zero carries on from ``theta0 * w``, whose mass is positive
+    everywhere, so the other runs are unaffected. ``theta0`` must be
+    strictly positive.
+    """
+    space = model.space
+    weights, matrix = space.weights, model.kernel.matrix
+    n_runs, n_steps, d = len(pis), pis.shape[1] - 1, space.num_states
+    ratios = np.empty((n_runs, n_steps + 1))
+    ratios[:, 0] = float((ratio * theta0.values) @ weights)
+    try:
+        rho = _rho_init(theta0.values, matrix, weights) if n_steps else None
+    except NumericalError as exc:
+        # the first step does not depend on the run, so every run fails there
+        return np.zeros((n_runs, n_steps, d)), None, ratios, [exc] * n_runs
+    errors = [None] * n_runs
+    ratio_weighted = (ratio * weights)[None, :]
+    oscillations = np.empty((n_runs, n_steps, d))
+    invalid = np.zeros(n_runs, dtype=bool)
+    dead = np.zeros(n_runs, dtype=bool)  # runs carrying on from theta0 * w
+    held = max(1, _CHUNK_ENTRIES // (n_runs * d * d))
+    rhos = np.empty((min(held, n_steps), n_runs, d, d))
+    per_state = np.empty((min(held, n_steps), n_runs, 1, d))
+    for start in range(0, n_steps, held):
+        stop = min(start + held, n_steps)
+        # row vectors pi_k * w for k = start..stop
+        weighted = pis[:, start:stop + 1, None, :] * weights
+        weighted[dead] = theta0.values * weights
+        for j in range(stop - start):
+            if start + j:
+                try:
+                    rho = _rho_advance(rho, weighted[:, j], matrix, weights)
+                except NumericalError as exc:
+                    hit = (weighted[:, j] @ matrix).min(axis=(1, 2)) <= 0.0
+                    for r in np.flatnonzero(hit):
+                        errors[r] = errors[r] or exc
+                    dead |= hit
+                    weighted[dead, j:] = theta0.values * weights
+                    rho = _rho_advance(rho, weighted[:, j], matrix, weights)
+            rhos[j] = rho
+            np.matmul(ratio_weighted, rho, out=per_state[j])
+        # the chunk's column extrema, and its likelihood ratios as one dot per step
+        held_now = stop - start
+        upper, lower = rhos[:held_now].max(axis=-1), rhos[:held_now].min(axis=-1)
+        invalid |= ~np.isfinite(upper).all(axis=(0, 2)) | (lower < 0.0).any(axis=(0, 2))
+        oscillations[:, start:stop] = (upper - lower).transpose(1, 0, 2)
+        ratios[:, start + 1:stop + 1] = (per_state[:held_now].transpose(1, 0, 2, 3)
+                                         @ weighted[:, 1:].swapaxes(-1, -2))[..., 0, 0]
+    del rhos, per_state
+    bad_ratios = ~np.isfinite(ratios) | (ratios < 0.0)
+    for r in range(n_runs):
+        if errors[r] is None and invalid[r]:
+            errors[r] = InvalidModelError("backward density entries must be finite and nonnegative")
+        elif errors[r] is None and bad_ratios[r].any():
+            value = float(ratios[r, bad_ratios[r].argmax()])
+            errors[r] = NumericalError(
+                f"likelihood ratio must be finite and nonnegative, got {value!r}")
     scale = _envelope_scale(theta0.values, weights, coeffs)
     bounds = None
     if scale is not None:
         row_min_weighted = row_minima(model.kernel, space) * weights
         bounds = _envelope(scale, pis, row_min_weighted, coeffs.max_density)
-    return BackwardPass(oscillations=upper - lower, bounds=bounds, likelihood_ratios=ratios)
+    return oscillations, bounds, ratios, errors
 
 
 def likelihood_ratio(
@@ -385,17 +438,21 @@ def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np
 
 def _rho_advance(rho: np.ndarray, weighted: np.ndarray, matrix: np.ndarray,
                  weights: np.ndarray) -> np.ndarray:
-    """One backward step on plain arrays; ``weighted`` is ``pi_prev * w``."""
-    numerator = (rho * weighted[None, :]) @ matrix
+    """One backward step of a stack of backward densities: the one backward kernel.
+
+    ``rho`` is ``(..., d, d)`` and ``weighted`` the matching row vectors
+    ``(..., 1, d)`` of ``pi_prev * w``. Stacked matmuls run one gemm or gemv
+    per density, so each rounds exactly as it does alone.
+    """
+    numerator = (rho * weighted) @ matrix
     denominator = weighted @ matrix
     if denominator.min() <= 0.0:
         raise NumericalError("state has zero predicted mass")
-    return _renormalize_columns(numerator / denominator[None, :], weights)
+    return _renormalize_columns(numerator / denominator, weights)
 
 
 def _renormalize_columns(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    column_mass = weights @ matrix
-    return matrix / column_mass[None, :]
+    return matrix / (weights[None, :] @ matrix)
 
 
 def _envelope_scale(theta0: np.ndarray, weights: np.ndarray,
@@ -412,17 +469,21 @@ def _envelope(scale: np.ndarray, pis: np.ndarray, row_min_weighted: np.ndarray,
               max_density: float) -> np.ndarray:
     """Envelope rows ``scale * exp(-exponent_n / max)`` for ``n = 1..N``.
 
-    The exponent accumulates one filter average per step in the order
-    `BackwardContext` does, and ``math.exp`` is taken per step, so each row
-    equals that context's ``record.bound`` exactly.
+    ``pis`` is ``(..., N+1, d)``, one filter run per leading index. The
+    exponent accumulates one filter average per step, left to right as
+    `BackwardContext` does (``cumsum`` is sequential), and ``math.exp`` is
+    taken per step, so each row equals that context's ``record.bound``
+    exactly.
     """
-    decays = np.empty(len(pis) - 1)
-    exponent = 0.0
-    for k in range(len(decays)):
-        if k:
-            exponent += float(pis[k] @ row_min_weighted)
-        decays[k] = math.exp(-exponent / max_density)
-    return scale[None, :] * decays[:, None]
+    steps = pis.shape[-2] - 1
+    exponents = np.zeros(pis.shape[:-2] + (steps,))
+    averages = (pis[..., 1:steps, None, :] @ row_min_weighted[:, None])[..., 0, 0]
+    np.cumsum(averages, axis=-1, out=exponents[..., 1:])
+    del averages
+    exponents *= -1.0
+    exponents /= max_density
+    decays = np.fromiter(map(math.exp, exponents.flat), float, exponents.size)
+    return scale * decays.reshape(exponents.shape + (1,))
 
 
 def _require_positive(density: Density, space: StateSpace, what: str) -> None:

@@ -81,18 +81,6 @@ def load_model(path, true_prior=None, wrong_prior=None) -> FiniteModel:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(x) -> str:
-    """17-significant-digit text for a float; empty string for None."""
-    if x is None:
-        return ""
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return format(x, ".17g")
-
-
 def _jsonable(obj):
     """Recursively replace non-finite floats by strings for strict JSON."""
     if isinstance(obj, dict):
@@ -133,22 +121,19 @@ def _write_text(path: Optional[Path], text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-def _csv_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return _fmt(value)
+# one format call per cell, picked by the cell's exact type: None is an empty
+# cell, integers print as %d and every other number as %.17g, which also
+# spells nan, inf and -inf
+_CELL_FORMATS = {type(None): lambda _: "", int: "%d".__mod__, np.int64: "%d".__mod__}
+_FLOAT_CELL = "%.17g".__mod__
 
 
 def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_csv_cell(v) for v in row])
+    cell = _CELL_FORMATS.get
+    writer.writerows([cell(type(v), _FLOAT_CELL)(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
@@ -241,7 +226,19 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _summary_path(table: Path) -> Path:
+    """Where `stability` writes its JSON summary next to the table."""
+    return table.with_suffix(".summary.json" if table.suffix == ".json" else ".json")
+
+
 def _cmd_stability(args) -> int:
+    out = _resolve_output(args.output)
+    if out is not None and args.model and \
+            _summary_path(out).resolve() == Path(args.model).resolve():
+        raise InvalidModelError(
+            f"the summary of --output {args.output} would be written to {_summary_path(out)}, "
+            f"which is the --model file; choose another output name"
+        )
     scenario, name = _scenario_from_args(args)
     if scenario.replicates < 1:
         raise InvalidModelError("stability needs at least one replicate")
@@ -297,14 +294,12 @@ def _cmd_stability(args) -> int:
         passed = passed and first.kaijser.passed
     summary["passed"] = passed
 
-    out = _resolve_output(args.output)
     if out is None:
         _write_text(None, table)
         _write_text(None, _json_text(summary))
     else:
         _write_text(out, table)
-        _write_text(out.with_suffix(".json") if out.suffix != ".json"
-                    else out.with_suffix(".summary.json"), _json_text(summary))
+        _write_text(_summary_path(out), _json_text(summary))
     return 0 if passed else 3
 
 

@@ -63,19 +63,19 @@ ZERO_LIKELIHOOD = (
 
 
 def _filter_update(pi: np.ndarray, likelihood: np.ndarray, matrix: np.ndarray,
-                   weights: np.ndarray) -> tuple[np.ndarray, float]:
-    """Prediction plus Bayes reweighting on plain arrays: the one filter kernel.
+                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Prediction plus Bayes reweighting of a stack of densities: the one filter kernel.
 
-    Returns the posterior and the normalizing constant
-    ``sum_x likelihood[x] * predicted[x] * w[x]``; raises when that constant
-    is not finite or sits at or below the underflow floor.
+    ``pi`` is a stack of row vectors ``(..., 1, d)`` and ``likelihood``
+    broadcasts against it. Returns the unnormalized posteriors and their
+    ``(..., 1, 1)`` normalizing constants
+    ``sum_x likelihood[x] * predicted[x] * w[x]``; the caller checks the
+    constants before dividing. Each product is a stacked matmul of row
+    vectors, which numpy runs as one gemv or dot per row, so a row rounds
+    exactly as it does alone (a 2-D ``X @ M`` would be a gemm, which does not).
     """
-    predicted = matrix.T @ (pi * weights)
-    unnormalized = likelihood * predicted
-    normalizer = float(unnormalized @ weights)
-    if not math.isfinite(normalizer) or normalizer <= UNDERFLOW_FLOOR:
-        raise NumericalError(ZERO_LIKELIHOOD)
-    return unnormalized / normalizer, normalizer
+    unnormalized = likelihood * ((pi * weights) @ matrix)
+    return unnormalized, unnormalized @ weights[:, None]
 
 
 def _log_domain_update(pi: np.ndarray, y, model: FiniteModel) -> Optional[tuple[np.ndarray, float]]:
@@ -118,10 +118,13 @@ def filter_step_with_likelihood(
     the underflow floor means the observation has probability zero under the
     predicted law.
     """
-    posterior, normalizer = _filter_update(
-        pi_prev.values, np.asarray(likelihood, dtype=float), kernel.matrix, space.weights
+    unnormalized, normalizer = _filter_update(
+        pi_prev.values[None], np.asarray(likelihood, dtype=float), kernel.matrix, space.weights
     )
-    return Density(posterior), normalizer
+    normalizer = float(normalizer[0, 0])
+    if not UNDERFLOW_FLOOR < normalizer < math.inf:
+        raise NumericalError(ZERO_LIKELIHOOD)
+    return Density(unnormalized[0] / normalizer), normalizer
 
 
 def filter_step(pi_prev: Density, y, model: FiniteModel) -> Density:
@@ -129,6 +132,76 @@ def filter_step(pi_prev: Density, y, model: FiniteModel) -> Density:
     lik = likelihood_vector(model.observation, y)
     posterior, _ = filter_step_with_likelihood(pi_prev, lik, model.kernel, model.space)
     return posterior
+
+
+def _filter_records(priors: np.ndarray, observations,
+                    model: FiniteModel) -> tuple[np.ndarray, np.ndarray, list]:
+    """The filter from each of ``P`` priors on each of ``R`` records, in one pass.
+
+    ``priors`` is ``(P, d)`` and ``observations`` holds ``R`` records of
+    ``N`` observations, validated at once. All ``R * P`` filters advance together,
+    one stacked `_filter_update` per step. Returns the read-only
+    ``(R, P, N+1, d)`` densities, the ``(R, P, N)`` log normalizers and, per
+    filter in ``(R, P)`` order, the error it raises when run alone (or None).
+
+    A Gaussian step whose normalizer underflows or overflows is redone for
+    that filter alone in the log domain; where no rescue exists the filter
+    fails at that step and holds its last density, so the other rows run on
+    unaffected.
+    """
+    n_records, n_obs = np.shape(observations)
+    n_priors, d = priors.shape
+    # an axis of one for the priors, and each step's densities as row vectors
+    liks = likelihood_rows(model.observation, np.ravel(observations))
+    liks = liks.reshape(n_records, 1, n_obs, 1, d)
+    matrix, weights = model.kernel.matrix, model.space.weights
+    gaussian = model.observation.kind == "gaussian"
+    densities = np.empty((n_records, n_priors, n_obs + 1, 1, d))
+    densities[:, :, 0, 0] = priors
+    normalizers = np.empty((n_records, n_priors, n_obs, 1, 1))
+    failed_at = np.zeros((n_records, n_priors), dtype=np.int64)  # first failing step, 0 if none
+    rescued_logs = {}
+    for n in range(n_obs):
+        pi = densities[:, :, n]
+        unnormalized, z = _filter_update(pi, liks[:, :, n], matrix, weights)
+        zs = z.ravel().tolist()
+        # the normalizers are nonnegative, so their sum is NaN or infinite
+        # exactly when one of them is
+        if not (min(zs) > UNDERFLOW_FLOOR and sum(zs) < math.inf):
+            for r, p in zip(*np.nonzero(~((z[..., 0, 0] > UNDERFLOW_FLOOR)
+                                          & (z[..., 0, 0] < math.inf)))):
+                rescued = None
+                if gaussian and not failed_at[r, p]:
+                    rescued = _log_domain_update(pi[r, p, 0], observations[r][n], model)
+                if rescued is None:
+                    failed_at[r, p] = failed_at[r, p] or n + 1
+                    unnormalized[r, p] = pi[r, p]
+                else:
+                    unnormalized[r, p, 0], rescued_logs[r, p, n] = rescued
+                z[r, p] = 1.0
+        normalizers[:, :, n] = z
+        np.divide(unnormalized, z, out=densities[:, :, n + 1])
+    densities = densities[..., 0, :]
+    normalizers = normalizers[..., 0, 0]
+    invalid = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
+    errors = [
+        NumericalError(f"{ZERO_LIKELIHOOD} (at step {step})") if step
+        else InvalidModelError("density values must be finite and nonnegative") if bad else None
+        for step, bad in zip(failed_at.ravel().tolist(), invalid.ravel().tolist())
+    ]
+    log_norms = np.fromiter(map(math.log, normalizers.flat), float, normalizers.size)
+    log_norms = log_norms.reshape(n_records, n_priors, n_obs)
+    for index, value in rescued_logs.items():
+        log_norms[index] = value
+    densities.flags.writeable = False
+    return densities, log_norms, errors
+
+
+def _raise_first(errors) -> None:
+    """Raise the first error of a batch in row order, as the rows run one by one would."""
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def run_filter(prior: Density, observations: Sequence, model: FiniteModel,
@@ -139,30 +212,13 @@ def run_filter(prior: Density, observations: Sequence, model: FiniteModel,
     from every mean) is redone in the log domain; on a finite alphabet it is
     a genuine impossibility and raises.
     """
-    liks = likelihood_rows(model.observation, observations)
-    n_obs = len(liks)
-    matrix, weights = model.kernel.matrix, model.space.weights
-    gaussian = model.observation.kind == "gaussian"
-    densities = np.empty((n_obs + 1, model.space.num_states))
-    densities[0] = prior.values
-    log_norms = np.empty(n_obs)
-    for n in range(n_obs):
-        try:
-            densities[n + 1], normalizer = _filter_update(densities[n], liks[n], matrix, weights)
-            log_norms[n] = math.log(normalizer)
-        except NumericalError as exc:
-            rescued = _log_domain_update(densities[n], observations[n], model) if gaussian else None
-            if rescued is None:
-                raise NumericalError(f"{exc} (at step {n + 1})") from exc
-            densities[n + 1], log_norms[n] = rescued
-    if not np.all(np.isfinite(densities)) or np.any(densities < 0.0):
-        raise InvalidModelError("density values must be finite and nonnegative")
-    densities.flags.writeable = False
+    densities, log_norms, errors = _filter_records(prior.values[None], [observations], model)
+    _raise_first(errors)
     return FilterRun(
-        densities=densities,
+        densities=densities[0, 0],
         prior_label=prior_label,
         observations=np.asarray(observations),
-        log_normalizers=log_norms,
+        log_normalizers=log_norms[0, 0],
     )
 
 
@@ -175,14 +231,8 @@ def tv_norm(p: Density, q: Density, space: StateSpace) -> float:
     return float(np.abs(p.values - q.values) @ space.weights)
 
 
-def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Sequence,
-                    model: FiniteModel) -> PairRun:
-    """Run the filter from both priors on the same record and track the TV gap.
-
-    The wrong prior must be strictly positive so its filter is well defined on
-    any record the true model can produce. The true prior may have zero atoms.
-    """
-    space = model.space
+def _check_priors(true_prior: Density, wrong_prior: Density, space: StateSpace) -> None:
+    """The wrong prior must be strictly positive; a true prior with zero atoms warns."""
     positive = space.weights > 0.0
     if np.any(wrong_prior.values[positive] <= 0.0):
         raise InvalidModelError("beta not bounded below: wrong prior has a zero atom")
@@ -191,14 +241,49 @@ def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Seq
             "true prior has zero atoms; absolute continuity with respect to the "
             "wrong prior still holds",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    run_correct = run_filter(true_prior, observations, model, prior_label="correct")
-    run_wrong = run_filter(wrong_prior, observations, model, prior_label="wrong")
+
+
+def _pair_records(true_prior: Density, wrong_prior: Density, observations,
+                  model: FiniteModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
+    """Both filters on each of ``R`` records in one `_filter_records` pass.
+
+    Returns the ``(R, 2, N+1, d)`` densities (correct prior first), the log
+    normalizers, the ``(R, N+1)`` TV gaps and the per-filter errors.
+    """
+    densities, log_norms, errors = _filter_records(
+        np.stack([true_prior.values, wrong_prior.values]), observations, model)
     # one dot per row, the same product `tv_norm` takes on a single pair
-    gaps = np.abs(run_correct.densities - run_wrong.densities)
-    tv = np.array([row @ space.weights for row in gaps])
-    return PairRun(run_correct=run_correct, run_wrong=run_wrong, tv=tv)
+    gaps = np.subtract(densities[:, 0], densities[:, 1])
+    np.abs(gaps, out=gaps)
+    tv = (gaps[..., None, :] @ model.space.weights[:, None])[..., 0, 0]
+    return densities, log_norms, tv, errors
+
+
+def _pair_run(densities: np.ndarray, log_norms: np.ndarray, observations: np.ndarray,
+              tv: np.ndarray) -> PairRun:
+    """The `PairRun` of one record's rows of `_pair_records`."""
+    return PairRun(
+        run_correct=FilterRun(densities[0], "correct", observations, log_norms[0]),
+        run_wrong=FilterRun(densities[1], "wrong", observations, log_norms[1]),
+        tv=tv,
+    )
+
+
+def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Sequence,
+                    model: FiniteModel) -> PairRun:
+    """Run the filter from both priors on the same record and track the TV gap.
+
+    The wrong prior must be strictly positive so its filter is well defined on
+    any record the true model can produce. The true prior may have zero atoms.
+    Both filters advance in one pass; the correct prior's failure is raised first.
+    """
+    _check_priors(true_prior, wrong_prior, model.space)
+    densities, log_norms, tv, errors = _pair_records(true_prior, wrong_prior, [observations],
+                                                     model)
+    _raise_first(errors)
+    return _pair_run(densities[0], log_norms[0], np.asarray(observations), tv[0])
 
 
 def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstimate:

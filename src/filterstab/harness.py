@@ -25,9 +25,17 @@ from typing import Optional
 
 import numpy as np
 
-from .backward import backward_pass
+from .backward import _backward_records
 from .errors import InvalidModelError
-from .filtering import DecayEstimate, PairRun, decay_rate, run_filter_pair
+from .filtering import (
+    DecayEstimate,
+    PairRun,
+    _check_priors,
+    _pair_records,
+    _pair_run,
+    decay_rate,
+    run_filter_pair,
+)
 from .model import (
     Coefficients,
     FiniteModel,
@@ -37,7 +45,7 @@ from .model import (
     with_priors,
 )
 from .rng import derive_seed
-from .simulate import Trajectory, sample_trajectory
+from .simulate import Trajectory, sample_trajectories, sample_trajectory
 
 KAIJSER_TRUE_PRIOR = (0.5, 0.2, 0.2, 0.1)
 
@@ -307,46 +315,67 @@ def kaijser_verify(true_prior, wrong_prior, horizon: int, seed: int) -> KaijserR
     return _verify_kaijser_on(model, trajectory.observations, pair)
 
 
+def _is_kaijser(model: FiniteModel) -> bool:
+    """Whether `model` has the counterexample's state space, kernel and
+    read-out, whatever its priors: the closed form holds for any of them."""
+    reference = kaijser_model()
+    obs, ref = model.observation, reference.observation
+    return (obs.kind == ref.kind
+            and np.array_equal(model.space.weights, reference.space.weights)
+            and np.array_equal(model.kernel.matrix, reference.kernel.matrix)
+            and np.array_equal(obs.emission, ref.emission)
+            and np.array_equal(obs.symbol_weights, ref.symbol_weights))
+
+
 def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRecord]:
     """Execute every replicate of a scenario and collect full diagnostics.
 
     Each replicate gets an independent stream derived from the scenario seed.
     Records are returned ordered by replicate index, so output is a pure
-    function of (scenario, seed). Replicates are independent and safe to
-    compute concurrently; this implementation runs them sequentially.
-
-    A replicate makes two filter passes over its record, one per prior: the
-    backward density replays the wrong-prior run's densities, and the
-    Kaijser gate reuses the pair.
+    function of (scenario, seed). All replicates advance together as stacked
+    arrays: one pass samples every record, one filter pass runs both priors
+    of every replicate, and the backward density replays all the
+    wrong-prior runs as one stack; the Kaijser gate, run whenever the model
+    is the counterexample's, reuses each pair. Every replicate's arrays
+    equal those it gets alone, bit for bit, and when replicates fail the
+    lowest one's first error is raised, as if they ran one after another.
     """
     model = scenario.model
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
     prior_ratio = np.divide(model.true_prior.values, model.wrong_prior.values)
+    seeds = [derive_seed(scenario.seed, replicate) for replicate in range(scenario.replicates)]
+    if not seeds:
+        return []
+    states, observations = sample_trajectories(model, model.true_prior, scenario.horizon, seeds)
+    _check_priors(model.true_prior, model.wrong_prior, model.space)
+    densities, log_norms, tv, filter_errors = _pair_records(
+        model.true_prior, model.wrong_prior, observations, model
+    )
+    oscillations, bounds, ratios, backward_errors = _backward_records(
+        model, model.wrong_prior, coeffs, densities[:, 1], prior_ratio
+    )
+    kaijser = _is_kaijser(model)
     records = []
-    for replicate in range(scenario.replicates):
-        seed = derive_seed(scenario.seed, replicate)
-        trajectory = sample_trajectory(model, model.true_prior, scenario.horizon, seed)
-        pair = run_filter_pair(
-            model.true_prior, model.wrong_prior, trajectory.observations, model
-        )
-        backward = backward_pass(
-            model, model.wrong_prior, coeffs, pair.run_wrong.densities, prior_ratio
-        )
-        report = None
-        if scenario.name == "kaijser":
-            report = _verify_kaijser_on(model, trajectory.observations, pair)
+    for replicate, seed in enumerate(seeds):
+        for error in (*filter_errors[2 * replicate:2 * replicate + 2], backward_errors[replicate]):
+            if error is not None:
+                raise error
+        trajectory = Trajectory(states=states[replicate], observations=observations[replicate],
+                                seed=seed)
+        pair = _pair_run(densities[replicate], log_norms[replicate], trajectory.observations,
+                         tv[replicate])
         records.append(RunRecord(
             replicate=replicate,
             seed=seed,
             trajectory=trajectory,
             pair=pair,
-            oscillations=backward.oscillations,
-            oscillation_bounds=backward.bounds,
-            bounds_vacuous=backward.bounds is None,
-            likelihood_ratios=backward.likelihood_ratios,
+            oscillations=oscillations[replicate],
+            oscillation_bounds=None if bounds is None else bounds[replicate],
+            bounds_vacuous=bounds is None,
+            likelihood_ratios=ratios[replicate],
             decay=decay_rate(pair.tv, window_fraction),
             coeffs=coeffs,
-            kaijser=report,
+            kaijser=_verify_kaijser_on(model, trajectory.observations, pair) if kaijser else None,
         ))
     return records

@@ -21,12 +21,17 @@ Algorithm summary (all arithmetic modulo 2**64):
 
 Replicate streams are derived by hashing the master seed together with the
 replicate index (`derive_seed`), giving independent streams without any
-shared state.
+shared state. `Xoshiro256StarStarLanes` advances many such streams at once
+in numpy ``uint64``, whose arithmetic wraps modulo 2**64 like the masked
+scalar code, so lane ``r`` yields exactly the words of
+``Xoshiro256StarStar(seeds[r])``.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -115,3 +120,43 @@ class Xoshiro256StarStar:
         if last_positive < 0:
             raise ValueError("cannot sample from an all-zero probability vector")
         return last_positive
+
+
+class Xoshiro256StarStarLanes:
+    """Independent xoshiro256** streams advanced in lockstep, one per lane.
+
+    Lane ``r`` is seeded like ``Xoshiro256StarStar(seeds[r])`` and produces
+    the same words. One step costs a handful of numpy calls whatever the
+    number of lanes, so this pays off only for many lanes at once.
+    """
+
+    __slots__ = ("_state",)
+
+    def __init__(self, seeds):
+        streams = [Xoshiro256StarStar(seed) for seed in seeds]
+        # row k holds word k of every lane's state
+        words = [[g._s0, g._s1, g._s2, g._s3] for g in streams]
+        self._state = np.array(words, dtype=np.uint64).reshape(-1, 4).T.copy()
+
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` words of every lane, as a ``(count, lanes)`` array."""
+        s0, s1, s2, s3 = self._state
+        out = np.empty((count, self._state.shape[1]), dtype=np.uint64)
+        for k in range(count):
+            out[k] = _rotl_lanes(s1 * 5, 7) * 9
+            t = s1 << 17
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3[:] = _rotl_lanes(s3, 45)
+        return out
+
+    def next_uint64(self) -> np.ndarray:
+        """One word per lane."""
+        return self.words(1)[0]
+
+
+def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:
+    return (x << k) | (x >> (64 - k))

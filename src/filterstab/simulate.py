@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidModelError
 from .model import Density, FiniteModel, ObservationModel
-from .rng import Xoshiro256StarStar
+from .rng import _DOUBLE_SCALE, Xoshiro256StarStar, Xoshiro256StarStarLanes
 
 
 @dataclass(frozen=True)
@@ -18,7 +18,8 @@ class Trajectory:
 
     ``states`` holds the signal ``X_0..X_N`` as atom indices; ``observations``
     holds ``Y_1..Y_N`` (symbol indices for finite alphabets, reals for the
-    Gaussian channel), so it is one entry shorter than ``states``.
+    Gaussian channel), so it is one entry shorter than ``states``. Both are
+    stored read-only: copies, unless they are read-only arrays already.
     """
 
     states: np.ndarray
@@ -31,12 +32,16 @@ class Trajectory:
                 f"trajectory shape mismatch: {len(self.states)} states, "
                 f"{len(self.observations)} observations"
             )
-        s = np.array(self.states, dtype=np.int64)
-        s.flags.writeable = False
-        o = np.array(self.observations)
-        o.flags.writeable = False
-        object.__setattr__(self, "states", s)
-        object.__setattr__(self, "observations", o)
+        object.__setattr__(self, "states", _read_only(np.asarray(self.states, dtype=np.int64)))
+        object.__setattr__(self, "observations", _read_only(np.asarray(self.observations)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a` itself when it is read-only, else a read-only copy."""
+    if a.flags.writeable:
+        a = a.copy()
+        a.flags.writeable = False
+    return a
 
 
 def sample_trajectory(model: FiniteModel, initial: Density, horizon: int, seed: int) -> Trajectory:
@@ -70,6 +75,69 @@ def sample_trajectory(model: FiniteModel, initial: Density, horizon: int, seed: 
     return Trajectory(states=np.array(states, dtype=np.int64), observations=obs_array, seed=seed)
 
 
+def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
+                        seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one trajectory per seed, all streams at once.
+
+    Returns read-only ``(R, N+1)`` states and ``(R, N)`` observations whose
+    row ``r`` equals ``sample_trajectory(model, initial, horizon, seeds[r])``
+    bit for bit: every lane draws the same words in the same order (one per pick,
+    two per normal), picks compare the uniform with the same left-to-right
+    cumulative sums, and Box-Muller uses the same `math` functions. A single
+    seed takes the scalar sampler, which is faster on one stream.
+    """
+    seeds = list(seeds)
+    if len(seeds) == 1:
+        trajectory = sample_trajectory(model, initial, horizon, seeds[0])
+        return trajectory.states[None], trajectory.observations[None]
+    if horizon < 1:
+        raise InvalidModelError(f"horizon must be at least 1, got {horizon}")
+    space, obs = model.space, model.observation
+    finite = obs.kind == "finite"
+    per_step = 2 if finite else 3  # words of one step: the state pick, then the observation
+    words = Xoshiro256StarStarLanes(seeds).words(1 + per_step * horizon)
+    words >>= 11
+    draws = words.astype(float)  # exact: 53-bit integers
+    del words
+    if not finite:
+        draws[2::3] += 1.0  # the Box-Muller radius uniform lies in (0, 1]
+    draws *= _DOUBLE_SCALE
+
+    state_table = _pick_table(model.kernel.matrix * space.weights[None, :])
+    x = (draws[0][:, None] < _pick_table(initial.values * space.weights)).argmax(axis=1)
+    states = np.empty((horizon + 1, len(seeds)), dtype=np.int64)
+    states[0] = x
+    for n in range(horizon):
+        x = (draws[1 + per_step * n][:, None] < state_table[x]).argmax(axis=1)
+        states[n + 1] = x
+    if finite:
+        symbol_table = _pick_table(obs.emission * obs.symbol_weights[None, :])
+        observations = (draws[2::2, :, None] < symbol_table[states[1:]]).argmax(axis=2)
+    else:
+        radius = np.fromiter((math.sqrt(-2.0 * math.log(u)) for u in draws[2::3].flat), float)
+        cosine = np.fromiter((math.cos(2.0 * math.pi * u) for u in draws[3::3].flat), float)
+        observations = (obs.means[states[1:]]
+                        + obs.sigma * radius.reshape(horizon, -1) * cosine.reshape(horizon, -1))
+    return _read_only(states.T), _read_only(observations.T)
+
+
+def _pick_table(probabilities: np.ndarray) -> np.ndarray:
+    """Cumulative sums of each row of `probabilities` for vectorized picks.
+
+    ``np.cumsum`` adds left to right like `Xoshiro256StarStar.pick`, and
+    every entry from the last positive atom on is raised to infinity, so the
+    first index with ``u < table`` is the pick's result, shortfall fallback
+    included.
+    """
+    table = np.cumsum(probabilities, axis=-1)
+    positive = probabilities > 0.0
+    if not positive.any(axis=-1).all():
+        raise ValueError("cannot sample from an all-zero probability vector")
+    last = positive.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
+    table[np.arange(table.shape[-1]) >= last[..., None]] = np.inf
+    return table
+
+
 def likelihood_vector(observation: ObservationModel, y) -> np.ndarray:
     """Observation density evaluated at ``y`` for every state."""
     return likelihood_rows(observation, [y])[0]
@@ -93,7 +161,7 @@ def likelihood_rows(observation: ObservationModel, observations) -> np.ndarray:
             first = bad[0]
             if fractional[first]:
                 raise InvalidModelError(
-                    f"finite-alphabet observation must be integral, got {observations[first]!r}"
+                    f"finite-alphabet observation must be integral, got {y[first].item()!r}"
                 )
             raise InvalidModelError(
                 f"observation symbol {symbols[first]} outside alphabet of size {p}"

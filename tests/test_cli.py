@@ -331,3 +331,92 @@ class TestOtherCommands:
         assert len(csv_rows) == len(json_rows)
         first_csv = csv_rows[0].split(",")
         assert float(first_csv[1]) == pytest.approx(json_rows[0]["delta_max"], rel=1e-15)
+
+
+EXAMPLE11_SHAPED = {
+    "states": 4,
+    "transition": [[0.25, 0.25, 0.25, 0.25], [0.0, 0.5, 0.25, 0.25],
+                   [0.25, 0.0, 0.5, 0.25], [0.25, 0.25, 0.0, 0.5]],
+    "observation": {"type": "finite", "gamma": [[0.9, 0.1], [0.6, 0.4], [0.4, 0.6], [0.1, 0.9]]},
+    "nu": [0.7, 0.1, 0.1, 0.1],
+    "beta": [0.25, 0.25, 0.25, 0.25],
+}
+
+
+class TestKaijserGateFollowsTheModel:
+    def run(self, tmp_path, document, file_name):
+        model = tmp_path / file_name
+        model.write_text(json.dumps(document))
+        out = tmp_path / f"{model.stem}-out.csv"
+        rc = main(["stability", "--model", str(model), "--horizon", "300", "--replicates", "2",
+                   "--seed", "5", "--output", str(out)])
+        return rc, out.read_text(), json.loads(out.with_suffix(".json").read_text())
+
+    def test_file_name_does_not_trigger_the_gate(self, tmp_path):
+        named, table_named, summary_named = self.run(tmp_path, EXAMPLE11_SHAPED, "kaijser.json")
+        other, table_other, summary_other = self.run(tmp_path, EXAMPLE11_SHAPED, "other.json")
+        assert named == other == 0
+        assert table_named == table_other
+        assert "kaijser" not in summary_named and "kaijser" not in summary_other
+
+    def test_counterexample_model_is_gated_under_any_name(self, tmp_path):
+        for name in ("kaijser.json", "other.json"):
+            rc, _, summary = self.run(tmp_path, fixture_document(), name)
+            assert rc == 0
+            assert summary["kaijser"]["passed"] is True
+            assert summary["kaijser"]["floor"] == pytest.approx(0.2, abs=1e-12)
+
+    def test_scenario_and_fixture_give_the_same_bytes(self, tmp_path):
+        from_scenario = tmp_path / "scenario.csv"
+        from_file = tmp_path / "file.csv"
+        common = ["stability", "--horizon", "400", "--replicates", "3", "--seed", "3"]
+        assert main(common + ["--scenario", "kaijser", "--output", str(from_scenario)]) == 0
+        assert main(common + ["--model", str(FIXTURE), "--output", str(from_file)]) == 0
+        assert from_scenario.read_bytes() == from_file.read_bytes()
+        summaries = [json.loads(p.with_suffix(".json").read_text())
+                     for p in (from_scenario, from_file)]
+        assert summaries[0]["kaijser"] == summaries[1]["kaijser"]
+
+
+class TestStabilityKeepsItsInput:
+    def test_summary_may_not_replace_the_model(self, tmp_path, capsys):
+        model = write_model(tmp_path, fixture_document())
+        before = model.read_bytes()
+        rc = main(["stability", "--model", str(model), "--horizon", "50",
+                   "--output", str(tmp_path / "model.csv")])
+        assert rc == 1
+        assert model.read_bytes() == before
+        assert not (tmp_path / "model.csv").exists()
+        err = capsys.readouterr().err
+        assert "--model file" in err and str(model) in err
+
+    def test_summary_name_of_a_json_table_is_checked_too(self, tmp_path):
+        model = tmp_path / "run.summary.json"
+        model.write_text(json.dumps(fixture_document()))
+        rc = main(["stability", "--model", str(model), "--horizon", "50",
+                   "--output", str(tmp_path / "run.json")])
+        assert rc == 1
+        assert json.loads(model.read_text()) == fixture_document()
+
+    def test_output_dir_resolution_is_checked(self, tmp_path, monkeypatch):
+        model = write_model(tmp_path, fixture_document())
+        monkeypatch.setenv("FILTERSTAB_OUTPUT_DIR", str(tmp_path))
+        monkeypatch.chdir(tmp_path.parent)
+        assert main(["stability", "--model", str(model), "--horizon", "50",
+                     "--output", "model.csv"]) == 1
+
+    def test_other_output_names_still_work(self, tmp_path):
+        model = write_model(tmp_path, fixture_document())
+        assert main(["stability", "--model", str(model), "--horizon", "50",
+                     "--output", str(tmp_path / "run.csv")]) == 0
+        assert json.loads((tmp_path / "run.json").read_text())["passed"] is True
+
+
+def test_csv_cells_keep_their_format():
+    from filterstab.cli import _csv_text
+
+    row = (0, None, float("nan"), float("inf"), float("-inf"), -0.0, 0.1,
+           np.float64(1.0) / 3.0, np.int64(7), 2**40, 1e-300)
+    assert _csv_text(["a"] * len(row), [row]).splitlines()[1] == (
+        "0,,nan,inf,-inf,-0,0.10000000000000001,0.33333333333333331,7,1099511627776,1e-300"
+    )

@@ -1,12 +1,15 @@
-"""The batch replicate engine against the incremental per-step API.
+"""The replicate-batched engine against replicates run one at a time.
 
-`run_scenario` folds each filter over a whole record on plain arrays and
-replays the backward density along the wrong-prior run
-(`backward_pass`); `filter_step_with_likelihood` and `BackwardContext`
-advance one observation at a time. Both share their arithmetic, so every
-array must agree exactly, not just to a tolerance.
+`run_scenario` samples every replicate's record at once, runs both priors
+of every replicate in one filter pass over stacked arrays and replays the
+backward density of all wrong-prior runs as one stack;
+`filter_step_with_likelihood` and `BackwardContext` advance one observation
+at a time, and the reference loops below redo each replicate alone with
+plain 1-D arithmetic. Stacked products round like the one-row ones, so
+every array must agree exactly, not just to a tolerance.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +17,8 @@ import pytest
 
 import filterstab.backward
 import filterstab.filtering
+import filterstab.harness
+import filterstab.simulate
 from filterstab import (
     BackwardContext,
     Density,
@@ -21,25 +26,40 @@ from filterstab import (
     NumericalError,
     SCENARIO_NAMES,
     Scenario,
+    Xoshiro256StarStar,
     backward_pass,
     build_model,
     builtin_scenario,
+    decay_rate,
+    derive_seed,
     filter_step_with_likelihood,
     invariant_density,
     kaijser_verify,
+    likelihood_rows,
     likelihood_vector,
     mixing_coefficients,
+    row_minima,
     run_filter,
     run_filter_pair,
     run_scenario,
+    sample_trajectories,
+    sample_trajectory,
     tv_norm,
 )
+from filterstab.filtering import _pair_records
 from filterstab.harness import KAIJSER_TRUE_PRIOR, _verify_kaijser_on
+from filterstab.simulate import _pick_table
 from helpers import random_positive_model
 
 ENGINE_SCENARIOS = [
     *(builtin_scenario(name, horizon=300, replicates=2, seed=5) for name in SCENARIO_NAMES),
     Scenario(name="gaussian3", model=random_positive_model(91, 3, gaussian=True),
+             horizon=300, replicates=2, seed=5),
+    # at d >= 4 a 2-D gemm rounds differently from per-row products on
+    # generic entries, which the builtin kernels' dyadic entries hide
+    Scenario(name="finite5", model=random_positive_model(17, 5, n_symbols=3),
+             horizon=300, replicates=2, seed=5),
+    Scenario(name="gaussian6", model=random_positive_model(23, 6, gaussian=True),
              horizon=300, replicates=2, seed=5),
 ]
 
@@ -108,17 +128,24 @@ def test_kaijser_report_with_reused_pair_equals_recomputed():
 
 
 @pytest.mark.parametrize("name,replicates", [("mixing2", 3), ("kaijser", 2)])
-def test_run_scenario_makes_two_filter_passes_per_replicate(monkeypatch, name, replicates):
+def test_run_scenario_makes_one_engine_pass_for_all_replicates(monkeypatch, name, replicates):
     calls = []
-    original = filterstab.filtering.run_filter
+    original = filterstab.filtering._filter_records
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("prior_label"))
-        return original(*args, **kwargs)
+    def counting(priors, observations, *args, **kwargs):
+        calls.append((priors.shape, np.shape(observations)))
+        return original(priors, observations, *args, **kwargs)
 
-    monkeypatch.setattr(filterstab.filtering, "run_filter", counting)
-    run_scenario(builtin_scenario(name, horizon=50, replicates=replicates))
-    assert calls == ["correct", "wrong"] * replicates
+    def forbidden(*args, **kwargs):
+        raise AssertionError("run_scenario ran a filter of its own")
+
+    monkeypatch.setattr(filterstab.filtering, "_filter_records", counting)
+    monkeypatch.setattr(filterstab.filtering, "run_filter", forbidden)
+    scenario = builtin_scenario(name, horizon=50, replicates=replicates)
+    run_scenario(scenario)
+    d = scenario.model.space.num_states
+    # both priors of every replicate, one pass over the 50 observations
+    assert calls == [((2, d), (replicates, 50))]
 
 
 def test_backward_pass_runs_no_filter(monkeypatch):
@@ -230,3 +257,253 @@ def test_backward_pass_rejects_mismatched_shapes():
         backward_pass(model, model.wrong_prior, coeffs, run.densities[:, :1], np.ones(2))
     with pytest.raises(InvalidModelError, match="dimension mismatch"):
         backward_pass(model, model.wrong_prior, coeffs, run.densities, np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# the replicate-batched engine against replicates computed one at a time
+
+
+def reference_filter(model, prior, observations):
+    """The forward filter on one record with plain 1-D numpy arithmetic."""
+    matrix, w = model.kernel.matrix, model.space.weights
+    pis, logs = [prior], []
+    for lik in likelihood_rows(model.observation, observations):
+        unnormalized = lik * (matrix.T @ (pis[-1] * w))
+        normalizer = float(unnormalized @ w)
+        pis.append(unnormalized / normalizer)
+        logs.append(math.log(normalizer))
+    return np.array(pis), np.array(logs)
+
+
+def reference_backward(model, coeffs, wrong):
+    """Oscillations, envelope and likelihood ratios along one wrong-prior run,
+    with plain 1-D numpy arithmetic."""
+    matrix, w = model.kernel.matrix, model.space.weights
+    theta0 = model.wrong_prior.values
+    ratio = model.true_prior.values / theta0
+    row_min_weighted = row_minima(model.kernel, model.space) * w
+    rho = matrix * theta0[:, None] / ((theta0 * w) @ matrix)[None, :]
+    rho = rho / (w @ rho)[None, :]
+    oscillations, ratios, decays = [], [float((ratio * theta0) @ w)], []
+    exponent = 0.0
+    for k in range(1, len(wrong)):
+        if k > 1:
+            weighted = wrong[k - 1] * w
+            rho = ((rho * weighted[None, :]) @ matrix) / (weighted @ matrix)[None, :]
+            rho = rho / (w @ rho)[None, :]
+            exponent += float(wrong[k - 1] @ row_min_weighted)
+        oscillations.append(rho.max(axis=1) - rho.min(axis=1))
+        ratios.append(float(((ratio * w) @ rho) @ (wrong[k] * w)))
+        decays.append(math.exp(-exponent / coeffs.max_density))
+    bounds = None
+    if coeffs.mixing_coefficient > 0.0:
+        scale = coeffs.max_density**2 / (theta0.min() * coeffs.mixing_coefficient) * theta0
+        bounds = scale[None, :] * np.array(decays)[:, None]
+    return np.array(oscillations), bounds, np.array(ratios)
+
+
+@pytest.mark.parametrize("replicates", [1, 3])
+@pytest.mark.parametrize("scenario", ENGINE_SCENARIOS, ids=lambda s: s.name)
+def test_batched_run_scenario_equals_replicates_run_alone(scenario, replicates):
+    scenario = dataclasses.replace(scenario, replicates=replicates)
+    model = scenario.model
+    coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
+    records = run_scenario(scenario)
+    assert [r.replicate for r in records] == list(range(replicates))
+    for record in records:
+        assert record.seed == derive_seed(scenario.seed, record.replicate)
+        alone = sample_trajectory(model, model.true_prior, scenario.horizon, record.seed)
+        np.testing.assert_array_equal(record.trajectory.states, alone.states)
+        np.testing.assert_array_equal(record.trajectory.observations, alone.observations)
+        correct, log_correct = reference_filter(model, model.true_prior.values, alone.observations)
+        wrong, log_wrong = reference_filter(model, model.wrong_prior.values, alone.observations)
+        np.testing.assert_array_equal(record.pair.run_correct.densities, correct)
+        np.testing.assert_array_equal(record.pair.run_wrong.densities, wrong)
+        np.testing.assert_array_equal(record.pair.run_correct.log_normalizers, log_correct)
+        np.testing.assert_array_equal(record.pair.run_wrong.log_normalizers, log_wrong)
+        tv = np.array([row @ model.space.weights for row in np.abs(correct - wrong)])
+        np.testing.assert_array_equal(record.pair.tv, tv)
+        oscillations, bounds, ratios = reference_backward(model, coeffs, wrong)
+        np.testing.assert_array_equal(record.oscillations, oscillations)
+        np.testing.assert_array_equal(record.likelihood_ratios, ratios)
+        assert record.bounds_vacuous == (bounds is None)
+        if bounds is not None:
+            np.testing.assert_array_equal(record.oscillation_bounds, bounds)
+        assert record.decay == decay_rate(tv)
+        assert not record.pair.run_correct.densities.flags.writeable
+
+
+@pytest.mark.parametrize("model", [s.model for s in ENGINE_SCENARIOS],
+                         ids=[s.name for s in ENGINE_SCENARIOS])
+def test_sample_trajectories_equal_scalar_sampler(model):
+    seeds = [derive_seed(11, r) for r in range(4)]
+    states, observations = sample_trajectories(model, model.true_prior, 400, seeds)
+    assert states.shape == (4, 401) and observations.shape == (4, 400)
+    for r, seed in enumerate(seeds):
+        alone = sample_trajectory(model, model.true_prior, 400, seed)
+        np.testing.assert_array_equal(states[r], alone.states)
+        np.testing.assert_array_equal(observations[r], alone.observations)
+        assert observations.dtype == alone.observations.dtype
+
+
+def test_sample_trajectories_shortfall_and_zero_atoms():
+    model = builtin_scenario("kaijser").model  # zero-probability transitions and symbols
+    # an initial law with zero atoms whose mass falls short of one: a fifth
+    # of the draws overshoot it and take the last positive atom
+    initial = Density([0.3, 0.0, 0.5, 0.0])
+    seeds = [derive_seed(3, r) for r in range(60)]
+    states, observations = sample_trajectories(model, initial, 5, seeds)
+    for r, seed in enumerate(seeds):
+        alone = sample_trajectory(model, initial, 5, seed)
+        np.testing.assert_array_equal(states[r], alone.states)
+        np.testing.assert_array_equal(observations[r], alone.observations)
+    assert set(states[:, 0].tolist()) == {0, 2}
+
+
+@pytest.mark.parametrize("probabilities", [
+    [0.5 - 1e-3, 0.5 - 1e-3, 0.0],
+    [0.0, 0.3, 0.0, 0.7],
+    [0.2, 0.0, 0.0, 0.5, 0.0],
+    [1.0],
+])
+def test_pick_table_equals_scalar_pick(probabilities):
+    table = _pick_table(np.array(probabilities))
+    picker, drawer = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
+    for _ in range(3000):
+        assert int((drawer.random() < table).argmax()) == picker.pick(probabilities)
+
+
+def test_single_seed_takes_the_scalar_sampler(monkeypatch):
+    model = builtin_scenario("mixing2").model
+    monkeypatch.setattr(filterstab.simulate, "Xoshiro256StarStarLanes", None)
+    states, observations = sample_trajectories(model, model.true_prior, 30, [99])
+    alone = sample_trajectory(model, model.true_prior, 30, 99)
+    np.testing.assert_array_equal(states, alone.states[None])
+    np.testing.assert_array_equal(observations, alone.observations[None])
+
+
+def crafted_records(monkeypatch, observations):
+    """Make `run_scenario` filter the given records instead of sampled ones."""
+    observations = np.asarray(observations)
+    states = np.zeros((len(observations), observations.shape[1] + 1), dtype=np.int64)
+    monkeypatch.setattr(filterstab.harness, "sample_trajectories",
+                        lambda model, initial, horizon, seeds: (states, observations))
+
+
+def test_gaussian_batch_with_one_underflowing_replicate(monkeypatch):
+    model = TestGaussianUnderflow().model()
+    tail = [1.0, 0.1, 0.8, 0.4, 0.6]
+    records_in = [[0.3, 0.9, 0.2, *tail], [*TestGaussianUnderflow.RECORD, *tail],
+                  [1.1, 0.1, 0.4, *tail]]
+    crafted_records(monkeypatch, records_in)
+    records = run_scenario(Scenario(name="outlier", model=model, horizon=8, replicates=3, seed=1))
+    coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
+    prior_ratio = model.true_prior.values / model.wrong_prior.values
+    for record, observations in zip(records, records_in):
+        pair = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
+        for batched, alone in ((record.pair.run_correct, pair.run_correct),
+                               (record.pair.run_wrong, pair.run_wrong)):
+            np.testing.assert_array_equal(batched.densities, alone.densities)
+            np.testing.assert_array_equal(batched.log_normalizers, alone.log_normalizers)
+        np.testing.assert_array_equal(record.pair.tv, pair.tv)
+        backward = backward_pass(model, model.wrong_prior, coeffs, pair.run_wrong.densities,
+                                 prior_ratio)
+        np.testing.assert_array_equal(record.oscillations, backward.oscillations)
+        np.testing.assert_array_equal(record.oscillation_bounds, backward.bounds)
+        np.testing.assert_array_equal(record.likelihood_ratios, backward.likelihood_ratios)
+    # only the outlier replicate left the linear domain, at its second step
+    assert records[1].pair.run_correct.log_normalizers[1] < -1000.0
+    for record, observations in zip(records[::2], records_in[::2]):
+        correct, log_correct = reference_filter(model, model.true_prior.values, observations)
+        np.testing.assert_array_equal(record.pair.run_correct.densities, correct)
+        np.testing.assert_array_equal(record.pair.run_correct.log_normalizers, log_correct)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflowing_normalizer_is_redone_in_the_log_domain():
+    # a subnormal sigma makes every Gaussian density, hence every normalizer, infinite
+    model = build_model({
+        "states": 2,
+        "transition": [[0.9, 0.1], [0.2, 0.8]],
+        "observation": {"type": "gaussian", "means": [0.0, 1.0], "sigma": 1e-310},
+        "nu": [0.7, 0.3],
+        "beta": [0.5, 0.5],
+    })
+    run = run_filter(model.true_prior, [0.0, 1.0, 0.0], model)
+    np.testing.assert_array_equal(run.densities, [[0.7, 0.3], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
+    assert np.all(run.log_normalizers > 700.0) and np.all(np.isfinite(run.log_normalizers))
+    records = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    densities, log_norms, tv, errors = _pair_records(model.true_prior, model.wrong_prior,
+                                                     records, model)
+    assert errors == [None] * 4
+    for r, observations in enumerate(records):
+        alone = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
+        np.testing.assert_array_equal(densities[r, 1], alone.run_wrong.densities)
+        np.testing.assert_array_equal(log_norms[r, 0], alone.run_correct.log_normalizers)
+        np.testing.assert_array_equal(tv[r], alone.tv)
+
+
+class TestErrorPrecedence:
+    """When replicates fail, `run_scenario` raises what running them one after
+    another raised: the lowest failing replicate's first error."""
+
+    # state 1 always returns to 0 and each state reads out its own index, so
+    # a record is the state path; the true prior starts in state 1
+    MODEL = build_model({
+        "states": 2,
+        "transition": [[0.5, 0.5], [1.0, 0.0]],
+        "observation": {"type": "finite", "gamma": [[1.0, 0.0], [0.0, 1.0]]},
+        "nu": [0.0, 1.0],
+        "beta": [0.5, 0.5],
+    })
+    VALID = [0, 0, 0]
+    BOTH_FAIL_AT_3 = [0, 1, 1]         # 1 -> 1 is impossible for either prior
+    CORRECT_FAILS_AT_1 = [1, 0, 0]     # 1 -> 1 is impossible from the true start
+    BACKWARD_FAILS = [0, 1, 0]         # filters fine; after state 1 a state has no mass
+
+    def run(self, monkeypatch, observations):
+        crafted_records(monkeypatch, observations)
+        scenario = Scenario(name="precedence", model=self.MODEL, horizon=3,
+                            replicates=len(observations), seed=1)
+        with pytest.warns(RuntimeWarning, match="zero atoms"):
+            return run_scenario(scenario)
+
+    def alone(self, observations):
+        """The error of one replicate run by itself, stage by stage."""
+        model = self.MODEL
+        with pytest.warns(RuntimeWarning, match="zero atoms"):
+            with pytest.raises((NumericalError, InvalidModelError)) as caught:
+                pair = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
+                coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
+                backward_pass(model, model.wrong_prior, coeffs, pair.run_wrong.densities,
+                              model.true_prior.values / model.wrong_prior.values)
+        return caught.value
+
+    def test_lowest_replicate_wins_over_an_earlier_step(self, monkeypatch):
+        expected = self.alone(self.BOTH_FAIL_AT_3)
+        assert str(expected).endswith("(at step 3)")
+        with pytest.raises(NumericalError) as caught:
+            self.run(monkeypatch, [self.VALID, self.BOTH_FAIL_AT_3, self.CORRECT_FAILS_AT_1])
+        assert str(caught.value) == str(expected)
+
+    def test_backward_failure_wins_over_a_later_replicate_filter(self, monkeypatch):
+        expected = self.alone(self.BACKWARD_FAILS)
+        assert "zero predicted mass" in str(expected)
+        with pytest.raises(NumericalError) as caught:
+            self.run(monkeypatch, [self.VALID, self.BACKWARD_FAILS, self.CORRECT_FAILS_AT_1])
+        assert str(caught.value) == str(expected)
+
+    def test_first_replicate_failing_at_step_one(self, monkeypatch):
+        with pytest.raises(NumericalError, match=r"at step 1\)$"):
+            self.run(monkeypatch, [self.CORRECT_FAILS_AT_1, self.BOTH_FAIL_AT_3])
+
+    def test_correct_prior_error_precedes_wrong_prior_error(self):
+        model = self.MODEL
+        records = np.array([self.VALID, self.BOTH_FAIL_AT_3, self.CORRECT_FAILS_AT_1])
+        _, _, _, errors = _pair_records(model.true_prior, model.wrong_prior, records, model)
+        messages = [None if e is None else str(e)[-11:] for e in errors]
+        assert messages == [None, None, "(at step 3)", "(at step 3)", "(at step 1)", None]
+
+    def test_valid_replicates_alone_pass(self, monkeypatch):
+        records = self.run(monkeypatch, [self.VALID, self.VALID])
+        assert [r.pair.tv[-1] for r in records] == [0.0, 0.0]

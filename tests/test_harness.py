@@ -148,8 +148,12 @@ class TestBuiltinScenarios:
         sc = Scenario(name="custom", model=model, horizon=50, replicates=2, seed=1)
         records = run_scenario(sc)
         assert len(records) == 2
-        # a non-registry name gets no counterexample report attached
-        assert records[0].kaijser is None
+        # the gate follows the model, not the name: the counterexample's
+        # kernel and read-out get the closed-form report under any priors
+        assert all(rec.kaijser is not None and rec.kaijser.passed for rec in records)
+        other = builtin_scenario("example11").model
+        sc = Scenario(name="kaijser", model=other, horizon=50, replicates=2, seed=1)
+        assert all(rec.kaijser is None for rec in run_scenario(sc))
 
 
 class TestRunScenario:

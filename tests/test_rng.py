@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from filterstab import Xoshiro256StarStar, derive_seed
+from filterstab import Xoshiro256StarStar, Xoshiro256StarStarLanes, derive_seed
 from filterstab.rng import _splitmix64
 
 
@@ -79,3 +79,24 @@ def test_pick_handles_float_shortfall():
     probs = [0.5 - 1e-12, 0.5 - 1e-12]
     for _ in range(1000):
         assert g.pick(probs) in (0, 1)
+
+
+@pytest.mark.parametrize("lanes", [1, 2, 50])
+def test_lanes_equal_scalar_streams(lanes):
+    seeds = [derive_seed(7, r) for r in range(lanes)]
+    generator = Xoshiro256StarStarLanes(seeds)
+    words = generator.words(300)
+    assert words.shape == (300, lanes) and words.dtype == np.uint64
+    following = generator.next_uint64()
+    for r, seed in enumerate(seeds):
+        scalar = Xoshiro256StarStar(seed)
+        assert words[:, r].tolist() == [scalar.next_uint64() for _ in range(300)]
+        assert int(following[r]) == scalar.next_uint64()
+
+
+def test_lanes_take_any_64_bit_seed():
+    seeds = [0, 1, 2**64 - 1, 2**63, 12345]
+    words = Xoshiro256StarStarLanes(seeds).words(5)
+    for r, seed in enumerate(seeds):
+        scalar = Xoshiro256StarStar(seed)
+        assert words[:, r].tolist() == [scalar.next_uint64() for _ in range(5)]

@@ -50,9 +50,7 @@ from .filtering import (
     PairRun,
     brute_force_posterior,
     decay_rate,
-    filter_step,
     filter_step_with_likelihood,
-    predict,
     run_filter,
     run_filter_pair,
     tv_norm,
@@ -80,7 +78,6 @@ from .ergodicity import (
     lln_average,
     n_step_density,
     solve_poisson,
-    stationary_backward,
     stationary_backward_sequence,
     stationary_bound_check,
 )

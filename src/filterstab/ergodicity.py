@@ -76,7 +76,6 @@ def geometric_ergodicity_report(
         raise InvalidModelError(f"n_max must be at least 1, got {n_max}")
     space = model.space
     weights = space.weights
-    step = model.kernel.matrix * weights[None, :]
     gaps = np.empty((n_max, space.num_states))
     power = model.kernel.matrix
     target = invariant.values[None, :]
@@ -128,19 +127,12 @@ class StationaryBackward:
     step: int
 
 
-def stationary_backward(model: FiniteModel, invariant: Density, n: int) -> StationaryBackward:
-    """Backward density of the stationary chain with no observations.
+def stationary_backward_sequence(model: FiniteModel, invariant: Density, n_max: int):
+    """Yield the stationary backward densities (no observations) for steps ``1..n_max``.
 
     ``matrix_1[u, x] = kernel[u, x] m[u] / m[x]`` and each further step
     contracts through the kernel weighted by the invariant density.
     """
-    for sb in stationary_backward_sequence(model, invariant, n):
-        pass
-    return sb
-
-
-def stationary_backward_sequence(model: FiniteModel, invariant: Density, n_max: int):
-    """Yield the stationary backward densities for steps ``1..n_max``."""
     if n_max < 1:
         raise InvalidModelError(f"step count must be at least 1, got {n_max}")
     space = model.space

@@ -99,12 +99,6 @@ def _log_domain_update(pi: np.ndarray, y, model: FiniteModel) -> Optional[tuple[
     return joint / total / weights, shift + math.log(total)
 
 
-def predict(pi: Density, kernel: TransitionKernel, space: StateSpace) -> Density:
-    """One prediction step: ``out[x] = sum_z matrix[z, x] * pi[z] * w[z]``."""
-    out = kernel.matrix.T @ (pi.values * space.weights)
-    return as_density(out, space)
-
-
 def filter_step_with_likelihood(
     pi_prev: Density,
     likelihood: np.ndarray,
@@ -125,13 +119,6 @@ def filter_step_with_likelihood(
     if not UNDERFLOW_FLOOR < normalizer < math.inf:
         raise NumericalError(ZERO_LIKELIHOOD)
     return Density(unnormalized[0] / normalizer), normalizer
-
-
-def filter_step(pi_prev: Density, y, model: FiniteModel) -> Density:
-    """One full filter update for observation ``y``."""
-    lik = likelihood_vector(model.observation, y)
-    posterior, _ = filter_step_with_likelihood(pi_prev, lik, model.kernel, model.space)
-    return posterior
 
 
 def _filter_records(priors: np.ndarray, observations,

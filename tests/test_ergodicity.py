@@ -15,7 +15,6 @@ from filterstab import (
     run_filter,
     sample_trajectory,
     solve_poisson,
-    stationary_backward,
     stationary_backward_sequence,
     stationary_bound_check,
     unit_space,
@@ -127,7 +126,7 @@ class TestStationaryBackward:
     def test_two_state_first_step(self):
         model = two_state_model()
         m = invariant_density(model.kernel, model.space)
-        sb = stationary_backward(model, m, 1)
+        sb = list(stationary_backward_sequence(model, m, 1))[-1]
         np.testing.assert_allclose(sb.matrix[:, 0], [0.5, 0.5], atol=1e-12)
         np.testing.assert_allclose(sb.matrix[:, 1], [0.3, 0.7], atol=1e-12)
         np.testing.assert_allclose(sb.oscillation, [0.2, 0.2], atol=1e-12)
@@ -144,7 +143,7 @@ class TestStationaryBackward:
         })
         m = invariant_density(model.kernel, model.space)
         np.testing.assert_allclose(m.values, 1 / 3, atol=1e-12)
-        sb = stationary_backward(model, m, 1)
+        sb = list(stationary_backward_sequence(model, m, 1))[-1]
         np.testing.assert_allclose(sb.matrix, matrix, atol=1e-12)
 
     def test_zero_invariant_atom_rejected(self):
@@ -152,7 +151,7 @@ class TestStationaryBackward:
         from filterstab import Density
         degenerate = Density([1.0, 0.0])
         with pytest.raises(NumericalError, match="invariant density degenerate"):
-            stationary_backward(model, degenerate, 2)
+            list(stationary_backward_sequence(model, degenerate, 2))
 
     def test_columns_are_densities(self):
         model = random_positive_model(55, 4)
@@ -238,6 +237,26 @@ class TestSolvePoisson:
         from filterstab import Density
         with pytest.raises(NumericalError, match="non-convergent"):
             solve_poisson(model, Density([0.5, 0.5]), [1.0, 0.0], max_terms=1000)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=NumericalError,
+        reason="power iteration stops about 1e-11 from the invariant density of this "
+        "slowly mixing kernel; the centering error leaves a constant term above term_tol",
+    )
+    def test_slowly_mixing_kernel_with_computed_invariant(self):
+        # with the exact invariant (2/3, 1/3) the series settles in 9 829 terms
+        eps = 1e-3
+        model = build_model({
+            "states": 2,
+            "transition": [[1.0 - eps, eps], [2.0 * eps, 1.0 - 2.0 * eps]],
+            "observation": {"type": "finite", "gamma": [[0.8, 0.2], [0.2, 0.8]]},
+            "nu": [0.5, 0.5],
+            "beta": [0.5, 0.5],
+        })
+        m = invariant_density(model.kernel, model.space)
+        sol = solve_poisson(model, m, [1.0, 0.0], max_terms=20_000)
+        assert sol.terms < 20_000
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_models_residual(self, seed):

@@ -12,13 +12,12 @@ from filterstab import (
     brute_force_posterior,
     build_model,
     decay_rate,
-    filter_step,
     filter_step_with_likelihood,
     invariant_density,
     kaijser_filter_recursion,
     kaijser_model,
+    likelihood_vector,
     point_mass,
-    predict,
     run_filter,
     run_filter_pair,
     sample_trajectory,
@@ -45,7 +44,7 @@ class TestPredict:
     def test_invariant_density_is_fixed_point(self):
         model = two_state_model()
         m = invariant_density(model.kernel, model.space)
-        out = predict(m, model.kernel, model.space)
+        out, _ = filter_step_with_likelihood(m, np.ones(2), model.kernel, model.space)
         np.testing.assert_allclose(out.values, m.values, atol=1e-14)
 
     def test_doubly_stochastic_preserves_uniform(self):
@@ -53,20 +52,25 @@ class TestPredict:
         # column sums of the transition matrix are 1 (checked by brute force),
         # so the uniform density is invariant under prediction
         np.testing.assert_allclose(model.kernel.matrix.sum(axis=0), 1.0)
-        out = predict(uniform_density(model.space), model.kernel, model.space)
+        out, _ = filter_step_with_likelihood(
+            uniform_density(model.space), np.ones(4), model.kernel, model.space
+        )
         np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
 
     def test_point_mass_reads_off_row(self):
         space = unit_space(2)
         kernel = as_kernel(TWO_STATE, space)
-        out = predict(point_mass(0, space), kernel, space)
+        out, _ = filter_step_with_likelihood(point_mass(0, space), np.ones(2), kernel, space)
         np.testing.assert_allclose(out.values, [0.5, 0.5], atol=1e-15)
 
 
 class TestFilterStep:
     def test_kaijser_uniform_prior_symbol_one(self):
         model = kaijser_model()
-        posterior = filter_step(uniform_density(model.space), 1, model)
+        posterior, _ = filter_step_with_likelihood(
+            uniform_density(model.space), likelihood_vector(model.observation, 1),
+            model.kernel, model.space,
+        )
         np.testing.assert_allclose(posterior.values, [0.5, 0.0, 0.5, 0.0], atol=1e-15)
 
     def test_constant_likelihood_reduces_to_prediction(self):
@@ -74,9 +78,8 @@ class TestFilterStep:
         pi = model.true_prior
         lik = np.full(3, 0.7)
         posterior, _ = filter_step_with_likelihood(pi, lik, model.kernel, model.space)
-        np.testing.assert_allclose(
-            posterior.values, predict(pi, model.kernel, model.space).values, atol=1e-14
-        )
+        predicted = model.kernel.matrix.T @ (pi.values * model.space.weights)
+        np.testing.assert_allclose(posterior.values, predicted, atol=1e-14)
 
     def test_single_state(self):
         model = build_model({
@@ -86,7 +89,9 @@ class TestFilterStep:
             "nu": [1.0],
             "beta": [1.0],
         })
-        posterior = filter_step(Density([1.0]), 1, model)
+        posterior, _ = filter_step_with_likelihood(
+            Density([1.0]), likelihood_vector(model.observation, 1), model.kernel, model.space
+        )
         np.testing.assert_allclose(posterior.values, [1.0])
 
     def test_likelihood_scaling_invariance(self):
@@ -107,7 +112,10 @@ class TestFilterStep:
             "beta": [0.5, 0.5],
         })
         with pytest.raises(NumericalError, match="zero-likelihood observation"):
-            filter_step(model.true_prior, 1, model)
+            filter_step_with_likelihood(
+                model.true_prior, likelihood_vector(model.observation, 1),
+                model.kernel, model.space,
+            )
 
 
 class TestRunFilter:
@@ -266,11 +274,10 @@ class TestBruteForcePosterior:
             "beta": [0.5, 0.5],
         })
         out = brute_force_posterior(model, model.true_prior, [1])
-        np.testing.assert_allclose(
-            out.values,
-            predict(model.true_prior, model.kernel, model.space).values,
-            atol=1e-14,
+        predicted, _ = filter_step_with_likelihood(
+            model.true_prior, np.ones(2), model.kernel, model.space
         )
+        np.testing.assert_allclose(out.values, predicted.values, atol=1e-14)
 
     def test_instance_too_large(self):
         model = random_positive_model(3, 3)

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from filterstab import (
+    Density,
     InvalidModelError,
     NumericalError,
     StateSpace,
+    Xoshiro256StarStar,
     as_kernel,
     build_model,
     invariant_density,
@@ -22,6 +24,12 @@ KAIJSER_TRANSITION = [
 ]
 KAIJSER_EMISSION = [[0.0, 1.0], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]
 TWO_STATE = [[0.5, 0.5], [0.3, 0.7]]
+PERIOD_THREE = [
+    [0.0, 1.0, 0.0, 0.0],
+    [0.0, 0.0, 0.3, 0.7],
+    [1.0, 0.0, 0.0, 0.0],
+    [1.0, 0.0, 0.0, 0.0],
+]
 
 
 def kaijser_config():
@@ -133,12 +141,7 @@ class TestInvariantDensity:
     def test_period_three_fails(self):
         # three-phase block cycle: successive-iterate averaging cannot repair it
         space = unit_space(4)
-        kernel = as_kernel([
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 0.3, 0.7],
-            [1.0, 0.0, 0.0, 0.0],
-            [1.0, 0.0, 0.0, 0.0],
-        ], space)
+        kernel = as_kernel(PERIOD_THREE, space)
         with pytest.raises(NumericalError, match="no unique invariant density"):
             invariant_density(kernel, space)
 
@@ -147,6 +150,132 @@ class TestInvariantDensity:
         kernel = as_kernel(np.eye(3), space)
         m = invariant_density(kernel, space)
         np.testing.assert_allclose(m.values, 1.0 / 3.0, atol=1e-12)
+
+
+def reference_invariant_density(kernel, space, *, tol=1e-13, max_iter=10**6):
+    """The step-by-step power iteration that `invariant_density` blocks,
+    kept as the reference its iterates, stopping step and bytes must match."""
+    d = space.num_states
+    adjoint = (kernel.matrix * space.weights[:, None]).T
+
+    def normalize(v):
+        return v / float(v @ space.weights)
+
+    def residual(v):
+        return float(np.max(np.abs(adjoint @ v - v)))
+
+    m = np.full(d, 1.0 / float(space.weights.sum()))
+    prev = m
+    converged = False
+    delta = np.inf
+    stagnant_blocks = 0
+    block_start_delta = np.inf
+    for it in range(max_iter):
+        m_next = normalize(adjoint @ m)
+        delta = float(np.max(np.abs(m_next - m)))
+        prev = m
+        m = m_next
+        if delta < tol:
+            converged = True
+            break
+        if (it + 1) % 1000 == 0:
+            if delta > 0.99 * block_start_delta:
+                stagnant_blocks += 1
+            else:
+                stagnant_blocks = 0
+            if stagnant_blocks >= 3:
+                break
+            block_start_delta = delta
+
+    if not converged:
+        averaged = normalize(0.5 * (m + prev))
+        if residual(averaged) <= 1e-10:
+            m = averaged
+        else:
+            raise NumericalError("no unique invariant density found")
+    else:
+        for _ in range(500):
+            if delta <= 2.3e-16:
+                break
+            m_next = normalize(adjoint @ m)
+            new_delta = float(np.max(np.abs(m_next - m)))
+            if new_delta >= delta:
+                break
+            m = m_next
+            delta = new_delta
+
+    if residual(m) > 1e-10:
+        raise NumericalError("no unique invariant density found")
+    return Density(normalize(m))
+
+
+def slowmix_kernel(eps):
+    space = unit_space(2)
+    return as_kernel([[1.0 - eps, eps], [2.0 * eps, 1.0 - 2.0 * eps]], space), space
+
+
+def random_weighted_kernel(seed):
+    """d = 2..6, non-unit weights, about a third of the entries zero, and every
+    third kernel mixed with a multiple of the identity (slow mixing)."""
+    stream = Xoshiro256StarStar(seed)
+    d = 2 + seed % 5
+    weights = np.array([0.5 + 1.5 * stream.random() for _ in range(d)])
+    raw = np.array([[stream.random() for _ in range(d)] for _ in range(d)])
+    raw[raw < 0.3] = 0.0
+    raw[np.arange(d), [int(d * stream.random()) for _ in range(d)]] += 0.1
+    if seed % 3 == 0:
+        raw += (10.0 + 300.0 * stream.random()) * np.eye(d)
+    space = StateSpace(d, weights)
+    return as_kernel(raw / (raw @ weights)[:, None], space), space
+
+
+INVARIANT_ARGUMENTS = [{}, {"max_iter": 999}, {"max_iter": 1000}, {"max_iter": 1500}, {"tol": 1e-9}]
+
+
+def outcome(function, kernel, space, **kwargs):
+    """The result bytes, or the error type and text."""
+    try:
+        return function(kernel, space, **kwargs).values.tobytes()
+    except NumericalError as exc:
+        return ("NumericalError", str(exc))
+
+
+class TestInvariantDensityMatchesStepwiseLoop:
+    @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
+    def test_slowmix_kernel(self, eps):
+        kernel, space = slowmix_kernel(eps)
+        assert (invariant_density(kernel, space).values.tobytes()
+                == reference_invariant_density(kernel, space).values.tobytes())
+        for kwargs in INVARIANT_ARGUMENTS[1:]:
+            assert (outcome(invariant_density, kernel, space, **kwargs)
+                    == outcome(reference_invariant_density, kernel, space, **kwargs)), kwargs
+
+    @pytest.mark.parametrize("seed", range(120))
+    def test_random_kernels(self, seed):
+        kernel, space = random_weighted_kernel(seed)
+        for kwargs in INVARIANT_ARGUMENTS:
+            assert (outcome(invariant_density, kernel, space, **kwargs)
+                    == outcome(reference_invariant_density, kernel, space, **kwargs)), kwargs
+
+    def test_period_three_error(self):
+        space = unit_space(4)
+        kernel = as_kernel(PERIOD_THREE, space)
+        expected = outcome(reference_invariant_density, kernel, space)
+        assert expected == ("NumericalError", "no unique invariant density found")
+        assert outcome(invariant_density, kernel, space) == expected
+
+    @pytest.mark.parametrize("max_iter", [999, 1500])
+    def test_too_few_iterations_error(self, max_iter):
+        kernel, space = slowmix_kernel(1e-3)
+        expected = outcome(reference_invariant_density, kernel, space, max_iter=max_iter)
+        assert expected == ("NumericalError", "no unique invariant density found")
+        assert outcome(invariant_density, kernel, space, max_iter=max_iter) == expected
+
+    def test_weighted_flip_chain_average(self):
+        space = StateSpace(2, [1.0, 2.0])
+        kernel = as_kernel([[0.0, 0.5], [1.0, 0.0]], space)
+        assert (invariant_density(kernel, space).values.tobytes()
+                == reference_invariant_density(kernel, space).values.tobytes())
 
 
 class TestMixingCoefficients:

@@ -16,10 +16,13 @@ filter forget a misspecified prior. The oscillation admits an explicit
 per-run envelope (`oscillation_bound`) whose exponent accumulates the
 filter-averaged row minima of the transition density.
 
-`backward_pass` replays the recursion along the densities of a filter run
-that already exists, on plain arrays; `BackwardContext` advances filter and
-backward density together one observation at a time. Both call the same
-arithmetic helpers, so they agree bit for bit.
+The recursion's denominator ``sum_z matrix[z, x] * pi_{n-1}[z] * w[z]`` is
+the filter's own prediction of step ``n``, so ρ runs in the filter's time
+loop, `filtering._engine`: `run_scenario` and the ``backward`` command
+advance filters and ρ in one pass, and `backward_pass` runs that loop on a
+density history it is given. `BackwardContext`, `backward_init` and
+`backward_step` advance one observation at a time; tests hold the engine to
+them bit for bit.
 
 The expected prior ratio under the backward density is the likelihood ratio
 between the observation laws of the two priors; `change_of_measure_residual`
@@ -35,7 +38,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
-from .filtering import FilterRun, _path_mass, _raise_first, filter_step_with_likelihood
+from .filtering import (
+    FilterRun,
+    _engine,
+    _path_mass,
+    _raise_first,
+    _rho_init,
+    filter_step_with_likelihood,
+)
 from .model import (
     Coefficients,
     Density,
@@ -45,9 +55,6 @@ from .model import (
     row_minima,
 )
 from .simulate import likelihood_vector
-
-# entries of backward densities held at once before they are reduced
-_CHUNK_ENTRIES = 2**13
 
 
 @dataclass(frozen=True)
@@ -117,8 +124,11 @@ def backward_step(
     """Advance the backward density one step using the filter density of the
     previous time (which must come from the same prior as `rho_prev`)."""
     weighted = pi_prev.values * space.weights
-    return BackwardDensity(_rho_advance(rho_prev.matrix, weighted[None], kernel.matrix,
-                                        space.weights))
+    denominator = weighted @ kernel.matrix
+    if denominator.min() <= 0.0:
+        raise NumericalError("state has zero predicted mass")
+    rho = (rho_prev.matrix * weighted) @ kernel.matrix / denominator
+    return BackwardDensity(rho / (space.weights @ rho))
 
 
 def oscillation(rho: BackwardDensity) -> OscillationRecord:
@@ -158,14 +168,12 @@ def oscillation_bound(
     space = model.space
     _require_positive(theta0, space, "initial backward prior")
     pis = np.asarray(pi_history, dtype=float)
-    steps = len(pis) - 1
-    if steps < 1:
+    if len(pis) < 2:
         return np.zeros((0, space.num_states)), coeffs.mixing_coefficient <= 0.0
-    scale = _envelope_scale(theta0.values, space.weights, coeffs)
-    if scale is None:
-        return np.full((steps, space.num_states), np.inf), True
-    row_min_weighted = row_minima(model.kernel, space) * space.weights
-    return _envelope(scale, pis, row_min_weighted, coeffs.max_density), False
+    bounds = _envelope(model, theta0, coeffs, pis)
+    if bounds is None:
+        return np.full((len(pis) - 1, space.num_states), np.inf), True
+    return bounds, False
 
 
 def backward_pass(
@@ -178,7 +186,7 @@ def backward_pass(
     """Oscillations, envelope and likelihood ratios along an existing filter run.
 
     ``pi_history`` is the ``(N+1, d)`` density array of the filter started
-    from `theta0` (`FilterRun.densities`); the backward density consumes it
+    from `theta0` (`FilterRun.densities`); the backward density reads it
     step by step and no filter is run here. ``prior_ratio`` is the entrywise
     ratio of the data-generating prior to `theta0`. Row ``n-1`` of the
     results agrees bit for bit with `BackwardContext` after ``n`` steps.
@@ -192,86 +200,25 @@ def backward_pass(
             f"dimension mismatch: filter history shape {pis.shape}, prior ratio shape "
             f"{ratio.shape} vs {d} states"
         )
-    oscillations, bounds, ratios, errors = _backward_records(model, theta0, coeffs, pis[None],
-                                                             ratio)
-    _raise_first(errors)
-    return BackwardPass(oscillations=oscillations[0],
-                        bounds=None if bounds is None else bounds[0],
-                        likelihood_ratios=ratios[0])
+    return _backward_along(model, theta0, coeffs, ratio, history=pis)
 
 
-def _backward_records(model: FiniteModel, theta0: Density, coeffs: Coefficients,
-                      pis: np.ndarray, ratio: np.ndarray):
-    """`backward_pass` along ``R`` filter runs at once, ``pis`` being ``(R, N+1, d)``.
-
-    ρ advances as an ``(R, d, d)`` stack, kept for a chunk of steps
-    (``_CHUNK_ENTRIES`` entries) and then reduced to its per-``u`` column
-    extrema and likelihood ratios, so no ``(R, N, d, d)`` array is built.
-    Returns the ``(R, N, d)`` oscillations and envelope (None when
-    vacuous), the ``(R, N+1)`` likelihood ratios and, per run, the error
-    `backward_pass` raises on it alone (or None). A run whose predicted mass
-    hits zero carries on from ``theta0 * w``, whose mass is positive
-    everywhere, so the other runs are unaffected. ``theta0`` must be
-    strictly positive.
-    """
-    space = model.space
-    weights, matrix = space.weights, model.kernel.matrix
-    n_runs, n_steps, d = len(pis), pis.shape[1] - 1, space.num_states
-    ratios = np.empty((n_runs, n_steps + 1))
-    ratios[:, 0] = float((ratio * theta0.values) @ weights)
-    try:
-        rho = _rho_init(theta0.values, matrix, weights) if n_steps else None
-    except NumericalError as exc:
-        # the first step does not depend on the run, so every run fails there
-        return np.zeros((n_runs, n_steps, d)), None, ratios, [exc] * n_runs
-    errors = [None] * n_runs
-    ratio_weighted = (ratio * weights)[None, :]
-    oscillations = np.empty((n_runs, n_steps, d))
-    invalid = np.zeros(n_runs, dtype=bool)
-    dead = np.zeros(n_runs, dtype=bool)  # runs carrying on from theta0 * w
-    held = max(1, _CHUNK_ENTRIES // (n_runs * d * d))
-    rhos = np.empty((min(held, n_steps), n_runs, d, d))
-    per_state = np.empty((min(held, n_steps), n_runs, 1, d))
-    for start in range(0, n_steps, held):
-        stop = min(start + held, n_steps)
-        # row vectors pi_k * w for k = start..stop
-        weighted = pis[:, start:stop + 1, None, :] * weights
-        weighted[dead] = theta0.values * weights
-        for j in range(stop - start):
-            if start + j:
-                try:
-                    rho = _rho_advance(rho, weighted[:, j], matrix, weights)
-                except NumericalError as exc:
-                    hit = (weighted[:, j] @ matrix).min(axis=(1, 2)) <= 0.0
-                    for r in np.flatnonzero(hit):
-                        errors[r] = errors[r] or exc
-                    dead |= hit
-                    weighted[dead, j:] = theta0.values * weights
-                    rho = _rho_advance(rho, weighted[:, j], matrix, weights)
-            rhos[j] = rho
-            np.matmul(ratio_weighted, rho, out=per_state[j])
-        # the chunk's column extrema, and its likelihood ratios as one dot per step
-        held_now = stop - start
-        upper, lower = rhos[:held_now].max(axis=-1), rhos[:held_now].min(axis=-1)
-        invalid |= ~np.isfinite(upper).all(axis=(0, 2)) | (lower < 0.0).any(axis=(0, 2))
-        oscillations[:, start:stop] = (upper - lower).transpose(1, 0, 2)
-        ratios[:, start + 1:stop + 1] = (per_state[:held_now].transpose(1, 0, 2, 3)
-                                         @ weighted[:, 1:].swapaxes(-1, -2))[..., 0, 0]
-    del rhos, per_state
-    bad_ratios = ~np.isfinite(ratios) | (ratios < 0.0)
-    for r in range(n_runs):
-        if errors[r] is None and invalid[r]:
-            errors[r] = InvalidModelError("backward density entries must be finite and nonnegative")
-        elif errors[r] is None and bad_ratios[r].any():
-            value = float(ratios[r, bad_ratios[r].argmax()])
-            errors[r] = NumericalError(
-                f"likelihood ratio must be finite and nonnegative, got {value!r}")
-    scale = _envelope_scale(theta0.values, weights, coeffs)
-    bounds = None
-    if scale is not None:
-        row_min_weighted = row_minima(model.kernel, space) * weights
-        bounds = _envelope(scale, pis, row_min_weighted, coeffs.max_density)
-    return oscillations, bounds, ratios, errors
+def _backward_along(model: FiniteModel, theta0: Density, coeffs: Coefficients,
+                    ratio: np.ndarray, history: Optional[np.ndarray] = None,
+                    observations=None) -> BackwardPass:
+    """ρ from the strictly positive `theta0` along ``history``, or along the
+    filter from `theta0` on ``observations`` in the same pass, whose error comes first."""
+    backward = (0, theta0.values, ratio)
+    if observations is None:
+        run = _engine(model, history, backward=backward)
+    else:
+        run = _engine(model, theta0.values[None], [observations], backward)
+        _raise_first(run.errors)
+        history = run.densities[0, 0]
+    _raise_first(run.backward_errors)
+    return BackwardPass(oscillations=run.oscillations[0],
+                        bounds=_envelope(model, theta0, coeffs, history),
+                        likelihood_ratios=run.ratios[0])
 
 
 def likelihood_ratio(
@@ -427,34 +374,6 @@ class BackwardContext:
         return likelihood_ratio(self.rho, self.pi, prior_ratio, space)
 
 
-def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Backward density after the first step, on plain arrays."""
-    numerator = matrix * theta0[:, None]
-    denominator = (theta0 * weights) @ matrix
-    if np.any(denominator <= 0.0):
-        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
-    return _renormalize_columns(numerator / denominator[None, :], weights)
-
-
-def _rho_advance(rho: np.ndarray, weighted: np.ndarray, matrix: np.ndarray,
-                 weights: np.ndarray) -> np.ndarray:
-    """One backward step of a stack of backward densities: the one backward kernel.
-
-    ``rho`` is ``(..., d, d)`` and ``weighted`` the matching row vectors
-    ``(..., 1, d)`` of ``pi_prev * w``. Stacked matmuls run one gemm or gemv
-    per density, so each rounds exactly as it does alone.
-    """
-    numerator = (rho * weighted) @ matrix
-    denominator = weighted @ matrix
-    if denominator.min() <= 0.0:
-        raise NumericalError("state has zero predicted mass")
-    return _renormalize_columns(numerator / denominator, weights)
-
-
-def _renormalize_columns(matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return matrix / (weights[None, :] @ matrix)
-
-
 def _envelope_scale(theta0: np.ndarray, weights: np.ndarray,
                     coeffs: Optional[Coefficients]) -> Optional[np.ndarray]:
     """``max**2 / (theta_min * avg) * theta0``, or None when the envelope is
@@ -465,23 +384,27 @@ def _envelope_scale(theta0: np.ndarray, weights: np.ndarray,
     return coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient) * theta0
 
 
-def _envelope(scale: np.ndarray, pis: np.ndarray, row_min_weighted: np.ndarray,
-              max_density: float) -> np.ndarray:
-    """Envelope rows ``scale * exp(-exponent_n / max)`` for ``n = 1..N``.
+def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients],
+              pis: np.ndarray) -> Optional[np.ndarray]:
+    """Envelope rows ``scale * exp(-exponent_n / max)`` for ``n = 1..N`` along
+    the ``(..., N+1, d)`` filter runs from `theta0`, or None when vacuous.
 
-    ``pis`` is ``(..., N+1, d)``, one filter run per leading index. The
-    exponent accumulates one filter average per step, left to right as
+    The exponent accumulates one filter average per step, left to right as
     `BackwardContext` does (``cumsum`` is sequential), and ``math.exp`` is
     taken per step, so each row equals that context's ``record.bound``
     exactly.
     """
+    scale = _envelope_scale(theta0.values, model.space.weights, coeffs)
+    if scale is None:
+        return None
+    row_min_weighted = row_minima(model.kernel, model.space) * model.space.weights
     steps = pis.shape[-2] - 1
     exponents = np.zeros(pis.shape[:-2] + (steps,))
     averages = (pis[..., 1:steps, None, :] @ row_min_weighted[:, None])[..., 0, 0]
     np.cumsum(averages, axis=-1, out=exponents[..., 1:])
     del averages
     exponents *= -1.0
-    exponents /= max_density
+    exponents /= coeffs.max_density
     decays = np.fromiter(map(math.exp, exponents.flat), float, exponents.size)
     return scale * decays.reshape(exponents.shape + (1,))
 

@@ -22,8 +22,6 @@ Exit codes: 0 success, 1 invalid input, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
@@ -33,7 +31,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .backward import backward_pass
+from .backward import _backward_along
 from .errors import InvalidModelError, NumericalError
 from .ergodicity import geometric_ergodicity_report
 from .filtering import run_filter
@@ -121,31 +119,43 @@ def _write_text(path: Optional[Path], text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-# one format call per cell, picked by the cell's exact type: None is an empty
-# cell, integers print as %d and every other number as %.17g, which also
-# spells nan, inf and -inf
+# the cell rules, by the cell's exact type: None is an empty cell, integers
+# print as %d and every other number as %.17g, which also spells nan, inf
+# and -inf
 _CELL_FORMATS = {type(None): lambda _: "", int: "%d".__mod__, np.int64: "%d".__mod__}
 _FLOAT_CELL = "%.17g".__mod__
+_BLOCK_ROWS = 4096
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    cell = _CELL_FORMATS.get
-    writer.writerows([cell(type(v), _FLOAT_CELL)(v) for v in row] for row in rows)
-    return buf.getvalue()
+def _block_cells(values: list) -> list:
+    """A block of one column as CSV cells: one `%` map when its cells share a type."""
+    kinds = set(map(type, values))
+    if len(kinds) == 1:
+        return list(map(_CELL_FORMATS.get(kinds.pop(), _FLOAT_CELL), values))
+    return [_CELL_FORMATS.get(type(v), _FLOAT_CELL)(v) for v in values]
 
 
 def _json_text(payload) -> str:
     return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
 
 
-def _table_text(header, rows, fmt: str) -> str:
-    """Render a result table as CSV (default) or a JSON array of records."""
+def _table_text(header, columns, fmt: str) -> str:
+    """Render a table, given as equal-length columns (arrays, lists or
+    ranges), as CSV (default) or a JSON array of records, in blocks of
+    `_BLOCK_ROWS` rows so that one block's cells are alive at a time. CSV
+    cells follow `_CELL_FORMATS` and need no quoting; a JSON block is dumped
+    as a list stripped of its brackets, the same bytes as one whole dump."""
+    blocks = []
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        block = [c[start:start + _BLOCK_ROWS] for c in columns]
+        block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
+        if fmt == "csv":
+            blocks.append("\n".join(map(",".join, zip(*map(_block_cells, block)))))
+        else:  # "[\n" + records + "\n]\n"
+            blocks.append(_json_text([dict(zip(header, row)) for row in zip(*block)])[2:-3])
     if fmt == "csv":
-        return _csv_text(header, rows)
-    return _json_text([dict(zip(header, row)) for row in rows])
+        return "\n".join([",".join(header), *blocks]) + "\n"
+    return "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
 
 
 # ---------------------------------------------------------------------------
@@ -214,14 +224,11 @@ def _cmd_simulate(args) -> int:
     model, _ = _resolve_model(args)
     horizon = args.horizon if args.horizon is not None else 100
     trajectory = sample_trajectory(model, model.true_prior, horizon, args.seed)
-    rows = [(0, int(trajectory.states[0]), None)]
-    finite = model.observation.kind == "finite"
-    for n in range(1, len(trajectory.states)):
-        y = trajectory.observations[n - 1]
-        rows.append((n, int(trajectory.states[n]), int(y) if finite else float(y)))
+    columns = [range(len(trajectory.states)), trajectory.states,
+               [None, *trajectory.observations.tolist()]]
     _write_text(
         _resolve_output(args.output),
-        _table_text(["n", "state", "observation"], rows, args.format),
+        _table_text(["n", "state", "observation"], columns, args.format),
     )
     return 0
 
@@ -247,23 +254,21 @@ def _cmd_stability(args) -> int:
     coeffs = first.coeffs
     rate = coeffs.tv_decay_rate
 
-    rows = []
     n_steps = len(first.trajectory.observations)
-    for n in range(n_steps + 1):
-        tv = float(first.pair.tv[n])
-        log_tv = math.log(tv) if tv > 0.0 else -math.inf
-        delta_max = None if n == 0 else float(first.oscillations[n - 1].max())
-        if n == 0 or first.bounds_vacuous:
-            bound_max = None
-        else:
-            bound_max = float(first.oscillation_bounds[n - 1].max())
-        rows.append((
-            n, tv, log_tv, -rate * n + 0.0,
-            delta_max, bound_max, float(first.likelihood_ratios[n]),
-        ))
+    bound_max = ([None] * n_steps if first.bounds_vacuous
+                 else first.oscillation_bounds.max(axis=1).tolist())
+    columns = [
+        range(n_steps + 1),
+        first.pair.tv,
+        [math.log(tv) if tv > 0.0 else -math.inf for tv in first.pair.tv.tolist()],
+        -rate * np.arange(n_steps + 1) + 0.0,
+        [None, *first.oscillations.max(axis=1).tolist()],
+        [None, *bound_max],
+        first.likelihood_ratios,
+    ]
     table = _table_text(
         ["n", "tv", "log_tv", "bound_log_tv", "delta_max", "osc_bound_max", "likelihood_ratio"],
-        rows,
+        columns,
         args.format,
     )
 
@@ -309,20 +314,19 @@ def _cmd_ergodicity(args) -> int:
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
     report = geometric_ergodicity_report(model, invariant, coeffs, n_max)
-    rows = []
-    for u in range(model.space.num_states):
-        for n in range(1, n_max + 1):
-            gap = float(report.gaps[n - 1, u])
-            if report.applicable:
-                bound = report.prefactor * report.ratio**n
-                ratio = gap / bound if bound >= report.floor else None
-            else:
-                bound = None
-                ratio = None
-            rows.append((u, n, gap, bound, ratio))
+    d = model.space.num_states
+    gaps = report.gaps.T.ravel().tolist()  # state by state
+    if report.applicable:
+        bounds = [report.prefactor * report.ratio**n for n in range(1, n_max + 1)] * d
+        ratios = [gap / bound if bound >= report.floor else None
+                  for gap, bound in zip(gaps, bounds)]
+    else:
+        bounds = ratios = [None] * len(gaps)
+    columns = [np.repeat(np.arange(d), n_max), np.tile(np.arange(1, n_max + 1), d), gaps,
+               bounds, ratios]
     _write_text(
         _resolve_output(args.output),
-        _table_text(["u", "n", "gap", "bound", "ratio"], rows, args.format),
+        _table_text(["u", "n", "gap", "bound", "ratio"], columns, args.format),
     )
     if report.applicable:
         ok = report.worst_ratio <= 1.0 and report.unresolved_max_gap <= report.floor + 1e-12
@@ -337,20 +341,18 @@ def _cmd_backward(args) -> int:
     coeffs = mixing_coefficients(model, invariant)
     seed = derive_seed(scenario.seed, 0)
     trajectory = sample_trajectory(model, model.true_prior, scenario.horizon, seed)
-    run = run_filter(model.wrong_prior, trajectory.observations, model, prior_label="wrong")
     prior_ratio = np.divide(model.true_prior.values, model.wrong_prior.values)
-    backward = backward_pass(model, model.wrong_prior, coeffs, run.densities, prior_ratio)
-    steps = range(1, len(trajectory.observations) + 1)
-    delta_max = backward.oscillations.max(axis=1).tolist()
-    if backward.bounds is None:
-        rows = list(zip(steps, delta_max, [None] * len(delta_max)))
-        violation = False
-    else:
-        rows = list(zip(steps, delta_max, backward.bounds.max(axis=1).tolist()))
-        violation = bool(np.any(backward.oscillations > backward.bounds + 1e-12))
+    # the filter from the wrong prior, which `build_model` keeps strictly
+    # positive, and ρ along it, in one pass
+    backward = _backward_along(model, model.wrong_prior, coeffs, prior_ratio,
+                               observations=trajectory.observations)
+    bounds = backward.bounds
+    violation = bounds is not None and bool(np.any(backward.oscillations > bounds + 1e-12))
+    bound_max = [None] * len(trajectory.observations) if bounds is None else bounds.max(axis=1)
+    columns = [range(1, len(bound_max) + 1), backward.oscillations.max(axis=1), bound_max]
     _write_text(
         _resolve_output(args.output),
-        _table_text(["n", "delta_max", "osc_bound_max"], rows, args.format),
+        _table_text(["n", "delta_max", "osc_bound_max"], columns, args.format),
     )
     return 3 if violation else 0
 
@@ -383,16 +385,11 @@ def _cmd_lln(args) -> int:
     weighted = run.densities[:-1] * space.weights
     partial = np.cumsum(weighted, axis=0) / np.arange(1, horizon + 1)[:, None]
     targets = invariant.values * space.weights
-    rows = []
-    for n in range(1, horizon + 1):
-        for state in range(d):
-            avg = float(partial[n - 1, state])
-            rows.append((
-                n, state, avg, float(targets[state]), abs(avg - float(targets[state])),
-            ))
+    columns = [np.repeat(np.arange(1, horizon + 1), d), np.tile(np.arange(d), horizon),
+               partial.ravel(), np.tile(targets, horizon), np.abs(partial - targets).ravel()]
     _write_text(
         _resolve_output(args.output),
-        _table_text(["n", "state", "running_average", "target", "gap"], rows, args.format),
+        _table_text(["n", "state", "running_average", "target", "gap"], columns, args.format),
     )
     return 0
 

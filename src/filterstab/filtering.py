@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import product
-from typing import Optional, Sequence
+from itertools import product, repeat
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -62,22 +62,6 @@ ZERO_LIKELIHOOD = (
 )
 
 
-def _filter_update(pi: np.ndarray, likelihood: np.ndarray, matrix: np.ndarray,
-                   weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prediction plus Bayes reweighting of a stack of densities: the one filter kernel.
-
-    ``pi`` is a stack of row vectors ``(..., 1, d)`` and ``likelihood``
-    broadcasts against it. Returns the unnormalized posteriors and their
-    ``(..., 1, 1)`` normalizing constants
-    ``sum_x likelihood[x] * predicted[x] * w[x]``; the caller checks the
-    constants before dividing. Each product is a stacked matmul of row
-    vectors, which numpy runs as one gemv or dot per row, so a row rounds
-    exactly as it does alone (a 2-D ``X @ M`` would be a gemm, which does not).
-    """
-    unnormalized = likelihood * ((pi * weights) @ matrix)
-    return unnormalized, unnormalized @ weights[:, None]
-
-
 def _log_domain_update(pi: np.ndarray, y, model: FiniteModel) -> Optional[tuple[np.ndarray, float]]:
     """One Gaussian filter step computed in the log domain.
 
@@ -112,76 +96,191 @@ def filter_step_with_likelihood(
     the underflow floor means the observation has probability zero under the
     predicted law.
     """
-    unnormalized, normalizer = _filter_update(
-        pi_prev.values[None], np.asarray(likelihood, dtype=float), kernel.matrix, space.weights
-    )
-    normalizer = float(normalizer[0, 0])
+    predicted = (pi_prev.values * space.weights) @ kernel.matrix
+    unnormalized = np.asarray(likelihood, dtype=float) * predicted
+    normalizer = float(unnormalized @ space.weights)
     if not UNDERFLOW_FLOOR < normalizer < math.inf:
         raise NumericalError(ZERO_LIKELIHOOD)
-    return Density(unnormalized[0] / normalizer), normalizer
+    return Density(unnormalized / normalizer), normalizer
 
 
-def _filter_records(priors: np.ndarray, observations,
-                    model: FiniteModel) -> tuple[np.ndarray, np.ndarray, list]:
-    """The filter from each of ``P`` priors on each of ``R`` records, in one pass.
+# entries of backward densities held at once before they are reduced
+_CHUNK_ENTRIES = 2**13
 
-    ``priors`` is ``(P, d)`` and ``observations`` holds ``R`` records of
-    ``N`` observations, validated at once. All ``R * P`` filters advance together,
-    one stacked `_filter_update` per step. Returns the read-only
-    ``(R, P, N+1, d)`` densities, the ``(R, P, N)`` log normalizers and, per
-    filter in ``(R, P)`` order, the error it raises when run alone (or None).
 
+class _EngineRun(NamedTuple):
+    """What `_engine` returns; the parts a pass does not compute are None."""
+
+    densities: Optional[np.ndarray] = None  # (R, P, N+1, d), read-only
+    log_norms: Optional[np.ndarray] = None  # (R, P, N)
+    errors: Optional[list] = None  # per filter in (R, P) order: its error alone, or None
+    oscillations: Optional[np.ndarray] = None  # (R, N, d)
+    ratios: Optional[np.ndarray] = None  # (R, N+1)
+    backward_errors: Optional[list] = None  # per run
+
+
+def _engine(model: FiniteModel, start: np.ndarray, observations=None,
+            backward: Optional[tuple] = None) -> _EngineRun:
+    """The one time loop: the filter from ``P`` priors on ``R`` records and
+    ρ along one of those priors, advanced together.
+
+    ``start`` holds the ``(P, d)`` priors, or, without observations, the
+    ``(N+1, d)`` density history of one run, read instead of filtered.
+    ``backward = (p, theta0, ratio)`` advances ρ from the strictly positive
+    ``theta0`` along prior ``p``, dividing by that prior's prediction, and
+    reduces it to oscillations and the likelihood ratios of ``ratio``. Each
+    stage of a step is one stacked product of row vectors over time-major
+    buffers, one gemv or dot per row, so every row rounds as it does alone.
     A Gaussian step whose normalizer underflows or overflows is redone for
-    that filter alone in the log domain; where no rescue exists the filter
-    fails at that step and holds its last density, so the other rows run on
-    unaffected.
+    that row in the log domain; with no rescue the filter fails there and
+    holds its density. A ρ run whose predicted mass hits zero carries on
+    from ``theta0 * w``. ρ is reduced every ``_CHUNK_ENTRIES`` held entries.
     """
-    n_records, n_obs = np.shape(observations)
-    n_priors, d = priors.shape
-    # an axis of one for the priors, and each step's densities as row vectors
-    liks = likelihood_rows(model.observation, np.ravel(observations))
-    liks = liks.reshape(n_records, 1, n_obs, 1, d)
     matrix, weights = model.kernel.matrix, model.space.weights
-    gaussian = model.observation.kind == "gaussian"
-    densities = np.empty((n_records, n_priors, n_obs + 1, 1, d))
-    densities[:, :, 0, 0] = priors
-    normalizers = np.empty((n_records, n_priors, n_obs, 1, 1))
-    failed_at = np.zeros((n_records, n_priors), dtype=np.int64)  # first failing step, 0 if none
-    rescued_logs = {}
-    for n in range(n_obs):
-        pi = densities[:, :, n]
-        unnormalized, z = _filter_update(pi, liks[:, :, n], matrix, weights)
-        zs = z.ravel().tolist()
-        # the normalizers are nonnegative, so their sum is NaN or infinite
-        # exactly when one of them is
-        if not (min(zs) > UNDERFLOW_FLOOR and sum(zs) < math.inf):
-            for r, p in zip(*np.nonzero(~((z[..., 0, 0] > UNDERFLOW_FLOOR)
-                                          & (z[..., 0, 0] < math.inf)))):
-                rescued = None
-                if gaussian and not failed_at[r, p]:
-                    rescued = _log_domain_update(pi[r, p, 0], observations[r][n], model)
-                if rescued is None:
-                    failed_at[r, p] = failed_at[r, p] or n + 1
-                    unnormalized[r, p] = pi[r, p]
-                else:
-                    unnormalized[r, p, 0], rescued_logs[r, p, n] = rescued
-                z[r, p] = 1.0
-        normalizers[:, :, n] = z
-        np.divide(unnormalized, z, out=densities[:, :, n + 1])
-    densities = densities[..., 0, :]
-    normalizers = normalizers[..., 0, 0]
+    d = model.space.num_states
+    filtering = observations is not None
+    n_records, n_obs = np.shape(observations) if filtering else (1, len(start) - 1)
+    n_priors = len(start) if filtering else 1
+    n_rows = n_priors * n_records  # prior-major: row p * R + r
+    # a lone row or record is 1-D: numpy rounds it the same way, at less cost per call
+    row = (n_rows, 1, d) if n_rows > 1 else (d,)
+    run_row = (n_records, 1, d) if n_records > 1 else (d,)  # the rows of one prior
+    weighted, predicted, unnormalized = np.empty((3,) + row)
+    if filtering:
+        liks = likelihood_rows(model.observation, np.ravel(observations))
+        liks = np.ascontiguousarray(liks.reshape(n_records, n_obs, d).swapaxes(0, 1))
+        liks = liks.reshape((n_obs,) + run_row)
+        densities = np.empty((n_obs + 1,) + row)
+        densities[0] = np.repeat(start, n_records, axis=0).reshape(row)
+        normalizers = np.empty((n_obs,) + row[:-1] + (1,))
+        # each record's likelihoods multiply the rows of every prior
+        by_prior = (n_priors,) + run_row if n_priors > 1 else row
+        lik_operands = predicted.reshape(by_prior), unnormalized.reshape(by_prior)
+        failed_at = np.zeros(n_rows, dtype=np.int64)  # first failing step, or 0
+        rescued_logs = {}
+    else:
+        densities, liks, normalizers = start, repeat(None), repeat(None)
+    follow, theta0, ratio = backward or (0, None, None)
+    history = densities.reshape((n_obs + 1, n_priors) + run_row)[:, follow]  # ρ's prior
+    rho = None
+    if backward is not None:
+        ratios = np.empty((n_obs + 1, n_records))
+        ratios[0] = float((ratio * theta0) @ weights)
+        oscillations = np.zeros((n_obs, n_records, d))
+        backward_errors = [None] * n_records
+        held = max(1, _CHUNK_ENTRIES // (n_records * d * d))
+        square = run_row[:-2] + (d, d)
+        rhos = np.empty((min(held, n_obs),) + square)
+        try:
+            if n_obs:
+                rhos[0] = _rho_init(theta0, matrix, weights)
+                rho = rhos[0]
+        except NumericalError as exc:  # the first step is the same for every run
+            backward_errors = [exc] * n_records
+        scaled, numerator = np.empty((2,) + square)
+        column_sums = np.empty(run_row)
+        weights_row = weights[None, :] if n_records > 1 else weights
+        follow_weighted = weighted.reshape((n_priors,) + run_row)[follow]
+        follow_predicted = predicted.reshape((n_priors,) + run_row)[follow]
+        invalid, dead = np.zeros((2, n_records), dtype=bool)  # dead: carrying on from theta0 * w
+        dead_rows = dead.reshape((n_records,) + (1,) * (len(run_row) - 1))
+        any_dead = False
+        theta0_weighted = theta0 * weights
+        theta0_predicted = theta0_weighted @ matrix
+        ratio_weighted = (ratio * weights)[None, :]
+        j = 1  # steps held in `rhos`
+    for n, (pi, pi_next, lik, z) in enumerate(zip(densities[:-1], densities[1:], liks, normalizers)):
+        np.multiply(pi, weights, weighted)
+        np.matmul(weighted, matrix, predicted)
+        if filtering:
+            np.multiply(lik, *lik_operands)
+            if n_rows == 1:  # the dot a stacked row takes, at less cost
+                z[0] = unnormalized.dot(weights)
+            else:
+                np.matmul(unnormalized, weights[:, None], z)
+            zs = z.ravel().tolist()
+            # the normalizers are nonnegative: their sum is NaN or infinite when one is
+            if not (min(zs) > UNDERFLOW_FLOOR and sum(zs) < math.inf):
+                flat_z, flat_un, flat_pi = z.reshape(-1), unnormalized.reshape(-1, d), pi.reshape(-1, d)
+                for i in [i for i, v in enumerate(zs) if not UNDERFLOW_FLOOR < v < math.inf]:
+                    p, r = divmod(i, n_records)
+                    rescued = (model.observation.kind == "gaussian" and not failed_at[i]
+                               and _log_domain_update(flat_pi[i], observations[r][n], model))
+                    if not rescued:
+                        failed_at[i] = failed_at[i] or n + 1
+                        flat_un[i] = flat_pi[i]
+                    else:
+                        flat_un[i], rescued_logs[r, p, n] = rescued
+                    flat_z[i] = zs[i] = 1.0
+            np.divide(unnormalized, zs[0] if n_rows == 1 else z, pi_next)
+        if rho is None:
+            continue
+        if n:
+            step_weighted, step_predicted = follow_weighted, follow_predicted
+            if any_dead or not min(step_predicted.ravel().tolist()) > 0.0:
+                dead |= step_predicted.reshape(n_records, d).min(axis=1) <= 0.0
+                for r in np.flatnonzero(dead):
+                    backward_errors[r] = (backward_errors[r]
+                                          or NumericalError("state has zero predicted mass"))
+                any_dead = dead.any()
+                step_weighted = np.where(dead_rows, theta0_weighted, step_weighted)
+                step_predicted = np.where(dead_rows, theta0_predicted, step_predicted)
+            np.multiply(rho, step_weighted, scaled)
+            np.matmul(scaled, matrix, numerator)
+            np.divide(numerator, step_predicted, numerator)
+            np.matmul(weights_row, numerator, column_sums)
+            rho = np.divide(numerator, column_sums, rhos[j - 1])
+        if j == held or n + 1 == n_obs:
+            # the chunk's column extrema, and its likelihood ratios as one dot per step
+            first = n + 1 - j
+            chunk = rhos[:j].reshape(j, n_records, d, d)
+            upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
+            invalid |= ~np.isfinite(upper).all(axis=(0, 2)) | (lower < 0.0).any(axis=(0, 2))
+            np.subtract(upper, lower, out=oscillations[first:n + 1])
+            later = history[first + 1:n + 2].reshape(j, n_records, 1, d) * weights
+            ratios[first + 1:n + 2] = ((ratio_weighted @ chunk) @ later.swapaxes(-1, -2))[..., 0, 0]
+            j = 0
+        j += 1
+    run = {}
+    if backward is not None:
+        ratios = ratios.T
+        bad_ratios = ~np.isfinite(ratios) | (ratios < 0.0)
+        for r in range(n_records):
+            if backward_errors[r] is None and invalid[r]:
+                backward_errors[r] = InvalidModelError(
+                    "backward density entries must be finite and nonnegative")
+            elif backward_errors[r] is None and bad_ratios[r].any():
+                value = float(ratios[r, bad_ratios[r].argmax()])
+                backward_errors[r] = NumericalError(
+                    f"likelihood ratio must be finite and nonnegative, got {value!r}")
+        run = dict(oscillations=oscillations.transpose(1, 0, 2), ratios=ratios,
+                   backward_errors=backward_errors)
+    if not filtering:
+        return _EngineRun(**run)
+    densities = densities.reshape(n_obs + 1, n_priors, n_records, d).transpose(2, 1, 0, 3)
+    normalizers = normalizers.reshape(n_obs, n_priors, n_records).transpose(2, 1, 0)
     invalid = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
     errors = [
         NumericalError(f"{ZERO_LIKELIHOOD} (at step {step})") if step
         else InvalidModelError("density values must be finite and nonnegative") if bad else None
-        for step, bad in zip(failed_at.ravel().tolist(), invalid.ravel().tolist())
+        for step, bad in zip(failed_at.reshape(n_priors, n_records).T.ravel().tolist(),
+                             invalid.ravel().tolist())
     ]
-    log_norms = np.fromiter(map(math.log, normalizers.flat), float, normalizers.size)
-    log_norms = log_norms.reshape(n_records, n_priors, n_obs)
+    log_norms = np.fromiter(map(math.log, normalizers.flat), float).reshape(normalizers.shape)
     for index, value in rescued_logs.items():
         log_norms[index] = value
     densities.flags.writeable = False
-    return densities, log_norms, errors
+    return _EngineRun(densities, log_norms, errors, **run)
+
+
+def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Backward density after the first step, on plain arrays."""
+    numerator = matrix * theta0[:, None]
+    denominator = (theta0 * weights) @ matrix
+    if np.any(denominator <= 0.0):
+        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
+    rho = numerator / denominator[None, :]
+    return rho / (weights @ rho)
 
 
 def _raise_first(errors) -> None:
@@ -199,13 +298,13 @@ def run_filter(prior: Density, observations: Sequence, model: FiniteModel,
     from every mean) is redone in the log domain; on a finite alphabet it is
     a genuine impossibility and raises.
     """
-    densities, log_norms, errors = _filter_records(prior.values[None], [observations], model)
-    _raise_first(errors)
+    run = _engine(model, prior.values[None], [observations])
+    _raise_first(run.errors)
     return FilterRun(
-        densities=densities[0, 0],
+        densities=run.densities[0, 0],
         prior_label=prior_label,
         observations=np.asarray(observations),
-        log_normalizers=log_norms[0, 0],
+        log_normalizers=run.log_norms[0, 0],
     )
 
 
@@ -232,25 +331,12 @@ def _check_priors(true_prior: Density, wrong_prior: Density, space: StateSpace) 
         )
 
 
-def _pair_records(true_prior: Density, wrong_prior: Density, observations,
-                  model: FiniteModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, list]:
-    """Both filters on each of ``R`` records in one `_filter_records` pass.
-
-    Returns the ``(R, 2, N+1, d)`` densities (correct prior first), the log
-    normalizers, the ``(R, N+1)`` TV gaps and the per-filter errors.
-    """
-    densities, log_norms, errors = _filter_records(
-        np.stack([true_prior.values, wrong_prior.values]), observations, model)
-    # one dot per row, the same product `tv_norm` takes on a single pair
-    gaps = np.subtract(densities[:, 0], densities[:, 1])
-    np.abs(gaps, out=gaps)
-    tv = (gaps[..., None, :] @ model.space.weights[:, None])[..., 0, 0]
-    return densities, log_norms, tv, errors
-
-
 def _pair_run(densities: np.ndarray, log_norms: np.ndarray, observations: np.ndarray,
-              tv: np.ndarray) -> PairRun:
-    """The `PairRun` of one record's rows of `_pair_records`."""
+              weights: np.ndarray) -> PairRun:
+    """The `PairRun` of one record's rows of an `_engine` pass over both priors."""
+    gaps = np.abs(densities[0] - densities[1])
+    # one dot per row, the same product `tv_norm` takes on a single pair
+    tv = (gaps[:, None, :] @ weights[:, None])[:, 0, 0]
     return PairRun(
         run_correct=FilterRun(densities[0], "correct", observations, log_norms[0]),
         run_wrong=FilterRun(densities[1], "wrong", observations, log_norms[1]),
@@ -267,10 +353,10 @@ def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Seq
     Both filters advance in one pass; the correct prior's failure is raised first.
     """
     _check_priors(true_prior, wrong_prior, model.space)
-    densities, log_norms, tv, errors = _pair_records(true_prior, wrong_prior, [observations],
-                                                     model)
-    _raise_first(errors)
-    return _pair_run(densities[0], log_norms[0], np.asarray(observations), tv[0])
+    run = _engine(model, np.stack([true_prior.values, wrong_prior.values]), [observations])
+    _raise_first(run.errors)
+    return _pair_run(run.densities[0], run.log_norms[0], np.asarray(observations),
+                     model.space.weights)
 
 
 def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstimate:

@@ -25,13 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from .backward import _backward_records
+from .backward import _envelope
 from .errors import InvalidModelError
 from .filtering import (
     DecayEstimate,
     PairRun,
     _check_priors,
-    _pair_records,
+    _engine,
     _pair_run,
     decay_rate,
     run_filter_pair,
@@ -253,29 +253,21 @@ def kaijser_closed_form(true_prior, wrong_prior, observations) -> np.ndarray:
     s = np.asarray(true_prior, dtype=float) - np.asarray(wrong_prior, dtype=float)
     if s.shape != (4,):
         raise InvalidModelError(f"wrong dimension: expected 4 states, got shape {s.shape}")
-    n_obs = len(observations)
-    gaps = np.empty((n_obs + 1, 4))
-    gaps[0] = np.abs(s)
-    if n_obs == 0:
-        return gaps
-    y1 = int(observations[0])
-    gaps[1] = [
-        abs(s[0] + s[3]) * y1,
-        abs(s[1] + s[0]) * (1 - y1),
-        abs(s[2] + s[1]) * y1,
-        abs(s[3] + s[2]) * (1 - y1),
-    ]
-    for n in range(2, n_obs + 1):
-        y_prev = int(observations[n - 2])
-        y = int(observations[n - 1])
-        g = gaps[n - 1]
-        gaps[n] = [
-            (g[0] * y_prev + g[3] * (1 - y_prev)) * y,
-            (g[1] * (1 - y_prev) + g[0] * y_prev) * (1 - y),
-            (g[2] * y_prev + g[1] * (1 - y_prev)) * y,
-            (g[3] * (1 - y_prev) + g[2] * y_prev) * (1 - y),
-        ]
-    return gaps
+    # on Python floats, one array at the end: the IEEE operations of numpy scalars
+    ys = list(map(int, observations))
+    s0, s1, s2, s3 = s.tolist()
+    gaps = [np.abs(s).tolist()]
+    if ys:
+        y = ys[0]
+        gaps.append((abs(s0 + s3) * y, abs(s1 + s0) * (1 - y),
+                     abs(s2 + s1) * y, abs(s3 + s2) * (1 - y)))
+    for y_prev, y in zip(ys, ys[1:]):
+        g0, g1, g2, g3 = gaps[-1]
+        gaps.append(((g0 * y_prev + g3 * (1 - y_prev)) * y,
+                     (g1 * (1 - y_prev) + g0 * y_prev) * (1 - y),
+                     (g2 * y_prev + g1 * (1 - y_prev)) * y,
+                     (g3 * (1 - y_prev) + g2 * y_prev) * (1 - y)))
+    return np.array(gaps)
 
 
 def _verify_kaijser_on(model: FiniteModel, observations, pair: PairRun) -> KaijserReport:
@@ -330,15 +322,14 @@ def _is_kaijser(model: FiniteModel) -> bool:
 def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRecord]:
     """Execute every replicate of a scenario and collect full diagnostics.
 
-    Each replicate gets an independent stream derived from the scenario seed.
-    Records are returned ordered by replicate index, so output is a pure
-    function of (scenario, seed). All replicates advance together as stacked
-    arrays: one pass samples every record, one filter pass runs both priors
-    of every replicate, and the backward density replays all the
-    wrong-prior runs as one stack; the Kaijser gate, run whenever the model
-    is the counterexample's, reuses each pair. Every replicate's arrays
-    equal those it gets alone, bit for bit, and when replicates fail the
-    lowest one's first error is raised, as if they ran one after another.
+    Each replicate gets an independent stream derived from the scenario seed,
+    and records are ordered by replicate, so output is a pure function of
+    (scenario, seed). One pass samples every record, and one `_engine` time
+    loop advances both priors of every replicate and the backward density
+    along the wrong one; the Kaijser gate, run whenever the model is the
+    counterexample's, reuses each pair. Every replicate's arrays equal those
+    it gets alone, bit for bit, and when replicates fail the lowest one's
+    first error is raised, as if they ran one after another.
     """
     model = scenario.model
     invariant = invariant_density(model.kernel, model.space)
@@ -349,31 +340,30 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
         return []
     states, observations = sample_trajectories(model, model.true_prior, scenario.horizon, seeds)
     _check_priors(model.true_prior, model.wrong_prior, model.space)
-    densities, log_norms, tv, filter_errors = _pair_records(
-        model.true_prior, model.wrong_prior, observations, model
-    )
-    oscillations, bounds, ratios, backward_errors = _backward_records(
-        model, model.wrong_prior, coeffs, densities[:, 1], prior_ratio
-    )
+    wrong = model.wrong_prior
+    run = _engine(model, np.stack([model.true_prior.values, wrong.values]), observations,
+                  backward=(1, wrong.values, prior_ratio))
+    bounds = _envelope(model, wrong, coeffs, run.densities[:, 1])
     kaijser = _is_kaijser(model)
     records = []
     for replicate, seed in enumerate(seeds):
-        for error in (*filter_errors[2 * replicate:2 * replicate + 2], backward_errors[replicate]):
+        for error in (*run.errors[2 * replicate:2 * replicate + 2],
+                      run.backward_errors[replicate]):
             if error is not None:
                 raise error
         trajectory = Trajectory(states=states[replicate], observations=observations[replicate],
                                 seed=seed)
-        pair = _pair_run(densities[replicate], log_norms[replicate], trajectory.observations,
-                         tv[replicate])
+        pair = _pair_run(run.densities[replicate], run.log_norms[replicate],
+                         trajectory.observations, model.space.weights)
         records.append(RunRecord(
             replicate=replicate,
             seed=seed,
             trajectory=trajectory,
             pair=pair,
-            oscillations=oscillations[replicate],
+            oscillations=run.oscillations[replicate],
             oscillation_bounds=None if bounds is None else bounds[replicate],
             bounds_vacuous=bounds is None,
-            likelihood_ratios=ratios[replicate],
+            likelihood_ratios=run.ratios[replicate],
             decay=decay_rate(pair.tv, window_fraction),
             coeffs=coeffs,
             kaijser=_verify_kaijser_on(model, trajectory.observations, pair) if kaijser else None,

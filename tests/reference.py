@@ -1,0 +1,127 @@
+"""Reference loops the engine is held to.
+
+`reference_filter` and `reference_backward` redo one record from one prior
+with plain 1-D numpy arithmetic, one step at a time, with none of the
+engine's stacking, time-major buffers or chunks. Stacked products round
+like these one-row ones, so the engine must agree with them exactly, not
+just to a tolerance. Nothing here calls the package's own filter steps.
+`log_domain_filter` is the filter in logsumexp form, an oracle that never
+underflows, compared by tolerance.
+"""
+
+import math
+
+import numpy as np
+
+from filterstab import NumericalError, likelihood_rows, row_minima
+from filterstab.filtering import UNDERFLOW_FLOOR, ZERO_LIKELIHOOD
+
+
+def reference_filter(model, prior, observations):
+    """The forward filter on one record: ``(N+1, d)`` densities and ``N`` log
+    normalizers.
+
+    A Gaussian step whose normalizer leaves ``(UNDERFLOW_FLOOR, inf)`` is
+    redone in the log domain (`log_domain_step`), as the engine does; any
+    other such step raises the engine's error.
+    """
+    matrix, w = model.kernel.matrix, model.space.weights
+    pis, logs = [np.asarray(prior, dtype=float)], []
+    for y, lik in zip(observations, likelihood_rows(model.observation, observations)):
+        unnormalized = lik * (matrix.T @ (pis[-1] * w))
+        normalizer = float(unnormalized @ w)
+        if UNDERFLOW_FLOOR < normalizer < math.inf:
+            pis.append(unnormalized / normalizer)
+            logs.append(math.log(normalizer))
+            continue
+        rescued = None
+        if model.observation.kind == "gaussian":
+            rescued = log_domain_step(model, pis[-1], y)
+        if rescued is None:
+            raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {len(pis)})")
+        pis.append(rescued[0])
+        logs.append(rescued[1])
+    return np.array(pis), np.array(logs)
+
+
+def log_domain_step(model, pi, y):
+    """One Gaussian filter step from density ``pi`` in the log domain.
+
+    The log joint ``log lik[x] + log(predicted[x] w[x])`` is shifted by its
+    maximum before it is exponentiated, and the shift goes back into the log
+    normalizer. Returns the density and the log normalizer, or None when no
+    state has positive density.
+    """
+    obs, w = model.observation, model.space.weights
+    z = (float(y) - obs.means) / obs.sigma
+    log_lik = -0.5 * z * z - math.log(obs.sigma * math.sqrt(2.0 * math.pi))
+    with np.errstate(divide="ignore"):
+        log_joint = log_lik + np.log((model.kernel.matrix.T @ (pi * w)) * w)
+    top = float(log_joint.max())
+    if not math.isfinite(top):
+        return None
+    joint = np.exp(log_joint - top)
+    total = float(joint.sum())
+    return joint / total / w, top + math.log(total)
+
+
+def reference_backward(model, coeffs, wrong):
+    """Oscillations, envelope (None when vacuous) and likelihood ratios along
+    one wrong-prior run ``wrong`` (its ``(N+1, d)`` densities).
+
+    Raises where the engine records a backward error for the run: a state
+    unreachable in one step, or zero predicted mass.
+    """
+    matrix, w = model.kernel.matrix, model.space.weights
+    theta0 = model.wrong_prior.values
+    ratio = model.true_prior.values / theta0
+    row_min_weighted = row_minima(model.kernel, model.space) * w
+    denominator = (theta0 * w) @ matrix
+    if denominator.min() <= 0.0:
+        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
+    rho = matrix * theta0[:, None] / denominator[None, :]
+    rho = rho / (w @ rho)[None, :]
+    oscillations, ratios, decays = [], [float((ratio * theta0) @ w)], []
+    exponent = 0.0
+    for k in range(1, len(wrong)):
+        if k > 1:
+            weighted = wrong[k - 1] * w
+            denominator = weighted @ matrix
+            if denominator.min() <= 0.0:
+                raise NumericalError("state has zero predicted mass")
+            rho = ((rho * weighted[None, :]) @ matrix) / denominator[None, :]
+            rho = rho / (w @ rho)[None, :]
+            exponent += float(wrong[k - 1] @ row_min_weighted)
+        oscillations.append(rho.max(axis=1) - rho.min(axis=1))
+        ratios.append(float(((ratio * w) @ rho) @ (wrong[k] * w)))
+        decays.append(math.exp(-exponent / coeffs.max_density))
+    bounds = None
+    if coeffs.mixing_coefficient > 0.0:
+        scale = coeffs.max_density**2 / (theta0.min() * coeffs.mixing_coefficient) * theta0
+        bounds = scale[None, :] * np.array(decays)[:, None]
+    return np.array(oscillations).reshape(-1, len(w)), bounds, np.array(ratios)
+
+
+def _logsumexp(a, axis=None):
+    top = np.max(a, axis=axis, keepdims=True)
+    return np.squeeze(top + np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)), axis=axis)
+
+
+def log_domain_filter(model, prior, record):
+    """The forward filter on a Gaussian channel computed entirely with
+    logsumexp: densities and log normalizers that no float underflow can
+    flush."""
+    obs, w = model.observation, model.space.weights
+    with np.errstate(divide="ignore"):
+        log_step = np.log(model.kernel.matrix * w[None, :])
+        log_alpha = np.log(prior.values * w)
+    densities, log_norms = [prior.values], []
+    for y in record:
+        log_pred = _logsumexp(log_alpha[:, None] + log_step, axis=0)
+        z = (y - obs.means) / obs.sigma
+        log_joint = log_pred - 0.5 * z * z - math.log(obs.sigma * math.sqrt(2.0 * math.pi))
+        log_norm = float(_logsumexp(log_joint))
+        log_alpha = log_joint - log_norm
+        densities.append(np.exp(log_alpha) / w)
+        log_norms.append(log_norm)
+    return np.array(densities), np.array(log_norms)

@@ -413,10 +413,37 @@ class TestStabilityKeepsItsInput:
 
 
 def test_csv_cells_keep_their_format():
-    from filterstab.cli import _csv_text
+    from filterstab.cli import _table_text
 
     row = (0, None, float("nan"), float("inf"), float("-inf"), -0.0, 0.1,
            np.float64(1.0) / 3.0, np.int64(7), 2**40, 1e-300)
-    assert _csv_text(["a"] * len(row), [row]).splitlines()[1] == (
+    columns = [[value] for value in row]
+    assert _table_text(["a"] * len(row), columns, "csv").splitlines()[1] == (
         "0,,nan,inf,-inf,-0,0.10000000000000001,0.33333333333333331,7,1099511627776,1e-300"
     )
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, 4096])
+def test_block_rendering_equals_row_rendering(monkeypatch, block_rows):
+    """Blocks of any size render what one writer over all rows renders."""
+    import csv
+    import io
+
+    import filterstab.cli as cli
+
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+    header = ["n", "x", "maybe", "mixed"]
+    columns = [range(7), np.linspace(-1.0, 1.0, 7) / 3.0,
+               [None, 0.5, None, float("inf"), float("nan"), None, 1e-300],
+               np.array([1, 2, 3, 4, 5, 6, 7])]
+    rows = list(zip(*[list(c) for c in columns]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([["" if v is None else "%d" % v if isinstance(v, (int, np.integer))
+                       else "%.17g" % v for v in row] for row in rows])
+    assert cli._table_text(header, columns, "csv") == buf.getvalue()
+    assert cli._table_text(header, columns, "json") == cli._json_text(
+        [dict(zip(header, row)) for row in rows])
+    assert cli._table_text(header, [[] for _ in header], "csv") == "n,x,maybe,mixed\n"
+    assert cli._table_text(header, [[] for _ in header], "json") == "[]\n"

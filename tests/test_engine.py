@@ -1,12 +1,12 @@
 """The replicate-batched engine against replicates run one at a time.
 
-`run_scenario` samples every replicate's record at once, runs both priors
-of every replicate in one filter pass over stacked arrays and replays the
-backward density of all wrong-prior runs as one stack;
-`filter_step_with_likelihood` and `BackwardContext` advance one observation
-at a time, and the reference loops below redo each replicate alone with
-plain 1-D arithmetic. Stacked products round like the one-row ones, so
-every array must agree exactly, not just to a tolerance.
+`run_scenario` samples every replicate's record at once and advances both
+priors of every replicate and the backward density along the wrong one in
+one time loop over stacked arrays; `filter_step_with_likelihood` and
+`BackwardContext` advance one observation at a time, and the reference
+loops of `reference.py` redo each replicate alone with plain 1-D
+arithmetic. Stacked products round like the one-row ones, so every array
+must agree exactly, not just to a tolerance.
 """
 
 import dataclasses
@@ -35,10 +35,8 @@ from filterstab import (
     filter_step_with_likelihood,
     invariant_density,
     kaijser_verify,
-    likelihood_rows,
     likelihood_vector,
     mixing_coefficients,
-    row_minima,
     run_filter,
     run_filter_pair,
     run_scenario,
@@ -46,10 +44,11 @@ from filterstab import (
     sample_trajectory,
     tv_norm,
 )
-from filterstab.filtering import _pair_records
+from filterstab.filtering import _engine, _pair_run
 from filterstab.harness import KAIJSER_TRUE_PRIOR, _verify_kaijser_on
 from filterstab.simulate import _pick_table
 from helpers import random_positive_model
+from reference import log_domain_filter, reference_backward, reference_filter
 
 ENGINE_SCENARIOS = [
     *(builtin_scenario(name, horizon=300, replicates=2, seed=5) for name in SCENARIO_NAMES),
@@ -130,22 +129,24 @@ def test_kaijser_report_with_reused_pair_equals_recomputed():
 @pytest.mark.parametrize("name,replicates", [("mixing2", 3), ("kaijser", 2)])
 def test_run_scenario_makes_one_engine_pass_for_all_replicates(monkeypatch, name, replicates):
     calls = []
-    original = filterstab.filtering._filter_records
+    original = filterstab.filtering._engine
 
-    def counting(priors, observations, *args, **kwargs):
-        calls.append((priors.shape, np.shape(observations)))
-        return original(priors, observations, *args, **kwargs)
+    def counting(model, start, observations=None, backward=None):
+        calls.append((start.shape, np.shape(observations), backward and backward[0]))
+        return original(model, start, observations, backward)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("run_scenario ran a filter of its own")
 
-    monkeypatch.setattr(filterstab.filtering, "_filter_records", counting)
+    for module in (filterstab.filtering, filterstab.backward, filterstab.harness):
+        monkeypatch.setattr(module, "_engine", counting)
     monkeypatch.setattr(filterstab.filtering, "run_filter", forbidden)
     scenario = builtin_scenario(name, horizon=50, replicates=replicates)
     run_scenario(scenario)
     d = scenario.model.space.num_states
-    # both priors of every replicate, one pass over the 50 observations
-    assert calls == [((2, d), (replicates, 50))]
+    # both priors of every replicate and ρ along the wrong one (index 1),
+    # one pass over the 50 observations
+    assert calls == [((2, d), (replicates, 50), 1)]
 
 
 def test_backward_pass_runs_no_filter(monkeypatch):
@@ -177,31 +178,10 @@ class TestGaussianUnderflow:
             "beta": [0.5, 0.5],
         })
 
-    def log_domain_filter(self, model, prior, record):
-        """Forward filter computed entirely with logsumexp."""
-        def logsumexp(a, axis=None):
-            top = np.max(a, axis=axis, keepdims=True)
-            return np.squeeze(top + np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)),
-                              axis=axis)
-
-        w = model.space.weights
-        log_step = np.log(model.kernel.matrix * w[None, :])
-        log_alpha = np.log(prior.values * w)
-        densities, log_norms = [prior.values], []
-        for y in record:
-            log_pred = logsumexp(log_alpha[:, None] + log_step, axis=0)
-            z = (y - self.MEANS) / self.SIGMA
-            log_joint = log_pred - 0.5 * z * z - math.log(self.SIGMA * math.sqrt(2.0 * math.pi))
-            log_norm = float(logsumexp(log_joint))
-            log_alpha = log_joint - log_norm
-            densities.append(np.exp(log_alpha) / w)
-            log_norms.append(log_norm)
-        return np.array(densities), np.array(log_norms)
-
     def test_outlier_no_longer_fails(self):
         model = self.model()
         run = run_filter(model.true_prior, self.RECORD, model)
-        densities, log_norms = self.log_domain_filter(model, model.true_prior, self.RECORD)
+        densities, log_norms = log_domain_filter(model, model.true_prior, self.RECORD)
         assert np.all(np.isfinite(run.densities))
         np.testing.assert_allclose(run.densities @ model.space.weights, 1.0, rtol=1e-15)
         np.testing.assert_allclose(run.densities, densities, rtol=1e-12, atol=0.0)
@@ -260,46 +240,8 @@ def test_backward_pass_rejects_mismatched_shapes():
 
 
 # ---------------------------------------------------------------------------
-# the replicate-batched engine against replicates computed one at a time
-
-
-def reference_filter(model, prior, observations):
-    """The forward filter on one record with plain 1-D numpy arithmetic."""
-    matrix, w = model.kernel.matrix, model.space.weights
-    pis, logs = [prior], []
-    for lik in likelihood_rows(model.observation, observations):
-        unnormalized = lik * (matrix.T @ (pis[-1] * w))
-        normalizer = float(unnormalized @ w)
-        pis.append(unnormalized / normalizer)
-        logs.append(math.log(normalizer))
-    return np.array(pis), np.array(logs)
-
-
-def reference_backward(model, coeffs, wrong):
-    """Oscillations, envelope and likelihood ratios along one wrong-prior run,
-    with plain 1-D numpy arithmetic."""
-    matrix, w = model.kernel.matrix, model.space.weights
-    theta0 = model.wrong_prior.values
-    ratio = model.true_prior.values / theta0
-    row_min_weighted = row_minima(model.kernel, model.space) * w
-    rho = matrix * theta0[:, None] / ((theta0 * w) @ matrix)[None, :]
-    rho = rho / (w @ rho)[None, :]
-    oscillations, ratios, decays = [], [float((ratio * theta0) @ w)], []
-    exponent = 0.0
-    for k in range(1, len(wrong)):
-        if k > 1:
-            weighted = wrong[k - 1] * w
-            rho = ((rho * weighted[None, :]) @ matrix) / (weighted @ matrix)[None, :]
-            rho = rho / (w @ rho)[None, :]
-            exponent += float(wrong[k - 1] @ row_min_weighted)
-        oscillations.append(rho.max(axis=1) - rho.min(axis=1))
-        ratios.append(float(((ratio * w) @ rho) @ (wrong[k] * w)))
-        decays.append(math.exp(-exponent / coeffs.max_density))
-    bounds = None
-    if coeffs.mixing_coefficient > 0.0:
-        scale = coeffs.max_density**2 / (theta0.min() * coeffs.mixing_coefficient) * theta0
-        bounds = scale[None, :] * np.array(decays)[:, None]
-    return np.array(oscillations), bounds, np.array(ratios)
+# the replicate-batched engine against replicates computed one at a time (see
+# `reference.py`)
 
 
 @pytest.mark.parametrize("replicates", [1, 3])
@@ -382,6 +324,15 @@ def test_single_seed_takes_the_scalar_sampler(monkeypatch):
     np.testing.assert_array_equal(observations, alone.observations[None])
 
 
+def pair_records(model, records):
+    """Both filters on every record in one engine pass: the densities, log
+    normalizers, TV gaps and per-filter errors."""
+    run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
+    tv = [_pair_run(densities, log_norms, record, model.space.weights).tv
+          for densities, log_norms, record in zip(run.densities, run.log_norms, records)]
+    return run.densities, run.log_norms, np.array(tv), run.errors
+
+
 def crafted_records(monkeypatch, observations):
     """Make `run_scenario` filter the given records instead of sampled ones."""
     observations = np.asarray(observations)
@@ -433,8 +384,7 @@ def test_overflowing_normalizer_is_redone_in_the_log_domain():
     np.testing.assert_array_equal(run.densities, [[0.7, 0.3], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     assert np.all(run.log_normalizers > 700.0) and np.all(np.isfinite(run.log_normalizers))
     records = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-    densities, log_norms, tv, errors = _pair_records(model.true_prior, model.wrong_prior,
-                                                     records, model)
+    densities, log_norms, tv, errors = pair_records(model, records)
     assert errors == [None] * 4
     for r, observations in enumerate(records):
         alone = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
@@ -500,9 +450,12 @@ class TestErrorPrecedence:
     def test_correct_prior_error_precedes_wrong_prior_error(self):
         model = self.MODEL
         records = np.array([self.VALID, self.BOTH_FAIL_AT_3, self.CORRECT_FAILS_AT_1])
-        _, _, _, errors = _pair_records(model.true_prior, model.wrong_prior, records, model)
+        densities, _, _, errors = pair_records(model, records)
         messages = [None if e is None else str(e)[-11:] for e in errors]
         assert messages == [None, None, "(at step 3)", "(at step 3)", "(at step 1)", None]
+        # at the step where it fails, a filter holds its last density
+        np.testing.assert_array_equal(densities[1, :, 3], densities[1, :, 2])
+        np.testing.assert_array_equal(densities[2, 0, 1], model.true_prior.values)
 
     def test_valid_replicates_alone_pass(self, monkeypatch):
         records = self.run(monkeypatch, [self.VALID, self.VALID])

@@ -1,0 +1,151 @@
+"""The engine across the chunk boundaries of the backward density.
+
+ρ is held for ``held = _CHUNK_ENTRIES // (R * d * d)`` steps, reduced, and
+carried into the next chunk. With `_CHUNK_ENTRIES` patched so that a chunk
+holds 1, 2 or 3 steps, each boundary case meets the reference loops of
+`reference.py`, which have no chunks at all.
+"""
+
+import numpy as np
+import pytest
+
+import filterstab.filtering
+import filterstab.harness
+from filterstab import (
+    NumericalError,
+    Scenario,
+    build_model,
+    builtin_scenario,
+    invariant_density,
+    mixing_coefficients,
+    run_scenario,
+)
+from filterstab.filtering import _engine
+from helpers import random_positive_model
+from reference import reference_backward, reference_filter
+
+HELD = [1, 2, 3]
+
+MODELS = {
+    "mixing2": builtin_scenario("mixing2").model,
+    "kaijser": builtin_scenario("kaijser").model,
+    "finite5": random_positive_model(17, 5, n_symbols=3),
+    "gaussian3": random_positive_model(91, 3, gaussian=True),
+}
+
+# the Gaussian model whose outlier at 25 underflows the linear normalizer
+OUTLIER_MODEL = build_model({
+    "states": 2,
+    "transition": [[0.9, 0.1], [0.2, 0.8]],
+    "observation": {"type": "gaussian", "means": [0.0, 1.0], "sigma": 0.5},
+    "nu": [0.7, 0.3],
+    "beta": [0.5, 0.5],
+})
+
+# state 1 always returns to 0 and each state reads out its own index, so a
+# record is the state path; after a 1, state 1 has no predicted mass
+RETURN_MODEL = build_model({
+    "states": 2,
+    "transition": [[0.5, 0.5], [1.0, 0.0]],
+    "observation": {"type": "finite", "gamma": [[1.0, 0.0], [0.0, 1.0]]},
+    "nu": [0.5, 0.5],
+    "beta": [0.4, 0.6],
+})
+
+
+def hold(monkeypatch, steps, n_records, d):
+    """Make a chunk of ρ hold `steps` steps of `n_records` runs."""
+    monkeypatch.setattr(filterstab.filtering, "_CHUNK_ENTRIES", steps * n_records * d * d)
+
+
+def coefficients(model):
+    return mixing_coefficients(model, invariant_density(model.kernel, model.space))
+
+
+def run_records(monkeypatch, model, records):
+    """`run_scenario` on the given records instead of sampled ones."""
+    records = np.asarray(records)
+    states = np.zeros((len(records), records.shape[1] + 1), dtype=np.int64)
+    monkeypatch.setattr(filterstab.harness, "sample_trajectories",
+                        lambda model, initial, horizon, seeds: (states, records))
+    return run_scenario(Scenario(name="chunks", model=model, horizon=records.shape[1],
+                                 replicates=len(records), seed=1))
+
+
+def assert_record_equals_reference(model, record, observations):
+    correct, log_correct = reference_filter(model, model.true_prior.values, observations)
+    wrong, log_wrong = reference_filter(model, model.wrong_prior.values, observations)
+    np.testing.assert_array_equal(record.pair.run_correct.densities, correct)
+    np.testing.assert_array_equal(record.pair.run_wrong.densities, wrong)
+    np.testing.assert_array_equal(record.pair.run_correct.log_normalizers, log_correct)
+    np.testing.assert_array_equal(record.pair.run_wrong.log_normalizers, log_wrong)
+    oscillations, bounds, ratios = reference_backward(model, coefficients(model), wrong)
+    np.testing.assert_array_equal(record.oscillations, oscillations)
+    np.testing.assert_array_equal(record.likelihood_ratios, ratios)
+    if bounds is None:
+        assert record.oscillation_bounds is None
+    else:
+        np.testing.assert_array_equal(record.oscillation_bounds, bounds)
+
+
+@pytest.mark.parametrize("held", HELD)
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_every_chunk_size_equals_the_reference(monkeypatch, name, held):
+    model = MODELS[name]
+    scenario = Scenario(name=name, model=model, horizon=3 * held + 2, replicates=3, seed=4)
+    hold(monkeypatch, held, 3, model.space.num_states)
+    for record in run_scenario(scenario):
+        assert_record_equals_reference(model, record, record.trajectory.observations)
+
+
+@pytest.mark.parametrize("held", HELD)
+@pytest.mark.parametrize("offset", [0, 1])
+def test_gaussian_rescue_at_and_after_the_chunk_end(monkeypatch, held, offset):
+    # the outlier is observation `held + offset`: the last step of the first
+    # chunk, or the first step of the second
+    plain = [0.3, 0.9, 0.2, 1.0, 0.1, 0.8, 0.4, 0.6, 0.5]
+    outlier = list(plain)
+    outlier[held + offset - 1] = 25.0
+    hold(monkeypatch, held, 2, 2)
+    records = run_records(monkeypatch, OUTLIER_MODEL, [plain, outlier])
+    assert records[1].pair.run_correct.log_normalizers[held + offset - 1] < -1000.0
+    for record, observations in zip(records, (plain, outlier)):
+        assert_record_equals_reference(OUTLIER_MODEL, record, observations)
+
+
+@pytest.mark.parametrize("held", HELD)
+@pytest.mark.parametrize("where", ["first", "last"])
+def test_zero_predicted_mass_on_a_chunk_boundary(monkeypatch, held, where):
+    # after observing state 1 at step m, ρ step m + 1 has no mass in state 1;
+    # put that step first or last in the second chunk
+    m = held if where == "first" else 2 * held - 1
+    n_obs = 3 * held + 2
+    valid = [0] * n_obs
+    failing = [0] * n_obs
+    failing[m - 1] = 1
+    records = np.array([valid, failing, valid])
+    model = RETURN_MODEL
+    hold(monkeypatch, held, 3, 2)
+    ratio = model.true_prior.values / model.wrong_prior.values
+    with np.errstate(all="raise"):  # the dead run carries on without a 0/0
+        run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]),
+                      records, backward=(1, model.wrong_prior.values, ratio))
+    assert run.errors == [None] * 6
+    assert run.backward_errors[0] is None and run.backward_errors[2] is None
+    assert str(run.backward_errors[1]) == "state has zero predicted mass"
+    coeffs = coefficients(model)
+    for r in (0, 2):
+        wrong, _ = reference_filter(model, model.wrong_prior.values, records[r])
+        np.testing.assert_array_equal(run.densities[r, 1], wrong)
+        oscillations, _, ratios = reference_backward(model, coeffs, wrong)
+        np.testing.assert_array_equal(run.oscillations[r], oscillations)
+        np.testing.assert_array_equal(run.ratios[r], ratios)
+    # the failing run equals the reference up to the step before the hit,
+    # then carries on from theta0 * w with finite values
+    wrong, _ = reference_filter(model, model.wrong_prior.values, records[1])
+    with pytest.raises(NumericalError, match="zero predicted mass"):
+        reference_backward(model, coeffs, wrong)
+    oscillations, _, ratios = reference_backward(model, coeffs, wrong[:m + 1])
+    np.testing.assert_array_equal(run.oscillations[1, :m], oscillations)
+    np.testing.assert_array_equal(run.ratios[1, :m + 1], ratios)
+    assert np.isfinite(run.oscillations[1]).all()

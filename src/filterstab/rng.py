@@ -25,6 +25,11 @@ shared state. `Xoshiro256StarStarLanes` advances many such streams at once
 in numpy ``uint64``, whose arithmetic wraps modulo 2**64 like the masked
 scalar code, so lane ``r`` yields exactly the words of
 ``Xoshiro256StarStar(seeds[r])``.
+
+The state update is linear over GF(2), so J steps are one linear map of the
+256 state bits, and applying it jumps a stream J words ahead (Blackman &
+Vigna, arXiv:1805.01407). `Xoshiro256StarStarLanes.words` cuts each stream
+into segments that way and advances them all as lanes: the same words.
 """
 
 from __future__ import annotations
@@ -123,11 +128,10 @@ class Xoshiro256StarStar:
 
 
 class Xoshiro256StarStarLanes:
-    """Independent xoshiro256** streams advanced in lockstep, one per lane.
+    """Independent xoshiro256** streams, one per lane.
 
     Lane ``r`` is seeded like ``Xoshiro256StarStar(seeds[r])`` and produces
-    the same words. One step costs a handful of numpy calls whatever the
-    number of lanes, so this pays off only for many lanes at once.
+    the same words, whatever the number of lanes.
     """
 
     __slots__ = ("_state",)
@@ -139,24 +143,85 @@ class Xoshiro256StarStarLanes:
         self._state = np.array(words, dtype=np.uint64).reshape(-1, 4).T.copy()
 
     def words(self, count: int) -> np.ndarray:
-        """The next `count` words of every lane, as a ``(count, lanes)`` array."""
-        s0, s1, s2, s3 = self._state
-        out = np.empty((count, self._state.shape[1]), dtype=np.uint64)
-        for k in range(count):
-            out[k] = _rotl_lanes(s1 * 5, 7) * 9
-            t = s1 << 17
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3[:] = _rotl_lanes(s3, 45)
-        return out
+        """The next `count` words of every lane, as a ``(count, lanes)`` array.
+
+        Each lane's words are cut into K segments of J words (`_segments`)
+        whose starts are J-step jumps apart; all K segments of all lanes then
+        advance J steps together, each writing to its own rows.
+        """
+        lanes = self._state.shape[1]
+        if lanes == 0:
+            return np.empty((count, 0), dtype=np.uint64)
+        segments, length = _segments(count, lanes)
+        starts = [self._state]
+        table = _jump_map(length) if segments > 1 else None
+        for _ in range(segments - 1):
+            starts.append(_jump(table, starts[-1]))
+        state = np.stack(starts, axis=1)  # [w, k, r]: word w of segment k of lane r
+        out = np.empty((segments * length, lanes), dtype=np.uint64)
+        steps = out.reshape(segments, length, lanes).transpose(1, 0, 2)  # [j, k]: word j of segment k
+        tail = count - (segments - 1) * length  # the words of the last segment
+        _advance(state, tail, steps)
+        self._state = state[:, -1].copy()  # word `count` is next
+        _advance(state, length - tail, steps[tail:])
+        return out[:count]
 
     def next_uint64(self) -> np.ndarray:
         """One word per lane."""
         return self.words(1)[0]
 
 
-def _rotl_lanes(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << k) | (x >> (64 - k))
+def _segments(count: int, lanes: int) -> tuple[int, int]:
+    """K segments of J words, ``(K - 1) * J < count <= K * J``, with
+    ``K = min(256, floor(sqrt(count / lanes)))`` and at least 1: about as
+    many jumps as lockstep steps, and no more than the jump map's 256 lanes."""
+    segments = max(1, min(256, math.isqrt(count // max(lanes, 1))))
+    return segments, -(-count // segments)
+
+
+def _advance(state: np.ndarray, steps: int, out: np.ndarray | None = None) -> None:
+    """Step in place every lane of `state`, whose row w holds word w of all
+    lane states; with `out`, ``out[k]`` receives the words of step k."""
+    s0, s1, s2, s3 = state
+    t = np.empty_like(s1)
+    for k in range(steps):
+        if out is not None:
+            out[k] = s1  # scrambled below, all steps at once
+        np.left_shift(s1, 17, out=t)
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        np.right_shift(s3, 19, out=t)
+        s3 <<= 45
+        s3 |= t
+    if out is not None:
+        words = out[:steps]
+        words *= 5
+        high = words >> 57
+        words <<= 7
+        words |= high
+        words *= 9
+
+
+def _jump_map(steps: int) -> np.ndarray:
+    """The map of `steps` steps as a ``(32, 256, 4)`` table: ``[b, v]`` is the
+    image of the state whose only nonzero byte, byte b (little-endian over
+    s0..s3), is v; the xor of the images of its bits, the 256 one-bit
+    states advanced `steps` steps."""
+    bit = np.arange(256)
+    basis = np.zeros((4, 256), dtype=np.uint64)
+    basis[bit // 64, bit] = np.left_shift(np.uint64(1), (bit % 64).astype(np.uint64))
+    _advance(basis, steps)
+    images = basis.T.reshape(32, 8, 4)  # [b, j]: the image of bit j of byte b
+    table = np.zeros((32, 256, 4), dtype=np.uint64)
+    for j in range(8):
+        np.bitwise_xor(table[:, :1 << j], images[:, j, None], out=table[:, 1 << j:2 << j])
+    return table
+
+
+def _jump(table: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """Apply the map of `table` to each lane of the ``(4, lanes)`` `state`."""
+    little = np.ascontiguousarray(state.T, dtype="<u8").view(np.uint8)  # (lanes, 32)
+    return np.bitwise_xor.reduce(table[np.arange(32), little], axis=1).T

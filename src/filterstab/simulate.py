@@ -9,7 +9,11 @@ import numpy as np
 
 from .errors import InvalidModelError
 from .model import Density, FiniteModel, ObservationModel
-from .rng import _DOUBLE_SCALE, Xoshiro256StarStar, Xoshiro256StarStarLanes
+from .rng import _DOUBLE_SCALE, Xoshiro256StarStarLanes
+
+_MAP_BLOCK = 1 << 16  # entries of the step-map comparison held at once
+# up to this many records, walking each in plain Python beats a numpy gather per step
+_PYTHON_WALK_RECORDS = 8
 
 
 @dataclass(frozen=True)
@@ -49,47 +53,23 @@ def sample_trajectory(model: FiniteModel, initial: Density, horizon: int, seed: 
 
     Every observation is drawn conditionally on the current state alone.
     Equal (model, initial, horizon, seed) reproduce bit-identical output.
+    This is `sample_trajectories` on the one seed.
     """
-    if horizon < 1:
-        raise InvalidModelError(f"horizon must be at least 1, got {horizon}")
-    space = model.space
-    stream = Xoshiro256StarStar(seed)
-
-    state_probs = model.kernel.matrix * space.weights[None, :]
-    obs = model.observation
-    if obs.kind == "finite":
-        symbol_probs = obs.emission * obs.symbol_weights[None, :]
-
-    x = stream.pick(initial.values * space.weights)
-    states = [x]
-    observations = []
-    for _ in range(horizon):
-        x = stream.pick(state_probs[x])
-        states.append(x)
-        if obs.kind == "finite":
-            observations.append(stream.pick(symbol_probs[x]))
-        else:
-            observations.append(stream.normal(obs.means[x], obs.sigma))
-
-    obs_array = np.array(observations, dtype=np.int64 if obs.kind == "finite" else float)
-    return Trajectory(states=np.array(states, dtype=np.int64), observations=obs_array, seed=seed)
+    states, observations = sample_trajectories(model, initial, horizon, [seed])
+    return Trajectory(states=states[0], observations=observations[0], seed=seed)
 
 
 def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
                         seeds) -> tuple[np.ndarray, np.ndarray]:
-    """Sample one trajectory per seed, all streams at once.
-
-    Returns read-only ``(R, N+1)`` states and ``(R, N)`` observations whose
-    row ``r`` equals ``sample_trajectory(model, initial, horizon, seeds[r])``
-    bit for bit: every lane draws the same words in the same order (one per pick,
-    two per normal), picks compare the uniform with the same left-to-right
-    cumulative sums, and Box-Muller uses the same `math` functions. A single
-    seed takes the scalar sampler, which is faster on one stream.
+    """Sample one trajectory per seed: read-only ``(R, N+1)`` states and
+    ``(R, N)`` observations, row ``r`` bit for bit what
+    ``Xoshiro256StarStar(seeds[r])`` draws step by step: one word for ``X_0``,
+    then per step one for the state pick and one, or two for Box-Muller, for
+    the observation. So all the words come first, from jump-ahead lanes.
+    Step n maps each state x to ``pick(u_n, kernel row x)``; one comparison
+    builds the maps of a block of steps. A few records each walk their maps
+    in plain Python; more records take one numpy gather per step.
     """
-    seeds = list(seeds)
-    if len(seeds) == 1:
-        trajectory = sample_trajectory(model, initial, horizon, seeds[0])
-        return trajectory.states[None], trajectory.observations[None]
     if horizon < 1:
         raise InvalidModelError(f"horizon must be at least 1, got {horizon}")
     space, obs = model.space, model.observation
@@ -104,12 +84,29 @@ def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
     draws *= _DOUBLE_SCALE
 
     state_table = _pick_table(model.kernel.matrix * space.weights[None, :])
-    x = (draws[0][:, None] < _pick_table(initial.values * space.weights)).argmax(axis=1)
-    states = np.empty((horizon + 1, len(seeds)), dtype=np.int64)
-    states[0] = x
-    for n in range(horizon):
-        x = (draws[1 + per_step * n][:, None] < state_table[x]).argmax(axis=1)
-        states[n + 1] = x
+    records, d = draws.shape[1], state_table.shape[0]
+    states = np.empty((horizon + 1, records), dtype=np.int64)
+    states[0] = (draws[0][:, None] < _pick_table(initial.values * space.weights)).argmax(axis=1)
+    block = max(1, _MAP_BLOCK // (records * d * d or 1))  # steps whose maps are built at once
+    offsets = np.arange(records) * d
+    for n0 in range(0, horizon, block):
+        n1 = min(n0 + block, horizon)
+        # maps[n, r, x]: the state after x at step n0 + n of record r
+        maps = (draws[1 + per_step * n0:1 + per_step * n1:per_step, :, None, None]
+                < state_table).argmax(axis=3)
+        if records > _PYTHON_WALK_RECORDS:  # one gather per step serves every record
+            x = states[n0]
+            for n, step in enumerate(maps.reshape(n1 - n0, -1), n0 + 1):
+                x = states[n] = step.take(offsets + x)
+        else:
+            for r in range(records):
+                flat = memoryview(np.ascontiguousarray(maps[:, r]).ravel())  # indexes like a list
+                x = int(states[n0, r])
+                path = []
+                for base in range(0, (n1 - n0) * d, d):
+                    x = flat[base + x]
+                    path.append(x)
+                states[n0 + 1:n1 + 1, r] = path
     if finite:
         symbol_table = _pick_table(obs.emission * obs.symbol_weights[None, :])
         observations = (draws[2::2, :, None] < symbol_table[states[1:]]).argmax(axis=2)

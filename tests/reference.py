@@ -6,15 +6,41 @@ engine's stacking, time-major buffers or chunks. Stacked products round
 like these one-row ones, so the engine must agree with them exactly, not
 just to a tolerance. Nothing here calls the package's own filter steps.
 `log_domain_filter` is the filter in logsumexp form, an oracle that never
-underflows, compared by tolerance.
+underflows, compared by tolerance. `reference_trajectory` samples one record
+step by step from the scalar generator, which the time-parallel sampler must
+reproduce bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from filterstab import NumericalError, likelihood_rows, row_minima
+from filterstab import NumericalError, Trajectory, Xoshiro256StarStar, likelihood_rows, row_minima
 from filterstab.filtering import UNDERFLOW_FLOOR, ZERO_LIKELIHOOD
+
+
+def reference_trajectory(model, initial, horizon, seed):
+    """One record drawn step by step: ``X_0`` from `initial`, then per step the
+    next state and its observation, each a `Xoshiro256StarStar.pick` or
+    `Xoshiro256StarStar.normal` on the one stream of `seed`."""
+    stream = Xoshiro256StarStar(seed)
+    weights, obs = model.space.weights, model.observation
+    state_probs = model.kernel.matrix * weights[None, :]
+    finite = obs.kind == "finite"
+    if finite:
+        symbol_probs = obs.emission * obs.symbol_weights[None, :]
+    x = stream.pick(initial.values * weights)
+    states, observations = [x], []
+    for _ in range(horizon):
+        x = stream.pick(state_probs[x])
+        states.append(x)
+        if finite:
+            observations.append(stream.pick(symbol_probs[x]))
+        else:
+            observations.append(stream.normal(obs.means[x], obs.sigma))
+    return Trajectory(states=np.array(states, dtype=np.int64),
+                      observations=np.array(observations, dtype=np.int64 if finite else float),
+                      seed=seed)
 
 
 def reference_filter(model, prior, observations):

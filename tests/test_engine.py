@@ -48,7 +48,7 @@ from filterstab.filtering import _engine, _pair_run
 from filterstab.harness import KAIJSER_TRUE_PRIOR, _verify_kaijser_on
 from filterstab.simulate import _pick_table
 from helpers import random_positive_model
-from reference import log_domain_filter, reference_backward, reference_filter
+from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
 
 ENGINE_SCENARIOS = [
     *(builtin_scenario(name, horizon=300, replicates=2, seed=5) for name in SCENARIO_NAMES),
@@ -254,7 +254,7 @@ def test_batched_run_scenario_equals_replicates_run_alone(scenario, replicates):
     assert [r.replicate for r in records] == list(range(replicates))
     for record in records:
         assert record.seed == derive_seed(scenario.seed, record.replicate)
-        alone = sample_trajectory(model, model.true_prior, scenario.horizon, record.seed)
+        alone = reference_trajectory(model, model.true_prior, scenario.horizon, record.seed)
         np.testing.assert_array_equal(record.trajectory.states, alone.states)
         np.testing.assert_array_equal(record.trajectory.observations, alone.observations)
         correct, log_correct = reference_filter(model, model.true_prior.values, alone.observations)
@@ -282,7 +282,7 @@ def test_sample_trajectories_equal_scalar_sampler(model):
     states, observations = sample_trajectories(model, model.true_prior, 400, seeds)
     assert states.shape == (4, 401) and observations.shape == (4, 400)
     for r, seed in enumerate(seeds):
-        alone = sample_trajectory(model, model.true_prior, 400, seed)
+        alone = reference_trajectory(model, model.true_prior, 400, seed)
         np.testing.assert_array_equal(states[r], alone.states)
         np.testing.assert_array_equal(observations[r], alone.observations)
         assert observations.dtype == alone.observations.dtype
@@ -296,7 +296,7 @@ def test_sample_trajectories_shortfall_and_zero_atoms():
     seeds = [derive_seed(3, r) for r in range(60)]
     states, observations = sample_trajectories(model, initial, 5, seeds)
     for r, seed in enumerate(seeds):
-        alone = sample_trajectory(model, initial, 5, seed)
+        alone = reference_trajectory(model, initial, 5, seed)
         np.testing.assert_array_equal(states[r], alone.states)
         np.testing.assert_array_equal(observations[r], alone.observations)
     assert set(states[:, 0].tolist()) == {0, 2}
@@ -315,13 +315,57 @@ def test_pick_table_equals_scalar_pick(probabilities):
         assert int((drawer.random() < table).argmax()) == picker.pick(probabilities)
 
 
-def test_single_seed_takes_the_scalar_sampler(monkeypatch):
+@pytest.mark.parametrize("replicates", [1, 3, 20])
+@pytest.mark.parametrize("name", ["mixing2", "kaijser"])
+def test_one_or_more_seeds_equal_the_reference(name, replicates):
+    model = builtin_scenario(name).model
+    seeds = [derive_seed(99, r) for r in range(replicates)]
+    states, observations = sample_trajectories(model, model.true_prior, 30, seeds)
+    for r, seed in enumerate(seeds):
+        alone = reference_trajectory(model, model.true_prior, 30, seed)
+        np.testing.assert_array_equal(states[r], alone.states)
+        np.testing.assert_array_equal(observations[r], alone.observations)
+        trajectory = sample_trajectory(model, model.true_prior, 30, seed)
+        np.testing.assert_array_equal(trajectory.states, alone.states)
+        np.testing.assert_array_equal(trajectory.observations, alone.observations)
+        assert trajectory.seed == seed
+
+
+@pytest.mark.parametrize("replicates", [1, 20])
+def test_map_blocks_do_not_change_the_records(monkeypatch, replicates):
+    # blocks of 1 to 3 steps, walked in Python (1 record) or gathered (20)
+    monkeypatch.setattr(filterstab.simulate, "_MAP_BLOCK", 64)
+    model = next(s.model for s in ENGINE_SCENARIOS if s.name == "gaussian3")
+    seeds = [derive_seed(4, r) for r in range(replicates)]
+    states, observations = sample_trajectories(model, model.true_prior, 50, seeds)
+    for r, seed in enumerate(seeds):
+        alone = reference_trajectory(model, model.true_prior, 50, seed)
+        np.testing.assert_array_equal(states[r], alone.states)
+        np.testing.assert_array_equal(observations[r], alone.observations)
+
+
+@pytest.mark.parametrize("name", ["kaijser", "gaussian3"])
+def test_no_seeds_give_empty_records(name):
+    model = next(s.model for s in ENGINE_SCENARIOS if s.name == name)
+    states, observations = sample_trajectories(model, model.true_prior, 7, [])
+    assert states.shape == (0, 8) and states.dtype == np.int64
+    assert observations.shape == (0, 7)
+    assert observations.dtype == (np.int64 if model.observation.kind == "finite" else float)
+
+
+@pytest.mark.parametrize("horizon", [0, -3])
+def test_short_horizon_fails_before_drawing(monkeypatch, horizon):
     model = builtin_scenario("mixing2").model
-    monkeypatch.setattr(filterstab.simulate, "Xoshiro256StarStarLanes", None)
-    states, observations = sample_trajectories(model, model.true_prior, 30, [99])
-    alone = sample_trajectory(model, model.true_prior, 30, 99)
-    np.testing.assert_array_equal(states, alone.states[None])
-    np.testing.assert_array_equal(observations, alone.observations[None])
+
+    def no_draws(seeds):
+        raise AssertionError("a word was drawn")
+
+    monkeypatch.setattr(filterstab.simulate, "Xoshiro256StarStarLanes", no_draws)
+    message = f"horizon must be at least 1, got {horizon}"
+    with pytest.raises(InvalidModelError, match=message):
+        sample_trajectories(model, model.true_prior, horizon, [1, 2])
+    with pytest.raises(InvalidModelError, match=message):
+        sample_trajectory(model, model.true_prior, horizon, 1)
 
 
 def pair_records(model, records):

@@ -6,7 +6,9 @@ unit or other state weights, run
 through one engine pass (both priors and ρ along the wrong one, as
 `run_scenario` runs them) on 1 or 3 records of up to 40 observations. Every
 array must equal `reference.py`'s plain loops bit for bit, and every error
-the engine records must be the one the reference raises.
+the engine records must be the one the reference raises. The sampler, on
+the same kind of models with horizons up to 300, must draw what the scalar
+generator draws step by step.
 """
 
 import numpy as np
@@ -25,7 +27,7 @@ from filterstab import (
 )
 from filterstab.backward import _envelope
 from filterstab.filtering import _engine
-from reference import log_domain_filter, reference_backward, reference_filter
+from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
 
 
 @st.composite
@@ -44,7 +46,7 @@ def rows(draw, n_rows, weights, zeros=True):
 
 
 @st.composite
-def cases(draw):
+def models(draw):
     d = draw(st.integers(2, 6))
     # unit state weights, or a reference measure with other weights
     psi = np.ones(d)
@@ -56,7 +58,7 @@ def cases(draw):
     else:
         observation = {"type": "finite",
                        "gamma": draw(rows(d, np.ones(draw(st.integers(2, 3)))))}
-    model = build_model({
+    return build_model({
         "states": d,
         "psi": psi.tolist(),
         "transition": draw(rows(d, psi)),
@@ -64,14 +66,19 @@ def cases(draw):
         "nu": draw(rows(1, psi))[0],
         "beta": draw(rows(1, psi, zeros=False))[0],
     })
+
+
+@st.composite
+def cases(draw):
+    model = draw(models())
     n_records = draw(st.sampled_from([3, 1]))
     seeds = [derive_seed(draw(st.integers(0, 2**16)), r) for r in range(n_records)]
     _, records = sample_trajectories(model, model.true_prior, draw(st.integers(1, 40)), seeds)
     records = records.copy()
-    if observation["type"] == "gaussian" and draw(st.booleans()):
+    if model.observation.kind == "gaussian" and draw(st.booleans()):
         # an outlier far beyond every mean leaves the linear domain
         r = draw(st.integers(0, n_records - 1))
-        records[r, draw(st.integers(0, records.shape[1] - 1))] = max(means) + 40.0
+        records[r, draw(st.integers(0, records.shape[1] - 1))] = model.observation.means.max() + 40.0
     return model, records
 
 
@@ -114,6 +121,33 @@ def test_engine_equals_reference(case):
         finite = (np.isfinite(oscillations).all() and np.isfinite(ratios).all()
                   and (ratios >= 0.0).all())
         assert (run.backward_errors[r] is None) == finite
+
+
+@st.composite
+def sampler_cases(draw):
+    """A model, an initial law with possible zero atoms whose mass may fall
+    20% short of one, a horizon, and 1 or 3 seeds (walked in Python) or 12
+    (gathered)."""
+    model = draw(models())
+    initial = np.array(draw(rows(1, model.space.weights))[0])
+    if draw(st.booleans()):
+        initial *= 0.8
+    seeds = [derive_seed(draw(st.integers(0, 2**64 - 1)), r)
+             for r in range(draw(st.sampled_from([1, 3, 12])))]
+    return model, Density(initial), draw(st.integers(1, 300)), seeds
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(sampler_cases())
+def test_sampler_equals_reference(case):
+    model, initial, horizon, seeds = case
+    states, observations = sample_trajectories(model, initial, horizon, seeds)
+    assert states.shape == (len(seeds), horizon + 1) and observations.shape == (len(seeds), horizon)
+    for r, seed in enumerate(seeds):
+        alone = reference_trajectory(model, initial, horizon, seed)
+        assert states.dtype == alone.states.dtype and observations.dtype == alone.observations.dtype
+        np.testing.assert_array_equal(states[r], alone.states)
+        np.testing.assert_array_equal(observations[r], alone.observations)
 
 
 # A posterior entry flushed to 0 cannot recover: at step 3 the exact mass of

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from filterstab import Xoshiro256StarStar, Xoshiro256StarStarLanes, derive_seed
-from filterstab.rng import _splitmix64
+from filterstab.rng import _jump, _jump_map, _segments, _splitmix64
 
 
 def test_splitmix64_reference_sequence():
@@ -100,3 +100,79 @@ def test_lanes_take_any_64_bit_seed():
     for r, seed in enumerate(seeds):
         scalar = Xoshiro256StarStar(seed)
         assert words[:, r].tolist() == [scalar.next_uint64() for _ in range(5)]
+
+
+# ---------------------------------------------------------------------------
+# jump-ahead segments: `words` cuts each stream into segments of J words
+# (`_segments`) that advance as lanes; the words must be the scalar stream's
+
+SEGMENT = _segments(40_001, 1)[1]
+SEEDS = [0, 1, 2**64 - 1, derive_seed(7, 0), derive_seed(3, 5)]
+
+
+_STREAMS = {}
+
+
+def scalar_stream(seed, count):
+    """The first `count` words of the scalar stream of `seed`."""
+    generator, words = _STREAMS.setdefault(seed, (Xoshiro256StarStar(seed), []))
+    while len(words) < count:
+        words.append(generator.next_uint64())
+    return words[:count]
+
+
+def assert_lanes_equal_scalar_streams(seeds, count):
+    generator = Xoshiro256StarStarLanes(seeds)
+    words = generator.words(count)
+    assert words.shape == (count, len(seeds)) and words.dtype == np.uint64
+    following = generator.next_uint64()
+    for r, seed in enumerate(seeds):
+        stream = scalar_stream(seed, count + 1)
+        assert words[:, r].tolist() == stream[:count]
+        assert int(following[r]) == stream[count]
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, SEGMENT - 1, SEGMENT, SEGMENT + 1,
+                                   40_000, 40_001, 60_001, 70_000])
+def test_one_lane_segments_equal_the_scalar_stream(count):
+    # 40 000 = 200 full segments of 200; 40 001 leaves 1 word for the last
+    # segment; 70 000 reaches the cap of 256 segments
+    assert _segments(40_000, 1) == (200, 200) and _segments(70_000, 1)[0] == 256
+    for seed in SEEDS:
+        assert_lanes_equal_scalar_streams([seed], count)
+
+
+@pytest.mark.parametrize("lanes", [2, 50])
+@pytest.mark.parametrize("count", [1, 3, 99, 100, 101, 1_001])
+def test_many_lane_segments_equal_the_scalar_streams(lanes, count):
+    seeds = (SEEDS * 10)[:2] if lanes == 2 else SEEDS + [derive_seed(11, r) for r in range(45)]
+    assert_lanes_equal_scalar_streams(seeds, count)
+
+
+def test_successive_calls_continue_the_streams():
+    generator = Xoshiro256StarStarLanes(SEEDS)
+    first, second = generator.words(5_000), generator.words(7)
+    for r, seed in enumerate(SEEDS):
+        assert first[:, r].tolist() + second[:, r].tolist() == scalar_stream(seed, 5_007)
+
+
+def test_segments_without_lanes_or_words():
+    assert _segments(0, 0) == (1, 0) and _segments(5, 0) == (2, 3)
+    assert Xoshiro256StarStarLanes([]).words(10).shape == (10, 0)
+    assert Xoshiro256StarStarLanes([4, 5]).words(0).shape == (0, 2)
+
+
+@pytest.mark.parametrize("steps", [1, 63, 64, 65, 1_000])
+def test_jump_map_equals_plain_steps(steps):
+    states = np.random.default_rng(steps).integers(0, 2**64, size=(4, 6), dtype=np.uint64,
+                                                   endpoint=False)
+    states[:, 0] = [1, 0, 0, 0]
+    states[:, 1] = [0, 0, 0, 2**63]
+    jumped = _jump(_jump_map(steps), states)
+    for lane in range(states.shape[1]):
+        generator = Xoshiro256StarStar(0)
+        generator._s0, generator._s1, generator._s2, generator._s3 = map(int, states[:, lane])
+        for _ in range(steps):
+            generator.next_uint64()
+        assert jumped[:, lane].tolist() == [generator._s0, generator._s1, generator._s2,
+                                            generator._s3]

@@ -7,8 +7,9 @@ Library layout:
 * `simulate`: seeded trajectory sampling and likelihood evaluation.
 * `filtering`: the forward recursion, paired correct/misspecified runs,
   total variation tracking, decay-rate estimation, path-enumeration oracle.
-* `backward`: the initial-state backward density, its oscillation and
-  envelope, likelihood ratios, change-of-measure identities.
+* `backward`: the initial-state backward density along a filter run
+  (`backward_pass`) or one step at a time (`BackwardContext`), its
+  oscillation and envelope, likelihood ratios, change-of-measure identities.
 * `ergodicity`: geometric ergodicity report, stationary backward recursion,
   Poisson-equation solver, running conditional averages.
 * `harness`: builtin scenarios, replicate orchestration, counterexample gate.
@@ -57,17 +58,11 @@ from .filtering import (
 )
 from .backward import (
     BackwardContext,
-    BackwardDensity,
     BackwardPass,
     OscillationRecord,
-    backward_init,
     backward_pass,
-    backward_step,
     brute_force_backward,
     change_of_measure_residual,
-    likelihood_ratio,
-    oscillation,
-    oscillation_bound,
 )
 from .ergodicity import (
     ErgodicityReport,

@@ -13,16 +13,15 @@ Each column (fixed conditioning state ``x``) is a density in ``u``. The
 per-``u`` oscillation across columns measures how much the current state
 still reveals about the initial state; its decay to zero is what makes the
 filter forget a misspecified prior. The oscillation admits an explicit
-per-run envelope (`oscillation_bound`) whose exponent accumulates the
+per-run envelope (`BackwardPass.bounds`) whose exponent accumulates the
 filter-averaged row minima of the transition density.
 
 The recursion's denominator ``sum_z matrix[z, x] * pi_{n-1}[z] * w[z]`` is
 the filter's own prediction of step ``n``, so ρ runs in the filter's time
 loop, `filtering._engine`: `run_scenario` and the ``backward`` command
 advance filters and ρ in one pass, and `backward_pass` runs that loop on a
-density history it is given. `BackwardContext`, `backward_init` and
-`backward_step` advance one observation at a time; tests hold the engine to
-them bit for bit.
+density history it is given. `BackwardContext` advances ρ and its filter
+one observation at a time; tests hold the engine to it bit for bit.
 
 The expected prior ratio under the backward density is the likelihood ratio
 between the observation laws of the two priors; `change_of_measure_residual`
@@ -51,32 +50,9 @@ from .model import (
     Density,
     FiniteModel,
     StateSpace,
-    TransitionKernel,
     row_minima,
 )
 from .simulate import likelihood_vector
-
-
-@dataclass(frozen=True)
-class BackwardDensity:
-    """Column-stochastic table ``matrix[u, x]``: density of the initial state
-    at ``u`` conditioned on current state ``x``."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidModelError(f"backward density must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)) or np.any(a < 0.0):
-            raise InvalidModelError("backward density entries must be finite and nonnegative")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "matrix", a)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -97,83 +73,12 @@ class BackwardPass:
 
 @dataclass(frozen=True)
 class OscillationRecord:
-    """Per-``u`` column extrema and spread of a backward density, with the
-    accumulated contraction exponent and (when coefficients permit) the
-    envelope value."""
+    """Per-``u`` spread of a backward density across its columns and, when
+    coefficients permit, the envelope value."""
 
     oscillation: np.ndarray
-    upper: np.ndarray
-    lower: np.ndarray
-    exponent_sum: float
     bound: Optional[np.ndarray]
     bound_vacuous: bool
-
-
-def backward_init(theta0: Density, kernel: TransitionKernel, space: StateSpace) -> BackwardDensity:
-    """Backward density after one step from a strictly positive initial prior."""
-    _require_positive(theta0, space, "initial backward prior")
-    return BackwardDensity(_rho_init(theta0.values, kernel.matrix, space.weights))
-
-
-def backward_step(
-    rho_prev: BackwardDensity,
-    pi_prev: Density,
-    kernel: TransitionKernel,
-    space: StateSpace,
-) -> BackwardDensity:
-    """Advance the backward density one step using the filter density of the
-    previous time (which must come from the same prior as `rho_prev`)."""
-    weighted = pi_prev.values * space.weights
-    denominator = weighted @ kernel.matrix
-    if denominator.min() <= 0.0:
-        raise NumericalError("state has zero predicted mass")
-    rho = (rho_prev.matrix * weighted) @ kernel.matrix / denominator
-    return BackwardDensity(rho / (space.weights @ rho))
-
-
-def oscillation(rho: BackwardDensity) -> OscillationRecord:
-    """Per-``u`` spread of the backward density across conditioning states."""
-    upper = rho.matrix.max(axis=1)
-    lower = rho.matrix.min(axis=1)
-    return OscillationRecord(
-        oscillation=upper - lower,
-        upper=upper,
-        lower=lower,
-        exponent_sum=0.0,
-        bound=None,
-        bound_vacuous=False,
-    )
-
-
-def oscillation_bound(
-    pi_history: np.ndarray,
-    model: FiniteModel,
-    coeffs: Coefficients,
-    theta0: Density,
-) -> tuple[np.ndarray, bool]:
-    """Envelope for the backward oscillation along a run.
-
-    ``pi_history`` is the filter trajectory ``pi_0..pi_N`` started from
-    ``theta0``, as an ``(N+1, d)`` array (`FilterRun.densities`). Returns an
-    ``(N, d)`` array whose row ``n-1`` bounds the oscillation after ``n``
-    steps:
-
-        bound_n(u) = max**2 / (theta_min * avg) * theta0[u]
-                     * exp(-(1/max) * sum_{k=2..n} sum_z pi_{k-1}[z] row_min[z] w[z])
-
-    A zero averaged row minimum makes the prefactor infinite; the bound is
-    then flagged vacuous and filled with ``inf`` so callers can still report
-    oscillation trajectories.
-    """
-    space = model.space
-    _require_positive(theta0, space, "initial backward prior")
-    pis = np.asarray(pi_history, dtype=float)
-    if len(pis) < 2:
-        return np.zeros((0, space.num_states)), coeffs.mixing_coefficient <= 0.0
-    bounds = _envelope(model, theta0, coeffs, pis)
-    if bounds is None:
-        return np.full((len(pis) - 1, space.num_states), np.inf), True
-    return bounds, False
 
 
 def backward_pass(
@@ -221,39 +126,19 @@ def _backward_along(model: FiniteModel, theta0: Density, coeffs: Coefficients,
                         likelihood_ratios=run.ratios[0])
 
 
-def likelihood_ratio(
-    rho: BackwardDensity,
-    pi: Density,
-    prior_ratio: np.ndarray,
-    space: StateSpace,
-) -> float:
-    """Expected prior ratio of the initial state given the observations.
-
-    ``prior_ratio`` is the entrywise ratio of the data-generating prior to
-    the filter prior that produced `rho` and `pi`. The value equals the
-    likelihood ratio of the observation record between the two priors.
-    """
-    ratio = np.asarray(prior_ratio, dtype=float)
-    per_state = (ratio * space.weights) @ rho.matrix
-    value = float(per_state @ (pi.values * space.weights))
-    if not np.isfinite(value) or value < 0.0:
-        raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
-    return value
-
-
 def change_of_measure_residual(
     run_wrong: FilterRun,
     run_reference: FilterRun,
-    rho: BackwardDensity,
+    rho: np.ndarray,
     prior_ratio: np.ndarray,
     space: StateSpace,
 ) -> float:
     """Residual of the exact identities linking the two filters through `rho`.
 
     ``run_wrong`` is the filter from the prior that generated the record and
-    initialized `rho`; ``run_reference`` is the filter from the other prior on
-    the *same* record. With ``L`` the likelihood ratio and
-    ``h(x) = sum_u ratio[u] rho[u, x] w[u]``, both of
+    initialized the ``(d, d)`` backward density `rho`; ``run_reference`` is
+    the filter from the other prior on the *same* record. With ``L`` the
+    likelihood ratio and ``h(x) = sum_u ratio[u] rho[u, x] w[u]``, both of
 
         L * reference(x)              = h(x) * wrong(x)
         L * (reference(x) - wrong(x)) = wrong(x) * (h(x) - L)
@@ -268,7 +153,8 @@ def change_of_measure_residual(
     pi_wrong = run_wrong.densities[-1]
     pi_reference = run_reference.densities[-1]
     d = space.num_states
-    if pi_wrong.shape != (d,) or pi_reference.shape != (d,) or rho.dim != d:
+    rho = np.asarray(rho, dtype=float)
+    if pi_wrong.shape != (d,) or pi_reference.shape != (d,) or rho.shape != (d, d):
         raise InvalidModelError("dimension mismatch between runs, backward density and space")
     ratio = np.asarray(prior_ratio, dtype=float)
     if ratio.shape != (d,):
@@ -276,7 +162,7 @@ def change_of_measure_residual(
             f"dimension mismatch: prior ratio shape {ratio.shape} vs {d} states"
         )
     w = space.weights
-    per_state = (ratio * w) @ rho.matrix
+    per_state = (ratio * w) @ rho
     value = float(per_state @ (pi_wrong * w))
     res_centered = np.abs(
         value * (pi_reference - pi_wrong)
@@ -314,9 +200,9 @@ class BackwardContext:
     prior that initialized it; this context keeps the two in lockstep so an
     inconsistent pairing cannot be constructed. Feed observations one at a
     time with `step`; after ``n`` steps, `pi` is the filter posterior, `rho`
-    the backward density, and `record` carries the oscillation together with
-    the envelope (when coefficients with a positive averaged row minimum were
-    supplied).
+    the read-only ``(d, d)`` backward density, and `record` carries the
+    oscillation together with the envelope (when coefficients with a
+    positive averaged row minimum were supplied).
     """
 
     def __init__(self, model: FiniteModel, theta0: Density,
@@ -326,52 +212,53 @@ class BackwardContext:
         self.theta0 = theta0
         self.coeffs = coeffs
         self.pi = theta0
-        self.rho: Optional[BackwardDensity] = None
-        self.steps = 0
+        self.rho: Optional[np.ndarray] = None
         self.exponent_sum = 0.0
         self._row_min_weighted = row_minima(model.kernel, model.space) * model.space.weights
         self._scale = _envelope_scale(theta0.values, model.space.weights, coeffs)
 
     def step(self, y) -> None:
-        model, space = self.model, self.model.space
-        if self.steps == 0:
-            self.rho = backward_init(self.theta0, model.kernel, space)
+        model, weights = self.model, self.model.space.weights
+        matrix = model.kernel.matrix
+        exponent_sum = self.exponent_sum
+        if self.rho is None:
+            rho = _rho_init(self.theta0.values, matrix, weights)
         else:
-            self.exponent_sum += float(self.pi.values @ self._row_min_weighted)
-            self.rho = backward_step(self.rho, self.pi, model.kernel, space)
+            exponent_sum += float(self.pi.values @ self._row_min_weighted)
+            weighted = self.pi.values * weights
+            predicted = weighted @ matrix
+            if predicted.min() <= 0.0:
+                raise NumericalError("state has zero predicted mass")
+            rho = (self.rho * weighted) @ matrix / predicted
+            rho = rho / (weights @ rho)
+        if not np.all(np.isfinite(rho)) or np.any(rho < 0.0):
+            raise InvalidModelError("backward density entries must be finite and nonnegative")
+        rho.flags.writeable = False
         lik = likelihood_vector(model.observation, y)
-        self.pi, _ = filter_step_with_likelihood(self.pi, lik, model.kernel, space)
-        self.steps += 1
+        self.pi, _ = filter_step_with_likelihood(self.pi, lik, model.kernel, model.space)
+        # a step that raises leaves the context as it was
+        self.rho, self.exponent_sum = rho, exponent_sum
 
     @property
     def record(self) -> OscillationRecord:
         if self.rho is None:
             raise NumericalError("no observations consumed yet")
-        base = oscillation(self.rho)
-        if self.coeffs is None:
-            return base
+        spread = self.rho.max(axis=1) - self.rho.min(axis=1)
         if self._scale is None:
-            bound = None
-            vacuous = True
-        else:
-            bound = self._scale * math.exp(-self.exponent_sum / self.coeffs.max_density)
-            vacuous = False
-        return OscillationRecord(
-            oscillation=base.oscillation,
-            upper=base.upper,
-            lower=base.lower,
-            exponent_sum=self.exponent_sum,
-            bound=bound,
-            bound_vacuous=vacuous,
-        )
+            return OscillationRecord(spread, None, self.coeffs is not None)
+        bound = self._scale * math.exp(-self.exponent_sum / self.coeffs.max_density)
+        return OscillationRecord(spread, bound, False)
 
     def likelihood_ratio(self, prior_ratio: np.ndarray) -> float:
         """Likelihood ratio after the observations consumed so far (1 before any)."""
-        space = self.model.space
+        ratio = np.asarray(prior_ratio, dtype=float)
+        weights = self.model.space.weights
         if self.rho is None:
-            ratio = np.asarray(prior_ratio, dtype=float)
-            return float((ratio * self.theta0.values) @ space.weights)
-        return likelihood_ratio(self.rho, self.pi, prior_ratio, space)
+            return float((ratio * self.theta0.values) @ weights)
+        value = float(((ratio * weights) @ self.rho) @ (self.pi.values * weights))
+        if not math.isfinite(value) or value < 0.0:
+            raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
+        return value
 
 
 def _envelope_scale(theta0: np.ndarray, weights: np.ndarray,

@@ -376,10 +376,8 @@ def _cmd_lln(args) -> int:
     trajectory = sample_trajectory(model, model.true_prior, horizon, args.seed)
     # the time-average limit does not depend on the filter's initial density,
     # so a misspecified start is a legitimate (and interesting) variant
-    if args.wrong_prior:
-        run = run_filter(model.wrong_prior, trajectory.observations, model, prior_label="wrong")
-    else:
-        run = run_filter(model.true_prior, trajectory.observations, model, prior_label="correct")
+    prior = model.wrong_prior if args.wrong_prior else model.true_prior
+    run = run_filter(prior, trajectory.observations, model)
     space = model.space
     d = space.num_states
     weighted = run.densities[:-1] * space.weights
@@ -419,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    def add_common(p, scenario_ok=True, replicates=False):
+    def add_common(p, scenario_ok=True):
         if scenario_ok:
             p.add_argument("--model", help="path to a model JSON document")
             p.add_argument("--scenario", choices=SCENARIO_NAMES,
@@ -427,8 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", help="comma-separated override of the data-generating prior")
         p.add_argument("--beta", help="comma-separated override of the filter prior")
         p.add_argument("--horizon", type=int, default=None, help="number of steps")
-        if replicates:
-            p.add_argument("--replicates", type=int, default=None)
         p.add_argument("--seed", type=int, default=7)
         p.add_argument("--output", help="output file path (default: stdout; relative bare "
                                         f"names resolve under ${OUTPUT_DIR_ENV} when set)")
@@ -444,7 +440,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_simulate)
 
     p = sub.add_parser("stability", help="paired-filter TV trajectory and decay summary")
-    add_common(p, replicates=True)
+    add_common(p)
+    p.add_argument("--replicates", type=int, default=None)
     p.add_argument("--window-fraction", dest="window_fraction", type=float, default=0.5,
                    help="trailing fraction of steps used for the slope fit")
     p.set_defaults(handler=_cmd_stability)
@@ -454,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ergodicity)
 
     p = sub.add_parser("backward", help="backward-density oscillation and its envelope")
-    add_common(p, replicates=True)
+    add_common(p)
     p.set_defaults(handler=_cmd_backward)
 
     p = sub.add_parser("kaijser", help="counterexample regression gate")

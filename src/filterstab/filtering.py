@@ -37,7 +37,6 @@ class FilterRun:
     """
 
     densities: np.ndarray
-    prior_label: str
     observations: np.ndarray
     log_normalizers: np.ndarray
 
@@ -290,8 +289,7 @@ def _raise_first(errors) -> None:
             raise error
 
 
-def run_filter(prior: Density, observations: Sequence, model: FiniteModel,
-               prior_label: str = "custom") -> FilterRun:
+def run_filter(prior: Density, observations: Sequence, model: FiniteModel) -> FilterRun:
     """Fold the filter over an observation record, keeping every posterior.
 
     On a Gaussian channel a step whose normalizer underflows (an outlier far
@@ -302,7 +300,6 @@ def run_filter(prior: Density, observations: Sequence, model: FiniteModel,
     _raise_first(run.errors)
     return FilterRun(
         densities=run.densities[0, 0],
-        prior_label=prior_label,
         observations=np.asarray(observations),
         log_normalizers=run.log_norms[0, 0],
     )
@@ -338,8 +335,8 @@ def _pair_run(densities: np.ndarray, log_norms: np.ndarray, observations: np.nda
     # one dot per row, the same product `tv_norm` takes on a single pair
     tv = (gaps[:, None, :] @ weights[:, None])[:, 0, 0]
     return PairRun(
-        run_correct=FilterRun(densities[0], "correct", observations, log_norms[0]),
-        run_wrong=FilterRun(densities[1], "wrong", observations, log_norms[1]),
+        run_correct=FilterRun(densities[0], observations, log_norms[0]),
+        run_wrong=FilterRun(densities[1], observations, log_norms[1]),
         tv=tv,
     )
 

@@ -101,7 +101,7 @@ def test_ac3_oracle_equivalence():
                 oracle = brute_force_backward(model, model.wrong_prior, obs[:n], x)
                 worst_backward = max(
                     worst_backward,
-                    float(np.abs(context.rho.matrix[:, x] - oracle.values).max()),
+                    float(np.abs(context.rho[:, x] - oracle.values).max()),
                 )
     elapsed = time.perf_counter() - started
     report(

@@ -9,18 +9,14 @@ from filterstab import (
     Density,
     InvalidModelError,
     NumericalError,
-    backward_init,
-    backward_step,
+    backward_pass,
     brute_force_backward,
     build_model,
     change_of_measure_residual,
     invariant_density,
     kaijser_model,
     likelihood_vector,
-    likelihood_ratio,
     mixing_coefficients,
-    oscillation,
-    oscillation_bound,
     run_filter,
     sample_trajectory,
     stationary_backward_sequence,
@@ -67,17 +63,25 @@ def brute_force_prior_ratio_expectation(model, theta0, ratio, observations):
     return num / den
 
 
+def first_step(model, theta0, y=0):
+    """The backward density after one observation, which does not depend on it."""
+    ctx = BackwardContext(model, theta0)
+    ctx.step(y)
+    return ctx.rho
+
+
 class TestBackwardInit:
     def test_kaijser_uniform_prior_gives_kernel_columns(self):
         model = kaijser_model()
-        rho = backward_init(uniform_density(model.space), model.kernel, model.space)
-        np.testing.assert_allclose(rho.matrix, model.kernel.matrix, atol=1e-15)
-        np.testing.assert_allclose(rho.matrix[:, 0], [0.5, 0.0, 0.0, 0.5], atol=1e-15)
+        for y in (0, 1):
+            rho = first_step(model, uniform_density(model.space), y)
+            np.testing.assert_allclose(rho, model.kernel.matrix, atol=1e-15)
+            np.testing.assert_allclose(rho[:, 0], [0.5, 0.0, 0.0, 0.5], atol=1e-15)
 
     def test_single_state(self):
         model = single_state_model()
-        rho = backward_init(Density([1.0]), model.kernel, model.space)
-        np.testing.assert_allclose(rho.matrix, [[1.0]])
+        rho = first_step(model, Density([1.0]))
+        np.testing.assert_allclose(rho, [[1.0]])
 
     def test_two_state_invariant_prior_matches_stationary_recursion(self):
         model = build_model({
@@ -88,15 +92,15 @@ class TestBackwardInit:
             "beta": [0.5, 0.5],
         })
         m = invariant_density(model.kernel, model.space)
-        rho = backward_init(m, model.kernel, model.space)
+        rho = first_step(model, m)
         q1 = next(iter(stationary_backward_sequence(model, m, 1)))
-        np.testing.assert_allclose(rho.matrix, q1.matrix, atol=1e-14)
-        np.testing.assert_allclose(rho.matrix[:, 0], [0.5, 0.5], atol=1e-14)
+        np.testing.assert_allclose(rho, q1.matrix, atol=1e-14)
+        np.testing.assert_allclose(rho[:, 0], [0.5, 0.5], atol=1e-14)
 
     def test_requires_strictly_positive_prior(self):
         model = kaijser_model()
         with pytest.raises(InvalidModelError, match="strictly positive"):
-            backward_init(Density([0.5, 0.5, 0.0, 0.0]), model.kernel, model.space)
+            BackwardContext(model, Density([0.5, 0.5, 0.0, 0.0]))
 
     def test_unreachable_state(self):
         model = build_model({
@@ -106,8 +110,17 @@ class TestBackwardInit:
             "nu": [0.5, 0.5],
             "beta": [0.5, 0.5],
         })
+        ctx = BackwardContext(model, model.wrong_prior)
         with pytest.raises(NumericalError, match="unreachable"):
-            backward_init(model.wrong_prior, model.kernel, model.space)
+            ctx.step(0)
+        assert ctx.rho is None
+
+    def test_rho_is_a_read_only_square_array(self):
+        model = random_positive_model(7, 3)
+        rho = first_step(model, model.wrong_prior)
+        assert isinstance(rho, np.ndarray) and rho.shape == (3, 3)
+        with pytest.raises(ValueError):
+            rho[0, 0] = 0.5
 
 
 class TestBackwardStep:
@@ -116,7 +129,7 @@ class TestBackwardStep:
         ctx = BackwardContext(model, Density([1.0]))
         for y in [0, 1, 1, 0]:
             ctx.step(y)
-            np.testing.assert_allclose(ctx.rho.matrix, [[1.0]])
+            np.testing.assert_allclose(ctx.rho, [[1.0]])
 
     def test_uninformative_observations_reduce_to_stationary_recursion(self):
         transition = [[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]
@@ -126,7 +139,7 @@ class TestBackwardStep:
         stationary = stationary_backward_sequence(model, m, 8)
         for n, sb in enumerate(stationary, start=1):
             ctx.step(0)
-            np.testing.assert_allclose(ctx.rho.matrix, sb.matrix, atol=1e-12)
+            np.testing.assert_allclose(ctx.rho, sb.matrix, atol=1e-12)
             np.testing.assert_allclose(ctx.pi.values, m.values, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
@@ -139,7 +152,7 @@ class TestBackwardStep:
             ctx.step(t.observations[n - 1])
             for x in range(3):
                 oracle = brute_force_backward(model, theta0, t.observations[:n], x)
-                np.testing.assert_allclose(ctx.rho.matrix[:, x], oracle.values, atol=1e-10)
+                np.testing.assert_allclose(ctx.rho[:, x], oracle.values, atol=1e-10)
 
     def test_columns_stay_stochastic_on_long_runs(self):
         model = random_positive_model(42, 2)
@@ -147,36 +160,40 @@ class TestBackwardStep:
         ctx = BackwardContext(model, model.wrong_prior)
         for y in t.observations:
             ctx.step(y)
-        column_mass = model.space.weights @ ctx.rho.matrix
+        column_mass = model.space.weights @ ctx.rho
         assert np.abs(column_mass - 1.0).max() <= 1e-10
 
-    def test_standalone_step_matches_context(self):
-        model = random_positive_model(66, 3)
-        theta0 = model.wrong_prior
-        t = sample_trajectory(model, model.true_prior, 8, seed=66)
-        run = run_filter(theta0, t.observations, model)
-        rho = backward_init(theta0, model.kernel, model.space)
-        ctx = BackwardContext(model, theta0)
-        ctx.step(t.observations[0])
-        np.testing.assert_allclose(rho.matrix, ctx.rho.matrix, atol=1e-15)
-        for n in range(2, 9):
-            rho = backward_step(rho, Density(run.densities[n - 1]), model.kernel, model.space)
-            ctx.step(t.observations[n - 1])
-            np.testing.assert_allclose(rho.matrix, ctx.rho.matrix, atol=1e-14)
+    def test_failed_step_leaves_the_context_unchanged(self):
+        model = build_model({
+            "states": 2,
+            "transition": [[0.5, 0.5], [0.5, 0.5]],
+            "observation": {"type": "finite", "gamma": [[1.0, 0.0], [1.0, 0.0]]},
+            "nu": [0.5, 0.5],
+            "beta": [0.5, 0.5],
+        })
+        ctx = BackwardContext(model, model.wrong_prior)
+        ctx.step(0)
+        rho, pi, exponent_sum = ctx.rho, ctx.pi, ctx.exponent_sum
+        with pytest.raises(NumericalError, match="zero-likelihood"):
+            ctx.step(1)
+        assert ctx.rho is rho and ctx.pi is pi and ctx.exponent_sum == exponent_sum
 
 
 class TestOscillation:
     def test_identical_columns_have_zero_spread(self):
-        from filterstab import BackwardDensity
-        rho = BackwardDensity(np.tile([[0.2], [0.8]], (1, 2)))
-        rec = oscillation(rho)
-        np.testing.assert_allclose(rec.oscillation, 0.0)
+        # under a rank-one kernel the current state says nothing about the
+        # initial one, so every column of rho_1 is the prior itself
+        model = uninformative_model(2, [[0.3, 0.7], [0.3, 0.7]])
+        ctx = BackwardContext(model, Density([0.2, 0.8]))
+        ctx.step(0)
+        np.testing.assert_allclose(ctx.rho, [[0.2, 0.2], [0.8, 0.8]], atol=1e-15)
+        np.testing.assert_allclose(ctx.record.oscillation, 0.0, atol=1e-15)
 
     def test_kaijser_first_step_spread(self):
         model = kaijser_model()
-        rho = backward_init(uniform_density(model.space), model.kernel, model.space)
-        rec = oscillation(rho)
-        assert rec.oscillation[0] == pytest.approx(0.5, abs=1e-15)
+        ctx = BackwardContext(model, uniform_density(model.space))
+        ctx.step(1)
+        assert ctx.record.oscillation[0] == pytest.approx(0.5, abs=1e-15)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("seed", range(34))
@@ -191,7 +208,7 @@ class TestOscillation:
         prev_pi = ctx.pi
         for y in t.observations:
             ctx.step(y)
-            spread = oscillation(ctx.rho).oscillation
+            spread = ctx.record.oscillation
             if prev_spread is not None:
                 factor = 1.0 - float(prev_pi.values @ mins_weighted) / coeffs.max_density
                 assert np.all(spread <= prev_spread * factor + 1e-14)
@@ -206,8 +223,8 @@ class TestOscillationBound:
         coeffs = mixing_coefficients(model, m)
         theta0 = model.wrong_prior
         run = run_filter(theta0, [0], model)
-        bounds, vacuous = oscillation_bound(run.densities, model, coeffs, theta0)
-        assert not vacuous
+        bounds = backward_pass(model, theta0, coeffs, run.densities, np.ones(3)).bounds
+        assert bounds is not None
         theta_min = theta0.values.min()
         expected = coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient) * theta0.values
         np.testing.assert_allclose(bounds[0], expected, rtol=1e-12)
@@ -222,8 +239,8 @@ class TestOscillationBound:
         coeffs = mixing_coefficients(model, m)
         theta0 = uniform_density(model.space)
         run = run_filter(theta0, [0, 1, 0, 1, 1, 0], model)
-        bounds, vacuous = oscillation_bound(run.densities, model, coeffs, theta0)
-        assert not vacuous
+        bounds = backward_pass(model, theta0, coeffs, run.densities, np.ones(d)).bounds
+        assert bounds is not None
         for n in range(1, 7):
             np.testing.assert_allclose(
                 bounds[n - 1], (1.0 / d) * math.exp(-(n - 1)), rtol=1e-12
@@ -234,9 +251,9 @@ class TestOscillationBound:
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         run = run_filter(model.wrong_prior, [1, 0, 1], model)
-        bounds, vacuous = oscillation_bound(run.densities, model, coeffs, model.wrong_prior)
-        assert vacuous
-        assert np.all(np.isinf(bounds))
+        back = backward_pass(model, model.wrong_prior, coeffs, run.densities, np.ones(4))
+        assert back.bounds is None
+        assert back.oscillations.shape == (3, 4)
 
     @pytest.mark.parametrize("seed", range(25))
     def test_bound_dominates_oscillation(self, seed):
@@ -253,8 +270,8 @@ class TestOscillationBound:
             rec = ctx.record
             assert not rec.bound_vacuous
             assert np.all(rec.oscillation <= rec.bound + 1e-12)
-        # the incremental context agrees with the standalone history evaluation
-        bounds, _ = oscillation_bound(pis, model, coeffs, model.wrong_prior)
+        # the incremental context agrees with the pass over the density history
+        bounds = backward_pass(model, model.wrong_prior, coeffs, np.array(pis), np.ones(d)).bounds
         np.testing.assert_allclose(bounds[-1], ctx.record.bound, rtol=1e-12)
 
 
@@ -273,16 +290,6 @@ class TestLikelihoodRatio:
         ratio = model.true_prior.values / model.wrong_prior.values
         ctx = BackwardContext(model, model.wrong_prior)
         assert ctx.likelihood_ratio(ratio) == pytest.approx(1.0, abs=1e-14)
-
-    def test_context_wraps_standalone_function(self):
-        model = random_positive_model(13, 3)
-        ratio = model.true_prior.values / model.wrong_prior.values
-        t = sample_trajectory(model, model.true_prior, 10, seed=13)
-        ctx = BackwardContext(model, model.wrong_prior)
-        for y in t.observations:
-            ctx.step(y)
-        direct = likelihood_ratio(ctx.rho, ctx.pi, ratio, model.space)
-        assert ctx.likelihood_ratio(ratio) == direct
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_path_enumeration(self, seed):
@@ -364,16 +371,25 @@ class TestChangeOfMeasure:
         with pytest.raises(InvalidModelError, match="observation-sequence mismatch"):
             change_of_measure_residual(run_a, run_b, ctx.rho, np.ones(2), model.space)
 
+    @pytest.mark.parametrize("shape", [(2,), (2, 3), (3, 3)], ids=["vector", "wide", "too-large"])
+    def test_backward_density_shape_rejected(self, shape):
+        model = random_positive_model(33, 2)
+        t = sample_trajectory(model, model.wrong_prior, 5, seed=3)
+        run_a = run_filter(model.wrong_prior, t.observations, model)
+        run_b = run_filter(model.true_prior, t.observations, model)
+        with pytest.raises(InvalidModelError, match="dimension mismatch"):
+            change_of_measure_residual(run_a, run_b, np.full(shape, 0.5), np.ones(2), model.space)
+
 
 class TestBruteForceBackward:
     def test_one_step_matches_init(self):
         model = random_positive_model(21, 3)
         theta0 = model.wrong_prior
         t = sample_trajectory(model, model.true_prior, 1, seed=21)
-        rho1 = backward_init(theta0, model.kernel, model.space)
+        rho1 = first_step(model, theta0, t.observations[0])
         for x in range(3):
             oracle = brute_force_backward(model, theta0, t.observations[:1], x)
-            np.testing.assert_allclose(rho1.matrix[:, x], oracle.values, atol=1e-12)
+            np.testing.assert_allclose(rho1[:, x], oracle.values, atol=1e-12)
 
     def test_impossible_conditioning_event(self):
         model = build_model({

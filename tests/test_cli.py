@@ -262,6 +262,16 @@ class TestOtherCommands:
         assert lines[0] == "n,delta_max,osc_bound_max"
         assert len(lines) == 51
 
+    def test_replicates_is_a_stability_option_only(self, tmp_path, capsys):
+        # `backward` samples one record, so it does not accept a replicate count
+        assert main(["backward", "--scenario", "mixing2", "--horizon", "20",
+                     "--replicates", "2", "--output", str(tmp_path / "back.csv")]) == 1
+        assert "--replicates" in capsys.readouterr().err
+        out = tmp_path / "tv.csv"
+        assert main(["stability", "--scenario", "mixing2", "--horizon", "20",
+                     "--replicates", "2", "--output", str(out)]) == 0
+        assert json.loads(out.with_suffix(".json").read_text())["replicates"] == 2
+
     def test_kaijser_command(self, tmp_path):
         out = tmp_path / "kaijser.json"
         rc = main(["kaijser", "--horizon", "2000", "--seed", "11", "--output", str(out)])

@@ -122,17 +122,30 @@ def _write_text(path: Optional[Path], text: str) -> None:
 # the cell rules, by the cell's exact type: None is an empty cell, integers
 # print as %d and every other number as %.17g, which also spells nan, inf
 # and -inf
-_CELL_FORMATS = {type(None): lambda _: "", int: "%d".__mod__, np.int64: "%d".__mod__}
-_FLOAT_CELL = "%.17g".__mod__
+_CELL_SPECS = {type(None): "", int: "%d", np.int64: "%d"}
+_FLOAT_SPEC = "%.17g"
 _BLOCK_ROWS = 4096
 
 
-def _block_cells(values: list) -> list:
-    """A block of one column as CSV cells: one `%` map when its cells share a type."""
+def _column_spec(values) -> tuple[str, list]:
+    """A block of one column as its conversion spec in the row template and
+    its cells: the rule of the column's type when its cells share one (empty
+    for None), else ``%s`` over the cells formatted one by one."""
     kinds = set(map(type, values))
     if len(kinds) == 1:
-        return list(map(_CELL_FORMATS.get(kinds.pop(), _FLOAT_CELL), values))
-    return [_CELL_FORMATS.get(type(v), _FLOAT_CELL)(v) for v in values]
+        return _CELL_SPECS.get(kinds.pop(), _FLOAT_SPEC), values
+    return "%s", ["" if v is None else _CELL_SPECS.get(type(v), _FLOAT_SPEC) % v for v in values]
+
+
+def _csv_block(block: list) -> str:
+    """The CSV lines of a block of columns: one `%` on a row template over
+    the block's cells, interleaved row by row; a None column takes none."""
+    specs, columns = zip(*map(_column_spec, block))
+    columns = [column for spec, column in zip(specs, columns) if spec]
+    cells = [None] * (len(block[0]) * len(columns))
+    for i, column in enumerate(columns):
+        cells[i::len(columns)] = column
+    return "\n".join([",".join(specs)] * len(block[0])) % tuple(cells)
 
 
 def _json_text(payload) -> str:
@@ -143,16 +156,18 @@ def _table_text(header, columns, fmt: str) -> str:
     """Render a table, given as equal-length columns (arrays, lists or
     ranges), as CSV (default) or a JSON array of records, in blocks of
     `_BLOCK_ROWS` rows so that one block's cells are alive at a time. CSV
-    cells follow `_CELL_FORMATS` and need no quoting; a JSON block is dumped
+    cells follow `_CELL_SPECS` and need no quoting; a JSON block is dumped
     as a list stripped of its brackets, the same bytes as one whole dump."""
     blocks = []
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [c[start:start + _BLOCK_ROWS] for c in columns]
         block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
         if fmt == "csv":
-            blocks.append("\n".join(map(",".join, zip(*map(_block_cells, block)))))
+            blocks.append(_csv_block(block))
         else:  # "[\n" + records + "\n]\n"
-            blocks.append(_json_text([dict(zip(header, row)) for row in zip(*block)])[2:-3])
+            cells = zip(*[map(_jsonable, c) for c in block])
+            records = [dict(zip(header, row)) for row in cells]
+            blocks.append(json.dumps(records, indent=2, sort_keys=True)[2:-2])
     if fmt == "csv":
         return "\n".join([",".join(header), *blocks]) + "\n"
     return "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"

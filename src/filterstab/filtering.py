@@ -130,6 +130,8 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
     reduces it to oscillations and the likelihood ratios of ``ratio``. Each
     stage of a step is one stacked product of row vectors over time-major
     buffers, one gemv or dot per row, so every row rounds as it does alone.
+    A lone row, and ρ of a lone record, take ``ndarray.dot`` instead, which
+    makes the same BLAS call at less cost.
     A Gaussian step whose normalizer underflows or overflows is redone for
     that row in the log domain; with no rescue the filter fails there and
     holds its density. A ρ run whose predicted mass hits zero carries on
@@ -145,6 +147,10 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
     row = (n_rows, 1, d) if n_rows > 1 else (d,)
     run_row = (n_records, 1, d) if n_records > 1 else (d,)  # the rows of one prior
     weighted, predicted, unnormalized = np.empty((3,) + row)
+    weights_column = weights[:, None]
+    # one row, or ρ of one record, goes through `ndarray.dot`: the same BLAS call
+    row_product = np.ndarray.dot if n_rows == 1 else np.matmul
+    rho_product = np.ndarray.dot if n_records == 1 else np.matmul
     if filtering:
         liks = likelihood_rows(model.observation, np.ravel(observations))
         liks = np.ascontiguousarray(liks.reshape(n_records, n_obs, d).swapaxes(0, 1))
@@ -190,13 +196,13 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
         j = 1  # steps held in `rhos`
     for n, (pi, pi_next, lik, z) in enumerate(zip(densities[:-1], densities[1:], liks, normalizers)):
         np.multiply(pi, weights, weighted)
-        np.matmul(weighted, matrix, predicted)
+        row_product(weighted, matrix, predicted)
         if filtering:
             np.multiply(lik, *lik_operands)
             if n_rows == 1:  # the dot a stacked row takes, at less cost
                 z[0] = unnormalized.dot(weights)
             else:
-                np.matmul(unnormalized, weights[:, None], z)
+                np.matmul(unnormalized, weights_column, z)
             zs = z.ravel().tolist()
             # the normalizers are nonnegative: their sum is NaN or infinite when one is
             if not (min(zs) > UNDERFLOW_FLOOR and sum(zs) < math.inf):
@@ -225,9 +231,9 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
                 step_weighted = np.where(dead_rows, theta0_weighted, step_weighted)
                 step_predicted = np.where(dead_rows, theta0_predicted, step_predicted)
             np.multiply(rho, step_weighted, scaled)
-            np.matmul(scaled, matrix, numerator)
+            rho_product(scaled, matrix, numerator)
             np.divide(numerator, step_predicted, numerator)
-            np.matmul(weights_row, numerator, column_sums)
+            rho_product(weights_row, numerator, column_sums)
             rho = np.divide(numerator, column_sums, rhos[j - 1])
         if j == held or n + 1 == n_obs:
             # the chunk's column extrema, and its likelihood ratios as one dot per step

@@ -248,26 +248,39 @@ def kaijser_closed_form(true_prior, wrong_prior, observations) -> np.ndarray:
     Row ``n`` holds ``|pi_n - pi_n'|`` per state. The first step combines the
     signed prior differences (masses can cancel); from then on the supports
     are disjoint and the absolute gaps themselves recurse, driven by the last
-    two observations. Independent of the generic filter.
+    two observations:
+
+        g'[0] = (g[0] y_prev + g[3] (1 - y_prev)) y
+        g'[1] = (g[1] (1 - y_prev) + g[0] y_prev) (1 - y)
+        g'[2] = (g[2] y_prev + g[1] (1 - y_prev)) y
+        g'[3] = (g[3] (1 - y_prev) + g[2] y_prev) (1 - y)
+
+    With binary symbols and finite gaps each step only moves entries or zeroes
+    them, exactly: it keeps the row when ``y == y_prev`` and rotates it one
+    state forward when the symbol changes. So row ``n >= 1`` is row 1 rotated
+    by the number of symbol changes among ``y_1..y_n``; any other symbol, and
+    a prior difference whose gaps at step 0 or 1 are not finite, is rejected.
+    Independent of the generic filter.
     """
     s = np.asarray(true_prior, dtype=float) - np.asarray(wrong_prior, dtype=float)
     if s.shape != (4,):
         raise InvalidModelError(f"wrong dimension: expected 4 states, got shape {s.shape}")
-    # on Python floats, one array at the end: the IEEE operations of numpy scalars
-    ys = list(map(int, observations))
-    s0, s1, s2, s3 = s.tolist()
-    gaps = [np.abs(s).tolist()]
-    if ys:
-        y = ys[0]
-        gaps.append((abs(s0 + s3) * y, abs(s1 + s0) * (1 - y),
-                     abs(s2 + s1) * y, abs(s3 + s2) * (1 - y)))
-    for y_prev, y in zip(ys, ys[1:]):
-        g0, g1, g2, g3 = gaps[-1]
-        gaps.append(((g0 * y_prev + g3 * (1 - y_prev)) * y,
-                     (g1 * (1 - y_prev) + g0 * y_prev) * (1 - y),
-                     (g2 * y_prev + g1 * (1 - y_prev)) * y,
-                     (g3 * (1 - y_prev) + g2 * y_prev) * (1 - y)))
-    return np.array(gaps)
+    ys = np.asarray(observations)
+    binary = (ys == 0) | (ys == 1)
+    if not binary.all():
+        raise InvalidModelError(
+            f"the Kaijser read-out is binary: got symbol {ys[binary.argmin()].item()!r}")
+    gaps = np.empty((len(ys) + 1, 4))
+    gaps[0] = np.abs(s)
+    if len(ys):
+        y = float(ys[0])
+        gaps[1] = np.abs(s + np.roll(s, 1)) * np.array([y, 1.0 - y, y, 1.0 - y])
+        rotations = gaps[1][(np.arange(4) - np.arange(4)[:, None]) % 4]  # row k: rolled by k
+        np.take(rotations, np.cumsum(ys[1:] != ys[:-1]) % 4, axis=0, out=gaps[2:])
+    # the recursion spreads a NaN or an inf (inf * 0 is NaN); the rotation would not
+    if not np.isfinite(gaps[:2]).all():
+        raise InvalidModelError(f"the Kaijser gaps must be finite, got {gaps[:2].tolist()}")
+    return gaps
 
 
 def _verify_kaijser_on(model: FiniteModel, observations, pair: PairRun) -> KaijserReport:

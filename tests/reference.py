@@ -151,3 +151,23 @@ def log_domain_filter(model, prior, record):
         densities.append(np.exp(log_alpha) / w)
         log_norms.append(log_norm)
     return np.array(densities), np.array(log_norms)
+
+
+def reference_kaijser_gaps(true_prior, wrong_prior, observations):
+    """Per-state absolute gaps of the Kaijser filter pair by the gap
+    recursion, one step at a time on Python floats."""
+    s0, s1, s2, s3 = (np.asarray(true_prior, dtype=float)
+                      - np.asarray(wrong_prior, dtype=float)).tolist()
+    ys = list(map(int, observations))
+    gaps = [[abs(s0), abs(s1), abs(s2), abs(s3)]]
+    if ys:
+        y = ys[0]
+        gaps.append((abs(s0 + s3) * y, abs(s1 + s0) * (1 - y),
+                     abs(s2 + s1) * y, abs(s3 + s2) * (1 - y)))
+    for y_prev, y in zip(ys, ys[1:]):
+        g0, g1, g2, g3 = gaps[-1]
+        gaps.append(((g0 * y_prev + g3 * (1 - y_prev)) * y,
+                     (g1 * (1 - y_prev) + g0 * y_prev) * (1 - y),
+                     (g2 * y_prev + g1 * (1 - y_prev)) * y,
+                     (g3 * (1 - y_prev) + g2 * y_prev) * (1 - y)))
+    return np.array(gaps)

@@ -1,8 +1,11 @@
 import json
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from filterstab import build_model
 from filterstab.cli import load_model, main, parse_config
@@ -457,3 +460,73 @@ def test_block_rendering_equals_row_rendering(monkeypatch, block_rows):
         [dict(zip(header, row)) for row in rows])
     assert cli._table_text(header, [[] for _ in header], "csv") == "n,x,maybe,mixed\n"
     assert cli._table_text(header, [[] for _ in header], "json") == "[]\n"
+
+
+def per_cell_csv(header, columns):
+    """The CSV rule cell by cell: None is empty, `int` and `np.int64` print
+    as %d, every other value as %.17g."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join("" if v is None else "%d" % v if type(v) in (int, np.int64)
+                              else "%.17g" % v for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def assert_same_lines(actual, expected):
+    """Equal texts, compared line by line so that a failure names one line
+    instead of diffing thousands."""
+    assert actual.endswith("\n") and expected.endswith("\n")
+    for n, (got, want) in enumerate(zip_longest(actual.split("\n"), expected.split("\n"))):
+        assert got == want, f"line {n}"
+
+
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
+                  2.2250738585072009e-308, -1e-310, 1e308]
+CELLS = {
+    "none": st.none(),
+    "int": st.integers(-2**70, 2**70),
+    "int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "bool": st.booleans(),
+    "float": st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True)),
+    "float64": st.floats(allow_subnormal=True).map(np.float64),
+}
+
+
+@st.composite
+def table_columns(draw, n_rows):
+    """Columns of `n_rows` rows, one cell type each or mixed, as lists, ranges
+    or arrays; each column cycles through a few drawn cells."""
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kinds = draw(st.lists(st.sampled_from(sorted(CELLS)), min_size=1, max_size=3))
+        pool = draw(st.lists(st.one_of([CELLS[k] for k in kinds]), min_size=1, max_size=6))
+        column = [pool[i % len(pool)] for i in range(n_rows)]
+        as_array = draw(st.booleans())
+        if as_array and {type(v) for v in pool} == {int} and all(abs(v) < 2**63 for v in pool):
+            column = np.array(column, dtype=np.int64)
+        elif as_array and {type(v) for v in pool} <= {float, np.float64}:
+            column = np.array(column, dtype=float)
+        columns.append(column)
+    if draw(st.booleans()):
+        columns.insert(0, range(n_rows))
+    return columns
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 4095, 4096, 4097])
+# no shrinking: a failing table of 4 097 rows takes minutes to shrink, and
+# its pools of a few cells already show the case
+@settings(max_examples=12, derandomize=True, deadline=None, database=None,
+          phases=[Phase.explicit, Phase.generate])
+@given(data=st.data())
+def test_table_template_equals_the_per_cell_rule(n_rows, data):
+    """The CSV row template, and the JSON blocks mapped column by column, give
+    the bytes of the cell-by-cell and record-by-record rules, across the
+    `_BLOCK_ROWS` boundary."""
+    import filterstab.cli as cli
+
+    columns = data.draw(table_columns(n_rows))
+    header = [f"c{i}" for i in range(len(columns))]
+    cells = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    assert_same_lines(cli._table_text(header, columns, "csv"), per_cell_csv(header, cells))
+    assert_same_lines(cli._table_text(header, columns, "json"),
+                      cli._json_text([dict(zip(header, row)) for row in zip(*cells)]))

@@ -3,7 +3,9 @@
 ρ is held for ``held = _CHUNK_ENTRIES // (R * d * d)`` steps, reduced, and
 carried into the next chunk. With `_CHUNK_ENTRIES` patched so that a chunk
 holds 1, 2 or 3 steps, each boundary case meets the reference loops of
-`reference.py`, which have no chunks at all.
+`reference.py`, which have no chunks at all. One record (R = 1) takes the
+``ndarray.dot`` products and meets the same reference, with unit and with
+other state weights.
 """
 
 import numpy as np
@@ -14,10 +16,12 @@ import filterstab.harness
 from filterstab import (
     NumericalError,
     Scenario,
+    backward_pass,
     build_model,
     builtin_scenario,
     invariant_density,
     mixing_coefficients,
+    run_filter,
     run_scenario,
 )
 from filterstab.filtering import _engine
@@ -26,11 +30,34 @@ from reference import reference_backward, reference_filter
 
 HELD = [1, 2, 3]
 
+PSI = [0.5, 1.25, 2.0]
+
 MODELS = {
     "mixing2": builtin_scenario("mixing2").model,
     "kaijser": builtin_scenario("kaijser").model,
     "finite5": random_positive_model(17, 5, n_symbols=3),
     "gaussian3": random_positive_model(91, 3, gaussian=True),
+}
+
+# one model with unit state weights (no `psi`) and one with other weights
+PSI_MODELS = {
+    "unit-psi": build_model({
+        "states": 3,
+        "transition": [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]],
+        "observation": {"type": "finite", "gamma": [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]]},
+        "nu": [0.5, 0.3, 0.2],
+        "beta": [0.2, 0.3, 0.5],
+    }),
+    "weighted-psi": build_model({
+        "states": 3,
+        "psi": PSI,
+        # rows and priors are densities against `psi`
+        "transition": (np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3], [0.3, 0.3, 0.4]])
+                       / PSI).tolist(),
+        "observation": {"type": "finite", "gamma": [[0.7, 0.3], [0.4, 0.6], [0.1, 0.9]]},
+        "nu": (np.array([0.5, 0.3, 0.2]) / PSI).tolist(),
+        "beta": (np.array([0.2, 0.3, 0.5]) / PSI).tolist(),
+    }),
 }
 
 # the Gaussian model whose outlier at 25 underflows the linear normalizer
@@ -149,3 +176,44 @@ def test_zero_predicted_mass_on_a_chunk_boundary(monkeypatch, held, where):
     np.testing.assert_array_equal(run.oscillations[1, :m], oscillations)
     np.testing.assert_array_equal(run.ratios[1, :m + 1], ratios)
     assert np.isfinite(run.oscillations[1]).all()
+
+
+@pytest.mark.parametrize("held", HELD)
+@pytest.mark.parametrize("name", sorted(PSI_MODELS))
+def test_one_record_equals_the_reference(monkeypatch, name, held):
+    model = PSI_MODELS[name]
+    assert (model.space.weights == 1.0).all() == (name == "unit-psi")
+    scenario = Scenario(name=name, model=model, horizon=3 * held + 2, replicates=1, seed=4)
+    hold(monkeypatch, held, 1, model.space.num_states)
+    [record] = run_scenario(scenario)
+    observations = record.trajectory.observations
+    assert_record_equals_reference(model, record, observations)
+    # one prior: a lone filter row; ρ read along an existing history
+    densities, log_norms = reference_filter(model, model.wrong_prior.values, observations)
+    run = run_filter(model.wrong_prior, observations, model)
+    np.testing.assert_array_equal(run.densities, densities)
+    np.testing.assert_array_equal(run.log_normalizers, log_norms)
+    coeffs = coefficients(model)
+    oscillations, _, ratios = reference_backward(model, coeffs, densities)
+    ratio = model.true_prior.values / model.wrong_prior.values
+    along = backward_pass(model, model.wrong_prior, coeffs, densities, ratio)
+    np.testing.assert_array_equal(along.oscillations, oscillations)
+    np.testing.assert_array_equal(along.likelihood_ratios, ratios)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_dot_rounds_as_matmul(d):
+    """`ndarray.dot` makes the BLAS call `np.matmul` makes on the shapes the
+    engine gives it: a row times a matrix, a matrix times a matrix, and a
+    weight row times a matrix."""
+    rng = np.random.default_rng(d)
+    for _ in range(200):
+        x, w = rng.random(d), rng.random(d) * 2.0
+        s, m = rng.random((d, d)) * rng.random((d, 1)), rng.random((d, d))
+        m /= m.sum(axis=1, keepdims=True)
+        assert np.array_equal(x.dot(m), np.matmul(x, m))
+        assert np.array_equal(s.dot(m), np.matmul(s, m))
+        assert np.array_equal(w.dot(s), np.matmul(w, s))
+        out = np.empty(d)
+        np.ndarray.dot(x, m, out)
+        assert np.array_equal(out, np.matmul(x, m))

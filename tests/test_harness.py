@@ -17,6 +17,7 @@ from filterstab import (
     run_scenario,
     sample_trajectory,
 )
+from reference import reference_kaijser_gaps
 
 AC1_TRUE = (0.5, 0.2, 0.2, 0.1)
 UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
@@ -69,6 +70,66 @@ class TestKaijserClosedForm:
         gaps = kaijser_closed_form(AC1_TRUE, UNIFORM4, t.observations)
         generic = np.abs(pair.run_correct.densities - pair.run_wrong.densities)
         assert np.abs(generic - gaps).max() <= 1e-12
+
+
+def assert_same_bits(actual, expected):
+    """Equal arrays down to the sign bit of every zero."""
+    assert actual.shape == expected.shape
+    np.testing.assert_array_equal(actual.view(np.int64), expected.view(np.int64))
+
+
+class TestKaijserClosedFormOracle:
+    """The rotation form against the step-by-step gap recursion on Python floats."""
+
+    @pytest.mark.parametrize("length", [0, 1, 2, 3, 50, 20_000])
+    def test_sampled_records(self, length):
+        model = kaijser_model()
+        observations = sample_trajectory(model, model.true_prior, max(length, 1),
+                                         seed=length).observations[:length]
+        assert_same_bits(kaijser_closed_form(AC1_TRUE, UNIFORM4, observations),
+                         reference_kaijser_gaps(AC1_TRUE, UNIFORM4, observations))
+
+    def test_random_priors_and_records(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(30):
+            true_prior, wrong_prior = rng.dirichlet(np.ones(4), size=2)
+            observations = rng.integers(0, 2, size=int(rng.integers(0, 500)))
+            assert_same_bits(kaijser_closed_form(true_prior, wrong_prior, observations),
+                             reference_kaijser_gaps(true_prior, wrong_prior, observations))
+
+    @pytest.mark.parametrize("true_prior, wrong_prior", [
+        ((0.4, 0.3, 0.2, 0.1), UNIFORM4),  # the symbol-1 masses cancel
+        ((0.1, 0.4, 0.2, 0.3), UNIFORM4),  # the symbol-0 masses cancel
+        (UNIFORM4, UNIFORM4),
+        ((-0.0, 0.5, -0.0, 0.5), (0.0, 0.5, 0.0, 0.5)),  # negative zero differences
+    ])
+    @pytest.mark.parametrize("observations", [[], [0], [1], [0, 1], [1, 1], [1, 0, 0, 1, 0, 1]])
+    def test_cancelling_prior_differences(self, true_prior, wrong_prior, observations):
+        assert_same_bits(kaijser_closed_form(true_prior, wrong_prior, observations),
+                         reference_kaijser_gaps(true_prior, wrong_prior, observations))
+
+    def test_rows_rotate_once_per_symbol_change(self):
+        gaps = kaijser_closed_form(AC1_TRUE, UNIFORM4, [1, 1, 0, 0, 1, 0])
+        for n, changes in zip(range(1, 7), [0, 0, 1, 1, 2, 3]):
+            np.testing.assert_array_equal(gaps[n], np.roll(gaps[1], changes))
+
+    @pytest.mark.parametrize("observations, symbol", [
+        ([0, 1, 2], "2"), ([1, -1, 0], "-1"), ([3], "3"), ([0.0, 0.5], "0.5"),
+    ])
+    def test_non_binary_symbol_raises(self, observations, symbol):
+        with pytest.raises(InvalidModelError, match=f"got symbol {symbol}$"):
+            kaijser_closed_form(AC1_TRUE, UNIFORM4, observations)
+
+    @pytest.mark.parametrize("true_prior, observations", [
+        ((np.nan, 0.0, 0.0, 0.0), [1, 1]),  # the loop gives row 2 all NaN but state 3
+        ((np.inf, 0.0, 0.0, 0.0), [0, 1]),
+        ((-np.inf, 0.0, 0.0, 0.0), []),
+        ((1e308, 0.0, 0.0, 1e308), [1, 1]),  # finite, but the step-1 gap overflows
+    ])
+    def test_non_finite_gaps_raise(self, true_prior, observations):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(InvalidModelError, match="the Kaijser gaps must be finite"):
+            kaijser_closed_form(true_prior, (0.0, 0.0, 0.0, 0.0), observations)
 
 
 class TestKaijserFilterRecursion:

@@ -40,9 +40,10 @@ from .errors import InvalidModelError, NumericalError
 from .filtering import (
     FilterRun,
     _engine,
-    _path_mass,
+    _path_log_mass,
     _raise_first,
     _rho_init,
+    _shifted_mass,
     filter_step_with_likelihood,
 )
 from .model import (
@@ -186,11 +187,9 @@ def brute_force_backward(
     """
     if not 0 <= conditioning_state < model.space.num_states:
         raise InvalidModelError(f"conditioning state {conditioning_state} out of range")
-    mass = _path_mass(model, theta0, observations)[:, conditioning_state]
-    total = mass.sum()
-    if total <= 0.0:
-        raise NumericalError("conditioning event has probability 0")
-    return Density(mass / total / model.space.weights)
+    mass = _shifted_mass(_path_log_mass(model, theta0, observations)[:, conditioning_state],
+                         "conditioning event has probability 0")
+    return Density(mass / model.space.weights)
 
 
 class BackwardContext:

@@ -20,6 +20,7 @@ atoms with positive weight; zero-weight atoms cannot occur by construction.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -31,6 +32,9 @@ ROW_SUM_TOL = 1e-9
 DENSITY_TOL = 1e-10
 # power-iteration steps between convergence checks, also the stagnation-probe period
 _POWER_BLOCK = 1000
+# invariant densities by content key, least recently used first
+_INVARIANT_MEMO: "OrderedDict[tuple, Density]" = OrderedDict()
+_INVARIANT_MEMO_SIZE = 32
 
 
 def _frozen(values, dtype=float) -> np.ndarray:
@@ -339,12 +343,35 @@ def invariant_density(
     buffer; the stopping test and the stagnation probe are applied to each
     block's successive differences afterwards, so the iterates, the stopping
     step and the result are those of a step-by-step loop.
+
+    Results are memoized per process: a call whose kernel matrix bytes,
+    shape and strides, state weight bytes, `tol` and `max_iter` all equal an
+    earlier call's returns that call's (frozen, read-only) `Density` without
+    iterating again. The strides are part of the key because the layout picks
+    the gemv, and two gemvs need not round alike. The memo keeps the
+    ``_INVARIANT_MEMO_SIZE`` most recently used results; a `NumericalError`
+    is never stored, so it is raised again on every call.
     """
-    d = space.num_states
-    weights = space.weights
+    matrix, weights = kernel.matrix, space.weights
+    key = (matrix.tobytes(), matrix.shape, matrix.strides, weights.tobytes(), tol, max_iter)
+    # each step is one atomic dict operation: concurrent callers can at worst
+    # run the loop twice for one key, never get a wrong entry
+    density = _INVARIANT_MEMO.pop(key, None)
+    if density is None:
+        density = _power_iteration(matrix, weights, tol, max_iter)
+    _INVARIANT_MEMO[key] = density
+    if len(_INVARIANT_MEMO) > _INVARIANT_MEMO_SIZE:
+        _INVARIANT_MEMO.popitem(last=False)
+    return density
+
+
+def _power_iteration(matrix: np.ndarray, weights: np.ndarray, tol: float,
+                     max_iter: int) -> Density:
+    """The loop of `invariant_density`, run on each call that misses its memo."""
+    d = weights.shape[0]
     # an F-ordered view: a contiguous copy would make numpy call another gemv,
     # which need not round alike
-    adjoint = (kernel.matrix * weights[:, None]).T
+    adjoint = (matrix * weights[:, None]).T
 
     def normalize(v: np.ndarray) -> np.ndarray:
         return v / float(v @ weights)

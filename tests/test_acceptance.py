@@ -65,6 +65,7 @@ def test_ac1_counterexample_never_forgets():
     )
 
 
+@pytest.mark.usefixtures("cold_invariant_memo")
 def test_ac2_invariant_densities():
     model = kaijser_model()
     m4 = invariant_density(model.kernel, model.space)

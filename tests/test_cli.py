@@ -8,6 +8,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from filterstab import build_model
+from filterstab import model as model_module
 from filterstab.cli import load_model, main, parse_config
 from filterstab.errors import InvalidModelError
 
@@ -30,6 +31,16 @@ REPRO = {
 GAUSSIAN = {
     "states": 2,
     "transition": [[0.9, 0.1], [0.2, 0.8]],
+    "observation": {"type": "gaussian", "means": [0.0, 1.0], "sigma": 0.5},
+    "nu": [0.9, 0.1],
+    "beta": [0.5, 0.5],
+}
+
+
+# the benchmark's slowly mixing session model, at a faster eps = 1e-3
+SLOWMIX = {
+    "states": 2,
+    "transition": [[1.0 - 1e-3, 1e-3], [2e-3, 1.0 - 2e-3]],
     "observation": {"type": "gaussian", "means": [0.0, 1.0], "sigma": 0.5},
     "nu": [0.9, 0.1],
     "beta": [0.5, 0.5],
@@ -530,3 +541,31 @@ def test_table_template_equals_the_per_cell_rule(n_rows, data):
     assert_same_lines(cli._table_text(header, columns, "csv"), per_cell_csv(header, cells))
     assert_same_lines(cli._table_text(header, columns, "json"),
                       cli._json_text([dict(zip(header, row)) for row in zip(*cells)]))
+
+
+class TestInvariantMemoSession:
+    COMMANDS = ("validate --model model.json --output validate.json",
+                "ergodicity --model model.json --horizon 200 --output ergodicity.csv",
+                "lln --model model.json --horizon 2000 --seed 7 --output lln.csv")
+
+    def session(self, directory, monkeypatch, cold):
+        """Exit codes and output bytes of the three commands in this process;
+        `cold` empties the `invariant_density` memo before each command."""
+        directory.mkdir()
+        monkeypatch.chdir(directory)
+        write_model(directory, SLOWMIX)
+        codes = []
+        for command in self.COMMANDS:
+            if cold:
+                model_module._INVARIANT_MEMO.clear()
+            codes.append(main(command.split()))
+        return codes, {p.name: p.read_bytes() for p in directory.iterdir()}
+
+    def test_warm_session_writes_the_cold_bytes(self, tmp_path, monkeypatch, loop_calls):
+        cold = self.session(tmp_path / "cold", monkeypatch, cold=True)
+        assert len(loop_calls) == 3
+        warm = self.session(tmp_path / "warm", monkeypatch, cold=False)
+        assert len(loop_calls) == 3
+        assert cold[0] == warm[0]
+        assert cold[1].keys() == {"model.json", "validate.json", "ergodicity.csv", "lln.csv"}
+        assert cold[1] == warm[1]

@@ -28,6 +28,7 @@ from filterstab import (
     Scenario,
     Xoshiro256StarStar,
     backward_pass,
+    brute_force_posterior,
     build_model,
     builtin_scenario,
     decay_rate,
@@ -188,6 +189,16 @@ class TestGaussianUnderflow:
         np.testing.assert_allclose(run.log_normalizers, log_norms, rtol=1e-12)
         # the outlier's density is far below the float range, yet positive
         assert run.log_normalizers[1] < -1000.0
+
+    def test_outlier_matches_the_path_enumeration_oracle(self):
+        # the path masses through the outlier are below the float range; the
+        # oracle sums them in the log domain
+        model = self.model()
+        run = run_filter(model.true_prior, self.RECORD, model)
+        for n in range(len(self.RECORD) + 1):
+            oracle = brute_force_posterior(model, model.true_prior, self.RECORD[:n])
+            np.testing.assert_allclose(run.densities[n], oracle.values, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(run.densities[-1], [0.45356, 0.54644], atol=1e-5)
 
     def test_steps_without_underflow_keep_the_linear_arithmetic(self):
         model = self.model()

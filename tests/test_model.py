@@ -6,6 +6,7 @@ from filterstab import (
     InvalidModelError,
     NumericalError,
     StateSpace,
+    TransitionKernel,
     Xoshiro256StarStar,
     as_kernel,
     build_model,
@@ -14,6 +15,7 @@ from filterstab import (
     primitivity_check,
     unit_space,
 )
+from filterstab import model as model_module
 from helpers import random_kernel_matrix, random_positive_model
 
 KAIJSER_TRANSITION = [
@@ -102,6 +104,7 @@ class TestBuildModel:
             build_model(config)
 
 
+@pytest.mark.usefixtures("cold_invariant_memo")
 class TestInvariantDensity:
     def test_kaijser_uniform(self):
         model = build_model(kaijser_config())
@@ -240,6 +243,7 @@ def outcome(function, kernel, space, **kwargs):
         return ("NumericalError", str(exc))
 
 
+@pytest.mark.usefixtures("cold_invariant_memo")
 class TestInvariantDensityMatchesStepwiseLoop:
     @pytest.mark.parametrize("eps", [1e-2, 1e-3, 1e-4])
     def test_slowmix_kernel(self, eps):
@@ -276,6 +280,67 @@ class TestInvariantDensityMatchesStepwiseLoop:
         kernel = as_kernel([[0.0, 0.5], [1.0, 0.0]], space)
         assert (invariant_density(kernel, space).values.tobytes()
                 == reference_invariant_density(kernel, space).values.tobytes())
+
+
+class TestInvariantDensityMemo:
+    def test_equal_kernels_built_apart_share_one_loop(self, loop_calls):
+        first, second = build_model(kaijser_config()), build_model(kaijser_config())
+        assert first.kernel is not second.kernel
+        a = invariant_density(first.kernel, first.space)
+        b = invariant_density(second.kernel, second.space)
+        assert len(loop_calls) == 1
+        assert a.values.tobytes() == b.values.tobytes()
+
+    def test_tol_and_max_iter_are_part_of_the_key(self, loop_calls):
+        kernel, space = slowmix_kernel(1e-2)
+        arguments = [{}, {"tol": 1e-12}, {"max_iter": 10**5}]
+        first = [invariant_density(kernel, space, **kwargs) for kwargs in arguments]
+        again = [invariant_density(kernel, space, **kwargs) for kwargs in arguments]
+        assert len(loop_calls) == 3
+        assert all(a is b for a, b in zip(first, again))
+
+    def test_memory_layout_is_part_of_the_key(self, loop_calls):
+        kernel, space = random_weighted_kernel(7)
+        fortran = TransitionKernel(np.asfortranarray(kernel.matrix))
+        assert fortran.matrix.flags.fnc
+        np.testing.assert_array_equal(fortran.matrix, kernel.matrix)
+        invariant_density(kernel, space)
+        cached = invariant_density(fortran, space)
+        assert len(loop_calls) == 2
+        assert loop_calls[1].flags.fnc
+        uncached = model_module._power_iteration(fortran.matrix, space.weights, 1e-13, 10**6)
+        assert cached.values.tobytes() == uncached.values.tobytes()
+
+    def test_errors_are_raised_again_and_never_stored(self, loop_calls):
+        space = unit_space(4)
+        kernel = as_kernel(PERIOD_THREE, space)
+        texts = []
+        for _ in range(2):
+            with pytest.raises(NumericalError) as caught:
+                invariant_density(kernel, space)
+            texts.append(str(caught.value))
+        assert texts == ["no unique invariant density found"] * 2
+        assert len(loop_calls) == 2
+
+    def test_least_recently_used_entry_is_dropped(self, loop_calls):
+        size = model_module._INVARIANT_MEMO_SIZE
+        kernels = [slowmix_kernel(0.05 + 0.01 * k) for k in range(size + 1)]
+        for kernel, space in kernels:
+            invariant_density(kernel, space)
+        assert len(loop_calls) == size + 1
+        invariant_density(*kernels[-1])
+        assert len(loop_calls) == size + 1
+        invariant_density(*kernels[0])
+        assert len(loop_calls) == size + 2
+        assert len(model_module._INVARIANT_MEMO) == size
+
+    def test_values_are_read_only(self, cold_invariant_memo):
+        kernel, space = slowmix_kernel(1e-2)
+        m = invariant_density(kernel, space)
+        assert not m.values.flags.writeable
+        with pytest.raises(ValueError):
+            m.values[0] = 0.5
+        assert invariant_density(kernel, space) is m
 
 
 class TestMixingCoefficients:

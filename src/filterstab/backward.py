@@ -97,7 +97,7 @@ def backward_pass(
     ratio of the data-generating prior to `theta0`. Row ``n-1`` of the
     results agrees bit for bit with `BackwardContext` after ``n`` steps.
     """
-    _require_positive(theta0, model.space, "initial backward prior")
+    _require_positive(theta0, "initial backward prior")
     d = model.space.num_states
     pis = np.asarray(pi_history, dtype=float)
     ratio = np.asarray(prior_ratio, dtype=float)
@@ -206,7 +206,7 @@ class BackwardContext:
 
     def __init__(self, model: FiniteModel, theta0: Density,
                  coeffs: Optional[Coefficients] = None):
-        _require_positive(theta0, model.space, "initial backward prior")
+        _require_positive(theta0, "initial backward prior")
         self.model = model
         self.theta0 = theta0
         self.coeffs = coeffs
@@ -214,7 +214,7 @@ class BackwardContext:
         self.rho: Optional[np.ndarray] = None
         self.exponent_sum = 0.0
         self._row_min_weighted = row_minima(model.kernel, model.space) * model.space.weights
-        self._scale = _envelope_scale(theta0.values, model.space.weights, coeffs)
+        self._scale = _envelope_scale(theta0.values, coeffs)
 
     def step(self, y) -> None:
         model, weights = self.model, self.model.space.weights
@@ -260,13 +260,12 @@ class BackwardContext:
         return value
 
 
-def _envelope_scale(theta0: np.ndarray, weights: np.ndarray,
-                    coeffs: Optional[Coefficients]) -> Optional[np.ndarray]:
+def _envelope_scale(theta0: np.ndarray, coeffs: Optional[Coefficients]) -> Optional[np.ndarray]:
     """``max**2 / (theta_min * avg) * theta0``, or None when the envelope is
     vacuous (no coefficients, or a zero averaged row minimum)."""
     if coeffs is None or coeffs.mixing_coefficient <= 0.0:
         return None
-    theta_min = float(theta0[weights > 0.0].min())
+    theta_min = float(theta0.min())
     return coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient) * theta0
 
 
@@ -280,7 +279,7 @@ def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients
     taken per step, so each row equals that context's ``record.bound``
     exactly.
     """
-    scale = _envelope_scale(theta0.values, model.space.weights, coeffs)
+    scale = _envelope_scale(theta0.values, coeffs)
     if scale is None:
         return None
     row_min_weighted = row_minima(model.kernel, model.space) * model.space.weights
@@ -295,6 +294,6 @@ def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients
     return scale * decays.reshape(exponents.shape + (1,))
 
 
-def _require_positive(density: Density, space: StateSpace, what: str) -> None:
-    if np.any(density.values[space.weights > 0.0] <= 0.0):
+def _require_positive(density: Density, what: str) -> None:
+    if np.any(density.values <= 0.0):
         raise InvalidModelError(f"{what} must be strictly positive on every atom")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .backward import _backward_along
 from .errors import InvalidModelError, NumericalError
-from .ergodicity import geometric_ergodicity_report
+from .ergodicity import _running_averages, geometric_ergodicity_report
 from .filtering import run_filter
 from .harness import (
     SCENARIO_HORIZONS,
@@ -330,23 +330,21 @@ def _cmd_ergodicity(args) -> int:
     coeffs = mixing_coefficients(model, invariant)
     report = geometric_ergodicity_report(model, invariant, coeffs, n_max)
     d = model.space.num_states
-    gaps = report.gaps.T.ravel().tolist()  # state by state
+    gaps = report.gaps.T.ravel()  # state by state
+    bounds = ratios = [None] * len(gaps)
     if report.applicable:
-        bounds = [report.prefactor * report.ratio**n for n in range(1, n_max + 1)] * d
-        ratios = [gap / bound if bound >= report.floor else None
-                  for gap, bound in zip(gaps, bounds)]
-    else:
-        bounds = ratios = [None] * len(gaps)
+        bounds = np.tile(report.envelope, d)
+        with np.errstate(all="ignore"):  # the ratios below the floor are dropped
+            ratios = np.where(bounds >= report.floor, gaps / bounds, None)
     columns = [np.repeat(np.arange(d), n_max), np.tile(np.arange(1, n_max + 1), d), gaps,
                bounds, ratios]
     _write_text(
         _resolve_output(args.output),
         _table_text(["u", "n", "gap", "bound", "ratio"], columns, args.format),
     )
-    if report.applicable:
-        ok = report.worst_ratio <= 1.0 and report.unresolved_max_gap <= report.floor + 1e-12
-        return 0 if ok else 3
-    return 0
+    ok = not report.applicable or (
+        report.worst_ratio <= 1.0 and report.unresolved_max_gap <= report.floor + 1e-12)
+    return 0 if ok else 3
 
 
 def _cmd_backward(args) -> int:
@@ -393,11 +391,9 @@ def _cmd_lln(args) -> int:
     # so a misspecified start is a legitimate (and interesting) variant
     prior = model.wrong_prior if args.wrong_prior else model.true_prior
     run = run_filter(prior, trajectory.observations, model)
-    space = model.space
-    d = space.num_states
-    weighted = run.densities[:-1] * space.weights
-    partial = np.cumsum(weighted, axis=0) / np.arange(1, horizon + 1)[:, None]
-    targets = invariant.values * space.weights
+    d = model.space.num_states
+    partial = _running_averages(run, model.space)
+    targets = invariant.values * model.space.weights
     columns = [np.repeat(np.arange(1, horizon + 1), d), np.tile(np.arange(d), horizon),
                partial.ravel(), np.tile(targets, horizon), np.abs(partial - targets).ravel()]
     _write_text(

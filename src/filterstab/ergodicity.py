@@ -17,7 +17,8 @@ sit below the floor themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -28,14 +29,29 @@ from .model import Coefficients, Density, FiniteModel, StateSpace, TransitionKer
 BOUND_FLOOR = 1e-10
 
 
+def _n_step_densities(kernel: TransitionKernel, space: StateSpace) -> Iterator[np.ndarray]:
+    """The n-step densities for n = 1, 2, ...: the kernel, then each power
+    contracted through it against the weights."""
+    power = kernel.matrix
+    while True:
+        yield power
+        power = (power * space.weights[None, :]) @ kernel.matrix
+
+
 def n_step_density(kernel: TransitionKernel, space: StateSpace, n: int) -> np.ndarray:
     """n-step transition density: weight-contracted matrix power."""
     if n < 1:
         raise InvalidModelError(f"step count must be at least 1, got {n}")
-    out = kernel.matrix.copy()
-    for _ in range(n - 1):
-        out = (out * space.weights[None, :]) @ kernel.matrix
-    return out
+    return next(islice(_n_step_densities(kernel, space), n - 1, None)).copy()
+
+
+def _gate(values: np.ndarray, envelope: np.ndarray) -> tuple[float, float]:
+    """The largest ``values / envelope`` over the entries whose envelope is at
+    least `BOUND_FLOOR`, and the largest value among the rest (0.0 for none)."""
+    values, envelope = np.broadcast_arrays(values, envelope)
+    resolvable = envelope >= BOUND_FLOOR
+    worst = (values[resolvable] / envelope[resolvable]).max(initial=0.0)
+    return float(worst), float(values[~resolvable].max(initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -43,6 +59,8 @@ class ErgodicityReport:
     """L1 gaps ``gaps[n-1, u]`` between the n-step density from ``u`` and the
     invariant density, against the geometric envelope.
 
+    ``envelope[n-1]`` is ``prefactor * ratio**n`` (Python ``**``), or None
+    when the bound is inapplicable; the CLI's ``bound`` column prints it.
     ``worst_ratio`` is the largest gap/envelope ratio over entries where the
     envelope is numerically resolvable (at least ``floor``);
     ``unresolved_max_gap`` is the largest gap among the remaining entries,
@@ -50,6 +68,7 @@ class ErgodicityReport:
     """
 
     gaps: np.ndarray
+    envelope: Optional[np.ndarray]
     prefactor: Optional[float]
     ratio: Optional[float]
     worst_ratio: Optional[float]
@@ -74,45 +93,23 @@ def geometric_ergodicity_report(
     """
     if n_max < 1:
         raise InvalidModelError(f"n_max must be at least 1, got {n_max}")
-    space = model.space
-    weights = space.weights
-    gaps = np.empty((n_max, space.num_states))
-    power = model.kernel.matrix
-    target = invariant.values[None, :]
-    gaps[0] = np.abs(power - target) @ weights
-    for n in range(2, n_max + 1):
-        power = (power * weights[None, :]) @ model.kernel.matrix
-        gaps[n - 1] = np.abs(power - target) @ weights
-
-    if not coeffs.applicable:
-        return ErgodicityReport(
-            gaps=gaps,
-            prefactor=coeffs.geo_prefactor,
-            ratio=coeffs.geo_ratio,
-            worst_ratio=None,
-            unresolved_max_gap=float(gaps.max()) if coeffs.degenerate else 0.0,
-            applicable=False,
-            degenerate=coeffs.degenerate,
-            floor=BOUND_FLOOR,
-        )
-
-    envelope = coeffs.geo_prefactor * np.power(
-        coeffs.geo_ratio, np.arange(1, n_max + 1, dtype=float)
-    )
-    resolvable = envelope >= BOUND_FLOOR
-    worst_ratio = 0.0
-    if np.any(resolvable):
-        worst_ratio = float((gaps[resolvable].max(axis=1) / envelope[resolvable]).max())
-    unresolved = ~resolvable
-    unresolved_max = float(gaps[unresolved].max()) if np.any(unresolved) else 0.0
+    powers = islice(_n_step_densities(model.kernel, model.space), n_max)
+    gaps = np.array([np.abs(power - invariant.values) @ model.space.weights for power in powers])
+    envelope = worst_ratio = None
+    unresolved_max = float(gaps.max()) if coeffs.degenerate else 0.0
+    if coeffs.applicable:
+        envelope = np.array([coeffs.geo_prefactor * coeffs.geo_ratio**n
+                             for n in range(1, n_max + 1)])
+        worst_ratio, unresolved_max = _gate(gaps, envelope[:, None])
     return ErgodicityReport(
         gaps=gaps,
+        envelope=envelope,
         prefactor=coeffs.geo_prefactor,
         ratio=coeffs.geo_ratio,
         worst_ratio=worst_ratio,
         unresolved_max_gap=unresolved_max,
-        applicable=True,
-        degenerate=False,
+        applicable=coeffs.applicable,
+        degenerate=coeffs.degenerate,
         floor=BOUND_FLOOR,
     )
 
@@ -137,7 +134,7 @@ def stationary_backward_sequence(model: FiniteModel, invariant: Density, n_max: 
         raise InvalidModelError(f"step count must be at least 1, got {n_max}")
     space = model.space
     m = invariant.values
-    if np.any(m[space.weights > 0.0] <= 0.0):
+    if np.any(m <= 0.0):
         raise NumericalError("invariant density degenerate: zero atom")
     q = model.kernel.matrix * m[:, None] / m[None, :]
     yield StationaryBackward(q.copy(), q.max(axis=1) - q.min(axis=1), 1)
@@ -169,15 +166,9 @@ def stationary_bound_check(
         raise NumericalError("bound inapplicable: averaged row minimum is zero")
     scale = coeffs.max_density / coeffs.mixing_coefficient
     contraction = 1.0 - coeffs.mixing_coefficient / coeffs.max_density
-    worst = 0.0
-    unresolved = 0.0
-    for sb in sequence:
-        envelope = invariant.values * scale * contraction ** (sb.step - 1)
-        resolvable = envelope >= BOUND_FLOOR
-        if np.any(resolvable):
-            worst = max(worst, float((sb.oscillation[resolvable] / envelope[resolvable]).max()))
-        if np.any(~resolvable):
-            unresolved = max(unresolved, float(sb.oscillation[~resolvable].max()))
+    sequence = list(sequence)
+    envelopes = [invariant.values * scale * contraction ** (sb.step - 1) for sb in sequence]
+    worst, unresolved = _gate(np.array([sb.oscillation for sb in sequence]), np.array(envelopes))
     return StationaryBoundCheck(worst_ratio=worst, unresolved_max=unresolved, floor=BOUND_FLOOR)
 
 
@@ -187,48 +178,42 @@ class PoissonSolution:
 
     values: np.ndarray
     centered: np.ndarray
-    terms: int
 
 
-def solve_poisson(
-    model: FiniteModel,
-    invariant: Density,
-    f: Sequence[float],
-    *,
-    term_tol: float = 1e-13,
-    max_terms: int = 10**5,
-) -> PoissonSolution:
-    """Sum the multi-step corrections of the centered function until they vanish.
-
-    The solution is ``g = centered + sum_n (kernel-power n applied to
-    centered)``, accumulated by repeated application of the one-step kernel.
-    Geometric ergodicity makes the terms collapse geometrically; hitting the
-    term cap means the series did not converge (reducible or periodic chain).
-    The result is verified against the defining equation to 1e-10.
-    """
-    space = model.space
+def _check_function(f: Sequence[float], space: StateSpace) -> np.ndarray:
     fv = np.asarray(f, dtype=float)
     if fv.shape != (space.num_states,):
         raise InvalidModelError(
             f"dimension mismatch: f shape {fv.shape} vs {space.num_states} states"
         )
-    centered = fv - float(fv @ (invariant.values * space.weights))
+    return fv
+
+
+def solve_poisson(model: FiniteModel, invariant: Density, f: Sequence[float]) -> PoissonSolution:
+    """Solve the Poisson equation ``g - (kernel g) = centered`` directly.
+
+    With ``P = kernel * w`` and ``mu = m * w`` the stationary law, the
+    solution is the one with ``mu . g = 0``, the unique solution of
+    ``(I - P + 1 mu^T) g = centered`` (Kemeny & Snell's fundamental matrix).
+    That system is nonsingular exactly when the chain has one closed class,
+    so periodic chains are solvable too; a chain with several closed classes
+    makes it singular, which raises `NumericalError`. The result is verified
+    against the defining equation to 1e-10.
+    """
+    space = model.space
+    fv = _check_function(f, space)
+    mu = invariant.values * space.weights
+    centered = fv - float(fv @ mu)
     apply_kernel = model.kernel.matrix * space.weights[None, :]
-    g = centered.copy()
-    term = centered
-    terms = 0
-    while True:
-        term = apply_kernel @ term
-        terms += 1
-        g = g + term
-        if float(np.abs(term).max()) <= term_tol:
-            break
-        if terms >= max_terms:
-            raise NumericalError("series non-convergent within cap")
+    system = np.eye(space.num_states) - apply_kernel + mu[None, :]
+    try:
+        g = np.linalg.solve(system, centered)
+    except np.linalg.LinAlgError:
+        raise NumericalError("poisson equation singular: no unique invariant density") from None
     residual = float(np.abs(g - centered - apply_kernel @ g).max())
     if residual > 1e-10:
         raise NumericalError(f"poisson residual {residual!r} exceeds 1e-10")
-    return PoissonSolution(values=g, centered=centered, terms=terms)
+    return PoissonSolution(values=g, centered=centered)
 
 
 @dataclass(frozen=True)
@@ -238,24 +223,25 @@ class LlnAverage:
     gap: float
 
 
+def _running_averages(run: FilterRun, space: StateSpace) -> np.ndarray:
+    """``(N, d)`` running means: row ``n-1`` is the mean of ``pi_k * w`` over
+    ``k < n``, so its dot with ``f`` is the average of ``pi_k<f>``."""
+    weighted = run.densities[:-1] * space.weights
+    return np.cumsum(weighted, axis=0) / np.arange(1, len(weighted) + 1)[:, None]
+
+
 def lln_average(run: FilterRun, f: Sequence[float], invariant: Density,
                 space: StateSpace) -> LlnAverage:
     """Time average of posterior expectations of ``f`` against its invariant mean.
 
-    Averages ``pi_{k-1}<f>`` over the steps of the run; for an ergodic model
-    this converges to the invariant expectation regardless of the initial
-    density.
+    Averages ``pi_{k-1}<f>`` over the steps of the run: the last running
+    average that the ``lln`` command tabulates, dotted with ``f``. For an
+    ergodic model this converges to the invariant expectation regardless of
+    the initial density.
     """
-    densities = run.densities
-    n = len(densities) - 1
-    fv = np.asarray(f, dtype=float)
-    if fv.shape != (space.num_states,):
-        raise InvalidModelError(
-            f"dimension mismatch: f shape {fv.shape} vs {space.num_states} states"
-        )
-    if n == 0:
+    fv = _check_function(f, space)
+    if len(run.densities) == 1:
         raise InvalidModelError("run has no steps to average over")
-    weighted = fv * space.weights
-    average = float(np.mean([pi @ weighted for pi in densities[:-1]]))
-    target = float(invariant.values @ weighted)
+    average = float(_running_averages(run, space)[-1] @ fv)
+    target = float(invariant.values @ (fv * space.weights))
     return LlnAverage(average=average, target=target, gap=abs(average - target))

@@ -330,12 +330,11 @@ def tv_norm(p: Density, q: Density, space: StateSpace) -> float:
     return float(np.abs(p.values - q.values) @ space.weights)
 
 
-def _check_priors(true_prior: Density, wrong_prior: Density, space: StateSpace) -> None:
+def _check_priors(true_prior: Density, wrong_prior: Density) -> None:
     """The wrong prior must be strictly positive; a true prior with zero atoms warns."""
-    positive = space.weights > 0.0
-    if np.any(wrong_prior.values[positive] <= 0.0):
+    if np.any(wrong_prior.values <= 0.0):
         raise InvalidModelError("beta not bounded below: wrong prior has a zero atom")
-    if np.any(true_prior.values[positive] == 0.0):
+    if np.any(true_prior.values == 0.0):
         warnings.warn(
             "true prior has zero atoms; absolute continuity with respect to the "
             "wrong prior still holds",
@@ -365,7 +364,7 @@ def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Seq
     any record the true model can produce. The true prior may have zero atoms.
     Both filters advance in one pass; the correct prior's failure is raised first.
     """
-    _check_priors(true_prior, wrong_prior, model.space)
+    _check_priors(true_prior, wrong_prior)
     run = _engine(model, np.stack([true_prior.values, wrong_prior.values]), [observations])
     _raise_first(run.errors)
     return _pair_run(run.densities[0], run.log_norms[0], np.asarray(observations),

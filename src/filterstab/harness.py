@@ -352,7 +352,7 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
     if not seeds:
         return []
     states, observations = sample_trajectories(model, model.true_prior, scenario.horizon, seeds)
-    _check_priors(model.true_prior, model.wrong_prior, model.space)
+    _check_priors(model.true_prior, model.wrong_prior)
     wrong = model.wrong_prior
     run = _engine(model, np.stack([model.true_prior.values, wrong.values]), observations,
                   backward=(1, wrong.values, prior_ratio))

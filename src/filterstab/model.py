@@ -275,9 +275,9 @@ class Coefficients:
 
 
 def row_minima(kernel: TransitionKernel, space: StateSpace) -> np.ndarray:
-    """Per-state essential infimum of the outgoing transition density."""
-    mask = space.weights > 0.0
-    return kernel.matrix[:, mask].min(axis=1)
+    """Per-state essential infimum of the outgoing transition density: the row
+    minimum, since every atom of `space` has positive weight."""
+    return kernel.matrix.min(axis=1)
 
 
 def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
@@ -291,23 +291,18 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
     ``ratio = 0`` convention.
     """
     space, kernel = model.space, model.kernel
-    mask = space.weights > 0.0
-    sub = kernel.matrix[np.ix_(mask, mask)]
-    lo = float(sub.min())
-    hi = float(sub.max())
+    lo = float(kernel.matrix.min())
+    hi = float(kernel.matrix.max())
     mins = row_minima(kernel, space)
     avg = float(np.sum(mins * invariant.values * space.weights))
     rate = avg / hi if hi > 0.0 else 0.0
     degenerate = avg > 0.0 and abs(hi - avg) <= 1e-14 * hi
-    if avg > 0.0 and not degenerate:
+    prefactor = ratio = None
+    if degenerate:
+        ratio = 0.0
+    elif avg > 0.0:
         prefactor = hi * hi / (avg * (hi - avg))
         ratio = 1.0 - avg / hi
-    elif degenerate:
-        prefactor = None
-        ratio = 0.0
-    else:
-        prefactor = None
-        ratio = None
     return Coefficients(
         min_density=lo,
         max_density=hi,

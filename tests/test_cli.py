@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from itertools import zip_longest
 from pathlib import Path
@@ -7,10 +8,22 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from filterstab import build_model
+from filterstab import (
+    SCENARIO_NAMES,
+    build_model,
+    builtin_scenario,
+    geometric_ergodicity_report,
+    invariant_density,
+    mixing_coefficients,
+    run_filter,
+    sample_trajectory,
+)
 from filterstab import model as model_module
 from filterstab.cli import load_model, main, parse_config
+from filterstab.ergodicity import _running_averages
 from filterstab.errors import InvalidModelError
+from helpers import random_kernel_matrix
+from test_cli_bytes import GAUSSIAN3
 
 FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "kaijser.json"
 
@@ -569,3 +582,77 @@ class TestInvariantMemoSession:
         assert cold[0] == warm[0]
         assert cold[1].keys() == {"model.json", "validate.json", "ergodicity.csv", "lln.csv"}
         assert cold[1] == warm[1]
+
+
+class TestErgodicityTableReadsTheReport:
+    """The `ergodicity` table prints the report's own envelope, and its exit
+    code is the report's gate."""
+
+    HORIZON = 80
+
+    @staticmethod
+    def random_document(seed, d):
+        return {
+            "states": d,
+            "transition": random_kernel_matrix(60_000 + seed, d).tolist(),
+            "observation": {"type": "finite", "gamma": [[0.7, 0.3]] * d},
+            "nu": [1.0 / d] * d,
+            "beta": [1.0 / d] * d,
+        }
+
+    def check(self, tmp_path, source, model):
+        out = tmp_path / "ergodicity.csv"
+        rc = main(["ergodicity", *source, "--horizon", str(self.HORIZON), "--output", str(out)])
+        invariant = invariant_density(model.kernel, model.space)
+        report = geometric_ergodicity_report(
+            model, invariant, mixing_coefficients(model, invariant), self.HORIZON)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        d = model.space.num_states
+        assert len(rows) == d * self.HORIZON
+        if report.envelope is None:
+            assert all(row[3] == "" and row[4] == "" for row in rows)
+            assert rc == 0
+            return
+        bounds = np.array([float(row[3]) for row in rows])
+        np.testing.assert_array_equal(bounds, np.tile(report.envelope, d))
+        assert [row[4] != "" for row in rows] == (bounds >= 1e-10).tolist()
+        failed = (report.worst_ratio > 1.0
+                  or report.unresolved_max_gap > report.floor + 1e-12)
+        assert rc == (3 if failed else 0)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_builtin_scenarios(self, tmp_path, name):
+        self.check(tmp_path, ["--scenario", name], builtin_scenario(name).model)
+
+    def test_gaussian_file(self, tmp_path):
+        path = write_model(tmp_path, GAUSSIAN3)
+        self.check(tmp_path, ["--model", str(path)], load_model(path))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_positive_kernels(self, tmp_path, seed):
+        path = write_model(tmp_path, self.random_document(seed, 2 + seed))
+        self.check(tmp_path, ["--model", str(path)], load_model(path))
+
+    @pytest.mark.parametrize("change", [{"worst_ratio": 1.5},
+                                        {"unresolved_max_gap": 1e-10 + 2e-12}])
+    def test_a_failing_report_exits_three(self, tmp_path, monkeypatch, change):
+        import filterstab.cli as cli
+
+        def failing(*args):
+            return dataclasses.replace(geometric_ergodicity_report(*args), **change)
+
+        monkeypatch.setattr(cli, "geometric_ergodicity_report", failing)
+        assert main(["ergodicity", "--scenario", "mixing2", "--horizon", "20",
+                     "--output", str(tmp_path / "ergodicity.csv")]) == 3
+
+
+def test_lln_table_is_the_running_average(tmp_path):
+    out = tmp_path / "lln.csv"
+    assert main(["lln", "--scenario", "mixing2", "--horizon", "300", "--seed", "4",
+                 "--output", str(out)]) == 0
+    model = builtin_scenario("mixing2").model
+    trajectory = sample_trajectory(model, model.true_prior, 300, 4)
+    running = _running_averages(run_filter(model.true_prior, trajectory.observations, model),
+                                model.space)
+    column = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
+    np.testing.assert_array_equal(column, running.ravel())

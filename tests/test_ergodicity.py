@@ -1,7 +1,10 @@
+from fractions import Fraction as F
+
 import numpy as np
 import pytest
 
 from filterstab import (
+    Density,
     InvalidModelError,
     NumericalError,
     as_kernel,
@@ -19,7 +22,22 @@ from filterstab import (
     stationary_bound_check,
     unit_space,
 )
+from filterstab.ergodicity import _running_averages
 from helpers import random_kernel_matrix, random_positive_model
+
+
+def solve_exact(matrix, rhs):
+    """Gauss-Jordan elimination in exact rationals (nonsingular systems only)."""
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    n = len(rows)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
 def two_state_model():
@@ -148,7 +166,6 @@ class TestStationaryBackward:
 
     def test_zero_invariant_atom_rejected(self):
         model = two_state_model()
-        from filterstab import Density
         degenerate = Density([1.0, 0.0])
         with pytest.raises(NumericalError, match="invariant density degenerate"):
             list(stationary_backward_sequence(model, degenerate, 2))
@@ -226,7 +243,8 @@ class TestSolvePoisson:
         assert np.abs(residual).max() <= 1e-10
 
     def test_non_convergent_series(self):
-        # identity dynamics never mix, so the correction series cannot settle
+        # identity dynamics never mix: the correction series cannot settle and
+        # the fundamental-matrix system is singular
         model = build_model({
             "states": 2,
             "transition": [[1.0, 0.0], [0.0, 1.0]],
@@ -234,18 +252,11 @@ class TestSolvePoisson:
             "nu": [0.5, 0.5],
             "beta": [0.5, 0.5],
         })
-        from filterstab import Density
-        with pytest.raises(NumericalError, match="non-convergent"):
-            solve_poisson(model, Density([0.5, 0.5]), [1.0, 0.0], max_terms=1000)
+        with pytest.raises(NumericalError, match="singular"):
+            solve_poisson(model, Density([0.5, 0.5]), [1.0, 0.0])
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=NumericalError,
-        reason="power iteration stops about 1e-11 from the invariant density of this "
-        "slowly mixing kernel; the centering error leaves a constant term above term_tol",
-    )
     def test_slowly_mixing_kernel_with_computed_invariant(self):
-        # with the exact invariant (2/3, 1/3) the series settles in 9 829 terms
+        # the exact solution with mu . g = 0 is (1/(9 eps), -2/(9 eps))
         eps = 1e-3
         model = build_model({
             "states": 2,
@@ -255,8 +266,64 @@ class TestSolvePoisson:
             "beta": [0.5, 0.5],
         })
         m = invariant_density(model.kernel, model.space)
-        sol = solve_poisson(model, m, [1.0, 0.0], max_terms=20_000)
-        assert sol.terms < 20_000
+        sol = solve_poisson(model, m, [1.0, 0.0])
+        apply_kernel = model.kernel.matrix * model.space.weights[None, :]
+        residual = sol.values - sol.centered - apply_kernel @ sol.values
+        assert np.abs(residual).max() <= 1e-10
+        np.testing.assert_allclose(sol.values, [1 / (9 * eps), -2 / (9 * eps)], rtol=1e-9)
+
+    def test_dyadic_kernel_matches_the_exact_solution(self):
+        matrix = [[F(1, 2), F(1, 4), F(1, 4)],
+                  [F(1, 8), F(5, 8), F(1, 4)],
+                  [F(3, 8), F(1, 8), F(1, 2)]]
+        f = [F(1), F(0), F(-2)]
+        model = build_model({
+            "states": 3,
+            "transition": [[float(x) for x in row] for row in matrix],
+            "observation": {"type": "finite", "gamma": [[0.5, 0.5]] * 3},
+            "nu": [1 / 3] * 3,
+            "beta": [1 / 3] * 3,
+        })
+        # mu (I - P) = 0 with sum(mu) = 1: replace the last equation by the mass
+        system = [[(i == j) - matrix[j][i] for j in range(3)] for i in range(2)]
+        mu = solve_exact(system + [[F(1)] * 3], [F(0), F(0), F(1)])
+        mean = sum(a * b for a, b in zip(mu, f))
+        fundamental = [[(i == j) - matrix[i][j] + mu[j] for j in range(3)] for i in range(3)]
+        exact = solve_exact(fundamental, [x - mean for x in f])
+        sol = solve_poisson(model, invariant_density(model.kernel, model.space), [1.0, 0.0, -2.0])
+        np.testing.assert_allclose(sol.values, [float(x) for x in exact], rtol=0, atol=1e-14)
+
+    def test_periodic_flip_chain_is_solvable(self):
+        model = build_model({
+            "states": 2,
+            "transition": [[0.0, 1.0], [1.0, 0.0]],
+            "observation": {"type": "finite", "gamma": [[0.5, 0.5]] * 2},
+            "nu": [0.5, 0.5],
+            "beta": [0.5, 0.5],
+        })
+        m = invariant_density(model.kernel, model.space)
+        sol = solve_poisson(model, m, [1.0, 0.0])
+        apply_kernel = model.kernel.matrix * model.space.weights[None, :]
+        residual = sol.values - sol.centered - apply_kernel @ sol.values
+        assert np.abs(residual).max() <= 1e-10
+        assert abs(sol.values @ (m.values * model.space.weights)) <= 1e-15
+        np.testing.assert_allclose(sol.values, [0.25, -0.25], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("matrix", [
+        np.eye(3),
+        np.kron(np.eye(2), np.full((2, 2), 0.5)),  # two closed classes
+    ], ids=["identity", "two-class"])
+    def test_reducible_chain_is_singular(self, matrix):
+        d = len(matrix)
+        model = build_model({
+            "states": d,
+            "transition": matrix.tolist(),
+            "observation": {"type": "finite", "gamma": [[0.5, 0.5]] * d},
+            "nu": [1 / d] * d,
+            "beta": [1 / d] * d,
+        })
+        with pytest.raises(NumericalError, match="singular"):
+            solve_poisson(model, Density([1 / d] * d), np.arange(d, dtype=float))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_models_residual(self, seed):
@@ -271,6 +338,15 @@ class TestSolvePoisson:
 
 
 class TestLlnAverage:
+    def test_is_the_last_running_average(self):
+        model = random_positive_model(9100, 3)
+        m = invariant_density(model.kernel, model.space)
+        t = sample_trajectory(model, model.wrong_prior, 500, seed=3)
+        run = run_filter(model.wrong_prior, t.observations, model)
+        f = np.array([0.5, -1.0, 2.0])
+        out = lln_average(run, f, m, model.space)
+        assert out.average == float(_running_averages(run, model.space)[-1] @ f)
+
     def test_constant_function(self):
         model = two_state_model()
         m = invariant_density(model.kernel, model.space)

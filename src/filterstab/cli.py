@@ -186,27 +186,18 @@ def _parse_prior(text: Optional[str]):
 
 
 def _resolve_model(args) -> tuple[FiniteModel, str]:
-    true_prior = _parse_prior(getattr(args, "nu", None))
-    wrong_prior = _parse_prior(getattr(args, "beta", None))
-    if getattr(args, "scenario", None):
+    """The model of ``--scenario`` or ``--model`` (argparse requires exactly
+    one), with the ``--nu``/``--beta`` overrides, and its source name."""
+    true_prior, wrong_prior = _parse_prior(args.nu), _parse_prior(args.beta)
+    if args.scenario:
         scenario = builtin_scenario(args.scenario, true_prior=true_prior, wrong_prior=wrong_prior)
         return scenario.model, args.scenario
-    if getattr(args, "model", None):
-        return load_model(args.model, true_prior, wrong_prior), str(args.model)
-    raise InvalidModelError("either --model or --scenario is required")
+    return load_model(args.model, true_prior, wrong_prior), str(args.model)
 
 
-def _scenario_from_args(args) -> tuple[Scenario, str]:
-    model, name = _resolve_model(args)
-    replicates = getattr(args, "replicates", None)
-    horizon = SCENARIO_HORIZONS.get(args.scenario, 500) if args.horizon is None else args.horizon
-    return Scenario(
-        name=Path(name).stem,
-        model=model,
-        horizon=horizon,
-        replicates=1 if replicates is None else replicates,
-        seed=args.seed,
-    ), name
+def _scenario_horizon(args) -> int:
+    """``--horizon``, else the builtin scenario's horizon, else 500."""
+    return SCENARIO_HORIZONS.get(args.scenario, 500) if args.horizon is None else args.horizon
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +228,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model, _ = _resolve_model(args)
-    horizon = args.horizon if args.horizon is not None else 100
-    trajectory = sample_trajectory(model, model.true_prior, horizon, args.seed)
+    trajectory = sample_trajectory(model, model.true_prior, args.horizon, args.seed)
     columns = [range(len(trajectory.states)), trajectory.states,
                [None, *trajectory.observations.tolist()]]
     _write_text(
@@ -261,7 +251,9 @@ def _cmd_stability(args) -> int:
             f"the summary of --output {args.output} would be written to {_summary_path(out)}, "
             f"which is the --model file; choose another output name"
         )
-    scenario, name = _scenario_from_args(args)
+    model, name = _resolve_model(args)
+    scenario = Scenario(name=Path(name).stem, model=model, horizon=_scenario_horizon(args),
+                        replicates=args.replicates, seed=args.seed)
     if scenario.replicates < 1:
         raise InvalidModelError("stability needs at least one replicate")
     records = run_scenario(scenario, window_fraction=args.window_fraction)
@@ -325,7 +317,7 @@ def _cmd_stability(args) -> int:
 
 def _cmd_ergodicity(args) -> int:
     model, name = _resolve_model(args)
-    n_max = args.horizon if args.horizon is not None else 50
+    n_max = args.horizon
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
     report = geometric_ergodicity_report(model, invariant, coeffs, n_max)
@@ -348,12 +340,11 @@ def _cmd_ergodicity(args) -> int:
 
 
 def _cmd_backward(args) -> int:
-    scenario, _ = _scenario_from_args(args)
-    model = scenario.model
+    model, _ = _resolve_model(args)
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
-    seed = derive_seed(scenario.seed, 0)
-    trajectory = sample_trajectory(model, model.true_prior, scenario.horizon, seed)
+    seed = derive_seed(args.seed, 0)
+    trajectory = sample_trajectory(model, model.true_prior, _scenario_horizon(args), seed)
     prior_ratio = np.divide(model.true_prior.values, model.wrong_prior.values)
     # the filter from the wrong prior, which `build_model` keeps strictly
     # positive, and ρ along it, in one pass
@@ -371,20 +362,19 @@ def _cmd_backward(args) -> int:
 
 
 def _cmd_kaijser(args) -> int:
-    horizon = args.horizon if args.horizon is not None else SCENARIO_HORIZONS["kaijser"]
     # the default true prior is the registry model's, which `kaijser_model`
     # renormalizes again; kept so that `kaijser` output keeps its bits
     true_prior = _parse_prior(args.nu) or kaijser_model().true_prior.values
-    report = kaijser_verify(true_prior, _parse_prior(args.beta), horizon, args.seed)
+    report = kaijser_verify(true_prior, _parse_prior(args.beta), args.horizon, args.seed)
     payload = _kaijser_payload(report)
-    payload.update({"horizon": horizon, "seed": args.seed})
+    payload.update({"horizon": args.horizon, "seed": args.seed})
     _write_text(_resolve_output(args.output), _json_text(payload))
     return 0 if report.passed else 3
 
 
 def _cmd_lln(args) -> int:
     model, _ = _resolve_model(args)
-    horizon = args.horizon if args.horizon is not None else 10_000
+    horizon = args.horizon
     invariant = invariant_density(model.kernel, model.space)
     trajectory = sample_trajectory(model, model.true_prior, horizon, args.seed)
     # the time-average limit does not depend on the filter's initial density,
@@ -420,6 +410,49 @@ def _kaijser_payload(report) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 
+# every option a subcommand may take, by flag
+_OPTIONS = {
+    "--model": dict(help="path to a model JSON document"),
+    "--scenario": dict(choices=SCENARIO_NAMES, help="builtin scenario name"),
+    "--nu": dict(help="comma-separated override of the data-generating prior"),
+    "--beta": dict(help="comma-separated override of the filter prior"),
+    "--horizon": dict(type=int, help="number of steps"),
+    "--seed": dict(type=int, default=7),
+    "--output": dict(help="output file path (default: stdout; relative bare names "
+                          f"resolve under ${OUTPUT_DIR_ENV} when set)"),
+    "--format": dict(choices=("csv", "json"), default="csv", help="table output format"),
+    "--replicates": dict(type=int, default=1),
+    "--window-fraction": dict(dest="window_fraction", type=float, default=0.5,
+                              help="trailing fraction of steps used for the slope fit"),
+    "--wrong-prior": dict(dest="wrong_prior", action="store_true",
+                          help="start the filter from the misspecified prior instead"),
+}
+_SOURCE = ("--model", "--scenario")  # exactly one of them is required
+_MODEL = (*_SOURCE, "--nu", "--beta")
+_TABLE = ("--output", "--format")
+
+# each subcommand: its handler, its help, the flags its handler reads and its
+# default horizon (None: the builtin scenario's, or 500)
+_COMMANDS = {
+    "validate": (_cmd_validate, "model coefficients and invariant density",
+                 (*_MODEL, "--output"), None),
+    "simulate": (_cmd_simulate, "sample a trajectory to CSV",
+                 (*_MODEL, "--horizon", "--seed", *_TABLE), 100),
+    "stability": (_cmd_stability, "paired-filter TV trajectory and decay summary",
+                  (*_MODEL, "--horizon", "--seed", *_TABLE, "--replicates", "--window-fraction"),
+                  None),
+    "ergodicity": (_cmd_ergodicity, "n-step convergence against the geometric envelope",
+                   (*_MODEL, "--horizon", *_TABLE), 50),
+    "backward": (_cmd_backward, "backward-density oscillation and its envelope",
+                 (*_MODEL, "--horizon", "--seed", *_TABLE), None),
+    "kaijser": (_cmd_kaijser, "counterexample regression gate",
+                ("--nu", "--beta", "--horizon", "--seed", "--output"),
+                SCENARIO_HORIZONS["kaijser"]),
+    "lln": (_cmd_lln, "running averages of posterior expectations",
+            (*_MODEL, "--horizon", "--seed", *_TABLE, "--wrong-prior"), 10_000),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="filterstab",
@@ -427,54 +460,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "decay rates, contraction bounds, counterexample checks.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-
-    def add_common(p, scenario_ok=True):
-        if scenario_ok:
-            p.add_argument("--model", help="path to a model JSON document")
-            p.add_argument("--scenario", choices=SCENARIO_NAMES,
-                           help="builtin scenario name")
-        p.add_argument("--nu", help="comma-separated override of the data-generating prior")
-        p.add_argument("--beta", help="comma-separated override of the filter prior")
-        p.add_argument("--horizon", type=int, default=None, help="number of steps")
-        p.add_argument("--seed", type=int, default=7)
-        p.add_argument("--output", help="output file path (default: stdout; relative bare "
-                                        f"names resolve under ${OUTPUT_DIR_ENV} when set)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       help="table output format (reports are always JSON)")
-
-    p = sub.add_parser("validate", help="model coefficients and invariant density")
-    add_common(p)
-    p.set_defaults(handler=_cmd_validate)
-
-    p = sub.add_parser("simulate", help="sample a trajectory to CSV")
-    add_common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("stability", help="paired-filter TV trajectory and decay summary")
-    add_common(p)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--window-fraction", dest="window_fraction", type=float, default=0.5,
-                   help="trailing fraction of steps used for the slope fit")
-    p.set_defaults(handler=_cmd_stability)
-
-    p = sub.add_parser("ergodicity", help="n-step convergence against the geometric envelope")
-    add_common(p)
-    p.set_defaults(handler=_cmd_ergodicity)
-
-    p = sub.add_parser("backward", help="backward-density oscillation and its envelope")
-    add_common(p)
-    p.set_defaults(handler=_cmd_backward)
-
-    p = sub.add_parser("kaijser", help="counterexample regression gate")
-    add_common(p, scenario_ok=False)
-    p.set_defaults(handler=_cmd_kaijser)
-
-    p = sub.add_parser("lln", help="running averages of posterior expectations")
-    add_common(p)
-    p.add_argument("--wrong-prior", dest="wrong_prior", action="store_true",
-                   help="start the filter from the misspecified prior instead")
-    p.set_defaults(handler=_cmd_lln)
-
+    for command, (handler, help_text, flags, horizon) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(handler=handler)
+        source = p.add_mutually_exclusive_group(required=True) if _SOURCE[0] in flags else p
+        for flag in flags:
+            options = dict(_OPTIONS[flag], default=horizon) if flag == "--horizon" \
+                else _OPTIONS[flag]
+            (source if flag in _SOURCE else p).add_argument(flag, **options)
     return parser
 
 

@@ -32,6 +32,9 @@ ROW_SUM_TOL = 1e-9
 DENSITY_TOL = 1e-10
 # power-iteration steps between convergence checks, also the stagnation-probe period
 _POWER_BLOCK = 1000
+# the power iteration's stopping tolerance, and its step budget in whole blocks
+_POWER_TOL = 1e-13
+_POWER_BLOCKS = 1000
 # invariant densities by content key, least recently used first
 _INVARIANT_MEMO: "OrderedDict[tuple, Density]" = OrderedDict()
 _INVARIANT_MEMO_SIZE = 32
@@ -314,25 +317,26 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
     )
 
 
-def invariant_density(
-    kernel: TransitionKernel,
-    space: StateSpace,
-    *,
-    tol: float = 1e-13,
-    max_iter: int = 10**6,
-) -> Density:
+def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     """Invariant density of the kernel by power iteration on the adjoint action.
 
     Iterates ``m[y] <- sum_x matrix[x, y] * m[x] * w[x]`` from the uniform
-    density until successive iterates differ by less than `tol` in max norm,
-    then polishes a few more steps toward machine precision. That stopping
-    rule bounds the error only by about ``tol / (1 - lambda_2)``, with
-    ``lambda_2`` the second eigenvalue of the kernel: a slowly mixing chain
-    stops far from the fixed point although its residual is small (about
-    1e-11 for ``[[1-e, e], [2e, 1-2e]]`` at ``e = 1e-3``). Non-convergence
-    within `max_iter` indicates a periodic or reducible chain; a period-two
-    oscillation is resolved by averaging two successive iterates before
-    giving up. The result always satisfies the fixed-point residual to 1e-10.
+    density until successive iterates differ by less than ``_POWER_TOL``
+    (1e-13) in max norm, then polishes a few more steps toward machine
+    precision. That stopping rule bounds the error only by about
+    ``1e-13 / (1 - lambda_2)``, with ``lambda_2`` the second eigenvalue of the
+    kernel: a slowly mixing chain stops far from the fixed point although its
+    residual is small (about 1e-11 for ``[[1-e, e], [2e, 1-2e]]`` at
+    ``e = 1e-3``). A delta that shrinks by less than 1% per block for three
+    blocks in a row reads as oscillation: a period-two oscillation is resolved
+    by averaging two successive iterates, and anything else raises "no unique
+    invariant density found". A loop that runs all ``_POWER_BLOCKS`` blocks
+    (10**6 steps) without either outcome raises a slow-mixing
+    `NumericalError`. The result always satisfies the fixed-point residual to
+    1e-10. On the kernel above, the loop converges from ``e = 6e-6`` up; from
+    about ``3.4e-6`` to ``5e-6`` it runs out of steps (the averaged iterates
+    would be off by up to 6.2e-6); at and below about ``3.3e-6`` the probe
+    reads the ergodic chain as oscillating (ROADMAP item 2).
 
     The iteration runs in blocks of ``_POWER_BLOCK`` steps written into one
     buffer; the stopping test and the stagnation probe are applied to each
@@ -340,28 +344,27 @@ def invariant_density(
     step and the result are those of a step-by-step loop.
 
     Results are memoized per process: a call whose kernel matrix bytes,
-    shape and strides, state weight bytes, `tol` and `max_iter` all equal an
-    earlier call's returns that call's (frozen, read-only) `Density` without
-    iterating again. The strides are part of the key because the layout picks
-    the gemv, and two gemvs need not round alike. The memo keeps the
+    shape and strides and state weight bytes all equal an earlier call's
+    returns that call's (frozen, read-only) `Density` without iterating
+    again. The strides are part of the key because the layout picks the
+    gemv, and two gemvs need not round alike. The memo keeps the
     ``_INVARIANT_MEMO_SIZE`` most recently used results; a `NumericalError`
     is never stored, so it is raised again on every call.
     """
     matrix, weights = kernel.matrix, space.weights
-    key = (matrix.tobytes(), matrix.shape, matrix.strides, weights.tobytes(), tol, max_iter)
+    key = (matrix.tobytes(), matrix.shape, matrix.strides, weights.tobytes())
     # each step is one atomic dict operation: concurrent callers can at worst
     # run the loop twice for one key, never get a wrong entry
     density = _INVARIANT_MEMO.pop(key, None)
     if density is None:
-        density = _power_iteration(matrix, weights, tol, max_iter)
+        density = _power_iteration(matrix, weights)
     _INVARIANT_MEMO[key] = density
     if len(_INVARIANT_MEMO) > _INVARIANT_MEMO_SIZE:
         _INVARIANT_MEMO.popitem(last=False)
     return density
 
 
-def _power_iteration(matrix: np.ndarray, weights: np.ndarray, tol: float,
-                     max_iter: int) -> Density:
+def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     """The loop of `invariant_density`, run on each call that misses its memo."""
     d = weights.shape[0]
     # an F-ordered view: a contiguous copy would make numpy call another gemv,
@@ -379,44 +382,36 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray, tol: float,
     v = np.empty(d)
     dot, vdot, divide = adjoint.dot, v.dot, np.divide
     rows[0] = 1.0 / float(weights.sum())
-    m = prev = rows[0]
-    converged = False
-    delta = np.inf
+    m = rows[0]
     stagnant_blocks = 0
     block_start_delta = np.inf
-    done = 0
-    while done < max_iter:
+    for _ in range(_POWER_BLOCKS):
         rows[0] = m
-        n = min(_POWER_BLOCK, max_iter - done)
         # gemv, ddot and a divide per step, rounding exactly as `normalize`
-        for k in range(n):
+        for k in range(_POWER_BLOCK):
             dot(views[k], out=v)
             divide(v, vdot(weights), out=views[k + 1])
-        deltas = np.abs(rows[1:n + 1] - rows[:n]).max(axis=1)
-        hits = np.flatnonzero(deltas < tol)
-        k = int(hits[0]) if hits.size else n - 1
+        deltas = np.abs(rows[1:] - rows[:-1]).max(axis=1)
+        hits = np.flatnonzero(deltas < _POWER_TOL)
+        k = int(hits[0]) if hits.size else _POWER_BLOCK - 1
         m, prev, delta = rows[k + 1], rows[k], float(deltas[k])
         if hits.size:
-            converged = True
             break
-        done += n
         # stagnation probe: a delta that barely shrinks across whole blocks
         # means oscillation, not slow mixing
-        if done % _POWER_BLOCK == 0:
-            if delta > 0.99 * block_start_delta:
-                stagnant_blocks += 1
-            else:
-                stagnant_blocks = 0
-            if stagnant_blocks >= 3:
-                break
-            block_start_delta = delta
+        stagnant_blocks = stagnant_blocks + 1 if delta > 0.99 * block_start_delta else 0
+        if stagnant_blocks >= 3:
+            break
+        block_start_delta = delta
+    else:
+        raise NumericalError(f"slow mixing: the power iteration did not converge "
+                             f"in {_POWER_BLOCKS * _POWER_BLOCK} steps")
 
-    if not converged:
+    if not hits.size:  # the probe ended the loop: average a period-two oscillation
         averaged = normalize(0.5 * (m + prev))
-        if residual(averaged) <= 1e-10:
-            m = averaged
-        else:
+        if residual(averaged) > 1e-10:
             raise NumericalError("no unique invariant density found")
+        m = averaged
     else:
         # polish: keep iterating while the step keeps improving
         for _ in range(500):
@@ -434,21 +429,17 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray, tol: float,
     return Density(normalize(m))
 
 
-def primitivity_check(kernel: TransitionKernel, r_max: Optional[int] = None) -> Optional[int]:
+def primitivity_check(kernel: TransitionKernel) -> Optional[int]:
     """Smallest power whose multi-step density is strictly positive everywhere.
 
     Positivity of the r-step density depends only on the zero pattern of the
     matrix, so the search runs on the boolean adjacency. Returns None when no
-    power up to `r_max` (default ``2 d**2``) mixes every pair of states.
+    power up to ``2 d**2`` mixes every pair of states.
     """
     d = kernel.dim
-    if r_max is None:
-        r_max = 2 * d * d
-    if r_max < 1:
-        raise InvalidModelError(f"r_max must be at least 1, got {r_max}")
     base = (kernel.matrix > 0.0).astype(np.int64)
     reach = base.copy()
-    for r in range(1, r_max + 1):
+    for r in range(1, 2 * d * d + 1):
         if np.all(reach > 0):
             return r
         reach = np.minimum(reach @ base, 1)

@@ -18,9 +18,9 @@ def loop_calls(monkeypatch, cold_invariant_memo):
     calls = []
     loop = model._power_iteration
 
-    def counted(matrix, weights, tol, max_iter):
+    def counted(matrix, weights):
         calls.append(matrix)
-        return loop(matrix, weights, tol, max_iter)
+        return loop(matrix, weights)
 
     monkeypatch.setattr(model, "_power_iteration", counted)
     return calls

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 from itertools import zip_longest
@@ -19,7 +20,7 @@ from filterstab import (
     sample_trajectory,
 )
 from filterstab import model as model_module
-from filterstab.cli import load_model, main, parse_config
+from filterstab.cli import build_parser, load_model, main, parse_config
 from filterstab.ergodicity import _running_averages
 from filterstab.errors import InvalidModelError
 from helpers import random_kernel_matrix
@@ -216,6 +217,22 @@ class TestValidateCommand:
         path = tmp_path / "periodic.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", "--model", str(path)]) == 2
+
+    def test_slow_mixing_exit_code(self, tmp_path, capsys):
+        # the power iteration runs out of steps at eps = 5e-6 (about 2 s)
+        eps = 5e-6
+        doc = copy_of(SLOWMIX)
+        doc["transition"] = [[1.0 - eps, eps], [2.0 * eps, 1.0 - 2.0 * eps]]
+        out = tmp_path / "report.json"
+        assert main(["validate", "--model", str(write_model(tmp_path, doc)),
+                     "--output", str(out)]) == 2
+        assert "slow mixing" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_and_scenario_are_exclusive(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert main(["validate", "--scenario", "mixing2", "--model", str(missing)]) == 1
+        assert "not allowed with" in capsys.readouterr().err
 
 
 class TestStabilityCommand:
@@ -656,3 +673,60 @@ def test_lln_table_is_the_running_average(tmp_path):
                                 model.space)
     column = [float(line.split(",")[2]) for line in out.read_text().splitlines()[1:]]
     np.testing.assert_array_equal(column, running.ravel())
+
+
+# a short run of each subcommand, less its model source and output
+SHORT_RUNS = {
+    "validate": [],
+    "simulate": ["--horizon", "5"],
+    "stability": ["--horizon", "20"],
+    "ergodicity": ["--horizon", "5"],
+    "backward": ["--horizon", "5"],
+    "kaijser": ["--horizon", "20"],
+    "lln": ["--horizon", "5"],
+}
+
+
+class ReadRecorder:
+    """A stand-in for parsed arguments that notes each one the handler reads."""
+
+    def __init__(self, namespace):
+        self.namespace, self.read = namespace, set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.namespace, name)
+
+
+def registered_flags(command) -> dict:
+    """The options of one subcommand, less `--help`, as {dest: flag}."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a.option_strings[0] for a in sub.choices[command]._actions
+            if not isinstance(a, argparse._HelpAction)}
+
+
+class TestEachCommandTakesTheFlagsItReads:
+    @pytest.mark.parametrize("command", SHORT_RUNS)
+    def test_every_registered_flag_is_read(self, command, tmp_path):
+        source = [] if command == "kaijser" else ["--model", str(FIXTURE)]
+        args = build_parser().parse_args(
+            [command, *source, *SHORT_RUNS[command], "--output", str(tmp_path / "out")])
+        recorder = ReadRecorder(args)
+        args.handler(recorder)
+        assert recorder.read == set(registered_flags(command))
+
+    def test_option_slot_count(self):
+        assert sum(len(registered_flags(command)) for command in SHORT_RUNS) == 52
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--scenario", "mixing2", "--horizon", "5"],
+        ["validate", "--scenario", "mixing2", "--seed", "3"],
+        ["validate", "--scenario", "mixing2", "--format", "csv"],
+        ["ergodicity", "--scenario", "mixing2", "--seed", "3"],
+        ["kaijser", "--horizon", "20", "--format", "json"],
+    ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+    def test_unread_flag_is_refused(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main([*argv, "--output", str(out)]) == 1
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -155,9 +157,11 @@ class TestInvariantDensity:
         np.testing.assert_allclose(m.values, 1.0 / 3.0, atol=1e-12)
 
 
-def reference_invariant_density(kernel, space, *, tol=1e-13, max_iter=10**6):
+def reference_invariant_density(kernel, space, *, max_iter=10**6):
     """The step-by-step power iteration that `invariant_density` blocks,
-    kept as the reference its iterates, stopping step and bytes must match."""
+    kept as the reference its iterates, stopping step and bytes must match.
+    `max_iter` is the step budget, `_POWER_BLOCKS` blocks of 1000 in the
+    library; the stopping tolerance is its 1e-13."""
     d = space.num_states
     adjoint = (kernel.matrix * space.weights[:, None]).T
 
@@ -169,7 +173,7 @@ def reference_invariant_density(kernel, space, *, tol=1e-13, max_iter=10**6):
 
     m = np.full(d, 1.0 / float(space.weights.sum()))
     prev = m
-    converged = False
+    converged = stagnated = False
     delta = np.inf
     stagnant_blocks = 0
     block_start_delta = np.inf
@@ -178,7 +182,7 @@ def reference_invariant_density(kernel, space, *, tol=1e-13, max_iter=10**6):
         delta = float(np.max(np.abs(m_next - m)))
         prev = m
         m = m_next
-        if delta < tol:
+        if delta < 1e-13:
             converged = True
             break
         if (it + 1) % 1000 == 0:
@@ -187,10 +191,14 @@ def reference_invariant_density(kernel, space, *, tol=1e-13, max_iter=10**6):
             else:
                 stagnant_blocks = 0
             if stagnant_blocks >= 3:
+                stagnated = True
                 break
             block_start_delta = delta
 
-    if not converged:
+    if not (converged or stagnated):
+        raise NumericalError(f"slow mixing: the power iteration did not converge "
+                             f"in {max_iter} steps")
+    if stagnated:
         averaged = normalize(0.5 * (m + prev))
         if residual(averaged) <= 1e-10:
             m = averaged
@@ -232,9 +240,6 @@ def random_weighted_kernel(seed):
     return as_kernel(raw / (raw @ weights)[:, None], space), space
 
 
-INVARIANT_ARGUMENTS = [{}, {"max_iter": 999}, {"max_iter": 1000}, {"max_iter": 1500}, {"tol": 1e-9}]
-
-
 def outcome(function, kernel, space, **kwargs):
     """The result bytes, or the error type and text."""
     try:
@@ -250,16 +255,12 @@ class TestInvariantDensityMatchesStepwiseLoop:
         kernel, space = slowmix_kernel(eps)
         assert (invariant_density(kernel, space).values.tobytes()
                 == reference_invariant_density(kernel, space).values.tobytes())
-        for kwargs in INVARIANT_ARGUMENTS[1:]:
-            assert (outcome(invariant_density, kernel, space, **kwargs)
-                    == outcome(reference_invariant_density, kernel, space, **kwargs)), kwargs
 
     @pytest.mark.parametrize("seed", range(120))
     def test_random_kernels(self, seed):
         kernel, space = random_weighted_kernel(seed)
-        for kwargs in INVARIANT_ARGUMENTS:
-            assert (outcome(invariant_density, kernel, space, **kwargs)
-                    == outcome(reference_invariant_density, kernel, space, **kwargs)), kwargs
+        assert (outcome(invariant_density, kernel, space)
+                == outcome(reference_invariant_density, kernel, space))
 
     def test_period_three_error(self):
         space = unit_space(4)
@@ -268,18 +269,57 @@ class TestInvariantDensityMatchesStepwiseLoop:
         assert expected == ("NumericalError", "no unique invariant density found")
         assert outcome(invariant_density, kernel, space) == expected
 
-    @pytest.mark.parametrize("max_iter", [999, 1500])
-    def test_too_few_iterations_error(self, max_iter):
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_exhausted_step_budget_error(self, monkeypatch, blocks):
+        # the budget rule on a budget small enough for the stepwise loop
+        monkeypatch.setattr(model_module, "_POWER_BLOCKS", blocks)
         kernel, space = slowmix_kernel(1e-3)
-        expected = outcome(reference_invariant_density, kernel, space, max_iter=max_iter)
-        assert expected == ("NumericalError", "no unique invariant density found")
-        assert outcome(invariant_density, kernel, space, max_iter=max_iter) == expected
+        expected = outcome(reference_invariant_density, kernel, space, max_iter=1000 * blocks)
+        assert expected == ("NumericalError", "slow mixing: the power iteration did not "
+                                              f"converge in {1000 * blocks} steps")
+        assert outcome(invariant_density, kernel, space) == expected
 
     def test_weighted_flip_chain_average(self):
         space = StateSpace(2, [1.0, 2.0])
         kernel = as_kernel([[0.0, 0.5], [1.0, 0.0]], space)
         assert (invariant_density(kernel, space).values.tobytes()
                 == reference_invariant_density(kernel, space).values.tobytes())
+
+
+def exact_two_state_law(kernel):
+    """The stationary law, from `fractions`, of the two-state chain whose
+    switching probabilities are the kernel's float off-diagonal entries."""
+    up, down = Fraction(kernel.matrix[0, 1]), Fraction(kernel.matrix[1, 0])
+    return np.array([float(down / (up + down)), float(up / (up + down))])
+
+
+@pytest.mark.usefixtures("cold_invariant_memo")
+class TestSlowMixingRegimes:
+    """The kernel ``[[1-e, e], [2e, 1-2e]]`` mixes at rate ``3e``; each test
+    takes the full 10**6-step budget or close to it (about 2 s)."""
+
+    @pytest.mark.parametrize("eps", [4e-6, 5e-6])
+    def test_exhausted_budget_raises_slow_mixing(self, eps):
+        # averaging the last two iterates here was off by 1.0e-6 and 5.1e-8
+        kernel, space = slowmix_kernel(eps)
+        with pytest.raises(NumericalError, match="slow mixing"):
+            invariant_density(kernel, space)
+
+    def test_convergence_near_the_budget_keeps_its_bits(self):
+        # the loop stops at step 956 483 of 10**6
+        kernel, space = slowmix_kernel(6e-6)
+        m = invariant_density(kernel, space)
+        assert [x.hex() for x in m.values] == ["0x1.555555259fee3p-1", "0x1.555555b4c023bp-2"]
+        np.testing.assert_allclose(m.values, exact_two_state_law(kernel), rtol=0, atol=6e-9)
+
+    @pytest.mark.xfail(strict=True, raises=NumericalError,
+                       reason="the stagnation probe reads a delta that shrinks by "
+                              "lambda_2**1000 > 0.99 per block as oscillation (ROADMAP item 2)")
+    @pytest.mark.parametrize("eps", [1e-6, 3.3e-6])
+    def test_slower_chain_is_read_as_oscillating(self, eps):
+        kernel, space = slowmix_kernel(eps)
+        m = invariant_density(kernel, space)
+        np.testing.assert_allclose(m.values, exact_two_state_law(kernel), rtol=0, atol=1e-12)
 
 
 class TestInvariantDensityMemo:
@@ -291,14 +331,6 @@ class TestInvariantDensityMemo:
         assert len(loop_calls) == 1
         assert a.values.tobytes() == b.values.tobytes()
 
-    def test_tol_and_max_iter_are_part_of_the_key(self, loop_calls):
-        kernel, space = slowmix_kernel(1e-2)
-        arguments = [{}, {"tol": 1e-12}, {"max_iter": 10**5}]
-        first = [invariant_density(kernel, space, **kwargs) for kwargs in arguments]
-        again = [invariant_density(kernel, space, **kwargs) for kwargs in arguments]
-        assert len(loop_calls) == 3
-        assert all(a is b for a, b in zip(first, again))
-
     def test_memory_layout_is_part_of_the_key(self, loop_calls):
         kernel, space = random_weighted_kernel(7)
         fortran = TransitionKernel(np.asfortranarray(kernel.matrix))
@@ -308,7 +340,7 @@ class TestInvariantDensityMemo:
         cached = invariant_density(fortran, space)
         assert len(loop_calls) == 2
         assert loop_calls[1].flags.fnc
-        uncached = model_module._power_iteration(fortran.matrix, space.weights, 1e-13, 10**6)
+        uncached = model_module._power_iteration(fortran.matrix, space.weights)
         assert cached.values.tobytes() == uncached.values.tobytes()
 
     def test_errors_are_raised_again_and_never_stored(self, loop_calls):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -113,7 +112,7 @@ def filter_step_with_likelihood(
     return Density(unnormalized / normalizer), normalizer
 
 
-# entries of backward densities held at once before they are reduced
+# entries of backward densities held at once: `_engine` runs each stage on a chunk of steps
 _CHUNK_ENTRIES = 2**13
 
 
@@ -131,21 +130,26 @@ class _EngineRun(NamedTuple):
 def _engine(model: FiniteModel, start: np.ndarray, observations=None,
             backward: Optional[tuple] = None) -> _EngineRun:
     """The one time loop: the filter from ``P`` priors on ``R`` records and
-    ρ along one of those priors, advanced together.
+    ρ along one of those priors, a chunk of ``_CHUNK_ENTRIES // (R d d)``
+    steps at a time.
 
     ``start`` holds the ``(P, d)`` priors, or, without observations, the
     ``(N+1, d)`` density history of one run, read instead of filtered.
     ``backward = (p, theta0, ratio)`` advances ρ from the strictly positive
     ``theta0`` along prior ``p``, dividing by that prior's prediction, and
-    reduces it to oscillations and the likelihood ratios of ``ratio``. Each
-    stage of a step is one stacked product of row vectors over time-major
-    buffers, one gemv or dot per row, so every row rounds as it does alone.
-    A lone row, and ρ of a lone record, take ``ndarray.dot`` instead, which
-    makes the same BLAS call at less cost.
+    reduces it to oscillations and the likelihood ratios of ``ratio``.
+    Each chunk runs in two stages. The filter fills the chunk's weighted and
+    predicted rows, normalizers and densities (a given history's rows are
+    weighted and predicted by one time-stacked product); then ρ is carried
+    across the chunk from those buffers and reduced. Each product is one gemv
+    or dot per row, so every row rounds as it does alone; a lone row, and ρ
+    of a lone record, take ``ndarray.dot``, the same BLAS call at less cost.
+    Elementwise steps run on same-shape operands tiled once per chunk.
     A Gaussian step whose normalizer underflows or overflows is redone for
     that row in the log domain; with no rescue the filter fails there and
-    holds its density. A ρ run whose predicted mass hits zero carries on
-    from ``theta0 * w``. ρ is reduced every ``_CHUNK_ENTRIES`` held entries.
+    holds its density. The filter resumes after that step in runs of 1, 2,
+    4, ... steps. A ρ run whose predicted mass hits zero carries on from
+    ``theta0 * w``.
     """
     matrix, weights = model.kernel.matrix, model.space.weights
     d = model.space.num_states
@@ -156,25 +160,30 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
     # a lone row or record is 1-D: numpy rounds it the same way, at less cost per call
     row = (n_rows, 1, d) if n_rows > 1 else (d,)
     run_row = (n_records, 1, d) if n_records > 1 else (d,)  # the rows of one prior
-    weighted, predicted, unnormalized = np.empty((3,) + row)
-    weights_column = weights[:, None]
-    # one row, or ρ of one record, goes through `ndarray.dot`: the same BLAS call
-    row_product = np.ndarray.dot if n_rows == 1 else np.matmul
-    rho_product = np.ndarray.dot if n_records == 1 else np.matmul
+    held = max(1, min(_CHUNK_ENTRIES // (n_records * d * d), n_obs))  # steps per chunk
+    weighted, predicted = np.empty((2, held) + row)
+    multiply, divide, matmul = np.multiply, np.divide, np.matmul
     if filtering:
         liks = likelihood_rows(model.observation, np.ravel(observations))
         liks = np.ascontiguousarray(liks.reshape(n_records, n_obs, d).swapaxes(0, 1))
-        liks = liks.reshape((n_obs,) + run_row)
         densities = np.empty((n_obs + 1,) + row)
         densities[0] = np.repeat(start, n_records, axis=0).reshape(row)
         normalizers = np.empty((n_obs,) + row[:-1] + (1,))
-        # each record's likelihoods multiply the rows of every prior
-        by_prior = (n_priors,) + run_row if n_priors > 1 else row
-        lik_operands = predicted.reshape(by_prior), unnormalized.reshape(by_prior)
+        # a chunk's densities and normalizers, copied out at its end
+        pis, zs = np.empty((held + 1,) + row), np.empty((held,) + row[:-1] + (1,))
+        row_pis, row_zs = pis.reshape(held + 1, n_rows, d), zs.reshape(held, n_rows)
+        tiled_liks = np.empty((held,) + row)  # each record's likelihoods, for every prior
+        tiled_weights = np.tile(weights, n_rows).reshape(row)
+        unnormalized, weights_column = np.empty(row), weights[:, None]
+        # one row goes through `ndarray.dot`: the same BLAS call
+        row_product = np.ndarray.dot if n_rows == 1 else matmul
+        # each buffer's per-step views, made once; step k writes the density step k + 1 reads
+        pi_views = list(pis)
+        steps = pi_views, list(weighted), list(predicted), list(tiled_liks), list(zs), pi_views[1:]
         failed_at = np.zeros(n_rows, dtype=np.int64)  # first failing step, or 0
         rescued_logs = {}
     else:
-        densities, liks, normalizers = start, repeat(None), repeat(None)
+        densities = start
     follow, theta0, ratio = backward or (0, None, None)
     history = densities.reshape((n_obs + 1, n_priors) + run_row)[:, follow]  # ρ's prior
     rho = None
@@ -183,9 +192,9 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
         ratios[0] = float((ratio * theta0) @ weights)
         oscillations = np.zeros((n_obs, n_records, d))
         backward_errors = [None] * n_records
-        held = max(1, _CHUNK_ENTRIES // (n_records * d * d))
         square = run_row[:-2] + (d, d)
-        rhos = np.empty((min(held, n_obs),) + square)
+        # a chunk of ρ, and its prior's weighted and predicted rows tiled over ρ's rows
+        rhos, rho_weighted, rho_predicted = np.empty((3, held) + square)
         try:
             if n_obs:
                 rhos[0] = _rho_init(theta0, matrix, weights)
@@ -195,67 +204,82 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
         scaled, numerator = np.empty((2,) + square)
         column_sums = np.empty(run_row)
         weights_row = weights[None, :] if n_records > 1 else weights
-        follow_weighted = weighted.reshape((n_priors,) + run_row)[follow]
-        follow_predicted = predicted.reshape((n_priors,) + run_row)[follow]
+        rho_product = np.ndarray.dot if n_records == 1 else matmul
+        rho_steps = list(rho_weighted), list(rho_predicted), list(rhos)
         invalid, dead = np.zeros((2, n_records), dtype=bool)  # dead: carrying on from theta0 * w
-        dead_rows = dead.reshape((n_records,) + (1,) * (len(run_row) - 1))
-        any_dead = False
         theta0_weighted = theta0 * weights
         theta0_predicted = theta0_weighted @ matrix
         ratio_weighted = (ratio * weights)[None, :]
-        j = 1  # steps held in `rhos`
-    for n, (pi, pi_next, lik, z) in enumerate(zip(densities[:-1], densities[1:], liks, normalizers)):
-        np.multiply(pi, weights, weighted)
-        row_product(weighted, matrix, predicted)
+    for first in range(0, n_obs, held):
+        m, after = min(held, n_obs - first), first + 1
         if filtering:
-            np.multiply(lik, *lik_operands)
-            if n_rows == 1:  # the dot a stacked row takes, at less cost
-                z[0] = unnormalized.dot(weights)
-            else:
-                np.matmul(unnormalized, weights_column, z)
-            zs = z.ravel().tolist()
-            # the normalizers are nonnegative: their sum is NaN or infinite when one is
-            if not (min(zs) > UNDERFLOW_FLOOR and sum(zs) < math.inf):
-                flat_z, flat_un, flat_pi = z.reshape(-1), unnormalized.reshape(-1, d), pi.reshape(-1, d)
-                for i in [i for i, v in enumerate(zs) if not UNDERFLOW_FLOOR < v < math.inf]:
+            pis[0] = densities[first]
+            tiled_liks[:m].reshape(m, n_priors, -1)[:] = liks[first:first + m].reshape(m, 1, -1)
+            done, size = 0, m
+            while done < m:
+                stop = min(done + size, m)
+                with np.errstate(all="ignore"):  # a bad normalizer is mended below
+                    for pi, w, p, lik, z, pi_next in zip(*(views[done:stop] for views in steps)):
+                        multiply(pi, tiled_weights, w)
+                        row_product(w, matrix, p)
+                        multiply(lik, p, unnormalized)
+                        matmul(unnormalized, weights_column, z)
+                        divide(unnormalized, z, pi_next)
+                z = row_zs[done:stop]
+                bad = ~((z > UNDERFLOW_FLOOR) & (z < math.inf))
+                if not bad.any():
+                    done, size = stop, 2 * size
+                    continue
+                k = done + int(bad.any(axis=1).argmax())  # the first failing step
+                n = first + k
+                for i in np.flatnonzero(bad[k - done]).tolist():
                     p, r = divmod(i, n_records)
                     rescued = (model.observation.kind == "gaussian" and not failed_at[i]
-                               and _log_domain_update(flat_pi[i], observations[r][n], model))
+                               and _log_domain_update(row_pis[k, i], observations[r][n], model))
                     if not rescued:
                         failed_at[i] = failed_at[i] or n + 1
-                        flat_un[i] = flat_pi[i]
+                        row_pis[k + 1, i] = row_pis[k, i]
                     else:
-                        flat_un[i], rescued_logs[r, p, n] = rescued
-                    flat_z[i] = zs[i] = 1.0
-            np.divide(unnormalized, zs[0] if n_rows == 1 else z, pi_next)
+                        row_pis[k + 1, i], rescued_logs[r, p, n] = rescued
+                    row_zs[k, i] = 1.0
+                done, size = k + 1, 1
+            densities[after:after + m] = pis[1:m + 1]
+            normalizers[first:first + m] = zs[:m]
+        else:  # a given history: one time-stacked product of its rows
+            multiply(densities[first:first + m], weights, weighted[:m])
+            matmul(weighted[:m, None], matrix, predicted[:m, None])
         if rho is None:
             continue
-        if n:
-            step_weighted, step_predicted = follow_weighted, follow_predicted
-            if any_dead or not min(step_predicted.ravel().tolist()) > 0.0:
-                dead |= step_predicted.reshape(n_records, d).min(axis=1) <= 0.0
-                for r in np.flatnonzero(dead):
-                    backward_errors[r] = (backward_errors[r]
-                                          or NumericalError("state has zero predicted mass"))
-                any_dead = dead.any()
-                step_weighted = np.where(dead_rows, theta0_weighted, step_weighted)
-                step_predicted = np.where(dead_rows, theta0_predicted, step_predicted)
-            np.multiply(rho, step_weighted, scaled)
+        # ρ's step n divides by its prior's prediction of filter step n
+        by_run = (m, n_priors, n_records, 1, d)
+        step_weighted = rho_weighted[:m].reshape(m, n_records, d, d)
+        step_predicted = rho_predicted[:m].reshape(m, n_records, d, d)
+        step_weighted[:] = weighted[:m].reshape(by_run)[:, follow]
+        step_predicted[:] = predicted[:m].reshape(by_run)[:, follow]
+        dying = step_predicted[:, :, 0].min(axis=-1) <= 0.0
+        if not first:  # step 0 is `_rho_init`, from theta0
+            dying[0] = False
+        dying[0] |= dead
+        np.logical_or.accumulate(dying, axis=0, out=dying)
+        if dying[-1].any():
+            np.copyto(step_weighted, theta0_weighted, where=dying[..., None, None])
+            np.copyto(step_predicted, theta0_predicted, where=dying[..., None, None])
+            for r in np.flatnonzero(dying[-1] & ~dead):
+                backward_errors[r] = NumericalError("state has zero predicted mass")
+            dead = dying[-1]
+        for w, p, rho_next in zip(*(views[0 if first else 1:m] for views in rho_steps)):
+            multiply(rho, w, scaled)
             rho_product(scaled, matrix, numerator)
-            np.divide(numerator, step_predicted, numerator)
+            divide(numerator, p, numerator)
             rho_product(weights_row, numerator, column_sums)
-            rho = np.divide(numerator, column_sums, rhos[j - 1])
-        if j == held or n + 1 == n_obs:
-            # the chunk's column extrema, and its likelihood ratios as one dot per step
-            first = n + 1 - j
-            chunk = rhos[:j].reshape(j, n_records, d, d)
-            upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
-            invalid |= ~np.isfinite(upper).all(axis=(0, 2)) | (lower < 0.0).any(axis=(0, 2))
-            np.subtract(upper, lower, out=oscillations[first:n + 1])
-            later = history[first + 1:n + 2].reshape(j, n_records, 1, d) * weights
-            ratios[first + 1:n + 2] = ((ratio_weighted @ chunk) @ later.swapaxes(-1, -2))[..., 0, 0]
-            j = 0
-        j += 1
+            rho = divide(numerator, column_sums, rho_next)
+        # the chunk's column extrema, and its likelihood ratios as one dot per step
+        chunk = rhos[:m].reshape(m, n_records, d, d)
+        upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
+        invalid |= ~np.isfinite(upper).all(axis=(0, 2)) | (lower < 0.0).any(axis=(0, 2))
+        np.subtract(upper, lower, out=oscillations[first:first + m])
+        later = history[after:after + m].reshape(m, n_records, 1, d) * weights
+        ratios[after:after + m] = ((ratio_weighted @ chunk) @ later.swapaxes(-1, -2))[..., 0, 0]
     run = {}
     if backward is not None:
         ratios = ratios.T

@@ -99,7 +99,8 @@ def as_density(values, space: StateSpace, tol: float = DENSITY_TOL) -> Density:
         )
     if not np.all(np.isfinite(v)) or np.any(v < 0.0):
         raise InvalidModelError("density values must be finite and nonnegative")
-    mass = float(v @ space.weights)
+    with np.errstate(over="ignore"):  # an overflowing mass is reported as inf
+        mass = float(v @ space.weights)
     if abs(mass - 1.0) > tol:
         raise InvalidModelError(f"density mass {mass!r} deviates from 1 beyond {tol}")
     return Density(v / mass)

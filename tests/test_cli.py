@@ -1,6 +1,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from itertools import zip_longest
 from pathlib import Path
 
@@ -26,7 +29,8 @@ from filterstab.errors import InvalidModelError
 from helpers import random_kernel_matrix
 from test_cli_bytes import GAUSSIAN3
 
-FIXTURE = Path(__file__).resolve().parent.parent / "fixtures" / "kaijser.json"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "fixtures" / "kaijser.json"
 
 
 def fixture_document():
@@ -170,6 +174,16 @@ class TestOneIngestionPath:
         path = write_model(tmp_path, REPRO)
         assert main(["validate", "--model", str(path), "--beta", "0.5,0.5,0.0"]) == 1
         assert "beta not bounded below" in capsys.readouterr().err
+
+    def test_overflowing_prior_mass_fails_with_only_its_message(self):
+        # `-W error` would turn a warning on the way (an overflowing mass) into a traceback
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "filterstab.cli", "validate",
+             "--scenario", "mixing2", "--nu", "1e308,1e308"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+        assert result.returncode == 1
+        assert result.stderr == ("error: invalid model document: 'nu': density mass inf "
+                                 "deviates from 1 beyond 1e-09\n")
 
 
 class TestValidateCommand:

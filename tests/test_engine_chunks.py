@@ -1,12 +1,16 @@
-"""The engine across the chunk boundaries of the backward density.
+"""The engine across its chunk boundaries.
 
-ρ is held for ``held = _CHUNK_ENTRIES // (R * d * d)`` steps, reduced, and
-carried into the next chunk. With `_CHUNK_ENTRIES` patched so that a chunk
-holds 1, 2 or 3 steps, each boundary case meets the reference loops of
+`_engine` runs ``held = _CHUNK_ENTRIES // (R * d * d)`` steps at a time: the
+filter fills the chunk, then ρ is carried across it, reduced, and carried
+into the next chunk. With `_CHUNK_ENTRIES` patched so that a chunk holds 1,
+2 or 3 steps, each boundary case meets the reference loops of
 `reference.py`, which have no chunks at all. One record (R = 1) takes the
 ``ndarray.dot`` products and meets the same reference, with unit and with
-other state weights.
+other state weights. A record that fails at every step, or at every other
+one, costs time linear in its length.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -81,7 +85,7 @@ RETURN_MODEL = build_model({
 
 
 def hold(monkeypatch, steps, n_records, d):
-    """Make a chunk of ρ hold `steps` steps of `n_records` runs."""
+    """Make a chunk hold `steps` whole steps, filter and ρ, of `n_records` runs."""
     monkeypatch.setattr(filterstab.filtering, "_CHUNK_ENTRIES", steps * n_records * d * d)
 
 
@@ -178,6 +182,28 @@ def test_zero_predicted_mass_on_a_chunk_boundary(monkeypatch, held, where):
     assert np.isfinite(run.oscillations[1]).all()
 
 
+@pytest.mark.parametrize("every", [1, 2])
+def test_failing_steps_cost_linear_time(every):
+    # after a failing step the filter resumes in runs of 1, 2, 4, ... steps; a
+    # restart straight to the chunk end made this record quadratic in time
+    model, prior = OUTLIER_MODEL, OUTLIER_MODEL.true_prior
+    record = np.random.default_rng(5).normal(0.5, 0.5, 20_000)
+    record[::every] = np.nan
+    started = time.perf_counter()
+    run = _engine(model, prior.values[None], [record])
+    assert time.perf_counter() - started < 5.0
+    assert str(run.errors[0]).endswith("(at step 1)")
+    with pytest.raises(NumericalError, match=r"\(at step 1\)$"):
+        run_filter(prior, record, model)
+    # a NaN step holds the density, with log normalizer 0; the others filter
+    kept = ~np.isnan(record)
+    densities, log_norms = reference_filter(model, prior.values, record[kept])
+    np.testing.assert_array_equal(run.densities[0, 0],
+                                  densities[np.concatenate([[0], np.cumsum(kept)])])
+    np.testing.assert_array_equal(run.log_norms[0, 0, kept], log_norms)
+    assert (run.log_norms[0, 0, ~kept] == 0.0).all()
+
+
 @pytest.mark.parametrize("held", HELD)
 @pytest.mark.parametrize("name", sorted(PSI_MODELS))
 def test_one_record_equals_the_reference(monkeypatch, name, held):
@@ -205,7 +231,10 @@ def test_one_record_equals_the_reference(monkeypatch, name, held):
 def test_dot_rounds_as_matmul(d):
     """`ndarray.dot` makes the BLAS call `np.matmul` makes on the shapes the
     engine gives it: a row times a matrix, a matrix times a matrix, and a
-    weight row times a matrix."""
+    weight row times a matrix. A time-stacked ``(m, 1, d) @ (d, d)`` rounds
+    each row as `ndarray.dot` does, and so does a lone row's normalizer
+    ``(d,) @ (d, 1)``. Elementwise calls on operands tiled to one shape
+    equal the broadcasting calls they replace."""
     rng = np.random.default_rng(d)
     for _ in range(200):
         x, w = rng.random(d), rng.random(d) * 2.0
@@ -217,3 +246,16 @@ def test_dot_rounds_as_matmul(d):
         out = np.empty(d)
         np.ndarray.dot(x, m, out)
         assert np.array_equal(out, np.matmul(x, m))
+        assert np.matmul(x, w[:, None])[0] == x.dot(w)
+        history = rng.random((50, d)) * rng.random((50, 1))
+        stacked = np.matmul(history[:, None], m)[:, 0]
+        assert all(np.array_equal(y, h.dot(m)) for y, h in zip(stacked, history))
+        # filter rows (3, 1, d) times the state weights and the likelihoods of
+        # one record; ρ of 2 records times its prior's rows, and divided by them
+        rows, lik, rho = rng.random((3, 1, d)), rng.random(d), rng.random((2, d, d))
+        prior_rows = rng.random((2, 1, d)) + 0.5
+        tiled = np.broadcast_to(prior_rows, rho.shape).copy()
+        assert np.array_equal(np.multiply(rows, np.tile(w, 3).reshape(rows.shape)), rows * w)
+        assert np.array_equal(np.multiply(np.tile(lik, 3).reshape(rows.shape), rows), lik * rows)
+        assert np.array_equal(np.multiply(rho, tiled), rho * prior_rows)
+        assert np.array_equal(np.divide(rho, tiled), rho / prior_rows)

@@ -6,10 +6,16 @@ unit or other state weights, run
 through one engine pass (both priors and ρ along the wrong one, as
 `run_scenario` runs them) on 1 or 3 records of up to 40 observations. Every
 array must equal `reference.py`'s plain loops bit for bit, and every error
-the engine records must be the one the reference raises. The sampler, on
+the engine records must be the one the reference raises. Gaussian records
+with NaNs, infinities and outliers, under chunks of 1 to 4 steps or the
+default, hold the rescued, held and resumed steps inside one chunk to the
+same loops. The sampler, on
 the same kind of models with horizons up to 300, must draw what the scalar
 generator draws step by step.
 """
+
+import re
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -25,6 +31,7 @@ from filterstab import (
     run_filter,
     sample_trajectories,
 )
+from filterstab import filtering
 from filterstab.backward import _envelope
 from filterstab.filtering import _engine
 from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
@@ -46,13 +53,13 @@ def rows(draw, n_rows, weights, zeros=True):
 
 
 @st.composite
-def models(draw):
+def models(draw, gaussian=st.booleans()):
     d = draw(st.integers(2, 6))
     # unit state weights, or a reference measure with other weights
     psi = np.ones(d)
     if draw(st.booleans()):
         psi = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d)))
-    if draw(st.booleans()):
+    if draw(gaussian):
         means = draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
         observation = {"type": "gaussian", "means": means, "sigma": draw(st.floats(0.2, 2.0))}
     else:
@@ -82,10 +89,32 @@ def cases(draw):
     return model, records
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(cases())
-def test_engine_equals_reference(case):
-    model, records = case
+@st.composite
+def rescue_cases(draw):
+    """Gaussian records with bad observations at random steps and records,
+    some on consecutive steps, and the number of steps a chunk holds (1 to 4,
+    or None for the default). A bad observation is NaN, ±inf, or an outlier
+    25σ or 60σ beyond every mean; at 60σ the linear normalizer underflows
+    and the step is rescued in the log domain."""
+    model = draw(models(gaussian=st.just(True)))
+    n_records = draw(st.sampled_from([3, 1]))
+    seeds = [derive_seed(draw(st.integers(0, 2**16)), r) for r in range(n_records)]
+    _, records = sample_trajectories(model, model.true_prior, draw(st.integers(1, 30)), seeds)
+    records = records.copy()
+    means, sigma = model.observation.means, model.observation.sigma
+    bad = [np.nan, np.inf, -np.inf, *(means.max() + k * sigma for k in (25.0, 60.0)),
+           *(means.min() - k * sigma for k in (25.0, 60.0))]
+    for _ in range(draw(st.integers(1, 6))):
+        r, n = draw(st.integers(0, n_records - 1)), draw(st.integers(0, records.shape[1] - 1))
+        records[r, n:n + draw(st.integers(1, 3))] = draw(st.sampled_from(bad))
+    return model, records, draw(st.sampled_from([1, 2, 3, 4, None]))
+
+
+def assert_engine_equals_reference(model, records):
+    """One engine pass over both priors, with ρ along the wrong one, against
+    the reference loops: arrays bit for bit, and each error the one the
+    reference raises. A failed filter equals the reference up to its failing
+    step, where it holds its density."""
     d = model.space.num_states
     true, wrong = model.true_prior.values, model.wrong_prior.values
     # any Coefficients drive the envelope; a uniform law stands in for the invariant
@@ -99,6 +128,11 @@ def test_engine_equals_reference(case):
                 densities, log_norms = reference_filter(model, prior, record)
             except NumericalError as exc:
                 assert str(run.errors[2 * r + p]) == str(exc)
+                step = int(re.search(r"at step (\d+)", str(exc)).group(1))
+                densities, log_norms = reference_filter(model, prior, record[:step - 1])
+                np.testing.assert_array_equal(run.densities[r, p, :step], densities)
+                np.testing.assert_array_equal(run.log_norms[r, p, :step - 1], log_norms)
+                np.testing.assert_array_equal(run.densities[r, p, step], densities[-1])
                 continue
             assert run.errors[2 * r + p] is None
             np.testing.assert_array_equal(run.densities[r, p], densities)
@@ -121,6 +155,23 @@ def test_engine_equals_reference(case):
         finite = (np.isfinite(oscillations).all() and np.isfinite(ratios).all()
                   and (ratios >= 0.0).all())
         assert (run.backward_errors[r] is None) == finite
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(cases())
+def test_engine_equals_reference(case):
+    assert_engine_equals_reference(*case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(rescue_cases())
+def test_rescues_and_failures_inside_a_chunk_equal_reference(case):
+    model, records, steps = case
+    entries = filtering._CHUNK_ENTRIES
+    if steps is not None:
+        entries = steps * len(records) * model.space.num_states ** 2
+    with patch.object(filtering, "_CHUNK_ENTRIES", entries):
+        assert_engine_equals_reference(model, records)
 
 
 @st.composite

@@ -9,10 +9,11 @@ decay (or non-decay) this package measures.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,12 +33,23 @@ class FilterRun:
     ``pi_n``. ``log_normalizers[k]`` is the log of the Bayes normalizing
     constant of step ``k+1``; their sum is the log marginal likelihood of the
     record under this prior, which tests use as an independent route to
-    likelihood ratios.
+    likelihood ratios. It is computed on first read, cached and read-only, from
+    the linear ``normalizers`` (1.0 at a step redone in the log domain, whose
+    log is in ``rescued_logs`` by step index).
     """
 
     densities: np.ndarray
     observations: np.ndarray
-    log_normalizers: np.ndarray
+    normalizers: np.ndarray
+    rescued_logs: Mapping[int, float]
+
+    @functools.cached_property
+    def log_normalizers(self) -> np.ndarray:
+        # `math.log` per step: `np.log` can differ from it in the last bit
+        logs = np.fromiter(map(math.log, self.normalizers.tolist()), float)
+        logs[list(self.rescued_logs)] = list(self.rescued_logs.values())
+        logs.flags.writeable = False
+        return logs
 
 
 @dataclass(frozen=True)
@@ -120,11 +132,17 @@ class _EngineRun(NamedTuple):
     """What `_engine` returns; the parts a pass does not compute are None."""
 
     densities: Optional[np.ndarray] = None  # (R, P, N+1, d), read-only
-    log_norms: Optional[np.ndarray] = None  # (R, P, N)
+    normalizers: Optional[np.ndarray] = None  # (R, P, N), read-only, linear
+    rescued_logs: Optional[dict] = None  # {(r, p): {step: log normalizer}} of log-domain steps
     errors: Optional[list] = None  # per filter in (R, P) order: its error alone, or None
     oscillations: Optional[np.ndarray] = None  # (R, N, d)
     ratios: Optional[np.ndarray] = None  # (R, N+1)
     backward_errors: Optional[list] = None  # per run
+
+    def filter_run(self, r: int, p: int, observations) -> FilterRun:
+        """The `FilterRun` of prior ``p`` on record ``r``, `observations`."""
+        return FilterRun(self.densities[r, p], observations, self.normalizers[r, p],
+                         self.rescued_logs.get((r, p), {}))
 
 
 def _engine(model: FiniteModel, start: np.ndarray, observations=None,
@@ -149,7 +167,9 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
     that row in the log domain; with no rescue the filter fails there and
     holds its density. The filter resumes after that step in runs of 1, 2,
     4, ... steps. A ρ run whose predicted mass hits zero carries on from
-    ``theta0 * w``.
+    ``theta0 * w``. The normalizers are returned linear, 1.0 at held and
+    rescued steps, with the rescued steps' log-domain values beside them; no
+    logarithm is taken until a `FilterRun` is read.
     """
     matrix, weights = model.kernel.matrix, model.space.weights
     d = model.space.num_states
@@ -240,7 +260,7 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
                         failed_at[i] = failed_at[i] or n + 1
                         row_pis[k + 1, i] = row_pis[k, i]
                     else:
-                        row_pis[k + 1, i], rescued_logs[r, p, n] = rescued
+                        row_pis[k + 1, i], rescued_logs.setdefault((r, p), {})[n] = rescued
                     row_zs[k, i] = 1.0
                 done, size = k + 1, 1
             densities[after:after + m] = pis[1:m + 1]
@@ -305,11 +325,8 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
         for step, bad in zip(failed_at.reshape(n_priors, n_records).T.ravel().tolist(),
                              invalid.ravel().tolist())
     ]
-    log_norms = np.fromiter(map(math.log, normalizers.flat), float).reshape(normalizers.shape)
-    for index, value in rescued_logs.items():
-        log_norms[index] = value
-    densities.flags.writeable = False
-    return _EngineRun(densities, log_norms, errors, **run)
+    densities.flags.writeable = normalizers.flags.writeable = False
+    return _EngineRun(densities, normalizers, rescued_logs, errors, **run)
 
 
 def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -338,11 +355,7 @@ def run_filter(prior: Density, observations: Sequence, model: FiniteModel) -> Fi
     """
     run = _engine(model, prior.values[None], [observations])
     _raise_first(run.errors)
-    return FilterRun(
-        densities=run.densities[0, 0],
-        observations=np.asarray(observations),
-        log_normalizers=run.log_norms[0, 0],
-    )
+    return run.filter_run(0, 0, np.asarray(observations))
 
 
 def tv_norm(p: Density, q: Density, space: StateSpace) -> float:
@@ -367,17 +380,14 @@ def _check_priors(true_prior: Density, wrong_prior: Density) -> None:
         )
 
 
-def _pair_run(densities: np.ndarray, log_norms: np.ndarray, observations: np.ndarray,
+def _pair_run(run: _EngineRun, r: int, observations: np.ndarray,
               weights: np.ndarray) -> PairRun:
-    """The `PairRun` of one record's rows of an `_engine` pass over both priors."""
-    gaps = np.abs(densities[0] - densities[1])
+    """The `PairRun` of record ``r`` of an `_engine` pass over both priors."""
+    correct, wrong = run.filter_run(r, 0, observations), run.filter_run(r, 1, observations)
+    gaps = np.abs(correct.densities - wrong.densities)
     # one dot per row, the same product `tv_norm` takes on a single pair
     tv = (gaps[:, None, :] @ weights[:, None])[:, 0, 0]
-    return PairRun(
-        run_correct=FilterRun(densities[0], observations, log_norms[0]),
-        run_wrong=FilterRun(densities[1], observations, log_norms[1]),
-        tv=tv,
-    )
+    return PairRun(run_correct=correct, run_wrong=wrong, tv=tv)
 
 
 def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Sequence,
@@ -391,8 +401,7 @@ def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Seq
     _check_priors(true_prior, wrong_prior)
     run = _engine(model, np.stack([true_prior.values, wrong_prior.values]), [observations])
     _raise_first(run.errors)
-    return _pair_run(run.densities[0], run.log_norms[0], np.asarray(observations),
-                     model.space.weights)
+    return _pair_run(run, 0, np.asarray(observations), model.space.weights)
 
 
 def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstimate:

@@ -20,12 +20,13 @@ The scenario registry holds model documents, built like a model file by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .backward import _envelope
+from .backward import _envelope, _envelope_scale
 from .errors import InvalidModelError
 from .filtering import (
     DecayEstimate,
@@ -104,19 +105,28 @@ class KaijserReport:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Everything measured on one replicate of a scenario."""
+    """Everything measured on one replicate of a scenario of `model`; the
+    envelope ``oscillation_bounds`` is computed on first read, cached and read-only."""
 
     replicate: int
     seed: int
     trajectory: Trajectory
     pair: PairRun
     oscillations: np.ndarray
-    oscillation_bounds: Optional[np.ndarray]
     bounds_vacuous: bool
     likelihood_ratios: np.ndarray
     decay: DecayEstimate
     coeffs: Coefficients
+    model: FiniteModel
     kaijser: Optional[KaijserReport] = None
+
+    @functools.cached_property
+    def oscillation_bounds(self) -> Optional[np.ndarray]:
+        bounds = _envelope(self.model, self.model.wrong_prior, self.coeffs,
+                           self.pair.run_wrong.densities)
+        if bounds is not None:
+            bounds.flags.writeable = False
+        return bounds
 
 
 _UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
@@ -356,7 +366,7 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
     wrong = model.wrong_prior
     run = _engine(model, np.stack([model.true_prior.values, wrong.values]), observations,
                   backward=(1, wrong.values, prior_ratio))
-    bounds = _envelope(model, wrong, coeffs, run.densities[:, 1])
+    vacuous = _envelope_scale(wrong.values, coeffs) is None
     kaijser = _is_kaijser(model)
     records = []
     for replicate, seed in enumerate(seeds):
@@ -366,19 +376,18 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
                 raise error
         trajectory = Trajectory(states=states[replicate], observations=observations[replicate],
                                 seed=seed)
-        pair = _pair_run(run.densities[replicate], run.log_norms[replicate],
-                         trajectory.observations, model.space.weights)
+        pair = _pair_run(run, replicate, trajectory.observations, model.space.weights)
         records.append(RunRecord(
             replicate=replicate,
             seed=seed,
             trajectory=trajectory,
             pair=pair,
             oscillations=run.oscillations[replicate],
-            oscillation_bounds=None if bounds is None else bounds[replicate],
-            bounds_vacuous=bounds is None,
+            bounds_vacuous=vacuous,
             likelihood_ratios=run.ratios[replicate],
             decay=decay_rate(pair.tv, window_fraction),
             coeffs=coeffs,
+            model=model,
             kaijser=_verify_kaijser_on(model, trajectory.observations, pair) if kaijser else None,
         ))
     return records

@@ -340,9 +340,11 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     reads the ergodic chain as oscillating (ROADMAP item 2).
 
     The iteration runs in blocks of ``_POWER_BLOCK`` steps written into one
-    buffer; the stopping test and the stagnation probe are applied to each
-    block's successive differences afterwards, so the iterates, the stopping
-    step and the result are those of a step-by-step loop.
+    buffer, the first in runs of 1, 2, 4, ... steps, so a fast chain stops
+    within twice its stopping step. The stopping test is applied to each
+    run's successive differences afterwards and the stagnation probe to each
+    block's, so the iterates, the stopping step and the result are those of
+    a step-by-step loop.
 
     Results are memoized per process: a call whose kernel matrix bytes,
     shape and strides and state weight bytes all equal an earlier call's
@@ -386,14 +388,20 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     m = rows[0]
     stagnant_blocks = 0
     block_start_delta = np.inf
-    for _ in range(_POWER_BLOCKS):
+    for block in range(_POWER_BLOCKS):
         rows[0] = m
-        # gemv, ddot and a divide per step, rounding exactly as `normalize`
-        for k in range(_POWER_BLOCK):
-            dot(views[k], out=v)
-            divide(v, vdot(weights), out=views[k + 1])
-        deltas = np.abs(rows[1:] - rows[:-1]).max(axis=1)
-        hits = np.flatnonzero(deltas < _POWER_TOL)
+        # the first block in runs of 1, 2, 4, ... steps, later blocks whole
+        done, stop = 0, 1 if not block else _POWER_BLOCK
+        while True:
+            # gemv, ddot and a divide per step, rounding exactly as `normalize`
+            for k in range(done, stop):
+                dot(views[k], out=v)
+                divide(v, vdot(weights), out=views[k + 1])
+            deltas = np.abs(rows[1:stop + 1] - rows[:stop]).max(axis=1)
+            hits = np.flatnonzero(deltas < _POWER_TOL)
+            if hits.size or stop == _POWER_BLOCK:
+                break
+            done, stop = stop, min(2 * stop + 1, _POWER_BLOCK)
         k = int(hits[0]) if hits.size else _POWER_BLOCK - 1
         m, prev, delta = rows[k + 1], rows[k], float(deltas[k])
         if hits.size:

@@ -383,9 +383,10 @@ def pair_records(model, records):
     """Both filters on every record in one engine pass: the densities, log
     normalizers, TV gaps and per-filter errors."""
     run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
-    tv = [_pair_run(densities, log_norms, record, model.space.weights).tv
-          for densities, log_norms, record in zip(run.densities, run.log_norms, records)]
-    return run.densities, run.log_norms, np.array(tv), run.errors
+    pairs = [_pair_run(run, r, record, model.space.weights) for r, record in enumerate(records)]
+    log_norms = np.array([[pair.run_correct.log_normalizers, pair.run_wrong.log_normalizers]
+                          for pair in pairs])
+    return run.densities, log_norms, np.array([pair.tv for pair in pairs]), run.errors
 
 
 def crafted_records(monkeypatch, observations):

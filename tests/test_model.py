@@ -286,6 +286,72 @@ class TestInvariantDensityMatchesStepwiseLoop:
                 == reference_invariant_density(kernel, space).values.tobytes())
 
 
+def hits_by(kernel, space, step):
+    """Whether the stepwise loop's stopping test holds at or before `step`."""
+    adjoint = (kernel.matrix * space.weights[:, None]).T
+    m = np.full(space.num_states, 1.0 / float(space.weights.sum()))
+    for _ in range(step):
+        v = adjoint @ m
+        m_next = v / float(v @ space.weights)
+        if float(np.max(np.abs(m_next - m))) < 1e-13:
+            return True
+        m = m_next
+    return False
+
+
+def kernel_hitting_at(step):
+    """A kernel ``[[1-e, e], [2e, 1-2e]]`` whose power iteration first meets
+    the stopping test at `step` (a symmetric one for step 1): the smallest
+    ``e`` in [1e-4, 1/3] that stops by `step`, by bisection."""
+    space = unit_space(2)
+    if step == 1:
+        return as_kernel([[0.7, 0.3], [0.3, 0.7]], space), space
+    lo, hi = 1e-4, 1.0 / 3.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if hits_by(*slowmix_kernel(mid), step) else (mid, hi)
+    kernel, space = slowmix_kernel(hi)
+    assert hits_by(kernel, space, step) and not hits_by(kernel, space, step - 1)
+    return kernel, space
+
+
+class CountingArray(np.ndarray):
+    """An array whose ``dot`` calls are counted: one per power-iteration step."""
+
+    calls = 0
+
+    def dot(self, *args, **kwargs):
+        CountingArray.calls += 1
+        return super().dot(*args, **kwargs)
+
+
+class TestPowerIterationStopsAtItsHit:
+    """The first block runs 1, 2, 4, ... steps at a time (runs end after
+    steps 1, 3, 7, ..., 511 and 1000) and stops after the run of its hit;
+    later blocks run whole."""
+
+    @pytest.mark.parametrize("step", [1, 2, 3, 4, 7, 8, 15, 16, 31, 32, 63, 64, 127, 128,
+                                      255, 256, 511, 512, 513, 999, 1000, 1001])
+    def test_hit_on_every_run_boundary(self, step):
+        kernel, space = kernel_hitting_at(step)
+        assert (model_module._power_iteration(kernel.matrix, space.weights).values.tobytes()
+                == reference_invariant_density(kernel, space).values.tobytes())
+
+    @pytest.mark.parametrize("eps", np.geomspace(1e-3, 0.3, 12).tolist())
+    def test_eps_sweep(self, eps):
+        kernel, space = slowmix_kernel(eps)
+        assert (model_module._power_iteration(kernel.matrix, space.weights).values.tobytes()
+                == reference_invariant_density(kernel, space).values.tobytes())
+
+    def test_mixing2_takes_one_short_run_per_doubling(self):
+        kernel, space = as_kernel(TWO_STATE, unit_space(2)), unit_space(2)
+        CountingArray.calls = 0
+        m = model_module._power_iteration(kernel.matrix.view(CountingArray), space.weights)
+        # the hit is at step 19, in the run of steps 16..31
+        assert CountingArray.calls == 31
+        assert m.values.tobytes() == reference_invariant_density(kernel, space).values.tobytes()
+
+
 def exact_two_state_law(kernel):
     """The stationary law, from `fractions`, of the two-state chain whose
     switching probabilities are the kernel's float off-diagonal entries."""

@@ -1,0 +1,99 @@
+"""Values computed on first read.
+
+`FilterRun.log_normalizers` and `RunRecord.oscillation_bounds` are not
+computed by `run_filter`, `run_filter_pair` or `run_scenario`: the first read
+computes them, and every later read returns that same read-only array. The
+first read equals the reference loops of `reference.py`, and each replicate's
+envelope equals its row of the batched `_envelope`, bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from filterstab import build_model, builtin_scenario, run_filter, run_filter_pair, run_scenario
+from filterstab.backward import _envelope
+from filterstab.filtering import _engine
+from reference import reference_filter
+
+# sigma 0.5 and means 0 and 1: an observation at 25 or -30 underflows the
+# linear normalizer and is redone in the log domain
+GAUSSIAN = build_model({
+    "states": 2,
+    "transition": [[0.9, 0.1], [0.2, 0.8]],
+    "observation": {"type": "gaussian", "means": [0.0, 1.0], "sigma": 0.5},
+    "nu": [0.7, 0.3],
+    "beta": [0.5, 0.5],
+})
+
+OUTLIERS = [0.3, 25.0, 0.9, 0.2, -30.0, 0.6, 1.1]
+
+
+def assert_read_once(run, expected):
+    assert "log_normalizers" not in vars(run)
+    logs = run.log_normalizers
+    assert logs.tobytes() == np.asarray(expected, dtype=float).tobytes()
+    assert run.log_normalizers is logs
+    assert not logs.flags.writeable
+
+
+def test_run_filter_logs_rescued_outliers_on_first_read():
+    run = run_filter(GAUSSIAN.true_prior, OUTLIERS, GAUSSIAN)
+    _, log_norms = reference_filter(GAUSSIAN, GAUSSIAN.true_prior.values, OUTLIERS)
+    assert log_norms[1] < -1000.0 and log_norms[4] < -1000.0
+    assert_read_once(run, log_norms)
+
+
+def test_pair_logs_on_first_read():
+    pair = run_filter_pair(GAUSSIAN.true_prior, GAUSSIAN.wrong_prior, OUTLIERS, GAUSSIAN)
+    for run, prior in ((pair.run_correct, GAUSSIAN.true_prior),
+                       (pair.run_wrong, GAUSSIAN.wrong_prior)):
+        assert_read_once(run, reference_filter(GAUSSIAN, prior.values, OUTLIERS)[1])
+
+
+def test_held_steps_log_zero_and_the_others_equal_the_reference():
+    # rescues before the first NaN; a NaN step holds its density with log 0
+    records = [[0.3, 25.0, 0.9, np.nan, 0.2, np.nan, 0.6],
+               [0.4, 1.2, -30.0, 0.1, np.nan, 0.8, np.nan]]
+    priors = np.stack([GAUSSIAN.true_prior.values, GAUSSIAN.wrong_prior.values])
+    run = _engine(GAUSSIAN, priors, records)
+    for r, record in enumerate(np.array(records)):
+        kept = ~np.isnan(record)
+        for p, prior in enumerate(priors):
+            densities, log_norms = reference_filter(GAUSSIAN, prior, record[kept])
+            held = run.filter_run(r, p, record)
+            np.testing.assert_array_equal(held.densities,
+                                          densities[np.concatenate([[0], np.cumsum(kept)])])
+            expected = np.zeros(len(record))
+            expected[kept] = log_norms
+            assert_read_once(held, expected)
+
+
+@pytest.mark.parametrize("replicates", [1, 3, 50])
+@pytest.mark.parametrize("name", ["example11", "mixing2", "uniformK"])
+def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
+    scenario = builtin_scenario(name, horizon=100, replicates=replicates, seed=3)
+    records = run_scenario(scenario)
+    model = scenario.model
+    batched = _envelope(model, model.wrong_prior, records[0].coeffs,
+                        np.stack([record.pair.run_wrong.densities for record in records]))
+    assert batched is not None
+    for record, row in zip(records, batched):
+        assert "oscillation_bounds" not in vars(record)
+        assert "log_normalizers" not in vars(record.pair.run_correct)
+        assert "log_normalizers" not in vars(record.pair.run_wrong)
+        assert not record.bounds_vacuous
+        bounds = record.oscillation_bounds
+        assert bounds.tobytes() == row.tobytes()
+        assert record.oscillation_bounds is bounds
+        assert not bounds.flags.writeable
+    for record in records:
+        correct = reference_filter(model, model.true_prior.values,
+                                   record.trajectory.observations)[1]
+        assert_read_once(record.pair.run_correct, correct)
+
+
+def test_vacuous_envelope_reads_none():
+    [record] = run_scenario(builtin_scenario("kaijser", horizon=40, replicates=1, seed=3))
+    assert record.bounds_vacuous
+    assert "oscillation_bounds" not in vars(record)
+    assert record.oscillation_bounds is None

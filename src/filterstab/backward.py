@@ -41,7 +41,6 @@ from .filtering import (
     FilterRun,
     _engine,
     _path_log_mass,
-    _raise_first,
     _rho_init,
     _shifted_mass,
     filter_step_with_likelihood,
@@ -119,9 +118,7 @@ def _backward_along(model: FiniteModel, theta0: Density, coeffs: Coefficients,
         run = _engine(model, history, backward=backward)
     else:
         run = _engine(model, theta0.values[None], [observations], backward)
-        _raise_first(run.errors)
         history = run.densities[0, 0]
-    _raise_first(run.backward_errors)
     return BackwardPass(oscillations=run.oscillations[0],
                         bounds=_envelope(model, theta0, coeffs, history),
                         likelihood_ratios=run.ratios[0])

@@ -89,12 +89,12 @@ def _log_domain_update(pi: np.ndarray, y, model: FiniteModel) -> Optional[tuple[
     Used only where the linear-domain normalizer underflows: the log joint
     ``log lik[x] + log(predicted[x] w[x])`` is shifted by its maximum before
     exponentiating, and the shift goes back into the log normalizer. Returns
-    None when the observation has no positive density at all (e.g. NaN).
+    None when the observation has no positive density at all (e.g. NaN). It
+    runs under `_engine`'s ``np.errstate``, where the log of 0 is -inf.
     """
     weights = model.space.weights
     log_lik = _log_likelihood_rows(model.observation, [y])[0]
-    with np.errstate(divide="ignore"):
-        log_joint = log_lik + np.log((model.kernel.matrix.T @ (pi * weights)) * weights)
+    log_joint = log_lik + np.log((model.kernel.matrix.T @ (pi * weights)) * weights)
     shift = float(log_joint.max())
     if not math.isfinite(shift):
         return None
@@ -134,10 +134,8 @@ class _EngineRun(NamedTuple):
     densities: Optional[np.ndarray] = None  # (R, P, N+1, d), read-only
     normalizers: Optional[np.ndarray] = None  # (R, P, N), read-only, linear
     rescued_logs: Optional[dict] = None  # {(r, p): {step: log normalizer}} of log-domain steps
-    errors: Optional[list] = None  # per filter in (R, P) order: its error alone, or None
     oscillations: Optional[np.ndarray] = None  # (R, N, d)
     ratios: Optional[np.ndarray] = None  # (R, N+1)
-    backward_errors: Optional[list] = None  # per run
 
     def filter_run(self, r: int, p: int, observations) -> FilterRun:
         """The `FilterRun` of prior ``p`` on record ``r``, `observations`."""
@@ -164,12 +162,16 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
     of a lone record, take ``ndarray.dot``, the same BLAS call at less cost.
     Elementwise steps run on same-shape operands tiled once per chunk.
     A Gaussian step whose normalizer underflows or overflows is redone for
-    that row in the log domain; with no rescue the filter fails there and
-    holds its density. The filter resumes after that step in runs of 1, 2,
-    4, ... steps. A ρ run whose predicted mass hits zero carries on from
-    ``theta0 * w``. The normalizers are returned linear, 1.0 at held and
-    rescued steps, with the rescued steps' log-domain values beside them; no
-    logarithm is taken until a `FilterRun` is read.
+    that row in the log domain, and the filter resumes after that step in
+    runs of 1, 2, 4, ... steps. Any other bad normalizer fails the filter,
+    and a zero predicted mass fails ρ; a failed run goes on with whatever
+    values it gets and is not checked again. The normalizers are returned
+    linear, 1.0 at rescued steps, with their log-domain values beside them;
+    no logarithm is taken until a `FilterRun` is read.
+
+    When a run has failed, the first error in record order is raised: each
+    record's filters in prior order, then its ρ, as if the runs went one by
+    one.
     """
     matrix, weights = model.kernel.matrix, model.space.weights
     d = model.space.num_states
@@ -206,12 +208,11 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
         densities = start
     follow, theta0, ratio = backward or (0, None, None)
     history = densities.reshape((n_obs + 1, n_priors) + run_row)[:, follow]  # ρ's prior
-    rho = None
+    rho = rho_error = None
     if backward is not None:
         ratios = np.empty((n_obs + 1, n_records))
         ratios[0] = float((ratio * theta0) @ weights)
         oscillations = np.zeros((n_obs, n_records, d))
-        backward_errors = [None] * n_records
         square = run_row[:-2] + (d, d)
         # a chunk of ρ, and its prior's weighted and predicted rows tiled over ρ's rows
         rhos, rho_weighted, rho_predicted = np.empty((3, held) + square)
@@ -220,113 +221,106 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
                 rhos[0] = _rho_init(theta0, matrix, weights)
                 rho = rhos[0]
         except NumericalError as exc:  # the first step is the same for every run
-            backward_errors = [exc] * n_records
+            rho_error = exc
         scaled, numerator = np.empty((2,) + square)
         column_sums = np.empty(run_row)
         weights_row = weights[None, :] if n_records > 1 else weights
         rho_product = np.ndarray.dot if n_records == 1 else matmul
         rho_steps = list(rho_weighted), list(rho_predicted), list(rhos)
-        invalid, dead = np.zeros((2, n_records), dtype=bool)  # dead: carrying on from theta0 * w
-        theta0_weighted = theta0 * weights
-        theta0_predicted = theta0_weighted @ matrix
+        invalid, dead = np.zeros((2, n_records), dtype=bool)  # dead: a zero predicted mass
         ratio_weighted = (ratio * weights)[None, :]
-    for first in range(0, n_obs, held):
-        m, after = min(held, n_obs - first), first + 1
-        if filtering:
-            pis[0] = densities[first]
-            tiled_liks[:m].reshape(m, n_priors, -1)[:] = liks[first:first + m].reshape(m, 1, -1)
-            done, size = 0, m
-            while done < m:
-                stop = min(done + size, m)
-                with np.errstate(all="ignore"):  # a bad normalizer is mended below
+    with np.errstate(all="ignore"):  # every failure is caught by the checks below
+        for first in range(0, n_obs, held):
+            m, after = min(held, n_obs - first), first + 1
+            if filtering:
+                pis[0] = densities[first]
+                tiled_liks[:m].reshape(m, n_priors, -1)[:] = liks[first:first + m].reshape(m, 1, -1)
+                done, size = 0, m
+                while done < m:
+                    stop = min(done + size, m)
                     for pi, w, p, lik, z, pi_next in zip(*(views[done:stop] for views in steps)):
                         multiply(pi, tiled_weights, w)
                         row_product(w, matrix, p)
                         multiply(lik, p, unnormalized)
                         matmul(unnormalized, weights_column, z)
                         divide(unnormalized, z, pi_next)
-                z = row_zs[done:stop]
-                bad = ~((z > UNDERFLOW_FLOOR) & (z < math.inf))
-                if not bad.any():
-                    done, size = stop, 2 * size
-                    continue
-                k = done + int(bad.any(axis=1).argmax())  # the first failing step
-                n = first + k
-                for i in np.flatnonzero(bad[k - done]).tolist():
-                    p, r = divmod(i, n_records)
-                    rescued = (model.observation.kind == "gaussian" and not failed_at[i]
-                               and _log_domain_update(row_pis[k, i], observations[r][n], model))
-                    if not rescued:
-                        failed_at[i] = failed_at[i] or n + 1
-                        row_pis[k + 1, i] = row_pis[k, i]
-                    else:
-                        row_pis[k + 1, i], rescued_logs.setdefault((r, p), {})[n] = rescued
-                    row_zs[k, i] = 1.0
-                done, size = k + 1, 1
-            densities[after:after + m] = pis[1:m + 1]
-            normalizers[first:first + m] = zs[:m]
-        else:  # a given history: one time-stacked product of its rows
-            multiply(densities[first:first + m], weights, weighted[:m])
-            matmul(weighted[:m, None], matrix, predicted[:m, None])
-        if rho is None:
-            continue
-        # ρ's step n divides by its prior's prediction of filter step n
-        by_run = (m, n_priors, n_records, 1, d)
-        step_weighted = rho_weighted[:m].reshape(m, n_records, d, d)
-        step_predicted = rho_predicted[:m].reshape(m, n_records, d, d)
-        step_weighted[:] = weighted[:m].reshape(by_run)[:, follow]
-        step_predicted[:] = predicted[:m].reshape(by_run)[:, follow]
-        dying = step_predicted[:, :, 0].min(axis=-1) <= 0.0
-        if not first:  # step 0 is `_rho_init`, from theta0
-            dying[0] = False
-        dying[0] |= dead
-        np.logical_or.accumulate(dying, axis=0, out=dying)
-        if dying[-1].any():
-            np.copyto(step_weighted, theta0_weighted, where=dying[..., None, None])
-            np.copyto(step_predicted, theta0_predicted, where=dying[..., None, None])
-            for r in np.flatnonzero(dying[-1] & ~dead):
-                backward_errors[r] = NumericalError("state has zero predicted mass")
-            dead = dying[-1]
-        for w, p, rho_next in zip(*(views[0 if first else 1:m] for views in rho_steps)):
-            multiply(rho, w, scaled)
-            rho_product(scaled, matrix, numerator)
-            divide(numerator, p, numerator)
-            rho_product(weights_row, numerator, column_sums)
-            rho = divide(numerator, column_sums, rho_next)
-        # the chunk's column extrema, and its likelihood ratios as one dot per step
-        chunk = rhos[:m].reshape(m, n_records, d, d)
-        upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
-        invalid |= ~np.isfinite(upper).all(axis=(0, 2)) | (lower < 0.0).any(axis=(0, 2))
-        np.subtract(upper, lower, out=oscillations[first:first + m])
-        later = history[after:after + m].reshape(m, n_records, 1, d) * weights
-        ratios[after:after + m] = ((ratio_weighted @ chunk) @ later.swapaxes(-1, -2))[..., 0, 0]
+                    z = row_zs[done:stop]
+                    bad = ~((z > UNDERFLOW_FLOOR) & (z < math.inf))
+                    bad &= failed_at == 0
+                    if not bad.any():
+                        done, size = stop, 2 * size
+                        continue
+                    k = done + int(bad.any(axis=1).argmax())  # the first failing step
+                    n = first + k
+                    for i in np.flatnonzero(bad[k - done]).tolist():
+                        p, r = divmod(i, n_records)
+                        rescued = (model.observation.kind == "gaussian"
+                                   and _log_domain_update(row_pis[k, i], observations[r][n], model))
+                        if rescued:
+                            row_pis[k + 1, i], rescued_logs.setdefault((r, p), {})[n] = rescued
+                            row_zs[k, i] = 1.0
+                        else:
+                            failed_at[i] = n + 1
+                    done, size = k + 1, 1
+                densities[after:after + m] = pis[1:m + 1]
+                normalizers[first:first + m] = zs[:m]
+            else:  # a given history: one time-stacked product of its rows
+                multiply(densities[first:first + m], weights, weighted[:m])
+                matmul(weighted[:m, None], matrix, predicted[:m, None])
+            if rho is None:
+                continue
+            # ρ's step n divides by its prior's prediction of filter step n
+            by_run = (m, n_priors, n_records, 1, d)
+            step_weighted = rho_weighted[:m].reshape(m, n_records, d, d)
+            step_predicted = rho_predicted[:m].reshape(m, n_records, d, d)
+            step_weighted[:] = weighted[:m].reshape(by_run)[:, follow]
+            step_predicted[:] = predicted[:m].reshape(by_run)[:, follow]
+            # step 0 is `_rho_init`, from theta0
+            dead |= (step_predicted[0 if first else 1:, :, 0].min(axis=-1) <= 0.0).any(axis=0)
+            for w, p, rho_next in zip(*(views[0 if first else 1:m] for views in rho_steps)):
+                multiply(rho, w, scaled)
+                rho_product(scaled, matrix, numerator)
+                divide(numerator, p, numerator)
+                rho_product(weights_row, numerator, column_sums)
+                rho = divide(numerator, column_sums, rho_next)
+            # the chunk's column extrema, and its likelihood ratios as one dot per step
+            chunk = rhos[:m].reshape(m, n_records, d, d)
+            upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
+            invalid |= ~np.isfinite(upper).all(axis=(0, 2)) | (lower < 0.0).any(axis=(0, 2))
+            np.subtract(upper, lower, out=oscillations[first:first + m])
+            later = history[after:after + m].reshape(m, n_records, 1, d) * weights
+            ratios[after:after + m] = ((ratio_weighted @ chunk) @ later.swapaxes(-1, -2))[..., 0, 0]
     run = {}
+    failed = broken = np.zeros((n_records, 0), dtype=bool)  # (R, P): per filter
+    if filtering:
+        densities = densities.reshape(n_obs + 1, n_priors, n_records, d).transpose(2, 1, 0, 3)
+        normalizers = normalizers.reshape(n_obs, n_priors, n_records).transpose(2, 1, 0)
+        densities.flags.writeable = normalizers.flags.writeable = False
+        run = dict(densities=densities, normalizers=normalizers, rescued_logs=rescued_logs)
+        failed = failed_at.reshape(n_priors, n_records).T
+        broken = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
+    failing = failed.any(axis=1) | broken.any(axis=1)
     if backward is not None:
         ratios = ratios.T
         bad_ratios = ~np.isfinite(ratios) | (ratios < 0.0)
-        for r in range(n_records):
-            if backward_errors[r] is None and invalid[r]:
-                backward_errors[r] = InvalidModelError(
-                    "backward density entries must be finite and nonnegative")
-            elif backward_errors[r] is None and bad_ratios[r].any():
-                value = float(ratios[r, bad_ratios[r].argmax()])
-                backward_errors[r] = NumericalError(
-                    f"likelihood ratio must be finite and nonnegative, got {value!r}")
-        run = dict(oscillations=oscillations.transpose(1, 0, 2), ratios=ratios,
-                   backward_errors=backward_errors)
-    if not filtering:
-        return _EngineRun(**run)
-    densities = densities.reshape(n_obs + 1, n_priors, n_records, d).transpose(2, 1, 0, 3)
-    normalizers = normalizers.reshape(n_obs, n_priors, n_records).transpose(2, 1, 0)
-    invalid = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
-    errors = [
-        NumericalError(f"{ZERO_LIKELIHOOD} (at step {step})") if step
-        else InvalidModelError("density values must be finite and nonnegative") if bad else None
-        for step, bad in zip(failed_at.reshape(n_priors, n_records).T.ravel().tolist(),
-                             invalid.ravel().tolist())
-    ]
-    densities.flags.writeable = normalizers.flags.writeable = False
-    return _EngineRun(densities, normalizers, rescued_logs, errors, **run)
+        failing |= (rho_error is not None) | dead | invalid | bad_ratios.any(axis=1)
+        run.update(oscillations=oscillations.transpose(1, 0, 2), ratios=ratios)
+    if failing.any():
+        r = int(failing.argmax())  # the lowest failing record
+        for step, bad in zip(failed[r].tolist(), broken[r].tolist()):
+            if step:
+                raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {step})")
+            if bad:
+                raise InvalidModelError("density values must be finite and nonnegative")
+        if rho_error is not None:
+            raise rho_error
+        if dead[r]:
+            raise NumericalError("state has zero predicted mass")
+        if invalid[r]:
+            raise InvalidModelError("backward density entries must be finite and nonnegative")
+        value = float(ratios[r, bad_ratios[r].argmax()])
+        raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
+    return _EngineRun(**run)
 
 
 def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -339,13 +333,6 @@ def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np
     return rho / (weights @ rho)
 
 
-def _raise_first(errors) -> None:
-    """Raise the first error of a batch in row order, as the rows run one by one would."""
-    for error in errors:
-        if error is not None:
-            raise error
-
-
 def run_filter(prior: Density, observations: Sequence, model: FiniteModel) -> FilterRun:
     """Fold the filter over an observation record, keeping every posterior.
 
@@ -353,9 +340,8 @@ def run_filter(prior: Density, observations: Sequence, model: FiniteModel) -> Fi
     from every mean) is redone in the log domain; on a finite alphabet it is
     a genuine impossibility and raises.
     """
-    run = _engine(model, prior.values[None], [observations])
-    _raise_first(run.errors)
-    return run.filter_run(0, 0, np.asarray(observations))
+    return _engine(model, prior.values[None], [observations]).filter_run(
+        0, 0, np.asarray(observations))
 
 
 def tv_norm(p: Density, q: Density, space: StateSpace) -> float:
@@ -400,16 +386,15 @@ def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Seq
     """
     _check_priors(true_prior, wrong_prior)
     run = _engine(model, np.stack([true_prior.values, wrong_prior.values]), [observations])
-    _raise_first(run.errors)
     return _pair_run(run, 0, np.asarray(observations), model.space.weights)
 
 
 def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstimate:
     """Least-squares slope of ``log tv[n]`` over the trailing window.
 
-    Entries below the tracking floor (1e-280) are skipped; when the whole
-    window sits below the floor the gap has collapsed to numerical zero and
-    the estimate reports ``converged`` with slope ``-inf``.
+    Entries below the tracking floor (1e-280) are skipped; when the window's
+    last entry sits below the floor the gap has collapsed to numerical zero
+    and the estimate reports ``converged`` with slope ``-inf``.
     """
     tv = np.asarray(tv, dtype=float)
     if tv.size == 0:
@@ -417,13 +402,13 @@ def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstima
     if not 0.0 < window_fraction <= 1.0:
         raise InvalidModelError(f"window_fraction must lie in (0, 1], got {window_fraction}")
     last = tv.size - 1
+    if tv[last] < TV_FLOOR:
+        return DecayEstimate(slope=-math.inf, converged=True)
     start = last - int(math.floor(window_fraction * last))
     if last >= 1:
         start = min(start, last - 1)  # a slope needs two points
     window = np.arange(start, last + 1)
     usable = window[tv[window] >= TV_FLOOR]
-    if usable.size == 0:
-        return DecayEstimate(slope=-math.inf, converged=True)
     if usable.size < 2:
         raise NumericalError("insufficient data: fewer than two usable points in the window")
     slope = float(np.polyfit(usable, np.log(tv[usable]), 1)[0])

@@ -351,8 +351,9 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
     loop advances both priors of every replicate and the backward density
     along the wrong one; the Kaijser gate, run whenever the model is the
     counterexample's, reuses each pair. Every replicate's arrays equal those
-    it gets alone, bit for bit, and when replicates fail the lowest one's
-    first error is raised, as if they ran one after another.
+    it gets alone, bit for bit. When replicates fail in the engine, it raises
+    the lowest one's first error, as if they ran one after another, before
+    any replicate's decay fit or Kaijser check.
     """
     model = scenario.model
     invariant = invariant_density(model.kernel, model.space)
@@ -370,10 +371,6 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
     kaijser = _is_kaijser(model)
     records = []
     for replicate, seed in enumerate(seeds):
-        for error in (*run.errors[2 * replicate:2 * replicate + 2],
-                      run.backward_errors[replicate]):
-            if error is not None:
-                raise error
         trajectory = Trajectory(states=states[replicate], observations=observations[replicate],
                                 seed=seed)
         pair = _pair_run(run, replicate, trajectory.observations, model.space.weights)

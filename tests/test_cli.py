@@ -273,6 +273,23 @@ class TestStabilityCommand:
         for slope, conv in zip(summary["slopes"], summary["converged"]):
             assert conv or float(slope) <= bound
 
+    # each run has a replicate whose gap falls to 0 inside the trailing window:
+    # example11 seed 7 and mixing2 seed 8 with one usable point left there
+    # (exit 2 while that raised), mixing2 seed 5 with a slope of +log 4 fitted
+    # through two rounding values (exit 3 while that was gated)
+    @pytest.mark.parametrize("scenario, horizon, replicates, seed", [
+        ("example11", 60, 50, 7), ("mixing2", 40, 5, 5), ("mixing2", 40, 5, 8)])
+    def test_gap_collapsed_in_the_window_has_converged(self, tmp_path, scenario, horizon,
+                                                       replicates, seed):
+        out = tmp_path / "run.csv"
+        rc = main(["stability", "--scenario", scenario, "--horizon", str(horizon),
+                   "--replicates", str(replicates), "--seed", str(seed), "--output", str(out)])
+        assert rc == 0
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["passed"] is True
+        assert summary["converged"] == [True] * replicates
+        assert summary["slopes"] == ["-inf"] * replicates
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"

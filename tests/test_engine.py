@@ -381,12 +381,12 @@ def test_short_horizon_fails_before_drawing(monkeypatch, horizon):
 
 def pair_records(model, records):
     """Both filters on every record in one engine pass: the densities, log
-    normalizers, TV gaps and per-filter errors."""
+    normalizers and TV gaps."""
     run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
     pairs = [_pair_run(run, r, record, model.space.weights) for r, record in enumerate(records)]
     log_norms = np.array([[pair.run_correct.log_normalizers, pair.run_wrong.log_normalizers]
                           for pair in pairs])
-    return run.densities, log_norms, np.array([pair.tv for pair in pairs]), run.errors
+    return run.densities, log_norms, np.array([pair.tv for pair in pairs])
 
 
 def crafted_records(monkeypatch, observations):
@@ -440,8 +440,7 @@ def test_overflowing_normalizer_is_redone_in_the_log_domain():
     np.testing.assert_array_equal(run.densities, [[0.7, 0.3], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     assert np.all(run.log_normalizers > 700.0) and np.all(np.isfinite(run.log_normalizers))
     records = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-    densities, log_norms, tv, errors = pair_records(model, records)
-    assert errors == [None] * 4
+    densities, log_norms, tv = pair_records(model, records)
     for r, observations in enumerate(records):
         alone = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
         np.testing.assert_array_equal(densities[r, 1], alone.run_wrong.densities)
@@ -504,14 +503,17 @@ class TestErrorPrecedence:
             self.run(monkeypatch, [self.CORRECT_FAILS_AT_1, self.BOTH_FAIL_AT_3])
 
     def test_correct_prior_error_precedes_wrong_prior_error(self):
+        # on [1, 1, 0] the prior on both states fails at step 2 and the true
+        # prior, on state 1, at step 1: the engine raises the first prior's error
         model = self.MODEL
-        records = np.array([self.VALID, self.BOTH_FAIL_AT_3, self.CORRECT_FAILS_AT_1])
-        densities, _, _, errors = pair_records(model, records)
-        messages = [None if e is None else str(e)[-11:] for e in errors]
-        assert messages == [None, None, "(at step 3)", "(at step 3)", "(at step 1)", None]
-        # at the step where it fails, a filter holds its last density
-        np.testing.assert_array_equal(densities[1, :, 3], densities[1, :, 2])
-        np.testing.assert_array_equal(densities[2, 0, 1], model.true_prior.values)
+        true, wrong = model.true_prior.values, model.wrong_prior.values
+        for priors, step in (((true, wrong), 1), ((wrong, true), 2)):
+            with pytest.raises(NumericalError, match=rf"\(at step {step}\)$"):
+                _engine(model, np.stack(priors), [[1, 1, 0]])
+        # and the lowest record's error, though a later record fails sooner
+        with pytest.raises(NumericalError, match=r"\(at step 3\)$"):
+            pair_records(model, np.array([self.VALID, self.BOTH_FAIL_AT_3,
+                                          self.CORRECT_FAILS_AT_1]))
 
     def test_valid_replicates_alone_pass(self, monkeypatch):
         records = self.run(monkeypatch, [self.VALID, self.VALID])

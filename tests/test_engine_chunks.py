@@ -7,7 +7,7 @@ into the next chunk. With `_CHUNK_ENTRIES` patched so that a chunk holds 1,
 `reference.py`, which have no chunks at all. One record (R = 1) takes the
 ``ndarray.dot`` products and meets the same reference, with unit and with
 other state weights. A record that fails at every step, or at every other
-one, costs time linear in its length.
+one, costs time linear in its length, and about what a clean one costs.
 """
 
 import time
@@ -154,55 +154,65 @@ def test_zero_predicted_mass_on_a_chunk_boundary(monkeypatch, held, where):
     valid = [0] * n_obs
     failing = [0] * n_obs
     failing[m - 1] = 1
-    records = np.array([valid, failing, valid])
     model = RETURN_MODEL
-    hold(monkeypatch, held, 3, 2)
-    ratio = model.true_prior.values / model.wrong_prior.values
-    with np.errstate(all="raise"):  # the dead run carries on without a 0/0
-        run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]),
-                      records, backward=(1, model.wrong_prior.values, ratio))
-    assert run.errors == [None] * 6
-    assert run.backward_errors[0] is None and run.backward_errors[2] is None
-    assert str(run.backward_errors[1]) == "state has zero predicted mass"
     coeffs = coefficients(model)
-    for r in (0, 2):
-        wrong, _ = reference_filter(model, model.wrong_prior.values, records[r])
-        np.testing.assert_array_equal(run.densities[r, 1], wrong)
-        oscillations, _, ratios = reference_backward(model, coeffs, wrong)
-        np.testing.assert_array_equal(run.oscillations[r], oscillations)
-        np.testing.assert_array_equal(run.ratios[r], ratios)
-    # the failing run equals the reference up to the step before the hit,
-    # then carries on from theta0 * w with finite values
-    wrong, _ = reference_filter(model, model.wrong_prior.values, records[1])
+    wrong, _ = reference_filter(model, model.wrong_prior.values, failing)
     with pytest.raises(NumericalError, match="zero predicted mass"):
         reference_backward(model, coeffs, wrong)
-    oscillations, _, ratios = reference_backward(model, coeffs, wrong[:m + 1])
-    np.testing.assert_array_equal(run.oscillations[1, :m], oscillations)
-    np.testing.assert_array_equal(run.ratios[1, :m + 1], ratios)
-    assert np.isfinite(run.oscillations[1]).all()
+    reference_backward(model, coeffs, wrong[:m + 1])  # ρ fails at step m + 1, not before
+    # a later record whose ρ fails at step 2, and one whose filters fail at step 2
+    early = [0] * n_obs
+    early[0] = 1
+    impossible = [1] * n_obs
+    hold(monkeypatch, held, 3, 2)
+    priors = np.stack([model.true_prior.values, model.wrong_prior.values])
+    backward = (1, model.wrong_prior.values, model.true_prior.values / model.wrong_prior.values)
+    for later in (early, impossible):
+        with pytest.raises(NumericalError) as caught:
+            _engine(model, priors, np.array([valid, failing, later]), backward=backward)
+        assert str(caught.value) == "state has zero predicted mass"
+    # the valid records alone run through
+    run = _engine(model, priors, np.array([valid, valid, valid]), backward=backward)
+    oscillations, _, ratios = reference_backward(
+        model, coeffs, reference_filter(model, model.wrong_prior.values, valid)[0])
+    np.testing.assert_array_equal(run.oscillations[1], oscillations)
+    np.testing.assert_array_equal(run.ratios[1], ratios)
 
 
 @pytest.mark.parametrize("every", [1, 2])
 def test_failing_steps_cost_linear_time(every):
-    # after a failing step the filter resumes in runs of 1, 2, 4, ... steps; a
-    # restart straight to the chunk end made this record quadratic in time
+    # a failed filter is not checked again, so the steps after its first
+    # failure run as a clean record's do
     model, prior = OUTLIER_MODEL, OUTLIER_MODEL.true_prior
     record = np.random.default_rng(5).normal(0.5, 0.5, 20_000)
     record[::every] = np.nan
     started = time.perf_counter()
-    run = _engine(model, prior.values[None], [record])
+    with pytest.raises(NumericalError, match=r"\(at step 1\)$"):
+        _engine(model, prior.values[None], [record])
     assert time.perf_counter() - started < 5.0
-    assert str(run.errors[0]).endswith("(at step 1)")
     with pytest.raises(NumericalError, match=r"\(at step 1\)$"):
         run_filter(prior, record, model)
-    # a NaN step holds the density, with log normalizer 0; the others filter
-    kept = ~np.isnan(record)
-    densities, log_norms = reference_filter(model, prior.values, record[kept])
-    np.testing.assert_array_equal(run.densities[0, 0],
-                                  densities[np.concatenate([[0], np.cumsum(kept)])])
-    run_log_norms = run.filter_run(0, 0, record).log_normalizers
-    np.testing.assert_array_equal(run_log_norms[kept], log_norms)
-    assert (run_log_norms[~kept] == 0.0).all()
+
+
+def test_a_record_failing_at_every_step_costs_about_a_clean_one():
+    model, prior = OUTLIER_MODEL, OUTLIER_MODEL.true_prior
+    clean = np.random.default_rng(5).normal(0.5, 0.5, 20_000)
+    failing = np.full(20_000, np.nan)
+
+    def best_of_three(record):
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            try:
+                _engine(model, prior.values[None], [record])
+            except NumericalError:
+                pass
+            times.append(time.perf_counter() - started)
+        return min(times)
+
+    with pytest.raises(NumericalError, match=r"\(at step 1\)$"):
+        _engine(model, prior.values[None], [failing])
+    assert best_of_three(failing) < 3.0 * best_of_three(clean)
 
 
 @pytest.mark.parametrize("held", HELD)

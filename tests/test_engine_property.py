@@ -4,17 +4,16 @@ flush-to-zero defect.
 Random finite and Gaussian models with zero-pattern kernels, d = 2..6 and
 unit or other state weights, run
 through one engine pass (both priors and ρ along the wrong one, as
-`run_scenario` runs them) on 1 or 3 records of up to 40 observations. Every
-array must equal `reference.py`'s plain loops bit for bit, and every error
-the engine records must be the one the reference raises. Gaussian records
-with NaNs, infinities and outliers, under chunks of 1 to 4 steps or the
-default, hold the rescued, held and resumed steps inside one chunk to the
-same loops. The sampler, on
+`run_scenario` runs them) on 1 or 3 records of up to 40 observations. When
+`reference.py`'s plain loops fail, the engine must raise their first error in
+record order; otherwise every array must equal theirs bit for bit. Under
+chunks of 1 to 4 steps or the default, Gaussian records with outliers hold
+the rescued and resumed steps inside one chunk to the same loops, and records
+with NaNs or infinities must raise the same first error. The sampler, on
 the same kind of models with horizons up to 300, must draw what the scalar
 generator draws step by step.
 """
 
-import re
 from unittest.mock import patch
 
 import numpy as np
@@ -24,6 +23,7 @@ from hypothesis import strategies as st
 
 from filterstab import (
     Density,
+    InvalidModelError,
     NumericalError,
     build_model,
     derive_seed,
@@ -90,72 +90,78 @@ def cases(draw):
 
 
 @st.composite
-def rescue_cases(draw):
-    """Gaussian records with bad observations at random steps and records,
+def rescue_cases(draw, bad):
+    """Gaussian records with `bad` observations at random steps and records,
     some on consecutive steps, and the number of steps a chunk holds (1 to 4,
-    or None for the default). A bad observation is NaN, ±inf, or an outlier
-    25σ or 60σ beyond every mean; at 60σ the linear normalizer underflows
-    and the step is rescued in the log domain."""
+    or None for the default). A bad observation is NaN or ±inf, which fails
+    the filter, or an outlier 25σ or 60σ beyond every mean; at 60σ the linear
+    normalizer underflows and the step is rescued in the log domain."""
     model = draw(models(gaussian=st.just(True)))
     n_records = draw(st.sampled_from([3, 1]))
     seeds = [derive_seed(draw(st.integers(0, 2**16)), r) for r in range(n_records)]
     _, records = sample_trajectories(model, model.true_prior, draw(st.integers(1, 30)), seeds)
     records = records.copy()
     means, sigma = model.observation.means, model.observation.sigma
-    bad = [np.nan, np.inf, -np.inf, *(means.max() + k * sigma for k in (25.0, 60.0)),
-           *(means.min() - k * sigma for k in (25.0, 60.0))]
+    outliers = [*(means.max() + k * sigma for k in (25.0, 60.0)),
+                *(means.min() - k * sigma for k in (25.0, 60.0))]
+    values = {"outliers": outliers, "non-finite": [np.nan, np.inf, -np.inf]}[bad]
     for _ in range(draw(st.integers(1, 6))):
         r, n = draw(st.integers(0, n_records - 1)), draw(st.integers(0, records.shape[1] - 1))
-        records[r, n:n + draw(st.integers(1, 3))] = draw(st.sampled_from(bad))
+        records[r, n:n + draw(st.integers(1, 3))] = draw(st.sampled_from(values))
     return model, records, draw(st.sampled_from([1, 2, 3, 4, None]))
+
+
+def first_reference_error(model, coeffs, records):
+    """The reference loops run record by record, each record's filters in
+    prior order and then ρ along the wrong one: the message of the first
+    error, or None with the arrays of every record."""
+    true, wrong = model.true_prior.values, model.wrong_prior.values
+    arrays = []
+    for record in records:
+        try:
+            correct = reference_filter(model, true, record)
+            densities, log_norms = reference_filter(model, wrong, record)
+            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+                oscillations, bounds, ratios = reference_backward(model, coeffs, densities)
+        except NumericalError as exc:
+            return str(exc), None
+        if not np.isfinite(oscillations).all():
+            return "backward density entries must be finite and nonnegative", None
+        bad = ~np.isfinite(ratios) | (ratios < 0.0)
+        if bad.any():
+            value = float(ratios[bad.argmax()])
+            return f"likelihood ratio must be finite and nonnegative, got {value!r}", None
+        arrays.append((correct, (densities, log_norms), oscillations, bounds, ratios))
+    return None, arrays
 
 
 def assert_engine_equals_reference(model, records):
     """One engine pass over both priors, with ρ along the wrong one, against
-    the reference loops: arrays bit for bit, and each error the one the
-    reference raises. A failed filter equals the reference up to its failing
-    step, where it holds its density."""
+    the reference loops: when they fail, the engine raises their first error
+    in record order; otherwise every array equals theirs bit for bit."""
     d = model.space.num_states
     true, wrong = model.true_prior.values, model.wrong_prior.values
     # any Coefficients drive the envelope; a uniform law stands in for the invariant
     coeffs = mixing_coefficients(model, Density(np.full(d, 1.0 / model.space.weights.sum())))
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore", under="ignore"):
-        run = _engine(model, np.stack([true, wrong]), records, backward=(1, wrong, true / wrong))
+    message, arrays = first_reference_error(model, coeffs, records)
+    if message is not None:
+        with pytest.raises((NumericalError, InvalidModelError)) as caught:
+            _engine(model, np.stack([true, wrong]), records, backward=(1, wrong, true / wrong))
+        assert str(caught.value) == message
+        return
+    run = _engine(model, np.stack([true, wrong]), records, backward=(1, wrong, true / wrong))
     bounds = _envelope(model, model.wrong_prior, coeffs, run.densities[:, 1])
-    for r, record in enumerate(records):
-        for p, prior in enumerate((true, wrong)):
-            try:
-                densities, log_norms = reference_filter(model, prior, record)
-            except NumericalError as exc:
-                assert str(run.errors[2 * r + p]) == str(exc)
-                step = int(re.search(r"at step (\d+)", str(exc)).group(1))
-                densities, log_norms = reference_filter(model, prior, record[:step - 1])
-                np.testing.assert_array_equal(run.densities[r, p, :step], densities)
-                np.testing.assert_array_equal(
-                    run.filter_run(r, p, record).log_normalizers[:step - 1], log_norms)
-                np.testing.assert_array_equal(run.densities[r, p, step], densities[-1])
-                continue
-            assert run.errors[2 * r + p] is None
+    for r, (record, (*filters, oscillations, reference_bounds, ratios)) in enumerate(
+            zip(records, arrays)):
+        for p, (densities, log_norms) in enumerate(filters):
             np.testing.assert_array_equal(run.densities[r, p], densities)
             np.testing.assert_array_equal(run.filter_run(r, p, record).log_normalizers, log_norms)
-        if run.errors[2 * r + 1] is not None:
-            continue
-        try:
-            with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-                oscillations, reference_bounds, ratios = reference_backward(
-                    model, coeffs, densities)
-        except NumericalError as exc:
-            assert str(run.backward_errors[r]) == str(exc)
-            continue
         np.testing.assert_array_equal(run.oscillations[r], oscillations)
         np.testing.assert_array_equal(run.ratios[r], ratios)
         if reference_bounds is None:
             assert bounds is None
         else:
             np.testing.assert_array_equal(bounds[r], reference_bounds)
-        finite = (np.isfinite(oscillations).all() and np.isfinite(ratios).all()
-                  and (ratios >= 0.0).all())
-        assert (run.backward_errors[r] is None) == finite
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -164,15 +170,25 @@ def test_engine_equals_reference(case):
     assert_engine_equals_reference(*case)
 
 
-@settings(max_examples=100, derandomize=True, deadline=None, database=None)
-@given(rescue_cases())
-def test_rescues_and_failures_inside_a_chunk_equal_reference(case):
+def assert_chunked_engine_equals_reference(case):
     model, records, steps = case
     entries = filtering._CHUNK_ENTRIES
     if steps is not None:
         entries = steps * len(records) * model.space.num_states ** 2
     with patch.object(filtering, "_CHUNK_ENTRIES", entries):
         assert_engine_equals_reference(model, records)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(rescue_cases("outliers"))
+def test_rescues_inside_a_chunk_equal_reference(case):
+    assert_chunked_engine_equals_reference(case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(rescue_cases("non-finite"))
+def test_failures_inside_a_chunk_raise_the_reference_error(case):
+    assert_chunked_engine_equals_reference(case)
 
 
 @st.composite

@@ -25,6 +25,7 @@ from filterstab import (
     uniform_density,
     unit_space,
 )
+from filterstab.filtering import TV_FLOOR
 from helpers import random_positive_model
 
 TWO_STATE = [[0.5, 0.5], [0.3, 0.7]]
@@ -247,6 +248,23 @@ class TestDecayRate:
         est = decay_rate(tv)
         assert est.converged
         assert est.slope == -math.inf
+
+    @pytest.mark.parametrize("usable", [1, 2, 5])
+    def test_gap_that_collapses_inside_the_window_reports_converged(self, usable):
+        # the window is steps 5..10; its first `usable` entries lie above the
+        # floor and the rest are 0, so the gap has collapsed however many remain
+        tv = np.concatenate([np.exp(-2.0 * np.arange(5 + usable)), np.zeros(6 - usable)])
+        est = decay_rate(tv)
+        assert est.converged
+        assert est.slope == -math.inf
+
+    def test_last_entry_just_under_the_floor_has_collapsed(self):
+        est = decay_rate([1e-3, 1e-250, 1e-279, 0.5 * TV_FLOOR])
+        assert est.converged and est.slope == -math.inf
+
+    def test_one_usable_point_at_the_end_is_insufficient(self):
+        with pytest.raises(NumericalError, match="insufficient data"):
+            decay_rate([0.5, 0.0, 0.0, 0.0, 1e-3])
 
     def test_insufficient_data(self):
         with pytest.raises(NumericalError, match="insufficient data"):

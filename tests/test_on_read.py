@@ -10,7 +10,14 @@ envelope equals its row of the batched `_envelope`, bit for bit.
 import numpy as np
 import pytest
 
-from filterstab import build_model, builtin_scenario, run_filter, run_filter_pair, run_scenario
+from filterstab import (
+    NumericalError,
+    build_model,
+    builtin_scenario,
+    run_filter,
+    run_filter_pair,
+    run_scenario,
+)
 from filterstab.backward import _envelope
 from filterstab.filtering import _engine
 from reference import reference_filter
@@ -50,22 +57,23 @@ def test_pair_logs_on_first_read():
         assert_read_once(run, reference_filter(GAUSSIAN, prior.values, OUTLIERS)[1])
 
 
-def test_held_steps_log_zero_and_the_others_equal_the_reference():
-    # rescues before the first NaN; a NaN step holds its density with log 0
-    records = [[0.3, 25.0, 0.9, np.nan, 0.2, np.nan, 0.6],
-               [0.4, 1.2, -30.0, 0.1, np.nan, 0.8, np.nan]]
+def test_batch_logs_on_first_read_and_a_failed_step_raises():
+    # rescues before and after a NaN: the NaN fails the pass; without it every
+    # run's logs, rescued ones included, equal the reference
+    records = np.array([[0.3, 25.0, 0.9, np.nan, 0.2, 0.6],
+                        [0.4, 1.2, -30.0, 0.1, 25.0, 0.8]])
     priors = np.stack([GAUSSIAN.true_prior.values, GAUSSIAN.wrong_prior.values])
+    with pytest.raises(NumericalError, match=r"\(at step 4\)$"):
+        _engine(GAUSSIAN, priors, records)
+    records[0, 3] = 0.5
     run = _engine(GAUSSIAN, priors, records)
-    for r, record in enumerate(np.array(records)):
-        kept = ~np.isnan(record)
+    for r, record in enumerate(records):
         for p, prior in enumerate(priors):
-            densities, log_norms = reference_filter(GAUSSIAN, prior, record[kept])
-            held = run.filter_run(r, p, record)
-            np.testing.assert_array_equal(held.densities,
-                                          densities[np.concatenate([[0], np.cumsum(kept)])])
-            expected = np.zeros(len(record))
-            expected[kept] = log_norms
-            assert_read_once(held, expected)
+            densities, log_norms = reference_filter(GAUSSIAN, prior, record)
+            assert (log_norms < -1000.0).sum() == (1 if r == 0 else 2)
+            read = run.filter_run(r, p, record)
+            np.testing.assert_array_equal(read.densities, densities)
+            assert_read_once(read, log_norms)
 
 
 @pytest.mark.parametrize("replicates", [1, 3, 50])

@@ -17,11 +17,12 @@ per-run envelope (`BackwardPass.bounds`) whose exponent accumulates the
 filter-averaged row minima of the transition density.
 
 The recursion's denominator ``sum_z matrix[z, x] * pi_{n-1}[z] * w[z]`` is
-the filter's own prediction of step ``n``, so ρ runs in the filter's time
-loop, `filtering._engine`: `run_scenario` and the ``backward`` command
-advance filters and ρ in one pass, and `backward_pass` runs that loop on a
-density history it is given. `BackwardContext` advances ρ and its filter
-one observation at a time; tests hold the engine to it bit for bit.
+the filter's own prediction of step ``n``, so ρ reads the history of a
+filter already run by `filtering._engine`. ρ has one loop, `backward_pass`
+along one given history, run only where ρ is read: by the ``backward``
+command after its filter, and by a `harness.RunRecord` on the first read of
+its ρ. `BackwardContext` advances ρ and its filter one observation at a
+time; tests hold the loop to it bit for bit.
 
 The expected prior ratio under the backward density is the likelihood ratio
 between the observation laws of the two priors; `change_of_measure_residual`
@@ -37,21 +38,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
-from .filtering import (
-    FilterRun,
-    _engine,
-    _path_log_mass,
-    _rho_init,
-    _shifted_mass,
-    filter_step_with_likelihood,
-)
-from .model import (
-    Coefficients,
-    Density,
-    FiniteModel,
-    StateSpace,
-    row_minima,
-)
+from .filtering import FilterRun, _path_log_mass, _shifted_mass, filter_step_with_likelihood
+from .model import Coefficients, Density, FiniteModel, StateSpace, row_minima
 from .simulate import likelihood_vector
 
 
@@ -95,6 +83,7 @@ def backward_pass(
     step by step and no filter is run here. ``prior_ratio`` is the entrywise
     ratio of the data-generating prior to `theta0`. Row ``n-1`` of the
     results agrees bit for bit with `BackwardContext` after ``n`` steps.
+    Every array is read-only. ρ's errors come first, then the envelope's.
     """
     _require_positive(theta0, "initial backward prior")
     d = model.space.num_states
@@ -105,23 +94,99 @@ def backward_pass(
             f"dimension mismatch: filter history shape {pis.shape}, prior ratio shape "
             f"{ratio.shape} vs {d} states"
         )
-    return _backward_along(model, theta0, coeffs, ratio, history=pis)
+    oscillations, ratios = _rho_along(model, theta0.values, ratio, pis)
+    bounds = _envelope(model, theta0, coeffs, pis)
+    for array in (oscillations, bounds, ratios):
+        if array is not None:
+            array.flags.writeable = False
+    return BackwardPass(oscillations=oscillations, bounds=bounds, likelihood_ratios=ratios)
 
 
-def _backward_along(model: FiniteModel, theta0: Density, coeffs: Coefficients,
-                    ratio: np.ndarray, history: Optional[np.ndarray] = None,
-                    observations=None) -> BackwardPass:
-    """ρ from the strictly positive `theta0` along ``history``, or along the
-    filter from `theta0` on ``observations`` in the same pass, whose error comes first."""
-    backward = (0, theta0.values, ratio)
-    if observations is None:
-        run = _engine(model, history, backward=backward)
-    else:
-        run = _engine(model, theta0.values[None], [observations], backward)
-        history = run.densities[0, 0]
-    return BackwardPass(oscillations=run.oscillations[0],
-                        bounds=_envelope(model, theta0, coeffs, history),
-                        likelihood_ratios=run.ratios[0])
+# entries of ρ held at once: `_rho_along` runs a chunk of ``_RHO_ENTRIES // d**2`` steps at a time
+_RHO_ENTRIES = 2**13
+
+
+def _rho_along(model: FiniteModel, theta0: np.ndarray, ratio: np.ndarray,
+               history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ρ from the strictly positive `theta0` along ``history``, the ``(N+1, d)``
+    densities of the filter from `theta0`: its ``(N, d)`` oscillations and the
+    ``N+1`` likelihood ratios of the prior ratio `ratio`.
+
+    A chunk's history rows are weighted and predicted by one time-stacked
+    product, one gemv per row, so each rounds as it does alone, and tiled to
+    ρ's shape once. ρ is carried across the chunk with ``ndarray.dot``,
+    dividing by the filter's own prediction, then reduced. The errors, in
+    this order: `_rho_init`'s, a zero predicted mass, non-finite or negative
+    ρ entries, then a likelihood ratio that is not finite and nonnegative.
+    """
+    matrix, weights = model.kernel.matrix, model.space.weights
+    d = len(weights)
+    n_obs = len(history) - 1
+    held = max(1, min(_RHO_ENTRIES // (d * d), n_obs))  # steps per chunk
+    oscillations, ratios = np.empty((n_obs, d)), np.empty(n_obs + 1)
+    # a chunk of ρ, and the history's weighted and predicted rows tiled over ρ's rows
+    rhos, tiled_weighted, tiled_predicted = np.empty((3, held, d, d))
+    scaled, numerator = np.empty((2, d, d))
+    column_sums = np.empty(d)
+    multiply, divide, dot = np.multiply, np.divide, np.ndarray.dot
+    steps = list(tiled_weighted), list(tiled_predicted), list(rhos)
+    if n_obs:
+        rho = rhos[0] = _rho_init(theta0, matrix, weights)
+    invalid = False
+    with np.errstate(all="ignore"):  # every failure is caught by the checks below
+        ratios[0] = float((ratio * theta0) @ weights)
+        ratio_weighted = (ratio * weights)[None, :]
+        for first in range(0, n_obs, held):
+            m, start = min(held, n_obs - first), 0 if first else 1  # step 0 is `_rho_init`
+            weighted = history[first:first + m, None] * weights
+            predicted = weighted @ matrix
+            # ρ's step n divides by the prediction of filter step n
+            if (predicted[start:, 0].min(axis=-1) <= 0.0).any():
+                raise NumericalError("state has zero predicted mass")
+            tiled_weighted[:m], tiled_predicted[:m] = weighted, predicted
+            for w, p, rho_next in zip(*(views[start:m] for views in steps)):
+                multiply(rho, w, scaled)
+                dot(scaled, matrix, numerator)
+                divide(numerator, p, numerator)
+                dot(weights, numerator, column_sums)
+                rho = divide(numerator, column_sums, rho_next)
+            # the chunk's column extrema, and its likelihood ratios as one dot per step
+            chunk = rhos[:m]
+            upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
+            invalid = invalid or not np.isfinite(upper).all() or bool((lower < 0.0).any())
+            np.subtract(upper, lower, out=oscillations[first:first + m])
+            later = history[first + 1:first + 1 + m, :, None] * weights[:, None]
+            ratios[first + 1:first + 1 + m] = ((ratio_weighted @ chunk) @ later)[:, 0, 0]
+    if invalid:
+        raise InvalidModelError("backward density entries must be finite and nonnegative")
+    bad = ~np.isfinite(ratios) | (ratios < 0.0)
+    if bad.any():
+        value = float(ratios[bad.argmax()])
+        raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
+    return oscillations, ratios
+
+
+def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Backward density after the first step, on plain arrays."""
+    numerator = matrix * theta0[:, None]
+    denominator = (theta0 * weights) @ matrix
+    if np.any(denominator <= 0.0):
+        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
+    rho = numerator / denominator[None, :]
+    return rho / (weights @ rho)
+
+
+def _prior_ratio(model: FiniteModel) -> np.ndarray:
+    """The entrywise ratio of the true prior to the wrong one, which
+    `build_model` keeps strictly positive; NumericalError where it overflows."""
+    nu, beta = model.true_prior.values, model.wrong_prior.values
+    with np.errstate(over="ignore"):
+        ratio = np.divide(nu, beta)
+    if not np.isfinite(ratio).all():
+        u = int(np.isfinite(ratio).argmin())
+        raise NumericalError(
+            f"prior ratio overflows at state {u}: nu {float(nu[u])!r} / beta {float(beta[u])!r}")
+    return ratio
 
 
 def change_of_measure_residual(
@@ -263,7 +328,12 @@ def _envelope_scale(theta0: np.ndarray, coeffs: Optional[Coefficients]) -> Optio
     if coeffs is None or coeffs.mixing_coefficient <= 0.0:
         return None
     theta_min = float(theta0.min())
-    return coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient) * theta0
+    product = theta_min * coeffs.mixing_coefficient
+    if product == 0.0:
+        raise NumericalError(
+            f"envelope scale underflows: theta_min * mixing coefficient = "
+            f"{theta_min!r} * {coeffs.mixing_coefficient!r} rounds to 0")
+    return coeffs.max_density**2 / product * theta0
 
 
 def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients],

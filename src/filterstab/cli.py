@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .backward import _backward_along
+from .backward import _prior_ratio, backward_pass
 from .errors import InvalidModelError, NumericalError
 from .ergodicity import _running_averages, geometric_ergodicity_report
 from .filtering import run_filter
@@ -345,11 +345,10 @@ def _cmd_backward(args) -> int:
     coeffs = mixing_coefficients(model, invariant)
     seed = derive_seed(args.seed, 0)
     trajectory = sample_trajectory(model, model.true_prior, _scenario_horizon(args), seed)
-    prior_ratio = np.divide(model.true_prior.values, model.wrong_prior.values)
     # the filter from the wrong prior, which `build_model` keeps strictly
-    # positive, and ρ along it, in one pass
-    backward = _backward_along(model, model.wrong_prior, coeffs, prior_ratio,
-                               observations=trajectory.observations)
+    # positive, then ρ along it
+    run = run_filter(model.wrong_prior, trajectory.observations, model)
+    backward = backward_pass(model, model.wrong_prior, coeffs, run.densities, _prior_ratio(model))
     bounds = backward.bounds
     violation = bounds is not None and bool(np.any(backward.oscillations > bounds + 1e-12))
     bound_max = [None] * len(trajectory.observations) if bounds is None else bounds.max(axis=1)

@@ -124,18 +124,16 @@ def filter_step_with_likelihood(
     return Density(unnormalized / normalizer), normalizer
 
 
-# entries of backward densities held at once: `_engine` runs each stage on a chunk of steps
+# entries of a filter buffer held at once: `_engine` runs a chunk of steps at a time
 _CHUNK_ENTRIES = 2**13
 
 
 class _EngineRun(NamedTuple):
-    """What `_engine` returns; the parts a pass does not compute are None."""
+    """What `_engine` returns."""
 
-    densities: Optional[np.ndarray] = None  # (R, P, N+1, d), read-only
-    normalizers: Optional[np.ndarray] = None  # (R, P, N), read-only, linear
-    rescued_logs: Optional[dict] = None  # {(r, p): {step: log normalizer}} of log-domain steps
-    oscillations: Optional[np.ndarray] = None  # (R, N, d)
-    ratios: Optional[np.ndarray] = None  # (R, N+1)
+    densities: np.ndarray  # (R, P, N+1, d), read-only
+    normalizers: np.ndarray  # (R, P, N), read-only, linear
+    rescued_logs: dict  # {(r, p): {step: log normalizer}} of log-domain steps
 
     def filter_run(self, r: int, p: int, observations) -> FilterRun:
         """The `FilterRun` of prior ``p`` on record ``r``, `observations`."""
@@ -143,168 +141,95 @@ class _EngineRun(NamedTuple):
                          self.rescued_logs.get((r, p), {}))
 
 
-def _engine(model: FiniteModel, start: np.ndarray, observations=None,
-            backward: Optional[tuple] = None) -> _EngineRun:
-    """The one time loop: the filter from ``P`` priors on ``R`` records and
-    ρ along one of those priors, a chunk of ``_CHUNK_ENTRIES // (R d d)``
-    steps at a time.
+def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
+    """The filter loop: the filter from each of the ``(P, d)`` priors on each
+    of the ``R`` records of ``observations``, a chunk of
+    ``_CHUNK_ENTRIES // (P R d)`` steps at a time. It runs no ρ: that is
+    `backward_pass`'s own loop, along one density history.
 
-    ``start`` holds the ``(P, d)`` priors, or, without observations, the
-    ``(N+1, d)`` density history of one run, read instead of filtered.
-    ``backward = (p, theta0, ratio)`` advances ρ from the strictly positive
-    ``theta0`` along prior ``p``, dividing by that prior's prediction, and
-    reduces it to oscillations and the likelihood ratios of ``ratio``.
-    Each chunk runs in two stages. The filter fills the chunk's weighted and
-    predicted rows, normalizers and densities (a given history's rows are
-    weighted and predicted by one time-stacked product); then ρ is carried
-    across the chunk from those buffers and reduced. Each product is one gemv
-    or dot per row, so every row rounds as it does alone; a lone row, and ρ
-    of a lone record, take ``ndarray.dot``, the same BLAS call at less cost.
-    Elementwise steps run on same-shape operands tiled once per chunk.
-    A Gaussian step whose normalizer underflows or overflows is redone for
-    that row in the log domain, and the filter resumes after that step in
-    runs of 1, 2, 4, ... steps. Any other bad normalizer fails the filter,
-    and a zero predicted mass fails ρ; a failed run goes on with whatever
-    values it gets and is not checked again. The normalizers are returned
-    linear, 1.0 at rescued steps, with their log-domain values beside them;
-    no logarithm is taken until a `FilterRun` is read.
+    Each step advances every filter as one stack of row vectors. Each product
+    is one gemv or dot per row, so every row rounds as it does alone; a lone
+    row takes ``ndarray.dot``, the same BLAS call at less cost. Elementwise
+    steps run on same-shape operands tiled once per chunk. A chunk's
+    normalizers are checked in one vectorized test. A Gaussian step whose
+    normalizer underflows or overflows is redone for that row in the log
+    domain, and the filter resumes after that step in runs of 1, 2, 4, ...
+    steps. Any other bad normalizer fails the filter, which goes on with
+    whatever values it gets and is not checked again. The normalizers are
+    returned linear, 1.0 at rescued steps, with their log-domain values
+    beside them; no logarithm is taken until a `FilterRun` is read.
 
-    When a run has failed, the first error in record order is raised: each
-    record's filters in prior order, then its ρ, as if the runs went one by
-    one.
+    When a filter has failed, the first error in record order is raised:
+    each record's filters in prior order, as if they ran one by one.
     """
     matrix, weights = model.kernel.matrix, model.space.weights
     d = model.space.num_states
-    filtering = observations is not None
-    n_records, n_obs = np.shape(observations) if filtering else (1, len(start) - 1)
-    n_priors = len(start) if filtering else 1
+    n_records, n_obs = np.shape(observations)
+    n_priors = len(priors)
     n_rows = n_priors * n_records  # prior-major: row p * R + r
-    # a lone row or record is 1-D: numpy rounds it the same way, at less cost per call
+    # a lone row is 1-D: numpy rounds it the same way, at less cost per call
     row = (n_rows, 1, d) if n_rows > 1 else (d,)
-    run_row = (n_records, 1, d) if n_records > 1 else (d,)  # the rows of one prior
-    held = max(1, min(_CHUNK_ENTRIES // (n_records * d * d), n_obs))  # steps per chunk
-    weighted, predicted = np.empty((2, held) + row)
+    held = max(1, min(_CHUNK_ENTRIES // (n_rows * d), n_obs))  # steps per chunk
     multiply, divide, matmul = np.multiply, np.divide, np.matmul
-    if filtering:
-        liks = likelihood_rows(model.observation, np.ravel(observations))
-        liks = np.ascontiguousarray(liks.reshape(n_records, n_obs, d).swapaxes(0, 1))
-        densities = np.empty((n_obs + 1,) + row)
-        densities[0] = np.repeat(start, n_records, axis=0).reshape(row)
-        normalizers = np.empty((n_obs,) + row[:-1] + (1,))
-        # a chunk's densities and normalizers, copied out at its end
-        pis, zs = np.empty((held + 1,) + row), np.empty((held,) + row[:-1] + (1,))
-        row_pis, row_zs = pis.reshape(held + 1, n_rows, d), zs.reshape(held, n_rows)
-        tiled_liks = np.empty((held,) + row)  # each record's likelihoods, for every prior
-        tiled_weights = np.tile(weights, n_rows).reshape(row)
-        unnormalized, weights_column = np.empty(row), weights[:, None]
-        # one row goes through `ndarray.dot`: the same BLAS call
-        row_product = np.ndarray.dot if n_rows == 1 else matmul
-        # each buffer's per-step views, made once; step k writes the density step k + 1 reads
-        pi_views = list(pis)
-        steps = pi_views, list(weighted), list(predicted), list(tiled_liks), list(zs), pi_views[1:]
-        failed_at = np.zeros(n_rows, dtype=np.int64)  # first failing step, or 0
-        rescued_logs = {}
-    else:
-        densities = start
-    follow, theta0, ratio = backward or (0, None, None)
-    history = densities.reshape((n_obs + 1, n_priors) + run_row)[:, follow]  # ρ's prior
-    rho = rho_error = None
-    if backward is not None:
-        ratios = np.empty((n_obs + 1, n_records))
-        ratios[0] = float((ratio * theta0) @ weights)
-        oscillations = np.zeros((n_obs, n_records, d))
-        square = run_row[:-2] + (d, d)
-        # a chunk of ρ, and its prior's weighted and predicted rows tiled over ρ's rows
-        rhos, rho_weighted, rho_predicted = np.empty((3, held) + square)
-        try:
-            if n_obs:
-                rhos[0] = _rho_init(theta0, matrix, weights)
-                rho = rhos[0]
-        except NumericalError as exc:  # the first step is the same for every run
-            rho_error = exc
-        scaled, numerator = np.empty((2,) + square)
-        column_sums = np.empty(run_row)
-        weights_row = weights[None, :] if n_records > 1 else weights
-        rho_product = np.ndarray.dot if n_records == 1 else matmul
-        rho_steps = list(rho_weighted), list(rho_predicted), list(rhos)
-        invalid, dead = np.zeros((2, n_records), dtype=bool)  # dead: a zero predicted mass
-        ratio_weighted = (ratio * weights)[None, :]
+    liks = likelihood_rows(model.observation, np.ravel(observations))
+    liks = np.ascontiguousarray(liks.reshape(n_records, n_obs, d).swapaxes(0, 1))
+    densities = np.empty((n_obs + 1,) + row)
+    densities[0] = np.repeat(priors, n_records, axis=0).reshape(row)
+    normalizers = np.empty((n_obs,) + row[:-1] + (1,))
+    # a chunk's densities and normalizers, copied out at its end
+    pis, zs = np.empty((held + 1,) + row), np.empty((held,) + row[:-1] + (1,))
+    row_pis, row_zs = pis.reshape(held + 1, n_rows, d), zs.reshape(held, n_rows)
+    weighted, predicted = np.empty((2, held) + row)
+    tiled_liks = np.empty((held,) + row)  # each record's likelihoods, for every prior
+    tiled_weights = np.tile(weights, n_rows).reshape(row)
+    unnormalized, weights_column = np.empty(row), weights[:, None]
+    # one row goes through `ndarray.dot`: the same BLAS call
+    row_product = np.ndarray.dot if n_rows == 1 else matmul
+    # each buffer's per-step views, made once; step k writes the density step k + 1 reads
+    pi_views = list(pis)
+    steps = pi_views, list(weighted), list(predicted), list(tiled_liks), list(zs), pi_views[1:]
+    failed_at = np.zeros(n_rows, dtype=np.int64)  # first failing step, or 0
+    rescued_logs = {}
     with np.errstate(all="ignore"):  # every failure is caught by the checks below
         for first in range(0, n_obs, held):
-            m, after = min(held, n_obs - first), first + 1
-            if filtering:
-                pis[0] = densities[first]
-                tiled_liks[:m].reshape(m, n_priors, -1)[:] = liks[first:first + m].reshape(m, 1, -1)
-                done, size = 0, m
-                while done < m:
-                    stop = min(done + size, m)
-                    for pi, w, p, lik, z, pi_next in zip(*(views[done:stop] for views in steps)):
-                        multiply(pi, tiled_weights, w)
-                        row_product(w, matrix, p)
-                        multiply(lik, p, unnormalized)
-                        matmul(unnormalized, weights_column, z)
-                        divide(unnormalized, z, pi_next)
-                    z = row_zs[done:stop]
-                    bad = ~((z > UNDERFLOW_FLOOR) & (z < math.inf))
-                    bad &= failed_at == 0
-                    if not bad.any():
-                        done, size = stop, 2 * size
-                        continue
-                    k = done + int(bad.any(axis=1).argmax())  # the first failing step
-                    n = first + k
-                    for i in np.flatnonzero(bad[k - done]).tolist():
-                        p, r = divmod(i, n_records)
-                        rescued = (model.observation.kind == "gaussian"
-                                   and _log_domain_update(row_pis[k, i], observations[r][n], model))
-                        if rescued:
-                            row_pis[k + 1, i], rescued_logs.setdefault((r, p), {})[n] = rescued
-                            row_zs[k, i] = 1.0
-                        else:
-                            failed_at[i] = n + 1
-                    done, size = k + 1, 1
-                densities[after:after + m] = pis[1:m + 1]
-                normalizers[first:first + m] = zs[:m]
-            else:  # a given history: one time-stacked product of its rows
-                multiply(densities[first:first + m], weights, weighted[:m])
-                matmul(weighted[:m, None], matrix, predicted[:m, None])
-            if rho is None:
-                continue
-            # ρ's step n divides by its prior's prediction of filter step n
-            by_run = (m, n_priors, n_records, 1, d)
-            step_weighted = rho_weighted[:m].reshape(m, n_records, d, d)
-            step_predicted = rho_predicted[:m].reshape(m, n_records, d, d)
-            step_weighted[:] = weighted[:m].reshape(by_run)[:, follow]
-            step_predicted[:] = predicted[:m].reshape(by_run)[:, follow]
-            # step 0 is `_rho_init`, from theta0
-            dead |= (step_predicted[0 if first else 1:, :, 0].min(axis=-1) <= 0.0).any(axis=0)
-            for w, p, rho_next in zip(*(views[0 if first else 1:m] for views in rho_steps)):
-                multiply(rho, w, scaled)
-                rho_product(scaled, matrix, numerator)
-                divide(numerator, p, numerator)
-                rho_product(weights_row, numerator, column_sums)
-                rho = divide(numerator, column_sums, rho_next)
-            # the chunk's column extrema, and its likelihood ratios as one dot per step
-            chunk = rhos[:m].reshape(m, n_records, d, d)
-            upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
-            invalid |= ~np.isfinite(upper).all(axis=(0, 2)) | (lower < 0.0).any(axis=(0, 2))
-            np.subtract(upper, lower, out=oscillations[first:first + m])
-            later = history[after:after + m].reshape(m, n_records, 1, d) * weights
-            ratios[after:after + m] = ((ratio_weighted @ chunk) @ later.swapaxes(-1, -2))[..., 0, 0]
-    run = {}
-    failed = broken = np.zeros((n_records, 0), dtype=bool)  # (R, P): per filter
-    if filtering:
-        densities = densities.reshape(n_obs + 1, n_priors, n_records, d).transpose(2, 1, 0, 3)
-        normalizers = normalizers.reshape(n_obs, n_priors, n_records).transpose(2, 1, 0)
-        densities.flags.writeable = normalizers.flags.writeable = False
-        run = dict(densities=densities, normalizers=normalizers, rescued_logs=rescued_logs)
-        failed = failed_at.reshape(n_priors, n_records).T
-        broken = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
+            m = min(held, n_obs - first)
+            pis[0] = densities[first]
+            tiled_liks[:m].reshape(m, n_priors, -1)[:] = liks[first:first + m].reshape(m, 1, -1)
+            done, size = 0, m
+            while done < m:
+                stop = min(done + size, m)
+                for pi, w, p, lik, z, pi_next in zip(*(views[done:stop] for views in steps)):
+                    multiply(pi, tiled_weights, w)
+                    row_product(w, matrix, p)
+                    multiply(lik, p, unnormalized)
+                    matmul(unnormalized, weights_column, z)
+                    divide(unnormalized, z, pi_next)
+                z = row_zs[done:stop]
+                bad = ~((z > UNDERFLOW_FLOOR) & (z < math.inf))
+                bad &= failed_at == 0
+                if not bad.any():
+                    done, size = stop, 2 * size
+                    continue
+                k = done + int(bad.any(axis=1).argmax())  # the first failing step
+                n = first + k
+                for i in np.flatnonzero(bad[k - done]).tolist():
+                    p, r = divmod(i, n_records)
+                    rescued = (model.observation.kind == "gaussian"
+                               and _log_domain_update(row_pis[k, i], observations[r][n], model))
+                    if rescued:
+                        row_pis[k + 1, i], rescued_logs.setdefault((r, p), {})[n] = rescued
+                        row_zs[k, i] = 1.0
+                    else:
+                        failed_at[i] = n + 1
+                done, size = k + 1, 1
+            densities[first + 1:first + 1 + m] = pis[1:m + 1]
+            normalizers[first:first + m] = zs[:m]
+    densities = densities.reshape(n_obs + 1, n_priors, n_records, d).transpose(2, 1, 0, 3)
+    normalizers = normalizers.reshape(n_obs, n_priors, n_records).transpose(2, 1, 0)
+    densities.flags.writeable = normalizers.flags.writeable = False
+    failed = failed_at.reshape(n_priors, n_records).T  # (R, P): per filter
+    broken = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
     failing = failed.any(axis=1) | broken.any(axis=1)
-    if backward is not None:
-        ratios = ratios.T
-        bad_ratios = ~np.isfinite(ratios) | (ratios < 0.0)
-        failing |= (rho_error is not None) | dead | invalid | bad_ratios.any(axis=1)
-        run.update(oscillations=oscillations.transpose(1, 0, 2), ratios=ratios)
     if failing.any():
         r = int(failing.argmax())  # the lowest failing record
         for step, bad in zip(failed[r].tolist(), broken[r].tolist()):
@@ -312,25 +237,7 @@ def _engine(model: FiniteModel, start: np.ndarray, observations=None,
                 raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {step})")
             if bad:
                 raise InvalidModelError("density values must be finite and nonnegative")
-        if rho_error is not None:
-            raise rho_error
-        if dead[r]:
-            raise NumericalError("state has zero predicted mass")
-        if invalid[r]:
-            raise InvalidModelError("backward density entries must be finite and nonnegative")
-        value = float(ratios[r, bad_ratios[r].argmax()])
-        raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
-    return _EngineRun(**run)
-
-
-def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Backward density after the first step, on plain arrays."""
-    numerator = matrix * theta0[:, None]
-    denominator = (theta0 * weights) @ matrix
-    if np.any(denominator <= 0.0):
-        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
-    rho = numerator / denominator[None, :]
-    return rho / (weights @ rho)
+    return _EngineRun(densities, normalizers, rescued_logs)
 
 
 def run_filter(prior: Density, observations: Sequence, model: FiniteModel) -> FilterRun:

@@ -21,12 +21,13 @@ The scenario registry holds model documents, built like a model file by
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .backward import _envelope, _envelope_scale
+from .backward import BackwardPass, _prior_ratio, backward_pass
 from .errors import InvalidModelError
 from .filtering import (
     DecayEstimate,
@@ -105,28 +106,38 @@ class KaijserReport:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """Everything measured on one replicate of a scenario of `model`; the
-    envelope ``oscillation_bounds`` is computed on first read, cached and read-only."""
+    """Everything measured on one replicate of a scenario of `model`.
+
+    ρ is not run with the filters. ``oscillations``, ``likelihood_ratios``
+    and the envelope ``oscillation_bounds`` come from one `backward_pass`
+    along the wrong-prior run, made on the first read of any of them; it is
+    cached and its arrays are read-only. Its errors (an overflowing prior
+    ratio, a failing ρ, an underflowing envelope scale) are raised at that
+    read.
+    """
 
     replicate: int
     seed: int
     trajectory: Trajectory
     pair: PairRun
-    oscillations: np.ndarray
-    bounds_vacuous: bool
-    likelihood_ratios: np.ndarray
     decay: DecayEstimate
     coeffs: Coefficients
     model: FiniteModel
     kaijser: Optional[KaijserReport] = None
 
+    @property
+    def bounds_vacuous(self) -> bool:
+        return self.oscillation_bounds is None
+
     @functools.cached_property
-    def oscillation_bounds(self) -> Optional[np.ndarray]:
-        bounds = _envelope(self.model, self.model.wrong_prior, self.coeffs,
-                           self.pair.run_wrong.densities)
-        if bounds is not None:
-            bounds.flags.writeable = False
-        return bounds
+    def _backward(self) -> BackwardPass:
+        model = self.model
+        return backward_pass(model, model.wrong_prior, self.coeffs, self.pair.run_wrong.densities,
+                             _prior_ratio(model))
+
+    oscillations = property(operator.attrgetter("_backward.oscillations"))
+    likelihood_ratios = property(operator.attrgetter("_backward.likelihood_ratios"))
+    oscillation_bounds = property(operator.attrgetter("_backward.bounds"))
 
 
 _UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
@@ -347,27 +358,27 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
 
     Each replicate gets an independent stream derived from the scenario seed,
     and records are ordered by replicate, so output is a pure function of
-    (scenario, seed). One pass samples every record, and one `_engine` time
-    loop advances both priors of every replicate and the backward density
-    along the wrong one; the Kaijser gate, run whenever the model is the
-    counterexample's, reuses each pair. Every replicate's arrays equal those
-    it gets alone, bit for bit. When replicates fail in the engine, it raises
-    the lowest one's first error, as if they ran one after another, before
-    any replicate's decay fit or Kaijser check.
+    (scenario, seed). One pass samples every record, and one filter pass,
+    `_engine`, advances both priors of every replicate; the Kaijser gate, run
+    whenever the model is the counterexample's, reuses each pair. No ρ is run
+    here: a record runs it along its wrong-prior densities when its
+    oscillations, likelihood ratios or envelope are first read. Every
+    replicate's arrays equal those it gets alone, bit for bit. When filters
+    fail, the lowest failing replicate's first filter error is raised, as if
+    the replicates ran one after another, before any replicate's decay fit
+    or Kaijser check. A replicate's ρ error is raised at its first read, so
+    a caller that reads only replicate 0's ρ never sees another's.
     """
     model = scenario.model
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
-    prior_ratio = np.divide(model.true_prior.values, model.wrong_prior.values)
     seeds = [derive_seed(scenario.seed, replicate) for replicate in range(scenario.replicates)]
     if not seeds:
         return []
     states, observations = sample_trajectories(model, model.true_prior, scenario.horizon, seeds)
     _check_priors(model.true_prior, model.wrong_prior)
-    wrong = model.wrong_prior
-    run = _engine(model, np.stack([model.true_prior.values, wrong.values]), observations,
-                  backward=(1, wrong.values, prior_ratio))
-    vacuous = _envelope_scale(wrong.values, coeffs) is None
+    run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]),
+                  observations)
     kaijser = _is_kaijser(model)
     records = []
     for replicate, seed in enumerate(seeds):
@@ -379,9 +390,6 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
             seed=seed,
             trajectory=trajectory,
             pair=pair,
-            oscillations=run.oscillations[replicate],
-            bounds_vacuous=vacuous,
-            likelihood_ratios=run.ratios[replicate],
             decay=decay_rate(pair.tv, window_fraction),
             coeffs=coeffs,
             model=model,

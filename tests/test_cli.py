@@ -300,6 +300,26 @@ class TestStabilityCommand:
         assert a.with_suffix(".json").read_text() == b.with_suffix(".json").read_text()
 
 
+class TestSubnormalPriorAtomsExitTwo:
+    """A subnormal atom in the wrong prior makes the envelope scale underflow
+    or the prior ratio overflow: exit 2 with one line that names the cause.
+    Tier-1 turns warnings into errors, so no numpy warning may escape."""
+
+    @pytest.mark.parametrize("command, priors, cause", [
+        ("stability", ["--nu", "5e-324,1", "--beta", "5e-324,1"],
+         "envelope scale underflows: theta_min * mixing coefficient = 5e-324 * 0.375 rounds to 0"),
+        ("backward", ["--nu", "5e-324,1", "--beta", "5e-324,1"],
+         "envelope scale underflows: theta_min * mixing coefficient = 5e-324 * 0.375 rounds to 0"),
+        ("stability", ["--beta", "5e-324,1"], "prior ratio overflows at state 0: nu 0.9 / beta 5e-324"),
+        ("backward", ["--beta", "5e-324,1"], "prior ratio overflows at state 0: nu 0.9 / beta 5e-324"),
+    ])
+    def test_one_line_and_exit_two(self, command, priors, cause, tmp_path, capsys):
+        rc = main([command, "--scenario", "mixing2", "--horizon", "20", *priors,
+                   "--output", str(tmp_path / "out.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [f"numerical failure: {cause}"]
+
+
 class TestOtherCommands:
     def test_simulate_csv(self, tmp_path):
         out = tmp_path / "traj.csv"

@@ -1,9 +1,10 @@
 """The replicate-batched engine against replicates run one at a time.
 
 `run_scenario` samples every replicate's record at once and advances both
-priors of every replicate and the backward density along the wrong one in
-one time loop over stacked arrays; `filter_step_with_likelihood` and
-`BackwardContext` advance one observation at a time, and the reference
+priors of every replicate in one time loop over stacked arrays; a record
+runs the backward density along its wrong-prior run when that is first
+read. `filter_step_with_likelihood` and `BackwardContext` advance one
+observation at a time, and the reference
 loops of `reference.py` redo each replicate alone with plain 1-D
 arithmetic. Stacked products round like the one-row ones, so every array
 must agree exactly, not just to a tolerance.
@@ -45,6 +46,7 @@ from filterstab import (
     sample_trajectory,
     tv_norm,
 )
+from filterstab.cli import main
 from filterstab.filtering import _engine, _pair_run
 from filterstab.harness import KAIJSER_TRUE_PRIOR, _verify_kaijser_on
 from filterstab.simulate import _pick_table
@@ -132,22 +134,60 @@ def test_run_scenario_makes_one_engine_pass_for_all_replicates(monkeypatch, name
     calls = []
     original = filterstab.filtering._engine
 
-    def counting(model, start, observations=None, backward=None):
-        calls.append((start.shape, np.shape(observations), backward and backward[0]))
-        return original(model, start, observations, backward)
+    def counting(model, priors, observations):
+        calls.append((priors.shape, np.shape(observations)))
+        return original(model, priors, observations)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("run_scenario ran a filter of its own")
+        raise AssertionError("run_scenario ran a filter or ρ of its own")
 
-    for module in (filterstab.filtering, filterstab.backward, filterstab.harness):
+    for module in (filterstab.filtering, filterstab.harness):
         monkeypatch.setattr(module, "_engine", counting)
     monkeypatch.setattr(filterstab.filtering, "run_filter", forbidden)
+    monkeypatch.setattr(filterstab.backward, "_rho_along", forbidden)
     scenario = builtin_scenario(name, horizon=50, replicates=replicates)
     run_scenario(scenario)
     d = scenario.model.space.num_states
-    # both priors of every replicate and ρ along the wrong one (index 1),
-    # one pass over the 50 observations
-    assert calls == [((2, d), (replicates, 50), 1)]
+    # both priors of every replicate, one pass over the 50 observations, and no ρ
+    assert calls == [((2, d), (replicates, 50))]
+
+
+def test_rho_runs_once_per_record_read(monkeypatch):
+    calls = []
+    original = filterstab.backward._rho_along
+
+    def counting(model, theta0, ratio, history):
+        calls.append(len(history))
+        return original(model, theta0, ratio, history)
+
+    monkeypatch.setattr(filterstab.backward, "_rho_along", counting)
+    records = run_scenario(builtin_scenario("mixing2", horizon=50, replicates=50))
+    assert calls == []
+    first = records[0]
+    first.oscillation_bounds
+    assert calls == [51]
+    oscillations, ratios = first.oscillations, first.likelihood_ratios
+    assert first.oscillations is oscillations and first.likelihood_ratios is ratios
+    assert calls == [51]
+    assert records[7].likelihood_ratios is records[7].likelihood_ratios
+    records[7].oscillations
+    assert calls == [51, 51]
+    assert "_backward" not in vars(records[8])
+    assert not oscillations.flags.writeable and not ratios.flags.writeable
+
+
+def test_stability_runs_rho_for_replicate_0_only(monkeypatch, tmp_path):
+    calls = []
+    original = filterstab.backward._rho_along
+
+    def counting(model, theta0, ratio, history):
+        calls.append(len(history))
+        return original(model, theta0, ratio, history)
+
+    monkeypatch.setattr(filterstab.backward, "_rho_along", counting)
+    assert main(["stability", "--scenario", "mixing2", "--horizon", "60", "--replicates", "50",
+                 "--output", str(tmp_path / "run.csv")]) == 0
+    assert calls == [61]
 
 
 def test_backward_pass_runs_no_filter(monkeypatch):
@@ -449,8 +489,9 @@ def test_overflowing_normalizer_is_redone_in_the_log_domain():
 
 
 class TestErrorPrecedence:
-    """When replicates fail, `run_scenario` raises what running them one after
-    another raised: the lowest failing replicate's first error."""
+    """When filters fail, `run_scenario` raises what running them one after
+    another raised: the lowest failing replicate's first filter error. A
+    replicate's ρ error is raised when its ρ is read."""
 
     # state 1 always returns to 0 and each state reads out its own index, so
     # a record is the state path; the true prior starts in state 1
@@ -491,12 +532,22 @@ class TestErrorPrecedence:
             self.run(monkeypatch, [self.VALID, self.BOTH_FAIL_AT_3, self.CORRECT_FAILS_AT_1])
         assert str(caught.value) == str(expected)
 
-    def test_backward_failure_wins_over_a_later_replicate_filter(self, monkeypatch):
+    def test_a_later_replicate_filter_wins_over_a_backward_failure(self, monkeypatch):
+        # the filters of every replicate run before any ρ, and ρ only on its read
         expected = self.alone(self.BACKWARD_FAILS)
         assert "zero predicted mass" in str(expected)
-        with pytest.raises(NumericalError) as caught:
+        with pytest.raises(NumericalError, match=r"at step 1\)$"):
             self.run(monkeypatch, [self.VALID, self.BACKWARD_FAILS, self.CORRECT_FAILS_AT_1])
+        records = self.run(monkeypatch, [self.VALID, self.BACKWARD_FAILS, self.VALID])
+        with pytest.raises(NumericalError) as caught:
+            records[1].oscillations
         assert str(caught.value) == str(expected)
+        with pytest.raises(NumericalError) as again:
+            records[1].oscillation_bounds
+        assert str(again.value) == str(expected)
+        # the other replicates read their ρ as before
+        records[0].oscillations
+        np.testing.assert_array_equal(records[2].likelihood_ratios, records[0].likelihood_ratios)
 
     def test_first_replicate_failing_at_step_one(self, monkeypatch):
         with pytest.raises(NumericalError, match=r"at step 1\)$"):

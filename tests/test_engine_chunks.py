@@ -1,13 +1,18 @@
-"""The engine across its chunk boundaries.
+"""The filter loop and the ρ loop across their chunk boundaries.
 
-`_engine` runs ``held = _CHUNK_ENTRIES // (R * d * d)`` steps at a time: the
-filter fills the chunk, then ρ is carried across it, reduced, and carried
-into the next chunk. With `_CHUNK_ENTRIES` patched so that a chunk holds 1,
-2 or 3 steps, each boundary case meets the reference loops of
-`reference.py`, which have no chunks at all. One record (R = 1) takes the
-``ndarray.dot`` products and meets the same reference, with unit and with
-other state weights. A record that fails at every step, or at every other
-one, costs time linear in its length, and about what a clean one costs.
+`_engine`, the filter loop, runs ``_CHUNK_ENTRIES // (P * R * d)`` steps at
+a time: every filter row fills the chunk, and the chunk is copied out.
+`backward_pass` carries ρ along one density history in its own loop,
+``_RHO_ENTRIES // d**2`` steps at a time: the chunk's rows are weighted and
+predicted, ρ is carried across it, reduced, and carried into the next
+chunk. With the constants patched so that a chunk of either loop holds 1, 2
+or 3 steps, each boundary case meets the reference loops of `reference.py`,
+which have no chunks at all: both loops as `run_scenario` and a first read
+run them, and ρ on its own along a reference history. One record (R = 1)
+takes the ``ndarray.dot`` products and meets the same reference, with unit
+and with other state weights. A record that fails at every step, or at
+every other one, costs time linear in its length, and about what a clean
+one costs.
 """
 
 import time
@@ -15,6 +20,7 @@ import time
 import numpy as np
 import pytest
 
+import filterstab.backward
 import filterstab.filtering
 import filterstab.harness
 from filterstab import (
@@ -27,6 +33,7 @@ from filterstab import (
     mixing_coefficients,
     run_filter,
     run_scenario,
+    sample_trajectory,
 )
 from filterstab.filtering import _engine
 from helpers import random_positive_model
@@ -84,9 +91,11 @@ RETURN_MODEL = build_model({
 })
 
 
-def hold(monkeypatch, steps, n_records, d):
-    """Make a chunk hold `steps` whole steps, filter and ρ, of `n_records` runs."""
-    monkeypatch.setattr(filterstab.filtering, "_CHUNK_ENTRIES", steps * n_records * d * d)
+def hold(monkeypatch, steps, n_records, d, priors=2):
+    """Make a chunk of the filter loop over `priors` priors on `n_records`
+    records, and a chunk of the ρ loop, hold `steps` whole steps."""
+    monkeypatch.setattr(filterstab.filtering, "_CHUNK_ENTRIES", steps * priors * n_records * d)
+    monkeypatch.setattr(filterstab.backward, "_RHO_ENTRIES", steps * d * d)
 
 
 def coefficients(model):
@@ -130,6 +139,27 @@ def test_every_chunk_size_equals_the_reference(monkeypatch, name, held):
 
 
 @pytest.mark.parametrize("held", HELD)
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_rho_alone_in_chunks_equals_the_reference(monkeypatch, name, held):
+    # ρ along a history made by the reference filter, never by the filter loop
+    model = MODELS[name]
+    d = model.space.num_states
+    observations = sample_trajectory(model, model.true_prior, 3 * held + 2, 9).observations
+    history, _ = reference_filter(model, model.wrong_prior.values, observations)
+    coeffs = coefficients(model)
+    oscillations, bounds, ratios = reference_backward(model, coeffs, history)
+    hold(monkeypatch, held, 1, d)
+    along = backward_pass(model, model.wrong_prior, coeffs, history,
+                          model.true_prior.values / model.wrong_prior.values)
+    np.testing.assert_array_equal(along.oscillations, oscillations)
+    np.testing.assert_array_equal(along.likelihood_ratios, ratios)
+    if bounds is None:
+        assert along.bounds is None
+    else:
+        np.testing.assert_array_equal(along.bounds, bounds)
+
+
+@pytest.mark.parametrize("held", HELD)
 @pytest.mark.parametrize("offset", [0, 1])
 def test_gaussian_rescue_at_and_after_the_chunk_end(monkeypatch, held, offset):
     # the outlier is observation `held + offset`: the last step of the first
@@ -165,18 +195,16 @@ def test_zero_predicted_mass_on_a_chunk_boundary(monkeypatch, held, where):
     early[0] = 1
     impossible = [1] * n_obs
     hold(monkeypatch, held, 3, 2)
-    priors = np.stack([model.true_prior.values, model.wrong_prior.values])
-    backward = (1, model.wrong_prior.values, model.true_prior.values / model.wrong_prior.values)
-    for later in (early, impossible):
+    # every record's filters run before any ρ: the later filter failure is raised first
+    with pytest.raises(NumericalError, match=r"\(at step 2\)$"):
+        run_records(monkeypatch, model, [valid, failing, impossible])
+    # each ρ fails on its own first read; the valid record reads the reference
+    records = run_records(monkeypatch, model, [valid, failing, early])
+    for record in records[1:]:
         with pytest.raises(NumericalError) as caught:
-            _engine(model, priors, np.array([valid, failing, later]), backward=backward)
+            record.oscillations
         assert str(caught.value) == "state has zero predicted mass"
-    # the valid records alone run through
-    run = _engine(model, priors, np.array([valid, valid, valid]), backward=backward)
-    oscillations, _, ratios = reference_backward(
-        model, coeffs, reference_filter(model, model.wrong_prior.values, valid)[0])
-    np.testing.assert_array_equal(run.oscillations[1], oscillations)
-    np.testing.assert_array_equal(run.ratios[1], ratios)
+    assert_record_equals_reference(model, records[0], valid)
 
 
 @pytest.mark.parametrize("every", [1, 2])
@@ -226,6 +254,7 @@ def test_one_record_equals_the_reference(monkeypatch, name, held):
     observations = record.trajectory.observations
     assert_record_equals_reference(model, record, observations)
     # one prior: a lone filter row; ρ read along an existing history
+    hold(monkeypatch, held, 1, model.space.num_states, priors=1)
     densities, log_norms = reference_filter(model, model.wrong_prior.values, observations)
     run = run_filter(model.wrong_prior, observations, model)
     np.testing.assert_array_equal(run.densities, densities)

@@ -1,17 +1,19 @@
-"""Property tests of the engine against the reference loops, and the known
-flush-to-zero defect.
+"""Property tests of the filter and ρ loops against the reference loops,
+and the known flush-to-zero defect.
 
 Random finite and Gaussian models with zero-pattern kernels, d = 2..6 and
-unit or other state weights, run
-through one engine pass (both priors and ρ along the wrong one, as
-`run_scenario` runs them) on 1 or 3 records of up to 40 observations. When
-`reference.py`'s plain loops fail, the engine must raise their first error in
-record order; otherwise every array must equal theirs bit for bit. Under
-chunks of 1 to 4 steps or the default, Gaussian records with outliers hold
-the rescued and resumed steps inside one chunk to the same loops, and records
-with NaNs or infinities must raise the same first error. The sampler, on
-the same kind of models with horizons up to 300, must draw what the scalar
-generator draws step by step.
+unit or other state weights, run through one filter pass over both priors
+(as `run_scenario` runs them) on 1 or 3 records of up to 40 observations,
+then through ρ along each record's wrong-prior run (as a first read runs
+it). When `reference.py`'s plain loops fail, the package must raise their
+first error in the order it runs them: every record's filters in record and
+prior order, then each record's ρ in record order. Otherwise every array
+must equal theirs bit for bit. Under chunks of 1 to 4 steps in both loops
+or the default, Gaussian records with outliers hold the rescued and resumed
+steps inside one chunk to the same loops, and records with NaNs or
+infinities must raise the same first error. The sampler, on the same kind
+of models with horizons up to 300, must draw what the scalar generator
+draws step by step.
 """
 
 from unittest.mock import patch
@@ -31,8 +33,8 @@ from filterstab import (
     run_filter,
     sample_trajectories,
 )
-from filterstab import filtering
-from filterstab.backward import _envelope
+from filterstab import backward, filtering
+from filterstab.backward import backward_pass
 from filterstab.filtering import _engine
 from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
 
@@ -112,15 +114,19 @@ def rescue_cases(draw, bad):
 
 
 def first_reference_error(model, coeffs, records):
-    """The reference loops run record by record, each record's filters in
-    prior order and then ρ along the wrong one: the message of the first
-    error, or None with the arrays of every record."""
+    """The reference loops in the order the package runs them: every
+    record's filters, record by record in prior order, then ρ along each
+    record's wrong-prior run in record order. Returns the message of the
+    first error, or None with the arrays of every record."""
     true, wrong = model.true_prior.values, model.wrong_prior.values
+    try:
+        filters = [(reference_filter(model, true, record), reference_filter(model, wrong, record))
+                   for record in records]
+    except NumericalError as exc:
+        return str(exc), None
     arrays = []
-    for record in records:
+    for correct, (densities, log_norms) in filters:
         try:
-            correct = reference_filter(model, true, record)
-            densities, log_norms = reference_filter(model, wrong, record)
             with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
                 oscillations, bounds, ratios = reference_backward(model, coeffs, densities)
         except NumericalError as exc:
@@ -136,32 +142,38 @@ def first_reference_error(model, coeffs, records):
 
 
 def assert_engine_equals_reference(model, records):
-    """One engine pass over both priors, with ρ along the wrong one, against
-    the reference loops: when they fail, the engine raises their first error
-    in record order; otherwise every array equals theirs bit for bit."""
+    """One filter pass over both priors, then ρ along each wrong-prior run,
+    against the reference loops: when they fail, the package raises their
+    first error in its order; otherwise every array equals theirs bit for
+    bit."""
     d = model.space.num_states
     true, wrong = model.true_prior.values, model.wrong_prior.values
     # any Coefficients drive the envelope; a uniform law stands in for the invariant
     coeffs = mixing_coefficients(model, Density(np.full(d, 1.0 / model.space.weights.sum())))
     message, arrays = first_reference_error(model, coeffs, records)
+
+    def rho_along(run, r):
+        return backward_pass(model, model.wrong_prior, coeffs, run.densities[r, 1], true / wrong)
+
     if message is not None:
         with pytest.raises((NumericalError, InvalidModelError)) as caught:
-            _engine(model, np.stack([true, wrong]), records, backward=(1, wrong, true / wrong))
+            run = _engine(model, np.stack([true, wrong]), records)
+            for r in range(len(records)):
+                rho_along(run, r)
         assert str(caught.value) == message
         return
-    run = _engine(model, np.stack([true, wrong]), records, backward=(1, wrong, true / wrong))
-    bounds = _envelope(model, model.wrong_prior, coeffs, run.densities[:, 1])
-    for r, (record, (*filters, oscillations, reference_bounds, ratios)) in enumerate(
-            zip(records, arrays)):
+    run = _engine(model, np.stack([true, wrong]), records)
+    for r, (record, (*filters, oscillations, bounds, ratios)) in enumerate(zip(records, arrays)):
         for p, (densities, log_norms) in enumerate(filters):
             np.testing.assert_array_equal(run.densities[r, p], densities)
             np.testing.assert_array_equal(run.filter_run(r, p, record).log_normalizers, log_norms)
-        np.testing.assert_array_equal(run.oscillations[r], oscillations)
-        np.testing.assert_array_equal(run.ratios[r], ratios)
-        if reference_bounds is None:
-            assert bounds is None
+        along = rho_along(run, r)
+        np.testing.assert_array_equal(along.oscillations, oscillations)
+        np.testing.assert_array_equal(along.likelihood_ratios, ratios)
+        if bounds is None:
+            assert along.bounds is None
         else:
-            np.testing.assert_array_equal(bounds[r], reference_bounds)
+            np.testing.assert_array_equal(along.bounds, bounds)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -172,10 +184,12 @@ def test_engine_equals_reference(case):
 
 def assert_chunked_engine_equals_reference(case):
     model, records, steps = case
-    entries = filtering._CHUNK_ENTRIES
-    if steps is not None:
-        entries = steps * len(records) * model.space.num_states ** 2
-    with patch.object(filtering, "_CHUNK_ENTRIES", entries):
+    d = model.space.num_states
+    entries, rho_entries = filtering._CHUNK_ENTRIES, backward._RHO_ENTRIES
+    if steps is not None:  # both loops hold `steps` steps: two priors on every record, one ρ
+        entries, rho_entries = steps * 2 * len(records) * d, steps * d * d
+    with patch.object(filtering, "_CHUNK_ENTRIES", entries), \
+            patch.object(backward, "_RHO_ENTRIES", rho_entries):
         assert_engine_equals_reference(model, records)
 
 

@@ -1,9 +1,10 @@
 """Values computed on first read.
 
-`FilterRun.log_normalizers` and `RunRecord.oscillation_bounds` are not
-computed by `run_filter`, `run_filter_pair` or `run_scenario`: the first read
-computes them, and every later read returns that same read-only array. The
-first read equals the reference loops of `reference.py`, and each replicate's
+`FilterRun.log_normalizers` and a `RunRecord`'s ρ (its oscillations,
+likelihood ratios and envelope ``oscillation_bounds``) are not computed by
+`run_filter`, `run_filter_pair` or `run_scenario`: the first read computes
+them, and every later read returns that same read-only array. The first
+read equals the reference loops of `reference.py`, and each replicate's
 envelope equals its row of the batched `_envelope`, bit for bit.
 """
 
@@ -86,7 +87,7 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
                         np.stack([record.pair.run_wrong.densities for record in records]))
     assert batched is not None
     for record, row in zip(records, batched):
-        assert "oscillation_bounds" not in vars(record)
+        assert "_backward" not in vars(record)
         assert "log_normalizers" not in vars(record.pair.run_correct)
         assert "log_normalizers" not in vars(record.pair.run_wrong)
         assert not record.bounds_vacuous
@@ -102,6 +103,6 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
 
 def test_vacuous_envelope_reads_none():
     [record] = run_scenario(builtin_scenario("kaijser", horizon=40, replicates=1, seed=3))
+    assert "_backward" not in vars(record)
     assert record.bounds_vacuous
-    assert "oscillation_bounds" not in vars(record)
     assert record.oscillation_bounds is None

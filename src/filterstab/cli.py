@@ -262,6 +262,8 @@ def _cmd_stability(args) -> int:
     rate = coeffs.tv_decay_rate
 
     n_steps = len(first.trajectory.observations)
+    # ρ first, so its errors precede the envelope's as in `backward_pass`
+    delta_max = first.oscillations.max(axis=1).tolist()
     bound_max = ([None] * n_steps if first.bounds_vacuous
                  else first.oscillation_bounds.max(axis=1).tolist())
     columns = [
@@ -269,7 +271,7 @@ def _cmd_stability(args) -> int:
         first.pair.tv,
         [math.log(tv) if tv > 0.0 else -math.inf for tv in first.pair.tv.tolist()],
         -rate * np.arange(n_steps + 1) + 0.0,
-        [None, *first.oscillations.max(axis=1).tolist()],
+        [None, *delta_max],
         [None, *bound_max],
         first.likelihood_ratios,
     ]

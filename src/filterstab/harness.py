@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backward import BackwardPass, _prior_ratio, backward_pass
+from .backward import BackwardPass, _envelope_scale, _prior_ratio, backward_pass
 from .errors import InvalidModelError
 from .filtering import (
     DecayEstimate,
@@ -113,7 +113,8 @@ class RunRecord:
     along the wrong-prior run, made on the first read of any of them; it is
     cached and its arrays are read-only. Its errors (an overflowing prior
     ratio, a failing ρ, an underflowing envelope scale) are raised at that
-    read.
+    read. ``bounds_vacuous`` runs no ρ: it reads only the envelope scale, and
+    raises its underflow.
     """
 
     replicate: int
@@ -127,7 +128,7 @@ class RunRecord:
 
     @property
     def bounds_vacuous(self) -> bool:
-        return self.oscillation_bounds is None
+        return _envelope_scale(self.model.wrong_prior.values, self.coeffs) is None
 
     @functools.cached_property
     def _backward(self) -> BackwardPass:

@@ -91,6 +91,7 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
         assert "log_normalizers" not in vars(record.pair.run_correct)
         assert "log_normalizers" not in vars(record.pair.run_wrong)
         assert not record.bounds_vacuous
+        assert "_backward" not in vars(record)
         bounds = record.oscillation_bounds
         assert bounds.tobytes() == row.tobytes()
         assert record.oscillation_bounds is bounds
@@ -103,6 +104,15 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
 
 def test_vacuous_envelope_reads_none():
     [record] = run_scenario(builtin_scenario("kaijser", horizon=40, replicates=1, seed=3))
-    assert "_backward" not in vars(record)
     assert record.bounds_vacuous
+    assert "_backward" not in vars(record)
     assert record.oscillation_bounds is None
+
+
+def test_bounds_vacuous_raises_the_envelope_underflow_without_rho():
+    [record] = run_scenario(builtin_scenario("mixing2", horizon=20, replicates=1, seed=3,
+                                             true_prior=(5e-324, 1.0),
+                                             wrong_prior=(5e-324, 1.0)))
+    with pytest.raises(NumericalError, match="envelope scale underflows"):
+        record.bounds_vacuous
+    assert "_backward" not in vars(record)

@@ -167,13 +167,16 @@ def _rho_along(model: FiniteModel, theta0: np.ndarray, ratio: np.ndarray,
 
 
 def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Backward density after the first step, on plain arrays."""
-    numerator = matrix * theta0[:, None]
-    denominator = (theta0 * weights) @ matrix
-    if np.any(denominator <= 0.0):
-        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
-    rho = numerator / denominator[None, :]
-    return rho / (weights @ rho)
+    """Backward density after the first step, on plain arrays. Entries that
+    overflow or underflow to nan are left to the caller's check."""
+    with np.errstate(all="ignore"):
+        numerator = matrix * theta0[:, None]
+        denominator = (theta0 * weights) @ matrix
+        if np.any(denominator <= 0.0):
+            raise NumericalError(
+                "state unreachable in one step: conditioning event has probability 0")
+        rho = numerator / denominator[None, :]
+        return rho / (weights @ rho)
 
 
 def _prior_ratio(model: FiniteModel) -> np.ndarray:
@@ -324,7 +327,9 @@ class BackwardContext:
 
 def _envelope_scale(theta0: np.ndarray, coeffs: Optional[Coefficients]) -> Optional[np.ndarray]:
     """``max**2 / (theta_min * avg) * theta0``, or None when the envelope is
-    vacuous (no coefficients, or a zero averaged row minimum)."""
+    vacuous (no coefficients, or a zero averaged row minimum). A product
+    ``theta_min * avg`` that underflows to 0, or a scale that overflows,
+    raises `NumericalError`."""
     if coeffs is None or coeffs.mixing_coefficient <= 0.0:
         return None
     theta_min = float(theta0.min())
@@ -333,7 +338,17 @@ def _envelope_scale(theta0: np.ndarray, coeffs: Optional[Coefficients]) -> Optio
         raise NumericalError(
             f"envelope scale underflows: theta_min * mixing coefficient = "
             f"{theta_min!r} * {coeffs.mixing_coefficient!r} rounds to 0")
-    return coeffs.max_density**2 / product * theta0
+    try:
+        with np.errstate(over="ignore"):
+            scale = coeffs.max_density**2 / product * theta0
+        finite = bool(np.all(np.isfinite(scale)))
+    except OverflowError:  # max**2 itself
+        finite = False
+    if not finite:
+        raise NumericalError(
+            f"envelope scale overflows: max density**2 / (theta_min * mixing coefficient) = "
+            f"{coeffs.max_density!r}**2 / ({theta_min!r} * {coeffs.mixing_coefficient!r})")
+    return scale
 
 
 def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients],

@@ -119,55 +119,108 @@ def _write_text(path: Optional[Path], text: str) -> None:
         path.write_text(text, encoding="utf-8")
 
 
-# the cell rules, by the cell's exact type: None is an empty cell, integers
-# print as %d and every other number as %.17g, which also spells nan, inf
-# and -inf
-_CELL_SPECS = {type(None): "", int: "%d", np.int64: "%d"}
-_FLOAT_SPEC = "%.17g"
+def _json_text(payload) -> str:
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+
+
+def _csv_cell(value) -> str:
+    """One CSV cell: empty for None, %d for an integer, %.17g for any other
+    number, which also spells nan, inf and -inf."""
+    return "" if value is None else _CSV_SPECS.get(type(value), "%.17g") % value
+
+
+def _json_cell(value) -> str:
+    """One JSON cell, as `_json_text` prints it: null, true or false, %d for
+    an integer, repr for a finite float and "nan", "inf" or "-inf" else."""
+    if value is None:
+        return "null"
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return "%d" % value
+    x = float(value)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return '"nan"' if math.isnan(x) else '"inf"' if x > 0 else '"-inf"'
+
+
+# each format's text of None, the conversion of a column whose cells all
+# have one of these exact types (a float's for finite floats only), and the
+# text of any one cell
+_CSV_SPECS = {int: "%d", np.int64: "%d", float: "%.17g", np.float64: "%.17g"}
+_FORMATS = {
+    "csv": ("", _CSV_SPECS, _csv_cell),
+    "json": ("null", {int: "%d", np.int64: "%d", float: "%r"}, _json_cell),
+}
+_FLOAT_CELLS = {float, np.float64, type(None)}
 _BLOCK_ROWS = 4096
 
 
-def _column_spec(values) -> tuple[str, list]:
+def _column_block(values, fmt: str) -> tuple[str, Optional[list]]:
     """A block of one column as its conversion spec in the row template and
-    its cells: the rule of the column's type when its cells share one (empty
-    for None), else ``%s`` over the cells formatted one by one."""
-    kinds = set(map(type, values))
-    if len(kinds) == 1:
-        return _CELL_SPECS.get(kinds.pop(), _FLOAT_SPEC), values
-    return "%s", ["" if v is None else _CELL_SPECS.get(type(v), _FLOAT_SPEC) % v for v in values]
+    the cells that spec takes; a None column is a literal and takes none.
 
-
-def _csv_block(block: list) -> str:
-    """The CSV lines of a block of columns: one `%` on a row template over
-    the block's cells, interleaved row by row; a None column takes none."""
-    specs, columns = zip(*map(_column_spec, block))
-    columns = [column for spec, column in zip(specs, columns) if spec]
-    cells = [None] * (len(block[0]) * len(columns))
-    for i, column in enumerate(columns):
-        cells[i::len(columns)] = column
-    return "\n".join([",".join(specs)] * len(block[0])) % tuple(cells)
-
-
-def _json_text(payload) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+    A float column (floats, or floats and None) is split into its distinct
+    values by their bits, so that 0.0 and -0.0, or two NaNs, stay apart.
+    When they are at most half its cells, each is formatted once and its text
+    gathered back into the cells. Otherwise a column whose cells share a type
+    with a spec goes straight into the template (a float spec for finite
+    floats only), and any other column is formatted cell by cell."""
+    none, specs, cell = _FORMATS[fmt]
+    floats = None
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind == "f":
+            floats = values.astype(float, copy=False)
+        values = values.tolist()
+    kinds = {float} if floats is not None else set(map(type, values))
+    if kinds == {type(None)}:
+        return none, None
+    spec = specs.get(next(iter(kinds))) if len(kinds) == 1 else None
+    if kinds <= _FLOAT_CELLS:
+        if floats is None:
+            floats = np.array(values, dtype=float)  # None reads as nan
+        distinct, inverse = np.unique(floats.view(np.int64), return_inverse=True)
+        if 2 * len(distinct) <= len(values):
+            texts = list(map(cell, distinct.view(float).tolist()))
+            if type(None) in kinds:
+                texts.append(none)
+                nans = np.flatnonzero(np.isnan(floats)).tolist()
+                inverse[[i for i in nans if values[i] is None]] = len(texts) - 1
+            return "%s", np.array(texts, dtype=object)[inverse].tolist()
+        if spec is not None and not np.isfinite(floats).all():
+            spec = None
+    if spec is not None:
+        return spec, values
+    return "%s", list(map(cell, values))
 
 
 def _table_text(header, columns, fmt: str) -> str:
     """Render a table, given as equal-length columns (arrays, lists or
     ranges), as CSV (default) or a JSON array of records, in blocks of
-    `_BLOCK_ROWS` rows so that one block's cells are alive at a time. CSV
-    cells follow `_CELL_SPECS` and need no quoting; a JSON block is dumped
-    as a list stripped of its brackets, the same bytes as one whole dump."""
+    `_BLOCK_ROWS` rows so that one block's cells are alive at a time.
+
+    Each block is one `%` on a row template over the block's cells, in both
+    formats. A CSV row is its cells joined by commas and needs no quoting. A
+    JSON row is the record that `_json_text` prints, with sorted keys; when a
+    name repeats, its last column wins."""
+    if fmt == "csv":
+        order, fields, row, sep, joiner = range(len(header)), [""] * len(header), "%s", ",", "\n"
+    else:
+        last = {key: i for i, key in enumerate(header)}
+        keys = sorted(last)
+        order = [last[key] for key in keys]
+        fields = ["    " + json.dumps(key).replace("%", "%%") + ": " for key in keys]
+        row, sep, joiner = "  {\n%s\n  }", ",\n", ",\n"
     blocks = []
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
-        block = [c[start:start + _BLOCK_ROWS] for c in columns]
-        block = [c.tolist() if isinstance(c, np.ndarray) else c for c in block]
-        if fmt == "csv":
-            blocks.append(_csv_block(block))
-        else:  # "[\n" + records + "\n]\n"
-            cells = zip(*[map(_jsonable, c) for c in block])
-            records = [dict(zip(header, row)) for row in cells]
-            blocks.append(json.dumps(records, indent=2, sort_keys=True)[2:-2])
+        block = [columns[i][start:start + _BLOCK_ROWS] for i in order]
+        specs, cells = zip(*(_column_block(column, fmt) for column in block))
+        cells = [column for column in cells if column is not None]
+        flat = [None] * (len(block[0]) * len(cells))
+        for i, column in enumerate(cells):
+            flat[i::len(cells)] = column
+        template = row % sep.join(map(str.__add__, fields, specs))
+        blocks.append(joiner.join([template] * len(block[0])) % tuple(flat))
     if fmt == "csv":
         return "\n".join([",".join(header), *blocks]) + "\n"
     return "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"

@@ -112,9 +112,9 @@ class RunRecord:
     and the envelope ``oscillation_bounds`` come from one `backward_pass`
     along the wrong-prior run, made on the first read of any of them; it is
     cached and its arrays are read-only. Its errors (an overflowing prior
-    ratio, a failing ρ, an underflowing envelope scale) are raised at that
-    read. ``bounds_vacuous`` runs no ρ: it reads only the envelope scale, and
-    raises its underflow.
+    ratio, a failing ρ, an envelope scale that underflows or overflows) are
+    raised at that read. ``bounds_vacuous`` runs no ρ: it reads only the
+    envelope scale, and raises its errors.
     """
 
     replicate: int

@@ -158,7 +158,8 @@ def _normalized_rows(key: str, matrix: np.ndarray, weights: np.ndarray, tol: flo
     then divide each row by its integral."""
     if not np.all(np.isfinite(matrix)) or np.any(matrix < 0.0):
         raise InvalidModelError(f"invalid kernel: '{key}' entries must be finite and nonnegative")
-    sums = matrix @ weights
+    with np.errstate(over="ignore"):  # an overflowing integral is reported as inf
+        sums = matrix @ weights
     worst = int(np.argmax(np.abs(sums - 1.0)))
     if abs(sums[worst] - 1.0) > tol:
         raise InvalidModelError(
@@ -298,14 +299,22 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
     lo = float(kernel.matrix.min())
     hi = float(kernel.matrix.max())
     mins = row_minima(kernel, space)
-    avg = float(np.sum(mins * invariant.values * space.weights))
+    with np.errstate(over="ignore"):
+        avg = float(np.sum(mins * invariant.values * space.weights))
+    if np.isinf(avg):
+        raise NumericalError("mixing coefficient overflows: row minimum * invariant density "
+                             "exceeds the float range")
     rate = avg / hi if hi > 0.0 else 0.0
     degenerate = avg > 0.0 and abs(hi - avg) <= 1e-14 * hi
     prefactor = ratio = None
     if degenerate:
         ratio = 0.0
     elif avg > 0.0:
-        prefactor = hi * hi / (avg * (hi - avg))
+        spread = avg * (hi - avg)
+        if spread == 0.0:
+            raise NumericalError(f"geometric prefactor overflows: mixing coefficient * (max density"
+                                 f" - mixing coefficient) = {avg!r} * {hi - avg!r} rounds to 0")
+        prefactor = hi * hi / spread
         ratio = 1.0 - avg / hi
     return Coefficients(
         min_density=lo,
@@ -372,7 +381,11 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     d = weights.shape[0]
     # an F-ordered view: a contiguous copy would make numpy call another gemv,
     # which need not round alike
-    adjoint = (matrix * weights[:, None]).T
+    with np.errstate(over="ignore"):
+        adjoint = (matrix * weights[:, None]).T
+    if not np.isfinite(adjoint).all():
+        raise NumericalError("invariant density: a transition density times its state weight "
+                             "overflows")
 
     def normalize(v: np.ndarray) -> np.ndarray:
         return v / float(v @ weights)

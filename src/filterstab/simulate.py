@@ -164,5 +164,8 @@ def likelihood_rows(observation: ObservationModel, observations) -> np.ndarray:
                 f"observation symbol {symbols[first]} outside alphabet of size {p}"
             )
         return observation.emission.T[symbols]
-    z = (y.astype(float)[:, None] - observation.means[None, :]) / observation.sigma
-    return np.exp(-0.5 * z * z) / (observation.sigma * math.sqrt(2.0 * math.pi))
+    # z or z*z may overflow to inf, whose exp is the density, 0
+    with np.errstate(over="ignore"):
+        z = (y.astype(float)[:, None] - observation.means[None, :]) / observation.sigma
+        exponent = -0.5 * z * z
+    return np.exp(exponent) / (observation.sigma * math.sqrt(2.0 * math.pi))

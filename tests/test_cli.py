@@ -1,9 +1,15 @@
 import argparse
+import contextlib
 import dataclasses
+import io
 import json
+import math
 import os
+import struct
 import subprocess
 import sys
+import tempfile
+import warnings
 from itertools import zip_longest
 from pathlib import Path
 
@@ -302,8 +308,9 @@ class TestStabilityCommand:
 
 class TestSubnormalPriorAtomsExitTwo:
     """A subnormal atom in the wrong prior makes the envelope scale underflow
-    or the prior ratio overflow: exit 2 with one line that names the cause.
-    Tier-1 turns warnings into errors, so no numpy warning may escape."""
+    or overflow, or the prior ratio overflow: exit 2 with one line that names
+    the cause. Tier-1 turns warnings into errors, so no numpy warning may
+    escape."""
 
     @pytest.mark.parametrize("command, priors, cause", [
         ("stability", ["--nu", "5e-324,1", "--beta", "5e-324,1"],
@@ -312,12 +319,154 @@ class TestSubnormalPriorAtomsExitTwo:
          "envelope scale underflows: theta_min * mixing coefficient = 5e-324 * 0.375 rounds to 0"),
         ("stability", ["--beta", "5e-324,1"], "prior ratio overflows at state 0: nu 0.9 / beta 5e-324"),
         ("backward", ["--beta", "5e-324,1"], "prior ratio overflows at state 0: nu 0.9 / beta 5e-324"),
+        ("stability", ["--nu", "1e-323,1", "--beta", "1e-323,1"],
+         "envelope scale overflows: max density**2 / (theta_min * mixing coefficient) = "
+         "0.7**2 / (1e-323 * 0.375)"),
+        ("backward", ["--nu", "1e-323,1", "--beta", "1e-323,1"],
+         "envelope scale overflows: max density**2 / (theta_min * mixing coefficient) = "
+         "0.7**2 / (1e-323 * 0.375)"),
     ])
     def test_one_line_and_exit_two(self, command, priors, cause, tmp_path, capsys):
         rc = main([command, "--scenario", "mixing2", "--horizon", "20", *priors,
                    "--output", str(tmp_path / "out.csv")])
         assert rc == 2
         assert capsys.readouterr().err.splitlines() == [f"numerical failure: {cause}"]
+
+
+# entries from subnormal to 1e300, and zero
+ENTRIES = st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 1e-170, 1e300]),
+                    st.floats(min_value=5e-324, max_value=1e300))
+
+
+@st.composite
+def densities(draw, weights):
+    """Entries with integral 1 against `weights`, unless they are all 0."""
+    raw = draw(st.lists(ENTRIES, min_size=len(weights), max_size=len(weights)))
+    if max(raw) == 0.0:
+        return raw
+    scaled = [x / max(raw) for x in raw]  # so that no product with a weight overflows
+    total = math.fsum(x * w for x, w in zip(scaled, weights))
+    return [x / total for x in scaled] if total > 0.0 else raw
+
+
+@st.composite
+def fuzz_documents(draw):
+    """A model document of d <= 3 states, finite or Gaussian, with extreme
+    entries and sigma from 1e-170 to 1e150."""
+    d = draw(st.integers(1, 3))
+    document = {"states": d}
+    weights = [1.0] * d
+    if draw(st.booleans()):
+        weights = document["psi"] = draw(st.lists(ENTRIES, min_size=d, max_size=d))
+    document["transition"] = [draw(densities(weights)) for _ in range(d)]
+    if draw(st.booleans()):
+        document["observation"] = {
+            "type": "gaussian",
+            "means": draw(st.lists(st.builds(math.copysign, ENTRIES, st.sampled_from([1, -1])),
+                                   min_size=d, max_size=d)),
+            "sigma": 10.0 ** draw(st.floats(-170, 150))}
+    else:
+        ones = [1.0] * draw(st.integers(1, 3))
+        document["observation"] = {"type": "finite",
+                                   "gamma": [draw(densities(ones)) for _ in range(d)]}
+    document["nu"], document["beta"] = draw(densities(weights)), draw(densities(weights))
+    return document, weights
+
+
+def run_in_process(argv):
+    """`main(argv)` as under ``python -W error``, but for the documented
+    warning on a true prior with a zero atom: its exit code and stderr."""
+    err = io.StringIO()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", "true prior has zero atoms", RuntimeWarning)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(argv)
+    return rc, err.getvalue()
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(drawn=fuzz_documents(), data=st.data())
+def test_every_command_exits_with_its_code_and_one_line(drawn, data):
+    """Every subcommand, on extreme model documents and prior flags, exits 0
+    or 3 silently, or 1 or 2 with one line that names the failure."""
+    document, weights = drawn
+    horizon = str(data.draw(st.integers(1, 20), label="horizon"))
+    flags = []
+    for flag in ("--nu", "--beta"):
+        if data.draw(st.booleans(), label=flag):
+            size = data.draw(st.sampled_from([len(weights)] * 3 + [1, 4]), label=f"{flag} size")
+            prior = data.draw(densities(weights if size == len(weights) else [1.0] * size))
+            flags.append(f"{flag}=" + ",".join(map(repr, prior)))
+    with tempfile.TemporaryDirectory() as tmp:
+        model = Path(tmp) / "model.json"
+        model.write_text(json.dumps(document))
+        source = ["--model", str(model), *flags]
+        table = ["--horizon", horizon, "--output", str(Path(tmp) / "out.csv")]
+        for argv in (["validate", *source, "--output", str(Path(tmp) / "out.json")],
+                     ["simulate", *source, *table],
+                     ["stability", *source, *table, "--replicates", "2"],
+                     ["ergodicity", *source, *table],
+                     ["backward", *source, *table],
+                     ["lln", *source, *table, "--wrong-prior"],
+                     ["kaijser", *flags, "--horizon", horizon,
+                      "--output", str(Path(tmp) / "out.json")]):
+            rc, err = run_in_process(argv)
+            lines = err.splitlines()
+            assert rc in (0, 1, 2, 3), argv
+            if rc in (0, 3):
+                assert lines == [], argv
+            else:
+                prefix = {1: "error: ", 2: "numerical failure: "}[rc]
+                assert len(lines) == 1 and lines[0].startswith(prefix), (argv, err)
+
+
+def one_state(psi, density):
+    """A 1-state finite model on a state of weight `psi` whose kernel and
+    priors all have the density `density`."""
+    return {"states": 1, "psi": [psi], "transition": [[density]],
+            "observation": {"type": "finite", "gamma": [[1.0]]}, "nu": [density], "beta": [density]}
+
+
+# inputs on which a numpy warning or a ZeroDivisionError escaped, each with
+# the exit code and the one line it gives now
+@pytest.mark.parametrize("command, document, rc, line", [
+    ("validate", {"states": 2, "psi": [5e-324, 2e299], "transition": [[0.0, 1e308], [0.0, 1.0]],
+                  "observation": {"type": "finite", "gamma": [[1.0], [1.0]]},
+                  "nu": [0.0, 5e-300], "beta": [0.0, 5e-300]},
+     1, "error: invalid kernel: 'transition' row 0 integrates to inf, not 1 (tolerance 1e-06)"),
+    ("stability", one_state(7.564873388636578e+299, 1.3218991893534264e-300),
+     1, "error: backward density entries must be finite and nonnegative"),
+    ("validate", one_state(1e-170, 1e170), 2, "numerical failure: mixing coefficient overflows: "
+                                              "row minimum * invariant density exceeds the float range"),
+    ("validate", {"states": 3, "psi": [1.0, 4.8552528789402365e+37, 2.7008240643429375e-271],
+                  "transition": [[0.0, 0.0, 3.702573644845253e+270]] * 3,
+                  "observation": {"type": "finite", "gamma": [[1.0], [1.0], [1.0]]},
+                  "nu": [0.0, 0.0, 3.702573644845253e+270], "beta": [2.0596249565857248e-38] * 3},
+     2, "numerical failure: invariant density: a transition density times its state weight "
+        "overflows"),
+    ("validate", one_state(3.598461781749395e+155, 2.7789651819335127e-156),
+     2, "numerical failure: geometric prefactor overflows: mixing coefficient * (max density - "
+        "mixing coefficient) = 2.7789651819343325e-156 * -8.192442125722015e-169 rounds to 0"),
+    ("lln", dict(GAUSSIAN, observation={"type": "gaussian", "means": [0.0, 1e300], "sigma": 1e-18}),
+     0, None),
+])
+def test_extreme_documents_exit_with_one_line(command, document, rc, line, tmp_path):
+    model = write_model(tmp_path, document)
+    horizon = [] if command == "validate" else ["--horizon", "20"]
+    assert run_in_process([command, "--model", str(model), *horizon,
+                           "--output", str(tmp_path / "out")]) == (rc, f"{line}\n" if line else "")
+
+
+@pytest.mark.parametrize("command", ["stability", "backward", "lln"])
+def test_a_vanishing_gaussian_likelihood_is_zero_without_a_warning(command, tmp_path, capsys):
+    """At sigma 1e-170 the squared standardized distance overflows to inf; its
+    exp is the right density, 0, and no overflow warning escapes."""
+    model = write_model(tmp_path, dict(GAUSSIAN, observation={
+        "type": "gaussian", "means": [0.0, 1.0], "sigma": 1e-170}))
+    assert main([command, "--model", str(model), "--horizon", "20",
+                 "--output", str(tmp_path / "out.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 class TestOtherCommands:
@@ -572,8 +721,15 @@ def assert_same_lines(actual, expected):
         assert got == want, f"line {n}"
 
 
-SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324,
-                  2.2250738585072009e-308, -1e-310, 1e308]
+def float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+# the NaNs differ in their bits: the default one, one with its sign bit set
+# and one with a payload
+SPECIAL_FLOATS = [float("nan"), float_of_bits(0xFFF8000000000000), float_of_bits(0x7FF8000000000001),
+                  float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 2.2250738585072009e-308, -1e-310,
+                  1e308]
 CELLS = {
     "none": st.none(),
     "int": st.integers(-2**70, 2**70),
@@ -622,6 +778,42 @@ def test_table_template_equals_the_per_cell_rule(n_rows, data):
     assert_same_lines(cli._table_text(header, columns, "csv"), per_cell_csv(header, cells))
     assert_same_lines(cli._table_text(header, columns, "json"),
                       cli._json_text([dict(zip(header, row)) for row in zip(*cells)]))
+
+
+def assert_per_cell_rules(header, columns):
+    import filterstab.cli as cli
+
+    cells = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
+    assert_same_lines(cli._table_text(header, columns, "csv"), per_cell_csv(header, cells))
+    assert_same_lines(cli._table_text(header, columns, "json"),
+                      cli._json_text([dict(zip(header, row)) for row in zip(*cells)]))
+
+
+@pytest.mark.parametrize("as_array", [False, True])
+def test_signed_zeros_keep_their_sign_across_blocks(as_array):
+    """0.0 and -0.0 are equal but print apart: a column of few distinct values
+    keeps them apart on both sides of the `_BLOCK_ROWS` boundary."""
+    from filterstab.cli import _BLOCK_ROWS
+
+    column = [-0.0 if i % 3 == 0 else 0.0 for i in range(_BLOCK_ROWS + 1)]
+    column[_BLOCK_ROWS - 1:] = [-0.0, 0.0]
+    nullable = [None if i % 5 == 0 else v for i, v in enumerate(column)]
+    assert_per_cell_rules(["zero", "maybe"], [np.array(column) if as_array else column, nullable])
+
+
+def test_equal_numbers_of_different_types_keep_their_own_text():
+    """True, 1, 1.0, np.int64(1) and np.float64(1.0) are equal, but JSON prints
+    them as true, 1 and 1.0: a column of them never shares one text."""
+    pool = [True, 1, 1.0, np.int64(1), np.float64(1.0)]
+    assert_per_cell_rules(["one", "float"], [[pool[i % 5] for i in range(40)],
+                                             [pool[2 + i % 2 * 2] for i in range(40)]])
+
+
+def test_json_records_are_the_dicts_of_their_rows():
+    """Keys are sorted and escaped, a `%` in a name is kept, and the last
+    column of a repeated name wins, as in the dict of each row."""
+    assert_per_cell_rules(["b", "a%d", 'q"\u00e9', "b"],
+                          [range(3), [0.5, None, 1.0], [1, 2, 3], np.array([-0.0, 0.0, -0.0])])
 
 
 class TestInvariantMemoSession:

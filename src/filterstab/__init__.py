@@ -6,7 +6,7 @@ Library layout:
   invariant density, stability coefficients, primitivity.
 * `simulate`: seeded trajectory sampling and likelihood evaluation.
 * `filtering`: the forward recursion, paired correct/misspecified runs,
-  total variation tracking, decay-rate estimation, path-enumeration oracle.
+  total variation tracking, decay-rate estimation.
 * `backward`: the initial-state backward density along a filter run
   (`backward_pass`) or one step at a time (`BackwardContext`), its
   oscillation and envelope, likelihood ratios, change-of-measure identities.
@@ -14,6 +14,10 @@ Library layout:
   Poisson-equation solver, running conditional averages.
 * `harness`: builtin scenarios, replicate orchestration, counterexample gate.
 * `cli`: the ``filterstab`` command.
+
+The independent references that tests hold these to (path enumeration, the
+scalar xoshiro256** generator, the Kaijser posterior recursion) are not part
+of the package; they live in ``tests/reference.py``.
 """
 
 from .errors import InvalidModelError, NumericalError
@@ -37,11 +41,10 @@ from .model import (
     uniform_density,
     unit_space,
 )
-from .rng import Xoshiro256StarStar, Xoshiro256StarStarLanes, derive_seed
+from .rng import Xoshiro256StarStarLanes, derive_seed
 from .simulate import (
     Trajectory,
     likelihood_rows,
-    likelihood_vector,
     sample_trajectories,
     sample_trajectory,
 )
@@ -49,7 +52,6 @@ from .filtering import (
     DecayEstimate,
     FilterRun,
     PairRun,
-    brute_force_posterior,
     decay_rate,
     filter_step_with_likelihood,
     run_filter,
@@ -61,7 +63,6 @@ from .backward import (
     BackwardPass,
     OscillationRecord,
     backward_pass,
-    brute_force_backward,
     change_of_measure_residual,
 )
 from .ergodicity import (
@@ -85,7 +86,6 @@ from .harness import (
     builtin_scenario,
     kaijser_closed_form,
     kaijser_constants,
-    kaijser_filter_recursion,
     kaijser_model,
     kaijser_verify,
     run_scenario,

@@ -33,14 +33,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
-from .filtering import FilterRun, _path_log_mass, _shifted_mass, filter_step_with_likelihood
+from .filtering import FilterRun, filter_step_with_likelihood
 from .model import Coefficients, Density, FiniteModel, StateSpace, row_minima
-from .simulate import likelihood_vector
+from .simulate import likelihood_rows
+
+RHO_RANGE = "backward density leaves the float range: an entry is inf or nan"
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,11 @@ def backward_pass(
 
     ``pi_history`` is the ``(N+1, d)`` density array of the filter started
     from `theta0` (`FilterRun.densities`); the backward density reads it
-    step by step and no filter is run here. ``prior_ratio`` is the entrywise
-    ratio of the data-generating prior to `theta0`. Row ``n-1`` of the
-    results agrees bit for bit with `BackwardContext` after ``n`` steps.
-    Every array is read-only. ρ's errors come first, then the envelope's.
+    step by step and no filter is run here, so its entries must be finite
+    and nonnegative. ``prior_ratio`` is the entrywise ratio of the
+    data-generating prior to `theta0`. Row ``n-1`` of the results agrees bit
+    for bit with `BackwardContext` after ``n`` steps. Every array is
+    read-only. ρ's errors come first, then the envelope's.
     """
     _require_positive(theta0, "initial backward prior")
     d = model.space.num_states
@@ -94,6 +97,8 @@ def backward_pass(
             f"dimension mismatch: filter history shape {pis.shape}, prior ratio shape "
             f"{ratio.shape} vs {d} states"
         )
+    if not np.isfinite(pis).all() or (pis < 0.0).any():
+        raise InvalidModelError("filter history entries must be finite and nonnegative")
     oscillations, ratios = _rho_along(model, theta0.values, ratio, pis)
     bounds = _envelope(model, theta0, coeffs, pis)
     for array in (oscillations, bounds, ratios):
@@ -116,8 +121,9 @@ def _rho_along(model: FiniteModel, theta0: np.ndarray, ratio: np.ndarray,
     product, one gemv per row, so each rounds as it does alone, and tiled to
     ρ's shape once. ρ is carried across the chunk with ``ndarray.dot``,
     dividing by the filter's own prediction, then reduced. The errors, in
-    this order: `_rho_init`'s, a zero predicted mass, non-finite or negative
-    ρ entries, then a likelihood ratio that is not finite and nonnegative.
+    this order: `_rho_init`'s, a zero predicted mass, a ρ entry that leaves
+    the float range, then a likelihood ratio that is not finite and
+    nonnegative.
     """
     matrix, weights = model.kernel.matrix, model.space.weights
     d = len(weights)
@@ -132,7 +138,7 @@ def _rho_along(model: FiniteModel, theta0: np.ndarray, ratio: np.ndarray,
     steps = list(tiled_weighted), list(tiled_predicted), list(rhos)
     if n_obs:
         rho = rhos[0] = _rho_init(theta0, matrix, weights)
-    invalid = False
+    out_of_range = False
     with np.errstate(all="ignore"):  # every failure is caught by the checks below
         ratios[0] = float((ratio * theta0) @ weights)
         ratio_weighted = (ratio * weights)[None, :]
@@ -153,12 +159,12 @@ def _rho_along(model: FiniteModel, theta0: np.ndarray, ratio: np.ndarray,
             # the chunk's column extrema, and its likelihood ratios as one dot per step
             chunk = rhos[:m]
             upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
-            invalid = invalid or not np.isfinite(upper).all() or bool((lower < 0.0).any())
+            out_of_range = out_of_range or not np.isfinite(upper).all()
             np.subtract(upper, lower, out=oscillations[first:first + m])
             later = history[first + 1:first + 1 + m, :, None] * weights[:, None]
             ratios[first + 1:first + 1 + m] = ((ratio_weighted @ chunk) @ later)[:, 0, 0]
-    if invalid:
-        raise InvalidModelError("backward density entries must be finite and nonnegative")
+    if out_of_range:
+        raise NumericalError(RHO_RANGE)
     bad = ~np.isfinite(ratios) | (ratios < 0.0)
     if bad.any():
         value = float(ratios[bad.argmax()])
@@ -238,25 +244,6 @@ def change_of_measure_residual(
     return float(max(res_centered.max(), res_direct.max()))
 
 
-def brute_force_backward(
-    model: FiniteModel,
-    theta0: Density,
-    observations: Sequence,
-    conditioning_state: int,
-) -> Density:
-    """Exact backward density column by path enumeration (test oracle).
-
-    Returns the density in ``u`` of ``P(X_0 = u | X_n = conditioning_state,
-    Y_1..Y_n)`` under the prior `theta0`. Guarded against instances beyond
-    ``d**(N+1) > 1e7`` paths.
-    """
-    if not 0 <= conditioning_state < model.space.num_states:
-        raise InvalidModelError(f"conditioning state {conditioning_state} out of range")
-    mass = _shifted_mass(_path_log_mass(model, theta0, observations)[:, conditioning_state],
-                         "conditioning event has probability 0")
-    return Density(mass / model.space.weights)
-
-
 class BackwardContext:
     """Co-evolves the filter density and the backward density from one prior.
 
@@ -295,10 +282,10 @@ class BackwardContext:
                 raise NumericalError("state has zero predicted mass")
             rho = (self.rho * weighted) @ matrix / predicted
             rho = rho / (weights @ rho)
-        if not np.all(np.isfinite(rho)) or np.any(rho < 0.0):
-            raise InvalidModelError("backward density entries must be finite and nonnegative")
+        if not np.isfinite(rho).all():
+            raise NumericalError(RHO_RANGE)
         rho.flags.writeable = False
-        lik = likelihood_vector(model.observation, y)
+        lik = likelihood_rows(model.observation, [y])[0]
         self.pi, _ = filter_step_with_likelihood(self.pi, lik, model.kernel, model.space)
         # a step that raises leaves the context as it was
         self.rho, self.exponent_sum = rho, exponent_sum
@@ -354,7 +341,7 @@ def _envelope_scale(theta0: np.ndarray, coeffs: Optional[Coefficients]) -> Optio
 def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients],
               pis: np.ndarray) -> Optional[np.ndarray]:
     """Envelope rows ``scale * exp(-exponent_n / max)`` for ``n = 1..N`` along
-    the ``(..., N+1, d)`` filter runs from `theta0`, or None when vacuous.
+    the ``(N+1, d)`` filter run from `theta0`, or None when vacuous.
 
     The exponent accumulates one filter average per step, left to right as
     `BackwardContext` does (``cumsum`` is sequential), and ``math.exp`` is
@@ -365,15 +352,14 @@ def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients
     if scale is None:
         return None
     row_min_weighted = row_minima(model.kernel, model.space) * model.space.weights
-    steps = pis.shape[-2] - 1
-    exponents = np.zeros(pis.shape[:-2] + (steps,))
-    averages = (pis[..., 1:steps, None, :] @ row_min_weighted[:, None])[..., 0, 0]
-    np.cumsum(averages, axis=-1, out=exponents[..., 1:])
-    del averages
+    steps = len(pis) - 1
+    exponents = np.zeros(steps)
+    # one dot per row, the product `BackwardContext` takes on one density
+    np.cumsum((pis[1:steps, None, :] @ row_min_weighted[:, None])[:, 0, 0], out=exponents[1:])
     exponents *= -1.0
     exponents /= coeffs.max_density
-    decays = np.fromiter(map(math.exp, exponents.flat), float, exponents.size)
-    return scale * decays.reshape(exponents.shape + (1,))
+    decays = np.fromiter(map(math.exp, exponents), float, steps)
+    return scale * decays[:, None]
 
 
 def _require_positive(density: Density, what: str) -> None:

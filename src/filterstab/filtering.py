@@ -18,7 +18,7 @@ from typing import Mapping, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
-from .model import Density, FiniteModel, StateSpace, TransitionKernel, as_density
+from .model import Density, FiniteModel, StateSpace, TransitionKernel
 from .simulate import likelihood_rows
 
 UNDERFLOW_FLOOR = 1e-300
@@ -72,17 +72,6 @@ ZERO_LIKELIHOOD = (
 )
 
 
-def _log_likelihood_rows(observation, observations) -> np.ndarray:
-    """Log observation densities of a record, row ``n`` for ``observations[n]``:
-    ``-z**2/2 - log(sigma sqrt(2 pi))`` for a Gaussian channel, the log of the
-    emission-table column (-inf for a zero) for a finite alphabet."""
-    if observation.kind == "finite":
-        with np.errstate(divide="ignore"):
-            return np.log(likelihood_rows(observation, observations))
-    z = (np.asarray(observations, dtype=float)[:, None] - observation.means) / observation.sigma
-    return -0.5 * z * z - math.log(observation.sigma * math.sqrt(2.0 * math.pi))
-
-
 def _log_domain_update(pi: np.ndarray, y, model: FiniteModel) -> Optional[tuple[np.ndarray, float]]:
     """One Gaussian filter step computed in the log domain.
 
@@ -92,8 +81,9 @@ def _log_domain_update(pi: np.ndarray, y, model: FiniteModel) -> Optional[tuple[
     None when the observation has no positive density at all (e.g. NaN). It
     runs under `_engine`'s ``np.errstate``, where the log of 0 is -inf.
     """
-    weights = model.space.weights
-    log_lik = _log_likelihood_rows(model.observation, [y])[0]
+    weights, obs = model.space.weights, model.observation
+    z = (float(y) - obs.means) / obs.sigma
+    log_lik = -0.5 * z * z - math.log(obs.sigma * math.sqrt(2.0 * math.pi))
     log_joint = log_lik + np.log((model.kernel.matrix.T @ (pi * weights)) * weights)
     shift = float(log_joint.max())
     if not math.isfinite(shift):
@@ -320,57 +310,3 @@ def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstima
         raise NumericalError("insufficient data: fewer than two usable points in the window")
     slope = float(np.polyfit(usable, np.log(tv[usable]), 1)[0])
     return DecayEstimate(slope=slope, converged=False)
-
-
-def _path_log_mass(model: FiniteModel, prior: Density, observations: Sequence) -> np.ndarray:
-    """Log joint mass table of (x_0, x_n) by full path enumeration (oracle core).
-
-    Entry ``[u, x]`` is the log of the sum of ``prior(x0) w(x0) * prod_k
-    matrix[x_{k-1}, x_k] w(x_k) * lik_k(x_k)`` over all state paths from
-    ``x0 = u`` to ``x_n = x``. Each path's weight is kept as a sum of logs
-    (-inf for a zero factor) and the paths are added by logsumexp, so a record
-    whose path masses lie below the float range is not called impossible.
-    Deliberately naive: it holds one float per path, and is guarded against
-    instances beyond ``d**(N+1) > 1e7``.
-    """
-    d = model.space.num_states
-    n = len(observations)
-    if d ** (n + 1) > 10**7:
-        raise InvalidModelError(f"instance too large: {d}^{n + 1} paths")
-    weights = model.space.weights
-    with np.errstate(divide="ignore"):
-        paths = np.log(prior.values * weights)
-        log_step = np.log(model.kernel.matrix * weights)
-    if n == 0:
-        return np.where(np.eye(d, dtype=bool), paths, -np.inf)
-    # axis k of `paths` is x_k; step k adds log(matrix[x_{k-1}, x_k] w(x_k) lik_k(x_k))
-    for log_lik in _log_likelihood_rows(model.observation, observations):
-        paths = paths[..., None] + (log_step + log_lik)
-    return _logsumexp(paths.reshape(d, -1, d), axis=1)
-
-
-def _logsumexp(values: np.ndarray, axis: int) -> np.ndarray:
-    """``log(sum(exp(values)))`` along `axis`, shifted by the maximum; -inf
-    where every entry is -inf."""
-    top = values.max(axis=axis, keepdims=True)
-    top[~np.isfinite(top)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(values - top).sum(axis=axis)) + top.squeeze(axis)
-
-
-def _shifted_mass(log_mass: np.ndarray, message: str) -> np.ndarray:
-    """``exp(log_mass - max)`` normalized to total one; NumericalError(`message`)
-    when every entry is log 0."""
-    top = log_mass.max()
-    if not top > -np.inf:
-        raise NumericalError(message)
-    mass = np.exp(log_mass - top)
-    return mass / mass.sum()
-
-
-def brute_force_posterior(model: FiniteModel, prior: Density, observations: Sequence) -> Density:
-    """Exact posterior of the final state by full path enumeration (test oracle):
-    the final-state marginal of `_path_log_mass`."""
-    mass = _shifted_mass(_logsumexp(_path_log_mass(model, prior, observations), axis=0),
-                         "zero-likelihood observation: record impossible under this prior")
-    return as_density(mass / model.space.weights, model.space)

@@ -234,36 +234,6 @@ def kaijser_constants(true_prior, wrong_prior) -> KaijserConstants:
     return KaijserConstants(gap_obs_one=gap_one, gap_obs_zero=gap_zero)
 
 
-def kaijser_filter_recursion(prior, observations) -> np.ndarray:
-    """Posterior trajectory of the counterexample by its explicit recursion.
-
-    With a binary observation ``y`` the posterior permutes and merges
-    adjacent masses:
-
-        p'[0] = (p[0] + p[3]) * y        p'[1] = (p[1] + p[0]) * (1 - y)
-        p'[2] = (p[2] + p[1]) * y        p'[3] = (p[3] + p[2]) * (1 - y)
-
-    The update preserves total mass exactly; each row is renormalized to
-    guard against float drift. Entirely independent of the generic filter.
-    """
-    p = np.asarray(prior, dtype=float)
-    if p.shape != (4,):
-        raise InvalidModelError(f"wrong dimension: expected 4 states, got shape {p.shape}")
-    out = np.empty((len(observations) + 1, 4))
-    out[0] = p
-    for n, y in enumerate(observations, start=1):
-        y = int(y)
-        p = np.array([
-            (p[0] + p[3]) * y,
-            (p[1] + p[0]) * (1 - y),
-            (p[2] + p[1]) * y,
-            (p[3] + p[2]) * (1 - y),
-        ])
-        p /= p.sum()
-        out[n] = p
-    return out
-
-
 def kaijser_closed_form(true_prior, wrong_prior, observations) -> np.ndarray:
     """Per-state absolute filter-pair gaps by the explicit gap recursion.
 

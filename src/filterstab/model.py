@@ -29,7 +29,6 @@ import numpy as np
 from .errors import InvalidModelError, NumericalError
 
 ROW_SUM_TOL = 1e-9
-DENSITY_TOL = 1e-10
 # power-iteration steps between convergence checks, also the stagnation-probe period
 _POWER_BLOCK = 1000
 # the power iteration's stopping tolerance, and its step budget in whole blocks
@@ -90,8 +89,8 @@ class Density:
         return self.values.shape[0]
 
 
-def as_density(values, space: StateSpace, tol: float = DENSITY_TOL) -> Density:
-    """Validate mass against the weights (within `tol`) and renormalize exactly."""
+def as_density(values, space: StateSpace) -> Density:
+    """Validate mass against the weights (within `ROW_SUM_TOL`) and renormalize exactly."""
     v = np.asarray(values, dtype=float)
     if v.shape != (space.num_states,):
         raise InvalidModelError(
@@ -101,8 +100,8 @@ def as_density(values, space: StateSpace, tol: float = DENSITY_TOL) -> Density:
         raise InvalidModelError("density values must be finite and nonnegative")
     with np.errstate(over="ignore"):  # an overflowing mass is reported as inf
         mass = float(v @ space.weights)
-    if abs(mass - 1.0) > tol:
-        raise InvalidModelError(f"density mass {mass!r} deviates from 1 beyond {tol}")
+    if abs(mass - 1.0) > ROW_SUM_TOL:
+        raise InvalidModelError(f"density mass {mass!r} deviates from 1 beyond {ROW_SUM_TOL}")
     return Density(v / mass)
 
 
@@ -539,7 +538,7 @@ def build_model(document: Mapping, row_tol: float = ROW_SUM_TOL) -> FiniteModel:
     for key in ("nu", "beta"):
         values = _as_array(key, document[key], (d,))
         try:
-            priors.append(as_density(values, space, tol=ROW_SUM_TOL))
+            priors.append(as_density(values, space))
         except InvalidModelError as exc:
             raise InvalidModelError(f"invalid model document: '{key}': {exc}") from None
     true_prior, wrong_prior = priors

@@ -22,9 +22,9 @@ Algorithm summary (all arithmetic modulo 2**64):
 Replicate streams are derived by hashing the master seed together with the
 replicate index (`derive_seed`), giving independent streams without any
 shared state. `Xoshiro256StarStarLanes` advances many such streams at once
-in numpy ``uint64``, whose arithmetic wraps modulo 2**64 like the masked
-scalar code, so lane ``r`` yields exactly the words of
-``Xoshiro256StarStar(seeds[r])``.
+in numpy ``uint64``, whose arithmetic wraps modulo 2**64, so lane ``r``
+yields exactly the words of the scalar stream of ``seeds[r]`` (the test
+suite steps one in plain Python integers, ``tests/reference.py``).
 
 The state update is linear over GF(2), so J steps are one linear map of the
 256 state bits, and applying it jumps a stream J words ahead (Blackman &
@@ -62,84 +62,18 @@ def derive_seed(master_seed: int, index: int) -> int:
     return h2
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
-class Xoshiro256StarStar:
-    """xoshiro256** stream seeded via splitmix64.
-
-    Instances are cheap; create one per trajectory or replicate rather than
-    sharing a stream across logically independent draws.
-    """
-
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
-
-    def __init__(self, seed: int):
-        state = seed & _MASK64
-        words = []
-        for _ in range(4):
-            state, out = _splitmix64(state)
-            words.append(out)
-        self._s0, self._s1, self._s2, self._s3 = words
-
-    def next_uint64(self) -> int:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
-
-    def random(self) -> float:
-        """Uniform double in [0, 1)."""
-        return (self.next_uint64() >> 11) * _DOUBLE_SCALE
-
-    def normal(self, mean: float = 0.0, scale: float = 1.0) -> float:
-        """Gaussian draw via Box-Muller; consumes exactly two words."""
-        u1 = ((self.next_uint64() >> 11) + 1) * _DOUBLE_SCALE  # in (0, 1]
-        u2 = (self.next_uint64() >> 11) * _DOUBLE_SCALE
-        return mean + scale * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def pick(self, probabilities) -> int:
-        """Sample an index from a probability vector by inverse CDF.
-
-        Atoms are scanned left to right with a running cumulative sum. If
-        floating-point shortfall leaves the uniform above the total mass,
-        the last positive atom is returned.
-        """
-        u = self.random()
-        acc = 0.0
-        last_positive = -1
-        for i, p in enumerate(probabilities):
-            if p > 0.0:
-                last_positive = i
-            acc += p
-            if u < acc:
-                return i
-        if last_positive < 0:
-            raise ValueError("cannot sample from an all-zero probability vector")
-        return last_positive
-
-
 class Xoshiro256StarStarLanes:
     """Independent xoshiro256** streams, one per lane.
 
-    Lane ``r`` is seeded like ``Xoshiro256StarStar(seeds[r])`` and produces
-    the same words, whatever the number of lanes.
+    Lane ``r`` starts from the four splitmix64 outputs of ``seeds[r]``
+    (`_seed_words`) and produces the same words whatever the number of lanes.
     """
 
     __slots__ = ("_state",)
 
     def __init__(self, seeds):
-        streams = [Xoshiro256StarStar(seed) for seed in seeds]
         # row k holds word k of every lane's state
-        words = [[g._s0, g._s1, g._s2, g._s3] for g in streams]
+        words = [_seed_words(seed) for seed in seeds]
         self._state = np.array(words, dtype=np.uint64).reshape(-1, 4).T.copy()
 
     def words(self, count: int) -> np.ndarray:
@@ -166,9 +100,14 @@ class Xoshiro256StarStarLanes:
         _advance(state, length - tail, steps[tail:])
         return out[:count]
 
-    def next_uint64(self) -> np.ndarray:
-        """One word per lane."""
-        return self.words(1)[0]
+
+def _seed_words(seed: int) -> list[int]:
+    """The xoshiro256** state of `seed`: four consecutive splitmix64 outputs."""
+    state, words = seed & _MASK64, []
+    for _ in range(4):
+        state, out = _splitmix64(state)
+        words.append(out)
+    return words
 
 
 def _segments(count: int, lanes: int) -> tuple[int, int]:

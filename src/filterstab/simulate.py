@@ -62,10 +62,10 @@ def sample_trajectory(model: FiniteModel, initial: Density, horizon: int, seed: 
 def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
                         seeds) -> tuple[np.ndarray, np.ndarray]:
     """Sample one trajectory per seed: read-only ``(R, N+1)`` states and
-    ``(R, N)`` observations, row ``r`` bit for bit what
-    ``Xoshiro256StarStar(seeds[r])`` draws step by step: one word for ``X_0``,
-    then per step one for the state pick and one, or two for Box-Muller, for
-    the observation. So all the words come first, from jump-ahead lanes.
+    ``(R, N)`` observations, row ``r`` bit for bit what the xoshiro256**
+    stream of ``seeds[r]`` draws step by step: one word for ``X_0``, then per
+    step one for the state pick and one, or two for Box-Muller, for the
+    observation. So all the words come first, from jump-ahead lanes.
     Step n maps each state x to ``pick(u_n, kernel row x)``; one comparison
     builds the maps of a block of steps. A few records each walk their maps
     in plain Python; more records take one numpy gather per step.
@@ -121,10 +121,12 @@ def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
 def _pick_table(probabilities: np.ndarray) -> np.ndarray:
     """Cumulative sums of each row of `probabilities` for vectorized picks.
 
-    ``np.cumsum`` adds left to right like `Xoshiro256StarStar.pick`, and
-    every entry from the last positive atom on is raised to infinity, so the
-    first index with ``u < table`` is the pick's result, shortfall fallback
-    included.
+    A pick by inverse CDF scans the atoms left to right with a running sum,
+    and falls back to the last positive atom when rounding shortfall leaves
+    the uniform ``u`` above the total mass. ``np.cumsum`` adds left to right
+    the same way, and every entry from the last positive atom on is raised
+    to infinity, so the first index with ``u < table`` is the pick's result,
+    fallback included.
     """
     table = np.cumsum(probabilities, axis=-1)
     positive = probabilities > 0.0
@@ -133,11 +135,6 @@ def _pick_table(probabilities: np.ndarray) -> np.ndarray:
     last = positive.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
     table[np.arange(table.shape[-1]) >= last[..., None]] = np.inf
     return table
-
-
-def likelihood_vector(observation: ObservationModel, y) -> np.ndarray:
-    """Observation density evaluated at ``y`` for every state."""
-    return likelihood_rows(observation, [y])[0]
 
 
 def likelihood_rows(observation: ObservationModel, observations) -> np.ndarray:

@@ -1,14 +1,16 @@
 """Seeded random-model generators shared across the test suite.
 
-All randomness flows through the package's own generator so the suite is
-platform-reproducible. Kernels and emissions are strictly positive (entries
-drawn from [0.05, 1) before row normalization), which keeps every
-conditioning event possible and the averaged row minimum positive.
+All randomness flows through the scalar reference generator
+(`reference.Xoshiro256StarStar`) so the suite is platform-reproducible.
+Kernels and emissions are strictly positive (entries drawn from [0.05, 1)
+before row normalization), which keeps every conditioning event possible
+and the averaged row minimum positive.
 """
 
 import numpy as np
 
-from filterstab import FiniteModel, Xoshiro256StarStar, build_model
+from filterstab import FiniteModel, build_model
+from reference import Xoshiro256StarStar
 
 
 def _positive_rows(stream, rows, cols, lo=0.05, hi=1.0):

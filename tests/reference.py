@@ -7,16 +7,88 @@ like these one-row ones, so the engine must agree with them exactly, not
 just to a tolerance. Nothing here calls the package's own filter steps.
 `log_domain_filter` is the filter in logsumexp form, an oracle that never
 underflows, compared by tolerance. `reference_trajectory` samples one record
-step by step from the scalar generator, which the time-parallel sampler must
-reproduce bit for bit.
+step by step from the scalar generator `Xoshiro256StarStar`, which the
+time-parallel sampler must reproduce bit for bit.
+
+The path-enumeration oracles `brute_force_posterior` and
+`brute_force_backward` recompute small instances exactly by summing over
+every state path, and `kaijser_filter_recursion` is the counterexample's
+posterior by its explicit four-state update.
 """
 
 import math
 
 import numpy as np
 
-from filterstab import NumericalError, Trajectory, Xoshiro256StarStar, likelihood_rows, row_minima
+from filterstab import (
+    Density,
+    InvalidModelError,
+    NumericalError,
+    Trajectory,
+    as_density,
+    likelihood_rows,
+    row_minima,
+)
 from filterstab.filtering import UNDERFLOW_FLOOR, ZERO_LIKELIHOOD
+from filterstab.rng import _DOUBLE_SCALE, _MASK64, _seed_words
+
+
+def _rotl(x, k):
+    return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+class Xoshiro256StarStar:
+    """One xoshiro256** stream, seeded as a lane of
+    `Xoshiro256StarStarLanes` is and stepped in Python integers masked to
+    64 bits."""
+
+    __slots__ = ("_s0", "_s1", "_s2", "_s3")
+
+    def __init__(self, seed):
+        self._s0, self._s1, self._s2, self._s3 = _seed_words(seed)
+
+    def next_uint64(self):
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = _rotl(s3, 45)
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return result
+
+    def random(self):
+        """Uniform double in [0, 1)."""
+        return (self.next_uint64() >> 11) * _DOUBLE_SCALE
+
+    def normal(self, mean=0.0, scale=1.0):
+        """Gaussian draw via Box-Muller; consumes exactly two words."""
+        u1 = ((self.next_uint64() >> 11) + 1) * _DOUBLE_SCALE  # in (0, 1]
+        u2 = (self.next_uint64() >> 11) * _DOUBLE_SCALE
+        return mean + scale * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+    def pick(self, probabilities):
+        """Sample an index from a probability vector by inverse CDF.
+
+        Atoms are scanned left to right with a running cumulative sum. If
+        floating-point shortfall leaves the uniform above the total mass,
+        the last positive atom is returned.
+        """
+        u = self.random()
+        acc = 0.0
+        last_positive = -1
+        for i, p in enumerate(probabilities):
+            if p > 0.0:
+                last_positive = i
+            acc += p
+            if u < acc:
+                return i
+        if last_positive < 0:
+            raise ValueError("cannot sample from an all-zero probability vector")
+        return last_positive
 
 
 def reference_trajectory(model, initial, horizon, seed):
@@ -78,9 +150,8 @@ def log_domain_step(model, pi, y):
     normalizer. Returns the density and the log normalizer, or None when no
     state has positive density.
     """
-    obs, w = model.observation, model.space.weights
-    z = (float(y) - obs.means) / obs.sigma
-    log_lik = -0.5 * z * z - math.log(obs.sigma * math.sqrt(2.0 * math.pi))
+    w = model.space.weights
+    log_lik = log_likelihood_rows(model.observation, [y])[0]
     with np.errstate(divide="ignore"):
         log_joint = log_lik + np.log((model.kernel.matrix.T @ (pi * w)) * w)
     top = float(log_joint.max())
@@ -128,24 +199,17 @@ def reference_backward(model, coeffs, wrong):
     return np.array(oscillations).reshape(-1, len(w)), bounds, np.array(ratios)
 
 
-def _logsumexp(a, axis=None):
-    top = np.max(a, axis=axis, keepdims=True)
-    return np.squeeze(top + np.log(np.sum(np.exp(a - top), axis=axis, keepdims=True)), axis=axis)
-
-
 def log_domain_filter(model, prior, record):
     """The forward filter on a Gaussian channel computed entirely with
     logsumexp: densities and log normalizers that no float underflow can
     flush."""
-    obs, w = model.observation, model.space.weights
+    w = model.space.weights
     with np.errstate(divide="ignore"):
         log_step = np.log(model.kernel.matrix * w[None, :])
         log_alpha = np.log(prior.values * w)
     densities, log_norms = [prior.values], []
-    for y in record:
-        log_pred = _logsumexp(log_alpha[:, None] + log_step, axis=0)
-        z = (y - obs.means) / obs.sigma
-        log_joint = log_pred - 0.5 * z * z - math.log(obs.sigma * math.sqrt(2.0 * math.pi))
+    for log_lik in log_likelihood_rows(model.observation, record):
+        log_joint = _logsumexp(log_alpha[:, None] + log_step, axis=0) + log_lik
         log_norm = float(_logsumexp(log_joint))
         log_alpha = log_joint - log_norm
         densities.append(np.exp(log_alpha) / w)
@@ -171,3 +235,113 @@ def reference_kaijser_gaps(true_prior, wrong_prior, observations):
                      (g2 * y_prev + g1 * (1 - y_prev)) * y,
                      (g3 * (1 - y_prev) + g2 * y_prev) * (1 - y)))
     return np.array(gaps)
+
+
+def kaijser_filter_recursion(prior, observations):
+    """Posterior trajectory of the counterexample by its explicit recursion.
+
+    With a binary observation ``y`` the posterior permutes and merges
+    adjacent masses:
+
+        p'[0] = (p[0] + p[3]) * y        p'[1] = (p[1] + p[0]) * (1 - y)
+        p'[2] = (p[2] + p[1]) * y        p'[3] = (p[3] + p[2]) * (1 - y)
+
+    The update preserves total mass exactly; each row is renormalized to
+    guard against float drift. Entirely independent of the generic filter.
+    """
+    p = np.asarray(prior, dtype=float)
+    if p.shape != (4,):
+        raise InvalidModelError(f"wrong dimension: expected 4 states, got shape {p.shape}")
+    out = np.empty((len(observations) + 1, 4))
+    out[0] = p
+    for n, y in enumerate(observations, start=1):
+        y = int(y)
+        p = np.array([
+            (p[0] + p[3]) * y,
+            (p[1] + p[0]) * (1 - y),
+            (p[2] + p[1]) * y,
+            (p[3] + p[2]) * (1 - y),
+        ])
+        p /= p.sum()
+        out[n] = p
+    return out
+
+
+def log_likelihood_rows(observation, observations):
+    """Log observation densities of a record, row ``n`` for ``observations[n]``:
+    ``-z**2/2 - log(sigma sqrt(2 pi))`` for a Gaussian channel, the log of the
+    emission-table column (-inf for a zero) for a finite alphabet."""
+    if observation.kind == "finite":
+        with np.errstate(divide="ignore"):
+            return np.log(likelihood_rows(observation, observations))
+    z = (np.asarray(observations, dtype=float)[:, None] - observation.means) / observation.sigma
+    return -0.5 * z * z - math.log(observation.sigma * math.sqrt(2.0 * math.pi))
+
+
+def _logsumexp(values, axis=None):
+    """``log(sum(exp(values)))`` along `axis`, shifted by the maximum; -inf
+    where every entry is -inf."""
+    top = np.max(values, axis=axis, keepdims=True)
+    top[~np.isfinite(top)] = 0.0
+    with np.errstate(divide="ignore"):
+        total = np.log(np.exp(values - top).sum(axis=axis, keepdims=True)) + top
+    return np.squeeze(total, axis=axis)
+
+
+def _path_log_mass(model, prior, observations):
+    """Log joint mass table of (x_0, x_n) by full path enumeration.
+
+    Entry ``[u, x]`` is the log of the sum of ``prior(x0) w(x0) * prod_k
+    matrix[x_{k-1}, x_k] w(x_k) * lik_k(x_k)`` over all state paths from
+    ``x0 = u`` to ``x_n = x``. Each path's weight is kept as a sum of logs
+    (-inf for a zero factor) and the paths are added by logsumexp, so a record
+    whose path masses lie below the float range is not called impossible.
+    Deliberately naive: it holds one float per path, and is guarded against
+    instances beyond ``d**(N+1) > 1e7``.
+    """
+    d = model.space.num_states
+    n = len(observations)
+    if d ** (n + 1) > 10**7:
+        raise InvalidModelError(f"instance too large: {d}^{n + 1} paths")
+    weights = model.space.weights
+    with np.errstate(divide="ignore"):
+        paths = np.log(prior.values * weights)
+        log_step = np.log(model.kernel.matrix * weights)
+    if n == 0:
+        return np.where(np.eye(d, dtype=bool), paths, -np.inf)
+    # axis k of `paths` is x_k; step k adds log(matrix[x_{k-1}, x_k] w(x_k) lik_k(x_k))
+    for log_lik in log_likelihood_rows(model.observation, observations):
+        paths = paths[..., None] + (log_step + log_lik)
+    return _logsumexp(paths.reshape(d, -1, d), axis=1)
+
+
+def _shifted_mass(log_mass, message):
+    """``exp(log_mass - max)`` normalized to total one; NumericalError(`message`)
+    when every entry is log 0."""
+    top = log_mass.max()
+    if not top > -np.inf:
+        raise NumericalError(message)
+    mass = np.exp(log_mass - top)
+    return mass / mass.sum()
+
+
+def brute_force_posterior(model, prior, observations):
+    """Exact posterior of the final state by full path enumeration: the
+    final-state marginal of `_path_log_mass`."""
+    mass = _shifted_mass(_logsumexp(_path_log_mass(model, prior, observations), axis=0),
+                         "zero-likelihood observation: record impossible under this prior")
+    return as_density(mass / model.space.weights, model.space)
+
+
+def brute_force_backward(model, theta0, observations, conditioning_state):
+    """Exact backward density column by path enumeration.
+
+    Returns the density in ``u`` of ``P(X_0 = u | X_n = conditioning_state,
+    Y_1..Y_n)`` under the prior `theta0`. Guarded against instances beyond
+    ``d**(N+1) > 1e7`` paths.
+    """
+    if not 0 <= conditioning_state < model.space.num_states:
+        raise InvalidModelError(f"conditioning state {conditioning_state} out of range")
+    mass = _shifted_mass(_path_log_mass(model, theta0, observations)[:, conditioning_state],
+                         "conditioning event has probability 0")
+    return Density(mass / model.space.weights)

@@ -13,8 +13,6 @@ import pytest
 from filterstab import (
     BackwardContext,
     builtin_scenario,
-    brute_force_backward,
-    brute_force_posterior,
     build_model,
     change_of_measure_residual,
     geometric_ergodicity_report,
@@ -34,6 +32,7 @@ from filterstab import (
 )
 from filterstab.cli import main
 from helpers import random_positive_model, random_kernel_matrix
+from reference import brute_force_backward, brute_force_posterior
 
 RATE_MIXING2 = 15.0 / 28.0  # averaged row minimum over maximum density
 

@@ -10,12 +10,11 @@ from filterstab import (
     InvalidModelError,
     NumericalError,
     backward_pass,
-    brute_force_backward,
     build_model,
     change_of_measure_residual,
     invariant_density,
     kaijser_model,
-    likelihood_vector,
+    likelihood_rows,
     mixing_coefficients,
     run_filter,
     sample_trajectory,
@@ -24,6 +23,7 @@ from filterstab import (
 )
 from filterstab.model import row_minima
 from helpers import random_positive_model
+from reference import brute_force_backward
 
 
 def single_state_model():
@@ -51,7 +51,7 @@ def brute_force_prior_ratio_expectation(model, theta0, ratio, observations):
     d = model.space.num_states
     weights = model.space.weights
     matrix = model.kernel.matrix
-    liks = [likelihood_vector(model.observation, y) for y in observations]
+    liks = [likelihood_rows(model.observation, [y])[0] for y in observations]
     num = 0.0
     den = 0.0
     for path in product(range(d), repeat=len(observations) + 1):
@@ -177,6 +177,24 @@ class TestBackwardStep:
         with pytest.raises(NumericalError, match="zero-likelihood"):
             ctx.step(1)
         assert ctx.rho is rho and ctx.pi is pi and ctx.exponent_sum == exponent_sum
+
+    def test_underflowing_rho_is_a_numerical_failure(self):
+        # one state of weight 7.6e299 and density 1.3e-300: rho's first
+        # numerator underflows to 0, and its normalization is 0/0
+        model = build_model({
+            "states": 1, "psi": [7.564873388636578e299],
+            "transition": [[1.3218991893534264e-300]],
+            "observation": {"type": "finite", "gamma": [[1.0]]},
+            "nu": [1.3218991893534264e-300], "beta": [1.3218991893534264e-300],
+        }, row_tol=1e-6)
+        message = "backward density leaves the float range: an entry is inf or nan"
+        ctx = BackwardContext(model, model.wrong_prior)
+        with pytest.raises(NumericalError, match=message):
+            ctx.step(0)
+        assert ctx.rho is None
+        run = run_filter(model.wrong_prior, [0, 0], model)
+        with pytest.raises(NumericalError, match=message):
+            backward_pass(model, model.wrong_prior, None, run.densities, np.ones(1))
 
 
 class TestOscillation:

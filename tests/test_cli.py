@@ -435,8 +435,11 @@ def one_state(psi, density):
                   "observation": {"type": "finite", "gamma": [[1.0], [1.0]]},
                   "nu": [0.0, 5e-300], "beta": [0.0, 5e-300]},
      1, "error: invalid kernel: 'transition' row 0 integrates to inf, not 1 (tolerance 1e-06)"),
+    # rho's first numerator underflows to 0, then 0/0: a numerical failure, not bad input
     ("stability", one_state(7.564873388636578e+299, 1.3218991893534264e-300),
-     1, "error: backward density entries must be finite and nonnegative"),
+     2, "numerical failure: backward density leaves the float range: an entry is inf or nan"),
+    ("backward", one_state(7.564873388636578e+299, 1.3218991893534264e-300),
+     2, "numerical failure: backward density leaves the float range: an entry is inf or nan"),
     ("validate", one_state(1e-170, 1e170), 2, "numerical failure: mixing coefficient overflows: "
                                               "row minimum * invariant density exceeds the float range"),
     ("validate", {"states": 3, "psi": [1.0, 4.8552528789402365e+37, 2.7008240643429375e-271],

@@ -27,9 +27,7 @@ from filterstab import (
     NumericalError,
     SCENARIO_NAMES,
     Scenario,
-    Xoshiro256StarStar,
     backward_pass,
-    brute_force_posterior,
     build_model,
     builtin_scenario,
     decay_rate,
@@ -37,7 +35,7 @@ from filterstab import (
     filter_step_with_likelihood,
     invariant_density,
     kaijser_verify,
-    likelihood_vector,
+    likelihood_rows,
     mixing_coefficients,
     run_filter,
     run_filter_pair,
@@ -51,7 +49,14 @@ from filterstab.filtering import _engine, _pair_run
 from filterstab.harness import KAIJSER_TRUE_PRIOR, _verify_kaijser_on
 from filterstab.simulate import _pick_table
 from helpers import random_positive_model
-from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
+from reference import (
+    Xoshiro256StarStar,
+    brute_force_posterior,
+    log_domain_filter,
+    reference_backward,
+    reference_filter,
+    reference_trajectory,
+)
 
 ENGINE_SCENARIOS = [
     *(builtin_scenario(name, horizon=300, replicates=2, seed=5) for name in SCENARIO_NAMES),
@@ -71,7 +76,7 @@ def incremental_filter(model, prior, observations):
     densities = [prior.values]
     log_norms = []
     for y in observations:
-        lik = likelihood_vector(model.observation, y)
+        lik = likelihood_rows(model.observation, [y])[0]
         pi, normalizer = filter_step_with_likelihood(pi, lik, model.kernel, model.space)
         densities.append(pi.values)
         log_norms.append(math.log(normalizer))
@@ -246,7 +251,7 @@ class TestGaussianUnderflow:
         prefix = run_filter(model.true_prior, self.RECORD[:1], model)
         np.testing.assert_array_equal(run.densities[:2], prefix.densities)
         after, normalizer = filter_step_with_likelihood(
-            Density(run.densities[2]), likelihood_vector(model.observation, self.RECORD[2]),
+            Density(run.densities[2]), likelihood_rows(model.observation, [self.RECORD[2]])[0],
             model.kernel, model.space,
         )
         np.testing.assert_array_equal(run.densities[3], after.values)
@@ -288,6 +293,18 @@ def test_backward_pass_rejects_mismatched_shapes():
         backward_pass(model, model.wrong_prior, coeffs, run.densities[:, :1], np.ones(2))
     with pytest.raises(InvalidModelError, match="dimension mismatch"):
         backward_pass(model, model.wrong_prior, coeffs, run.densities, np.ones(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
+def test_backward_pass_rejects_a_history_that_is_not_finite_and_nonnegative(value):
+    # the history is outside input: it fails as invalid before rho reads it
+    model = builtin_scenario("mixing2").model
+    coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
+    history = run_filter(model.wrong_prior, [0, 1, 1], model).densities.copy()
+    history[2] = value
+    with pytest.raises(InvalidModelError,
+                       match="^filter history entries must be finite and nonnegative$"):
+        backward_pass(model, model.wrong_prior, coeffs, history, np.ones(2))
 
 
 # ---------------------------------------------------------------------------

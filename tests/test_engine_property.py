@@ -132,7 +132,7 @@ def first_reference_error(model, coeffs, records):
         except NumericalError as exc:
             return str(exc), None
         if not np.isfinite(oscillations).all():
-            return "backward density entries must be finite and nonnegative", None
+            return "backward density leaves the float range: an entry is inf or nan", None
         bad = ~np.isfinite(ratios) | (ratios < 0.0)
         if bad.any():
             value = float(ratios[bad.argmax()])

@@ -9,14 +9,12 @@ from filterstab import (
     NumericalError,
     as_density,
     as_kernel,
-    brute_force_posterior,
     build_model,
     decay_rate,
     filter_step_with_likelihood,
     invariant_density,
-    kaijser_filter_recursion,
     kaijser_model,
-    likelihood_vector,
+    likelihood_rows,
     point_mass,
     run_filter,
     run_filter_pair,
@@ -27,6 +25,7 @@ from filterstab import (
 )
 from filterstab.filtering import TV_FLOOR
 from helpers import random_positive_model
+from reference import brute_force_posterior, kaijser_filter_recursion
 
 TWO_STATE = [[0.5, 0.5], [0.3, 0.7]]
 
@@ -69,7 +68,7 @@ class TestFilterStep:
     def test_kaijser_uniform_prior_symbol_one(self):
         model = kaijser_model()
         posterior, _ = filter_step_with_likelihood(
-            uniform_density(model.space), likelihood_vector(model.observation, 1),
+            uniform_density(model.space), likelihood_rows(model.observation, [1])[0],
             model.kernel, model.space,
         )
         np.testing.assert_allclose(posterior.values, [0.5, 0.0, 0.5, 0.0], atol=1e-15)
@@ -91,7 +90,7 @@ class TestFilterStep:
             "beta": [1.0],
         })
         posterior, _ = filter_step_with_likelihood(
-            Density([1.0]), likelihood_vector(model.observation, 1), model.kernel, model.space
+            Density([1.0]), likelihood_rows(model.observation, [1])[0], model.kernel, model.space
         )
         np.testing.assert_allclose(posterior.values, [1.0])
 
@@ -114,7 +113,7 @@ class TestFilterStep:
         })
         with pytest.raises(NumericalError, match="zero-likelihood observation"):
             filter_step_with_likelihood(
-                model.true_prior, likelihood_vector(model.observation, 1),
+                model.true_prior, likelihood_rows(model.observation, [1])[0],
                 model.kernel, model.space,
             )
 

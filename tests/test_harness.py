@@ -8,7 +8,6 @@ from filterstab import (
     invariant_density,
     kaijser_closed_form,
     kaijser_constants,
-    kaijser_filter_recursion,
     kaijser_model,
     kaijser_verify,
     mixing_coefficients,
@@ -17,7 +16,7 @@ from filterstab import (
     run_scenario,
     sample_trajectory,
 )
-from reference import reference_kaijser_gaps
+from reference import kaijser_filter_recursion, reference_kaijser_gaps
 
 AC1_TRUE = (0.5, 0.2, 0.2, 0.1)
 UNIFORM4 = (0.25, 0.25, 0.25, 0.25)

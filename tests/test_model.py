@@ -9,7 +9,6 @@ from filterstab import (
     NumericalError,
     StateSpace,
     TransitionKernel,
-    Xoshiro256StarStar,
     as_kernel,
     build_model,
     invariant_density,
@@ -19,6 +18,7 @@ from filterstab import (
 )
 from filterstab import model as model_module
 from helpers import random_kernel_matrix, random_positive_model
+from reference import Xoshiro256StarStar
 
 KAIJSER_TRANSITION = [
     [0.5, 0.5, 0.0, 0.0],

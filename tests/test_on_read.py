@@ -5,7 +5,7 @@ likelihood ratios and envelope ``oscillation_bounds``) are not computed by
 `run_filter`, `run_filter_pair` or `run_scenario`: the first read computes
 them, and every later read returns that same read-only array. The first
 read equals the reference loops of `reference.py`, and each replicate's
-envelope equals its row of the batched `_envelope`, bit for bit.
+envelope equals `_envelope` along its wrong-prior run, bit for bit.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ from filterstab import (
 )
 from filterstab.backward import _envelope
 from filterstab.filtering import _engine
-from reference import reference_filter
+from reference import reference_backward, reference_filter
 
 # sigma 0.5 and means 0 and 1: an observation at 25 or -30 underflows the
 # linear normalizer and is redone in the log domain
@@ -83,10 +83,10 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
     scenario = builtin_scenario(name, horizon=100, replicates=replicates, seed=3)
     records = run_scenario(scenario)
     model = scenario.model
-    batched = _envelope(model, model.wrong_prior, records[0].coeffs,
-                        np.stack([record.pair.run_wrong.densities for record in records]))
-    assert batched is not None
-    for record, row in zip(records, batched):
+    for record in records:
+        wrong = record.pair.run_wrong.densities
+        row = _envelope(model, model.wrong_prior, record.coeffs, wrong)
+        assert row is not None
         assert "_backward" not in vars(record)
         assert "log_normalizers" not in vars(record.pair.run_correct)
         assert "log_normalizers" not in vars(record.pair.run_wrong)
@@ -94,6 +94,7 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
         assert "_backward" not in vars(record)
         bounds = record.oscillation_bounds
         assert bounds.tobytes() == row.tobytes()
+        assert bounds.tobytes() == reference_backward(model, record.coeffs, wrong)[1].tobytes()
         assert record.oscillation_bounds is bounds
         assert not bounds.flags.writeable
     for record in records:

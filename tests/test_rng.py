@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from filterstab import Xoshiro256StarStar, Xoshiro256StarStarLanes, derive_seed
+from filterstab import Xoshiro256StarStarLanes, derive_seed
 from filterstab.rng import _jump, _jump_map, _segments, _splitmix64
+from reference import Xoshiro256StarStar
 
 
 def test_splitmix64_reference_sequence():
@@ -87,7 +88,7 @@ def test_lanes_equal_scalar_streams(lanes):
     generator = Xoshiro256StarStarLanes(seeds)
     words = generator.words(300)
     assert words.shape == (300, lanes) and words.dtype == np.uint64
-    following = generator.next_uint64()
+    following = generator.words(1)[0]
     for r, seed in enumerate(seeds):
         scalar = Xoshiro256StarStar(seed)
         assert words[:, r].tolist() == [scalar.next_uint64() for _ in range(300)]
@@ -125,7 +126,7 @@ def assert_lanes_equal_scalar_streams(seeds, count):
     generator = Xoshiro256StarStarLanes(seeds)
     words = generator.words(count)
     assert words.shape == (count, len(seeds)) and words.dtype == np.uint64
-    following = generator.next_uint64()
+    following = generator.words(1)[0]
     for r, seed in enumerate(seeds):
         stream = scalar_stream(seed, count + 1)
         assert words[:, r].tolist() == stream[:count]

@@ -10,7 +10,7 @@ from filterstab import (
     gaussian_observation,
     invariant_density,
     kaijser_model,
-    likelihood_vector,
+    likelihood_rows,
     primitivity_check,
     sample_trajectory,
 )
@@ -93,22 +93,22 @@ class TestLikelihoodVector:
     def test_kaijser_symbol_one(self):
         model = kaijser_model()
         np.testing.assert_array_equal(
-            likelihood_vector(model.observation, 1), [1.0, 0.0, 1.0, 0.0]
+            likelihood_rows(model.observation, [1])[0], [1.0, 0.0, 1.0, 0.0]
         )
         np.testing.assert_array_equal(
-            likelihood_vector(model.observation, 0), [0.0, 1.0, 0.0, 1.0]
+            likelihood_rows(model.observation, [0])[0], [0.0, 1.0, 0.0, 1.0]
         )
 
     def test_gaussian_mode_value(self):
         obs = gaussian_observation([0.0, 2.0], sigma=1.0)
-        lik = likelihood_vector(obs, 0.0)
+        lik = likelihood_rows(obs, [0.0])[0]
         assert lik[0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
 
     def test_uniform_rows(self):
         obs = finite_observation(np.full((3, 4), 0.25))
-        np.testing.assert_allclose(likelihood_vector(obs, 2), 0.25)
+        np.testing.assert_allclose(likelihood_rows(obs, [2])[0], 0.25)
 
     def test_symbol_out_of_range(self):
         obs = finite_observation([[0.5, 0.5]])
         with pytest.raises(InvalidModelError, match="alphabet"):
-            likelihood_vector(obs, 2)
+            likelihood_rows(obs, [2])

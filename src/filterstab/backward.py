@@ -32,8 +32,7 @@ verifies the algebraic identities tying that ratio to the filter pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,8 +44,7 @@ from .simulate import likelihood_rows
 RHO_RANGE = "backward density leaves the float range: an entry is inf or nan"
 
 
-@dataclass(frozen=True)
-class BackwardPass:
+class BackwardPass(NamedTuple):
     """The backward density along one filter run, reduced to what the
     stability experiment reports.
 
@@ -61,8 +59,7 @@ class BackwardPass:
     likelihood_ratios: np.ndarray
 
 
-@dataclass(frozen=True)
-class OscillationRecord:
+class OscillationRecord(NamedTuple):
     """Per-``u`` spread of a backward density across its columns and, when
     coefficients permit, the envelope value."""
 

@@ -16,9 +16,8 @@ sit below the floor themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -54,8 +53,7 @@ def _gate(values: np.ndarray, envelope: np.ndarray) -> tuple[float, float]:
     return float(worst), float(values[~resolvable].max(initial=0.0))
 
 
-@dataclass(frozen=True)
-class ErgodicityReport:
+class ErgodicityReport(NamedTuple):
     """L1 gaps ``gaps[n-1, u]`` between the n-step density from ``u`` and the
     invariant density, against the geometric envelope.
 
@@ -93,8 +91,8 @@ def geometric_ergodicity_report(
     """
     if n_max < 1:
         raise InvalidModelError(f"n_max must be at least 1, got {n_max}")
-    powers = islice(_n_step_densities(model.kernel, model.space), n_max)
-    gaps = np.array([np.abs(power - invariant.values) @ model.space.weights for power in powers])
+    powers = np.array(list(islice(_n_step_densities(model.kernel, model.space), n_max)))
+    gaps = np.abs(powers - invariant.values) @ model.space.weights
     envelope = worst_ratio = None
     unresolved_max = float(gaps.max()) if coeffs.degenerate else 0.0
     if coeffs.applicable:
@@ -114,8 +112,7 @@ def geometric_ergodicity_report(
     )
 
 
-@dataclass(frozen=True)
-class StationaryBackward:
+class StationaryBackward(NamedTuple):
     """Stationary-chain backward density ``matrix[u, x]`` after `step` steps,
     with its per-``u`` oscillation across conditioning states."""
 
@@ -143,8 +140,7 @@ def stationary_backward_sequence(model: FiniteModel, invariant: Density, n_max: 
         yield StationaryBackward(q.copy(), q.max(axis=1) - q.min(axis=1), step)
 
 
-@dataclass(frozen=True)
-class StationaryBoundCheck:
+class StationaryBoundCheck(NamedTuple):
     worst_ratio: float
     unresolved_max: float
     floor: float
@@ -172,8 +168,7 @@ def stationary_bound_check(
     return StationaryBoundCheck(worst_ratio=worst, unresolved_max=unresolved, floor=BOUND_FLOOR)
 
 
-@dataclass(frozen=True)
-class PoissonSolution:
+class PoissonSolution(NamedTuple):
     """Solution of ``g = centered + (kernel g)`` for a centered test function."""
 
     values: np.ndarray
@@ -216,8 +211,7 @@ def solve_poisson(model: FiniteModel, invariant: Density, f: Sequence[float]) ->
     return PoissonSolution(values=g, centered=centered)
 
 
-@dataclass(frozen=True)
-class LlnAverage:
+class LlnAverage(NamedTuple):
     average: float
     target: float
     gap: float

@@ -12,8 +12,8 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from collections import namedtuple
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -25,8 +25,7 @@ UNDERFLOW_FLOOR = 1e-300
 TV_FLOOR = 1e-280
 
 
-@dataclass(frozen=True)
-class FilterRun:
+class FilterRun(namedtuple("FilterRun", "densities observations normalizers rescued_logs")):
     """Posterior densities ``pi_0..pi_N`` from one prior on one observation record.
 
     ``densities`` is a read-only ``(N+1, d)`` array whose row ``n`` is
@@ -35,13 +34,9 @@ class FilterRun:
     record under this prior, which tests use as an independent route to
     likelihood ratios. It is computed on first read, cached and read-only, from
     the linear ``normalizers`` (1.0 at a step redone in the log domain, whose
-    log is in ``rescued_logs`` by step index).
+    log is in ``rescued_logs`` by step index). The cache lives in the
+    instance ``__dict__``, which is why this record declares no ``__slots__``.
     """
-
-    densities: np.ndarray
-    observations: np.ndarray
-    normalizers: np.ndarray
-    rescued_logs: Mapping[int, float]
 
     @functools.cached_property
     def log_normalizers(self) -> np.ndarray:
@@ -52,8 +47,7 @@ class FilterRun:
         return logs
 
 
-@dataclass(frozen=True)
-class PairRun:
+class PairRun(NamedTuple):
     """Correct and misspecified filters on a shared record, with their TV gap."""
 
     run_correct: FilterRun
@@ -61,8 +55,7 @@ class PairRun:
     tv: np.ndarray
 
 
-@dataclass(frozen=True)
-class DecayEstimate:
+class DecayEstimate(NamedTuple):
     slope: float
     converged: bool
 

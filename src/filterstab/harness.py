@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .backward import BackwardPass, _envelope_scale, _prior_ratio, backward_pass
 from .errors import InvalidModelError
 from .filtering import (
-    DecayEstimate,
     PairRun,
     _check_priors,
     _engine,
@@ -39,7 +38,6 @@ from .filtering import (
     run_filter_pair,
 )
 from .model import (
-    Coefficients,
     FiniteModel,
     build_model,
     invariant_density,
@@ -52,23 +50,22 @@ from .simulate import Trajectory, sample_trajectories, sample_trajectory
 KAIJSER_TRUE_PRIOR = (0.5, 0.2, 0.2, 0.1)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    model: FiniteModel
-    horizon: int
-    replicates: int
-    seed: int
+class Scenario(namedtuple("Scenario", "name model horizon replicates seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.horizon < 1:
             raise InvalidModelError(f"horizon must be at least 1, got {self.horizon}")
         if self.replicates < 0:
             raise InvalidModelError(f"replicates must be nonnegative, got {self.replicates}")
+        return self
+
+    # `_replace` builds through `_make`: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-@dataclass(frozen=True)
-class KaijserConstants:
+class KaijserConstants(NamedTuple):
     """Possible first-step gap sizes of the counterexample pair.
 
     ``gap_obs_one`` applies when the first observation is symbol 1,
@@ -84,8 +81,7 @@ class KaijserConstants:
         return min(self.gap_obs_one, self.gap_obs_zero)
 
 
-@dataclass(frozen=True)
-class KaijserReport:
+class KaijserReport(NamedTuple):
     """Outcome of the counterexample regression gate."""
 
     constant: bool
@@ -104,8 +100,8 @@ class KaijserReport:
         return all(checks)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(namedtuple("RunRecord", "replicate seed trajectory pair decay coeffs model kaijser",
+                           defaults=(None,))):
     """Everything measured on one replicate of a scenario of `model`.
 
     ρ is not run with the filters. ``oscillations``, ``likelihood_ratios``
@@ -114,17 +110,11 @@ class RunRecord:
     cached and its arrays are read-only. Its errors (an overflowing prior
     ratio, a failing ρ, an envelope scale that underflows or overflows) are
     raised at that read. ``bounds_vacuous`` runs no ρ: it reads only the
-    envelope scale, and raises its errors.
+    envelope scale, and raises its errors. ``kaijser`` is the counterexample
+    gate's report, or None (the default) when the model is not the
+    counterexample's. The cache lives in the instance ``__dict__``, which is
+    why this record declares no ``__slots__``.
     """
-
-    replicate: int
-    seed: int
-    trajectory: Trajectory
-    pair: PairRun
-    decay: DecayEstimate
-    coeffs: Coefficients
-    model: FiniteModel
-    kaijser: Optional[KaijserReport] = None
 
     @property
     def bounds_vacuous(self) -> bool:

@@ -20,9 +20,8 @@ atoms with positive weight; zero-weight atoms cannot occur by construction.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from collections import OrderedDict, namedtuple
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -45,24 +44,25 @@ def _frozen(values, dtype=float) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class StateSpace:
+class StateSpace(namedtuple("StateSpace", "num_states weights")):
     """Finite atomic state space with reference-measure weights."""
 
-    num_states: int
-    weights: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.num_states < 1:
-            raise InvalidModelError(f"need at least one state, got {self.num_states}")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.num_states,):
+    def __new__(cls, num_states: int, weights: np.ndarray):
+        if num_states < 1:
+            raise InvalidModelError(f"need at least one state, got {num_states}")
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (num_states,):
             raise InvalidModelError(
-                f"dimension mismatch: {self.num_states} states but weights shape {w.shape}"
+                f"dimension mismatch: {num_states} states but weights shape {w.shape}"
             )
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise InvalidModelError("state weights must be finite and strictly positive")
-        object.__setattr__(self, "weights", _frozen(w))
+        return super().__new__(cls, num_states, _frozen(w))
+
+    # `_replace` builds through `_make`: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def unit_space(num_states: int) -> StateSpace:
@@ -70,19 +70,20 @@ def unit_space(num_states: int) -> StateSpace:
     return StateSpace(num_states, np.ones(num_states))
 
 
-@dataclass(frozen=True)
-class Density:
+class Density(namedtuple("Density", "values")):
     """Nonnegative density values against the state weights, total mass one."""
 
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+    def __new__(cls, values: np.ndarray):
+        v = np.asarray(values, dtype=float)
         if v.ndim != 1:
             raise InvalidModelError(f"density must be a vector, got shape {v.shape}")
         if not np.all(np.isfinite(v)) or np.any(v < 0.0):
             raise InvalidModelError("density values must be finite and nonnegative")
-        object.__setattr__(self, "values", _frozen(v))
+        return super().__new__(cls, _frozen(v))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def dim(self) -> int:
@@ -116,19 +117,20 @@ def point_mass(state: int, space: StateSpace) -> Density:
     return Density(v)
 
 
-@dataclass(frozen=True)
-class TransitionKernel:
+class TransitionKernel(namedtuple("TransitionKernel", "matrix")):
     """One-step transition densities; ``matrix[i, j]`` is the density i -> j."""
 
-    matrix: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        a = np.asarray(self.matrix, dtype=float)
+    def __new__(cls, matrix: np.ndarray):
+        a = np.asarray(matrix, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise InvalidModelError(f"transition matrix must be square, got shape {a.shape}")
         if not np.all(np.isfinite(a)) or np.any(a < 0.0):
             raise InvalidModelError("invalid kernel: entries must be finite and nonnegative")
-        object.__setattr__(self, "matrix", _frozen(a))
+        return super().__new__(cls, _frozen(a))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def dim(self) -> int:
@@ -175,8 +177,7 @@ def as_kernel(matrix, space: StateSpace, tol: float = ROW_SUM_TOL) -> Transition
     return TransitionKernel(_normalized_rows("transition", rows, space.weights, tol))
 
 
-@dataclass(frozen=True)
-class ObservationModel:
+class ObservationModel(NamedTuple):
     """Observation channel: finite alphabet emissions or a Gaussian read-out.
 
     For ``kind == "finite"``, ``emission[i, k]`` is the density of symbol ``k``
@@ -222,8 +223,7 @@ def gaussian_observation(means, sigma: float) -> ObservationModel:
     return ObservationModel(kind="gaussian", means=_frozen(mu), sigma=sigma)
 
 
-@dataclass(frozen=True)
-class FiniteModel:
+class FiniteModel(NamedTuple):
     """Validated model bundle: space, dynamics, observation channel, priors.
 
     ``true_prior`` is the density the data generator uses for the initial
@@ -238,8 +238,8 @@ class FiniteModel:
     wrong_prior: Density
 
 
-@dataclass(frozen=True)
-class Coefficients:
+class Coefficients(namedtuple("Coefficients", "min_density max_density mixing_coefficient "
+                                           "tv_decay_rate geo_prefactor geo_ratio degenerate")):
     """Stability coefficients of a transition kernel under an invariant density.
 
     ``min_density``/``max_density`` are the global extrema of the one-step
@@ -251,15 +251,10 @@ class Coefficients:
     ergodic with explicit constants ``geo_prefactor * geo_ratio**n``.
     """
 
-    min_density: float
-    max_density: float
-    mixing_coefficient: float
-    tv_decay_rate: float
-    geo_prefactor: Optional[float]
-    geo_ratio: Optional[float]
-    degenerate: bool
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         tol = 1e-12
         ok = (
             -tol <= self.min_density
@@ -271,6 +266,9 @@ class Coefficients:
                 "coefficient ordering violated: "
                 f"{self.min_density!r}, {self.mixing_coefficient!r}, {self.max_density!r}"
             )
+        return self
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def applicable(self) -> bool:
@@ -299,7 +297,8 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
     hi = float(kernel.matrix.max())
     mins = row_minima(kernel, space)
     with np.errstate(over="ignore"):
-        avg = float(np.sum(mins * invariant.values * space.weights))
+        # m * w is a probability vector, so weighing it first stays in range
+        avg = float(np.sum(mins * (invariant.values * space.weights)))
     if np.isinf(avg):
         raise NumericalError("mixing coefficient overflows: row minimum * invariant density "
                              "exceeds the float range")

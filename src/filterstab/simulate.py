@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -16,8 +16,7 @@ _MAP_BLOCK = 1 << 16  # entries of the step-map comparison held at once
 _PYTHON_WALK_RECORDS = 8
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(namedtuple("Trajectory", "states observations seed")):
     """A sampled signal/observation path.
 
     ``states`` holds the signal ``X_0..X_N`` as atom indices; ``observations``
@@ -26,18 +25,19 @@ class Trajectory:
     stored read-only: copies, unless they are read-only arrays already.
     """
 
-    states: np.ndarray
-    observations: np.ndarray
-    seed: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.observations) != len(self.states) - 1:
+    def __new__(cls, states: np.ndarray, observations: np.ndarray, seed: int):
+        if len(observations) != len(states) - 1:
             raise InvalidModelError(
-                f"trajectory shape mismatch: {len(self.states)} states, "
-                f"{len(self.observations)} observations"
+                f"trajectory shape mismatch: {len(states)} states, "
+                f"{len(observations)} observations"
             )
-        object.__setattr__(self, "states", _read_only(np.asarray(self.states, dtype=np.int64)))
-        object.__setattr__(self, "observations", _read_only(np.asarray(self.observations)))
+        return super().__new__(cls, _read_only(np.asarray(states, dtype=np.int64)),
+                               _read_only(np.asarray(observations)), seed)
+
+    # `_replace` builds through `_make`: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -111,8 +111,10 @@ def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
         symbol_table = _pick_table(obs.emission * obs.symbol_weights[None, :])
         observations = (draws[2::2, :, None] < symbol_table[states[1:]]).argmax(axis=2)
     else:
-        radius = np.fromiter((math.sqrt(-2.0 * math.log(u)) for u in draws[2::3].flat), float)
-        cosine = np.fromiter((math.cos(2.0 * math.pi * u) for u in draws[3::3].flat), float)
+        # `math.log` and `math.cos`, whose last bits `np.log` and `np.cos` need not match;
+        # `np.sqrt` is correctly rounded like `math.sqrt`
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, draws[2::3].ravel().tolist()), float))
+        cosine = np.fromiter(map(math.cos, (2.0 * math.pi * draws[3::3]).ravel().tolist()), float)
         observations = (obs.means[states[1:]]
                         + obs.sigma * radius.reshape(horizon, -1) * cosine.reshape(horizon, -1))
     return _read_only(states.T), _read_only(observations.T)

@@ -1,6 +1,5 @@
 import argparse
 import contextlib
-import dataclasses
 import io
 import json
 import math
@@ -440,17 +439,16 @@ def one_state(psi, density):
      2, "numerical failure: backward density leaves the float range: an entry is inf or nan"),
     ("backward", one_state(7.564873388636578e+299, 1.3218991893534264e-300),
      2, "numerical failure: backward density leaves the float range: an entry is inf or nan"),
-    ("validate", one_state(1e-170, 1e170), 2, "numerical failure: mixing coefficient overflows: "
-                                              "row minimum * invariant density exceeds the float range"),
+    # the invariant density is weighed first, so the coefficient stays in range
+    ("validate", one_state(1e-170, 1e170), 0, None),
     ("validate", {"states": 3, "psi": [1.0, 4.8552528789402365e+37, 2.7008240643429375e-271],
                   "transition": [[0.0, 0.0, 3.702573644845253e+270]] * 3,
                   "observation": {"type": "finite", "gamma": [[1.0], [1.0], [1.0]]},
                   "nu": [0.0, 0.0, 3.702573644845253e+270], "beta": [2.0596249565857248e-38] * 3},
      2, "numerical failure: invariant density: a transition density times its state weight "
         "overflows"),
-    ("validate", one_state(3.598461781749395e+155, 2.7789651819335127e-156),
-     2, "numerical failure: geometric prefactor overflows: mixing coefficient * (max density - "
-        "mixing coefficient) = 2.7789651819343325e-156 * -8.192442125722015e-169 rounds to 0"),
+    # a constant-in-target kernel, found degenerate: no prefactor to overflow
+    ("validate", one_state(3.598461781749395e+155, 2.7789651819335127e-156), 0, None),
     ("lln", dict(GAUSSIAN, observation={"type": "gaussian", "means": [0.0, 1e300], "sigma": 1e-18}),
      0, None),
 ])
@@ -459,6 +457,20 @@ def test_extreme_documents_exit_with_one_line(command, document, rc, line, tmp_p
     horizon = [] if command == "validate" else ["--horizon", "20"]
     assert run_in_process([command, "--model", str(model), *horizon,
                            "--output", str(tmp_path / "out")]) == (rc, f"{line}\n" if line else "")
+
+
+@pytest.mark.parametrize("psi, density", [(3.598461781749395e+155, 2.7789651819335127e-156),
+                                          (1e-170, 1e170)])
+def test_extreme_state_weights_keep_the_mixing_coefficient(psi, density, tmp_path):
+    """The coefficient of a 1-state model is its one density, whatever the
+    state weight: the constant kernel is degenerate with ratio 0."""
+    model = write_model(tmp_path, one_state(psi, density))
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--model", str(model), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["mixing_coefficient"] == pytest.approx(density, rel=1e-12)
+    assert report["max_density"] == pytest.approx(density, rel=1e-12)
+    assert report["degenerate"] is True and report["geo_ratio"] == 0.0
 
 
 @pytest.mark.parametrize("command", ["stability", "backward", "lln"])
@@ -902,7 +914,7 @@ class TestErgodicityTableReadsTheReport:
         import filterstab.cli as cli
 
         def failing(*args):
-            return dataclasses.replace(geometric_ergodicity_report(*args), **change)
+            return geometric_ergodicity_report(*args)._replace(**change)
 
         monkeypatch.setattr(cli, "geometric_ergodicity_report", failing)
         assert main(["ergodicity", "--scenario", "mixing2", "--horizon", "20",

@@ -10,7 +10,6 @@ arithmetic. Stacked products round like the one-row ones, so every array
 must agree exactly, not just to a tolerance.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -315,7 +314,7 @@ def test_backward_pass_rejects_a_history_that_is_not_finite_and_nonnegative(valu
 @pytest.mark.parametrize("replicates", [1, 3])
 @pytest.mark.parametrize("scenario", ENGINE_SCENARIOS, ids=lambda s: s.name)
 def test_batched_run_scenario_equals_replicates_run_alone(scenario, replicates):
-    scenario = dataclasses.replace(scenario, replicates=replicates)
+    scenario = scenario._replace(replicates=replicates)
     model = scenario.model
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
     records = run_scenario(scenario)

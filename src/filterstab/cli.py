@@ -254,9 +254,10 @@ def _scenario_horizon(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns its exit code and the texts that `main` writes,
+# a table or report and, for `stability`, its summary
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> tuple:
     model, name = _resolve_model(args)
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
@@ -275,28 +276,23 @@ def _cmd_validate(args) -> int:
         "primitivity_power": primitivity_check(model.kernel),
         "invariant_density": invariant.values.tolist(),
     }
-    _write_text(_resolve_output(args.output), _json_text(report))
-    return 0
+    return 0, _json_text(report)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> tuple:
     model, _ = _resolve_model(args)
     trajectory = sample_trajectory(model, model.true_prior, args.horizon, args.seed)
     columns = [range(len(trajectory.states)), trajectory.states,
                [None, *trajectory.observations.tolist()]]
-    _write_text(
-        _resolve_output(args.output),
-        _table_text(["n", "state", "observation"], columns, args.format),
-    )
-    return 0
+    return 0, _table_text(["n", "state", "observation"], columns, args.format)
 
 
 def _summary_path(table: Path) -> Path:
-    """Where `stability` writes its JSON summary next to the table."""
+    """Where the JSON summary of `stability` goes, next to its table."""
     return table.with_suffix(".summary.json" if table.suffix == ".json" else ".json")
 
 
-def _cmd_stability(args) -> int:
+def _cmd_stability(args) -> tuple:
     out = _resolve_output(args.output)
     if out is not None and args.model and \
             _summary_path(out).resolve() == Path(args.model).resolve():
@@ -358,19 +354,12 @@ def _cmd_stability(args) -> int:
     passed = slope_ok and summary["tv_range_ok"]
     if first.kaijser is not None:
         summary["kaijser"] = _kaijser_payload(first.kaijser)
-        passed = passed and first.kaijser.passed
+        passed = passed and all(r.kaijser.passed for r in records)
     summary["passed"] = passed
-
-    if out is None:
-        _write_text(None, table)
-        _write_text(None, _json_text(summary))
-    else:
-        _write_text(out, table)
-        _write_text(_summary_path(out), _json_text(summary))
-    return 0 if passed else 3
+    return 0 if passed else 3, table, _json_text(summary)
 
 
-def _cmd_ergodicity(args) -> int:
+def _cmd_ergodicity(args) -> tuple:
     model, name = _resolve_model(args)
     n_max = args.horizon
     invariant = invariant_density(model.kernel, model.space)
@@ -385,16 +374,12 @@ def _cmd_ergodicity(args) -> int:
             ratios = np.where(bounds >= report.floor, gaps / bounds, None)
     columns = [np.repeat(np.arange(d), n_max), np.tile(np.arange(1, n_max + 1), d), gaps,
                bounds, ratios]
-    _write_text(
-        _resolve_output(args.output),
-        _table_text(["u", "n", "gap", "bound", "ratio"], columns, args.format),
-    )
     ok = not report.applicable or (
         report.worst_ratio <= 1.0 and report.unresolved_max_gap <= report.floor + 1e-12)
-    return 0 if ok else 3
+    return 0 if ok else 3, _table_text(["u", "n", "gap", "bound", "ratio"], columns, args.format)
 
 
-def _cmd_backward(args) -> int:
+def _cmd_backward(args) -> tuple:
     model, _ = _resolve_model(args)
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
@@ -408,25 +393,21 @@ def _cmd_backward(args) -> int:
     violation = bounds is not None and bool(np.any(backward.oscillations > bounds + 1e-12))
     bound_max = [None] * len(trajectory.observations) if bounds is None else bounds.max(axis=1)
     columns = [range(1, len(bound_max) + 1), backward.oscillations.max(axis=1), bound_max]
-    _write_text(
-        _resolve_output(args.output),
-        _table_text(["n", "delta_max", "osc_bound_max"], columns, args.format),
-    )
-    return 3 if violation else 0
+    return 3 if violation else 0, _table_text(["n", "delta_max", "osc_bound_max"], columns,
+                                              args.format)
 
 
-def _cmd_kaijser(args) -> int:
+def _cmd_kaijser(args) -> tuple:
     # the default true prior is the registry model's, which `kaijser_model`
     # renormalizes again; kept so that `kaijser` output keeps its bits
     true_prior = _parse_prior(args.nu) or kaijser_model().true_prior.values
     report = kaijser_verify(true_prior, _parse_prior(args.beta), args.horizon, args.seed)
     payload = _kaijser_payload(report)
     payload.update({"horizon": args.horizon, "seed": args.seed})
-    _write_text(_resolve_output(args.output), _json_text(payload))
-    return 0 if report.passed else 3
+    return 0 if report.passed else 3, _json_text(payload)
 
 
-def _cmd_lln(args) -> int:
+def _cmd_lln(args) -> tuple:
     model, _ = _resolve_model(args)
     horizon = args.horizon
     invariant = invariant_density(model.kernel, model.space)
@@ -440,25 +421,15 @@ def _cmd_lln(args) -> int:
     targets = invariant.values * model.space.weights
     columns = [np.repeat(np.arange(1, horizon + 1), d), np.tile(np.arange(d), horizon),
                partial.ravel(), np.tile(targets, horizon), np.abs(partial - targets).ravel()]
-    _write_text(
-        _resolve_output(args.output),
-        _table_text(["n", "state", "running_average", "target", "gap"], columns, args.format),
-    )
-    return 0
+    return 0, _table_text(["n", "state", "running_average", "target", "gap"], columns,
+                          args.format)
 
 
 def _kaijser_payload(report) -> dict:
-    return {
-        "constant": report.constant,
-        "floor": report.floor,
-        "max_drift": report.max_drift,
-        "agreement_gap": report.agreement_gap,
-        "floor_ok": report.floor_ok,
-        "tv_first": report.tv_first,
-        "gap_obs_one": report.constants.gap_obs_one,
-        "gap_obs_zero": report.constants.gap_obs_zero,
-        "passed": report.passed,
-    }
+    """The report's fields, its constants flattened into them, and `passed`."""
+    payload = report._asdict()
+    payload.update(payload.pop("constants")._asdict(), passed=report.passed)
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -535,13 +506,19 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 1
     try:
-        return args.handler(args)
+        code, *texts = args.handler(args)
     except InvalidModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
+    # the first text goes to --output, a second (the summary of `stability`)
+    # to its summary path; both go to stdout when --output is not given
+    out = _resolve_output(args.output)
+    for path, text in zip((out, out and _summary_path(out)), texts):
+        _write_text(path, text)
+    return code
 
 
 if __name__ == "__main__":

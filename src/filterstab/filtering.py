@@ -162,7 +162,7 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
     # a chunk's densities and normalizers, copied out at its end
     pis, zs = np.empty((held + 1,) + row), np.empty((held,) + row[:-1] + (1,))
     row_pis, row_zs = pis.reshape(held + 1, n_rows, d), zs.reshape(held, n_rows)
-    weighted, predicted = np.empty((2, held) + row)
+    weighted, predicted = np.empty((2,) + row)  # read only by the step that writes them
     tiled_liks = np.empty((held,) + row)  # each record's likelihoods, for every prior
     tiled_weights = np.tile(weights, n_rows).reshape(row)
     unnormalized, weights_column = np.empty(row), weights[:, None]
@@ -170,7 +170,7 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
     row_product = np.ndarray.dot if n_rows == 1 else matmul
     # each buffer's per-step views, made once; step k writes the density step k + 1 reads
     pi_views = list(pis)
-    steps = pi_views, list(weighted), list(predicted), list(tiled_liks), list(zs), pi_views[1:]
+    steps = pi_views, list(tiled_liks), list(zs), pi_views[1:]
     failed_at = np.zeros(n_rows, dtype=np.int64)  # first failing step, or 0
     rescued_logs = {}
     with np.errstate(all="ignore"):  # every failure is caught by the checks below
@@ -181,10 +181,10 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
             done, size = 0, m
             while done < m:
                 stop = min(done + size, m)
-                for pi, w, p, lik, z, pi_next in zip(*(views[done:stop] for views in steps)):
-                    multiply(pi, tiled_weights, w)
-                    row_product(w, matrix, p)
-                    multiply(lik, p, unnormalized)
+                for pi, lik, z, pi_next in zip(*(views[done:stop] for views in steps)):
+                    multiply(pi, tiled_weights, weighted)
+                    row_product(weighted, matrix, predicted)
+                    multiply(lik, predicted, unnormalized)
                     matmul(unnormalized, weights_column, z)
                     divide(unnormalized, z, pi_next)
                 z = row_zs[done:stop]
@@ -252,7 +252,7 @@ def _check_priors(true_prior: Density, wrong_prior: Density) -> None:
             "true prior has zero atoms; absolute continuity with respect to the "
             "wrong prior still holds",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -266,6 +266,16 @@ def _pair_run(run: _EngineRun, r: int, observations: np.ndarray,
     return PairRun(run_correct=correct, run_wrong=wrong, tv=tv)
 
 
+def _filter_pairs(true_prior: Density, wrong_prior: Density, records,
+                  model: FiniteModel) -> list[PairRun]:
+    """The `PairRun` of both priors on each of the ``R`` observation records,
+    from one `_engine` pass; the lowest failing record's first error is raised."""
+    _check_priors(true_prior, wrong_prior)
+    run = _engine(model, np.stack([true_prior.values, wrong_prior.values]), records)
+    return [_pair_run(run, r, np.asarray(observations), model.space.weights)
+            for r, observations in enumerate(records)]
+
+
 def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Sequence,
                     model: FiniteModel) -> PairRun:
     """Run the filter from both priors on the same record and track the TV gap.
@@ -274,9 +284,7 @@ def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Seq
     any record the true model can produce. The true prior may have zero atoms.
     Both filters advance in one pass; the correct prior's failure is raised first.
     """
-    _check_priors(true_prior, wrong_prior)
-    run = _engine(model, np.stack([true_prior.values, wrong_prior.values]), [observations])
-    return _pair_run(run, 0, np.asarray(observations), model.space.weights)
+    return _filter_pairs(true_prior, wrong_prior, [observations], model)[0]
 
 
 def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstimate:

@@ -29,14 +29,7 @@ import numpy as np
 
 from .backward import BackwardPass, _envelope_scale, _prior_ratio, backward_pass
 from .errors import InvalidModelError
-from .filtering import (
-    PairRun,
-    _check_priors,
-    _engine,
-    _pair_run,
-    decay_rate,
-    run_filter_pair,
-)
+from .filtering import PairRun, _filter_pairs, decay_rate, run_filter_pair
 from .model import (
     FiniteModel,
     build_model,
@@ -319,8 +312,8 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
 
     Each replicate gets an independent stream derived from the scenario seed,
     and records are ordered by replicate, so output is a pure function of
-    (scenario, seed). One pass samples every record, and one filter pass,
-    `_engine`, advances both priors of every replicate; the Kaijser gate, run
+    (scenario, seed). One pass samples every record, and one filter pass
+    advances both priors of every replicate; the Kaijser gate, run
     whenever the model is the counterexample's, reuses each pair. No ρ is run
     here: a record runs it along its wrong-prior densities when its
     oscillations, likelihood ratios or envelope are first read. Every
@@ -337,15 +330,12 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
     if not seeds:
         return []
     states, observations = sample_trajectories(model, model.true_prior, scenario.horizon, seeds)
-    _check_priors(model.true_prior, model.wrong_prior)
-    run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]),
-                  observations)
+    pairs = _filter_pairs(model.true_prior, model.wrong_prior, observations, model)
     kaijser = _is_kaijser(model)
     records = []
-    for replicate, seed in enumerate(seeds):
+    for replicate, (seed, pair) in enumerate(zip(seeds, pairs)):
         trajectory = Trajectory(states=states[replicate], observations=observations[replicate],
                                 seed=seed)
-        pair = _pair_run(run, replicate, trajectory.observations, model.space.weights)
         records.append(RunRecord(
             replicate=replicate,
             seed=seed,

@@ -255,7 +255,7 @@ class Coefficients(namedtuple("Coefficients", "min_density max_density mixing_co
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        tol = 1e-12
+        tol = 1e-12 * max(1.0, self.max_density)  # relative to the density scale
         ok = (
             -tol <= self.min_density
             and self.min_density <= self.mixing_coefficient + tol

@@ -31,6 +31,7 @@ from filterstab import model as model_module
 from filterstab.cli import build_parser, load_model, main, parse_config
 from filterstab.ergodicity import _running_averages
 from filterstab.errors import InvalidModelError
+from filterstab.harness import BUILTIN_DOCUMENTS
 from helpers import random_kernel_matrix
 from test_cli_bytes import GAUSSIAN3
 
@@ -295,6 +296,37 @@ class TestStabilityCommand:
         assert summary["converged"] == [True] * replicates
         assert summary["slopes"] == ["-inf"] * replicates
 
+    @pytest.mark.parametrize("fmt, table, summary", [("csv", "run.csv", "run.json"),
+                                                     ("json", "run.json", "run.summary.json")])
+    def test_stdout_prints_the_file_bytes_table_first(self, tmp_path, capsys, fmt, table,
+                                                      summary):
+        args = ["stability", "--scenario", "kaijser", "--horizon", "60", "--replicates", "2",
+                "--format", fmt]
+        assert main(args + ["--output", str(tmp_path / table)]) == 0
+        assert capsys.readouterr().out == ""
+        assert main(args) == 0
+        files = (tmp_path / table).read_text() + (tmp_path / summary).read_text()
+        assert capsys.readouterr().out == files
+
+    def test_every_replicate_kaijser_report_gates_the_run(self, tmp_path, monkeypatch):
+        """The summary shows replicate 0's report; `passed` reads them all."""
+        import filterstab.harness as harness
+
+        original, calls = harness._verify_kaijser_on, []
+
+        def second_fails(*args):
+            calls.append(None)
+            report = original(*args)
+            return report._replace(constant=False) if len(calls) == 2 else report
+
+        monkeypatch.setattr(harness, "_verify_kaijser_on", second_fails)
+        out = tmp_path / "run.csv"
+        assert main(["stability", "--scenario", "kaijser", "--horizon", "60",
+                     "--replicates", "2", "--output", str(out)]) == 3
+        summary = json.loads(out.with_suffix(".json").read_text())
+        assert summary["kaijser"]["passed"] is True and summary["passed"] is False
+        assert len(calls) == 2
+
     def test_byte_identical_reruns(self, tmp_path):
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
@@ -427,8 +459,20 @@ def one_state(psi, density):
             "observation": {"type": "finite", "gamma": [[1.0]]}, "nu": [density], "beta": [density]}
 
 
-# inputs on which a numpy warning or a ZeroDivisionError escaped, each with
-# the exit code and the one line it gives now
+def weight_scaled(name, scale):
+    """The builtin document `name` with every state weight multiplied by
+    `scale` and every density against them divided by it: the same model."""
+    document = copy_of(BUILTIN_DOCUMENTS[name])
+    document["psi"] = [scale] * document["states"]
+    document["transition"] = [[x / scale for x in row] for row in document["transition"]]
+    document["nu"] = [x / scale for x in document["nu"]]
+    document["beta"] = [x / scale for x in document["beta"]]
+    return document
+
+
+# inputs on which a numpy warning or a ZeroDivisionError escaped, and
+# documents that no other test reached, each with the exit code and the one
+# line it gives now
 @pytest.mark.parametrize("command, document, rc, line", [
     ("validate", {"states": 2, "psi": [5e-324, 2e299], "transition": [[0.0, 1e308], [0.0, 1.0]],
                   "observation": {"type": "finite", "gamma": [[1.0], [1.0]]},
@@ -451,12 +495,67 @@ def one_state(psi, density):
     ("validate", one_state(3.598461781749395e+155, 2.7789651819335127e-156), 0, None),
     ("lln", dict(GAUSSIAN, observation={"type": "gaussian", "means": [0.0, 1e300], "sigma": 1e-18}),
      0, None),
+    # the three densities of the constant kernel differ by one ulp: the
+    # ordering check is relative to the largest density
+    ("validate", weight_scaled("uniformK", 1e-8), 0, None),
+    ("validate", weight_scaled("uniformK", 1e-100), 0, None),
+    ("validate", weight_scaled("uniformK", 1e-300), 0, None),
+    # documents that `build_model` refuses, each with its message
+    ("validate", [], 1, "error: invalid model document: expected a JSON object"),
+    ("validate", dict(GAUSSIAN, observation={"type": "poisson", "means": [0.0, 1.0]}),
+     1, "error: invalid model document: 'observation.type' must be 'finite' or 'gaussian', "
+        "got 'poisson'"),
+    ("validate", dict(GAUSSIAN, observation={"type": "gaussian", "sigma": 0.5}),
+     1, "error: invalid model document: missing key 'observation.means'"),
+    ("validate", dict(GAUSSIAN, observation={"type": "gaussian", "means": [0.0, 1.0], "sigma": 0}),
+     1, "error: gaussian sigma must be positive, got 0.0"),
+    ("validate", dict(GAUSSIAN, observation={"type": "gaussian", "means": [math.nan, 1.0],
+                                             "sigma": 0.5}),
+     1, "error: gaussian means must be a finite vector"),
+    ("validate", dict(BUILTIN_DOCUMENTS["mixing2"], observation={
+        "type": "finite", "gamma": [[0.8, 0.2], [0.2, 0.8]], "theta": [1, 0]}),
+     1, "error: symbol weights must be finite and strictly positive"),
+    ("validate", dict(BUILTIN_DOCUMENTS["mixing2"], nu=[-0.1, 1.1]),
+     1, "error: invalid model document: 'nu': density values must be finite and nonnegative"),
 ])
 def test_extreme_documents_exit_with_one_line(command, document, rc, line, tmp_path):
     model = write_model(tmp_path, document)
     horizon = [] if command == "validate" else ["--horizon", "20"]
     assert run_in_process([command, "--model", str(model), *horizon,
                            "--output", str(tmp_path / "out")]) == (rc, f"{line}\n" if line else "")
+
+
+@pytest.mark.parametrize("flags, line", [
+    (["--nu", "abc"], "error: cannot parse prior override 'abc'"),
+    (["--replicates", "0"], "error: stability needs at least one replicate"),
+])
+def test_bad_stability_flags_exit_one_with_one_line(flags, line, tmp_path):
+    out = tmp_path / "out.csv"
+    assert run_in_process(["stability", "--scenario", "mixing2", *flags,
+                           "--output", str(out)]) == (1, f"{line}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", [
+    1.0, 1e-8,
+    # the power iteration stops and checks at absolute tolerances in density
+    # units: it stops early at (0.4, 0.6), or finds no invariant density
+    pytest.param(1e20, marks=pytest.mark.xfail(strict=True, reason="absolute stop tolerance")),
+    pytest.param(1e-20, marks=pytest.mark.xfail(strict=True, reason="absolute check tolerance")),
+    # avg * (max - avg) underflows to 0 although the prefactor is 4.02
+    pytest.param(1e200, marks=pytest.mark.xfail(strict=True, reason="prefactor underflow")),
+])
+def test_validate_does_not_depend_on_the_weight_scale(scale, tmp_path):
+    """Multiplying `psi` by a scale and each density by its inverse gives the
+    same model, so the same probabilities and coefficients as unit weights."""
+    model = write_model(tmp_path, weight_scaled("mixing2", scale))
+    out = tmp_path / "validate.json"
+    assert main(["validate", "--model", str(model), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [m * scale for m in report["invariant_density"]] == pytest.approx([0.375, 0.625],
+                                                                             rel=1e-9)
+    assert report["decay_rate_bound"] == pytest.approx(15 / 28, rel=1e-9)
+    assert report["geo_prefactor"] == pytest.approx(0.49 / (0.375 * 0.325), rel=1e-9)
 
 
 @pytest.mark.parametrize("psi, density", [(3.598461781749395e+155, 2.7789651819335127e-156),
@@ -971,6 +1070,7 @@ class TestEachCommandTakesTheFlagsItReads:
             [command, *source, *SHORT_RUNS[command], "--output", str(tmp_path / "out")])
         recorder = ReadRecorder(args)
         args.handler(recorder)
+        recorder.read.add("output")  # `main` reads --output to write what the handler returns
         assert recorder.read == set(registered_flags(command))
 
     def test_option_slot_count(self):

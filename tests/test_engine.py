@@ -145,8 +145,7 @@ def test_run_scenario_makes_one_engine_pass_for_all_replicates(monkeypatch, name
     def forbidden(*args, **kwargs):
         raise AssertionError("run_scenario ran a filter or ρ of its own")
 
-    for module in (filterstab.filtering, filterstab.harness):
-        monkeypatch.setattr(module, "_engine", counting)
+    monkeypatch.setattr(filterstab.filtering, "_engine", counting)
     monkeypatch.setattr(filterstab.filtering, "run_filter", forbidden)
     monkeypatch.setattr(filterstab.backward, "_rho_along", forbidden)
     scenario = builtin_scenario(name, horizon=50, replicates=replicates)

@@ -7,6 +7,7 @@ from filterstab import (
     Density,
     InvalidModelError,
     NumericalError,
+    Scenario,
     as_density,
     as_kernel,
     build_model,
@@ -18,6 +19,7 @@ from filterstab import (
     point_mass,
     run_filter,
     run_filter_pair,
+    run_scenario,
     sample_trajectory,
     tv_norm,
     uniform_density,
@@ -205,6 +207,13 @@ class TestRunFilterPair:
         spiky = Density([1.0, 0.0, 0.0, 0.0])
         with pytest.warns(RuntimeWarning, match="zero atoms"):
             run_filter_pair(spiky, model.wrong_prior, [1, 0, 0], model)
+
+    def test_zero_atom_warning_names_the_caller(self):
+        model = kaijser_model(true_prior=[1.0, 0.0, 0.0, 0.0])
+        with pytest.warns(RuntimeWarning, match="zero atoms") as caught:
+            run_filter_pair(model.true_prior, model.wrong_prior, [1, 0, 0], model)
+            run_scenario(Scenario(name="spiky", model=model, horizon=3, replicates=2, seed=1))
+        assert [w.filename for w in caught] == [__file__] * 2
 
 
 class TestTvNorm:

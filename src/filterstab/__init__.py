@@ -9,15 +9,16 @@ Library layout:
   total variation tracking, decay-rate estimation.
 * `backward`: the initial-state backward density along a filter run
   (`backward_pass`) or one step at a time (`BackwardContext`), its
-  oscillation and envelope, likelihood ratios, change-of-measure identities.
-* `ergodicity`: geometric ergodicity report, stationary backward recursion,
-  Poisson-equation solver, running conditional averages.
+  oscillation and envelope, likelihood ratios.
+* `ergodicity`: geometric ergodicity report, running conditional averages.
 * `harness`: builtin scenarios, replicate orchestration, counterexample gate.
 * `cli`: the ``filterstab`` command.
 
-The independent references that tests hold these to (path enumeration, the
-scalar xoshiro256** generator, the Kaijser posterior recursion) are not part
-of the package; they live in ``tests/reference.py``.
+The package ships what the commands run. The independent references that
+tests hold it to (path enumeration, the scalar xoshiro256** generator, the
+Kaijser posterior recursion) and the checks of the theory that no command
+reports (the stationary backward bound, the Poisson equation, the
+change-of-measure identities) live in ``tests/reference.py``.
 """
 
 from .errors import InvalidModelError, NumericalError
@@ -35,10 +36,8 @@ from .model import (
     gaussian_observation,
     invariant_density,
     mixing_coefficients,
-    point_mass,
     primitivity_check,
     row_minima,
-    uniform_density,
     unit_space,
 )
 from .rng import Xoshiro256StarStarLanes, derive_seed
@@ -56,26 +55,16 @@ from .filtering import (
     filter_step_with_likelihood,
     run_filter,
     run_filter_pair,
-    tv_norm,
 )
 from .backward import (
     BackwardContext,
     BackwardPass,
     OscillationRecord,
     backward_pass,
-    change_of_measure_residual,
 )
 from .ergodicity import (
     ErgodicityReport,
-    LlnAverage,
-    PoissonSolution,
-    StationaryBackward,
     geometric_ergodicity_report,
-    lln_average,
-    n_step_density,
-    solve_poisson,
-    stationary_backward_sequence,
-    stationary_bound_check,
 )
 from .harness import (
     KaijserConstants,

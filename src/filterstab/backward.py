@@ -1,5 +1,5 @@
-"""Backward conditional density of the initial state, its oscillation, and
-the change-of-measure quantities connecting misspecified filters.
+"""Backward conditional density of the initial state, its oscillation, its
+envelope, and the likelihood ratio between the two priors.
 
 For a filter started from a strictly positive prior, the conditional density
 of ``X_0`` given the current state and all observations so far satisfies a
@@ -25,8 +25,9 @@ its ρ. `BackwardContext` advances ρ and its filter one observation at a
 time; tests hold the loop to it bit for bit.
 
 The expected prior ratio under the backward density is the likelihood ratio
-between the observation laws of the two priors; `change_of_measure_residual`
-verifies the algebraic identities tying that ratio to the filter pair.
+between the observation laws of the two priors. The change-of-measure
+identities that tie it to the filter pair are checked by the tests, in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
-from .filtering import FilterRun, filter_step_with_likelihood
-from .model import Coefficients, Density, FiniteModel, StateSpace, row_minima
+from .filtering import filter_step_with_likelihood
+from .model import Coefficients, Density, FiniteModel, row_minima
 from .simulate import likelihood_rows
 
 RHO_RANGE = "backward density leaves the float range: an entry is inf or nan"
@@ -193,52 +194,6 @@ def _prior_ratio(model: FiniteModel) -> np.ndarray:
         raise NumericalError(
             f"prior ratio overflows at state {u}: nu {float(nu[u])!r} / beta {float(beta[u])!r}")
     return ratio
-
-
-def change_of_measure_residual(
-    run_wrong: FilterRun,
-    run_reference: FilterRun,
-    rho: np.ndarray,
-    prior_ratio: np.ndarray,
-    space: StateSpace,
-) -> float:
-    """Residual of the exact identities linking the two filters through `rho`.
-
-    ``run_wrong`` is the filter from the prior that generated the record and
-    initialized the ``(d, d)`` backward density `rho`; ``run_reference`` is
-    the filter from the other prior on the *same* record. With ``L`` the
-    likelihood ratio and ``h(x) = sum_u ratio[u] rho[u, x] w[u]``, both of
-
-        L * reference(x)              = h(x) * wrong(x)
-        L * (reference(x) - wrong(x)) = wrong(x) * (h(x) - L)
-
-    hold exactly; the returned value is the largest absolute violation (the
-    first identity is checked on probability scale, times ``w[x]``).
-    """
-    if run_wrong.observations.shape != run_reference.observations.shape or np.any(
-        run_wrong.observations != run_reference.observations
-    ):
-        raise InvalidModelError("observation-sequence mismatch between the paired runs")
-    pi_wrong = run_wrong.densities[-1]
-    pi_reference = run_reference.densities[-1]
-    d = space.num_states
-    rho = np.asarray(rho, dtype=float)
-    if pi_wrong.shape != (d,) or pi_reference.shape != (d,) or rho.shape != (d, d):
-        raise InvalidModelError("dimension mismatch between runs, backward density and space")
-    ratio = np.asarray(prior_ratio, dtype=float)
-    if ratio.shape != (d,):
-        raise InvalidModelError(
-            f"dimension mismatch: prior ratio shape {ratio.shape} vs {d} states"
-        )
-    w = space.weights
-    per_state = (ratio * w) @ rho
-    value = float(per_state @ (pi_wrong * w))
-    res_centered = np.abs(
-        value * (pi_reference - pi_wrong)
-        - pi_wrong * (per_state - value)
-    )
-    res_direct = np.abs(value * pi_reference - per_state * pi_wrong) * w
-    return float(max(res_centered.max(), res_direct.max()))
 
 
 class BackwardContext:

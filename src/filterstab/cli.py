@@ -301,10 +301,10 @@ def _cmd_stability(args) -> tuple:
             f"which is the --model file; choose another output name"
         )
     model, name = _resolve_model(args)
+    if args.replicates < 1:
+        raise InvalidModelError("stability needs at least one replicate")
     scenario = Scenario(name=Path(name).stem, model=model, horizon=_scenario_horizon(args),
                         replicates=args.replicates, seed=args.seed)
-    if scenario.replicates < 1:
-        raise InvalidModelError("stability needs at least one replicate")
     records = run_scenario(scenario, window_fraction=args.window_fraction)
     first = records[0]
     coeffs = first.coeffs

@@ -85,10 +85,6 @@ class Density(namedtuple("Density", "values")):
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
-
 
 def as_density(values, space: StateSpace) -> Density:
     """Validate mass against the weights (within `ROW_SUM_TOL`) and renormalize exactly."""
@@ -104,17 +100,6 @@ def as_density(values, space: StateSpace) -> Density:
     if abs(mass - 1.0) > ROW_SUM_TOL:
         raise InvalidModelError(f"density mass {mass!r} deviates from 1 beyond {ROW_SUM_TOL}")
     return Density(v / mass)
-
-
-def uniform_density(space: StateSpace) -> Density:
-    total = float(space.weights.sum())
-    return Density(np.full(space.num_states, 1.0 / total))
-
-
-def point_mass(state: int, space: StateSpace) -> Density:
-    v = np.zeros(space.num_states)
-    v[state] = 1.0 / space.weights[state]
-    return Density(v)
 
 
 class TransitionKernel(namedtuple("TransitionKernel", "matrix")):

@@ -1,4 +1,4 @@
-"""Seeded random-model generators shared across the test suite.
+"""Seeded random-model generators and small densities shared across the test suite.
 
 All randomness flows through the scalar reference generator
 (`reference.Xoshiro256StarStar`) so the suite is platform-reproducible.
@@ -9,7 +9,7 @@ and the averaged row minimum positive.
 
 import numpy as np
 
-from filterstab import FiniteModel, build_model
+from filterstab import Density, FiniteModel, build_model
 from reference import Xoshiro256StarStar
 
 
@@ -41,3 +41,13 @@ def random_positive_model(seed, d, n_symbols=2, gaussian=False) -> FiniteModel:
 def random_kernel_matrix(seed, d, lo=0.05, hi=1.0) -> np.ndarray:
     stream = Xoshiro256StarStar(seed)
     return _positive_rows(stream, d, d, lo, hi)
+
+
+def uniform_density(space) -> Density:
+    return Density(np.full(space.num_states, 1.0 / float(space.weights.sum())))
+
+
+def point_mass(state, space) -> Density:
+    values = np.zeros(space.num_states)
+    values[state] = 1.0 / space.weights[state]
+    return Density(values)

@@ -1,4 +1,4 @@
-"""Reference loops the engine is held to.
+"""Reference loops the engine is held to, and checks of the theory.
 
 `reference_filter` and `reference_backward` redo one record from one prior
 with plain 1-D numpy arithmetic, one step at a time, with none of the
@@ -14,9 +14,17 @@ The path-enumeration oracles `brute_force_posterior` and
 `brute_force_backward` recompute small instances exactly by summing over
 every state path, and `kaijser_filter_recursion` is the counterexample's
 posterior by its explicit four-state update.
+
+The last part holds the checks of the paper's identities that no command
+reports, which the acceptance tests run: the stationary backward recursion and
+its geometric bound (`stationary_backward_sequence`,
+`stationary_bound_check`, which takes the ergodicity report's `_gate` and
+`BOUND_FLOOR`), the Poisson equation (`solve_poisson`) and the
+change-of-measure identities between a filter pair (`change_of_measure_residual`).
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +37,7 @@ from filterstab import (
     likelihood_rows,
     row_minima,
 )
+from filterstab.ergodicity import BOUND_FLOOR, _gate
 from filterstab.filtering import UNDERFLOW_FLOOR, ZERO_LIKELIHOOD
 from filterstab.rng import _DOUBLE_SCALE, _MASK64, _seed_words
 
@@ -345,3 +354,111 @@ def brute_force_backward(model, theta0, observations, conditioning_state):
     mass = _shifted_mass(_path_log_mass(model, theta0, observations)[:, conditioning_state],
                          "conditioning event has probability 0")
     return Density(mass / model.space.weights)
+
+
+class StationaryBackward(NamedTuple):
+    """Stationary-chain backward density ``matrix[u, x]`` after `step` steps,
+    with its per-``u`` oscillation across conditioning states."""
+
+    matrix: np.ndarray
+    oscillation: np.ndarray
+    step: int
+
+
+def stationary_backward_sequence(model, invariant, n_max):
+    """Yield the stationary backward densities (no observations) for steps ``1..n_max``.
+
+    ``matrix_1[u, x] = kernel[u, x] m[u] / m[x]`` and each further step
+    contracts through the kernel weighted by the invariant density.
+    """
+    m = invariant.values
+    if np.any(m <= 0.0):
+        raise NumericalError("invariant density degenerate: zero atom")
+    q = model.kernel.matrix * m[:, None] / m[None, :]
+    yield StationaryBackward(q.copy(), q.max(axis=1) - q.min(axis=1), 1)
+    for step in range(2, n_max + 1):
+        q = (q * (m * model.space.weights)[None, :]) @ model.kernel.matrix / m[None, :]
+        yield StationaryBackward(q.copy(), q.max(axis=1) - q.min(axis=1), step)
+
+
+class StationaryBoundCheck(NamedTuple):
+    worst_ratio: float
+    unresolved_max: float
+    floor: float
+
+
+def stationary_bound_check(sequence, invariant, coeffs):
+    """Check the stationary oscillation against its geometric envelope.
+
+    The envelope after ``n`` steps is
+    ``m(u) * (max / avg) * (1 - avg / max)**(n-1)``. Entries whose envelope
+    falls below `BOUND_FLOOR` are checked absolutely instead of by ratio, by
+    the gate of the ergodicity report. Requires a positive averaged row
+    minimum.
+    """
+    if coeffs.mixing_coefficient <= 0.0:
+        raise NumericalError("bound inapplicable: averaged row minimum is zero")
+    scale = coeffs.max_density / coeffs.mixing_coefficient
+    contraction = 1.0 - coeffs.mixing_coefficient / coeffs.max_density
+    sequence = list(sequence)
+    envelopes = [invariant.values * scale * contraction ** (sb.step - 1) for sb in sequence]
+    worst, unresolved = _gate(np.array([sb.oscillation for sb in sequence]), np.array(envelopes))
+    return StationaryBoundCheck(worst_ratio=worst, unresolved_max=unresolved, floor=BOUND_FLOOR)
+
+
+class PoissonSolution(NamedTuple):
+    """Solution of ``g = centered + (kernel g)`` for a centered test function."""
+
+    values: np.ndarray
+    centered: np.ndarray
+
+
+def solve_poisson(model, invariant, f):
+    """Solve the Poisson equation ``g - (kernel g) = centered`` directly.
+
+    With ``P = kernel * w`` and ``mu = m * w`` the stationary law, the
+    solution is the one with ``mu . g = 0``, the unique solution of
+    ``(I - P + 1 mu^T) g = centered`` (Kemeny & Snell's fundamental matrix).
+    That system is nonsingular exactly when the chain has one closed class,
+    so periodic chains are solvable too; a chain with several closed classes
+    makes it singular, which raises `NumericalError`. The result is verified
+    against the defining equation to 1e-10.
+    """
+    space = model.space
+    fv = np.asarray(f, dtype=float)
+    mu = invariant.values * space.weights
+    centered = fv - float(fv @ mu)
+    apply_kernel = model.kernel.matrix * space.weights[None, :]
+    system = np.eye(space.num_states) - apply_kernel + mu[None, :]
+    try:
+        g = np.linalg.solve(system, centered)
+    except np.linalg.LinAlgError:
+        raise NumericalError("poisson equation singular: no unique invariant density") from None
+    residual = float(np.abs(g - centered - apply_kernel @ g).max())
+    if residual > 1e-10:
+        raise NumericalError(f"poisson residual {residual!r} exceeds 1e-10")
+    return PoissonSolution(values=g, centered=centered)
+
+
+def change_of_measure_residual(run_wrong, run_reference, rho, prior_ratio, space):
+    """Residual of the exact identities linking the two filters through `rho`.
+
+    ``run_wrong`` is the filter from the prior that generated the record and
+    initialized the ``(d, d)`` backward density `rho`; ``run_reference`` is
+    the filter from the other prior on the *same* record. With ``L`` the
+    likelihood ratio and ``h(x) = sum_u ratio[u] rho[u, x] w[u]``, both of
+
+        L * reference(x)              = h(x) * wrong(x)
+        L * (reference(x) - wrong(x)) = wrong(x) * (h(x) - L)
+
+    hold exactly; the returned value is the largest absolute violation (the
+    first identity is checked on probability scale, times ``w[x]``).
+    """
+    pi_wrong = run_wrong.densities[-1]
+    pi_reference = run_reference.densities[-1]
+    w = space.weights
+    per_state = (np.asarray(prior_ratio, dtype=float) * w) @ rho
+    value = float(per_state @ (pi_wrong * w))
+    res_centered = np.abs(value * (pi_reference - pi_wrong) - pi_wrong * (per_state - value))
+    res_direct = np.abs(value * pi_reference - per_state * pi_wrong) * w
+    return float(max(res_centered.max(), res_direct.max()))

@@ -528,11 +528,22 @@ def test_extreme_documents_exit_with_one_line(command, document, rc, line, tmp_p
 @pytest.mark.parametrize("flags, line", [
     (["--nu", "abc"], "error: cannot parse prior override 'abc'"),
     (["--replicates", "0"], "error: stability needs at least one replicate"),
+    (["--replicates", "-1"], "error: stability needs at least one replicate"),
 ])
 def test_bad_stability_flags_exit_one_with_one_line(flags, line, tmp_path):
     out = tmp_path / "out.csv"
     assert run_in_process(["stability", "--scenario", "mixing2", *flags,
                            "--output", str(out)]) == (1, f"{line}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability", "ergodicity", "backward",
+                                     "kaijser", "lln"])
+def test_zero_horizon_exits_one_naming_the_flag(command, tmp_path):
+    out = tmp_path / "out"
+    source = [] if command == "kaijser" else ["--scenario", "mixing2"]
+    assert run_in_process([command, *source, "--horizon", "0", "--output", str(out)]) == \
+        (1, "error: horizon must be at least 1, got 0\n")
     assert not out.exists()
 
 

@@ -1,29 +1,25 @@
 from fractions import Fraction as F
+from itertools import islice
 
 import numpy as np
 import pytest
 
 from filterstab import (
     Density,
-    InvalidModelError,
     NumericalError,
     as_kernel,
     build_model,
     geometric_ergodicity_report,
     invariant_density,
     kaijser_model,
-    lln_average,
     mixing_coefficients,
-    n_step_density,
     run_filter,
     sample_trajectory,
-    solve_poisson,
-    stationary_backward_sequence,
-    stationary_bound_check,
     unit_space,
 )
-from filterstab.ergodicity import _running_averages
+from filterstab.ergodicity import _n_step_densities, _running_averages
 from helpers import random_kernel_matrix, random_positive_model
+from reference import solve_poisson, stationary_backward_sequence, stationary_bound_check
 
 
 def solve_exact(matrix, rhs):
@@ -61,15 +57,17 @@ def uniform_model(d=3):
 
 
 class TestNStepDensity:
+    """The generator of n-step densities that the ergodicity report reads."""
+
     def test_one_step_is_the_kernel(self):
         model = two_state_model()
         np.testing.assert_array_equal(
-            n_step_density(model.kernel, model.space, 1), model.kernel.matrix
+            next(_n_step_densities(model.kernel, model.space)), model.kernel.matrix
         )
 
     def test_kaijser_cube_is_strictly_positive(self):
         model = kaijser_model()
-        three = n_step_density(model.kernel, model.space, 3)
+        *_, three = islice(_n_step_densities(model.kernel, model.space), 3)
         # brute-force oracle: literal matrix cube with unit weights
         expected = np.linalg.matrix_power(np.asarray(model.kernel.matrix), 3)
         np.testing.assert_allclose(three, expected, atol=1e-15)
@@ -77,20 +75,17 @@ class TestNStepDensity:
 
     def test_uniform_kernel_idempotent(self):
         model = uniform_model()
-        for n in (1, 2, 7):
-            np.testing.assert_allclose(
-                n_step_density(model.kernel, model.space, n), 1.0 / 3.0, atol=1e-14
-            )
+        for power in islice(_n_step_densities(model.kernel, model.space), 7):
+            np.testing.assert_allclose(power, 1.0 / 3.0, atol=1e-14)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_multi_step_composition(self, seed):
         space = unit_space(3)
         kernel = as_kernel(random_kernel_matrix(90 + seed, 3), space)
         a, b = 2 + seed % 3, 3
-        left = n_step_density(kernel, space, a + b)
-        composed = (n_step_density(kernel, space, a) * space.weights[None, :]) @ \
-            n_step_density(kernel, space, b)
-        assert np.abs(left - composed).max() <= 1e-12
+        powers = list(islice(_n_step_densities(kernel, space), a + b))
+        composed = (powers[a - 1] * space.weights[None, :]) @ powers[b - 1]
+        assert np.abs(powers[a + b - 1] - composed).max() <= 1e-12
 
 
 class TestGeometricErgodicityReport:
@@ -338,23 +333,17 @@ class TestSolvePoisson:
 
 
 class TestLlnAverage:
-    def test_is_the_last_running_average(self):
-        model = random_positive_model(9100, 3)
-        m = invariant_density(model.kernel, model.space)
-        t = sample_trajectory(model, model.wrong_prior, 500, seed=3)
-        run = run_filter(model.wrong_prior, t.observations, model)
-        f = np.array([0.5, -1.0, 2.0])
-        out = lln_average(run, f, m, model.space)
-        assert out.average == float(_running_averages(run, model.space)[-1] @ f)
+    """The last running average of the ``lln`` table, dotted with ``f``, is
+    the time average of ``pi_k<f>``; its target is the invariant mean of ``f``."""
 
     def test_constant_function(self):
         model = two_state_model()
         m = invariant_density(model.kernel, model.space)
         t = sample_trajectory(model, model.true_prior, 50, seed=1)
         run = run_filter(model.true_prior, t.observations, model)
-        out = lln_average(run, [1.0, 1.0], m, model.space)
-        assert out.average == pytest.approx(1.0, abs=1e-12)
-        assert out.target == pytest.approx(1.0, abs=1e-12)
+        assert _running_averages(run, model.space)[-1] @ [1.0, 1.0] == \
+            pytest.approx(1.0, abs=1e-12)
+        assert m.values @ model.space.weights == pytest.approx(1.0, abs=1e-12)
 
     def test_single_state(self):
         model = build_model({
@@ -364,25 +353,15 @@ class TestLlnAverage:
             "nu": [1.0],
             "beta": [1.0],
         })
-        m = invariant_density(model.kernel, model.space)
         t = sample_trajectory(model, model.true_prior, 10, seed=1)
         run = run_filter(model.true_prior, t.observations, model)
-        out = lln_average(run, [2.5], m, model.space)
-        assert out.average == pytest.approx(2.5, abs=1e-12)
+        assert _running_averages(run, model.space)[-1] @ [2.5] == pytest.approx(2.5, abs=1e-12)
 
     def test_mixing_model_state_indicator(self):
         model = two_state_model()
         m = invariant_density(model.kernel, model.space)
         t = sample_trajectory(model, model.true_prior, 10_000, seed=99)
         run = run_filter(model.true_prior, t.observations, model)
-        out = lln_average(run, [1.0, 0.0], m, model.space)
-        assert out.target == pytest.approx(0.375, abs=1e-12)
-        assert out.gap <= 0.05
-
-    def test_dimension_check(self):
-        model = two_state_model()
-        m = invariant_density(model.kernel, model.space)
-        t = sample_trajectory(model, model.true_prior, 5, seed=1)
-        run = run_filter(model.true_prior, t.observations, model)
-        with pytest.raises(InvalidModelError, match="dimension mismatch"):
-            lln_average(run, [1.0, 0.0, 0.0], m, model.space)
+        targets = m.values * model.space.weights
+        assert targets[0] == pytest.approx(0.375, abs=1e-12)
+        assert abs(_running_averages(run, model.space)[-1, 0] - targets[0]) <= 0.05

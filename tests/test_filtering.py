@@ -8,7 +8,6 @@ from filterstab import (
     InvalidModelError,
     NumericalError,
     Scenario,
-    as_density,
     as_kernel,
     build_model,
     decay_rate,
@@ -16,17 +15,14 @@ from filterstab import (
     invariant_density,
     kaijser_model,
     likelihood_rows,
-    point_mass,
     run_filter,
     run_filter_pair,
     run_scenario,
     sample_trajectory,
-    tv_norm,
-    uniform_density,
     unit_space,
 )
 from filterstab.filtering import TV_FLOOR
-from helpers import random_positive_model
+from helpers import point_mass, random_positive_model, uniform_density
 from reference import brute_force_posterior, kaijser_filter_recursion
 
 TWO_STATE = [[0.5, 0.5], [0.3, 0.7]]
@@ -214,30 +210,6 @@ class TestRunFilterPair:
             run_filter_pair(model.true_prior, model.wrong_prior, [1, 0, 0], model)
             run_scenario(Scenario(name="spiky", model=model, horizon=3, replicates=2, seed=1))
         assert [w.filename for w in caught] == [__file__] * 2
-
-
-class TestTvNorm:
-    def test_identical(self):
-        space = unit_space(3)
-        p = as_density([0.2, 0.3, 0.5], space)
-        assert tv_norm(p, p, space) == 0.0
-
-    def test_disjoint_point_masses(self):
-        space = unit_space(2)
-        assert tv_norm(point_mass(0, space), point_mass(1, space), space) == pytest.approx(2.0)
-
-    def test_hand_sum(self):
-        space = unit_space(4)
-        p = as_density([0.5, 0.5, 0.0, 0.0], space)
-        q = as_density([0.25, 0.25, 0.25, 0.25], space)
-        assert tv_norm(p, q, space) == pytest.approx(1.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        space = unit_space(2)
-        p = as_density([0.5, 0.5], space)
-        q = Density([0.2, 0.3, 0.5])
-        with pytest.raises(InvalidModelError, match="dimension mismatch"):
-            tv_norm(p, q, space)
 
 
 class TestDecayRate:

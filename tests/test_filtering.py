@@ -192,6 +192,34 @@ class TestRunFilterPair:
         assert pair.tv[0] > 0.1
         assert pair.tv[-1] <= 1e-12
 
+    @staticmethod
+    def _frozen_pair(nu, beta, psi=None):
+        """Both filters of a model whose state never moves and whose one
+        symbol carries no information, so each keeps its prior."""
+        d = len(nu)
+        document = {
+            "states": d,
+            "transition": (np.diag(1.0 / np.asarray(psi or [1.0] * d))).tolist(),
+            "observation": {"type": "finite", "gamma": [[1.0]] * d},
+            "nu": nu,
+            "beta": beta,
+        }
+        if psi is not None:
+            document["psi"] = psi
+        model = build_model(document)
+        return run_filter_pair(model.true_prior, model.wrong_prior, [0] * 5, model)
+
+    def test_tv_is_the_hand_sum_of_the_gap(self):
+        pair = self._frozen_pair([0.4, 0.4, 0.1, 0.1], [0.25] * 4)
+        np.testing.assert_allclose(pair.tv, 0.6, rtol=0, atol=1e-15)
+
+    def test_tv_is_the_probability_gap_under_state_weights(self):
+        # probabilities (0.5, 0.3, 0.1, 0.1) against uniform, as densities on psi:
+        # the gap of the atoms' masses is 0.6; the unweighted density gap is 0.775
+        pair = self._frozen_pair([0.25, 0.3, 0.2, 0.2], [0.125, 0.25, 0.5, 0.5],
+                                 psi=[2.0, 1.0, 0.5, 0.5])
+        np.testing.assert_allclose(pair.tv, 0.6, rtol=0, atol=1e-15)
+
     def test_zero_atom_wrong_prior_rejected(self):
         model = kaijser_model()
         bad = Density([0.5, 0.5, 0.0, 0.0])

@@ -67,14 +67,12 @@ from .ergodicity import (
     geometric_ergodicity_report,
 )
 from .harness import (
-    KaijserConstants,
     KaijserReport,
     RunRecord,
     SCENARIO_NAMES,
     Scenario,
     builtin_scenario,
     kaijser_closed_form,
-    kaijser_constants,
     kaijser_model,
     kaijser_verify,
     run_scenario,

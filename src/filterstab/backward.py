@@ -19,10 +19,9 @@ filter-averaged row minima of the transition density.
 The recursion's denominator ``sum_z matrix[z, x] * pi_{n-1}[z] * w[z]`` is
 the filter's own prediction of step ``n``, so ρ reads the history of a
 filter already run by `filtering._engine`. ρ has one loop, `backward_pass`
-along one given history, run only where ρ is read: by the ``backward``
-command after its filter, and by a `harness.RunRecord` on the first read of
-its ρ. `BackwardContext` advances ρ and its filter one observation at a
-time; tests hold the loop to it bit for bit.
+along one given history, run by the commands that print ρ (``backward`` and
+``stability``) after their filters. `BackwardContext` advances ρ and its
+filter one observation at a time; tests hold the loop to it bit for bit.
 
 The expected prior ratio under the backward density is the likelihood ratio
 between the observation laws of the two priors. The change-of-measure
@@ -69,35 +68,29 @@ class OscillationRecord(NamedTuple):
     bound_vacuous: bool
 
 
-def backward_pass(
-    model: FiniteModel,
-    theta0: Density,
-    coeffs: Coefficients,
-    pi_history: np.ndarray,
-    prior_ratio: np.ndarray,
-) -> BackwardPass:
+def backward_pass(model: FiniteModel, coeffs: Coefficients,
+                  pi_history: np.ndarray) -> BackwardPass:
     """Oscillations, envelope and likelihood ratios along an existing filter run.
 
-    ``pi_history`` is the ``(N+1, d)`` density array of the filter started
-    from `theta0` (`FilterRun.densities`); the backward density reads it
-    step by step and no filter is run here, so its entries must be finite
-    and nonnegative. ``prior_ratio`` is the entrywise ratio of the
-    data-generating prior to `theta0`. Row ``n-1`` of the results agrees bit
-    for bit with `BackwardContext` after ``n`` steps. Every array is
-    read-only. ρ's errors come first, then the envelope's.
+    ρ starts from the wrong prior, and the likelihood ratios are those of the
+    true prior to it. ``pi_history`` is the ``(N+1, d)`` density array of the
+    filter started from the wrong prior (`FilterRun.densities`); the backward
+    density reads it step by step and no filter is run here, so its entries
+    must be finite and nonnegative. Row ``n-1`` of the results agrees bit for
+    bit with `BackwardContext` after ``n`` steps. Every array is read-only.
+    The errors, in this order: the arguments', the prior ratio's, ρ's, then
+    the envelope's.
     """
+    theta0 = model.wrong_prior
     _require_positive(theta0, "initial backward prior")
     d = model.space.num_states
     pis = np.asarray(pi_history, dtype=float)
-    ratio = np.asarray(prior_ratio, dtype=float)
-    if pis.ndim != 2 or pis.shape[1] != d or len(pis) < 1 or ratio.shape != (d,):
+    if pis.ndim != 2 or pis.shape[1] != d or len(pis) < 1:
         raise InvalidModelError(
-            f"dimension mismatch: filter history shape {pis.shape}, prior ratio shape "
-            f"{ratio.shape} vs {d} states"
-        )
+            f"dimension mismatch: filter history shape {pis.shape} vs {d} states")
     if not np.isfinite(pis).all() or (pis < 0.0).any():
         raise InvalidModelError("filter history entries must be finite and nonnegative")
-    oscillations, ratios = _rho_along(model, theta0.values, ratio, pis)
+    oscillations, ratios = _rho_along(model, theta0.values, _prior_ratio(model), pis)
     bounds = _envelope(model, theta0, coeffs, pis)
     for array in (oscillations, bounds, ratios):
         if array is not None:

@@ -31,7 +31,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .backward import _prior_ratio, backward_pass
+from .backward import backward_pass
 from .errors import InvalidModelError, NumericalError
 from .ergodicity import _running_averages, geometric_ergodicity_report
 from .filtering import run_filter
@@ -293,16 +293,7 @@ def _summary_path(table: Path) -> Path:
 
 
 def _cmd_stability(args) -> tuple:
-    out = _resolve_output(args.output)
-    if out is not None and args.model and \
-            _summary_path(out).resolve() == Path(args.model).resolve():
-        raise InvalidModelError(
-            f"the summary of --output {args.output} would be written to {_summary_path(out)}, "
-            f"which is the --model file; choose another output name"
-        )
     model, name = _resolve_model(args)
-    if args.replicates < 1:
-        raise InvalidModelError("stability needs at least one replicate")
     scenario = Scenario(name=Path(name).stem, model=model, horizon=_scenario_horizon(args),
                         replicates=args.replicates, seed=args.seed)
     records = run_scenario(scenario, window_fraction=args.window_fraction)
@@ -311,18 +302,17 @@ def _cmd_stability(args) -> tuple:
     rate = coeffs.tv_decay_rate
 
     n_steps = len(first.trajectory.observations)
-    # ρ first, so its errors precede the envelope's as in `backward_pass`
-    delta_max = first.oscillations.max(axis=1).tolist()
-    bound_max = ([None] * n_steps if first.bounds_vacuous
-                 else first.oscillation_bounds.max(axis=1).tolist())
+    # ρ along replicate 0 only, after every replicate's filters
+    back = backward_pass(model, coeffs, first.pair.run_wrong.densities)
+    bound_max = [None] * n_steps if back.bounds is None else back.bounds.max(axis=1).tolist()
     columns = [
         range(n_steps + 1),
         first.pair.tv,
         [math.log(tv) if tv > 0.0 else -math.inf for tv in first.pair.tv.tolist()],
         -rate * np.arange(n_steps + 1) + 0.0,
-        [None, *delta_max],
+        [None, *back.oscillations.max(axis=1).tolist()],
         [None, *bound_max],
-        first.likelihood_ratios,
+        back.likelihood_ratios,
     ]
     table = _table_text(
         ["n", "tv", "log_tv", "bound_log_tv", "delta_max", "osc_bound_max", "likelihood_ratio"],
@@ -349,7 +339,7 @@ def _cmd_stability(args) -> tuple:
         "slope_within_bound": slope_ok,
         "tv_max": tv_max,
         "tv_range_ok": tv_max <= 2.0 + 1e-12,
-        "bounds_vacuous": first.bounds_vacuous,
+        "bounds_vacuous": back.bounds is None,
     }
     passed = slope_ok and summary["tv_range_ok"]
     if first.kaijser is not None:
@@ -388,7 +378,7 @@ def _cmd_backward(args) -> tuple:
     # the filter from the wrong prior, which `build_model` keeps strictly
     # positive, then ρ along it
     run = run_filter(model.wrong_prior, trajectory.observations, model)
-    backward = backward_pass(model, model.wrong_prior, coeffs, run.densities, _prior_ratio(model))
+    backward = backward_pass(model, coeffs, run.densities)
     bounds = backward.bounds
     violation = bounds is not None and bool(np.any(backward.oscillations > bounds + 1e-12))
     bound_max = [None] * len(trajectory.observations) if bounds is None else bounds.max(axis=1)
@@ -426,10 +416,8 @@ def _cmd_lln(args) -> tuple:
 
 
 def _kaijser_payload(report) -> dict:
-    """The report's fields, its constants flattened into them, and `passed`."""
-    payload = report._asdict()
-    payload.update(payload.pop("constants")._asdict(), passed=report.passed)
-    return payload
+    """The report's fields and `passed`."""
+    return dict(report._asdict(), passed=report.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +484,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args, paths) -> None:
+    """Refuse to write the table at --output, or the summary of `stability`
+    next to it, over the --model file."""
+    model = getattr(args, "model", None)
+    if paths[0] is None or not model:
+        return
+    model = Path(model).resolve()
+    if paths[0].resolve() == model:
+        raise InvalidModelError(
+            f"--output {args.output} is the --model file; choose another output name")
+    if paths[1:] and paths[1].resolve() == model:
+        raise InvalidModelError(
+            f"the summary of --output {args.output} would be written to {paths[1]}, "
+            f"which is the --model file; choose another output name")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -505,7 +509,12 @@ def main(argv=None) -> int:
     if getattr(args, "command", None) is None:
         parser.print_usage(sys.stderr)
         return 1
+    # the first text goes to --output, a second (the summary of `stability`)
+    # to its summary path; both go to stdout when --output is not given
+    out = _resolve_output(args.output)
+    paths = [out, out and _summary_path(out)] if args.command == "stability" else [out]
     try:
+        _check_outputs(args, paths)
         code, *texts = args.handler(args)
     except InvalidModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -513,10 +522,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    # the first text goes to --output, a second (the summary of `stability`)
-    # to its summary path; both go to stdout when --output is not given
-    out = _resolve_output(args.output)
-    for path, text in zip((out, out and _summary_path(out)), texts):
+    for path, text in zip(paths, texts):
         _write_text(path, text)
     return code
 

@@ -20,17 +20,15 @@ The scenario registry holds model documents, built like a model file by
 
 from __future__ import annotations
 
-import functools
-import operator
 from collections import namedtuple
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .backward import BackwardPass, _envelope_scale, _prior_ratio, backward_pass
 from .errors import InvalidModelError
-from .filtering import PairRun, _filter_pairs, decay_rate, run_filter_pair
+from .filtering import DecayEstimate, PairRun, _filter_pairs, decay_rate, run_filter_pair
 from .model import (
+    Coefficients,
     FiniteModel,
     build_model,
     invariant_density,
@@ -48,34 +46,24 @@ class Scenario(namedtuple("Scenario", "name model horizon replicates seed")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
+        if self.replicates < 1:
+            raise InvalidModelError("stability needs at least one replicate")
         if self.horizon < 1:
             raise InvalidModelError(f"horizon must be at least 1, got {self.horizon}")
-        if self.replicates < 0:
-            raise InvalidModelError(f"replicates must be nonnegative, got {self.replicates}")
         return self
 
     # `_replace` builds through `_make`: validate there too
     _make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class KaijserConstants(NamedTuple):
-    """Possible first-step gap sizes of the counterexample pair.
-
-    ``gap_obs_one`` applies when the first observation is symbol 1,
-    ``gap_obs_zero`` when it is symbol 0; their minimum is the permanent
-    lower bound on the pair gap whenever it is positive.
-    """
-
-    gap_obs_one: float
-    gap_obs_zero: float
-
-    @property
-    def floor(self) -> float:
-        return min(self.gap_obs_one, self.gap_obs_zero)
-
-
 class KaijserReport(NamedTuple):
-    """Outcome of the counterexample regression gate."""
+    """Outcome of the counterexample regression gate.
+
+    ``gap_obs_one`` and ``gap_obs_zero`` are the possible first-step gap
+    sizes of the pair: the first applies when the first observation is
+    symbol 1, the second when it is symbol 0. Their minimum, ``floor``, is
+    the permanent lower bound on the pair gap whenever it is positive.
+    """
 
     constant: bool
     floor: float
@@ -83,7 +71,8 @@ class KaijserReport(NamedTuple):
     agreement_gap: float
     floor_ok: Optional[bool]
     tv_first: float
-    constants: KaijserConstants
+    gap_obs_one: float
+    gap_obs_zero: float
 
     @property
     def passed(self) -> bool:
@@ -93,35 +82,19 @@ class KaijserReport(NamedTuple):
         return all(checks)
 
 
-class RunRecord(namedtuple("RunRecord", "replicate seed trajectory pair decay coeffs model kaijser",
-                           defaults=(None,))):
-    """Everything measured on one replicate of a scenario of `model`.
+class RunRecord(NamedTuple):
+    """Everything measured on one replicate of a scenario, except ρ: a
+    command that prints ρ runs `backward.backward_pass` along
+    ``pair.run_wrong``. ``kaijser`` is the counterexample gate's report, or
+    None when the model is not the counterexample's."""
 
-    ρ is not run with the filters. ``oscillations``, ``likelihood_ratios``
-    and the envelope ``oscillation_bounds`` come from one `backward_pass`
-    along the wrong-prior run, made on the first read of any of them; it is
-    cached and its arrays are read-only. Its errors (an overflowing prior
-    ratio, a failing ρ, an envelope scale that underflows or overflows) are
-    raised at that read. ``bounds_vacuous`` runs no ρ: it reads only the
-    envelope scale, and raises its errors. ``kaijser`` is the counterexample
-    gate's report, or None (the default) when the model is not the
-    counterexample's. The cache lives in the instance ``__dict__``, which is
-    why this record declares no ``__slots__``.
-    """
-
-    @property
-    def bounds_vacuous(self) -> bool:
-        return _envelope_scale(self.model.wrong_prior.values, self.coeffs) is None
-
-    @functools.cached_property
-    def _backward(self) -> BackwardPass:
-        model = self.model
-        return backward_pass(model, model.wrong_prior, self.coeffs, self.pair.run_wrong.densities,
-                             _prior_ratio(model))
-
-    oscillations = property(operator.attrgetter("_backward.oscillations"))
-    likelihood_ratios = property(operator.attrgetter("_backward.likelihood_ratios"))
-    oscillation_bounds = property(operator.attrgetter("_backward.bounds"))
+    replicate: int
+    seed: int
+    trajectory: Trajectory
+    pair: PairRun
+    decay: DecayEstimate
+    coeffs: Coefficients
+    kaijser: Optional[KaijserReport] = None
 
 
 _UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
@@ -207,16 +180,6 @@ def builtin_scenario(
     )
 
 
-def kaijser_constants(true_prior, wrong_prior) -> KaijserConstants:
-    """First-step gap sizes from the prior difference (four states)."""
-    s = np.asarray(true_prior, dtype=float) - np.asarray(wrong_prior, dtype=float)
-    if s.shape != (4,):
-        raise InvalidModelError(f"wrong dimension: expected 4 states, got shape {s.shape}")
-    gap_one = abs(s[0] + s[3]) + abs(s[2] + s[1])
-    gap_zero = abs(s[1] + s[0]) + abs(s[3] + s[2])
-    return KaijserConstants(gap_obs_one=gap_one, gap_obs_zero=gap_zero)
-
-
 def kaijser_closed_form(true_prior, wrong_prior, observations) -> np.ndarray:
     """Per-state absolute filter-pair gaps by the explicit gap recursion.
 
@@ -264,24 +227,28 @@ def _verify_kaijser_on(model: FiniteModel, observations, pair: PairRun) -> Kaijs
     gaps = kaijser_closed_form(model.true_prior.values, model.wrong_prior.values, observations)
     generic_gaps = np.abs(pair.run_correct.densities - pair.run_wrong.densities)
     agreement_gap = float(np.abs(generic_gaps - gaps).max())
-    constants = kaijser_constants(model.true_prior.values, model.wrong_prior.values)
+    s = model.true_prior.values - model.wrong_prior.values
+    gap_one = abs(s[0] + s[3]) + abs(s[2] + s[1])
+    gap_zero = abs(s[1] + s[0]) + abs(s[3] + s[2])
+    floor = min(gap_one, gap_zero)
     tv = pair.tv
     max_drift = float(np.abs(tv[1:] - tv[1]).max()) if tv.size > 1 else 0.0
     constant = max_drift <= 1e-12
     # the floor claim needs a genuinely positive constant; float cancellation
     # in the prior differences can leave an epsilon-sized residue
-    if constants.floor > 1e-12:
-        floor_ok = bool(np.all(tv[1:] >= constants.floor - 1e-12))
+    if floor > 1e-12:
+        floor_ok = bool(np.all(tv[1:] >= floor - 1e-12))
     else:
         floor_ok = None
     return KaijserReport(
         constant=constant,
-        floor=constants.floor,
+        floor=floor,
         max_drift=max_drift,
         agreement_gap=agreement_gap,
         floor_ok=floor_ok,
         tv_first=float(tv[1]) if tv.size > 1 else 0.0,
-        constants=constants,
+        gap_obs_one=gap_one,
+        gap_obs_zero=gap_zero,
     )
 
 
@@ -314,21 +281,16 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
     and records are ordered by replicate, so output is a pure function of
     (scenario, seed). One pass samples every record, and one filter pass
     advances both priors of every replicate; the Kaijser gate, run
-    whenever the model is the counterexample's, reuses each pair. No ρ is run
-    here: a record runs it along its wrong-prior densities when its
-    oscillations, likelihood ratios or envelope are first read. Every
-    replicate's arrays equal those it gets alone, bit for bit. When filters
-    fail, the lowest failing replicate's first filter error is raised, as if
-    the replicates ran one after another, before any replicate's decay fit
-    or Kaijser check. A replicate's ρ error is raised at its first read, so
-    a caller that reads only replicate 0's ρ never sees another's.
+    whenever the model is the counterexample's, reuses each pair. No ρ is
+    run here. Every replicate's arrays equal those it gets alone, bit for
+    bit. When filters fail, the lowest failing replicate's first filter
+    error is raised, as if the replicates ran one after another, before any
+    replicate's decay fit or Kaijser check.
     """
     model = scenario.model
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
     seeds = [derive_seed(scenario.seed, replicate) for replicate in range(scenario.replicates)]
-    if not seeds:
-        return []
     states, observations = sample_trajectories(model, model.true_prior, scenario.horizon, seeds)
     pairs = _filter_pairs(model.true_prior, model.wrong_prior, observations, model)
     kaijser = _is_kaijser(model)
@@ -343,7 +305,6 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
             pair=pair,
             decay=decay_rate(pair.tv, window_fraction),
             coeffs=coeffs,
-            model=model,
             kaijser=_verify_kaijser_on(model, trajectory.observations, pair) if kaijser else None,
         ))
     return records

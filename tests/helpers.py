@@ -9,7 +9,7 @@ and the averaged row minimum positive.
 
 import numpy as np
 
-from filterstab import Density, FiniteModel, build_model
+from filterstab import Density, FiniteModel, backward_pass, build_model
 from reference import Xoshiro256StarStar
 
 
@@ -51,3 +51,8 @@ def point_mass(state, space) -> Density:
     values = np.zeros(space.num_states)
     values[state] = 1.0 / space.weights[state]
     return Density(values)
+
+
+def record_rho(model, record):
+    """ρ along a replicate's wrong-prior run, as the commands run it."""
+    return backward_pass(model, record.coeffs, record.pair.run_wrong.densities)

@@ -195,7 +195,7 @@ class TestBackwardStep:
         assert ctx.rho is None
         run = run_filter(model.wrong_prior, [0, 0], model)
         with pytest.raises(NumericalError, match=message):
-            backward_pass(model, model.wrong_prior, None, run.densities, np.ones(1))
+            backward_pass(model, None, run.densities)
 
 
 class TestOscillation:
@@ -242,7 +242,7 @@ class TestOscillationBound:
         coeffs = mixing_coefficients(model, m)
         theta0 = model.wrong_prior
         run = run_filter(theta0, [0], model)
-        bounds = backward_pass(model, theta0, coeffs, run.densities, np.ones(3)).bounds
+        bounds = backward_pass(model, coeffs, run.densities).bounds
         assert bounds is not None
         theta_min = theta0.values.min()
         expected = coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient) * theta0.values
@@ -258,7 +258,7 @@ class TestOscillationBound:
         coeffs = mixing_coefficients(model, m)
         theta0 = uniform_density(model.space)
         run = run_filter(theta0, [0, 1, 0, 1, 1, 0], model)
-        bounds = backward_pass(model, theta0, coeffs, run.densities, np.ones(d)).bounds
+        bounds = backward_pass(model._replace(wrong_prior=theta0), coeffs, run.densities).bounds
         assert bounds is not None
         for n in range(1, 7):
             np.testing.assert_allclose(
@@ -270,7 +270,7 @@ class TestOscillationBound:
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         run = run_filter(model.wrong_prior, [1, 0, 1], model)
-        back = backward_pass(model, model.wrong_prior, coeffs, run.densities, np.ones(4))
+        back = backward_pass(model, coeffs, run.densities)
         assert back.bounds is None
         assert back.oscillations.shape == (3, 4)
 
@@ -290,7 +290,7 @@ class TestOscillationBound:
             assert not rec.bound_vacuous
             assert np.all(rec.oscillation <= rec.bound + 1e-12)
         # the incremental context agrees with the pass over the density history
-        bounds = backward_pass(model, model.wrong_prior, coeffs, np.array(pis), np.ones(d)).bounds
+        bounds = backward_pass(model, coeffs, np.array(pis)).bounds
         np.testing.assert_allclose(bounds[-1], ctx.record.bound, rtol=1e-12)
 
 

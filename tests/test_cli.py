@@ -28,7 +28,7 @@ from filterstab import (
     sample_trajectory,
 )
 from filterstab import model as model_module
-from filterstab.cli import build_parser, load_model, main, parse_config
+from filterstab.cli import _COMMANDS, build_parser, load_model, main, parse_config
 from filterstab.ergodicity import _running_averages
 from filterstab.errors import InvalidModelError
 from filterstab.harness import BUILTIN_DOCUMENTS
@@ -69,6 +69,16 @@ SLOWMIX = {
     "nu": [0.9, 0.1],
     "beta": [0.5, 0.5],
 }
+
+
+# GAUSSIAN with state weights: its rows and priors are densities against `psi`
+PSI = np.array([0.5, 2.0])
+PSI_GAUSSIAN = dict(
+    GAUSSIAN, psi=PSI.tolist(),
+    transition=(np.array(GAUSSIAN["transition"]) / PSI).tolist(),
+    nu=(np.array(GAUSSIAN["nu"]) / PSI).tolist(),
+    beta=(np.array(GAUSSIAN["beta"]) / PSI).tolist(),
+)
 
 
 def copy_of(document):
@@ -766,8 +776,9 @@ class TestStabilityKeepsItsInput:
         assert rc == 1
         assert model.read_bytes() == before
         assert not (tmp_path / "model.csv").exists()
-        err = capsys.readouterr().err
-        assert "--model file" in err and str(model) in err
+        assert capsys.readouterr().err == (
+            f"error: the summary of --output {tmp_path / 'model.csv'} would be written to "
+            f"{model}, which is the --model file; choose another output name\n")
 
     def test_summary_name_of_a_json_table_is_checked_too(self, tmp_path):
         model = tmp_path / "run.summary.json"
@@ -789,6 +800,45 @@ class TestStabilityKeepsItsInput:
         assert main(["stability", "--model", str(model), "--horizon", "50",
                      "--output", str(tmp_path / "run.csv")]) == 0
         assert json.loads((tmp_path / "run.json").read_text())["passed"] is True
+
+
+# every command that takes --model, in each table format it writes
+MODEL_OUTPUTS = [(command, fmt) for command, (_, _, flags, _) in _COMMANDS.items()
+                 if "--model" in flags for fmt in ("csv", "json")[:1 + ("--format" in flags)]]
+
+
+@pytest.mark.parametrize("command, fmt", MODEL_OUTPUTS)
+def test_no_command_writes_its_output_over_the_model(command, fmt, tmp_path, monkeypatch):
+    """The check runs before any work: the model is not even read."""
+    model = write_model(tmp_path, fixture_document())
+    before = model.read_bytes()
+
+    def unread(*args, **kwargs):
+        raise AssertionError("the model was read")
+
+    monkeypatch.setattr("filterstab.cli.load_model", unread)
+    flags = [] if command == "validate" else ["--format", fmt]
+    assert run_in_process([command, "--model", str(model), *flags, "--output", str(model)]) == \
+        (1, f"error: --output {model} is the --model file; choose another output name\n")
+    assert model.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [model]
+
+
+@pytest.mark.parametrize("seed", ["7", "3"])
+@pytest.mark.parametrize("source", [*SCENARIO_NAMES, "psi-gaussian"])
+def test_backward_prints_the_rho_columns_of_stability(source, seed, tmp_path):
+    """`backward` and `stability` run ρ along the same wrong-prior filter of
+    replicate 0: for n >= 1, their ρ columns are the same text."""
+    flags = ["--scenario", source] if source in SCENARIO_NAMES else \
+        ["--model", str(write_model(tmp_path, PSI_GAUSSIAN))]
+    back, table = tmp_path / "back.csv", tmp_path / "table.csv"
+    assert main(["backward", *flags, "--seed", seed, "--output", str(back)]) in (0, 3)
+    assert main(["stability", *flags, "--seed", seed, "--replicates", "1",
+                 "--output", str(table)]) in (0, 3)
+    header, _, *rows = [line.split(",") for line in table.read_text().splitlines()]
+    columns = [header.index(name) for name in ("n", "delta_max", "osc_bound_max")]
+    expected = [",".join(row[i] for i in columns) for row in rows]
+    assert back.read_text().splitlines() == ["n,delta_max,osc_bound_max", *expected]
 
 
 def test_csv_cells_keep_their_format():

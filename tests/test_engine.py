@@ -1,12 +1,11 @@
 """The replicate-batched engine against replicates run one at a time.
 
 `run_scenario` samples every replicate's record at once and advances both
-priors of every replicate in one time loop over stacked arrays; a record
-runs the backward density along its wrong-prior run when that is first
-read. `filter_step_with_likelihood` and `BackwardContext` advance one
-observation at a time, and the reference
-loops of `reference.py` redo each replicate alone with plain 1-D
-arithmetic. Stacked products round like the one-row ones, so every array
+priors of every replicate in one time loop over stacked arrays;
+`backward_pass` runs the backward density along a record's wrong-prior run.
+`filter_step_with_likelihood` and `BackwardContext` advance one observation
+at a time, and the reference loops of `reference.py` redo each replicate
+alone with plain 1-D arithmetic. Stacked products round like the one-row ones, so every array
 must agree exactly, not just to a tolerance.
 """
 
@@ -46,7 +45,7 @@ from filterstab.cli import main
 from filterstab.filtering import _engine, _pair_run
 from filterstab.harness import KAIJSER_TRUE_PRIOR, _verify_kaijser_on
 from filterstab.simulate import _pick_table
-from helpers import random_positive_model
+from helpers import random_positive_model, record_rho
 from reference import (
     Xoshiro256StarStar,
     brute_force_posterior,
@@ -111,13 +110,13 @@ def test_batch_engine_equals_incremental_api(scenario):
         np.testing.assert_array_equal(record.pair.tv, tv)
 
         oscillations, bounds, ratios = incremental_backward(model, coeffs, obs, prior_ratio)
-        np.testing.assert_array_equal(record.oscillations, oscillations)
-        np.testing.assert_array_equal(record.likelihood_ratios, ratios)
-        if record.bounds_vacuous:
-            assert record.oscillation_bounds is None
+        back = record_rho(model, record)
+        np.testing.assert_array_equal(back.oscillations, oscillations)
+        np.testing.assert_array_equal(back.likelihood_ratios, ratios)
+        if back.bounds is None:
             assert all(b is None for b in bounds)
         else:
-            np.testing.assert_array_equal(record.oscillation_bounds, np.array(bounds))
+            np.testing.assert_array_equal(back.bounds, np.array(bounds))
 
 
 def test_kaijser_report_with_reused_pair_equals_recomputed():
@@ -154,30 +153,6 @@ def test_run_scenario_makes_one_engine_pass_for_all_replicates(monkeypatch, name
     assert calls == [((2, d), (replicates, 50))]
 
 
-def test_rho_runs_once_per_record_read(monkeypatch):
-    calls = []
-    original = filterstab.backward._rho_along
-
-    def counting(model, theta0, ratio, history):
-        calls.append(len(history))
-        return original(model, theta0, ratio, history)
-
-    monkeypatch.setattr(filterstab.backward, "_rho_along", counting)
-    records = run_scenario(builtin_scenario("mixing2", horizon=50, replicates=50))
-    assert calls == []
-    first = records[0]
-    first.oscillation_bounds
-    assert calls == [51]
-    oscillations, ratios = first.oscillations, first.likelihood_ratios
-    assert first.oscillations is oscillations and first.likelihood_ratios is ratios
-    assert calls == [51]
-    assert records[7].likelihood_ratios is records[7].likelihood_ratios
-    records[7].oscillations
-    assert calls == [51, 51]
-    assert "_backward" not in vars(records[8])
-    assert not oscillations.flags.writeable and not ratios.flags.writeable
-
-
 def test_stability_runs_rho_for_replicate_0_only(monkeypatch, tmp_path):
     calls = []
     original = filterstab.backward._rho_along
@@ -201,10 +176,11 @@ def test_backward_pass_runs_no_filter(monkeypatch):
         raise AssertionError("backward_pass ran a filter step")
 
     monkeypatch.setattr(filterstab.backward, "filter_step_with_likelihood", forbidden)
-    result = backward_pass(model, model.wrong_prior, coeffs, run.densities,
-                           model.true_prior.values / model.wrong_prior.values)
+    result = backward_pass(model, coeffs, run.densities)
     assert result.oscillations.shape == (5, 4)
     assert result.likelihood_ratios.shape == (6,)
+    assert not result.oscillations.flags.writeable
+    assert not result.likelihood_ratios.flags.writeable
 
 
 class TestGaussianUnderflow:
@@ -258,9 +234,7 @@ class TestGaussianUnderflow:
         model = self.model()
         coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
         pair = run_filter_pair(model.true_prior, model.wrong_prior, self.RECORD, model)
-        prior_ratio = model.true_prior.values / model.wrong_prior.values
-        result = backward_pass(model, model.wrong_prior, coeffs, pair.run_wrong.densities,
-                               prior_ratio)
+        result = backward_pass(model, coeffs, pair.run_wrong.densities)
         marginal = math.exp(pair.run_correct.log_normalizers.sum()
                             - pair.run_wrong.log_normalizers.sum())
         assert result.likelihood_ratios[-1] == pytest.approx(marginal, rel=1e-10)
@@ -287,9 +261,7 @@ def test_backward_pass_rejects_mismatched_shapes():
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
     run = run_filter(model.wrong_prior, [0, 1], model)
     with pytest.raises(InvalidModelError, match="dimension mismatch"):
-        backward_pass(model, model.wrong_prior, coeffs, run.densities[:, :1], np.ones(2))
-    with pytest.raises(InvalidModelError, match="dimension mismatch"):
-        backward_pass(model, model.wrong_prior, coeffs, run.densities, np.ones(3))
+        backward_pass(model, coeffs, run.densities[:, :1])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
@@ -301,7 +273,7 @@ def test_backward_pass_rejects_a_history_that_is_not_finite_and_nonnegative(valu
     history[2] = value
     with pytest.raises(InvalidModelError,
                        match="^filter history entries must be finite and nonnegative$"):
-        backward_pass(model, model.wrong_prior, coeffs, history, np.ones(2))
+        backward_pass(model, coeffs, history)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +303,12 @@ def test_batched_run_scenario_equals_replicates_run_alone(scenario, replicates):
         tv = np.array([row @ model.space.weights for row in np.abs(correct - wrong)])
         np.testing.assert_array_equal(record.pair.tv, tv)
         oscillations, bounds, ratios = reference_backward(model, coeffs, wrong)
-        np.testing.assert_array_equal(record.oscillations, oscillations)
-        np.testing.assert_array_equal(record.likelihood_ratios, ratios)
-        assert record.bounds_vacuous == (bounds is None)
+        back = record_rho(model, record)
+        np.testing.assert_array_equal(back.oscillations, oscillations)
+        np.testing.assert_array_equal(back.likelihood_ratios, ratios)
+        assert (back.bounds is None) == (bounds is None)
         if bounds is not None:
-            np.testing.assert_array_equal(record.oscillation_bounds, bounds)
+            np.testing.assert_array_equal(back.bounds, bounds)
         assert record.decay == decay_rate(tv)
         assert not record.pair.run_correct.densities.flags.writeable
 
@@ -459,7 +432,6 @@ def test_gaussian_batch_with_one_underflowing_replicate(monkeypatch):
     crafted_records(monkeypatch, records_in)
     records = run_scenario(Scenario(name="outlier", model=model, horizon=8, replicates=3, seed=1))
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
-    prior_ratio = model.true_prior.values / model.wrong_prior.values
     for record, observations in zip(records, records_in):
         pair = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
         for batched, alone in ((record.pair.run_correct, pair.run_correct),
@@ -467,11 +439,11 @@ def test_gaussian_batch_with_one_underflowing_replicate(monkeypatch):
             np.testing.assert_array_equal(batched.densities, alone.densities)
             np.testing.assert_array_equal(batched.log_normalizers, alone.log_normalizers)
         np.testing.assert_array_equal(record.pair.tv, pair.tv)
-        backward = backward_pass(model, model.wrong_prior, coeffs, pair.run_wrong.densities,
-                                 prior_ratio)
-        np.testing.assert_array_equal(record.oscillations, backward.oscillations)
-        np.testing.assert_array_equal(record.oscillation_bounds, backward.bounds)
-        np.testing.assert_array_equal(record.likelihood_ratios, backward.likelihood_ratios)
+        backward = backward_pass(model, coeffs, pair.run_wrong.densities)
+        batched = record_rho(model, record)
+        np.testing.assert_array_equal(batched.oscillations, backward.oscillations)
+        np.testing.assert_array_equal(batched.bounds, backward.bounds)
+        np.testing.assert_array_equal(batched.likelihood_ratios, backward.likelihood_ratios)
     # only the outlier replicate left the linear domain, at its second step
     assert records[1].pair.run_correct.log_normalizers[1] < -1000.0
     for record, observations in zip(records[::2], records_in[::2]):
@@ -504,8 +476,8 @@ def test_overflowing_normalizer_is_redone_in_the_log_domain():
 
 class TestErrorPrecedence:
     """When filters fail, `run_scenario` raises what running them one after
-    another raised: the lowest failing replicate's first filter error. A
-    replicate's ρ error is raised when its ρ is read."""
+    another raised: the lowest failing replicate's first filter error. It
+    runs no ρ, so a replicate's ρ error is raised by `backward_pass` along it."""
 
     # state 1 always returns to 0 and each state reads out its own index, so
     # a record is the state path; the true prior starts in state 1
@@ -535,8 +507,7 @@ class TestErrorPrecedence:
             with pytest.raises((NumericalError, InvalidModelError)) as caught:
                 pair = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
                 coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
-                backward_pass(model, model.wrong_prior, coeffs, pair.run_wrong.densities,
-                              model.true_prior.values / model.wrong_prior.values)
+                backward_pass(model, coeffs, pair.run_wrong.densities)
         return caught.value
 
     def test_lowest_replicate_wins_over_an_earlier_step(self, monkeypatch):
@@ -547,21 +518,18 @@ class TestErrorPrecedence:
         assert str(caught.value) == str(expected)
 
     def test_a_later_replicate_filter_wins_over_a_backward_failure(self, monkeypatch):
-        # the filters of every replicate run before any ρ, and ρ only on its read
+        # the filters of every replicate run before any ρ
         expected = self.alone(self.BACKWARD_FAILS)
         assert "zero predicted mass" in str(expected)
         with pytest.raises(NumericalError, match=r"at step 1\)$"):
             self.run(monkeypatch, [self.VALID, self.BACKWARD_FAILS, self.CORRECT_FAILS_AT_1])
         records = self.run(monkeypatch, [self.VALID, self.BACKWARD_FAILS, self.VALID])
         with pytest.raises(NumericalError) as caught:
-            records[1].oscillations
+            record_rho(self.MODEL, records[1])
         assert str(caught.value) == str(expected)
-        with pytest.raises(NumericalError) as again:
-            records[1].oscillation_bounds
-        assert str(again.value) == str(expected)
-        # the other replicates read their ρ as before
-        records[0].oscillations
-        np.testing.assert_array_equal(records[2].likelihood_ratios, records[0].likelihood_ratios)
+        # the other replicates run their ρ as before
+        np.testing.assert_array_equal(record_rho(self.MODEL, records[2]).likelihood_ratios,
+                                      record_rho(self.MODEL, records[0]).likelihood_ratios)
 
     def test_first_replicate_failing_at_step_one(self, monkeypatch):
         with pytest.raises(NumericalError, match=r"at step 1\)$"):

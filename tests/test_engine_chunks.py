@@ -7,8 +7,8 @@ a time: every filter row fills the chunk, and the chunk is copied out.
 predicted, ρ is carried across it, reduced, and carried into the next
 chunk. With the constants patched so that a chunk of either loop holds 1, 2
 or 3 steps, each boundary case meets the reference loops of `reference.py`,
-which have no chunks at all: both loops as `run_scenario` and a first read
-run them, and ρ on its own along a reference history. One record (R = 1)
+which have no chunks at all: both loops as `run_scenario` and
+`backward_pass` run them, and ρ on its own along a reference history. One record (R = 1)
 takes the ``ndarray.dot`` products and meets the same reference, with unit
 and with other state weights. A record that fails at every step, or at
 every other one, costs time linear in its length, and about what a clean
@@ -36,7 +36,7 @@ from filterstab import (
     sample_trajectory,
 )
 from filterstab.filtering import _engine
-from helpers import random_positive_model
+from helpers import random_positive_model, record_rho
 from reference import reference_backward, reference_filter
 
 HELD = [1, 2, 3]
@@ -120,12 +120,13 @@ def assert_record_equals_reference(model, record, observations):
     np.testing.assert_array_equal(record.pair.run_correct.log_normalizers, log_correct)
     np.testing.assert_array_equal(record.pair.run_wrong.log_normalizers, log_wrong)
     oscillations, bounds, ratios = reference_backward(model, coefficients(model), wrong)
-    np.testing.assert_array_equal(record.oscillations, oscillations)
-    np.testing.assert_array_equal(record.likelihood_ratios, ratios)
+    back = record_rho(model, record)
+    np.testing.assert_array_equal(back.oscillations, oscillations)
+    np.testing.assert_array_equal(back.likelihood_ratios, ratios)
     if bounds is None:
-        assert record.oscillation_bounds is None
+        assert back.bounds is None
     else:
-        np.testing.assert_array_equal(record.oscillation_bounds, bounds)
+        np.testing.assert_array_equal(back.bounds, bounds)
 
 
 @pytest.mark.parametrize("held", HELD)
@@ -149,8 +150,7 @@ def test_rho_alone_in_chunks_equals_the_reference(monkeypatch, name, held):
     coeffs = coefficients(model)
     oscillations, bounds, ratios = reference_backward(model, coeffs, history)
     hold(monkeypatch, held, 1, d)
-    along = backward_pass(model, model.wrong_prior, coeffs, history,
-                          model.true_prior.values / model.wrong_prior.values)
+    along = backward_pass(model, coeffs, history)
     np.testing.assert_array_equal(along.oscillations, oscillations)
     np.testing.assert_array_equal(along.likelihood_ratios, ratios)
     if bounds is None:
@@ -198,11 +198,11 @@ def test_zero_predicted_mass_on_a_chunk_boundary(monkeypatch, held, where):
     # every record's filters run before any ρ: the later filter failure is raised first
     with pytest.raises(NumericalError, match=r"\(at step 2\)$"):
         run_records(monkeypatch, model, [valid, failing, impossible])
-    # each ρ fails on its own first read; the valid record reads the reference
+    # each ρ fails on its own run; the valid record's equals the reference
     records = run_records(monkeypatch, model, [valid, failing, early])
     for record in records[1:]:
         with pytest.raises(NumericalError) as caught:
-            record.oscillations
+            record_rho(model, record)
         assert str(caught.value) == "state has zero predicted mass"
     assert_record_equals_reference(model, records[0], valid)
 
@@ -261,8 +261,7 @@ def test_one_record_equals_the_reference(monkeypatch, name, held):
     np.testing.assert_array_equal(run.log_normalizers, log_norms)
     coeffs = coefficients(model)
     oscillations, _, ratios = reference_backward(model, coeffs, densities)
-    ratio = model.true_prior.values / model.wrong_prior.values
-    along = backward_pass(model, model.wrong_prior, coeffs, densities, ratio)
+    along = backward_pass(model, coeffs, densities)
     np.testing.assert_array_equal(along.oscillations, oscillations)
     np.testing.assert_array_equal(along.likelihood_ratios, ratios)
 

@@ -4,7 +4,7 @@ and the known flush-to-zero defect.
 Random finite and Gaussian models with zero-pattern kernels, d = 2..6 and
 unit or other state weights, run through one filter pass over both priors
 (as `run_scenario` runs them) on 1 or 3 records of up to 40 observations,
-then through ρ along each record's wrong-prior run (as a first read runs
+then through ρ along each record's wrong-prior run (as `backward_pass` runs
 it). When `reference.py`'s plain loops fail, the package must raise their
 first error in the order it runs them: every record's filters in record and
 prior order, then each record's ρ in record order. Otherwise every array
@@ -153,7 +153,7 @@ def assert_engine_equals_reference(model, records):
     message, arrays = first_reference_error(model, coeffs, records)
 
     def rho_along(run, r):
-        return backward_pass(model, model.wrong_prior, coeffs, run.densities[r, 1], true / wrong)
+        return backward_pass(model, coeffs, run.densities[r, 1])
 
     if message is not None:
         with pytest.raises((NumericalError, InvalidModelError)) as caught:

@@ -7,7 +7,6 @@ from filterstab import (
     builtin_scenario,
     invariant_density,
     kaijser_closed_form,
-    kaijser_constants,
     kaijser_model,
     kaijser_verify,
     mixing_coefficients,
@@ -16,6 +15,7 @@ from filterstab import (
     run_scenario,
     sample_trajectory,
 )
+from helpers import record_rho
 from reference import kaijser_filter_recursion, reference_kaijser_gaps
 
 AC1_TRUE = (0.5, 0.2, 0.2, 0.1)
@@ -23,28 +23,30 @@ UNIFORM4 = (0.25, 0.25, 0.25, 0.25)
 
 
 class TestKaijserConstants:
+    """The first-step gap sizes that the gate's report carries."""
+
     def test_reference_priors(self):
-        c = kaijser_constants(AC1_TRUE, UNIFORM4)
+        c = kaijser_verify(AC1_TRUE, UNIFORM4, horizon=20, seed=5)
         assert c.gap_obs_one == pytest.approx(0.2, abs=1e-12)
         assert c.gap_obs_zero == pytest.approx(0.4, abs=1e-12)
         assert c.floor == pytest.approx(0.2, abs=1e-12)
 
     def test_cancelling_priors_have_zero_floor(self):
-        c = kaijser_constants((0.4, 0.3, 0.2, 0.1), UNIFORM4)
+        c = kaijser_verify((0.4, 0.3, 0.2, 0.1), UNIFORM4, horizon=20, seed=5)
         assert c.gap_obs_one == pytest.approx(0.0, abs=1e-12)
         assert c.floor == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_priors(self):
-        c = kaijser_constants(UNIFORM4, UNIFORM4)
+        c = kaijser_verify(UNIFORM4, UNIFORM4, horizon=20, seed=5)
         assert c.gap_obs_one == 0.0
         assert c.gap_obs_zero == 0.0
 
-    def test_wrong_dimension(self):
-        with pytest.raises(InvalidModelError, match="wrong dimension"):
-            kaijser_constants((0.5, 0.5), (0.5, 0.5))
-
 
 class TestKaijserClosedForm:
+    def test_wrong_dimension(self):
+        with pytest.raises(InvalidModelError, match="wrong dimension"):
+            kaijser_closed_form((0.5, 0.5), (0.5, 0.5), [1, 0])
+
     def test_equal_priors_all_zero(self):
         gaps = kaijser_closed_form(UNIFORM4, UNIFORM4, [1, 0, 1, 1])
         np.testing.assert_array_equal(gaps[1:], 0.0)
@@ -200,8 +202,9 @@ class TestBuiltinScenarios:
     def test_scenario_validation(self):
         with pytest.raises(InvalidModelError):
             builtin_scenario("mixing2", horizon=0)
-        with pytest.raises(InvalidModelError):
-            builtin_scenario("mixing2", replicates=-1)
+        for replicates in (0, -1):
+            with pytest.raises(InvalidModelError, match="^stability needs at least one replicate$"):
+                builtin_scenario("mixing2", replicates=replicates)
 
     def test_custom_scenario_from_model(self):
         model = kaijser_model(true_prior=(0.4, 0.3, 0.2, 0.1))
@@ -217,10 +220,6 @@ class TestBuiltinScenarios:
 
 
 class TestRunScenario:
-    def test_zero_replicates_empty(self):
-        sc = builtin_scenario("mixing2", horizon=50, replicates=0)
-        assert run_scenario(sc) == []
-
     def test_mixing_replicates_converge(self):
         sc = builtin_scenario("mixing2", horizon=300, replicates=5, seed=1)
         records = run_scenario(sc)
@@ -228,8 +227,9 @@ class TestRunScenario:
         rate = records[0].coeffs.tv_decay_rate
         for rec in records:
             assert rec.decay.converged or rec.decay.slope <= -rate + 0.1
-            assert not rec.bounds_vacuous
-            assert np.all(rec.oscillations <= rec.oscillation_bounds + 1e-12)
+            back = record_rho(sc.model, rec)
+            assert back.bounds is not None
+            assert np.all(back.oscillations <= back.bounds + 1e-12)
             assert np.all(rec.pair.tv <= 2.0 + 1e-12)
 
     def test_kaijser_scenario_attaches_report(self):
@@ -238,11 +238,11 @@ class TestRunScenario:
         for rec in records:
             assert rec.kaijser is not None
             assert rec.kaijser.passed
-            assert rec.bounds_vacuous
-            assert rec.oscillation_bounds is None
+            back = record_rho(sc.model, rec)
+            assert back.bounds is None
             # the observation record carries no information about the prior,
             # so the likelihood ratio stays at one
-            np.testing.assert_allclose(rec.likelihood_ratios, 1.0, atol=1e-12)
+            np.testing.assert_allclose(back.likelihood_ratios, 1.0, atol=1e-12)
 
     def test_records_are_reproducible(self):
         sc = builtin_scenario("example11", horizon=100, replicates=2, seed=9)
@@ -252,7 +252,8 @@ class TestRunScenario:
             np.testing.assert_array_equal(ra.trajectory.states, rb.trajectory.states)
             np.testing.assert_array_equal(ra.trajectory.observations, rb.trajectory.observations)
             np.testing.assert_array_equal(ra.pair.tv, rb.pair.tv)
-            np.testing.assert_array_equal(ra.likelihood_ratios, rb.likelihood_ratios)
+            np.testing.assert_array_equal(record_rho(sc.model, ra).likelihood_ratios,
+                                          record_rho(sc.model, rb).likelihood_ratios)
             assert ra.seed == rb.seed
 
     def test_replicates_use_distinct_streams(self):

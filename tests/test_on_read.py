@@ -1,11 +1,11 @@
 """Values computed on first read.
 
-`FilterRun.log_normalizers` and a `RunRecord`'s ρ (its oscillations,
-likelihood ratios and envelope ``oscillation_bounds``) are not computed by
-`run_filter`, `run_filter_pair` or `run_scenario`: the first read computes
-them, and every later read returns that same read-only array. The first
-read equals the reference loops of `reference.py`, and each replicate's
-envelope equals `_envelope` along its wrong-prior run, bit for bit.
+`FilterRun.log_normalizers` is not computed by `run_filter`,
+`run_filter_pair` or `run_scenario`: the first read computes it, and every
+later read returns that same read-only array. The first read equals the
+reference loops of `reference.py`. Each replicate's envelope, which
+`backward_pass` computes along its wrong-prior run, equals `_envelope`
+along that run, bit for bit.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ import pytest
 
 from filterstab import (
     NumericalError,
+    backward_pass,
     build_model,
     builtin_scenario,
     run_filter,
@@ -87,33 +88,14 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
         wrong = record.pair.run_wrong.densities
         row = _envelope(model, model.wrong_prior, record.coeffs, wrong)
         assert row is not None
-        assert "_backward" not in vars(record)
+        bounds = backward_pass(model, record.coeffs, wrong).bounds
         assert "log_normalizers" not in vars(record.pair.run_correct)
         assert "log_normalizers" not in vars(record.pair.run_wrong)
-        assert not record.bounds_vacuous
-        assert "_backward" not in vars(record)
-        bounds = record.oscillation_bounds
         assert bounds.tobytes() == row.tobytes()
         assert bounds.tobytes() == reference_backward(model, record.coeffs, wrong)[1].tobytes()
-        assert record.oscillation_bounds is bounds
         assert not bounds.flags.writeable
     for record in records:
         correct = reference_filter(model, model.true_prior.values,
                                    record.trajectory.observations)[1]
         assert_read_once(record.pair.run_correct, correct)
 
-
-def test_vacuous_envelope_reads_none():
-    [record] = run_scenario(builtin_scenario("kaijser", horizon=40, replicates=1, seed=3))
-    assert record.bounds_vacuous
-    assert "_backward" not in vars(record)
-    assert record.oscillation_bounds is None
-
-
-def test_bounds_vacuous_raises_the_envelope_underflow_without_rho():
-    [record] = run_scenario(builtin_scenario("mixing2", horizon=20, replicates=1, seed=3,
-                                             true_prior=(5e-324, 1.0),
-                                             wrong_prior=(5e-324, 1.0)))
-    with pytest.raises(NumericalError, match="envelope scale underflows"):
-        record.bounds_vacuous
-    assert "_backward" not in vars(record)

@@ -4,8 +4,9 @@ No module defines a dataclass. The six records that validate their fields
 (`StateSpace`, `Density`, `TransitionKernel`, `Coefficients`, `Trajectory`,
 `Scenario`) raise their documented error on every construction route:
 positional, keyword, `_make` and `_replace`. No field of any record can be
-assigned. `FilterRun.log_normalizers` and a `RunRecord`'s ρ are computed
-once, on first read, and then read from the instance's cache.
+assigned. `FilterRun.log_normalizers` is computed once, on first read, and
+then read from the instance's cache; every other record has no instance
+dictionary.
 """
 
 import dataclasses
@@ -20,6 +21,7 @@ from filterstab import (
     BackwardContext,
     Coefficients,
     Density,
+    FilterRun,
     InvalidModelError,
     NumericalError,
     Scenario,
@@ -37,7 +39,6 @@ from filterstab import (
     run_scenario,
     sample_trajectory,
 )
-from filterstab import harness
 
 MODULES = [importlib.import_module(f"filterstab.{info.name}")
            for info in pkgutil.iter_modules(filterstab.__path__)]
@@ -58,7 +59,6 @@ def record_instances():
     coeffs = mixing_coefficients(model, invariant)
     trajectory = sample_trajectory(model, model.true_prior, 30, seed=2)
     pair = run_filter_pair(model.true_prior, model.wrong_prior, trajectory.observations, model)
-    ratio = model.true_prior.values / model.wrong_prior.values
     context = BackwardContext(model, model.wrong_prior, coeffs)
     context.step(trajectory.observations[0])
     kaijser = kaijser_verify(None, None, 20, seed=2)
@@ -66,9 +66,9 @@ def record_instances():
     return [
         model, model.space, model.kernel, model.observation, model.true_prior, coeffs,
         trajectory, pair, pair.run_wrong, decay_rate(pair.tv),
-        backward_pass(model, model.wrong_prior, coeffs, pair.run_wrong.densities, ratio),
+        backward_pass(model, coeffs, pair.run_wrong.densities),
         context.record, geometric_ergodicity_report(model, invariant, coeffs, 5),
-        kaijser.constants, kaijser, scenario, run_scenario(scenario)[0],
+        kaijser, scenario, run_scenario(scenario)[0],
     ]
 
 
@@ -78,11 +78,13 @@ def test_every_public_record_is_a_named_tuple_whose_fields_cannot_be_assigned():
                if isinstance(value, type) and issubclass(value, tuple)
                and value.__module__ == module.__name__ and not name.startswith("_")}
     assert {type(instance) for instance in instances} == records
-    assert len(records) == 17
+    assert len(records) == 16
     for instance in instances:
         for field in instance._fields:
             with pytest.raises(AttributeError):
                 setattr(instance, field, getattr(instance, field))
+        # only a filter run caches a value in its instance
+        assert hasattr(instance, "__dict__") == isinstance(instance, FilterRun)
 
 
 # each validating record: valid fields, then field changes that break it,
@@ -110,7 +112,8 @@ BAD = [
     (Coefficients, {"min_density": -0.1}, NumericalError, "coefficient ordering violated"),
     (Trajectory, {"observations": [1]}, InvalidModelError, "trajectory shape mismatch"),
     (Scenario, {"horizon": 0}, InvalidModelError, "horizon must be at least 1"),
-    (Scenario, {"replicates": -1}, InvalidModelError, "replicates must be nonnegative"),
+    (Scenario, {"replicates": 0}, InvalidModelError, "^stability needs at least one replicate$"),
+    (Scenario, {"replicates": -1}, InvalidModelError, "^stability needs at least one replicate$"),
 ]
 
 
@@ -166,19 +169,3 @@ def test_log_normalizers_are_computed_once():
     vars(run)["log_normalizers"] = sentinel = object()
     assert run.log_normalizers is sentinel
 
-
-def test_run_record_runs_rho_once(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return backward_pass(*args)
-
-    monkeypatch.setattr(harness, "backward_pass", counted)
-    [record] = run_scenario(builtin_scenario("mixing2", horizon=20, replicates=1))
-    assert calls == []
-    reads = [record.oscillations, record.likelihood_ratios, record.oscillation_bounds]
-    assert len(calls) == 1
-    again = [record.oscillations, record.likelihood_ratios, record.oscillation_bounds]
-    assert all(a is b for a, b in zip(reads, again))
-    assert len(calls) == 1

@@ -71,9 +71,8 @@ from .harness import (
     RunRecord,
     SCENARIO_NAMES,
     Scenario,
-    builtin_scenario,
+    builtin_model,
     kaijser_closed_form,
-    kaijser_model,
     kaijser_verify,
     run_scenario,
 )

@@ -82,7 +82,6 @@ def backward_pass(model: FiniteModel, coeffs: Coefficients,
     the envelope's.
     """
     theta0 = model.wrong_prior
-    _require_positive(theta0, "initial backward prior")
     d = model.space.num_states
     pis = np.asarray(pi_history, dtype=float)
     if pis.ndim != 2 or pis.shape[1] != d or len(pis) < 1:
@@ -178,7 +177,7 @@ def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np
 
 def _prior_ratio(model: FiniteModel) -> np.ndarray:
     """The entrywise ratio of the true prior to the wrong one, which
-    `build_model` keeps strictly positive; NumericalError where it overflows."""
+    `FiniteModel` keeps strictly positive; NumericalError where it overflows."""
     nu, beta = model.true_prior.values, model.wrong_prior.values
     with np.errstate(over="ignore"):
         ratio = np.divide(nu, beta)
@@ -203,14 +202,16 @@ class BackwardContext:
 
     def __init__(self, model: FiniteModel, theta0: Density,
                  coeffs: Optional[Coefficients] = None):
-        _require_positive(theta0, "initial backward prior")
+        if np.any(theta0.values <= 0.0):
+            raise InvalidModelError(
+                "initial backward prior must be strictly positive on every atom")
         self.model = model
         self.theta0 = theta0
         self.coeffs = coeffs
         self.pi = theta0
         self.rho: Optional[np.ndarray] = None
         self.exponent_sum = 0.0
-        self._row_min_weighted = row_minima(model.kernel, model.space) * model.space.weights
+        self._row_min_weighted = row_minima(model.kernel) * model.space.weights
         self._scale = _envelope_scale(theta0.values, coeffs)
 
     def step(self, y) -> None:
@@ -296,7 +297,7 @@ def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients
     scale = _envelope_scale(theta0.values, coeffs)
     if scale is None:
         return None
-    row_min_weighted = row_minima(model.kernel, model.space) * model.space.weights
+    row_min_weighted = row_minima(model.kernel) * model.space.weights
     steps = len(pis) - 1
     exponents = np.zeros(steps)
     # one dot per row, the product `BackwardContext` takes on one density
@@ -305,8 +306,3 @@ def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients
     exponents /= coeffs.max_density
     decays = np.fromiter(map(math.exp, exponents), float, steps)
     return scale * decays[:, None]
-
-
-def _require_positive(density: Density, what: str) -> None:
-    if np.any(density.values <= 0.0):
-        raise InvalidModelError(f"{what} must be strictly positive on every atom")

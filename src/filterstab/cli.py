@@ -5,10 +5,10 @@ Model documents are JSON with keys ``states``, optional ``psi``,
 optional} or {"type": "gaussian", "means": ..., "sigma": ...}), ``nu`` and
 ``beta``. Every model, from a file or a builtin scenario, is validated and
 its transition and emission rows renormalized exactly once, by
-`model.build_model`: file rows may miss 1 by 1e-6 (library documents by
-1e-9), priors by 1e-9. ``--nu``/``--beta`` replace the priors in the document
-before it is built. A missing, malformed or non-numeric field exits with
-code 1 and a message naming its key.
+`model.build_model`: rows may miss 1 by 1e-6, priors by 1e-9.
+``--nu``/``--beta`` replace the priors in the document before it is built.
+A missing, malformed or non-numeric field exits with code 1 and a message
+naming its key. An ``--output`` that cannot be written exits with code 1.
 
 Numbers in CSV output are formatted with 17 significant digits and JSON
 uses shortest-round-trip floats, so both serializations are lossless.
@@ -27,20 +27,19 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional
 
 import numpy as np
 
 from .backward import backward_pass
 from .errors import InvalidModelError, NumericalError
-from .ergodicity import _running_averages, geometric_ergodicity_report
+from .ergodicity import BOUND_FLOOR, _running_averages, geometric_ergodicity_report
 from .filtering import run_filter
 from .harness import (
     SCENARIO_HORIZONS,
     SCENARIO_NAMES,
     Scenario,
-    builtin_scenario,
-    kaijser_model,
+    builtin_model,
     kaijser_verify,
     run_scenario,
 )
@@ -56,12 +55,6 @@ from .rng import derive_seed
 from .simulate import sample_trajectory
 
 OUTPUT_DIR_ENV = "FILTERSTAB_OUTPUT_DIR"
-ROW_TOL = 1e-6
-
-
-def parse_config(document: Mapping) -> FiniteModel:
-    """Build the model of a parsed document, with the file row tolerance."""
-    return build_model(document, row_tol=ROW_TOL)
 
 
 def load_model(path, true_prior=None, wrong_prior=None) -> FiniteModel:
@@ -73,7 +66,7 @@ def load_model(path, true_prior=None, wrong_prior=None) -> FiniteModel:
         raise InvalidModelError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidModelError(f"model file {path} is not valid JSON: {exc}") from exc
-    return parse_config(with_priors(document, true_prior, wrong_prior))
+    return build_model(with_priors(document, true_prior, wrong_prior))
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +236,7 @@ def _resolve_model(args) -> tuple[FiniteModel, str]:
     one), with the ``--nu``/``--beta`` overrides, and its source name."""
     true_prior, wrong_prior = _parse_prior(args.nu), _parse_prior(args.beta)
     if args.scenario:
-        scenario = builtin_scenario(args.scenario, true_prior=true_prior, wrong_prior=wrong_prior)
-        return scenario.model, args.scenario
+        return builtin_model(args.scenario, true_prior, wrong_prior), args.scenario
     return load_model(args.model, true_prior, wrong_prior), str(args.model)
 
 
@@ -294,7 +286,7 @@ def _summary_path(table: Path) -> Path:
 
 def _cmd_stability(args) -> tuple:
     model, name = _resolve_model(args)
-    scenario = Scenario(name=Path(name).stem, model=model, horizon=_scenario_horizon(args),
+    scenario = Scenario(model=model, horizon=_scenario_horizon(args),
                         replicates=args.replicates, seed=args.seed)
     records = run_scenario(scenario, window_fraction=args.window_fraction)
     first = records[0]
@@ -358,14 +350,14 @@ def _cmd_ergodicity(args) -> tuple:
     d = model.space.num_states
     gaps = report.gaps.T.ravel()  # state by state
     bounds = ratios = [None] * len(gaps)
-    if report.applicable:
+    if coeffs.applicable:
         bounds = np.tile(report.envelope, d)
         with np.errstate(all="ignore"):  # the ratios below the floor are dropped
-            ratios = np.where(bounds >= report.floor, gaps / bounds, None)
+            ratios = np.where(bounds >= BOUND_FLOOR, gaps / bounds, None)
     columns = [np.repeat(np.arange(d), n_max), np.tile(np.arange(1, n_max + 1), d), gaps,
                bounds, ratios]
-    ok = not report.applicable or (
-        report.worst_ratio <= 1.0 and report.unresolved_max_gap <= report.floor + 1e-12)
+    ok = not coeffs.applicable or (
+        report.worst_ratio <= 1.0 and report.unresolved_max_gap <= BOUND_FLOOR + 1e-12)
     return 0 if ok else 3, _table_text(["u", "n", "gap", "bound", "ratio"], columns, args.format)
 
 
@@ -375,7 +367,7 @@ def _cmd_backward(args) -> tuple:
     coeffs = mixing_coefficients(model, invariant)
     seed = derive_seed(args.seed, 0)
     trajectory = sample_trajectory(model, model.true_prior, _scenario_horizon(args), seed)
-    # the filter from the wrong prior, which `build_model` keeps strictly
+    # the filter from the wrong prior, which `FiniteModel` keeps strictly
     # positive, then ρ along it
     run = run_filter(model.wrong_prior, trajectory.observations, model)
     backward = backward_pass(model, coeffs, run.densities)
@@ -388,9 +380,10 @@ def _cmd_backward(args) -> tuple:
 
 
 def _cmd_kaijser(args) -> tuple:
-    # the default true prior is the registry model's, which `kaijser_model`
-    # renormalizes again; kept so that `kaijser` output keeps its bits
-    true_prior = _parse_prior(args.nu) or kaijser_model().true_prior.values
+    # the default true prior is the registry model's, which `kaijser_verify`
+    # renormalizes again through `builtin_model`; kept so that `kaijser`
+    # output keeps its bits
+    true_prior = _parse_prior(args.nu) or builtin_model("kaijser").true_prior.values
     report = kaijser_verify(true_prior, _parse_prior(args.beta), args.horizon, args.seed)
     payload = _kaijser_payload(report)
     payload.update({"horizon": args.horizon, "seed": args.seed})
@@ -523,7 +516,12 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     for path, text in zip(paths, texts):
-        _write_text(path, text)
+        try:
+            _write_text(path, text)
+        except OSError as exc:
+            print(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 1
     return code
 
 

@@ -53,23 +53,19 @@ class ErgodicityReport(NamedTuple):
     """L1 gaps ``gaps[n-1, u]`` between the n-step density from ``u`` and the
     invariant density, against the geometric envelope.
 
-    ``envelope[n-1]`` is ``prefactor * ratio**n`` (Python ``**``), or None
-    when the bound is inapplicable; the CLI's ``bound`` column prints it.
-    ``worst_ratio`` is the largest gap/envelope ratio over entries where the
-    envelope is numerically resolvable (at least ``floor``);
-    ``unresolved_max_gap`` is the largest gap among the remaining entries,
-    which should itself be below the floor when the theory applies.
+    ``envelope[n-1]`` is ``geo_prefactor * geo_ratio**n`` of the
+    `Coefficients` (Python ``**``), or None when they are not applicable; the
+    CLI's ``bound`` column prints it. ``worst_ratio`` is the largest
+    gap/envelope ratio over entries where the envelope is numerically
+    resolvable (at least `BOUND_FLOOR`); ``unresolved_max_gap`` is the
+    largest gap among the remaining entries, which should itself be below the
+    floor when the theory applies.
     """
 
     gaps: np.ndarray
     envelope: Optional[np.ndarray]
-    prefactor: Optional[float]
-    ratio: Optional[float]
     worst_ratio: Optional[float]
     unresolved_max_gap: float
-    applicable: bool
-    degenerate: bool
-    floor: float
 
 
 def geometric_ergodicity_report(
@@ -95,17 +91,7 @@ def geometric_ergodicity_report(
         envelope = np.array([coeffs.geo_prefactor * coeffs.geo_ratio**n
                              for n in range(1, n_max + 1)])
         worst_ratio, unresolved_max = _gate(gaps, envelope[:, None])
-    return ErgodicityReport(
-        gaps=gaps,
-        envelope=envelope,
-        prefactor=coeffs.geo_prefactor,
-        ratio=coeffs.geo_ratio,
-        worst_ratio=worst_ratio,
-        unresolved_max_gap=unresolved_max,
-        applicable=coeffs.applicable,
-        degenerate=coeffs.degenerate,
-        floor=BOUND_FLOOR,
-    )
+    return ErgodicityReport(gaps, envelope, worst_ratio, unresolved_max)
 
 
 def _running_averages(run: FilterRun, space: StateSpace) -> np.ndarray:

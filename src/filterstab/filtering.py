@@ -25,7 +25,7 @@ UNDERFLOW_FLOOR = 1e-300
 TV_FLOOR = 1e-280
 
 
-class FilterRun(namedtuple("FilterRun", "densities observations normalizers rescued_logs")):
+class FilterRun(namedtuple("FilterRun", "densities normalizers rescued_logs")):
     """Posterior densities ``pi_0..pi_N`` from one prior on one observation record.
 
     ``densities`` is a read-only ``(N+1, d)`` array whose row ``n`` is
@@ -118,9 +118,9 @@ class _EngineRun(NamedTuple):
     normalizers: np.ndarray  # (R, P, N), read-only, linear
     rescued_logs: dict  # {(r, p): {step: log normalizer}} of log-domain steps
 
-    def filter_run(self, r: int, p: int, observations) -> FilterRun:
-        """The `FilterRun` of prior ``p`` on record ``r``, `observations`."""
-        return FilterRun(self.densities[r, p], observations, self.normalizers[r, p],
+    def filter_run(self, r: int, p: int) -> FilterRun:
+        """The `FilterRun` of prior ``p`` on record ``r``."""
+        return FilterRun(self.densities[r, p], self.normalizers[r, p],
                          self.rescued_logs.get((r, p), {}))
 
 
@@ -230,52 +230,43 @@ def run_filter(prior: Density, observations: Sequence, model: FiniteModel) -> Fi
     from every mean) is redone in the log domain; on a finite alphabet it is
     a genuine impossibility and raises.
     """
-    return _engine(model, prior.values[None], [observations]).filter_run(
-        0, 0, np.asarray(observations))
+    return _engine(model, prior.values[None], [observations]).filter_run(0, 0)
 
 
-def _check_priors(true_prior: Density, wrong_prior: Density) -> None:
-    """The wrong prior must be strictly positive; a true prior with zero atoms warns."""
-    if np.any(wrong_prior.values <= 0.0):
-        raise InvalidModelError("beta not bounded below: wrong prior has a zero atom")
-    if np.any(true_prior.values == 0.0):
-        warnings.warn(
-            "true prior has zero atoms; absolute continuity with respect to the "
-            "wrong prior still holds",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
-
-def _pair_run(run: _EngineRun, r: int, observations: np.ndarray,
-              weights: np.ndarray) -> PairRun:
+def _pair_run(run: _EngineRun, r: int, weights: np.ndarray) -> PairRun:
     """The `PairRun` of record ``r`` of an `_engine` pass over both priors."""
-    correct, wrong = run.filter_run(r, 0, observations), run.filter_run(r, 1, observations)
+    correct, wrong = run.filter_run(r, 0), run.filter_run(r, 1)
     gaps = np.abs(correct.densities - wrong.densities)
     # one dot per row: each TV rounds as ``np.abs(p - q) @ weights`` does alone
     tv = (gaps[:, None, :] @ weights[:, None])[:, 0, 0]
     return PairRun(run_correct=correct, run_wrong=wrong, tv=tv)
 
 
-def _filter_pairs(true_prior: Density, wrong_prior: Density, records,
-                  model: FiniteModel) -> list[PairRun]:
-    """The `PairRun` of both priors on each of the ``R`` observation records,
-    from one `_engine` pass; the lowest failing record's first error is raised."""
-    _check_priors(true_prior, wrong_prior)
-    run = _engine(model, np.stack([true_prior.values, wrong_prior.values]), records)
-    return [_pair_run(run, r, np.asarray(observations), model.space.weights)
-            for r, observations in enumerate(records)]
+def _filter_pairs(model: FiniteModel, records) -> list[PairRun]:
+    """The `PairRun` of the model's two priors on each of the ``R`` observation
+    records, from one `_engine` pass; the lowest failing record's first error
+    is raised. A true prior with zero atoms warns."""
+    if np.any(model.true_prior.values == 0.0):
+        warnings.warn(
+            "true prior has zero atoms; absolute continuity with respect to the "
+            "wrong prior still holds",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
+    return [_pair_run(run, r, model.space.weights) for r in range(len(records))]
 
 
-def run_filter_pair(true_prior: Density, wrong_prior: Density, observations: Sequence,
-                    model: FiniteModel) -> PairRun:
-    """Run the filter from both priors on the same record and track the TV gap.
+def run_filter_pair(model: FiniteModel, observations: Sequence) -> PairRun:
+    """Run the filter from the model's true and wrong priors on the same
+    record and track the TV gap.
 
-    The wrong prior must be strictly positive so its filter is well defined on
-    any record the true model can produce. The true prior may have zero atoms.
-    Both filters advance in one pass; the correct prior's failure is raised first.
+    `FiniteModel` keeps the wrong prior strictly positive, so its filter is
+    well defined on any record the true model can produce. The true prior may
+    have zero atoms. Both filters advance in one pass; the correct prior's
+    failure is raised first.
     """
-    return _filter_pairs(true_prior, wrong_prior, [observations], model)[0]
+    return _filter_pairs(model, [observations])[0]
 
 
 def decay_rate(tv: Sequence[float], window_fraction: float = 0.5) -> DecayEstimate:

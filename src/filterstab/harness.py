@@ -1,8 +1,9 @@
 """Built-in scenarios, replicate orchestration, and the four-state
 counterexample verifier.
 
-The scenario registry holds model documents, built like a model file by
-`build_model`; it covers the qualitatively distinct regimes:
+The scenario registry holds model documents; `builtin_model` builds one
+like a model file, by `build_model`. It covers the qualitatively distinct
+regimes:
 
 * ``kaijser``: the four-state cyclic-overlap chain with a deterministic
   binary read-out. The chain is ergodic (its cube is strictly positive) yet
@@ -41,7 +42,9 @@ from .simulate import Trajectory, sample_trajectories, sample_trajectory
 KAIJSER_TRUE_PRIOR = (0.5, 0.2, 0.2, 0.1)
 
 
-class Scenario(namedtuple("Scenario", "name model horizon replicates seed")):
+class Scenario(namedtuple("Scenario", "model horizon replicates seed")):
+    """A model with the size and seed of a `run_scenario` experiment."""
+
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
@@ -85,11 +88,10 @@ class KaijserReport(NamedTuple):
 class RunRecord(NamedTuple):
     """Everything measured on one replicate of a scenario, except ρ: a
     command that prints ρ runs `backward.backward_pass` along
-    ``pair.run_wrong``. ``kaijser`` is the counterexample gate's report, or
-    None when the model is not the counterexample's."""
+    ``pair.run_wrong``. The replicate's seed is ``trajectory.seed``.
+    ``kaijser`` is the counterexample gate's report, or None when the model
+    is not the counterexample's."""
 
-    replicate: int
-    seed: int
     trajectory: Trajectory
     pair: PairRun
     decay: DecayEstimate
@@ -147,37 +149,19 @@ BUILTIN_DOCUMENTS = {
     },
 }
 
-# default horizon of each scenario; every scenario defaults to one replicate
+# the commands' default horizon on each scenario
 SCENARIO_HORIZONS = {"kaijser": 10_000, "example11": 500, "mixing2": 500, "uniformK": 200}
 
 SCENARIO_NAMES = tuple(sorted(BUILTIN_DOCUMENTS))
 
 
-def kaijser_model(true_prior=None, wrong_prior=None) -> FiniteModel:
-    """The counterexample model; priors default to `KAIJSER_TRUE_PRIOR` and uniform."""
-    return build_model(with_priors(BUILTIN_DOCUMENTS["kaijser"], true_prior, wrong_prior))
-
-
-def builtin_scenario(
-    name: str,
-    horizon: Optional[int] = None,
-    replicates: Optional[int] = None,
-    seed: int = 7,
-    true_prior=None,
-    wrong_prior=None,
-) -> Scenario:
-    """Instantiate a registry scenario, optionally overriding priors and sizes."""
+def builtin_model(name: str, true_prior=None, wrong_prior=None) -> FiniteModel:
+    """The model of a registry scenario, its priors replaced where given."""
     if name not in BUILTIN_DOCUMENTS:
         raise InvalidModelError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
-    return Scenario(
-        name=name,
-        model=build_model(with_priors(BUILTIN_DOCUMENTS[name], true_prior, wrong_prior)),
-        horizon=SCENARIO_HORIZONS[name] if horizon is None else horizon,
-        replicates=1 if replicates is None else replicates,
-        seed=seed,
-    )
+    return build_model(with_priors(BUILTIN_DOCUMENTS[name], true_prior, wrong_prior))
 
 
 def kaijser_closed_form(true_prior, wrong_prior, observations) -> np.ndarray:
@@ -256,16 +240,16 @@ def kaijser_verify(true_prior, wrong_prior, horizon: int, seed: int) -> KaijserR
     """Simulate the counterexample and gate the generic filter against the
     closed form: stepwise agreement, exact gap constancy, and the positive
     floor when the first-step constants allow one."""
-    model = kaijser_model(true_prior, wrong_prior)
+    model = builtin_model("kaijser", true_prior, wrong_prior)
     trajectory = sample_trajectory(model, model.true_prior, horizon, seed)
-    pair = run_filter_pair(model.true_prior, model.wrong_prior, trajectory.observations, model)
+    pair = run_filter_pair(model, trajectory.observations)
     return _verify_kaijser_on(model, trajectory.observations, pair)
 
 
 def _is_kaijser(model: FiniteModel) -> bool:
     """Whether `model` has the counterexample's state space, kernel and
     read-out, whatever its priors: the closed form holds for any of them."""
-    reference = kaijser_model()
+    reference = builtin_model("kaijser")
     obs, ref = model.observation, reference.observation
     return (obs.kind == ref.kind
             and np.array_equal(model.space.weights, reference.space.weights)
@@ -292,15 +276,13 @@ def run_scenario(scenario: Scenario, window_fraction: float = 0.5) -> list[RunRe
     coeffs = mixing_coefficients(model, invariant)
     seeds = [derive_seed(scenario.seed, replicate) for replicate in range(scenario.replicates)]
     states, observations = sample_trajectories(model, model.true_prior, scenario.horizon, seeds)
-    pairs = _filter_pairs(model.true_prior, model.wrong_prior, observations, model)
+    pairs = _filter_pairs(model, observations)
     kaijser = _is_kaijser(model)
     records = []
     for replicate, (seed, pair) in enumerate(zip(seeds, pairs)):
         trajectory = Trajectory(states=states[replicate], observations=observations[replicate],
                                 seed=seed)
         records.append(RunRecord(
-            replicate=replicate,
-            seed=seed,
             trajectory=trajectory,
             pair=pair,
             decay=decay_rate(pair.tv, window_fraction),

@@ -27,7 +27,9 @@ import numpy as np
 
 from .errors import InvalidModelError, NumericalError
 
-ROW_SUM_TOL = 1e-9
+# how far a density's mass, and a transition or emission row's integral, may miss 1
+MASS_TOL = 1e-9
+ROW_TOL = 1e-6
 # power-iteration steps between convergence checks, also the stagnation-probe period
 _POWER_BLOCK = 1000
 # the power iteration's stopping tolerance, and its step budget in whole blocks
@@ -87,7 +89,7 @@ class Density(namedtuple("Density", "values")):
 
 
 def as_density(values, space: StateSpace) -> Density:
-    """Validate mass against the weights (within `ROW_SUM_TOL`) and renormalize exactly."""
+    """Validate mass against the weights (within `MASS_TOL`) and renormalize exactly."""
     v = np.asarray(values, dtype=float)
     if v.shape != (space.num_states,):
         raise InvalidModelError(
@@ -97,8 +99,8 @@ def as_density(values, space: StateSpace) -> Density:
         raise InvalidModelError("density values must be finite and nonnegative")
     with np.errstate(over="ignore"):  # an overflowing mass is reported as inf
         mass = float(v @ space.weights)
-    if abs(mass - 1.0) > ROW_SUM_TOL:
-        raise InvalidModelError(f"density mass {mass!r} deviates from 1 beyond {ROW_SUM_TOL}")
+    if abs(mass - 1.0) > MASS_TOL:
+        raise InvalidModelError(f"density mass {mass!r} deviates from 1 beyond {MASS_TOL}")
     return Density(v / mass)
 
 
@@ -139,27 +141,27 @@ def _as_array(key: str, value, shape: tuple) -> np.ndarray:
     return arr.astype(float)
 
 
-def _normalized_rows(key: str, matrix: np.ndarray, weights: np.ndarray, tol: float) -> np.ndarray:
-    """Check that every row integrates to 1 against `weights` within `tol`,
+def _normalized_rows(key: str, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Check that every row integrates to 1 against `weights` within `ROW_TOL`,
     then divide each row by its integral."""
     if not np.all(np.isfinite(matrix)) or np.any(matrix < 0.0):
         raise InvalidModelError(f"invalid kernel: '{key}' entries must be finite and nonnegative")
     with np.errstate(over="ignore"):  # an overflowing integral is reported as inf
         sums = matrix @ weights
     worst = int(np.argmax(np.abs(sums - 1.0)))
-    if abs(sums[worst] - 1.0) > tol:
+    if abs(sums[worst] - 1.0) > ROW_TOL:
         raise InvalidModelError(
             f"invalid kernel: '{key}' row {worst} integrates to {float(sums[worst])!r}, "
-            f"not 1 (tolerance {tol})"
+            f"not 1 (tolerance {ROW_TOL})"
         )
     return matrix / sums[:, None]
 
 
-def as_kernel(matrix, space: StateSpace, tol: float = ROW_SUM_TOL) -> TransitionKernel:
-    """Validate row sums against the weights (within `tol`) and renormalize rows."""
+def as_kernel(matrix, space: StateSpace) -> TransitionKernel:
+    """Validate row sums against the weights (within `ROW_TOL`) and renormalize rows."""
     d = space.num_states
     rows = _as_array("transition", matrix, (d, d))
-    return TransitionKernel(_normalized_rows("transition", rows, space.weights, tol))
+    return TransitionKernel(_normalized_rows("transition", rows, space.weights))
 
 
 class ObservationModel(NamedTuple):
@@ -184,7 +186,7 @@ class ObservationModel(NamedTuple):
         return self.emission.shape[1]
 
 
-def finite_observation(emission, symbol_weights=None, tol: float = ROW_SUM_TOL) -> ObservationModel:
+def finite_observation(emission, symbol_weights=None) -> ObservationModel:
     rows = _as_array("observation.gamma", emission, (None, None))
     p = rows.shape[1]
     if symbol_weights is None:
@@ -194,7 +196,7 @@ def finite_observation(emission, symbol_weights=None, tol: float = ROW_SUM_TOL) 
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
         raise InvalidModelError("symbol weights must be finite and strictly positive")
     return ObservationModel(kind="finite",
-                            emission=_frozen(_normalized_rows("observation.gamma", rows, w, tol)),
+                            emission=_frozen(_normalized_rows("observation.gamma", rows, w)),
                             symbol_weights=_frozen(w))
 
 
@@ -208,19 +210,36 @@ def gaussian_observation(means, sigma: float) -> ObservationModel:
     return ObservationModel(kind="gaussian", means=_frozen(mu), sigma=sigma)
 
 
-class FiniteModel(NamedTuple):
+class FiniteModel(namedtuple("FiniteModel", "space kernel observation true_prior wrong_prior")):
     """Validated model bundle: space, dynamics, observation channel, priors.
 
     ``true_prior`` is the density the data generator uses for the initial
     state; ``wrong_prior`` is the (strictly positive) density a misspecified
-    filter starts from.
+    filter starts from. The kernel, the observation channel and both priors
+    must have the state space's dimension, and each prior mass 1 within
+    `MASS_TOL`. Nothing is renormalized, so `_replace` keeps every bit.
     """
 
-    space: StateSpace
-    kernel: TransitionKernel
-    observation: ObservationModel
-    true_prior: Density
-    wrong_prior: Density
+    __slots__ = ()
+
+    def __new__(cls, space: StateSpace, kernel: TransitionKernel, observation: ObservationModel,
+                true_prior: Density, wrong_prior: Density):
+        d = space.num_states
+        obs = observation
+        states = obs.emission.shape[0] if obs.kind == "finite" else obs.means.shape[0]
+        if kernel.dim != d or states != d:
+            raise InvalidModelError(f"dimension mismatch: {d} states but a {kernel.dim}-state "
+                                    f"kernel and a {states}-state observation channel")
+        for name, prior in zip(cls._fields[3:], (true_prior, wrong_prior)):
+            try:
+                as_density(prior.values, space)
+            except InvalidModelError as exc:
+                raise InvalidModelError(f"{name}: {exc}") from None
+        if np.any(wrong_prior.values <= 0.0):
+            raise InvalidModelError("beta not bounded below: filter prior has a zero atom")
+        return super().__new__(cls, space, kernel, observation, true_prior, wrong_prior)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class Coefficients(namedtuple("Coefficients", "min_density max_density mixing_coefficient "
@@ -261,9 +280,9 @@ class Coefficients(namedtuple("Coefficients", "min_density max_density mixing_co
         return self.mixing_coefficient > 0.0 and not self.degenerate
 
 
-def row_minima(kernel: TransitionKernel, space: StateSpace) -> np.ndarray:
+def row_minima(kernel: TransitionKernel) -> np.ndarray:
     """Per-state essential infimum of the outgoing transition density: the row
-    minimum, since every atom of `space` has positive weight."""
+    minimum, since every atom has positive weight."""
     return kernel.matrix.min(axis=1)
 
 
@@ -280,7 +299,7 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
     space, kernel = model.space, model.kernel
     lo = float(kernel.matrix.min())
     hi = float(kernel.matrix.max())
-    mins = row_minima(kernel, space)
+    mins = row_minima(kernel)
     with np.errstate(over="ignore"):
         # m * w is a probability vector, so weighing it first stays in range
         avg = float(np.sum(mins * (invariant.values * space.weights)))
@@ -477,7 +496,7 @@ def _state_count(value) -> int:
     return int(value)
 
 
-def build_model(document: Mapping, row_tol: float = ROW_SUM_TOL) -> FiniteModel:
+def build_model(document: Mapping) -> FiniteModel:
     """Validate a model document and build the model: the one way in.
 
     Keys: ``states`` (positive integer), optional ``psi`` (state weights),
@@ -485,8 +504,8 @@ def build_model(document: Mapping, row_tol: float = ROW_SUM_TOL) -> FiniteModel:
     "theta" optional} or {"type": "gaussian", "means": ..., "sigma": ...}),
     ``nu`` (data-generating prior) and ``beta`` (filter prior, strictly
     positive). Transition and emission rows whose integral misses 1 by at most
-    `row_tol` are renormalized, once; larger misses are rejected. Both priors
-    must have mass 1 within 1e-9. Every failure is an `InvalidModelError`
+    1e-6 (`ROW_TOL`) are renormalized, once; larger misses are rejected. Both
+    priors must have mass 1 within 1e-9, and are renormalized too. Every failure is an `InvalidModelError`
     whose message names the offending key.
     """
     if not isinstance(document, Mapping):
@@ -499,7 +518,7 @@ def build_model(document: Mapping, row_tol: float = ROW_SUM_TOL) -> FiniteModel:
     transition = _as_array("transition", document["transition"], (d, d))
     psi = document.get("psi")
     space = unit_space(d) if psi is None else StateSpace(d, _as_array("psi", psi, (d,)))
-    kernel = as_kernel(transition, space, row_tol)
+    kernel = as_kernel(transition, space)
 
     obs = document["observation"]
     kind = obs.get("type") if isinstance(obs, Mapping) else None
@@ -513,7 +532,7 @@ def build_model(document: Mapping, row_tol: float = ROW_SUM_TOL) -> FiniteModel:
             raise InvalidModelError(f"invalid model document: missing key 'observation.{key}'")
     if kind == "finite":
         gamma = _as_array("observation.gamma", obs["gamma"], (d, None))
-        observation = finite_observation(gamma, obs.get("theta"), row_tol)
+        observation = finite_observation(gamma, obs.get("theta"))
     else:
         observation = gaussian_observation(_as_array("observation.means", obs["means"], (d,)),
                                            obs["sigma"])
@@ -525,13 +544,4 @@ def build_model(document: Mapping, row_tol: float = ROW_SUM_TOL) -> FiniteModel:
             priors.append(as_density(values, space))
         except InvalidModelError as exc:
             raise InvalidModelError(f"invalid model document: '{key}': {exc}") from None
-    true_prior, wrong_prior = priors
-    if np.any(wrong_prior.values <= 0.0):
-        raise InvalidModelError("beta not bounded below: filter prior has a zero atom")
-    return FiniteModel(
-        space=space,
-        kernel=kernel,
-        observation=observation,
-        true_prior=true_prior,
-        wrong_prior=wrong_prior,
-    )
+    return FiniteModel(space, kernel, observation, *priors)

@@ -181,7 +181,7 @@ def reference_backward(model, coeffs, wrong):
     matrix, w = model.kernel.matrix, model.space.weights
     theta0 = model.wrong_prior.values
     ratio = model.true_prior.values / theta0
-    row_min_weighted = row_minima(model.kernel, model.space) * w
+    row_min_weighted = row_minima(model.kernel) * w
     denominator = (theta0 * w) @ matrix
     if denominator.min() <= 0.0:
         raise NumericalError("state unreachable in one step: conditioning event has probability 0")

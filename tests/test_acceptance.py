@@ -12,11 +12,11 @@ import pytest
 
 from filterstab import (
     BackwardContext,
-    builtin_scenario,
+    Scenario,
+    builtin_model,
     build_model,
     geometric_ergodicity_report,
     invariant_density,
-    kaijser_model,
     mixing_coefficients,
     run_filter,
     run_filter_pair,
@@ -51,10 +51,9 @@ def report(criterion: str, ok: bool, detail: str = ""):
 
 def test_ac1_counterexample_never_forgets():
     started = time.perf_counter()
-    model = kaijser_model()
+    model = builtin_model("kaijser")
     trajectory = sample_trajectory(model, model.true_prior, 10_000, seed=42)
-    pair = run_filter_pair(model.true_prior, model.wrong_prior,
-                           trajectory.observations, model)
+    pair = run_filter_pair(model, trajectory.observations)
     tv = pair.tv
     drift = float(np.abs(tv[1:] - tv[1]).max())
     expected_first = 0.2 if trajectory.observations[0] == 1 else 0.4
@@ -70,7 +69,7 @@ def test_ac1_counterexample_never_forgets():
 
 @pytest.mark.usefixtures("cold_invariant_memo")
 def test_ac2_invariant_densities():
-    model = kaijser_model()
+    model = builtin_model("kaijser")
     m4 = invariant_density(model.kernel, model.space)
     kaijser_ok = np.abs(m4.values - 0.25).max() <= 1e-10
     space = unit_space(2)
@@ -117,7 +116,7 @@ def test_ac3_oracle_equivalence():
 
 def test_ac4_decay_rate_bound():
     started = time.perf_counter()
-    scenario = builtin_scenario("mixing2", horizon=500, replicates=50, seed=2026)
+    scenario = Scenario(builtin_model("mixing2"), horizon=500, replicates=50, seed=2026)
     records = run_scenario(scenario)
     threshold = -RATE_MIXING2 + 0.1
     ok = all(r.decay.converged or r.decay.slope <= threshold for r in records)
@@ -149,12 +148,12 @@ def test_ac5_geometric_ergodicity_family():
         m = invariant_density(kernel, space)
         coeffs = mixing_coefficients(model, m)
         rep = geometric_ergodicity_report(model, m, coeffs, 50)
-        assert rep.applicable
+        assert coeffs.applicable
         worst = max(worst, rep.worst_ratio)
         unresolved = max(unresolved, rep.unresolved_max_gap)
 
     # hand-checked point on the 2-state model: gap 0.25 against envelope 28/15
-    model2 = builtin_scenario("mixing2").model
+    model2 = builtin_model("mixing2")
     m2 = invariant_density(model2.kernel, model2.space)
     coeffs2 = mixing_coefficients(model2, m2)
     rep2 = geometric_ergodicity_report(model2, m2, coeffs2, 1)
@@ -206,7 +205,7 @@ def test_ac6_oscillation_bounds_dominate():
                 per_run_ok = False
 
     # the counterexample must flag its bound vacuous without erroring
-    scenario = builtin_scenario("kaijser", horizon=50, replicates=1, seed=3)
+    scenario = Scenario(builtin_model("kaijser"), horizon=50, replicates=1, seed=3)
     record = run_scenario(scenario)[0]
     back = backward_pass(scenario.model, record.coeffs, record.pair.run_wrong.densities)
     vacuous_ok = back.bounds is None
@@ -220,7 +219,7 @@ def test_ac6_oscillation_bounds_dominate():
 
 
 def test_ac7_conditional_law_of_large_numbers():
-    model = builtin_scenario("mixing2").model
+    model = builtin_model("mixing2")
     m = invariant_density(model.kernel, model.space)
     worst_gap = 0.0
     from filterstab.rng import derive_seed
@@ -268,7 +267,7 @@ def test_ac8_change_of_measure_identities():
         worst_residual = max(worst_residual, residual)
 
     # long-run likelihood-ratio flatness on the mixing scenario
-    model = builtin_scenario("mixing2").model
+    model = builtin_model("mixing2")
     trajectory = sample_trajectory(model, model.true_prior, 10_000, seed=4242)
     context = BackwardContext(model, model.wrong_prior)
     for y in trajectory.observations:

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from filterstab import (
     SCENARIO_NAMES,
     build_model,
-    builtin_scenario,
+    builtin_model,
     geometric_ergodicity_report,
     invariant_density,
     mixing_coefficients,
@@ -28,8 +28,8 @@ from filterstab import (
     sample_trajectory,
 )
 from filterstab import model as model_module
-from filterstab.cli import _COMMANDS, build_parser, load_model, main, parse_config
-from filterstab.ergodicity import _running_averages
+from filterstab.cli import _COMMANDS, build_parser, load_model, main
+from filterstab.ergodicity import BOUND_FLOOR, _running_averages
 from filterstab.errors import InvalidModelError
 from filterstab.harness import BUILTIN_DOCUMENTS
 from helpers import random_kernel_matrix
@@ -93,7 +93,7 @@ def write_model(tmp_path, document):
 
 class TestParseConfig:
     def test_kaijser_fixture(self):
-        model = parse_config(fixture_document())
+        model = build_model(fixture_document())
         assert model.space.num_states == 4
         assert model.observation.kind == "finite"
         np.testing.assert_allclose(model.true_prior.values, [0.5, 0.2, 0.2, 0.1])
@@ -102,19 +102,19 @@ class TestParseConfig:
         doc = fixture_document()
         del doc["beta"]
         with pytest.raises(InvalidModelError, match="'beta'"):
-            parse_config(doc)
+            build_model(doc)
 
     def test_small_row_sum_error_is_renormalized(self):
         doc = fixture_document()
         doc["transition"][0] = [0.50000005, 0.50000005, 0.0, 0.0]
-        model = parse_config(doc)
+        model = build_model(doc)
         np.testing.assert_allclose(model.kernel.matrix[0], [0.5, 0.5, 0.0, 0.0], atol=1e-12)
 
     def test_large_row_sum_error_is_rejected(self):
         doc = fixture_document()
         doc["transition"][0] = [0.505, 0.505, 0.0, 0.0]
         with pytest.raises(InvalidModelError, match="transition"):
-            parse_config(doc)
+            build_model(doc)
 
 
 class TestMalformedDocuments:
@@ -148,14 +148,14 @@ class TestMalformedDocuments:
     def test_integral_float_states_accepted(self):
         doc = fixture_document()
         doc["states"] = 4.0
-        model = parse_config(doc)
+        model = build_model(doc)
         assert model.space.num_states == 4
 
     def test_row_error_prints_a_plain_float(self):
         doc = fixture_document()
         doc["transition"][1] = [0.0, 0.1, 0.1, 0.0]
         with pytest.raises(InvalidModelError) as info:
-            parse_config(doc)
+            build_model(doc)
         assert str(info.value) == (
             "invalid kernel: 'transition' row 1 integrates to 0.2, not 1 (tolerance 1e-06)"
         )
@@ -164,7 +164,7 @@ class TestMalformedDocuments:
         doc = fixture_document()
         doc["psi"] = [1.0, 0.0, 1.0, 1.0]
         with pytest.raises(InvalidModelError, match="state weights must be finite and strictly positive"):
-            parse_config(doc)
+            build_model(doc)
 
 
 class TestOneIngestionPath:
@@ -184,7 +184,7 @@ class TestOneIngestionPath:
         doc["transition"][0] = [x * (1 + 1e-7) for x in doc["transition"][0]]
         m = np.array(doc["transition"])
         w = np.ones(3)
-        np.testing.assert_array_equal(parse_config(doc).kernel.matrix, m / (m @ w)[:, None])
+        np.testing.assert_array_equal(build_model(doc).kernel.matrix, m / (m @ w)[:, None])
 
     def test_prior_override_on_a_file_is_validated(self, tmp_path, capsys):
         path = write_model(tmp_path, REPRO)
@@ -824,6 +824,26 @@ def test_no_command_writes_its_output_over_the_model(command, fmt, tmp_path, mon
     assert sorted(tmp_path.iterdir()) == [model]
 
 
+@pytest.mark.parametrize("command", [command for command, (_, _, flags, _) in _COMMANDS.items()
+                                     if "--output" in flags])
+def test_an_unwritable_output_exits_one_with_one_line(command, tmp_path):
+    out = tmp_path / "taken"
+    out.mkdir()
+    source = [] if command == "kaijser" else ["--scenario", "mixing2"]
+    horizon = [] if command == "validate" else ["--horizon", "20"]
+    assert run_in_process([command, *source, *horizon, "--output", str(out)]) == \
+        (1, f"error: cannot write {out}: Is a directory\n")
+    assert list(out.iterdir()) == []
+
+
+def test_an_unwritable_stability_summary_exits_one_with_one_line(tmp_path):
+    (tmp_path / "run.json").mkdir()
+    out = tmp_path / "run.csv"
+    assert run_in_process(["stability", "--scenario", "mixing2", "--horizon", "20",
+                           "--output", str(out)]) == \
+        (1, f"error: cannot write {tmp_path / 'run.json'}: Is a directory\n")
+
+
 @pytest.mark.parametrize("seed", ["7", "3"])
 @pytest.mark.parametrize("source", [*SCENARIO_NAMES, "psi-gaussian"])
 def test_backward_prints_the_rho_columns_of_stability(source, seed, tmp_path):
@@ -1052,12 +1072,12 @@ class TestErgodicityTableReadsTheReport:
         np.testing.assert_array_equal(bounds, np.tile(report.envelope, d))
         assert [row[4] != "" for row in rows] == (bounds >= 1e-10).tolist()
         failed = (report.worst_ratio > 1.0
-                  or report.unresolved_max_gap > report.floor + 1e-12)
+                  or report.unresolved_max_gap > BOUND_FLOOR + 1e-12)
         assert rc == (3 if failed else 0)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_builtin_scenarios(self, tmp_path, name):
-        self.check(tmp_path, ["--scenario", name], builtin_scenario(name).model)
+        self.check(tmp_path, ["--scenario", name], builtin_model(name))
 
     def test_gaussian_file(self, tmp_path):
         path = write_model(tmp_path, GAUSSIAN3)
@@ -1085,7 +1105,7 @@ def test_lln_table_is_the_running_average(tmp_path):
     out = tmp_path / "lln.csv"
     assert main(["lln", "--scenario", "mixing2", "--horizon", "300", "--seed", "4",
                  "--output", str(out)]) == 0
-    model = builtin_scenario("mixing2").model
+    model = builtin_model("mixing2")
     trajectory = sample_trajectory(model, model.true_prior, 300, 4)
     running = _running_averages(run_filter(model.true_prior, trajectory.observations, model),
                                 model.space)

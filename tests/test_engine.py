@@ -27,7 +27,7 @@ from filterstab import (
     Scenario,
     backward_pass,
     build_model,
-    builtin_scenario,
+    builtin_model,
     decay_rate,
     derive_seed,
     filter_step_with_likelihood,
@@ -55,17 +55,16 @@ from reference import (
     reference_trajectory,
 )
 
-ENGINE_SCENARIOS = [
-    *(builtin_scenario(name, horizon=300, replicates=2, seed=5) for name in SCENARIO_NAMES),
-    Scenario(name="gaussian3", model=random_positive_model(91, 3, gaussian=True),
-             horizon=300, replicates=2, seed=5),
+ENGINE_MODELS = {
+    **{name: builtin_model(name) for name in SCENARIO_NAMES},
+    "gaussian3": random_positive_model(91, 3, gaussian=True),
     # at d >= 4 a 2-D gemm rounds differently from per-row products on
     # generic entries, which the builtin kernels' dyadic entries hide
-    Scenario(name="finite5", model=random_positive_model(17, 5, n_symbols=3),
-             horizon=300, replicates=2, seed=5),
-    Scenario(name="gaussian6", model=random_positive_model(23, 6, gaussian=True),
-             horizon=300, replicates=2, seed=5),
-]
+    "finite5": random_positive_model(17, 5, n_symbols=3),
+    "gaussian6": random_positive_model(23, 6, gaussian=True),
+}
+ENGINE_SCENARIOS = [Scenario(model, horizon=300, replicates=2, seed=5)
+                    for model in ENGINE_MODELS.values()]
 
 
 def incremental_filter(model, prior, observations):
@@ -93,7 +92,7 @@ def incremental_backward(model, coeffs, observations, prior_ratio):
     return np.array(oscillations), bounds, np.array(ratios)
 
 
-@pytest.mark.parametrize("scenario", ENGINE_SCENARIOS, ids=lambda s: s.name)
+@pytest.mark.parametrize("scenario", ENGINE_SCENARIOS, ids=list(ENGINE_MODELS))
 def test_batch_engine_equals_incremental_api(scenario):
     model = scenario.model
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
@@ -120,14 +119,14 @@ def test_batch_engine_equals_incremental_api(scenario):
 
 
 def test_kaijser_report_with_reused_pair_equals_recomputed():
-    scenario = builtin_scenario("kaijser", horizon=400, replicates=2, seed=13)
+    scenario = Scenario(builtin_model("kaijser"), horizon=400, replicates=2, seed=13)
     model = scenario.model
     for record in run_scenario(scenario):
         # the priors the builtin scenario is built from
-        recomputed = kaijser_verify(KAIJSER_TRUE_PRIOR, (0.25,) * 4, scenario.horizon, record.seed)
+        recomputed = kaijser_verify(KAIJSER_TRUE_PRIOR, (0.25,) * 4, scenario.horizon,
+                                    record.trajectory.seed)
         assert record.kaijser == recomputed
-        fresh = run_filter_pair(model.true_prior, model.wrong_prior,
-                                record.trajectory.observations, model)
+        fresh = run_filter_pair(model, record.trajectory.observations)
         assert _verify_kaijser_on(model, record.trajectory.observations, fresh) == record.kaijser
 
 
@@ -146,7 +145,7 @@ def test_run_scenario_makes_one_engine_pass_for_all_replicates(monkeypatch, name
     monkeypatch.setattr(filterstab.filtering, "_engine", counting)
     monkeypatch.setattr(filterstab.filtering, "run_filter", forbidden)
     monkeypatch.setattr(filterstab.backward, "_rho_along", forbidden)
-    scenario = builtin_scenario(name, horizon=50, replicates=replicates)
+    scenario = Scenario(builtin_model(name), horizon=50, replicates=replicates, seed=7)
     run_scenario(scenario)
     d = scenario.model.space.num_states
     # both priors of every replicate, one pass over the 50 observations, and no ρ
@@ -168,7 +167,7 @@ def test_stability_runs_rho_for_replicate_0_only(monkeypatch, tmp_path):
 
 
 def test_backward_pass_runs_no_filter(monkeypatch):
-    model = builtin_scenario("example11").model
+    model = builtin_model("example11")
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
     run = run_filter(model.wrong_prior, [0, 1, 1, 0, 1], model)
 
@@ -233,7 +232,7 @@ class TestGaussianUnderflow:
     def test_likelihood_ratio_through_the_outlier(self):
         model = self.model()
         coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
-        pair = run_filter_pair(model.true_prior, model.wrong_prior, self.RECORD, model)
+        pair = run_filter_pair(model, self.RECORD)
         result = backward_pass(model, coeffs, pair.run_wrong.densities)
         marginal = math.exp(pair.run_correct.log_normalizers.sum()
                             - pair.run_wrong.log_normalizers.sum())
@@ -257,7 +256,7 @@ class TestGaussianUnderflow:
 
 
 def test_backward_pass_rejects_mismatched_shapes():
-    model = builtin_scenario("mixing2").model
+    model = builtin_model("mixing2")
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
     run = run_filter(model.wrong_prior, [0, 1], model)
     with pytest.raises(InvalidModelError, match="dimension mismatch"):
@@ -267,7 +266,7 @@ def test_backward_pass_rejects_mismatched_shapes():
 @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
 def test_backward_pass_rejects_a_history_that_is_not_finite_and_nonnegative(value):
     # the history is outside input: it fails as invalid before rho reads it
-    model = builtin_scenario("mixing2").model
+    model = builtin_model("mixing2")
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
     history = run_filter(model.wrong_prior, [0, 1, 1], model).densities.copy()
     history[2] = value
@@ -282,16 +281,17 @@ def test_backward_pass_rejects_a_history_that_is_not_finite_and_nonnegative(valu
 
 
 @pytest.mark.parametrize("replicates", [1, 3])
-@pytest.mark.parametrize("scenario", ENGINE_SCENARIOS, ids=lambda s: s.name)
+@pytest.mark.parametrize("scenario", ENGINE_SCENARIOS, ids=list(ENGINE_MODELS))
 def test_batched_run_scenario_equals_replicates_run_alone(scenario, replicates):
     scenario = scenario._replace(replicates=replicates)
     model = scenario.model
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
     records = run_scenario(scenario)
-    assert [r.replicate for r in records] == list(range(replicates))
-    for record in records:
-        assert record.seed == derive_seed(scenario.seed, record.replicate)
-        alone = reference_trajectory(model, model.true_prior, scenario.horizon, record.seed)
+    assert len(records) == replicates
+    for replicate, record in enumerate(records):
+        seed = record.trajectory.seed
+        assert seed == derive_seed(scenario.seed, replicate)
+        alone = reference_trajectory(model, model.true_prior, scenario.horizon, seed)
         np.testing.assert_array_equal(record.trajectory.states, alone.states)
         np.testing.assert_array_equal(record.trajectory.observations, alone.observations)
         correct, log_correct = reference_filter(model, model.true_prior.values, alone.observations)
@@ -313,8 +313,7 @@ def test_batched_run_scenario_equals_replicates_run_alone(scenario, replicates):
         assert not record.pair.run_correct.densities.flags.writeable
 
 
-@pytest.mark.parametrize("model", [s.model for s in ENGINE_SCENARIOS],
-                         ids=[s.name for s in ENGINE_SCENARIOS])
+@pytest.mark.parametrize("model", list(ENGINE_MODELS.values()), ids=list(ENGINE_MODELS))
 def test_sample_trajectories_equal_scalar_sampler(model):
     seeds = [derive_seed(11, r) for r in range(4)]
     states, observations = sample_trajectories(model, model.true_prior, 400, seeds)
@@ -327,7 +326,7 @@ def test_sample_trajectories_equal_scalar_sampler(model):
 
 
 def test_sample_trajectories_shortfall_and_zero_atoms():
-    model = builtin_scenario("kaijser").model  # zero-probability transitions and symbols
+    model = builtin_model("kaijser")  # zero-probability transitions and symbols
     # an initial law with zero atoms whose mass falls short of one: a fifth
     # of the draws overshoot it and take the last positive atom
     initial = Density([0.3, 0.0, 0.5, 0.0])
@@ -356,7 +355,7 @@ def test_pick_table_equals_scalar_pick(probabilities):
 @pytest.mark.parametrize("replicates", [1, 3, 20])
 @pytest.mark.parametrize("name", ["mixing2", "kaijser"])
 def test_one_or_more_seeds_equal_the_reference(name, replicates):
-    model = builtin_scenario(name).model
+    model = builtin_model(name)
     seeds = [derive_seed(99, r) for r in range(replicates)]
     states, observations = sample_trajectories(model, model.true_prior, 30, seeds)
     for r, seed in enumerate(seeds):
@@ -373,7 +372,7 @@ def test_one_or_more_seeds_equal_the_reference(name, replicates):
 def test_map_blocks_do_not_change_the_records(monkeypatch, replicates):
     # blocks of 1 to 3 steps, walked in Python (1 record) or gathered (20)
     monkeypatch.setattr(filterstab.simulate, "_MAP_BLOCK", 64)
-    model = next(s.model for s in ENGINE_SCENARIOS if s.name == "gaussian3")
+    model = ENGINE_MODELS["gaussian3"]
     seeds = [derive_seed(4, r) for r in range(replicates)]
     states, observations = sample_trajectories(model, model.true_prior, 50, seeds)
     for r, seed in enumerate(seeds):
@@ -384,7 +383,7 @@ def test_map_blocks_do_not_change_the_records(monkeypatch, replicates):
 
 @pytest.mark.parametrize("name", ["kaijser", "gaussian3"])
 def test_no_seeds_give_empty_records(name):
-    model = next(s.model for s in ENGINE_SCENARIOS if s.name == name)
+    model = ENGINE_MODELS[name]
     states, observations = sample_trajectories(model, model.true_prior, 7, [])
     assert states.shape == (0, 8) and states.dtype == np.int64
     assert observations.shape == (0, 7)
@@ -393,7 +392,7 @@ def test_no_seeds_give_empty_records(name):
 
 @pytest.mark.parametrize("horizon", [0, -3])
 def test_short_horizon_fails_before_drawing(monkeypatch, horizon):
-    model = builtin_scenario("mixing2").model
+    model = builtin_model("mixing2")
 
     def no_draws(seeds):
         raise AssertionError("a word was drawn")
@@ -410,7 +409,7 @@ def pair_records(model, records):
     """Both filters on every record in one engine pass: the densities, log
     normalizers and TV gaps."""
     run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
-    pairs = [_pair_run(run, r, record, model.space.weights) for r, record in enumerate(records)]
+    pairs = [_pair_run(run, r, model.space.weights) for r in range(len(records))]
     log_norms = np.array([[pair.run_correct.log_normalizers, pair.run_wrong.log_normalizers]
                           for pair in pairs])
     return run.densities, log_norms, np.array([pair.tv for pair in pairs])
@@ -430,10 +429,10 @@ def test_gaussian_batch_with_one_underflowing_replicate(monkeypatch):
     records_in = [[0.3, 0.9, 0.2, *tail], [*TestGaussianUnderflow.RECORD, *tail],
                   [1.1, 0.1, 0.4, *tail]]
     crafted_records(monkeypatch, records_in)
-    records = run_scenario(Scenario(name="outlier", model=model, horizon=8, replicates=3, seed=1))
+    records = run_scenario(Scenario(model=model, horizon=8, replicates=3, seed=1))
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
     for record, observations in zip(records, records_in):
-        pair = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
+        pair = run_filter_pair(model, observations)
         for batched, alone in ((record.pair.run_correct, pair.run_correct),
                                (record.pair.run_wrong, pair.run_wrong)):
             np.testing.assert_array_equal(batched.densities, alone.densities)
@@ -468,7 +467,7 @@ def test_overflowing_normalizer_is_redone_in_the_log_domain():
     records = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
     densities, log_norms, tv = pair_records(model, records)
     for r, observations in enumerate(records):
-        alone = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
+        alone = run_filter_pair(model, observations)
         np.testing.assert_array_equal(densities[r, 1], alone.run_wrong.densities)
         np.testing.assert_array_equal(log_norms[r, 0], alone.run_correct.log_normalizers)
         np.testing.assert_array_equal(tv[r], alone.tv)
@@ -495,7 +494,7 @@ class TestErrorPrecedence:
 
     def run(self, monkeypatch, observations):
         crafted_records(monkeypatch, observations)
-        scenario = Scenario(name="precedence", model=self.MODEL, horizon=3,
+        scenario = Scenario(model=self.MODEL, horizon=3,
                             replicates=len(observations), seed=1)
         with pytest.warns(RuntimeWarning, match="zero atoms"):
             return run_scenario(scenario)
@@ -505,7 +504,7 @@ class TestErrorPrecedence:
         model = self.MODEL
         with pytest.warns(RuntimeWarning, match="zero atoms"):
             with pytest.raises((NumericalError, InvalidModelError)) as caught:
-                pair = run_filter_pair(model.true_prior, model.wrong_prior, observations, model)
+                pair = run_filter_pair(model, observations)
                 coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
                 backward_pass(model, coeffs, pair.run_wrong.densities)
         return caught.value

@@ -28,7 +28,7 @@ from filterstab import (
     Scenario,
     backward_pass,
     build_model,
-    builtin_scenario,
+    builtin_model,
     invariant_density,
     mixing_coefficients,
     run_filter,
@@ -44,8 +44,8 @@ HELD = [1, 2, 3]
 PSI = [0.5, 1.25, 2.0]
 
 MODELS = {
-    "mixing2": builtin_scenario("mixing2").model,
-    "kaijser": builtin_scenario("kaijser").model,
+    "mixing2": builtin_model("mixing2"),
+    "kaijser": builtin_model("kaijser"),
     "finite5": random_positive_model(17, 5, n_symbols=3),
     "gaussian3": random_positive_model(91, 3, gaussian=True),
 }
@@ -108,7 +108,7 @@ def run_records(monkeypatch, model, records):
     states = np.zeros((len(records), records.shape[1] + 1), dtype=np.int64)
     monkeypatch.setattr(filterstab.harness, "sample_trajectories",
                         lambda model, initial, horizon, seeds: (states, records))
-    return run_scenario(Scenario(name="chunks", model=model, horizon=records.shape[1],
+    return run_scenario(Scenario(model=model, horizon=records.shape[1],
                                  replicates=len(records), seed=1))
 
 
@@ -133,7 +133,7 @@ def assert_record_equals_reference(model, record, observations):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_every_chunk_size_equals_the_reference(monkeypatch, name, held):
     model = MODELS[name]
-    scenario = Scenario(name=name, model=model, horizon=3 * held + 2, replicates=3, seed=4)
+    scenario = Scenario(model=model, horizon=3 * held + 2, replicates=3, seed=4)
     hold(monkeypatch, held, 3, model.space.num_states)
     for record in run_scenario(scenario):
         assert_record_equals_reference(model, record, record.trajectory.observations)
@@ -248,7 +248,7 @@ def test_a_record_failing_at_every_step_costs_about_a_clean_one():
 def test_one_record_equals_the_reference(monkeypatch, name, held):
     model = PSI_MODELS[name]
     assert (model.space.weights == 1.0).all() == (name == "unit-psi")
-    scenario = Scenario(name=name, model=model, horizon=3 * held + 2, replicates=1, seed=4)
+    scenario = Scenario(model=model, horizon=3 * held + 2, replicates=1, seed=4)
     hold(monkeypatch, held, 1, model.space.num_states)
     [record] = run_scenario(scenario)
     observations = record.trajectory.observations

@@ -11,13 +11,13 @@ from filterstab import (
     build_model,
     geometric_ergodicity_report,
     invariant_density,
-    kaijser_model,
+    builtin_model,
     mixing_coefficients,
     run_filter,
     sample_trajectory,
     unit_space,
 )
-from filterstab.ergodicity import _n_step_densities, _running_averages
+from filterstab.ergodicity import BOUND_FLOOR, _n_step_densities, _running_averages
 from helpers import random_kernel_matrix, random_positive_model
 from reference import solve_poisson, stationary_backward_sequence, stationary_bound_check
 
@@ -66,7 +66,7 @@ class TestNStepDensity:
         )
 
     def test_kaijser_cube_is_strictly_positive(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         *_, three = islice(_n_step_densities(model.kernel, model.space), 3)
         # brute-force oracle: literal matrix cube with unit weights
         expected = np.linalg.matrix_power(np.asarray(model.kernel.matrix), 3)
@@ -97,27 +97,27 @@ class TestGeometricErgodicityReport:
         coeffs = mixing_coefficients(model, m)
         report = geometric_ergodicity_report(model, m, coeffs, 50)
         assert report.gaps[0, 0] == pytest.approx(0.25, abs=1e-12)
-        assert report.prefactor * report.ratio == pytest.approx(28.0 / 15.0, abs=1e-12)
-        assert report.gaps[0, 0] <= report.prefactor * report.ratio
-        assert report.applicable
+        assert coeffs.geo_prefactor * coeffs.geo_ratio == pytest.approx(28.0 / 15.0, abs=1e-12)
+        assert report.gaps[0, 0] <= coeffs.geo_prefactor * coeffs.geo_ratio
+        assert coeffs.applicable
         assert report.worst_ratio <= 1.0
-        assert report.unresolved_max_gap <= report.floor + 1e-12
+        assert report.unresolved_max_gap <= BOUND_FLOOR + 1e-12
 
     def test_uniform_kernel_converges_in_one_step(self):
         model = uniform_model(4)
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         report = geometric_ergodicity_report(model, m, coeffs, 10)
-        assert report.degenerate
-        assert not report.applicable
+        assert coeffs.degenerate
+        assert not coeffs.applicable
         assert report.gaps.max() <= 1e-14
 
     def test_kaijser_inapplicable_but_still_converges(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         report = geometric_ergodicity_report(model, m, coeffs, 50)
-        assert not report.applicable
+        assert not coeffs.applicable
         assert report.worst_ratio is None
         # the chain is ergodic even though the coefficient bound is silent
         assert report.gaps[0].max() > 0.1
@@ -130,9 +130,9 @@ class TestGeometricErgodicityReport:
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         report = geometric_ergodicity_report(model, m, coeffs, 50)
-        assert report.applicable
+        assert coeffs.applicable
         assert report.worst_ratio <= 1.0
-        assert report.unresolved_max_gap <= report.floor + 1e-12
+        assert report.unresolved_max_gap <= BOUND_FLOOR + 1e-12
 
 
 class TestStationaryBackward:
@@ -195,7 +195,7 @@ class TestStationaryBoundCheck:
         assert check.unresolved_max == 0.0
 
     def test_inapplicable_when_coefficient_vanishes(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         with pytest.raises(NumericalError, match="inapplicable"):

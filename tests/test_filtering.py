@@ -13,7 +13,7 @@ from filterstab import (
     decay_rate,
     filter_step_with_likelihood,
     invariant_density,
-    kaijser_model,
+    builtin_model,
     likelihood_rows,
     run_filter,
     run_filter_pair,
@@ -46,7 +46,7 @@ class TestPredict:
         np.testing.assert_allclose(out.values, m.values, atol=1e-14)
 
     def test_doubly_stochastic_preserves_uniform(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         # column sums of the transition matrix are 1 (checked by brute force),
         # so the uniform density is invariant under prediction
         np.testing.assert_allclose(model.kernel.matrix.sum(axis=0), 1.0)
@@ -64,7 +64,7 @@ class TestPredict:
 
 class TestFilterStep:
     def test_kaijser_uniform_prior_symbol_one(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         posterior, _ = filter_step_with_likelihood(
             uniform_density(model.space), likelihood_rows(model.observation, [1])[0],
             model.kernel, model.space,
@@ -124,7 +124,7 @@ class TestRunFilter:
         np.testing.assert_array_equal(run.densities[0], model.true_prior.values)
 
     def test_kaijser_support_alternates_with_observations(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         t = sample_trajectory(model, model.true_prior, 200, seed=2)
         run = run_filter(uniform_density(model.space), t.observations, model)
         for y, pi in zip(t.observations, run.densities[1:]):
@@ -133,7 +133,7 @@ class TestRunFilter:
             assert set(support).issubset(expected)
 
     def test_kaijser_matches_explicit_recursion(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         t = sample_trajectory(model, model.true_prior, 300, seed=21)
         run = run_filter(model.true_prior, t.observations, model)
         expected = kaijser_filter_recursion(model.true_prior.values, t.observations)
@@ -175,20 +175,20 @@ class TestRunFilterPair:
     def test_identical_priors_have_zero_gap(self):
         model = two_state_model()
         t = sample_trajectory(model, model.true_prior, 100, seed=1)
-        pair = run_filter_pair(model.true_prior, model.true_prior, t.observations, model)
+        pair = run_filter_pair(model._replace(wrong_prior=model.true_prior), t.observations)
         assert pair.tv.max() == 0.0
 
     def test_kaijser_gap_is_constant_and_floored(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         t = sample_trajectory(model, model.true_prior, 3000, seed=4)
-        pair = run_filter_pair(model.true_prior, model.wrong_prior, t.observations, model)
+        pair = run_filter_pair(model, t.observations)
         assert np.abs(pair.tv[1:] - pair.tv[1]).max() <= 1e-12
         assert pair.tv[1:].min() >= 0.2 - 1e-12
 
     def test_mixing_pair_forgets_the_prior(self):
         model = two_state_model()
         t = sample_trajectory(model, model.true_prior, 200, seed=5)
-        pair = run_filter_pair(model.true_prior, model.wrong_prior, t.observations, model)
+        pair = run_filter_pair(model, t.observations)
         assert pair.tv[0] > 0.1
         assert pair.tv[-1] <= 1e-12
 
@@ -207,7 +207,7 @@ class TestRunFilterPair:
         if psi is not None:
             document["psi"] = psi
         model = build_model(document)
-        return run_filter_pair(model.true_prior, model.wrong_prior, [0] * 5, model)
+        return run_filter_pair(model, [0] * 5)
 
     def test_tv_is_the_hand_sum_of_the_gap(self):
         pair = self._frozen_pair([0.4, 0.4, 0.1, 0.1], [0.25] * 4)
@@ -221,22 +221,23 @@ class TestRunFilterPair:
         np.testing.assert_allclose(pair.tv, 0.6, rtol=0, atol=1e-15)
 
     def test_zero_atom_wrong_prior_rejected(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         bad = Density([0.5, 0.5, 0.0, 0.0])
+        # the model itself refuses it, so no filter pair can start from it
         with pytest.raises(InvalidModelError, match="beta not bounded below"):
-            run_filter_pair(model.true_prior, bad, [1, 0], model)
+            model._replace(wrong_prior=bad)
 
     def test_zero_atom_true_prior_warns(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         spiky = Density([1.0, 0.0, 0.0, 0.0])
         with pytest.warns(RuntimeWarning, match="zero atoms"):
-            run_filter_pair(spiky, model.wrong_prior, [1, 0, 0], model)
+            run_filter_pair(model._replace(true_prior=spiky), [1, 0, 0])
 
     def test_zero_atom_warning_names_the_caller(self):
-        model = kaijser_model(true_prior=[1.0, 0.0, 0.0, 0.0])
+        model = builtin_model("kaijser", true_prior=[1.0, 0.0, 0.0, 0.0])
         with pytest.warns(RuntimeWarning, match="zero atoms") as caught:
-            run_filter_pair(model.true_prior, model.wrong_prior, [1, 0, 0], model)
-            run_scenario(Scenario(name="spiky", model=model, horizon=3, replicates=2, seed=1))
+            run_filter_pair(model, [1, 0, 0])
+            run_scenario(Scenario(model=model, horizon=3, replicates=2, seed=1))
         assert [w.filename for w in caught] == [__file__] * 2
 
 

@@ -4,10 +4,9 @@ import pytest
 from filterstab import (
     InvalidModelError,
     Scenario,
-    builtin_scenario,
+    builtin_model,
     invariant_density,
     kaijser_closed_form,
-    kaijser_model,
     kaijser_verify,
     mixing_coefficients,
     primitivity_check,
@@ -58,16 +57,16 @@ class TestKaijserClosedForm:
         assert gaps_zero[1].sum() == pytest.approx(0.4, abs=1e-12)
 
     def test_total_gap_constant_after_first_step(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         t = sample_trajectory(model, model.true_prior, 500, seed=3)
         gaps = kaijser_closed_form(AC1_TRUE, UNIFORM4, t.observations)
         totals = gaps[1:].sum(axis=1)
         assert np.abs(totals - totals[0]).max() <= 1e-12
 
     def test_matches_generic_filter_pair(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         t = sample_trajectory(model, model.true_prior, 400, seed=8)
-        pair = run_filter_pair(model.true_prior, model.wrong_prior, t.observations, model)
+        pair = run_filter_pair(model, t.observations)
         gaps = kaijser_closed_form(AC1_TRUE, UNIFORM4, t.observations)
         generic = np.abs(pair.run_correct.densities - pair.run_wrong.densities)
         assert np.abs(generic - gaps).max() <= 1e-12
@@ -84,7 +83,7 @@ class TestKaijserClosedFormOracle:
 
     @pytest.mark.parametrize("length", [0, 1, 2, 3, 50, 20_000])
     def test_sampled_records(self, length):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         observations = sample_trajectory(model, model.true_prior, max(length, 1),
                                          seed=length).observations[:length]
         assert_same_bits(kaijser_closed_form(AC1_TRUE, UNIFORM4, observations),
@@ -135,7 +134,7 @@ class TestKaijserClosedFormOracle:
 
 class TestKaijserFilterRecursion:
     def test_preserves_mass(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         t = sample_trajectory(model, model.true_prior, 1000, seed=12)
         traj = kaijser_filter_recursion(AC1_TRUE, t.observations)
         np.testing.assert_allclose(traj.sum(axis=1), 1.0, atol=1e-12)
@@ -175,17 +174,16 @@ class TestKaijserVerify:
 class TestBuiltinScenarios:
     def test_unknown_name_rejected(self):
         with pytest.raises(InvalidModelError, match="unknown scenario"):
-            builtin_scenario("nope")
+            builtin_model("nope")
 
     def test_prior_overrides(self):
-        sc = builtin_scenario("kaijser", true_prior=[0.4, 0.3, 0.2, 0.1])
-        np.testing.assert_allclose(sc.model.true_prior.values, [0.4, 0.3, 0.2, 0.1])
+        model = builtin_model("kaijser", true_prior=[0.4, 0.3, 0.2, 0.1])
+        np.testing.assert_allclose(model.true_prior.values, [0.4, 0.3, 0.2, 0.1])
         with pytest.raises(InvalidModelError, match="beta not bounded below"):
-            builtin_scenario("kaijser", wrong_prior=[0.5, 0.5, 0.0, 0.0])
+            builtin_model("kaijser", wrong_prior=[0.5, 0.5, 0.0, 0.0])
 
     def test_example11_has_the_mandated_qualitative_properties(self):
-        sc = builtin_scenario("example11")
-        model = sc.model
+        model = builtin_model("example11")
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         assert coeffs.min_density == 0.0
@@ -193,35 +191,35 @@ class TestBuiltinScenarios:
         assert primitivity_check(model.kernel) is not None
 
     def test_uniform_scenario_is_degenerate(self):
-        sc = builtin_scenario("uniformK")
-        model = sc.model
+        model = builtin_model("uniformK")
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         assert coeffs.degenerate
 
     def test_scenario_validation(self):
+        model = builtin_model("mixing2")
         with pytest.raises(InvalidModelError):
-            builtin_scenario("mixing2", horizon=0)
+            Scenario(model, horizon=0, replicates=1, seed=7)
         for replicates in (0, -1):
             with pytest.raises(InvalidModelError, match="^stability needs at least one replicate$"):
-                builtin_scenario("mixing2", replicates=replicates)
+                Scenario(model, horizon=500, replicates=replicates, seed=7)
 
     def test_custom_scenario_from_model(self):
-        model = kaijser_model(true_prior=(0.4, 0.3, 0.2, 0.1))
-        sc = Scenario(name="custom", model=model, horizon=50, replicates=2, seed=1)
+        model = builtin_model("kaijser", true_prior=(0.4, 0.3, 0.2, 0.1))
+        sc = Scenario(model=model, horizon=50, replicates=2, seed=1)
         records = run_scenario(sc)
         assert len(records) == 2
         # the gate follows the model, not the name: the counterexample's
         # kernel and read-out get the closed-form report under any priors
         assert all(rec.kaijser is not None and rec.kaijser.passed for rec in records)
-        other = builtin_scenario("example11").model
-        sc = Scenario(name="kaijser", model=other, horizon=50, replicates=2, seed=1)
+        other = builtin_model("example11")
+        sc = Scenario(model=other, horizon=50, replicates=2, seed=1)
         assert all(rec.kaijser is None for rec in run_scenario(sc))
 
 
 class TestRunScenario:
     def test_mixing_replicates_converge(self):
-        sc = builtin_scenario("mixing2", horizon=300, replicates=5, seed=1)
+        sc = Scenario(builtin_model("mixing2"), horizon=300, replicates=5, seed=1)
         records = run_scenario(sc)
         assert len(records) == 5
         rate = records[0].coeffs.tv_decay_rate
@@ -233,7 +231,7 @@ class TestRunScenario:
             assert np.all(rec.pair.tv <= 2.0 + 1e-12)
 
     def test_kaijser_scenario_attaches_report(self):
-        sc = builtin_scenario("kaijser", horizon=200, replicates=2, seed=3)
+        sc = Scenario(builtin_model("kaijser"), horizon=200, replicates=2, seed=3)
         records = run_scenario(sc)
         for rec in records:
             assert rec.kaijser is not None
@@ -245,7 +243,7 @@ class TestRunScenario:
             np.testing.assert_allclose(back.likelihood_ratios, 1.0, atol=1e-12)
 
     def test_records_are_reproducible(self):
-        sc = builtin_scenario("example11", horizon=100, replicates=2, seed=9)
+        sc = Scenario(builtin_model("example11"), horizon=100, replicates=2, seed=9)
         a = run_scenario(sc)
         b = run_scenario(sc)
         for ra, rb in zip(a, b):
@@ -254,12 +252,12 @@ class TestRunScenario:
             np.testing.assert_array_equal(ra.pair.tv, rb.pair.tv)
             np.testing.assert_array_equal(record_rho(sc.model, ra).likelihood_ratios,
                                           record_rho(sc.model, rb).likelihood_ratios)
-            assert ra.seed == rb.seed
+            assert ra.trajectory.seed == rb.trajectory.seed
 
     def test_replicates_use_distinct_streams(self):
-        sc = builtin_scenario("mixing2", horizon=100, replicates=3, seed=4)
+        sc = Scenario(builtin_model("mixing2"), horizon=100, replicates=3, seed=4)
         records = run_scenario(sc)
-        assert len({rec.seed for rec in records}) == 3
+        assert len({rec.trajectory.seed for rec in records}) == 3
         assert not np.array_equal(
             records[0].trajectory.states, records[1].trajectory.states
         )

@@ -13,9 +13,10 @@ import pytest
 
 from filterstab import (
     NumericalError,
+    Scenario,
     backward_pass,
     build_model,
-    builtin_scenario,
+    builtin_model,
     run_filter,
     run_filter_pair,
     run_scenario,
@@ -53,7 +54,7 @@ def test_run_filter_logs_rescued_outliers_on_first_read():
 
 
 def test_pair_logs_on_first_read():
-    pair = run_filter_pair(GAUSSIAN.true_prior, GAUSSIAN.wrong_prior, OUTLIERS, GAUSSIAN)
+    pair = run_filter_pair(GAUSSIAN, OUTLIERS)
     for run, prior in ((pair.run_correct, GAUSSIAN.true_prior),
                        (pair.run_wrong, GAUSSIAN.wrong_prior)):
         assert_read_once(run, reference_filter(GAUSSIAN, prior.values, OUTLIERS)[1])
@@ -73,7 +74,7 @@ def test_batch_logs_on_first_read_and_a_failed_step_raises():
         for p, prior in enumerate(priors):
             densities, log_norms = reference_filter(GAUSSIAN, prior, record)
             assert (log_norms < -1000.0).sum() == (1 if r == 0 else 2)
-            read = run.filter_run(r, p, record)
+            read = run.filter_run(r, p)
             np.testing.assert_array_equal(read.densities, densities)
             assert_read_once(read, log_norms)
 
@@ -81,7 +82,7 @@ def test_batch_logs_on_first_read_and_a_failed_step_raises():
 @pytest.mark.parametrize("replicates", [1, 3, 50])
 @pytest.mark.parametrize("name", ["example11", "mixing2", "uniformK"])
 def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
-    scenario = builtin_scenario(name, horizon=100, replicates=replicates, seed=3)
+    scenario = Scenario(builtin_model(name), horizon=100, replicates=replicates, seed=3)
     records = run_scenario(scenario)
     model = scenario.model
     for record in records:

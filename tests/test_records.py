@@ -1,8 +1,8 @@
 """The package's records are named tuples.
 
-No module defines a dataclass. The six records that validate their fields
-(`StateSpace`, `Density`, `TransitionKernel`, `Coefficients`, `Trajectory`,
-`Scenario`) raise their documented error on every construction route:
+No module defines a dataclass. The seven records that validate their fields
+(`StateSpace`, `Density`, `TransitionKernel`, `FiniteModel`, `Coefficients`,
+`Trajectory`, `Scenario`) raise their documented error on every construction route:
 positional, keyword, `_make` and `_replace`. No field of any record can be
 assigned. `FilterRun.log_normalizers` is computed once, on first read, and
 then read from the instance's cache; every other record has no instance
@@ -22,6 +22,7 @@ from filterstab import (
     Coefficients,
     Density,
     FilterRun,
+    FiniteModel,
     InvalidModelError,
     NumericalError,
     Scenario,
@@ -29,8 +30,10 @@ from filterstab import (
     TransitionKernel,
     Trajectory,
     backward_pass,
-    builtin_scenario,
+    builtin_model,
     decay_rate,
+    finite_observation,
+    gaussian_observation,
     geometric_ergodicity_report,
     invariant_density,
     kaijser_verify,
@@ -42,7 +45,7 @@ from filterstab import (
 
 MODULES = [importlib.import_module(f"filterstab.{info.name}")
            for info in pkgutil.iter_modules(filterstab.__path__)]
-MIXING2 = builtin_scenario("mixing2").model
+MIXING2 = builtin_model("mixing2")
 
 
 def test_no_module_defines_a_dataclass():
@@ -58,11 +61,11 @@ def record_instances():
     invariant = invariant_density(model.kernel, model.space)
     coeffs = mixing_coefficients(model, invariant)
     trajectory = sample_trajectory(model, model.true_prior, 30, seed=2)
-    pair = run_filter_pair(model.true_prior, model.wrong_prior, trajectory.observations, model)
+    pair = run_filter_pair(model, trajectory.observations)
     context = BackwardContext(model, model.wrong_prior, coeffs)
     context.step(trajectory.observations[0])
     kaijser = kaijser_verify(None, None, 20, seed=2)
-    scenario = builtin_scenario("mixing2", horizon=20, replicates=1)
+    scenario = Scenario(builtin_model("mixing2"), horizon=20, replicates=1, seed=7)
     return [
         model, model.space, model.kernel, model.observation, model.true_prior, coeffs,
         trajectory, pair, pair.run_wrong, decay_rate(pair.tv),
@@ -97,7 +100,8 @@ VALID = {
                    "tv_decay_rate": 0.5 / 0.7, "geo_prefactor": 4.9, "geo_ratio": 2.0 / 7.0,
                    "degenerate": False},
     Trajectory: {"states": [0, 1, 0], "observations": [1, 0], "seed": 3},
-    Scenario: {"name": "mixing2", "model": MIXING2, "horizon": 10, "replicates": 2, "seed": 7},
+    Scenario: {"model": MIXING2, "horizon": 10, "replicates": 2, "seed": 7},
+    FiniteModel: MIXING2._asdict(),
 }
 BAD = [
     (StateSpace, {"num_states": 0}, InvalidModelError, "need at least one state"),
@@ -114,6 +118,20 @@ BAD = [
     (Scenario, {"horizon": 0}, InvalidModelError, "horizon must be at least 1"),
     (Scenario, {"replicates": 0}, InvalidModelError, "^stability needs at least one replicate$"),
     (Scenario, {"replicates": -1}, InvalidModelError, "^stability needs at least one replicate$"),
+    (FiniteModel, {"kernel": TransitionKernel(np.full((3, 3), 1.0 / 3.0))}, InvalidModelError,
+     "dimension mismatch"),
+    (FiniteModel, {"observation": finite_observation(np.full((3, 2), 0.5))}, InvalidModelError,
+     "dimension mismatch"),
+    (FiniteModel, {"observation": gaussian_observation([0.0, 1.0, 2.0], 1.0)},
+     InvalidModelError, "dimension mismatch"),
+    (FiniteModel, {"true_prior": Density([0.2, 0.3, 0.5])}, InvalidModelError,
+     "^true_prior: dimension mismatch"),
+    (FiniteModel, {"true_prior": Density([0.5, 0.6])}, InvalidModelError,
+     "^true_prior: density mass"),
+    (FiniteModel, {"wrong_prior": Density([5.0, 5.0])}, InvalidModelError,
+     "^wrong_prior: density mass"),
+    (FiniteModel, {"wrong_prior": Density([1.0, 0.0])}, InvalidModelError,
+     "^beta not bounded below"),
 ]
 
 
@@ -160,8 +178,7 @@ def test_a_validating_record_converts_its_fields_on_every_route(cls, route):
 
 def test_log_normalizers_are_computed_once():
     trajectory = sample_trajectory(MIXING2, MIXING2.true_prior, 30, seed=2)
-    run = run_filter_pair(MIXING2.true_prior, MIXING2.wrong_prior, trajectory.observations,
-                          MIXING2).run_wrong
+    run = run_filter_pair(MIXING2, trajectory.observations).run_wrong
     assert "log_normalizers" not in vars(run)
     logs = run.log_normalizers
     assert vars(run)["log_normalizers"] is logs

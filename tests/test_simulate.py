@@ -9,7 +9,7 @@ from filterstab import (
     finite_observation,
     gaussian_observation,
     invariant_density,
-    kaijser_model,
+    builtin_model,
     likelihood_rows,
     primitivity_check,
     sample_trajectory,
@@ -45,7 +45,7 @@ class TestSampleTrajectory:
         assert len(t.observations) == 50
 
     def test_kaijser_observations_are_deterministic_in_state(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         t = sample_trajectory(model, model.true_prior, 2000, seed=11)
         expected = np.isin(t.states[1:], (0, 2)).astype(int)
         np.testing.assert_array_equal(t.observations, expected)
@@ -91,7 +91,7 @@ class TestSampleTrajectory:
 
 class TestLikelihoodVector:
     def test_kaijser_symbol_one(self):
-        model = kaijser_model()
+        model = builtin_model("kaijser")
         np.testing.assert_array_equal(
             likelihood_rows(model.observation, [1])[0], [1.0, 0.0, 1.0, 0.0]
         )

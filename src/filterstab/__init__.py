@@ -33,7 +33,6 @@ from .model import (
     as_kernel,
     build_model,
     finite_observation,
-    gaussian_observation,
     invariant_density,
     mixing_coefficients,
     primitivity_check,

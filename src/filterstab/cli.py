@@ -104,12 +104,32 @@ def _resolve_output(path: Optional[str]) -> Optional[Path]:
     return p
 
 
-def _write_text(path: Optional[Path], text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+def _write_texts(paths, texts) -> Optional[str]:
+    """Write each text to its path, or to stdout for None, and return None;
+    or return the one error line that names the output that failed.
+
+    Every file is opened once for writing, without truncating one that
+    exists, before any is written. When an open or a write fails, the files
+    that this call created are removed."""
+    created, path = [], None
+    try:
+        for path in filter(None, paths):
+            path.parent.mkdir(parents=True, exist_ok=True)
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+                created.append(path)
+            except FileExistsError:
+                os.close(os.open(path, os.O_WRONLY))
+        for path, text in zip(paths, texts):
+            if path is None:
+                sys.stdout.write(text)
+            else:
+                path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        for created_path in created:
+            created_path.unlink(missing_ok=True)
+        return f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}"
+    return None
 
 
 def _json_text(payload) -> str:
@@ -297,10 +317,13 @@ def _cmd_stability(args) -> tuple:
     # ρ along replicate 0 only, after every replicate's filters
     back = backward_pass(model, coeffs, first.pair.run_wrong.densities)
     bound_max = [None] * n_steps if back.bounds is None else back.bounds.max(axis=1).tolist()
+    # `math.log` once per distinct TV (`np.log` can differ from it in the last bit)
+    distinct, inverse = np.unique(first.pair.tv, return_inverse=True)
+    log_tv = np.array([math.log(tv) if tv > 0.0 else -math.inf for tv in distinct.tolist()])
     columns = [
         range(n_steps + 1),
         first.pair.tv,
-        [math.log(tv) if tv > 0.0 else -math.inf for tv in first.pair.tv.tolist()],
+        log_tv[inverse],
         -rate * np.arange(n_steps + 1) + 0.0,
         [None, *back.oscillations.max(axis=1).tolist()],
         [None, *bound_max],
@@ -515,13 +538,10 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
-    for path, text in zip(paths, texts):
-        try:
-            _write_text(path, text)
-        except OSError as exc:
-            print(f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}",
-                  file=sys.stderr)
-            return 1
+    error = _write_texts(paths, texts)
+    if error:
+        print(error, file=sys.stderr)
+        return 1
     return code
 
 

@@ -33,11 +33,14 @@ BOUND_FLOOR = 1e-10
 
 def _n_step_densities(kernel: TransitionKernel, space: StateSpace) -> Iterator[np.ndarray]:
     """The n-step densities for n = 1, 2, ...: the kernel, then each power
-    contracted through it against the weights."""
-    power = kernel.matrix
+    contracted through it against the weights. With every weight exactly 1.0
+    the power goes to the product unweighted: ``x * 1.0 == x`` bit for bit,
+    so the multiply would change nothing."""
+    matrix = power = kernel.matrix
+    weights = None if (space.weights == 1.0).all() else space.weights
     while True:
         yield power
-        power = (power * space.weights[None, :]) @ kernel.matrix
+        power = (power if weights is None else power * weights) @ matrix
 
 
 def _gate(values: np.ndarray, envelope: np.ndarray) -> tuple[float, float]:

@@ -132,8 +132,13 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
 
     Each step advances every filter as one stack of row vectors. Each product
     is one gemv or dot per row, so every row rounds as it does alone; a lone
-    row takes ``ndarray.dot``, the same BLAS call at less cost. Elementwise
-    steps run on same-shape operands tiled once per chunk. A chunk's
+    row takes ``ndarray.dot``, the same BLAS call at less cost. The
+    normalizer of one record (a lone row, or one pair of priors) is
+    ``ndarray.dot`` too, which rounds as `np.matmul` does and costs less per
+    call; larger stacks keep `np.matmul`, which is faster there. When every
+    state weight is exactly 1.0 the rows go to the product unweighted, since
+    ``x * 1.0 == x`` bit for bit. Elementwise steps run on same-shape
+    operands tiled once per chunk. A chunk's
     normalizers are checked in one vectorized test. A Gaussian step whose
     normalizer underflows or overflows is redone for that row in the log
     domain, and the filter resumes after that step in runs of 1, 2, 4, ...
@@ -165,9 +170,11 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
     weighted, predicted = np.empty((2,) + row)  # read only by the step that writes them
     tiled_liks = np.empty((held,) + row)  # each record's likelihoods, for every prior
     tiled_weights = np.tile(weights, n_rows).reshape(row)
+    unit = bool((weights == 1.0).all())  # then weighting a row changes no bit
     unnormalized, weights_column = np.empty(row), weights[:, None]
-    # one row goes through `ndarray.dot`: the same BLAS call
+    # one row goes through `ndarray.dot`, and one record's normalizer: the same BLAS call
     row_product = np.ndarray.dot if n_rows == 1 else matmul
+    normalize = np.ndarray.dot if n_rows <= 2 else matmul
     # each buffer's per-step views, made once; step k writes the density step k + 1 reads
     pi_views = list(pis)
     steps = pi_views, list(tiled_liks), list(zs), pi_views[1:]
@@ -182,10 +189,10 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
             while done < m:
                 stop = min(done + size, m)
                 for pi, lik, z, pi_next in zip(*(views[done:stop] for views in steps)):
-                    multiply(pi, tiled_weights, weighted)
-                    row_product(weighted, matrix, predicted)
+                    row_product(pi if unit else multiply(pi, tiled_weights, weighted),
+                                matrix, predicted)
                     multiply(lik, predicted, unnormalized)
-                    matmul(unnormalized, weights_column, z)
+                    normalize(unnormalized, weights_column, z)
                     divide(unnormalized, z, pi_next)
                 z = row_zs[done:stop]
                 bad = ~((z > UNDERFLOW_FLOOR) & (z < math.inf))

@@ -21,7 +21,7 @@ atoms with positive weight; zero-weight atoms cannot occur by construction.
 from __future__ import annotations
 
 from collections import OrderedDict, namedtuple
-from typing import Mapping, NamedTuple, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -141,9 +141,9 @@ def _as_array(key: str, value, shape: tuple) -> np.ndarray:
     return arr.astype(float)
 
 
-def _normalized_rows(key: str, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _row_integrals(key: str, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Check that every row integrates to 1 against `weights` within `ROW_TOL`,
-    then divide each row by its integral."""
+    and return the integrals."""
     if not np.all(np.isfinite(matrix)) or np.any(matrix < 0.0):
         raise InvalidModelError(f"invalid kernel: '{key}' entries must be finite and nonnegative")
     with np.errstate(over="ignore"):  # an overflowing integral is reported as inf
@@ -154,30 +154,53 @@ def _normalized_rows(key: str, matrix: np.ndarray, weights: np.ndarray) -> np.nd
             f"invalid kernel: '{key}' row {worst} integrates to {float(sums[worst])!r}, "
             f"not 1 (tolerance {ROW_TOL})"
         )
-    return matrix / sums[:, None]
+    return sums
 
 
 def as_kernel(matrix, space: StateSpace) -> TransitionKernel:
     """Validate row sums against the weights (within `ROW_TOL`) and renormalize rows."""
     d = space.num_states
     rows = _as_array("transition", matrix, (d, d))
-    return TransitionKernel(_normalized_rows("transition", rows, space.weights))
+    return TransitionKernel(rows / _row_integrals("transition", rows, space.weights)[:, None])
 
 
-class ObservationModel(NamedTuple):
+class ObservationModel(namedtuple("ObservationModel", "kind emission symbol_weights means sigma",
+                                  defaults=(None, None, None, None))):
     """Observation channel: finite alphabet emissions or a Gaussian read-out.
 
     For ``kind == "finite"``, ``emission[i, k]`` is the density of symbol ``k``
-    from state ``i`` against the positive ``symbol_weights``; each row
-    integrates to one. For ``kind == "gaussian"``, symbol values are reals with
-    density ``N(means[i], sigma**2)``.
+    from state ``i`` against the positive ``symbol_weights`` (all 1.0 when
+    not given); each row integrates to one within `ROW_TOL`. For
+    ``kind == "gaussian"``, symbol values are reals with density
+    ``N(means[i], sigma**2)``, finite means and ``sigma > 0``. The other
+    kind's fields are stored as None. The checks, their order and their
+    messages are those of a model document's ``observation``; nothing is
+    renormalized, so `_replace` keeps every bit.
     """
 
-    kind: str
-    emission: Optional[np.ndarray] = None
-    symbol_weights: Optional[np.ndarray] = None
-    means: Optional[np.ndarray] = None
-    sigma: Optional[float] = None
+    __slots__ = ()
+
+    def __new__(cls, kind: str, emission=None, symbol_weights=None, means=None, sigma=None):
+        if kind == "finite":
+            rows = _as_array("observation.gamma", emission, (None, None))
+            p = rows.shape[1]
+            w = (np.ones(p) if symbol_weights is None
+                 else _as_array("observation.theta", symbol_weights, (p,)))
+            if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
+                raise InvalidModelError("symbol weights must be finite and strictly positive")
+            _row_integrals("observation.gamma", rows, w)
+            return super().__new__(cls, kind, _frozen(rows), _frozen(w))
+        if kind == "gaussian":
+            mu = _as_array("observation.means", means, (None,))
+            if not np.all(np.isfinite(mu)):
+                raise InvalidModelError("gaussian means must be a finite vector")
+            sigma = float(_as_array("observation.sigma", sigma, ()))
+            if not np.isfinite(sigma) or sigma <= 0.0:
+                raise InvalidModelError(f"gaussian sigma must be positive, got {sigma!r}")
+            return super().__new__(cls, kind, means=_frozen(mu), sigma=sigma)
+        raise InvalidModelError(f"observation kind must be 'finite' or 'gaussian', got {kind!r}")
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def num_symbols(self) -> int:
@@ -187,27 +210,10 @@ class ObservationModel(NamedTuple):
 
 
 def finite_observation(emission, symbol_weights=None) -> ObservationModel:
-    rows = _as_array("observation.gamma", emission, (None, None))
-    p = rows.shape[1]
-    if symbol_weights is None:
-        w = np.ones(p)
-    else:
-        w = _as_array("observation.theta", symbol_weights, (p,))
-    if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise InvalidModelError("symbol weights must be finite and strictly positive")
-    return ObservationModel(kind="finite",
-                            emission=_frozen(_normalized_rows("observation.gamma", rows, w)),
-                            symbol_weights=_frozen(w))
-
-
-def gaussian_observation(means, sigma: float) -> ObservationModel:
-    mu = _as_array("observation.means", means, (None,))
-    if not np.all(np.isfinite(mu)):
-        raise InvalidModelError("gaussian means must be a finite vector")
-    sigma = float(_as_array("observation.sigma", sigma, ()))
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        raise InvalidModelError(f"gaussian sigma must be positive, got {sigma!r}")
-    return ObservationModel(kind="gaussian", means=_frozen(mu), sigma=sigma)
+    """The finite channel with each emission row divided by its integral,
+    once the rows pass `ObservationModel`'s checks."""
+    raw = ObservationModel("finite", emission, symbol_weights)
+    return raw._replace(emission=raw.emission / (raw.emission @ raw.symbol_weights)[:, None])
 
 
 class FiniteModel(namedtuple("FiniteModel", "space kernel observation true_prior wrong_prior")):
@@ -534,8 +540,8 @@ def build_model(document: Mapping) -> FiniteModel:
         gamma = _as_array("observation.gamma", obs["gamma"], (d, None))
         observation = finite_observation(gamma, obs.get("theta"))
     else:
-        observation = gaussian_observation(_as_array("observation.means", obs["means"], (d,)),
-                                           obs["sigma"])
+        means = _as_array("observation.means", obs["means"], (d,))
+        observation = ObservationModel("gaussian", means=means, sigma=obs["sigma"])
 
     priors = []
     for key in ("nu", "beta"):

@@ -844,6 +844,34 @@ def test_an_unwritable_stability_summary_exits_one_with_one_line(tmp_path):
         (1, f"error: cannot write {tmp_path / 'run.json'}: Is a directory\n")
 
 
+@pytest.mark.parametrize("table", [None, "old table\n"])
+def test_an_unwritable_summary_leaves_no_table_behind(table, tmp_path):
+    """Every output is opened before any is written: a table file that this
+    call would create is not left behind, and one that was there is kept."""
+    (tmp_path / "run.json").mkdir()
+    out = tmp_path / "run.csv"
+    if table is not None:
+        out.write_text(table)
+    assert run_in_process(["stability", "--scenario", "mixing2", "--horizon", "20",
+                           "--output", str(out)])[0] == 1
+    assert sorted(tmp_path.iterdir()) == sorted([tmp_path / "run.json"]
+                                                + ([out] if table is not None else []))
+    if table is not None:
+        assert out.read_text() == table
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that is always full")
+def test_a_summary_that_fails_to_write_removes_the_table(tmp_path, monkeypatch):
+    """A write that fails after every output opened removes the files this
+    call created."""
+    monkeypatch.setattr("filterstab.cli._summary_path", lambda table: Path("/dev/full"))
+    out = tmp_path / "run.csv"
+    assert run_in_process(["stability", "--scenario", "mixing2", "--horizon", "20",
+                           "--output", str(out)]) == \
+        (1, "error: cannot write /dev/full: No space left on device\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("seed", ["7", "3"])
 @pytest.mark.parametrize("source", [*SCENARIO_NAMES, "psi-gaussian"])
 def test_backward_prints_the_rho_columns_of_stability(source, seed, tmp_path):
@@ -1169,3 +1197,15 @@ class TestEachCommandTakesTheFlagsItReads:
         assert main([*argv, "--output", str(out)]) == 1
         assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_log_tv_is_the_log_of_each_tv(tmp_path):
+    """`log_tv` is `math.log` of each row's TV, and -inf where the TV is 0
+    (mixing2 at seed 7 from step 19 on)."""
+    out = tmp_path / "run.csv"
+    assert main(["stability", "--scenario", "mixing2", "--horizon", "60", "--seed", "7",
+                 "--output", str(out)]) == 0
+    header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+    tv, log_tv = ([float(row[header.index(name)]) for row in rows] for name in ("tv", "log_tv"))
+    assert [n for n, value in enumerate(tv) if value == 0.0] == list(range(19, 61))
+    assert log_tv == [math.log(value) if value > 0.0 else -math.inf for value in tv]

@@ -271,8 +271,9 @@ def test_dot_rounds_as_matmul(d):
     """`ndarray.dot` makes the BLAS call `np.matmul` makes on the shapes the
     engine gives it: a row times a matrix, a matrix times a matrix, and a
     weight row times a matrix. A time-stacked ``(m, 1, d) @ (d, d)`` rounds
-    each row as `ndarray.dot` does, and so does a lone row's normalizer
-    ``(d,) @ (d, 1)``. Elementwise calls on operands tiled to one shape
+    each row as `ndarray.dot` does. One record's normalizer, a lone row's
+    ``(d,) @ (d, 1)`` or a pair's ``(2, 1, d) @ (d, 1)``, rounds in
+    `ndarray.dot` as in `np.matmul`. Elementwise calls on operands tiled to one shape
     equal the broadcasting calls they replace."""
     rng = np.random.default_rng(d)
     for _ in range(200):
@@ -298,3 +299,32 @@ def test_dot_rounds_as_matmul(d):
         assert np.array_equal(np.multiply(np.tile(lik, 3).reshape(rows.shape), rows), lik * rows)
         assert np.array_equal(np.multiply(rho, tiled), rho * prior_rows)
         assert np.array_equal(np.divide(rho, tiled), rho / prior_rows)
+        # the normalizers of one record: a lone row and a pair of rows
+        for shape in [(d,), (2, 1, d)]:
+            unnormalized = rng.random(shape) * rng.random(shape[:-1] + (1,))
+            out = np.empty(shape[:-1] + (1,))
+            np.ndarray.dot(unnormalized, w[:, None], out)
+            assert np.array_equal(out, np.matmul(unnormalized, w[:, None]))
+
+
+@pytest.mark.parametrize("name, multiplies", [("unit-psi", 1), ("weighted-psi", 2)])
+def test_unit_state_weights_skip_a_multiply_per_step(monkeypatch, name, multiplies):
+    """A step of one record's filter multiplies by the likelihoods, and by
+    the state weights only when one of them is not 1.0: an N-step run makes
+    N elementwise multiplies with unit weights and 2N with others."""
+    model = PSI_MODELS[name]
+    assert (model.space.weights == 1.0).all() == (multiplies == 1)
+    observations = sample_trajectory(model, model.true_prior, 40, seed=5).observations
+    calls = []
+    multiply = np.multiply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return multiply(*args, **kwargs)
+
+    monkeypatch.setattr(np, "multiply", counted)
+    run = run_filter(model.wrong_prior, observations, model)
+    monkeypatch.undo()
+    assert len(calls) == multiplies * len(observations)
+    densities, _ = reference_filter(model, model.wrong_prior.values, observations)
+    np.testing.assert_array_equal(run.densities, densities)

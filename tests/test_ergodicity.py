@@ -7,6 +7,8 @@ import pytest
 from filterstab import (
     Density,
     NumericalError,
+    StateSpace,
+    TransitionKernel,
     as_kernel,
     build_model,
     geometric_ergodicity_report,
@@ -77,6 +79,17 @@ class TestNStepDensity:
         model = uniform_model()
         for power in islice(_n_step_densities(model.kernel, model.space), 7):
             np.testing.assert_allclose(power, 1.0 / 3.0, atol=1e-14)
+
+    @pytest.mark.parametrize("weights", [None, [0.5, 1.25, 2.0]])
+    def test_powers_are_the_weighted_recursion_bit_for_bit(self, weights):
+        """With unit weights the power skips the multiply by the weights,
+        which changes no bit; with other weights it still takes it."""
+        space = unit_space(3) if weights is None else StateSpace(3, np.array(weights))
+        kernel = TransitionKernel(random_kernel_matrix(7, 3) / space.weights)
+        power = kernel.matrix
+        for got in islice(_n_step_densities(kernel, space), 30):
+            assert np.array_equal(got, power)
+            power = (power * space.weights) @ kernel.matrix
 
     @pytest.mark.parametrize("seed", range(5))
     def test_multi_step_composition(self, seed):

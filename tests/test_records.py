@@ -1,8 +1,8 @@
 """The package's records are named tuples.
 
-No module defines a dataclass. The seven records that validate their fields
-(`StateSpace`, `Density`, `TransitionKernel`, `FiniteModel`, `Coefficients`,
-`Trajectory`, `Scenario`) raise their documented error on every construction route:
+No module defines a dataclass. The eight records that validate their fields
+(`StateSpace`, `Density`, `TransitionKernel`, `ObservationModel`, `FiniteModel`,
+`Coefficients`, `Trajectory`, `Scenario`) raise their documented error on every construction route:
 positional, keyword, `_make` and `_replace`. No field of any record can be
 assigned. `FilterRun.log_normalizers` is computed once, on first read, and
 then read from the instance's cache; every other record has no instance
@@ -25,6 +25,7 @@ from filterstab import (
     FiniteModel,
     InvalidModelError,
     NumericalError,
+    ObservationModel,
     Scenario,
     StateSpace,
     TransitionKernel,
@@ -33,7 +34,6 @@ from filterstab import (
     builtin_model,
     decay_rate,
     finite_observation,
-    gaussian_observation,
     geometric_ergodicity_report,
     invariant_density,
     kaijser_verify,
@@ -96,6 +96,8 @@ VALID = {
     StateSpace: {"num_states": 2, "weights": [1.0, 2.0]},
     Density: {"values": [0.25, 0.75]},
     TransitionKernel: {"matrix": [[0.5, 0.5], [0.3, 0.7]]},
+    ObservationModel: {"kind": "finite", "emission": [[0.5, 0.5], [0.2, 0.8]],
+                       "symbol_weights": [1.0, 1.0], "means": None, "sigma": None},
     Coefficients: {"min_density": 0.3, "max_density": 0.7, "mixing_coefficient": 0.5,
                    "tv_decay_rate": 0.5 / 0.7, "geo_prefactor": 4.9, "geo_ratio": 2.0 / 7.0,
                    "degenerate": False},
@@ -112,6 +114,24 @@ BAD = [
     (TransitionKernel, {"matrix": [[0.5, 0.5]]}, InvalidModelError, "must be square"),
     (TransitionKernel, {"matrix": [[np.nan, 1.0], [0.3, 0.7]]}, InvalidModelError,
      "finite and nonnegative"),
+    (ObservationModel, {"kind": "poisson"}, InvalidModelError,
+     "^observation kind must be 'finite' or 'gaussian', got 'poisson'$"),
+    (ObservationModel, {"emission": [[0.5, 0.7], [0.2, 0.8]]}, InvalidModelError,
+     "^invalid kernel: 'observation.gamma' row 0 integrates to 1.2, not 1"),
+    (ObservationModel, {"emission": [[0.25, 0.5], [0.2, 0.8]], "symbol_weights": [2.0, 1.0]},
+     InvalidModelError, "row 1 integrates to 1.2"),
+    (ObservationModel, {"emission": [[-0.5, 1.5], [0.2, 0.8]]}, InvalidModelError,
+     "entries must be finite and nonnegative"),
+    (ObservationModel, {"emission": [[0.5, 0.5, 0.0], [0.2, 0.8, 0.0]]}, InvalidModelError,
+     "dimension mismatch"),
+    (ObservationModel, {"symbol_weights": [1.0, 0.0]}, InvalidModelError,
+     "^symbol weights must be finite and strictly positive$"),
+    (ObservationModel, {"kind": "gaussian", "means": [0.0, np.inf], "sigma": 1.0},
+     InvalidModelError, "^gaussian means must be a finite vector$"),
+    (ObservationModel, {"kind": "gaussian", "means": [0.0, 1.0], "sigma": 0.0},
+     InvalidModelError, "^gaussian sigma must be positive, got 0.0$"),
+    (ObservationModel, {"kind": "gaussian", "means": [0.0, 1.0]}, InvalidModelError,
+     "'observation.sigma' must be numeric"),
     (Coefficients, {"mixing_coefficient": 0.8}, NumericalError, "coefficient ordering violated"),
     (Coefficients, {"min_density": -0.1}, NumericalError, "coefficient ordering violated"),
     (Trajectory, {"observations": [1]}, InvalidModelError, "trajectory shape mismatch"),
@@ -122,7 +142,7 @@ BAD = [
      "dimension mismatch"),
     (FiniteModel, {"observation": finite_observation(np.full((3, 2), 0.5))}, InvalidModelError,
      "dimension mismatch"),
-    (FiniteModel, {"observation": gaussian_observation([0.0, 1.0, 2.0], 1.0)},
+    (FiniteModel, {"observation": ObservationModel("gaussian", means=[0.0, 1.0, 2.0], sigma=1.0)},
      InvalidModelError, "dimension mismatch"),
     (FiniteModel, {"true_prior": Density([0.2, 0.3, 0.5])}, InvalidModelError,
      "^true_prior: dimension mismatch"),
@@ -186,3 +206,13 @@ def test_log_normalizers_are_computed_once():
     vars(run)["log_normalizers"] = sentinel = object()
     assert run.log_normalizers is sentinel
 
+
+
+def test_a_model_cannot_be_given_a_channel_that_is_not_a_law():
+    """A channel whose emission rows integrate to 1.2, or of an unknown kind,
+    fails where it is built, before a model can hold it."""
+    with pytest.raises(InvalidModelError, match="row 0 integrates to 1.2"):
+        MIXING2._replace(observation=ObservationModel(
+            "finite", emission=np.array([[0.5, 0.7], [0.2, 0.8]]), symbol_weights=np.ones(2)))
+    with pytest.raises(InvalidModelError, match="observation kind"):
+        ObservationModel("poisson")

@@ -5,9 +5,9 @@ import pytest
 
 from filterstab import (
     InvalidModelError,
+    ObservationModel,
     build_model,
     finite_observation,
-    gaussian_observation,
     invariant_density,
     builtin_model,
     likelihood_rows,
@@ -100,7 +100,7 @@ class TestLikelihoodVector:
         )
 
     def test_gaussian_mode_value(self):
-        obs = gaussian_observation([0.0, 2.0], sigma=1.0)
+        obs = ObservationModel("gaussian", means=[0.0, 2.0], sigma=1.0)
         lik = likelihood_rows(obs, [0.0])[0]
         assert lik[0] == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
 

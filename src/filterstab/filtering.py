@@ -111,22 +111,9 @@ def filter_step_with_likelihood(
 _CHUNK_ENTRIES = 2**13
 
 
-class _EngineRun(NamedTuple):
-    """What `_engine` returns."""
-
-    densities: np.ndarray  # (R, P, N+1, d), read-only
-    normalizers: np.ndarray  # (R, P, N), read-only, linear
-    rescued_logs: dict  # {(r, p): {step: log normalizer}} of log-domain steps
-
-    def filter_run(self, r: int, p: int) -> FilterRun:
-        """The `FilterRun` of prior ``p`` on record ``r``."""
-        return FilterRun(self.densities[r, p], self.normalizers[r, p],
-                         self.rescued_logs.get((r, p), {}))
-
-
-def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
-    """The filter loop: the filter from each of the ``(P, d)`` priors on each
-    of the ``R`` records of ``observations``, a chunk of
+def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[FilterRun]]:
+    """The filter loop: the `FilterRun` ``runs[r][p]`` of each of the ``(P, d)``
+    priors on each of the ``R`` records of ``observations``, a chunk of
     ``_CHUNK_ENTRIES // (P R d)`` steps at a time. It runs no ρ: that is
     `backward_pass`'s own loop, along one density history.
 
@@ -227,7 +214,8 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> _EngineRun:
                 raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {step})")
             if bad:
                 raise InvalidModelError("density values must be finite and nonnegative")
-    return _EngineRun(densities, normalizers, rescued_logs)
+    return [[FilterRun(densities[r, p], normalizers[r, p], rescued_logs.get((r, p), {}))
+             for p in range(n_priors)] for r in range(n_records)]
 
 
 def run_filter(prior: Density, observations: Sequence, model: FiniteModel) -> FilterRun:
@@ -237,12 +225,11 @@ def run_filter(prior: Density, observations: Sequence, model: FiniteModel) -> Fi
     from every mean) is redone in the log domain; on a finite alphabet it is
     a genuine impossibility and raises.
     """
-    return _engine(model, prior.values[None], [observations]).filter_run(0, 0)
+    return _engine(model, prior.values[None], [observations])[0][0]
 
 
-def _pair_run(run: _EngineRun, r: int, weights: np.ndarray) -> PairRun:
-    """The `PairRun` of record ``r`` of an `_engine` pass over both priors."""
-    correct, wrong = run.filter_run(r, 0), run.filter_run(r, 1)
+def _pair_run(correct: FilterRun, wrong: FilterRun, weights: np.ndarray) -> PairRun:
+    """The `PairRun` of a record's correct and wrong filters."""
     gaps = np.abs(correct.densities - wrong.densities)
     # one dot per row: each TV rounds as ``np.abs(p - q) @ weights`` does alone
     tv = (gaps[:, None, :] @ weights[:, None])[:, 0, 0]
@@ -260,8 +247,8 @@ def _filter_pairs(model: FiniteModel, records) -> list[PairRun]:
             RuntimeWarning,
             stacklevel=3,
         )
-    run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
-    return [_pair_run(run, r, model.space.weights) for r in range(len(records))]
+    runs = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
+    return [_pair_run(correct, wrong, model.space.weights) for correct, wrong in runs]
 
 
 def run_filter_pair(model: FiniteModel, observations: Sequence) -> PairRun:

@@ -21,7 +21,6 @@ regimes:
 
 from __future__ import annotations
 
-from collections import namedtuple
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,6 +33,7 @@ from .model import (
     build_model,
     invariant_density,
     mixing_coefficients,
+    validated_tuple,
     with_priors,
 )
 from .rng import derive_seed
@@ -42,7 +42,7 @@ from .simulate import Trajectory, sample_trajectories, sample_trajectory
 KAIJSER_TRUE_PRIOR = (0.5, 0.2, 0.2, 0.1)
 
 
-class Scenario(namedtuple("Scenario", "model horizon replicates seed")):
+class Scenario(validated_tuple("Scenario", "model horizon replicates seed")):
     """A model with the size and seed of a `run_scenario` experiment."""
 
     __slots__ = ()
@@ -54,9 +54,6 @@ class Scenario(namedtuple("Scenario", "model horizon replicates seed")):
         if self.horizon < 1:
             raise InvalidModelError(f"horizon must be at least 1, got {self.horizon}")
         return self
-
-    # `_replace` builds through `_make`: validate there too
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 class KaijserReport(NamedTuple):

@@ -40,13 +40,22 @@ _INVARIANT_MEMO: "OrderedDict[tuple, Density]" = OrderedDict()
 _INVARIANT_MEMO_SIZE = 32
 
 
+def validated_tuple(typename: str, field_names: str, **kwargs) -> type:
+    """A `namedtuple` base whose `_make`, and so `_replace`, builds through
+    ``cls(*fields)``: a subclass that validates in `__new__` validates on
+    every construction route."""
+    base = namedtuple(typename, field_names, **kwargs)
+    base._make = classmethod(lambda cls, fields: cls(*fields))
+    return base
+
+
 def _frozen(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
 
 
-class StateSpace(namedtuple("StateSpace", "num_states weights")):
+class StateSpace(validated_tuple("StateSpace", "num_states weights")):
     """Finite atomic state space with reference-measure weights."""
 
     __slots__ = ()
@@ -63,16 +72,13 @@ class StateSpace(namedtuple("StateSpace", "num_states weights")):
             raise InvalidModelError("state weights must be finite and strictly positive")
         return super().__new__(cls, num_states, _frozen(w))
 
-    # `_replace` builds through `_make`: validate there too
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
 
 def unit_space(num_states: int) -> StateSpace:
     """State space with all-ones weights (counting reference measure)."""
     return StateSpace(num_states, np.ones(num_states))
 
 
-class Density(namedtuple("Density", "values")):
+class Density(validated_tuple("Density", "values")):
     """Nonnegative density values against the state weights, total mass one."""
 
     __slots__ = ()
@@ -85,8 +91,6 @@ class Density(namedtuple("Density", "values")):
             raise InvalidModelError("density values must be finite and nonnegative")
         return super().__new__(cls, _frozen(v))
 
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
 
 def as_density(values, space: StateSpace) -> Density:
     """Validate mass against the weights (within `MASS_TOL`) and renormalize exactly."""
@@ -95,8 +99,7 @@ def as_density(values, space: StateSpace) -> Density:
         raise InvalidModelError(
             f"dimension mismatch: density shape {v.shape} vs {space.num_states} states"
         )
-    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-        raise InvalidModelError("density values must be finite and nonnegative")
+    v = Density(v).values  # finite and nonnegative
     with np.errstate(over="ignore"):  # an overflowing mass is reported as inf
         mass = float(v @ space.weights)
     if abs(mass - 1.0) > MASS_TOL:
@@ -104,7 +107,7 @@ def as_density(values, space: StateSpace) -> Density:
     return Density(v / mass)
 
 
-class TransitionKernel(namedtuple("TransitionKernel", "matrix")):
+class TransitionKernel(validated_tuple("TransitionKernel", "matrix")):
     """One-step transition densities; ``matrix[i, j]`` is the density i -> j."""
 
     __slots__ = ()
@@ -116,8 +119,6 @@ class TransitionKernel(namedtuple("TransitionKernel", "matrix")):
         if not np.all(np.isfinite(a)) or np.any(a < 0.0):
             raise InvalidModelError("invalid kernel: entries must be finite and nonnegative")
         return super().__new__(cls, _frozen(a))
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def dim(self) -> int:
@@ -164,8 +165,9 @@ def as_kernel(matrix, space: StateSpace) -> TransitionKernel:
     return TransitionKernel(rows / _row_integrals("transition", rows, space.weights)[:, None])
 
 
-class ObservationModel(namedtuple("ObservationModel", "kind emission symbol_weights means sigma",
-                                  defaults=(None, None, None, None))):
+class ObservationModel(validated_tuple("ObservationModel",
+                                       "kind emission symbol_weights means sigma",
+                                       defaults=(None, None, None, None))):
     """Observation channel: finite alphabet emissions or a Gaussian read-out.
 
     For ``kind == "finite"``, ``emission[i, k]`` is the density of symbol ``k``
@@ -200,8 +202,6 @@ class ObservationModel(namedtuple("ObservationModel", "kind emission symbol_weig
             return super().__new__(cls, kind, means=_frozen(mu), sigma=sigma)
         raise InvalidModelError(f"observation kind must be 'finite' or 'gaussian', got {kind!r}")
 
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
     @property
     def num_symbols(self) -> int:
         if self.kind != "finite":
@@ -216,14 +216,16 @@ def finite_observation(emission, symbol_weights=None) -> ObservationModel:
     return raw._replace(emission=raw.emission / (raw.emission @ raw.symbol_weights)[:, None])
 
 
-class FiniteModel(namedtuple("FiniteModel", "space kernel observation true_prior wrong_prior")):
+class FiniteModel(validated_tuple("FiniteModel",
+                                  "space kernel observation true_prior wrong_prior")):
     """Validated model bundle: space, dynamics, observation channel, priors.
 
     ``true_prior`` is the density the data generator uses for the initial
     state; ``wrong_prior`` is the (strictly positive) density a misspecified
     filter starts from. The kernel, the observation channel and both priors
-    must have the state space's dimension, and each prior mass 1 within
-    `MASS_TOL`. Nothing is renormalized, so `_replace` keeps every bit.
+    must have the state space's dimension, each kernel row must integrate to
+    1 within `ROW_TOL` and each prior have mass 1 within `MASS_TOL`. Nothing
+    is renormalized, so `_replace` keeps every bit.
     """
 
     __slots__ = ()
@@ -236,6 +238,7 @@ class FiniteModel(namedtuple("FiniteModel", "space kernel observation true_prior
         if kernel.dim != d or states != d:
             raise InvalidModelError(f"dimension mismatch: {d} states but a {kernel.dim}-state "
                                     f"kernel and a {states}-state observation channel")
+        _row_integrals("transition", kernel.matrix, space.weights)
         for name, prior in zip(cls._fields[3:], (true_prior, wrong_prior)):
             try:
                 as_density(prior.values, space)
@@ -245,11 +248,10 @@ class FiniteModel(namedtuple("FiniteModel", "space kernel observation true_prior
             raise InvalidModelError("beta not bounded below: filter prior has a zero atom")
         return super().__new__(cls, space, kernel, observation, true_prior, wrong_prior)
 
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
-
-class Coefficients(namedtuple("Coefficients", "min_density max_density mixing_coefficient "
-                                           "tv_decay_rate geo_prefactor geo_ratio degenerate")):
+class Coefficients(validated_tuple("Coefficients",
+                                   "min_density max_density mixing_coefficient "
+                                   "tv_decay_rate geo_prefactor geo_ratio degenerate")):
     """Stability coefficients of a transition kernel under an invariant density.
 
     ``min_density``/``max_density`` are the global extrema of the one-step
@@ -277,8 +279,6 @@ class Coefficients(namedtuple("Coefficients", "min_density max_density mixing_co
                 f"{self.min_density!r}, {self.mixing_coefficient!r}, {self.max_density!r}"
             )
         return self
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def applicable(self) -> bool:
@@ -338,23 +338,28 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
 def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     """Invariant density of the kernel by power iteration on the adjoint action.
 
-    Iterates ``m[y] <- sum_x matrix[x, y] * m[x] * w[x]`` from the uniform
-    density until successive iterates differ by less than ``_POWER_TOL``
-    (1e-13) in max norm, then polishes a few more steps toward machine
-    precision. That stopping rule bounds the error only by about
-    ``1e-13 / (1 - lambda_2)``, with ``lambda_2`` the second eigenvalue of the
-    kernel: a slowly mixing chain stops far from the fixed point although its
-    residual is small (about 1e-11 for ``[[1-e, e], [2e, 1-2e]]`` at
-    ``e = 1e-3``). A delta that shrinks by less than 1% per block for three
-    blocks in a row reads as oscillation: a period-two oscillation is resolved
-    by averaging two successive iterates, and anything else raises "no unique
-    invariant density found". A loop that runs all ``_POWER_BLOCKS`` blocks
-    (10**6 steps) without either outcome raises a slow-mixing
-    `NumericalError`. The result always satisfies the fixed-point residual to
-    1e-10. On the kernel above, the loop converges from ``e = 6e-6`` up; from
-    about ``3.4e-6`` to ``5e-6`` it runs out of steps (the averaged iterates
-    would be off by up to 6.2e-6); at and below about ``3.3e-6`` the probe
-    reads the ergodic chain as oscillating (ROADMAP item 2).
+    A kernel whose transition graph has more than one closed communicating
+    class has one invariant density per class, so none is unique: that raises
+    "no unique invariant density found", naming the classes, before any step.
+    Otherwise it iterates ``m[y] <- sum_x matrix[x, y] * m[x] * w[x]`` from
+    the uniform density until successive iterates differ by less than
+    ``_POWER_TOL`` (1e-13) in max norm as probabilities (each difference times
+    its state weight, so the scale of the weights changes nothing), then
+    polishes a few more steps toward machine precision. That stopping rule
+    bounds the error only by about ``1e-13 / (1 - lambda_2)``, with
+    ``lambda_2`` the second eigenvalue of the kernel: a slowly mixing chain
+    stops far from the fixed point although its residual is small (about 1e-11
+    for ``[[1-e, e], [2e, 1-2e]]`` at ``e = 1e-3``). A delta that shrinks by
+    less than 1% per block for three blocks in a row reads as oscillation: a
+    period-two oscillation is resolved by averaging two successive iterates,
+    and anything else raises "no unique invariant density found". A loop that
+    runs all ``_POWER_BLOCKS`` blocks (10**6 steps) without either outcome
+    raises a slow-mixing `NumericalError`. The result always satisfies the
+    fixed-point residual, as probabilities, to 1e-10. On the kernel above, the
+    loop converges from ``e = 6e-6`` up; from about ``3.4e-6`` to ``5e-6`` it
+    runs out of steps (the averaged iterates would be off by up to 6.2e-6); at
+    and below about ``3.3e-6`` the probe reads the ergodic chain as
+    oscillating (ROADMAP item 2).
 
     The iteration runs in blocks of ``_POWER_BLOCK`` steps written into one
     buffer, the first in runs of 1, 2, 4, ... steps, so a fast chain stops
@@ -394,12 +399,18 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     if not np.isfinite(adjoint).all():
         raise NumericalError("invariant density: a transition density times its state weight "
                              "overflows")
+    classes = _closed_classes(matrix)
+    if len(classes) > 1:
+        named = ["{" + ", ".join(map(str, states)) + "}" for states in classes]
+        raise NumericalError(f"no unique invariant density found: closed classes of states "
+                             f"{', '.join(named[:-1])} and {named[-1]}")
 
     def normalize(v: np.ndarray) -> np.ndarray:
         return v / float(v @ weights)
 
+    # differences are compared as probabilities, whatever the weights' scale
     def residual(v: np.ndarray) -> float:
-        return float(np.max(np.abs(adjoint @ v - v)))
+        return float(np.max(np.abs(adjoint @ v - v) * weights))
 
     rows = np.empty((_POWER_BLOCK + 1, d))
     views = list(rows)
@@ -418,7 +429,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
             for k in range(done, stop):
                 dot(views[k], out=v)
                 divide(v, vdot(weights), out=views[k + 1])
-            deltas = np.abs(rows[1:stop + 1] - rows[:stop]).max(axis=1)
+            deltas = (np.abs(rows[1:stop + 1] - rows[:stop]) * weights).max(axis=1)
             hits = np.flatnonzero(deltas < _POWER_TOL)
             if hits.size or stop == _POWER_BLOCK:
                 break
@@ -448,7 +459,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
             if delta <= 2.3e-16:
                 break
             m_next = normalize(adjoint @ m)
-            new_delta = float(np.max(np.abs(m_next - m)))
+            new_delta = float(np.max(np.abs(m_next - m) * weights))
             if new_delta >= delta:
                 break
             m = m_next
@@ -457,6 +468,24 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     if residual(m) > 1e-10:
         raise NumericalError("no unique invariant density found")
     return Density(normalize(m))
+
+
+def _closed_classes(matrix: np.ndarray) -> list[list[int]]:
+    """The closed communicating classes of the transition graph, each as its
+    sorted states: state ``i`` is in one when every state it reaches reaches
+    ``i`` back. Reachability is the boolean closure of the zero pattern."""
+    reach = (matrix > 0.0) | np.eye(matrix.shape[0], dtype=bool)
+    while True:  # each squaring doubles the path length covered
+        paths = reach.astype(float)  # a float product is a BLAS call, a boolean one is not
+        wider = paths @ paths > 0.0
+        if (wider == reach).all():
+            break
+        reach = wider
+    mutual = reach & reach.T
+    closed = (reach <= reach.T).all(axis=1)
+    # each class once, listed by its lowest state
+    return [np.flatnonzero(mutual[i]).tolist() for i in np.flatnonzero(closed)
+            if not mutual[i, :i].any()]
 
 
 def primitivity_check(kernel: TransitionKernel) -> Optional[int]:

@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 import numpy as np
 
 from .errors import InvalidModelError
-from .model import Density, FiniteModel, ObservationModel
+from .model import Density, FiniteModel, ObservationModel, validated_tuple
 from .rng import _DOUBLE_SCALE, Xoshiro256StarStarLanes
 
 _MAP_BLOCK = 1 << 16  # entries of the step-map comparison held at once
@@ -16,7 +15,7 @@ _MAP_BLOCK = 1 << 16  # entries of the step-map comparison held at once
 _PYTHON_WALK_RECORDS = 8
 
 
-class Trajectory(namedtuple("Trajectory", "states observations seed")):
+class Trajectory(validated_tuple("Trajectory", "states observations seed")):
     """A sampled signal/observation path.
 
     ``states`` holds the signal ``X_0..X_N`` as atom indices; ``observations``
@@ -35,9 +34,6 @@ class Trajectory(namedtuple("Trajectory", "states observations seed")):
             )
         return super().__new__(cls, _read_only(np.asarray(states, dtype=np.int64)),
                                _read_only(np.asarray(observations)), seed)
-
-    # `_replace` builds through `_make`: validate there too
-    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

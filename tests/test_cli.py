@@ -558,11 +558,7 @@ def test_zero_horizon_exits_one_naming_the_flag(command, tmp_path):
 
 
 @pytest.mark.parametrize("scale", [
-    1.0, 1e-8,
-    # the power iteration stops and checks at absolute tolerances in density
-    # units: it stops early at (0.4, 0.6), or finds no invariant density
-    pytest.param(1e20, marks=pytest.mark.xfail(strict=True, reason="absolute stop tolerance")),
-    pytest.param(1e-20, marks=pytest.mark.xfail(strict=True, reason="absolute check tolerance")),
+    1.0, 1e-8, 1e20, 1e-20,
     # avg * (max - avg) underflows to 0 although the prefactor is 4.02
     pytest.param(1e200, marks=pytest.mark.xfail(strict=True, reason="prefactor underflow")),
 ])
@@ -577,6 +573,25 @@ def test_validate_does_not_depend_on_the_weight_scale(scale, tmp_path):
                                                                              rel=1e-9)
     assert report["decay_rate_bound"] == pytest.approx(15 / 28, rel=1e-9)
     assert report["geo_prefactor"] == pytest.approx(0.49 / (0.375 * 0.325), rel=1e-9)
+
+
+# kernels with two closed classes: each class has its own invariant density
+@pytest.mark.parametrize("document, classes", [
+    (dict(GAUSSIAN, transition=[[1.0, 0.0], [0.0, 1.0]]), "{0} and {1}"),
+    ({"states": 3, "transition": [[1.0, 0.0, 0.0], [0.0, 0.5, 0.5], [0.0, 0.5, 0.5]],
+      "observation": {"type": "gaussian", "means": [0.0, 1.0, 2.0], "sigma": 0.5},
+      "nu": [0.2, 0.3, 0.5], "beta": [0.2, 0.3, 0.5]}, "{0} and {1, 2}"),
+])
+@pytest.mark.parametrize("command", ["validate", "ergodicity", "lln", "stability", "backward"])
+def test_a_kernel_with_two_closed_classes_exits_two_naming_them(command, document, classes,
+                                                                tmp_path):
+    model = write_model(tmp_path, document)
+    horizon = [] if command == "validate" else ["--horizon", "20"]
+    out = tmp_path / "out"
+    assert run_in_process([command, "--model", str(model), *horizon, "--output", str(out)]) == (
+        2, f"numerical failure: no unique invariant density found: closed classes of states "
+           f"{classes}\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("psi, density", [(3.598461781749395e+155, 2.7789651819335127e-156),

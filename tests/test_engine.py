@@ -408,11 +408,11 @@ def test_short_horizon_fails_before_drawing(monkeypatch, horizon):
 def pair_records(model, records):
     """Both filters on every record in one engine pass: the densities, log
     normalizers and TV gaps."""
-    run = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
-    pairs = [_pair_run(run, r, model.space.weights) for r in range(len(records))]
-    log_norms = np.array([[pair.run_correct.log_normalizers, pair.run_wrong.log_normalizers]
-                          for pair in pairs])
-    return run.densities, log_norms, np.array([pair.tv for pair in pairs])
+    runs = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
+    pairs = [_pair_run(correct, wrong, model.space.weights) for correct, wrong in runs]
+    densities = np.array([[run.densities for run in filters] for filters in runs])
+    log_norms = np.array([[run.log_normalizers for run in filters] for filters in runs])
+    return densities, log_norms, np.array([pair.tv for pair in pairs])
 
 
 def crafted_records(monkeypatch, observations):

@@ -152,22 +152,22 @@ def assert_engine_equals_reference(model, records):
     coeffs = mixing_coefficients(model, Density(np.full(d, 1.0 / model.space.weights.sum())))
     message, arrays = first_reference_error(model, coeffs, records)
 
-    def rho_along(run, r):
-        return backward_pass(model, coeffs, run.densities[r, 1])
+    def rho_along(runs, r):
+        return backward_pass(model, coeffs, runs[r][1].densities)
 
     if message is not None:
         with pytest.raises((NumericalError, InvalidModelError)) as caught:
-            run = _engine(model, np.stack([true, wrong]), records)
+            runs = _engine(model, np.stack([true, wrong]), records)
             for r in range(len(records)):
-                rho_along(run, r)
+                rho_along(runs, r)
         assert str(caught.value) == message
         return
-    run = _engine(model, np.stack([true, wrong]), records)
+    runs = _engine(model, np.stack([true, wrong]), records)
     for r, (*filters, oscillations, bounds, ratios) in enumerate(arrays):
         for p, (densities, log_norms) in enumerate(filters):
-            np.testing.assert_array_equal(run.densities[r, p], densities)
-            np.testing.assert_array_equal(run.filter_run(r, p).log_normalizers, log_norms)
-        along = rho_along(run, r)
+            np.testing.assert_array_equal(runs[r][p].densities, densities)
+            np.testing.assert_array_equal(runs[r][p].log_normalizers, log_norms)
+        along = rho_along(runs, r)
         np.testing.assert_array_equal(along.oscillations, oscillations)
         np.testing.assert_array_equal(along.likelihood_ratios, ratios)
         if bounds is None:

@@ -23,6 +23,8 @@ PACKAGE = Path(filterstab.__file__).resolve().parent
 
 # the functions that no command runs, each with why it stays in the package
 KEPT = {
+    "model.validated_tuple":
+        "builds the bases of the eight validating records at import, before any command runs",
     "filtering._log_domain_update":
         "the filter's log-domain redo of a Gaussian step; only an outlier record reaches it",
     "filtering.FilterRun.log_normalizers":

@@ -150,18 +150,36 @@ class TestInvariantDensity:
         with pytest.raises(NumericalError, match="no unique invariant density"):
             invariant_density(kernel, space)
 
-    def test_identity_kernel_returns_an_invariant_density(self):
+    def test_identity_kernel_has_no_unique_invariant_density(self):
+        # every state is its own closed class: each point mass is invariant
         space = unit_space(3)
         kernel = as_kernel(np.eye(3), space)
+        with pytest.raises(NumericalError, match=r"^no unique invariant density found: "
+                           r"closed classes of states \{0\}, \{1\} and \{2\}$"):
+            invariant_density(kernel, space)
+
+    def test_a_block_kernel_names_its_closed_classes(self):
+        space = StateSpace(3, [1.0, 2.0, 0.5])
+        kernel = as_kernel([[1.0, 0.0, 0.0], [0.0, 0.25, 1.0], [0.0, 0.25, 1.0]], space)
+        with pytest.raises(NumericalError, match=r"^no unique invariant density found: "
+                           r"closed classes of states \{0\} and \{1, 2\}$"):
+            invariant_density(kernel, space)
+
+    def test_transient_states_keep_the_one_closed_class_density(self):
+        # state 1 leaks into the closed class {0} and carries no mass
+        space = unit_space(2)
+        kernel = as_kernel([[1.0, 0.0], [0.5, 0.5]], space)
         m = invariant_density(kernel, space)
-        np.testing.assert_allclose(m.values, 1.0 / 3.0, atol=1e-12)
+        assert m.values.tobytes() == reference_invariant_density(kernel, space).values.tobytes()
+        np.testing.assert_allclose(m.values, [1.0, 0.0], atol=1e-12)
 
 
 def reference_invariant_density(kernel, space, *, max_iter=10**6):
     """The step-by-step power iteration that `invariant_density` blocks,
     kept as the reference its iterates, stopping step and bytes must match.
     `max_iter` is the step budget, `_POWER_BLOCKS` blocks of 1000 in the
-    library; the stopping tolerance is its 1e-13."""
+    library; the stopping tolerance is its 1e-13. Differences are compared
+    as probabilities, each times its state weight, as the library does."""
     d = space.num_states
     adjoint = (kernel.matrix * space.weights[:, None]).T
 
@@ -169,7 +187,7 @@ def reference_invariant_density(kernel, space, *, max_iter=10**6):
         return v / float(v @ space.weights)
 
     def residual(v):
-        return float(np.max(np.abs(adjoint @ v - v)))
+        return float(np.max(np.abs(adjoint @ v - v) * space.weights))
 
     m = np.full(d, 1.0 / float(space.weights.sum()))
     prev = m
@@ -179,7 +197,7 @@ def reference_invariant_density(kernel, space, *, max_iter=10**6):
     block_start_delta = np.inf
     for it in range(max_iter):
         m_next = normalize(adjoint @ m)
-        delta = float(np.max(np.abs(m_next - m)))
+        delta = float(np.max(np.abs(m_next - m) * space.weights))
         prev = m
         m = m_next
         if delta < 1e-13:
@@ -209,7 +227,7 @@ def reference_invariant_density(kernel, space, *, max_iter=10**6):
             if delta <= 2.3e-16:
                 break
             m_next = normalize(adjoint @ m)
-            new_delta = float(np.max(np.abs(m_next - m)))
+            new_delta = float(np.max(np.abs(m_next - m) * space.weights))
             if new_delta >= delta:
                 break
             m = m_next

@@ -69,12 +69,12 @@ def test_batch_logs_on_first_read_and_a_failed_step_raises():
     with pytest.raises(NumericalError, match=r"\(at step 4\)$"):
         _engine(GAUSSIAN, priors, records)
     records[0, 3] = 0.5
-    run = _engine(GAUSSIAN, priors, records)
+    runs = _engine(GAUSSIAN, priors, records)
     for r, record in enumerate(records):
         for p, prior in enumerate(priors):
             densities, log_norms = reference_filter(GAUSSIAN, prior, record)
             assert (log_norms < -1000.0).sum() == (1 if r == 0 else 2)
-            read = run.filter_run(r, p)
+            read = runs[r][p]
             np.testing.assert_array_equal(read.densities, densities)
             assert_read_once(read, log_norms)
 

@@ -140,6 +140,10 @@ BAD = [
     (Scenario, {"replicates": -1}, InvalidModelError, "^stability needs at least one replicate$"),
     (FiniteModel, {"kernel": TransitionKernel(np.full((3, 3), 1.0 / 3.0))}, InvalidModelError,
      "dimension mismatch"),
+    (FiniteModel, {"kernel": TransitionKernel(np.array([[5.0, 5.0], [5.0, 5.0]]))},
+     InvalidModelError, "^invalid kernel: 'transition' row 0 integrates to 10.0, not 1"),
+    (FiniteModel, {"kernel": TransitionKernel(np.array([[0.5, 0.5], [0.25, 0.5]]))},
+     InvalidModelError, "^invalid kernel: 'transition' row 1 integrates to 0.75, not 1"),
     (FiniteModel, {"observation": finite_observation(np.full((3, 2), 0.5))}, InvalidModelError,
      "dimension mismatch"),
     (FiniteModel, {"observation": ObservationModel("gaussian", means=[0.0, 1.0, 2.0], sigma=1.0)},

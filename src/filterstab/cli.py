@@ -482,14 +482,16 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands=None) -> argparse.ArgumentParser:
+    """The CLI parser, with the subcommands named in `commands` (all by default)."""
     parser = argparse.ArgumentParser(
         prog="filterstab",
         description="Finite-state filter stability experiments: coefficients, "
                     "decay rates, contraction bounds, counterexample checks.",
     )
     sub = parser.add_subparsers(dest="command", metavar="command")
-    for command, (handler, help_text, flags, horizon) in _COMMANDS.items():
+    for command in _COMMANDS if commands is None else commands:
+        handler, help_text, flags, horizon = _COMMANDS[command]
         p = sub.add_parser(command, help=help_text)
         p.set_defaults(handler=handler)
         source = p.add_mutually_exclusive_group(required=True) if _SOURCE[0] in flags else p
@@ -517,7 +519,10 @@ def _check_outputs(args, paths) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # a run that names its subcommand parses with that one alone: the others'
+    # parsers print nothing it can reach, and take time to build
+    parser = build_parser(argv[:1] if argv[:1] and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

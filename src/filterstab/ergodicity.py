@@ -19,8 +19,7 @@ backward bound and the Poisson-equation solver are test references, in
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,16 +30,22 @@ from .model import Coefficients, Density, FiniteModel, StateSpace, TransitionKer
 BOUND_FLOOR = 1e-10
 
 
-def _n_step_densities(kernel: TransitionKernel, space: StateSpace) -> Iterator[np.ndarray]:
-    """The n-step densities for n = 1, 2, ...: the kernel, then each power
-    contracted through it against the weights. With every weight exactly 1.0
-    the power goes to the product unweighted: ``x * 1.0 == x`` bit for bit,
-    so the multiply would change nothing."""
-    matrix = power = kernel.matrix
+def _n_step_densities(kernel: TransitionKernel, space: StateSpace, n_max: int) -> np.ndarray:
+    """The n-step densities for n = 1..n_max as one ``(n_max, d, d)`` stack:
+    the kernel, then each power contracted through it against the weights,
+    each product written into its slot. With every weight exactly 1.0 the
+    power goes to the product unweighted: ``x * 1.0 == x`` bit for bit, so
+    the multiply would change nothing."""
+    matrix = kernel.matrix
+    powers = np.empty((n_max,) + matrix.shape)
+    powers[0] = matrix
     weights = None if (space.weights == 1.0).all() else space.weights
-    while True:
-        yield power
-        power = (power if weights is None else power * weights) @ matrix
+    weighted, dot, multiply = np.empty(matrix.shape), np.ndarray.dot, np.multiply
+    power = matrix
+    for next_power in powers[1:]:
+        dot(power if weights is None else multiply(power, weights, weighted), matrix, next_power)
+        power = next_power
+    return powers
 
 
 def _gate(values: np.ndarray, envelope: np.ndarray) -> tuple[float, float]:
@@ -86,7 +91,7 @@ def geometric_ergodicity_report(
     """
     if n_max < 1:
         raise InvalidModelError(f"horizon must be at least 1, got {n_max}")
-    powers = np.array(list(islice(_n_step_densities(model.kernel, model.space), n_max)))
+    powers = _n_step_densities(model.kernel, model.space, n_max)
     gaps = np.abs(powers - invariant.values) @ model.space.weights
     envelope = worst_ratio = None
     unresolved_max = float(gaps.max()) if coeffs.degenerate else 0.0

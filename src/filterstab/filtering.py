@@ -122,7 +122,9 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     row takes ``ndarray.dot``, the same BLAS call at less cost. The
     normalizer of one record (a lone row, or one pair of priors) is
     ``ndarray.dot`` too, which rounds as `np.matmul` does and costs less per
-    call; larger stacks keep `np.matmul`, which is faster there. When every
+    call; larger stacks keep `np.matmul`, which is faster there. A lone row's
+    normalizer is a ``(d,) @ (d,)`` ddot into a 0-d view of the chunk's
+    normalizers, so its divide takes no broadcasting. When every
     state weight is exactly 1.0 the rows go to the product unweighted, since
     ``x * 1.0 == x`` bit for bit. Elementwise steps run on same-shape
     operands tiled once per chunk. A chunk's
@@ -142,29 +144,32 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     n_records, n_obs = np.shape(observations)
     n_priors = len(priors)
     n_rows = n_priors * n_records  # prior-major: row p * R + r
-    # a lone row is 1-D: numpy rounds it the same way, at less cost per call
-    row = (n_rows, 1, d) if n_rows > 1 else (d,)
+    # a lone row is 1-D and its normalizer 0-d: numpy rounds them the same way,
+    # at less cost per call
+    row, z_row = ((n_rows, 1, d), (n_rows, 1, 1)) if n_rows > 1 else ((d,), ())
     held = max(1, min(_CHUNK_ENTRIES // (n_rows * d), n_obs))  # steps per chunk
     multiply, divide, matmul = np.multiply, np.divide, np.matmul
     liks = likelihood_rows(model.observation, np.ravel(observations))
     liks = np.ascontiguousarray(liks.reshape(n_records, n_obs, d).swapaxes(0, 1))
     densities = np.empty((n_obs + 1,) + row)
     densities[0] = np.repeat(priors, n_records, axis=0).reshape(row)
-    normalizers = np.empty((n_obs,) + row[:-1] + (1,))
+    normalizers = np.empty((n_obs,) + z_row)
     # a chunk's densities and normalizers, copied out at its end
-    pis, zs = np.empty((held + 1,) + row), np.empty((held,) + row[:-1] + (1,))
+    pis, zs = np.empty((held + 1,) + row), np.empty((held,) + z_row)
     row_pis, row_zs = pis.reshape(held + 1, n_rows, d), zs.reshape(held, n_rows)
     weighted, predicted = np.empty((2,) + row)  # read only by the step that writes them
     tiled_liks = np.empty((held,) + row)  # each record's likelihoods, for every prior
     tiled_weights = np.tile(weights, n_rows).reshape(row)
     unit = bool((weights == 1.0).all())  # then weighting a row changes no bit
-    unnormalized, weights_column = np.empty(row), weights[:, None]
+    unnormalized = np.empty(row)
+    z_weights = weights if n_rows == 1 else weights[:, None]  # a lone row: one ddot
     # one row goes through `ndarray.dot`, and one record's normalizer: the same BLAS call
     row_product = np.ndarray.dot if n_rows == 1 else matmul
     normalize = np.ndarray.dot if n_rows <= 2 else matmul
     # each buffer's per-step views, made once; step k writes the density step k + 1 reads
+    # (`zs[k, ...]` is a view even when zs is 1-D, where iterating would copy)
     pi_views = list(pis)
-    steps = pi_views, list(tiled_liks), list(zs), pi_views[1:]
+    steps = pi_views, list(tiled_liks), [zs[k, ...] for k in range(held)], pi_views[1:]
     failed_at = np.zeros(n_rows, dtype=np.int64)  # first failing step, or 0
     rescued_logs = {}
     with np.errstate(all="ignore"):  # every failure is caught by the checks below
@@ -179,7 +184,7 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
                     row_product(pi if unit else multiply(pi, tiled_weights, weighted),
                                 matrix, predicted)
                     multiply(lik, predicted, unnormalized)
-                    normalize(unnormalized, weights_column, z)
+                    normalize(unnormalized, z_weights, z)
                     divide(unnormalized, z, pi_next)
                 z = row_zs[done:stop]
                 bad = ~((z > UNDERFLOW_FLOOR) & (z < math.inf))
@@ -201,14 +206,16 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
                 done, size = k + 1, 1
             densities[first + 1:first + 1 + m] = pis[1:m + 1]
             normalizers[first:first + m] = zs[:m]
+    # the whole buffer at once; which filter failed is worked out only if one did
+    # (a NaN fails both comparisons)
+    failing = failed_at.any() or not (densities.min() >= 0.0 and densities.max() < math.inf)
     densities = densities.reshape(n_obs + 1, n_priors, n_records, d).transpose(2, 1, 0, 3)
     normalizers = normalizers.reshape(n_obs, n_priors, n_records).transpose(2, 1, 0)
     densities.flags.writeable = normalizers.flags.writeable = False
-    failed = failed_at.reshape(n_priors, n_records).T  # (R, P): per filter
-    broken = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
-    failing = failed.any(axis=1) | broken.any(axis=1)
-    if failing.any():
-        r = int(failing.argmax())  # the lowest failing record
+    if failing:
+        failed = failed_at.reshape(n_priors, n_records).T  # (R, P): per filter
+        broken = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
+        r = int((failed.any(axis=1) | broken.any(axis=1)).argmax())  # the lowest failing record
         for step, bad in zip(failed[r].tolist(), broken[r].tolist()):
             if step:
                 raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {step})")

@@ -366,7 +366,9 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     within twice its stopping step. The stopping test is applied to each
     run's successive differences afterwards and the stagnation probe to each
     block's, so the iterates, the stopping step and the result are those of
-    a step-by-step loop.
+    a step-by-step loop. Each step is three numpy calls on preallocated
+    arrays: a gemv, a ddot into a 0-d array and a divide by that array, which
+    round exactly as ``v / float(v @ weights)``.
 
     Results are memoized per process: a call whose kernel matrix bytes,
     shape and strides and state weight bytes all equal an earlier call's
@@ -390,7 +392,11 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
 
 
 def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
-    """The loop of `invariant_density`, run on each call that misses its memo."""
+    """The loop of `invariant_density`, run on each call that misses its memo.
+
+    A step passes every output by position and divides by a 0-d array, not a
+    numpy scalar: numpy takes its cheaper call path for both, with the same
+    BLAS calls and the same division."""
     d = weights.shape[0]
     # an F-ordered view: a contiguous copy would make numpy call another gemv,
     # which need not round alike
@@ -414,7 +420,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
 
     rows = np.empty((_POWER_BLOCK + 1, d))
     views = list(rows)
-    v = np.empty(d)
+    v, total = np.empty(d), np.empty(())
     dot, vdot, divide = adjoint.dot, v.dot, np.divide
     rows[0] = 1.0 / float(weights.sum())
     m = rows[0]
@@ -427,8 +433,9 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
         while True:
             # gemv, ddot and a divide per step, rounding exactly as `normalize`
             for k in range(done, stop):
-                dot(views[k], out=v)
-                divide(v, vdot(weights), out=views[k + 1])
+                dot(views[k], v)
+                vdot(weights, total)
+                divide(v, total, views[k + 1])
             deltas = (np.abs(rows[1:stop + 1] - rows[:stop]) * weights).max(axis=1)
             hits = np.flatnonzero(deltas < _POWER_TOL)
             if hits.size or stop == _POWER_BLOCK:

@@ -1214,6 +1214,36 @@ class TestEachCommandTakesTheFlagsItReads:
         assert not out.exists()
 
 
+def parse_failures():
+    """Command lines that end in argparse: help, usage and errors."""
+    yield ["--help"]
+    yield []
+    yield ["nosuchcommand"]
+    for command in _COMMANDS:
+        source = [] if command == "kaijser" else ["--scenario", "mixing2"]
+        yield [command, "--help"]
+        yield [command, *source, "--no-such-flag"]
+        yield [command, *source, "extra"]
+
+
+@pytest.mark.parametrize("argv", parse_failures(), ids=" ".join)
+def test_the_named_subcommand_alone_parses_as_the_full_parser(argv, capsys, monkeypatch):
+    """`main` builds only the subcommand that its first argument names, and
+    prints the same bytes and exits with the same code as the full parser."""
+    import filterstab.cli as cli
+    built = []
+
+    def recording(commands=None):
+        built.append(commands)
+        return build_parser(commands)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    lean = main(argv), *capsys.readouterr()
+    assert built == [argv[:1] if argv and argv[0] in _COMMANDS else None]
+    monkeypatch.setattr(cli, "build_parser", lambda commands=None: build_parser())
+    assert (main(argv), *capsys.readouterr()) == lean
+
+
 def test_log_tv_is_the_log_of_each_tv(tmp_path):
     """`log_tv` is `math.log` of each row's TV, and -inf where the TV is 0
     (mixing2 at seed 7 from step 19 on)."""

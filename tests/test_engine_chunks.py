@@ -273,8 +273,10 @@ def test_dot_rounds_as_matmul(d):
     weight row times a matrix. A time-stacked ``(m, 1, d) @ (d, d)`` rounds
     each row as `ndarray.dot` does. One record's normalizer, a lone row's
     ``(d,) @ (d, 1)`` or a pair's ``(2, 1, d) @ (d, 1)``, rounds in
-    `ndarray.dot` as in `np.matmul`. Elementwise calls on operands tiled to one shape
-    equal the broadcasting calls they replace."""
+    `ndarray.dot` as in `np.matmul`, and so does a lone row's ``(d,) @ (d,)``
+    written into a 0-d array, which it then divides by as by a ``(1,)`` array.
+    Elementwise calls on operands tiled to one shape equal the broadcasting
+    calls they replace."""
     rng = np.random.default_rng(d)
     for _ in range(200):
         x, w = rng.random(d), rng.random(d) * 2.0
@@ -287,6 +289,10 @@ def test_dot_rounds_as_matmul(d):
         np.ndarray.dot(x, m, out)
         assert np.array_equal(out, np.matmul(x, m))
         assert np.matmul(x, w[:, None])[0] == x.dot(w)
+        z = np.empty(())
+        np.ndarray.dot(x, w, z)
+        assert z == np.matmul(x, w[:, None])[0]
+        assert np.array_equal(np.divide(x, z), np.divide(x, np.matmul(x, w[:, None])))
         history = rng.random((50, d)) * rng.random((50, 1))
         stacked = np.matmul(history[:, None], m)[:, 0]
         assert all(np.array_equal(y, h.dot(m)) for y, h in zip(stacked, history))

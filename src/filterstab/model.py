@@ -341,34 +341,32 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     A kernel whose transition graph has more than one closed communicating
     class has one invariant density per class, so none is unique: that raises
     "no unique invariant density found", naming the classes, before any step.
-    Otherwise it iterates ``m[y] <- sum_x matrix[x, y] * m[x] * w[x]`` from
-    the uniform density until successive iterates differ by less than
+    Otherwise it iterates ``m[y] <- sum_x matrix[x, y] * m[x] * w[x]`` from the
+    uniform density until successive iterates differ by less than
     ``_POWER_TOL`` (1e-13) in max norm as probabilities (each difference times
     its state weight, so the scale of the weights changes nothing), then
-    polishes a few more steps toward machine precision. That stopping rule
-    bounds the error only by about ``1e-13 / (1 - lambda_2)``, with
-    ``lambda_2`` the second eigenvalue of the kernel: a slowly mixing chain
-    stops far from the fixed point although its residual is small (about 1e-11
-    for ``[[1-e, e], [2e, 1-2e]]`` at ``e = 1e-3``). A delta that shrinks by
-    less than 1% per block for three blocks in a row reads as oscillation: a
-    period-two oscillation is resolved by averaging two successive iterates,
-    and anything else raises "no unique invariant density found". A loop that
-    runs all ``_POWER_BLOCKS`` blocks (10**6 steps) without either outcome
-    raises a slow-mixing `NumericalError`. The result always satisfies the
-    fixed-point residual, as probabilities, to 1e-10. On the kernel above, the
-    loop converges from ``e = 6e-6`` up; from about ``3.4e-6`` to ``5e-6`` it
-    runs out of steps (the averaged iterates would be off by up to 6.2e-6); at
-    and below about ``3.3e-6`` the probe reads the ergodic chain as
-    oscillating (ROADMAP item 2).
+    polishes a few more steps toward machine precision. That rule bounds the
+    error only by about ``1e-13 / (1 - lambda_2)``, with ``lambda_2`` the
+    second eigenvalue: on ``K_e = [[1-e, e], [2e, 1-2e]]`` at ``e = 1e-3`` the
+    result is off by about 1e-11. When a block's largest delta stays within 1%
+    of the previous block's three blocks in a row, the chain oscillates: the
+    loop goes on, within the same budget, and polishes with the lazy step
+    ``(I + K) / 2``, which has the same invariant law and no other eigenvalue
+    of modulus 1 (Levin, Peres and Wilmer, section 1.3). So periodic chains of
+    any period, and near-periodic ones such as ``[[a, 1-a], [1-b, b]]`` with
+    small ``a`` and ``b``, are solved. The probe firing again on the lazy step,
+    or all ``_POWER_BLOCKS`` blocks (10**6 steps) run, raises a slow-mixing
+    `NumericalError` naming the steps run. The result satisfies the fixed-point
+    residual, as probabilities, to 1e-10. ``K_e`` converges from ``e = 6e-6``
+    up; it runs out of steps from about ``3.4e-6`` to ``5e-6``, and the probe
+    fires on both steps within 8 000 at and below ``3.3e-6`` (ROADMAP item 2).
 
     The iteration runs in blocks of ``_POWER_BLOCK`` steps written into one
     buffer, the first in runs of 1, 2, 4, ... steps, so a fast chain stops
     within twice its stopping step. The stopping test is applied to each
     run's successive differences afterwards and the stagnation probe to each
     block's, so the iterates, the stopping step and the result are those of
-    a step-by-step loop. Each step is three numpy calls on preallocated
-    arrays: a gemv, a ddot into a 0-d array and a divide by that array, which
-    round exactly as ``v / float(v @ weights)``.
+    a step-by-step loop.
 
     Results are memoized per process: a call whose kernel matrix bytes,
     shape and strides and state weight bytes all equal an earlier call's
@@ -394,9 +392,9 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
 def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     """The loop of `invariant_density`, run on each call that misses its memo.
 
-    A step passes every output by position and divides by a 0-d array, not a
-    numpy scalar: numpy takes its cheaper call path for both, with the same
-    BLAS calls and the same division."""
+    A step is a gemv, a ddot into a 0-d array and a divide by that array,
+    each passing its output by position: numpy's cheaper call path, rounding
+    exactly as ``v / float(v @ weights)``."""
     d = weights.shape[0]
     # an F-ordered view: a contiguous copy would make numpy call another gemv,
     # which need not round alike
@@ -405,7 +403,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     if not np.isfinite(adjoint).all():
         raise NumericalError("invariant density: a transition density times its state weight "
                              "overflows")
-    classes = _closed_classes(matrix)
+    classes, _ = _zero_pattern(matrix)
     if len(classes) > 1:
         named = ["{" + ", ".join(map(str, states)) + "}" for states in classes]
         raise NumericalError(f"no unique invariant density found: closed classes of states "
@@ -414,18 +412,14 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     def normalize(v: np.ndarray) -> np.ndarray:
         return v / float(v @ weights)
 
-    # differences are compared as probabilities, whatever the weights' scale
-    def residual(v: np.ndarray) -> float:
-        return float(np.max(np.abs(adjoint @ v - v) * weights))
-
     rows = np.empty((_POWER_BLOCK + 1, d))
     views = list(rows)
     v, total = np.empty(d), np.empty(())
-    dot, vdot, divide = adjoint.dot, v.dot, np.divide
+    step = adjoint
+    dot, vdot, divide = step.dot, v.dot, np.divide
     rows[0] = 1.0 / float(weights.sum())
     m = rows[0]
-    stagnant_blocks = 0
-    block_start_delta = np.inf
+    stagnant_blocks, last_max = 0, np.inf
     for block in range(_POWER_BLOCKS):
         rows[0] = m
         # the first block in runs of 1, 2, 4, ... steps, later blocks whole
@@ -442,46 +436,50 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
                 break
             done, stop = stop, min(2 * stop + 1, _POWER_BLOCK)
         k = int(hits[0]) if hits.size else _POWER_BLOCK - 1
-        m, prev, delta = rows[k + 1], rows[k], float(deltas[k])
+        m, delta = rows[k + 1], float(deltas[k])
         if hits.size:
             break
-        # stagnation probe: a delta that barely shrinks across whole blocks
-        # means oscillation, not slow mixing
-        stagnant_blocks = stagnant_blocks + 1 if delta > 0.99 * block_start_delta else 0
+        # stagnation probe: on each block's largest delta, whatever the period
+        block_max = float(deltas.max())
+        stagnant_blocks = stagnant_blocks + 1 if block_max > 0.99 * last_max else 0
+        last_max = block_max
         if stagnant_blocks >= 3:
-            break
-        block_start_delta = delta
-    else:
+            if step is not adjoint:
+                break
+            # the lazy chain (I + K) / 2: the same law, no other eigenvalue of modulus 1
+            step = 0.5 * (adjoint + np.eye(d))
+            dot, stagnant_blocks, last_max = step.dot, 0, np.inf
+    if not hits.size:
         raise NumericalError(f"slow mixing: the power iteration did not converge "
-                             f"in {_POWER_BLOCKS * _POWER_BLOCK} steps")
+                             f"in {(block + 1) * _POWER_BLOCK} steps")
 
-    if not hits.size:  # the probe ended the loop: average a period-two oscillation
-        averaged = normalize(0.5 * (m + prev))
-        if residual(averaged) > 1e-10:
-            raise NumericalError("no unique invariant density found")
-        m = averaged
-    else:
-        # polish: keep iterating while the step keeps improving
-        for _ in range(500):
-            if delta <= 2.3e-16:
-                break
-            m_next = normalize(adjoint @ m)
-            new_delta = float(np.max(np.abs(m_next - m) * weights))
-            if new_delta >= delta:
-                break
-            m = m_next
-            delta = new_delta
+    # polish: keep iterating while the step keeps improving
+    for _ in range(500):
+        if delta <= 2.3e-16:
+            break
+        m_next = normalize(step @ m)
+        new_delta = float(np.max(np.abs(m_next - m) * weights))
+        if new_delta >= delta:
+            break
+        m, delta = m_next, new_delta
 
-    if residual(m) > 1e-10:
+    if float(np.max(np.abs(adjoint @ m - m) * weights)) > 1e-10:
         raise NumericalError("no unique invariant density found")
     return Density(normalize(m))
 
 
-def _closed_classes(matrix: np.ndarray) -> list[list[int]]:
+def _zero_pattern(matrix: np.ndarray) -> tuple[list[list[int]], Optional[int]]:
     """The closed communicating classes of the transition graph, each as its
-    sorted states: state ``i`` is in one when every state it reaches reaches
-    ``i`` back. Reachability is the boolean closure of the zero pattern."""
-    reach = (matrix > 0.0) | np.eye(matrix.shape[0], dtype=bool)
+    sorted states, and the smallest power whose zero pattern is all positive.
+
+    State ``i`` is in a closed class when every state it reaches reaches
+    ``i`` back; reachability is the boolean closure of the zero pattern. Only
+    one closed class of every state can have a positive power, and a
+    primitive one has it by ``(d - 1)**2 + 1`` (Wielandt), so the search runs
+    only then, up to there: a reducible or periodic chain gets None."""
+    d = matrix.shape[0]
+    positive = matrix > 0.0
+    reach = positive | np.eye(d, dtype=bool)
     while True:  # each squaring doubles the path length covered
         paths = reach.astype(float)  # a float product is a BLAS call, a boolean one is not
         wider = paths @ paths > 0.0
@@ -491,25 +489,25 @@ def _closed_classes(matrix: np.ndarray) -> list[list[int]]:
     mutual = reach & reach.T
     closed = (reach <= reach.T).all(axis=1)
     # each class once, listed by its lowest state
-    return [np.flatnonzero(mutual[i]).tolist() for i in np.flatnonzero(closed)
-            if not mutual[i, :i].any()]
+    classes = [np.flatnonzero(mutual[i]).tolist() for i in np.flatnonzero(closed)
+               if not mutual[i, :i].any()]
+    if len(classes[0]) == d:
+        pattern = walks = positive.astype(float)
+        for power in range(1, (d - 1) ** 2 + 2):
+            if walks.all():
+                return classes, power
+            walks = (walks @ pattern > 0.0).astype(float)
+    return classes, None
 
 
 def primitivity_check(kernel: TransitionKernel) -> Optional[int]:
     """Smallest power whose multi-step density is strictly positive everywhere.
 
-    Positivity of the r-step density depends only on the zero pattern of the
-    matrix, so the search runs on the boolean adjacency. Returns None when no
-    power up to ``2 d**2`` mixes every pair of states.
+    It depends only on the zero pattern, so `_zero_pattern` finds it, or
+    None for a reducible or periodic chain: a primitive d-state kernel is
+    positive by power ``(d - 1)**2 + 1`` (Wielandt).
     """
-    d = kernel.dim
-    base = (kernel.matrix > 0.0).astype(np.int64)
-    reach = base.copy()
-    for r in range(1, 2 * d * d + 1):
-        if np.all(reach > 0):
-            return r
-        reach = np.minimum(reach @ base, 1)
-    return None
+    return _zero_pattern(kernel.matrix)[1]
 
 
 def with_priors(document, nu=None, beta=None):

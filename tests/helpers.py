@@ -43,6 +43,20 @@ def random_kernel_matrix(seed, d, lo=0.05, hi=1.0) -> np.ndarray:
     return _positive_rows(stream, d, d, lo, hi)
 
 
+def solve_exact(matrix, rhs):
+    """Gauss-Jordan elimination in exact rationals (nonsingular systems only)."""
+    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    n = len(rows)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(n):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col] / rows[col][col]
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
 def uniform_density(space) -> Density:
     return Density(np.full(space.num_states, 1.0 / float(space.weights.sum())))
 

@@ -61,6 +61,21 @@ GAUSSIAN = {
 }
 
 
+# one closed class of period 3, with the law (1/3, 1/3, 1/10, 7/30)
+PERIOD_THREE = {
+    "states": 4,
+    "transition": [
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 0.3, 0.7],
+        [1.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0],
+    ],
+    "observation": {"type": "finite", "gamma": [[0.5, 0.5]] * 4},
+    "nu": [0.25] * 4,
+    "beta": [0.25] * 4,
+}
+
+
 # the benchmark's slowly mixing session model, at a faster eps = 1e-3
 SLOWMIX = {
     "states": 2,
@@ -231,22 +246,16 @@ class TestValidateCommand:
         bad.write_text("{not json")
         assert main(["validate", "--model", str(bad)]) == 1
 
-    def test_numerical_failure_exit_code(self, tmp_path):
-        doc = {
-            "states": 4,
-            "transition": [
-                [0.0, 1.0, 0.0, 0.0],
-                [0.0, 0.0, 0.3, 0.7],
-                [1.0, 0.0, 0.0, 0.0],
-                [1.0, 0.0, 0.0, 0.0],
-            ],
-            "observation": {"type": "finite", "gamma": [[0.5, 0.5]] * 4},
-            "nu": [0.25] * 4,
-            "beta": [0.25] * 4,
-        }
-        path = tmp_path / "periodic.json"
-        path.write_text(json.dumps(doc))
-        assert main(["validate", "--model", str(path)]) == 2
+    def test_numerical_failure_exit_code(self, tmp_path, capsys):
+        doc = dict(PERIOD_THREE, transition=[
+            [0.5, 0.5, 0.0, 0.0],
+            [0.5, 0.5, 0.0, 0.0],
+            [0.0, 0.0, 0.5, 0.5],
+            [0.0, 0.0, 0.5, 0.5],
+        ])
+        assert main(["validate", "--model", str(write_model(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == ("numerical failure: no unique invariant density found: "
+                                           "closed classes of states {0, 1} and {2, 3}\n")
 
     def test_slow_mixing_exit_code(self, tmp_path, capsys):
         # the power iteration runs out of steps at eps = 5e-6 (about 2 s)
@@ -592,6 +601,14 @@ def test_a_kernel_with_two_closed_classes_exits_two_naming_them(command, documen
         2, f"numerical failure: no unique invariant density found: closed classes of states "
            f"{classes}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [["validate"], ["stability", "--horizon", "50"],
+                                  ["lln", "--horizon", "50"]], ids=["validate", "stability", "lln"])
+def test_a_period_three_kernel_is_solved(argv, tmp_path):
+    model = write_model(tmp_path, PERIOD_THREE)
+    assert run_in_process([*argv, "--model", str(model), "--output", str(tmp_path / "out")]) == (
+        0, "")
 
 
 @pytest.mark.parametrize("psi, density", [(3.598461781749395e+155, 2.7789651819335127e-156),

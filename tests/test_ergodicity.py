@@ -19,22 +19,8 @@ from filterstab import (
     unit_space,
 )
 from filterstab.ergodicity import BOUND_FLOOR, _n_step_densities, _running_averages
-from helpers import random_kernel_matrix, random_positive_model
+from helpers import random_kernel_matrix, random_positive_model, solve_exact
 from reference import solve_poisson, stationary_backward_sequence, stationary_bound_check
-
-
-def solve_exact(matrix, rhs):
-    """Gauss-Jordan elimination in exact rationals (nonsingular systems only)."""
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    n = len(rows)
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col] != 0)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(n):
-            if r != col and rows[r][col] != 0:
-                factor = rows[r][col] / rows[col][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [rows[i][n] / rows[i][i] for i in range(n)]
 
 
 def two_state_model():

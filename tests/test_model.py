@@ -17,7 +17,7 @@ from filterstab import (
     unit_space,
 )
 from filterstab import model as model_module
-from helpers import random_kernel_matrix, random_positive_model
+from helpers import random_kernel_matrix, random_positive_model, solve_exact
 from reference import Xoshiro256StarStar
 
 KAIJSER_TRANSITION = [
@@ -143,12 +143,12 @@ class TestInvariantDensity:
         m = invariant_density(kernel, space)
         np.testing.assert_allclose(m.values, [0.5, 0.25], atol=1e-12)
 
-    def test_period_three_fails(self):
-        # three-phase block cycle: successive-iterate averaging cannot repair it
+    def test_period_three_law(self):
+        # three-phase block cycle: the probe hands the chain to (I + K) / 2
         space = unit_space(4)
         kernel = as_kernel(PERIOD_THREE, space)
-        with pytest.raises(NumericalError, match="no unique invariant density"):
-            invariant_density(kernel, space)
+        m = invariant_density(kernel, space)
+        np.testing.assert_allclose(m.values, [1 / 3, 1 / 3, 1 / 10, 7 / 30], rtol=0, atol=1e-15)
 
     def test_identity_kernel_has_no_unique_invariant_density(self):
         # every state is its own closed class: each point mass is invariant
@@ -179,61 +179,56 @@ def reference_invariant_density(kernel, space, *, max_iter=10**6):
     kept as the reference its iterates, stopping step and bytes must match.
     `max_iter` is the step budget, `_POWER_BLOCKS` blocks of 1000 in the
     library; the stopping tolerance is its 1e-13. Differences are compared
-    as probabilities, each times its state weight, as the library does."""
+    as probabilities, each times its state weight, as the library does.
+    When a block's largest difference has shrunk by less than 1% for three
+    blocks in a row, the loop goes on with the lazy step (I + K) / 2, and a
+    second such run raises slow mixing."""
     d = space.num_states
     adjoint = (kernel.matrix * space.weights[:, None]).T
 
     def normalize(v):
         return v / float(v @ space.weights)
 
-    def residual(v):
-        return float(np.max(np.abs(adjoint @ v - v) * space.weights))
-
     m = np.full(d, 1.0 / float(space.weights.sum()))
-    prev = m
-    converged = stagnated = False
+    step = adjoint
+    converged = False
     delta = np.inf
     stagnant_blocks = 0
-    block_start_delta = np.inf
+    block_max, last_max = 0.0, np.inf
     for it in range(max_iter):
-        m_next = normalize(adjoint @ m)
+        m_next = normalize(step @ m)
         delta = float(np.max(np.abs(m_next - m) * space.weights))
-        prev = m
         m = m_next
         if delta < 1e-13:
             converged = True
             break
+        block_max = max(block_max, delta)
         if (it + 1) % 1000 == 0:
-            if delta > 0.99 * block_start_delta:
+            if block_max > 0.99 * last_max:
                 stagnant_blocks += 1
             else:
                 stagnant_blocks = 0
+            block_max, last_max = 0.0, block_max
             if stagnant_blocks >= 3:
-                stagnated = True
-                break
-            block_start_delta = delta
+                if step is not adjoint:
+                    break
+                step = 0.5 * (adjoint + np.eye(d))
+                stagnant_blocks, last_max = 0, np.inf
 
-    if not (converged or stagnated):
+    if not converged:
         raise NumericalError(f"slow mixing: the power iteration did not converge "
-                             f"in {max_iter} steps")
-    if stagnated:
-        averaged = normalize(0.5 * (m + prev))
-        if residual(averaged) <= 1e-10:
-            m = averaged
-        else:
-            raise NumericalError("no unique invariant density found")
-    else:
-        for _ in range(500):
-            if delta <= 2.3e-16:
-                break
-            m_next = normalize(adjoint @ m)
-            new_delta = float(np.max(np.abs(m_next - m) * space.weights))
-            if new_delta >= delta:
-                break
-            m = m_next
-            delta = new_delta
+                             f"in {it + 1} steps")
+    for _ in range(500):
+        if delta <= 2.3e-16:
+            break
+        m_next = normalize(step @ m)
+        new_delta = float(np.max(np.abs(m_next - m) * space.weights))
+        if new_delta >= delta:
+            break
+        m = m_next
+        delta = new_delta
 
-    if residual(m) > 1e-10:
+    if float(np.max(np.abs(adjoint @ m - m) * space.weights)) > 1e-10:
         raise NumericalError("no unique invariant density found")
     return Density(normalize(m))
 
@@ -280,11 +275,18 @@ class TestInvariantDensityMatchesStepwiseLoop:
         assert (outcome(invariant_density, kernel, space)
                 == outcome(reference_invariant_density, kernel, space))
 
-    def test_period_three_error(self):
+    def test_period_three_hand_off(self):
         space = unit_space(4)
         kernel = as_kernel(PERIOD_THREE, space)
+        assert (invariant_density(kernel, space).values.tobytes()
+                == reference_invariant_density(kernel, space).values.tobytes())
+
+    def test_probe_firing_on_the_lazy_step_error(self):
+        # the probe fires on K after 4 blocks and on (I + K) / 2 after 4 more
+        kernel, space = slowmix_kernel(1e-6)
         expected = outcome(reference_invariant_density, kernel, space)
-        assert expected == ("NumericalError", "no unique invariant density found")
+        assert expected == ("NumericalError", "slow mixing: the power iteration did not "
+                                              "converge in 8000 steps")
         assert outcome(invariant_density, kernel, space) == expected
 
     @pytest.mark.parametrize("blocks", [1, 2])
@@ -370,11 +372,18 @@ class TestPowerIterationStopsAtItsHit:
         assert m.values.tobytes() == reference_invariant_density(kernel, space).values.tobytes()
 
 
-def exact_two_state_law(kernel):
-    """The stationary law, from `fractions`, of the two-state chain whose
-    switching probabilities are the kernel's float off-diagonal entries."""
-    up, down = Fraction(kernel.matrix[0, 1]), Fraction(kernel.matrix[1, 0])
-    return np.array([float(down / (up + down)), float(up / (up + down))])
+def exact_law(kernel, space):
+    """The stationary density, from `fractions`, of the chain whose
+    probabilities are the float kernel's entries times their state weights,
+    each row scaled to sum to exactly 1."""
+    d = space.num_states
+    weights = [Fraction(w) for w in space.weights]
+    rows = [[Fraction(x) * w for x, w in zip(row, weights)] for row in kernel.matrix]
+    chain = [[x / sum(row) for x in row] for row in rows]
+    # balance at every state but the last, and total mass 1
+    balance = [[chain[i][j] - (i == j) for i in range(d)] for j in range(d - 1)]
+    law = solve_exact(balance + [[Fraction(1)] * d], [Fraction(0)] * (d - 1) + [Fraction(1)])
+    return np.array([float(p / w) for p, w in zip(law, weights)])
 
 
 @pytest.mark.usefixtures("cold_invariant_memo")
@@ -394,16 +403,61 @@ class TestSlowMixingRegimes:
         kernel, space = slowmix_kernel(6e-6)
         m = invariant_density(kernel, space)
         assert [x.hex() for x in m.values] == ["0x1.555555259fee3p-1", "0x1.555555b4c023bp-2"]
-        np.testing.assert_allclose(m.values, exact_two_state_law(kernel), rtol=0, atol=6e-9)
+        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=6e-9)
 
     @pytest.mark.xfail(strict=True, raises=NumericalError,
-                       reason="the stagnation probe reads a delta that shrinks by "
-                              "lambda_2**1000 > 0.99 per block as oscillation (ROADMAP item 2)")
+                       reason="a block's largest delta shrinks by lambda_2**1000 > 0.99, so "
+                              "the probe fires on K and again on (I + K) / 2 and raises slow "
+                              "mixing after 8 000 steps; waits for GTH (ROADMAP item 2)")
     @pytest.mark.parametrize("eps", [1e-6, 3.3e-6])
     def test_slower_chain_is_read_as_oscillating(self, eps):
         kernel, space = slowmix_kernel(eps)
         m = invariant_density(kernel, space)
-        np.testing.assert_allclose(m.values, exact_two_state_law(kernel), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=1e-12)
+
+
+def block_cyclic_kernel(period, seed):
+    """A kernel of the given period: blocks of 1 or 2 states in a cycle,
+    each state moving only into the next block, with non-unit weights."""
+    stream = Xoshiro256StarStar(seed)
+    starts = np.cumsum([0] + [1 + int(2 * stream.random()) for _ in range(period)])
+    d = int(starts[-1])
+    weights = np.array([0.5 + 1.5 * stream.random() for _ in range(d)])
+    raw = np.zeros((d, d))
+    for block in range(period):
+        after = (block + 1) % period
+        for i in range(starts[block], starts[block + 1]):
+            for j in range(starts[after], starts[after + 1]):
+                raw[i, j] = 0.1 + stream.random()
+    space = StateSpace(d, weights)
+    return as_kernel(raw / (raw @ weights)[:, None], space), space
+
+
+# [[a, 1-a], [1-b, b]] has lambda_2 = a + b - 1, close to -1; at a = 1e-5 and
+# b <= 2e-6 the oscillation outlives the 10**6-step budget, so those three
+# grid points raise slow mixing (ROADMAP item 2)
+NEAR_FLIP = [(a, b) for a in (1e-7, 1e-6, 1e-5, 1e-4) for b in (2e-7, 6e-7, 2e-6, 6e-6, 2e-5)
+             if not (a == 1e-5 and b <= 2e-6)]
+
+
+@pytest.mark.usefixtures("cold_invariant_memo")
+class TestPeriodicAndNearPeriodicChains:
+    """A chain that oscillates is handed to (I + K) / 2 and solved to its
+    exact law; the near-flip chains take up to 2 s each."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("period", range(2, 8))
+    def test_block_cyclic(self, period, seed):
+        kernel, space = block_cyclic_kernel(period, seed)
+        m = invariant_density(kernel, space)
+        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("a, b", NEAR_FLIP)
+    def test_near_flip(self, a, b):
+        space = unit_space(2)
+        kernel = as_kernel([[a, 1.0 - a], [1.0 - b, b]], space)
+        m = invariant_density(kernel, space)
+        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=1e-12)
 
 
 class TestInvariantDensityMemo:
@@ -428,14 +482,15 @@ class TestInvariantDensityMemo:
         assert cached.values.tobytes() == uncached.values.tobytes()
 
     def test_errors_are_raised_again_and_never_stored(self, loop_calls):
-        space = unit_space(4)
-        kernel = as_kernel(PERIOD_THREE, space)
+        space = unit_space(3)
+        kernel = as_kernel(np.eye(3), space)
         texts = []
         for _ in range(2):
             with pytest.raises(NumericalError) as caught:
                 invariant_density(kernel, space)
             texts.append(str(caught.value))
-        assert texts == ["no unique invariant density found"] * 2
+        assert texts == ["no unique invariant density found: closed classes of states "
+                         "{0}, {1} and {2}"] * 2
         assert len(loop_calls) == 2
 
     def test_least_recently_used_entry_is_dropped(self, loop_calls):
@@ -556,3 +611,26 @@ class TestPrimitivity:
         space = unit_space(3)
         kernel = as_kernel(random_kernel_matrix(99, 3), space)
         assert primitivity_check(kernel) == 1
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_random_zero_patterns_match_literal_powers(self, d):
+        # a primitive pattern is positive by power (d - 1)**2 + 1 (Wielandt),
+        # so no later power can be the first positive one
+        stream = Xoshiro256StarStar(d)
+        for _ in range(100):
+            zeros = 0.2 + 0.7 * stream.random()
+            pattern = np.array([[stream.random() >= zeros for _ in range(d)] for _ in range(d)])
+            pattern[np.arange(d), [int(d * stream.random()) for _ in range(d)]] = True
+            expected, power = None, pattern.copy()
+            for r in range(1, (d - 1) ** 2 + 2):
+                if power.all():
+                    expected = r
+                    break
+                power = (power.astype(int) @ pattern.astype(int)) > 0
+            kernel = as_kernel(pattern / pattern.sum(axis=1, keepdims=True), unit_space(d))
+            assert primitivity_check(kernel) == expected, pattern.astype(int)
+
+    def test_a_long_cycle_never_mixes(self):
+        d = 40
+        kernel = as_kernel(np.roll(np.eye(d), 1, axis=1), unit_space(d))
+        assert primitivity_check(kernel) is None

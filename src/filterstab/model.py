@@ -403,7 +403,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     if not np.isfinite(adjoint).all():
         raise NumericalError("invariant density: a transition density times its state weight "
                              "overflows")
-    classes, _ = _zero_pattern(matrix)
+    classes = _closed_classes(matrix)
     if len(classes) > 1:
         named = ["{" + ", ".join(map(str, states)) + "}" for states in classes]
         raise NumericalError(f"no unique invariant density found: closed classes of states "
@@ -468,18 +468,11 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     return Density(normalize(m))
 
 
-def _zero_pattern(matrix: np.ndarray) -> tuple[list[list[int]], Optional[int]]:
+def _closed_classes(matrix: np.ndarray) -> list[list[int]]:
     """The closed communicating classes of the transition graph, each as its
-    sorted states, and the smallest power whose zero pattern is all positive.
-
-    State ``i`` is in a closed class when every state it reaches reaches
-    ``i`` back; reachability is the boolean closure of the zero pattern. Only
-    one closed class of every state can have a positive power, and a
-    primitive one has it by ``(d - 1)**2 + 1`` (Wielandt), so the search runs
-    only then, up to there: a reducible or periodic chain gets None."""
-    d = matrix.shape[0]
-    positive = matrix > 0.0
-    reach = positive | np.eye(d, dtype=bool)
+    sorted states: state ``i`` is in one when every state it reaches reaches
+    ``i`` back. Reachability is the boolean closure of the zero pattern."""
+    reach = (matrix > 0.0) | np.eye(matrix.shape[0], dtype=bool)
     while True:  # each squaring doubles the path length covered
         paths = reach.astype(float)  # a float product is a BLAS call, a boolean one is not
         wider = paths @ paths > 0.0
@@ -489,25 +482,33 @@ def _zero_pattern(matrix: np.ndarray) -> tuple[list[list[int]], Optional[int]]:
     mutual = reach & reach.T
     closed = (reach <= reach.T).all(axis=1)
     # each class once, listed by its lowest state
-    classes = [np.flatnonzero(mutual[i]).tolist() for i in np.flatnonzero(closed)
-               if not mutual[i, :i].any()]
-    if len(classes[0]) == d:
-        pattern = walks = positive.astype(float)
-        for power in range(1, (d - 1) ** 2 + 2):
-            if walks.all():
-                return classes, power
-            walks = (walks @ pattern > 0.0).astype(float)
-    return classes, None
+    return [np.flatnonzero(mutual[i]).tolist() for i in np.flatnonzero(closed)
+            if not mutual[i, :i].any()]
 
 
 def primitivity_check(kernel: TransitionKernel) -> Optional[int]:
     """Smallest power whose multi-step density is strictly positive everywhere.
 
-    It depends only on the zero pattern, so `_zero_pattern` finds it, or
-    None for a reducible or periodic chain: a primitive d-state kernel is
-    positive by power ``(d - 1)**2 + 1`` (Wielandt).
+    It depends only on the zero pattern. Only a kernel with one closed class
+    of every state can have one, and its powers stay positive from there on,
+    so squarings bracket it and a bisection finds it. A primitive d-state
+    kernel is positive by power ``(d - 1)**2 + 1`` (Wielandt); others get None.
     """
-    return _zero_pattern(kernel.matrix)[1]
+    d = kernel.dim
+    if len(_closed_classes(kernel.matrix)[0]) < d:
+        return None
+    squares = [(kernel.matrix > 0.0).astype(float)]  # the patterns of K**(2**j)
+    while not squares[-1].all():
+        if 2 ** (len(squares) - 1) > (d - 1) ** 2:
+            return None
+        squares.append((squares[-1] @ squares[-1] > 0.0).astype(float))
+    # K**power is not positive and K**(power + 2**(j + 1)) is, for each j below
+    power, walks = 0, np.eye(d)
+    for j in range(len(squares) - 2, -1, -1):
+        longer = walks @ squares[j] > 0.0
+        if not longer.all():
+            power, walks = power + 2 ** j, longer.astype(float)
+    return power + 1
 
 
 def with_priors(document, nu=None, beta=None):

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -614,15 +615,15 @@ class TestPrimitivity:
 
     @pytest.mark.parametrize("d", range(1, 7))
     def test_random_zero_patterns_match_literal_powers(self, d):
-        # a primitive pattern is positive by power (d - 1)**2 + 1 (Wielandt),
-        # so no later power can be the first positive one
+        # the literal powers run past Wielandt's (d - 1)**2 + 1, to 2 d**2, so
+        # they check that bound rather than repeat it
         stream = Xoshiro256StarStar(d)
         for _ in range(100):
             zeros = 0.2 + 0.7 * stream.random()
             pattern = np.array([[stream.random() >= zeros for _ in range(d)] for _ in range(d)])
             pattern[np.arange(d), [int(d * stream.random()) for _ in range(d)]] = True
             expected, power = None, pattern.copy()
-            for r in range(1, (d - 1) ** 2 + 2):
+            for r in range(1, 2 * d * d + 1):
                 if power.all():
                     expected = r
                     break
@@ -634,3 +635,27 @@ class TestPrimitivity:
         d = 40
         kernel = as_kernel(np.roll(np.eye(d), 1, axis=1), unit_space(d))
         assert primitivity_check(kernel) is None
+
+    @pytest.mark.parametrize("d", range(2, 13))
+    def test_wielandt_kernel_takes_the_whole_bound(self, d):
+        # a d-cycle with one chord from d - 1 to 1 is first positive at (d - 1)**2 + 1
+        pattern = np.roll(np.eye(d), 1, axis=1)
+        pattern[d - 1, 1] = 1.0
+        kernel = as_kernel(pattern / pattern.sum(axis=1, keepdims=True), unit_space(d))
+        assert primitivity_check(kernel) == (d - 1) ** 2 + 1
+
+    def test_a_large_period_two_chain_is_fast(self):
+        # a bipartite walk on 200 states: the closure and a few squarings, not a
+        # search through (d - 1)**2 + 1 products, so both take well under a second
+        d = 200
+        stream = np.random.default_rng(200)
+        matrix = np.zeros((d, d))
+        matrix[:d // 2, d // 2:] = 0.1 + stream.random((d // 2, d // 2))
+        matrix[d // 2:, :d // 2] = 0.1 + stream.random((d // 2, d // 2))
+        space = unit_space(d)
+        kernel = as_kernel(matrix / matrix.sum(axis=1, keepdims=True), space)
+        start = time.perf_counter()
+        m = invariant_density(kernel, space)
+        assert primitivity_check(kernel) is None
+        assert time.perf_counter() - start < 2.0
+        np.testing.assert_allclose(m.values @ kernel.matrix, m.values, rtol=0, atol=1e-15)

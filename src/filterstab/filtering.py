@@ -63,6 +63,7 @@ class DecayEstimate(NamedTuple):
 ZERO_LIKELIHOOD = (
     "zero-likelihood observation: observation has probability 0 under the predicted law"
 )
+DENSITY_RANGE = "posterior density leaves the float range: an entry is inf or nan"
 
 
 def _log_domain_update(pi: np.ndarray, y, model: FiniteModel) -> Optional[tuple[np.ndarray, float]]:
@@ -97,13 +98,15 @@ def filter_step_with_likelihood(
     Returns the posterior and the normalizing constant
     ``sum_x likelihood[x] * predicted[x] * w[x]``. A normalizer at or below
     the underflow floor means the observation has probability zero under the
-    predicted law.
+    predicted law; a posterior entry that overflows is a `NumericalError` too.
     """
     predicted = (pi_prev.values * space.weights) @ kernel.matrix
     unnormalized = np.asarray(likelihood, dtype=float) * predicted
     normalizer = float(unnormalized @ space.weights)
     if not UNDERFLOW_FLOOR < normalizer < math.inf:
         raise NumericalError(ZERO_LIKELIHOOD)
+    if not float(unnormalized.max()) / normalizer < math.inf:  # the posterior's largest entry
+        raise NumericalError(DENSITY_RANGE)
     return Density(unnormalized / normalizer), normalizer
 
 
@@ -127,17 +130,18 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     normalizers, so its divide takes no broadcasting. When every
     state weight is exactly 1.0 the rows go to the product unweighted, since
     ``x * 1.0 == x`` bit for bit. Elementwise steps run on same-shape
-    operands tiled once per chunk. A chunk's
-    normalizers are checked in one vectorized test. A Gaussian step whose
-    normalizer underflows or overflows is redone for that row in the log
-    domain, and the filter resumes after that step in runs of 1, 2, 4, ...
-    steps. Any other bad normalizer fails the filter, which goes on with
-    whatever values it gets and is not checked again. The normalizers are
+    operands tiled once per chunk. A step fails only at the check after
+    each run of steps: the run's normalizers in one vectorized test, its new
+    densities in one flat ``max``. A Gaussian step whose normalizer
+    underflows or overflows is redone for that row in the log domain, and
+    the filter resumes after it in runs of 1, 2, 4, ... steps. Any other bad
+    normalizer fails the filter with `ZERO_LIKELIHOOD`, a density out of the
+    float range (rescued or not) with `DENSITY_RANGE`. The normalizers are
     returned linear, 1.0 at rescued steps, with their log-domain values
     beside them; no logarithm is taken until a `FilterRun` is read.
 
-    When a filter has failed, the first error in record order is raised:
-    each record's filters in prior order, as if they ran one by one.
+    A failed filter goes on unchecked. The first error in record order is
+    raised, each record's filters in prior order, as if they ran one by one.
     """
     matrix, weights = model.kernel.matrix, model.space.weights
     d = model.space.num_states
@@ -170,57 +174,52 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     # (`zs[k, ...]` is a view even when zs is 1-D, where iterating would copy)
     pi_views = list(pis)
     steps = pi_views, list(tiled_liks), [zs[k, ...] for k in range(held)], pi_views[1:]
-    failed_at = np.zeros(n_rows, dtype=np.int64)  # first failing step, or 0
+    errors = {}  # row -> the error of its first failing step
     rescued_logs = {}
-    with np.errstate(all="ignore"):  # every failure is caught by the checks below
+    with np.errstate(all="ignore"):  # every failure is caught by the check below
         for first in range(0, n_obs, held):
             m = min(held, n_obs - first)
             pis[0] = densities[first]
             tiled_liks[:m].reshape(m, n_priors, -1)[:] = liks[first:first + m].reshape(m, 1, -1)
             done, size = 0, m
             while done < m:
-                stop = min(done + size, m)
-                for pi, lik, z, pi_next in zip(*(views[done:stop] for views in steps)):
+                start, done, size = done, min(done + size, m), 2 * size
+                for pi, lik, z, pi_next in zip(*(views[start:done] for views in steps)):
                     row_product(pi if unit else multiply(pi, tiled_weights, weighted),
                                 matrix, predicted)
                     multiply(lik, predicted, unnormalized)
                     normalize(unnormalized, z_weights, z)
                     divide(unnormalized, z, pi_next)
-                z = row_zs[done:stop]
-                bad = ~((z > UNDERFLOW_FLOOR) & (z < math.inf))
-                bad &= failed_at == 0
-                if not bad.any():
-                    done, size = stop, 2 * size
+                # which row failed, and where, is worked out only if one did (NaN fails
+                # every comparison)
+                z = row_zs[start:done]
+                z_ok = (z > UNDERFLOW_FLOOR) & (z < math.inf)
+                if z_ok.all() and pis[start + 1:done + 1].max() < math.inf:
                     continue
-                k = done + int(bad.any(axis=1).argmax())  # the first failing step
+                bad = ~(z_ok & (row_pis[start + 1:done + 1].max(axis=2) < math.inf))
+                bad[:, list(errors)] = False  # a failed row is not checked again
+                if not bad.any():
+                    continue
+                k = start + int(bad.any(axis=1).argmax())  # the first failing step
                 n = first + k
-                for i in np.flatnonzero(bad[k - done]).tolist():
+                for i in np.flatnonzero(bad[k - start]).tolist():
                     p, r = divmod(i, n_records)
-                    rescued = (model.observation.kind == "gaussian"
+                    rescued = (not z_ok[k - start, i] and model.observation.kind == "gaussian"
                                and _log_domain_update(row_pis[k, i], observations[r][n], model))
-                    if rescued:
+                    if rescued and rescued[0].max() < math.inf:
                         row_pis[k + 1, i], rescued_logs.setdefault((r, p), {})[n] = rescued
                         row_zs[k, i] = 1.0
                     else:
-                        failed_at[i] = n + 1
+                        error = DENSITY_RANGE if rescued or z_ok[k - start, i] else ZERO_LIKELIHOOD
+                        errors[i] = f"{error} (at step {n + 1})"
                 done, size = k + 1, 1
             densities[first + 1:first + 1 + m] = pis[1:m + 1]
             normalizers[first:first + m] = zs[:m]
-    # the whole buffer at once; which filter failed is worked out only if one did
-    # (a NaN fails both comparisons)
-    failing = failed_at.any() or not (densities.min() >= 0.0 and densities.max() < math.inf)
+    if errors:  # the lowest failing record's error, its priors in order
+        raise NumericalError(errors[min(errors, key=lambda i: (i % n_records, i))])
     densities = densities.reshape(n_obs + 1, n_priors, n_records, d).transpose(2, 1, 0, 3)
     normalizers = normalizers.reshape(n_obs, n_priors, n_records).transpose(2, 1, 0)
     densities.flags.writeable = normalizers.flags.writeable = False
-    if failing:
-        failed = failed_at.reshape(n_priors, n_records).T  # (R, P): per filter
-        broken = ~np.isfinite(densities).all(axis=(2, 3)) | (densities < 0.0).any(axis=(2, 3))
-        r = int((failed.any(axis=1) | broken.any(axis=1)).argmax())  # the lowest failing record
-        for step, bad in zip(failed[r].tolist(), broken[r].tolist()):
-            if step:
-                raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {step})")
-            if bad:
-                raise InvalidModelError("density values must be finite and nonnegative")
     return [[FilterRun(densities[r, p], normalizers[r, p], rescued_logs.get((r, p), {}))
              for p in range(n_priors)] for r in range(n_records)]
 

@@ -20,6 +20,7 @@ atoms with positive weight; zero-weight atoms cannot occur by construction.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict, namedtuple
 from typing import Mapping, Optional
 
@@ -318,11 +319,13 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
     if degenerate:
         ratio = 0.0
     elif avg > 0.0:
-        spread = avg * (hi - avg)
-        if spread == 0.0:
-            raise NumericalError(f"geometric prefactor overflows: mixing coefficient * (max density"
-                                 f" - mixing coefficient) = {avg!r} * {hi - avg!r} rounds to 0")
-        prefactor = hi * hi / spread
+        # on hi and avg times the power of two that brings hi into [0.5, 1): exact, so the
+        # bits of the raw form wherever that stays in range, at any scale of the weights;
+        # the spread underflows to 0 only where the prefactor, about hi / avg, overflows
+        e = math.frexp(hi)[1]
+        top, low = math.ldexp(hi, -e), math.ldexp(avg, -e)
+        spread = low * (top - low)
+        prefactor = top * top / spread if spread else math.inf
         ratio = 1.0 - avg / hi
     return Coefficients(
         min_density=lo,

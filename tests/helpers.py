@@ -1,4 +1,5 @@
-"""Seeded random-model generators and small densities shared across the test suite.
+"""Seeded random-model generators, small densities and one extreme model
+document shared across the test suite.
 
 All randomness flows through the scalar reference generator
 (`reference.Xoshiro256StarStar`) so the suite is platform-reproducible.
@@ -55,6 +56,16 @@ def solve_exact(matrix, rhs):
                 factor = rows[r][col] / rows[col][col]
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
     return [rows[i][n] / rows[i][i] for i in range(n)]
+
+
+# a valid document whose posterior density leaves the float range: state 1 has
+# the weight 1e-310, and the identity channel gives it probability 1 on symbol 1,
+# which is the density 1e310
+OVERFLOWING_DENSITY = {
+    "states": 2, "psi": [1.0, 1e-310], "transition": [[0.99, 1e308], [0.99, 1e308]],
+    "observation": {"type": "finite", "gamma": [[1.0, 0.0], [0.0, 1.0]]},
+    "nu": [0.99, 1e308], "beta": [0.99, 1e308],
+}
 
 
 def uniform_density(space) -> Density:

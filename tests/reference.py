@@ -38,7 +38,7 @@ from filterstab import (
     row_minima,
 )
 from filterstab.ergodicity import BOUND_FLOOR, _gate
-from filterstab.filtering import UNDERFLOW_FLOOR, ZERO_LIKELIHOOD
+from filterstab.filtering import DENSITY_RANGE, UNDERFLOW_FLOOR, ZERO_LIKELIHOOD
 from filterstab.rng import _DOUBLE_SCALE, _MASK64, _seed_words
 
 
@@ -130,24 +130,28 @@ def reference_filter(model, prior, observations):
 
     A Gaussian step whose normalizer leaves ``(UNDERFLOW_FLOOR, inf)`` is
     redone in the log domain (`log_domain_step`), as the engine does; any
-    other such step raises the engine's error.
+    other such step raises the engine's zero-likelihood error. A density,
+    rescued or not, with an entry that is not finite raises its range error.
     """
     matrix, w = model.kernel.matrix, model.space.weights
     pis, logs = [np.asarray(prior, dtype=float)], []
     for y, lik in zip(observations, likelihood_rows(model.observation, observations)):
-        unnormalized = lik * (matrix.T @ (pis[-1] * w))
-        normalizer = float(unnormalized @ w)
-        if UNDERFLOW_FLOOR < normalizer < math.inf:
-            pis.append(unnormalized / normalizer)
-            logs.append(math.log(normalizer))
-            continue
-        rescued = None
-        if model.observation.kind == "gaussian":
-            rescued = log_domain_step(model, pis[-1], y)
-        if rescued is None:
-            raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {len(pis)})")
-        pis.append(rescued[0])
-        logs.append(rescued[1])
+        with np.errstate(all="ignore"):  # every failure is tested below
+            unnormalized = lik * (matrix.T @ (pis[-1] * w))
+            normalizer = float(unnormalized @ w)
+            if UNDERFLOW_FLOOR < normalizer < math.inf:
+                pi, log = unnormalized / normalizer, math.log(normalizer)
+            else:
+                rescued = None
+                if model.observation.kind == "gaussian":
+                    rescued = log_domain_step(model, pis[-1], y)
+                if rescued is None:
+                    raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {len(pis)})")
+                pi, log = rescued
+        if not np.isfinite(pi).all():
+            raise NumericalError(f"{DENSITY_RANGE} (at step {len(pis)})")
+        pis.append(pi)
+        logs.append(log)
     return np.array(pis), np.array(logs)
 
 

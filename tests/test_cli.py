@@ -32,7 +32,7 @@ from filterstab.cli import _COMMANDS, build_parser, load_model, main
 from filterstab.ergodicity import BOUND_FLOOR, _running_averages
 from filterstab.errors import InvalidModelError
 from filterstab.harness import BUILTIN_DOCUMENTS
-from helpers import random_kernel_matrix
+from helpers import OVERFLOWING_DENSITY, random_kernel_matrix
 from test_cli_bytes import GAUSSIAN3
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -566,14 +566,13 @@ def test_zero_horizon_exits_one_naming_the_flag(command, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("scale", [
-    1.0, 1e-8, 1e20, 1e-20,
-    # avg * (max - avg) underflows to 0 although the prefactor is 4.02
-    pytest.param(1e200, marks=pytest.mark.xfail(strict=True, reason="prefactor underflow")),
-])
+# at 1e200 the raw `avg * (max - avg)` underflows to 0, and at 1e-155 and below
+# the raw `max * max` overflows; the prefactor is 4.02 at every scale
+@pytest.mark.parametrize("scale", [1.0, 1e-8, 1e20, 1e-20, 1e200, 1e-155, 1e-200])
 def test_validate_does_not_depend_on_the_weight_scale(scale, tmp_path):
     """Multiplying `psi` by a scale and each density by its inverse gives the
-    same model, so the same probabilities and coefficients as unit weights."""
+    same model, so the same probabilities and coefficients as unit weights,
+    and `ergodicity` passes as it does at unit weights."""
     model = write_model(tmp_path, weight_scaled("mixing2", scale))
     out = tmp_path / "validate.json"
     assert main(["validate", "--model", str(model), "--output", str(out)]) == 0
@@ -582,6 +581,37 @@ def test_validate_does_not_depend_on_the_weight_scale(scale, tmp_path):
                                                                              rel=1e-9)
     assert report["decay_rate_bound"] == pytest.approx(15 / 28, rel=1e-9)
     assert report["geo_prefactor"] == pytest.approx(0.49 / (0.375 * 0.325), rel=1e-9)
+    assert run_in_process(["ergodicity", "--model", str(model), "--horizon", "5",
+                           "--output", str(tmp_path / "ergodicity.csv")]) == (0, "")
+
+
+def test_a_prefactor_beyond_the_float_range_is_inf(tmp_path):
+    """The prefactor is about max / avg = 1e308 / 1e-20: inf, a vacuous bound."""
+    model = write_model(tmp_path, {
+        "states": 2, "psi": [1.0, 1e-308], "transition": [[1e-20, 1e308]] * 2,
+        "observation": {"type": "finite", "gamma": [[0.5, 0.5]] * 2},
+        "nu": [0.5, 0.5e308], "beta": [0.5, 0.5e308]})
+    out = tmp_path / "validate.json"
+    assert run_in_process(["validate", "--model", str(model), "--output", str(out)]) == (0, "")
+    assert json.loads(out.read_text())["geo_prefactor"] == "inf"
+    assert run_in_process(["ergodicity", "--model", str(model), "--horizon", "5",
+                           "--output", str(tmp_path / "ergodicity.csv")]) == (0, "")
+
+
+# the seed-7 chain first enters state 1, of weight 1e-310, at step 70
+@pytest.mark.parametrize("horizon", [70, 200])
+def test_an_overflowing_posterior_density_exits_two_naming_its_step(horizon, tmp_path):
+    model = write_model(tmp_path, OVERFLOWING_DENSITY)
+    assert run_in_process(["validate", "--model", str(model),
+                           "--output", str(tmp_path / "validate.json")]) == (0, "")
+    built = build_model(OVERFLOWING_DENSITY)
+    assert sample_trajectory(built, built.true_prior, horizon, 7).states.tolist().index(1) == 70
+    out = tmp_path / "lln.csv"
+    assert run_in_process(["lln", "--model", str(model), "--horizon", str(horizon),
+                           "--seed", "7", "--output", str(out)]) == (
+        2, "numerical failure: posterior density leaves the float range: an entry is inf or nan "
+           "(at step 70)\n")
+    assert not out.exists()
 
 
 # kernels with two closed classes: each class has its own invariant density

@@ -11,16 +11,19 @@ prior order, then each record's ρ in record order. Otherwise every array
 must equal theirs bit for bit. Under chunks of 1 to 4 steps in both loops
 or the default, Gaussian records with outliers hold the rescued and resumed
 steps inside one chunk to the same loops, and records with NaNs or
-infinities must raise the same first error. The sampler, on the same kind
-of models with horizons up to 300, must draw what the scalar generator
-draws step by step.
+infinities must raise the same first error. On models with one state of
+subnormal weight, whose posterior density can leave the float range, one
+filter pass must raise `reference_filter`'s first error or equal its
+arrays. The sampler, on the same kind of models with horizons up to 300,
+must draw what the scalar generator draws step by step.
 """
 
+import re
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filterstab import (
@@ -36,6 +39,7 @@ from filterstab import (
 from filterstab import backward, filtering
 from filterstab.backward import backward_pass
 from filterstab.filtering import _engine
+from helpers import OVERFLOWING_DENSITY
 from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
 
 
@@ -203,6 +207,99 @@ def test_rescues_inside_a_chunk_equal_reference(case):
 @given(rescue_cases("non-finite"))
 def test_failures_inside_a_chunk_raise_the_reference_error(case):
     assert_chunked_engine_equals_reference(case)
+
+
+def first_failing_step(model, records):
+    """The largest step at which a record's first failing filter fails in the
+    reference loop, or None when every filter passes."""
+    steps = []
+    for record in records:
+        for prior in (model.true_prior.values, model.wrong_prior.values):
+            try:
+                reference_filter(model, prior, record)
+            except NumericalError as exc:
+                steps.append(int(re.search(r"\(at step (\d+)\)$", str(exc)).group(1)))
+                break
+    return max(steps, default=None)
+
+
+@st.composite
+def subnormal_weight_cases(draw):
+    """Models in which one state ``j`` has a subnormal weight, so that its
+    density is its probability over that weight: it leaves the float range
+    once the filter gives state ``j`` more than 0.018, 0.18 or 0.54 (weight
+    1e-310, 1e-309 or 3e-309). Each law puts 0, or 0.85e308 to 1.7e308 times
+    that weight, on ``j``, so the documents themselves are in range, and a
+    filter fails on about a third of the cases. 3 or 5 records of up to 40
+    steps, or, when some filter fails, records cut at the step of the last
+    record's first failure, so that a filter fails at the last step."""
+    d = draw(st.integers(2, 4))
+    j = draw(st.integers(0, d - 1))
+    psi = np.ones(d)
+    psi[j] = draw(st.sampled_from([1e-310, 1e-309, 3e-309]))
+
+    def law(zeros=True):
+        others = np.array(draw(rows(1, np.ones(d - 1), zeros))[0])
+        fraction = st.floats(0.5, 1.0)
+        on_j = draw(st.one_of(st.just(0.0), fraction) if zeros else fraction) * 1.7e308 * psi[j]
+        return np.insert(others * (1.0 - on_j), j, on_j / psi[j]).tolist()
+
+    if draw(st.booleans()):
+        means = draw(st.lists(st.floats(-3.0, 3.0), min_size=d, max_size=d))
+        observation = {"type": "gaussian", "means": means, "sigma": draw(st.floats(0.2, 2.0))}
+    else:
+        observation = {"type": "finite",
+                       "gamma": draw(rows(d, np.ones(draw(st.integers(2, 3)))))}
+    model = build_model({"states": d, "psi": psi.tolist(),
+                         "transition": [law() for _ in range(d)], "observation": observation,
+                         "nu": law(), "beta": law(zeros=False)})
+    seeds = [derive_seed(draw(st.integers(0, 2**16)), r)
+             for r in range(draw(st.sampled_from([3, 5])))]
+    _, records = sample_trajectories(model, model.true_prior, draw(st.integers(1, 40)), seeds)
+    step = first_failing_step(model, records)
+    if step is not None and draw(st.booleans()):
+        records = records[:, :step]
+    return model, records
+
+
+# the posterior density of state 1 is 1e310 at each step that observes symbol 1
+OVERFLOWING = build_model(OVERFLOWING_DENSITY)
+# state 0 is absorbing and cannot emit symbol 2: from the true prior, a first
+# symbol 2 has probability 0; from the wrong one, a first symbol 1 or 2 gives
+# state 1 a probability near 1, which is a density near 1e310
+ONLY_THE_WRONG_PRIOR_REACHES = build_model({
+    "states": 2, "psi": [1.0, 1e-310], "transition": [[1.0, 0.0], [0.99, 1e308]],
+    "observation": {"type": "finite", "gamma": [[1.0 - 1e-6, 1e-6, 0.0], [0.0, 0.5, 0.5]]},
+    "nu": [1.0, 0.0], "beta": [0.99, 1e308],
+})
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(subnormal_weight_cases())
+# record 0 passes; records 1 and 2 fail, record 2 first, and record 1's error
+# is raised; a failure at the last step of the one record that fails; record
+# 0 fails from the wrong prior only, record 1 from both, and record 0's error
+# is raised
+@example((OVERFLOWING, np.array([[0, 0, 0, 0], [0, 0, 0, 1], [0, 1, 0, 0]])))
+@example((OVERFLOWING, np.array([[0, 0, 0], [0, 0, 1]])))
+@example((ONLY_THE_WRONG_PRIOR_REACHES, np.array([[1, 0, 0], [2, 0, 0]])))
+def test_overflowing_densities_raise_the_reference_error(case):
+    """One filter pass over both priors against `reference_filter`, record by
+    record in prior order: its first error, or its arrays bit for bit."""
+    model, records = case
+    priors = np.stack([model.true_prior.values, model.wrong_prior.values])
+    try:
+        expected = [[reference_filter(model, prior, record) for prior in priors]
+                    for record in records]
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as caught:
+            _engine(model, priors, records)
+        assert str(caught.value) == str(exc)
+        return
+    for runs, filters in zip(_engine(model, priors, records), expected):
+        for run, (densities, log_norms) in zip(runs, filters):
+            np.testing.assert_array_equal(run.densities, densities)
+            np.testing.assert_array_equal(run.log_normalizers, log_norms)
 
 
 @st.composite

@@ -22,7 +22,7 @@ from filterstab import (
     unit_space,
 )
 from filterstab.filtering import TV_FLOOR
-from helpers import point_mass, random_positive_model, uniform_density
+from helpers import OVERFLOWING_DENSITY, point_mass, random_positive_model, uniform_density
 from reference import brute_force_posterior, kaijser_filter_recursion
 
 TWO_STATE = [[0.5, 0.5], [0.3, 0.7]]
@@ -115,8 +115,24 @@ class TestFilterStep:
                 model.kernel, model.space,
             )
 
+    def test_overflowing_posterior_density(self):
+        model = build_model(OVERFLOWING_DENSITY)
+        with pytest.raises(NumericalError, match=r"^posterior density leaves the float range"):
+            filter_step_with_likelihood(
+                model.true_prior, likelihood_rows(model.observation, [1])[0],
+                model.kernel, model.space,
+            )
+
 
 class TestRunFilter:
+    @pytest.mark.parametrize("record", [[1], [0, 0, 1], [0, 1, 0, 0]])
+    def test_overflowing_density_raises_its_step(self, record):
+        model = build_model(OVERFLOWING_DENSITY)
+        step = record.index(1) + 1
+        with pytest.raises(NumericalError, match=rf"^posterior density leaves the float range: "
+                                                 rf"an entry is inf or nan \(at step {step}\)$"):
+            run_filter(model.true_prior, record, model)
+
     def test_empty_observations(self):
         model = two_state_model()
         run = run_filter(model.true_prior, [], model)

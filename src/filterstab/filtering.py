@@ -120,19 +120,23 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     ``_CHUNK_ENTRIES // (P R d)`` steps at a time. It runs no ρ: that is
     `backward_pass`'s own loop, along one density history.
 
-    Each step advances every filter as one stack of row vectors. Each product
-    is one gemv or dot per row, so every row rounds as it does alone; a lone
-    row takes ``ndarray.dot``, the same BLAS call at less cost. The
-    normalizer of one record (a lone row, or one pair of priors) is
-    ``ndarray.dot`` too, which rounds as `np.matmul` does and costs less per
-    call; larger stacks keep `np.matmul`, which is faster there. A lone row's
-    normalizer is a ``(d,) @ (d,)`` ddot into a 0-d view of the chunk's
-    normalizers, so its divide takes no broadcasting. When every
+    Each step advances every filter as one stack of rows, each rounding as
+    it does alone. A lone row is 1-D: its product and normalizer are
+    ``ndarray.dot`` calls, the normalizer a ddot into a 0-d view of the
+    chunk's normalizers. A stack of d <= 3 rows is 2-D: its product is one
+    ``(rows, d) @ (d, d)`` gemm, and its normalizer one gemm against the
+    (d, d) matrix whose every column is the state weights, tiled across each
+    row with column 0 read as the normalizer. Those gemms round as the
+    per-row calls; the product's identity fails from d = 4 and the
+    normalizer's from d = 16 (`test_a_gemm_rounds_as_the_stacked_rows`). So
+    a larger d keeps ``(rows, 1, d)`` stacks, one gemv per row, and a dot
+    per row for the normalizer: ``ndarray.dot`` for a pair, `np.matmul`,
+    faster there, for more rows; only its divide broadcasts. When every
     state weight is exactly 1.0 the rows go to the product unweighted, since
-    ``x * 1.0 == x`` bit for bit. Elementwise steps run on same-shape
-    operands tiled once per chunk. A step fails only at the check after
-    each run of steps: the run's normalizers in one vectorized test, its new
-    densities in one flat ``max``. A Gaussian step whose normalizer
+    ``x * 1.0 == x`` bit for bit. The other elementwise steps run on
+    same-shape operands tiled once per chunk. A step fails only at the check
+    after each run of steps: the run's normalizers in one vectorized test,
+    its new densities in one flat ``max``. A Gaussian step whose normalizer
     underflows or overflows is redone for that row in the log domain, and
     the filter resumes after it in runs of 1, 2, 4, ... steps. Any other bad
     normalizer fails the filter with `ZERO_LIKELIHOOD`, a density out of the
@@ -148,28 +152,30 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     n_records, n_obs = np.shape(observations)
     n_priors = len(priors)
     n_rows = n_priors * n_records  # prior-major: row p * R + r
-    # a lone row is 1-D and its normalizer 0-d: numpy rounds them the same way,
-    # at less cost per call
-    row, z_row = ((n_rows, 1, d), (n_rows, 1, 1)) if n_rows > 1 else ((d,), ())
     held = max(1, min(_CHUNK_ENTRIES // (n_rows * d), n_obs))  # steps per chunk
-    multiply, divide, matmul = np.multiply, np.divide, np.matmul
+    multiply, divide, matmul, dot = np.multiply, np.divide, np.matmul, np.ndarray.dot
+    if n_rows == 1:  # 1-D, its normalizer a ddot into a 0-d array
+        row, z_row, z_weights, row_product, normalize = (d,), (), weights, dot, dot
+    elif d <= 3:  # 2-D: one gemm per product, the normalizer tiled across each row
+        row = z_row = (n_rows, d)
+        z_weights, row_product, normalize = np.repeat(weights[:, None], d, 1), matmul, matmul
+    else:  # one gemv and one dot per row; a pair's dots cost less in `ndarray.dot`
+        row, z_row, z_weights = (n_rows, 1, d), (n_rows, 1, 1), weights[:, None]
+        row_product, normalize = matmul, dot if n_rows == 2 else matmul
     liks = likelihood_rows(model.observation, np.ravel(observations))
     liks = np.ascontiguousarray(liks.reshape(n_records, n_obs, d).swapaxes(0, 1))
     densities = np.empty((n_obs + 1,) + row)
     densities[0] = np.repeat(priors, n_records, axis=0).reshape(row)
-    normalizers = np.empty((n_obs,) + z_row)
-    # a chunk's densities and normalizers, copied out at its end
+    normalizers = np.empty((n_obs, n_rows))
+    # a chunk's densities and normalizers, copied out at its end; a step's
+    # normalizers are column 0 of its `zs`
     pis, zs = np.empty((held + 1,) + row), np.empty((held,) + z_row)
-    row_pis, row_zs = pis.reshape(held + 1, n_rows, d), zs.reshape(held, n_rows)
+    row_pis, row_zs = pis.reshape(held + 1, n_rows, d), zs.reshape(held, n_rows, -1)[..., 0]
     weighted, predicted = np.empty((2,) + row)  # read only by the step that writes them
     tiled_liks = np.empty((held,) + row)  # each record's likelihoods, for every prior
     tiled_weights = np.tile(weights, n_rows).reshape(row)
     unit = bool((weights == 1.0).all())  # then weighting a row changes no bit
     unnormalized = np.empty(row)
-    z_weights = weights if n_rows == 1 else weights[:, None]  # a lone row: one ddot
-    # one row goes through `ndarray.dot`, and one record's normalizer: the same BLAS call
-    row_product = np.ndarray.dot if n_rows == 1 else matmul
-    normalize = np.ndarray.dot if n_rows <= 2 else matmul
     # each buffer's per-step views, made once; step k writes the density step k + 1 reads
     # (`zs[k, ...]` is a view even when zs is 1-D, where iterating would copy)
     pi_views = list(pis)
@@ -214,7 +220,7 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
                         errors[i] = f"{error} (at step {n + 1})"
                 done, size = k + 1, 1
             densities[first + 1:first + 1 + m] = pis[1:m + 1]
-            normalizers[first:first + m] = zs[:m]
+            normalizers[first:first + m] = row_zs[:m]
     if errors:  # the lowest failing record's error, its priors in order
         raise NumericalError(errors[min(errors, key=lambda i: (i % n_records, i))])
     densities = densities.reshape(n_obs + 1, n_priors, n_records, d).transpose(2, 1, 0, 3)

@@ -37,6 +37,7 @@ from filterstab import (
     likelihood_rows,
     row_minima,
 )
+from filterstab.backward import RHO_RANGE
 from filterstab.ergodicity import BOUND_FLOOR, _gate
 from filterstab.filtering import DENSITY_RANGE, UNDERFLOW_FLOOR, ZERO_LIKELIHOOD
 from filterstab.rng import _DOUBLE_SCALE, _MASK64, _seed_words
@@ -179,35 +180,63 @@ def reference_backward(model, coeffs, wrong):
     """Oscillations, envelope (None when vacuous) and likelihood ratios along
     one wrong-prior run ``wrong`` (its ``(N+1, d)`` densities).
 
-    Raises where the engine records a backward error for the run: a state
-    unreachable in one step, or zero predicted mass.
+    Raises the package's errors for the run, in its order: a prior ratio that
+    overflows, a state unreachable in one step, zero predicted mass at any
+    step, a ρ entry out of the float range at any step, a likelihood ratio
+    that is not finite and nonnegative, then an envelope scale that
+    underflows or overflows.
     """
     matrix, w = model.kernel.matrix, model.space.weights
-    theta0 = model.wrong_prior.values
-    ratio = model.true_prior.values / theta0
-    row_min_weighted = row_minima(model.kernel) * w
-    denominator = (theta0 * w) @ matrix
-    if denominator.min() <= 0.0:
-        raise NumericalError("state unreachable in one step: conditioning event has probability 0")
-    rho = matrix * theta0[:, None] / denominator[None, :]
-    rho = rho / (w @ rho)[None, :]
-    oscillations, ratios, decays = [], [float((ratio * theta0) @ w)], []
-    exponent = 0.0
-    for k in range(1, len(wrong)):
-        if k > 1:
-            weighted = wrong[k - 1] * w
-            denominator = weighted @ matrix
-            if denominator.min() <= 0.0:
-                raise NumericalError("state has zero predicted mass")
-            rho = ((rho * weighted[None, :]) @ matrix) / denominator[None, :]
-            rho = rho / (w @ rho)[None, :]
-            exponent += float(wrong[k - 1] @ row_min_weighted)
-        oscillations.append(rho.max(axis=1) - rho.min(axis=1))
-        ratios.append(float(((ratio * w) @ rho) @ (wrong[k] * w)))
-        decays.append(math.exp(-exponent / coeffs.max_density))
+    nu, theta0 = model.true_prior.values, model.wrong_prior.values
+    with np.errstate(all="ignore"):  # every failure is tested below
+        ratio = nu / theta0
+        if not np.isfinite(ratio).all():
+            u = int(np.isfinite(ratio).argmin())
+            raise NumericalError(f"prior ratio overflows at state {u}: "
+                                 f"nu {float(nu[u])!r} / beta {float(theta0[u])!r}")
+        row_min_weighted = row_minima(model.kernel) * w
+        denominator = (theta0 * w) @ matrix
+        if (denominator <= 0.0).any():
+            raise NumericalError(
+                "state unreachable in one step: conditioning event has probability 0")
+        rho = matrix * theta0[:, None] / denominator[None, :]
+        rho = rho / (w @ rho)[None, :]
+        oscillations, ratios, decays = [], [float((ratio * theta0) @ w)], []
+        exponent, in_range = 0.0, True
+        for k in range(1, len(wrong)):
+            if k > 1:
+                weighted = wrong[k - 1] * w
+                denominator = weighted @ matrix
+                if denominator.min() <= 0.0:
+                    raise NumericalError("state has zero predicted mass")
+                rho = ((rho * weighted[None, :]) @ matrix) / denominator[None, :]
+                rho = rho / (w @ rho)[None, :]
+                exponent += float(wrong[k - 1] @ row_min_weighted)
+            in_range = in_range and bool(np.isfinite(rho).all())
+            oscillations.append(rho.max(axis=1) - rho.min(axis=1))
+            ratios.append(float(((ratio * w) @ rho) @ (wrong[k] * w)))
+            decays.append(math.exp(-exponent / coeffs.max_density))
+    if not in_range:
+        raise NumericalError(RHO_RANGE)
+    for value in ratios:
+        if not 0.0 <= value < math.inf:
+            raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
     bounds = None
     if coeffs.mixing_coefficient > 0.0:
-        scale = coeffs.max_density**2 / (theta0.min() * coeffs.mixing_coefficient) * theta0
+        theta_min, avg, top = float(theta0.min()), coeffs.mixing_coefficient, coeffs.max_density
+        if theta_min * avg == 0.0:
+            raise NumericalError(f"envelope scale underflows: theta_min * mixing coefficient = "
+                                 f"{theta_min!r} * {avg!r} rounds to 0")
+        try:
+            square = top**2
+        except OverflowError:
+            square = math.inf
+        with np.errstate(over="ignore"):
+            scale = square / (theta_min * avg) * theta0
+        if not np.isfinite(scale).all():
+            raise NumericalError(
+                f"envelope scale overflows: max density**2 / (theta_min * mixing coefficient) = "
+                f"{top!r}**2 / ({theta_min!r} * {avg!r})")
         bounds = scale[None, :] * np.array(decays)[:, None]
     return np.array(oscillations).reshape(-1, len(w)), bounds, np.array(ratios)
 

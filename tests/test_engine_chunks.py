@@ -8,11 +8,13 @@ predicted, ρ is carried across it, reduced, and carried into the next
 chunk. With the constants patched so that a chunk of either loop holds 1, 2
 or 3 steps, each boundary case meets the reference loops of `reference.py`,
 which have no chunks at all: both loops as `run_scenario` and
-`backward_pass` run them, and ρ on its own along a reference history. One record (R = 1)
-takes the ``ndarray.dot`` products and meets the same reference, with unit
-and with other state weights. A record that fails at every step, or at
-every other one, costs time linear in its length, and about what a clean
-one costs.
+`backward_pass` run them, and ρ on its own along a reference history. One
+record (R = 1), as a pair of filter rows and as a lone ``ndarray.dot`` row,
+meets the same reference, with unit and with other state weights. A record
+that fails at every step, or at every other one, costs time linear in its
+length, and about what a clean one costs. The gemms of a stack of d <= 3
+rows round as its rows do alone, and a step of such a stack makes two of
+them and one same-shape divide.
 """
 
 import time
@@ -29,10 +31,12 @@ from filterstab import (
     backward_pass,
     build_model,
     builtin_model,
+    derive_seed,
     invariant_density,
     mixing_coefficients,
     run_filter,
     run_scenario,
+    sample_trajectories,
     sample_trajectory,
 )
 from filterstab.filtering import _engine
@@ -311,6 +315,65 @@ def test_dot_rounds_as_matmul(d):
             out = np.empty(shape[:-1] + (1,))
             np.ndarray.dot(unnormalized, w[:, None], out)
             assert np.array_equal(out, np.matmul(unnormalized, w[:, None]))
+
+
+def awkward_entries(rng, shape):
+    """Uniform entries of which about a quarter each are zeros, subnormals and
+    magnitudes near 1e300."""
+    x = rng.random(shape)
+    kind = rng.integers(0, 4, shape)
+    return np.select([kind == 0, kind == 1, kind == 2], [0.0, x * 1e-310, x * 1e300], x)
+
+
+@pytest.mark.parametrize("rows", [2, 3, 50, 257])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_gemm_rounds_as_the_stacked_rows(d, rows):
+    """A stack of d <= 3 filter rows is one 2-D ``(rows, d) @ (d, d)`` gemm
+    per product, and its normalizer one gemm against the (d, d) matrix whose
+    every column is the state weights. The product rounds as the stacked
+    ``(rows, 1, d) @ (d, d)``, one gemv per row, and every column of the
+    normalizer as the per-row ``(rows, 1, d) @ (d, 1)``. With OpenBLAS
+    0.3.31 (DYNAMIC_ARCH, Haswell kernels) the product's identity holds for
+    d <= 3 and fails from d = 4; the normalizer's holds for d <= 15 and fails
+    from d = 16. A BLAS that rounds otherwise fails here first."""
+    rng = np.random.default_rng(1000 * d + rows)
+    product, normalizer = np.empty((2, rows, d))
+    with np.errstate(over="ignore"):
+        for _ in range(100):
+            x, matrix = awkward_entries(rng, (rows, d)), awkward_entries(rng, (d, d))
+            w = rng.random(d) * 4.0
+            np.matmul(x, matrix, product)
+            assert np.array_equal(product, np.matmul(x[:, None], matrix)[:, 0])
+            np.matmul(x, np.repeat(w[:, None], d, 1), normalizer)
+            assert (normalizer == np.matmul(x[:, None], w[:, None])[:, 0]).all()
+
+
+def test_a_stack_of_few_states_makes_two_gemms_and_one_divide_per_step(monkeypatch):
+    """A step of a stack of d <= 3 rows makes two `np.matmul` calls, the
+    product and the normalizer, each on 2-D operands, and one `np.divide` on
+    operands of one shape: here the 100 rows of mixing2's two priors on 50
+    records."""
+    model, steps = builtin_model("mixing2"), 40
+    seeds = [derive_seed(5, r) for r in range(50)]
+    _, records = sample_trajectories(model, model.true_prior, steps, seeds)
+    calls = {np.matmul: [], np.divide: []}
+
+    def counted(function):
+        def call(*args):
+            calls[function].append([np.shape(a) for a in args])
+            return function(*args)
+        return call
+
+    for function in list(calls):
+        monkeypatch.setattr(np, function.__name__, counted(function))
+    runs = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
+    monkeypatch.undo()
+    assert len(calls[np.matmul]) == 2 * steps
+    assert all(len(shape) == 2 for shapes in calls[np.matmul] for shape in shapes)
+    assert len(calls[np.divide]) == steps
+    assert all(shapes == [(100, 2)] * 3 for shapes in calls[np.divide])
+    densities, _ = reference_filter(model, model.wrong_prior.values, records[7])
+    np.testing.assert_array_equal(runs[7][1].densities, densities)
 
 
 @pytest.mark.parametrize("name, multiplies", [("unit-psi", 1), ("weighted-psi", 2)])

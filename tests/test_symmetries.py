@@ -39,10 +39,10 @@ COMMANDS = [
 
 
 @st.composite
-def documents(draw):
-    """A finite or Gaussian model document with d = 2..4, positive kernel
-    entries, and unit weights or weights in [0.5, 2]."""
-    d = draw(st.integers(2, 4))
+def documents(draw, max_states=4):
+    """A finite or Gaussian model document with d = 2..`max_states`, positive
+    kernel entries, and unit weights or weights in [0.5, 2]."""
+    d = draw(st.integers(2, max_states))
     psi = np.ones(d)
     if draw(st.booleans()):
         psi = np.array(draw(st.lists(st.floats(0.5, 2.0), min_size=d, max_size=d)))
@@ -63,11 +63,13 @@ def documents(draw):
 
 
 def rescaled(document, k):
-    """The same model with every state weight times 2**k and every density times 2**-k."""
-    scaled = dict(document, psi=[w * 2.0**k for w in document["psi"]])
+    """The same model with the weight of each state j times 2**k[j] and each
+    density's value at j times 2**-k[j]; a single k scales every state."""
+    scale = 2.0 ** np.broadcast_to(k, document["states"])
+    scaled = dict(document, psi=(document["psi"] * scale).tolist())
     for key in ("nu", "beta"):
-        scaled[key] = [x * 2.0**-k for x in document[key]]
-    scaled["transition"] = [[x * 2.0**-k for x in row] for row in document["transition"]]
+        scaled[key] = (document[key] / scale).tolist()
+    scaled["transition"] = (np.array(document["transition"]) / scale).tolist()
     return scaled
 
 
@@ -144,3 +146,24 @@ def test_validate_and_ergodicity_are_scale_free_where_max_squared_leaves_the_ran
     tmp_path = tmp_path_factory.mktemp("symmetry")
     for argv in (VALIDATE, ERGODICITY):
         assert_scale_free(tmp_path, argv, document, k)
+
+
+@pytest.mark.parametrize("k", [(1, -2, 3), (5, -7, 2), (-30, 0, 12)])
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(document=documents(max_states=3))
+def test_filter_and_sampler_outputs_are_free_of_per_state_powers_of_two(
+        k, document, tmp_path_factory):
+    """Weight 2**k[j] on state j and densities 2**-k[j] at j: `simulate` and
+    `stability`'s probability-unit columns stay bit for bit, over 3
+    replicates, so a stack of filter rows runs with other weights."""
+    tmp_path = tmp_path_factory.mktemp("symmetry")
+    scaled = rescaled(document, k[:document["states"]])
+    for argv in (COMMANDS[1], COMMANDS[2]):  # simulate, stability
+        (unit_code, unit_err), unit_texts = outputs(tmp_path, argv, document)
+        (code, err), texts = outputs(tmp_path, argv, scaled)
+        assert (unit_code, unit_err) == (code, err) == (0, "")
+        unit_rows, rows = (list(csv.reader(io.StringIO(t[0]))) for t in (unit_texts, texts))
+        assert unit_rows[0] == rows[0] and len(unit_rows) == len(rows)
+        for name, unit_column, column in zip(rows[0], zip(*unit_rows), zip(*rows)):
+            if argv == COMMANDS[1] or name in {"tv", "log_tv", "likelihood_ratio"}:
+                assert column == unit_column, name

@@ -317,11 +317,12 @@ def test_dot_rounds_as_matmul(d):
             assert np.array_equal(out, np.matmul(unnormalized, w[:, None]))
 
 
-def awkward_entries(rng, shape):
-    """Uniform entries of which about a quarter each are zeros, subnormals and
-    magnitudes near 1e300."""
-    x = rng.random(shape)
-    kind = rng.integers(0, 4, shape)
+def awkward_entries(rng, shape, zeros=True):
+    """Entries of which about a quarter each are zeros, subnormals,
+    magnitudes near 1e300 and uniform in (0, 1]; without `zeros`, a third
+    each of the last three."""
+    x = 1.0 - rng.random(shape)
+    kind = rng.integers(0 if zeros else 1, 4, shape)
     return np.select([kind == 0, kind == 1, kind == 2], [0.0, x * 1e-310, x * 1e300], x)
 
 
@@ -332,7 +333,8 @@ def test_a_gemm_rounds_as_the_stacked_rows(d, rows):
     per product, and its normalizer one gemm against the (d, d) matrix whose
     every column is the state weights. The product rounds as the stacked
     ``(rows, 1, d) @ (d, d)``, one gemv per row, and every column of the
-    normalizer as the per-row ``(rows, 1, d) @ (d, 1)``. With OpenBLAS
+    normalizer as the per-row ``(rows, 1, d) @ (d, 1)``, on entries and
+    weights with subnormals and magnitudes near 1e300. With OpenBLAS
     0.3.31 (DYNAMIC_ARCH, Haswell kernels) the product's identity holds for
     d <= 3 and fails from d = 4; the normalizer's holds for d <= 15 and fails
     from d = 16. A BLAS that rounds otherwise fails here first."""
@@ -341,7 +343,7 @@ def test_a_gemm_rounds_as_the_stacked_rows(d, rows):
     with np.errstate(over="ignore"):
         for _ in range(100):
             x, matrix = awkward_entries(rng, (rows, d)), awkward_entries(rng, (d, d))
-            w = rng.random(d) * 4.0
+            w = awkward_entries(rng, d, zeros=False) * 4.0  # positive state weights
             np.matmul(x, matrix, product)
             assert np.array_equal(product, np.matmul(x[:, None], matrix)[:, 0])
             np.matmul(x, np.repeat(w[:, None], d, 1), normalizer)

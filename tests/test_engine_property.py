@@ -5,16 +5,15 @@ Random finite and Gaussian models with zero-pattern kernels, d = 2..6 and
 unit or other state weights, run through one filter pass over both priors
 (as `run_scenario` runs them) on 1 or 3 records of up to 40 observations,
 then through ρ along each record's wrong-prior run (as `backward_pass` runs
-it). When `reference.py`'s plain loops fail, the package must raise their
-first error in the order it runs them: every record's filters in record and
-prior order, then each record's ρ in record order. Otherwise every array
-must equal theirs bit for bit. Under chunks of 1 to 4 steps in both loops
+it). When `reference.py`'s plain filter loop fails, the package must raise
+its first error in the order it runs the filters, in record and prior order.
+Otherwise every filter array must equal the loop's bit for bit, and ρ along
+each record must raise the plain ρ loop's error or equal its arrays. Under chunks of 1 to 4 steps in both loops
 or the default, Gaussian records with outliers hold the rescued and resumed
 steps inside one chunk to the same loops, and records with NaNs or
 infinities must raise the same first error. On models with one state of
 subnormal weight, whose posterior density, ρ or envelope scale can leave
-the float range, the filter pass and ρ must raise the reference loops' first
-error or equal their arrays. On finite models with positive kernels, the
+the float range, the filter pass and ρ must do the same. On finite models with positive kernels, the
 gap between the two filters stays below the bound that ρ's oscillation and
 the likelihood ratio give it. The sampler, on the same kind of models with
 horizons up to 300, must draw what the scalar generator draws step by step.
@@ -30,7 +29,6 @@ from hypothesis import strategies as st
 
 from filterstab import (
     Density,
-    InvalidModelError,
     NumericalError,
     build_model,
     derive_seed,
@@ -121,54 +119,36 @@ def rescue_cases(draw, bad):
     return model, records, draw(st.sampled_from([1, 2, 3, 4, None]))
 
 
-def first_reference_error(model, coeffs, records):
-    """The reference loops in the order the package runs them: every
-    record's filters, record by record in prior order, then ρ along each
-    record's wrong-prior run in record order. Returns the message of the
-    first error, or None with the arrays of every record."""
-    true, wrong = model.true_prior.values, model.wrong_prior.values
-    try:
-        filters = [(reference_filter(model, true, record), reference_filter(model, wrong, record))
-                   for record in records]
-    except NumericalError as exc:
-        return str(exc), None
-    arrays = []
-    for correct, (densities, log_norms) in filters:
-        try:
-            oscillations, bounds, ratios = reference_backward(model, coeffs, densities)
-        except NumericalError as exc:
-            return str(exc), None
-        arrays.append((correct, (densities, log_norms), oscillations, bounds, ratios))
-    return None, arrays
-
-
 def assert_engine_equals_reference(model, records):
-    """One filter pass over both priors, then ρ along each wrong-prior run,
-    against the reference loops: when they fail, the package raises their
-    first error in its order; otherwise every array equals theirs bit for
-    bit."""
+    """One filter pass over both priors against `reference_filter`, record
+    by record in prior order: the package raises its first error, or equals
+    its arrays bit for bit. Then ρ along each record's wrong-prior run
+    against `reference_backward`: the package raises its error, or equals
+    its arrays bit for bit."""
     d = model.space.num_states
-    true, wrong = model.true_prior.values, model.wrong_prior.values
+    priors = np.stack([model.true_prior.values, model.wrong_prior.values])
+    try:
+        expected = [[reference_filter(model, prior, record) for prior in priors]
+                    for record in records]
+    except NumericalError as exc:
+        with pytest.raises(NumericalError) as caught:
+            _engine(model, priors, records)
+        assert str(caught.value) == str(exc)
+        return
     # any Coefficients drive the envelope; a uniform law stands in for the invariant
     coeffs = mixing_coefficients(model, Density(np.full(d, 1.0 / model.space.weights.sum())))
-    message, arrays = first_reference_error(model, coeffs, records)
-
-    def rho_along(runs, r):
-        return backward_pass(model, coeffs, runs[r][1].densities)
-
-    if message is not None:
-        with pytest.raises((NumericalError, InvalidModelError)) as caught:
-            runs = _engine(model, np.stack([true, wrong]), records)
-            for r in range(len(records)):
-                rho_along(runs, r)
-        assert str(caught.value) == message
-        return
-    runs = _engine(model, np.stack([true, wrong]), records)
-    for r, (*filters, oscillations, bounds, ratios) in enumerate(arrays):
-        for p, (densities, log_norms) in enumerate(filters):
-            np.testing.assert_array_equal(runs[r][p].densities, densities)
-            np.testing.assert_array_equal(runs[r][p].log_normalizers, log_norms)
-        along = rho_along(runs, r)
+    for runs, filters in zip(_engine(model, priors, records), expected):
+        for run, (densities, log_norms) in zip(runs, filters):
+            np.testing.assert_array_equal(run.densities, densities)
+            np.testing.assert_array_equal(run.log_normalizers, log_norms)
+        try:
+            oscillations, bounds, ratios = reference_backward(model, coeffs, filters[1][0])
+        except NumericalError as exc:
+            with pytest.raises(NumericalError) as caught:
+                backward_pass(model, coeffs, runs[1].densities)
+            assert str(caught.value) == str(exc)
+            continue
+        along = backward_pass(model, coeffs, runs[1].densities)
         np.testing.assert_array_equal(along.oscillations, oscillations)
         np.testing.assert_array_equal(along.likelihood_ratios, ratios)
         if bounds is None:
@@ -299,9 +279,8 @@ ONLY_THE_WRONG_PRIOR_REACHES = build_model({
 @example((OVERFLOWING, np.array([[0, 0, 0], [0, 0, 1]])))
 @example((ONLY_THE_WRONG_PRIOR_REACHES, np.array([[1, 0, 0], [2, 0, 0]])))
 def test_overflowing_densities_raise_the_reference_error(case):
-    """One filter pass over both priors, then ρ along each wrong-prior run,
-    against the reference loops: their first error, or their arrays bit for
-    bit."""
+    """The filter pass and ρ against the reference loops, as in
+    `test_engine_equals_reference`."""
     assert_engine_equals_reference(*case)
 
 

@@ -42,6 +42,9 @@ from .model import Coefficients, Density, FiniteModel, row_minima
 from .simulate import likelihood_rows
 
 RHO_RANGE = "backward density leaves the float range: an entry is inf or nan"
+ZERO_MASS = "state has zero predicted mass"
+UNREACHABLE = "state unreachable in one step: conditioning event has probability 0"
+RATIO = "likelihood ratio must be finite and nonnegative, got {!r}"
 
 
 class BackwardPass(NamedTuple):
@@ -78,8 +81,8 @@ def backward_pass(model: FiniteModel, coeffs: Coefficients,
     density reads it step by step and no filter is run here, so its entries
     must be finite and nonnegative. Row ``n-1`` of the results agrees bit for
     bit with `BackwardContext` after ``n`` steps. Every array is read-only.
-    The errors, in this order: the arguments', the prior ratio's, ρ's, then
-    the envelope's.
+    The errors: the arguments', the run's constants (the prior ratio, then
+    the envelope scale), then the first failing step's, as in `BackwardContext`.
     """
     theta0 = model.wrong_prior
     d = model.space.num_states
@@ -89,8 +92,9 @@ def backward_pass(model: FiniteModel, coeffs: Coefficients,
             f"dimension mismatch: filter history shape {pis.shape} vs {d} states")
     if not np.isfinite(pis).all() or (pis < 0.0).any():
         raise InvalidModelError("filter history entries must be finite and nonnegative")
-    oscillations, ratios = _rho_along(model, theta0.values, _prior_ratio(model), pis)
-    bounds = _envelope(model, theta0, coeffs, pis)
+    ratio, scale = _prior_ratio(model), _envelope_scale(theta0.values, coeffs)
+    oscillations, ratios = _rho_along(model, theta0.values, ratio, pis)
+    bounds = None if scale is None else _envelope(model, scale, coeffs, pis)
     for array in (oscillations, bounds, ratios):
         if array is not None:
             array.flags.writeable = False
@@ -110,10 +114,9 @@ def _rho_along(model: FiniteModel, theta0: np.ndarray, ratio: np.ndarray,
     A chunk's history rows are weighted and predicted by one time-stacked
     product, one gemv per row, so each rounds as it does alone, and tiled to
     ρ's shape once. ρ is carried across the chunk with ``ndarray.dot``,
-    dividing by the filter's own prediction, then reduced. The errors, in
-    this order: `_rho_init`'s, a zero predicted mass, a ρ entry that leaves
-    the float range, then a likelihood ratio that is not finite and
-    nonnegative.
+    dividing by the filter's own prediction, then reduced. A step fails only
+    at the check after its chunk, whose predicted masses, ρ's maxima and
+    likelihood ratios raise the first failing step's `_rho_error`.
     """
     matrix, weights = model.kernel.matrix, model.space.weights
     d = len(weights)
@@ -126,19 +129,17 @@ def _rho_along(model: FiniteModel, theta0: np.ndarray, ratio: np.ndarray,
     column_sums = np.empty(d)
     multiply, divide, dot = np.multiply, np.divide, np.ndarray.dot
     steps = list(tiled_weighted), list(tiled_predicted), list(rhos)
-    if n_obs:
-        rho = rhos[0] = _rho_init(theta0, matrix, weights)
-    out_of_range = False
-    with np.errstate(all="ignore"):  # every failure is caught by the checks below
+    with np.errstate(all="ignore"):  # every failure is caught by the check below
+        rho = rhos[0]  # ρ's step 1, from theta0 itself
+        divide(matrix * theta0[:, None], (theta0 * weights) @ matrix, rho)
+        rho /= weights @ rho
         ratios[0] = float((ratio * theta0) @ weights)
         ratio_weighted = (ratio * weights)[None, :]
-        for first in range(0, n_obs, held):
-            m, start = min(held, n_obs - first), 0 if first else 1  # step 0 is `_rho_init`
+        # a history of one row is one chunk of no steps, which checks step 0's ratio
+        for first in range(0, max(n_obs, 1), held):
+            m, start = min(held, n_obs - first), 0 if first else 1  # step 1 is done
             weighted = history[first:first + m, None] * weights
-            predicted = weighted @ matrix
-            # ρ's step n divides by the prediction of filter step n
-            if (predicted[start:, 0].min(axis=-1) <= 0.0).any():
-                raise NumericalError("state has zero predicted mass")
+            predicted = weighted @ matrix  # row k: what ρ's step first + k + 1 divides by
             tiled_weighted[:m], tiled_predicted[:m] = weighted, predicted
             for w, p, rho_next in zip(*(views[start:m] for views in steps)):
                 multiply(rho, w, scaled)
@@ -149,30 +150,30 @@ def _rho_along(model: FiniteModel, theta0: np.ndarray, ratio: np.ndarray,
             # the chunk's column extrema, and its likelihood ratios as one dot per step
             chunk = rhos[:m]
             upper, lower = chunk.max(axis=-1), chunk.min(axis=-1)
-            out_of_range = out_of_range or not np.isfinite(upper).all()
             np.subtract(upper, lower, out=oscillations[first:first + m])
             later = history[first + 1:first + 1 + m, :, None] * weights[:, None]
             ratios[first + 1:first + 1 + m] = ((ratio_weighted @ chunk) @ later)[:, 0, 0]
-    if out_of_range:
-        raise NumericalError(RHO_RANGE)
-    bad = ~np.isfinite(ratios) | (ratios < 0.0)
-    if bad.any():
-        value = float(ratios[bad.argmax()])
-        raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
+            # steps first..first + m, where step 0 has a ratio only; NaN fails every test
+            checked = ratios[first:first + 1 + m]
+            if (predicted.min(initial=math.inf) > 0.0 and upper.max(initial=0.0) < math.inf
+                    and checked.min() >= 0.0 and checked.max() < math.inf):
+                continue
+            mass, in_range = predicted[:, 0].min(axis=-1) > 0.0, upper.max(axis=-1) < math.inf
+            ok = (checked >= 0.0) & (checked < math.inf)
+            ok[1:] &= mass & in_range
+            k = int(ok.argmin())  # the first failing step: its mass, its range, then its ratio
+            message = RATIO.format(float(checked[k]))
+            if k and not (mass[k - 1] and in_range[k - 1]):
+                message = RHO_RANGE if mass[k - 1] else ZERO_MASS
+            raise _rho_error(first + k, message)
     return oscillations, ratios
 
 
-def _rho_init(theta0: np.ndarray, matrix: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Backward density after the first step, on plain arrays. Entries that
-    overflow or underflow to nan are left to the caller's check."""
-    with np.errstate(all="ignore"):
-        numerator = matrix * theta0[:, None]
-        denominator = (theta0 * weights) @ matrix
-        if np.any(denominator <= 0.0):
-            raise NumericalError(
-                "state unreachable in one step: conditioning event has probability 0")
-        rho = numerator / denominator[None, :]
-        return rho / (weights @ rho)
+def _rho_error(n: int, message: str) -> NumericalError:
+    """ρ's `message` at step `n`, naming the step; at step 1 a zero predicted
+    mass is a state unreachable in one step."""
+    unreachable = n == 1 and message == ZERO_MASS
+    return NumericalError(UNREACHABLE if unreachable else f"{message} (at step {n})")
 
 
 def _prior_ratio(model: FiniteModel) -> np.ndarray:
@@ -198,6 +199,10 @@ class BackwardContext:
     the read-only ``(d, d)`` backward density, and `record` carries the
     oscillation together with the envelope (when coefficients with a
     positive averaged row minimum were supplied).
+
+    It fails as `backward_pass` does: the envelope scale at construction,
+    then at ρ's first failing step, in `step` or `likelihood_ratio`. A step
+    that raises leaves the context as it was.
     """
 
     def __init__(self, model: FiniteModel, theta0: Density,
@@ -210,31 +215,32 @@ class BackwardContext:
         self.coeffs = coeffs
         self.pi = theta0
         self.rho: Optional[np.ndarray] = None
+        self.steps = 0
         self.exponent_sum = 0.0
         self._row_min_weighted = row_minima(model.kernel) * model.space.weights
         self._scale = _envelope_scale(theta0.values, coeffs)
 
     def step(self, y) -> None:
-        model, weights = self.model, self.model.space.weights
-        matrix = model.kernel.matrix
-        exponent_sum = self.exponent_sum
-        if self.rho is None:
-            rho = _rho_init(self.theta0.values, matrix, weights)
-        else:
-            exponent_sum += float(self.pi.values @ self._row_min_weighted)
-            weighted = self.pi.values * weights
-            predicted = weighted @ matrix
-            if predicted.min() <= 0.0:
-                raise NumericalError("state has zero predicted mass")
-            rho = (self.rho * weighted) @ matrix / predicted
+        model, weights, matrix = self.model, self.model.space.weights, self.model.kernel.matrix
+        n, exponent_sum = self.steps + 1, self.exponent_sum
+        weighted = self.pi.values * weights
+        predicted = weighted @ matrix
+        if predicted.min() <= 0.0:
+            raise _rho_error(n, ZERO_MASS)
+        with np.errstate(all="ignore"):  # an entry out of the float range is caught below
+            if self.rho is None:  # ρ's step 1, from theta0 itself
+                numerator = matrix * self.pi.values[:, None]
+            else:
+                exponent_sum += float(self.pi.values @ self._row_min_weighted)
+                numerator = (self.rho * weighted) @ matrix
+            rho = numerator / predicted
             rho = rho / (weights @ rho)
         if not np.isfinite(rho).all():
-            raise NumericalError(RHO_RANGE)
+            raise _rho_error(n, RHO_RANGE)
         rho.flags.writeable = False
         lik = likelihood_rows(model.observation, [y])[0]
         self.pi, _ = filter_step_with_likelihood(self.pi, lik, model.kernel, model.space)
-        # a step that raises leaves the context as it was
-        self.rho, self.exponent_sum = rho, exponent_sum
+        self.rho, self.exponent_sum, self.steps = rho, exponent_sum, n
 
     @property
     def record(self) -> OscillationRecord:
@@ -247,14 +253,14 @@ class BackwardContext:
         return OscillationRecord(spread, bound, False)
 
     def likelihood_ratio(self, prior_ratio: np.ndarray) -> float:
-        """Likelihood ratio after the observations consumed so far (1 before any)."""
+        """Likelihood ratio after the steps taken so far (1 before any), or that step's error."""
         ratio = np.asarray(prior_ratio, dtype=float)
         weights = self.model.space.weights
-        if self.rho is None:
-            return float((ratio * self.theta0.values) @ weights)
-        value = float(((ratio * weights) @ self.rho) @ (self.pi.values * weights))
-        if not math.isfinite(value) or value < 0.0:
-            raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
+        with np.errstate(all="ignore"):  # a ratio out of range is caught below
+            value = float((ratio * self.theta0.values) @ weights if self.rho is None
+                          else ((ratio * weights) @ self.rho) @ (self.pi.values * weights))
+        if not 0.0 <= value < math.inf:
+            raise _rho_error(self.steps, RATIO.format(value))
         return value
 
 
@@ -284,19 +290,16 @@ def _envelope_scale(theta0: np.ndarray, coeffs: Optional[Coefficients]) -> Optio
     return scale
 
 
-def _envelope(model: FiniteModel, theta0: Density, coeffs: Optional[Coefficients],
-              pis: np.ndarray) -> Optional[np.ndarray]:
+def _envelope(model: FiniteModel, scale: np.ndarray, coeffs: Coefficients,
+              pis: np.ndarray) -> np.ndarray:
     """Envelope rows ``scale * exp(-exponent_n / max)`` for ``n = 1..N`` along
-    the ``(N+1, d)`` filter run from `theta0`, or None when vacuous.
+    the ``(N+1, d)`` filter run whose `_envelope_scale` is `scale`.
 
     The exponent accumulates one filter average per step, left to right as
     `BackwardContext` does (``cumsum`` is sequential), and ``math.exp`` is
     taken per step, so each row equals that context's ``record.bound``
     exactly.
     """
-    scale = _envelope_scale(theta0.values, coeffs)
-    if scale is None:
-        return None
     row_min_weighted = row_minima(model.kernel) * model.space.weights
     steps = len(pis) - 1
     exponents = np.zeros(steps)

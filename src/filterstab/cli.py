@@ -87,10 +87,6 @@ def _jsonable(obj):
         return x
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     return obj
 
 

@@ -1,5 +1,5 @@
-"""Seeded random-model generators, small densities and one extreme model
-document shared across the test suite.
+"""Seeded random-model generators, small densities, two extreme model
+documents and ρ computed three ways, shared across the test suite.
 
 All randomness flows through the scalar reference generator
 (`reference.Xoshiro256StarStar`) so the suite is platform-reproducible.
@@ -10,8 +10,17 @@ and the averaged row minimum positive.
 
 import numpy as np
 
-from filterstab import Density, FiniteModel, backward_pass, build_model
-from reference import Xoshiro256StarStar
+from filterstab import (
+    BackwardContext,
+    Density,
+    FiniteModel,
+    NumericalError,
+    backward_pass,
+    build_model,
+    run_filter,
+)
+from filterstab.backward import _prior_ratio
+from reference import Xoshiro256StarStar, reference_backward
 
 
 def _positive_rows(stream, rows, cols, lo=0.05, hi=1.0):
@@ -67,6 +76,20 @@ OVERFLOWING_DENSITY = {
     "nu": [0.99, 1e308], "beta": [0.99, 1e308],
 }
 
+# a valid document on which ρ leaves the float range at step 1, and along
+# some records a state has zero predicted mass at step 2: state 1 has the
+# weight 1e-310, so the one-step prediction of state 1 is subnormal, and ρ's
+# first column 1 divides by it
+RHO_OVERFLOWS_AT_STEP_1 = {
+    "states": 3, "psi": [1.0, 1e-310, 1.0],
+    "transition": [[1.0, 0.0, 0.0],
+                   [0.5118578827946249, 1.283358680599553, 0.48814211720537515],
+                   [0.4573290270116041, 0.0, 0.542670972988396]],
+    "observation": {"type": "finite", "gamma": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]},
+    "nu": [0.16796552559238734, 0.36975354830965534, 0.8320344744076127],
+    "beta": [0.7854029358052751, 0.3032128812312252, 0.2145970641947248],
+}
+
 
 def uniform_density(space) -> Density:
     return Density(np.full(space.num_states, 1.0 / float(space.weights.sum())))
@@ -81,3 +104,37 @@ def point_mass(state, space) -> Density:
 def record_rho(model, record):
     """ρ along a replicate's wrong-prior run, as the commands run it."""
     return backward_pass(model, record.coeffs, record.pair.run_wrong.densities)
+
+
+def rho_three_ways(model, coeffs, observations):
+    """ρ along the wrong-prior filter's run on `observations`, which must
+    pass, three ways: `backward_pass`, `BackwardContext` stepped over the
+    record (its likelihood ratio read before the first step and after each)
+    and `reference_backward`. Each outcome is the message of the error it
+    raises, or the bytes of its oscillations, envelope (None when vacuous)
+    and likelihood ratios, so that equal outcomes agree bit for bit."""
+    densities = run_filter(model.wrong_prior, observations, model).densities
+
+    def along():
+        return backward_pass(model, coeffs, densities)
+
+    def stepped():
+        ratio = _prior_ratio(model)
+        ctx = BackwardContext(model, model.wrong_prior, coeffs)
+        ratios, records = [ctx.likelihood_ratio(ratio)], []
+        for y in observations:
+            ctx.step(y)
+            records.append(ctx.record)
+            ratios.append(ctx.likelihood_ratio(ratio))
+        bounds = None if ctx._scale is None else np.array([r.bound for r in records])
+        return np.array([r.oscillation for r in records]), bounds, np.array(ratios)
+
+    outcomes = []
+    for way in (along, stepped, lambda: reference_backward(model, coeffs, densities)):
+        try:
+            arrays = way()
+        except NumericalError as exc:
+            outcomes.append(str(exc))
+        else:
+            outcomes.append(tuple(None if a is None else a.tobytes() for a in arrays))
+    return outcomes

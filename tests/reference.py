@@ -177,14 +177,17 @@ def log_domain_step(model, pi, y):
 
 
 def reference_backward(model, coeffs, wrong):
-    """Oscillations, envelope (None when vacuous) and likelihood ratios along
-    one wrong-prior run ``wrong`` (its ``(N+1, d)`` densities).
+    """Oscillations, envelope (None when vacuous or `coeffs` is None) and
+    likelihood ratios along one wrong-prior run ``wrong`` (its ``(N+1, d)``
+    densities).
 
-    Raises the package's errors for the run, in its order: a prior ratio that
-    overflows, a state unreachable in one step, zero predicted mass at any
-    step, a ρ entry out of the float range at any step, a likelihood ratio
-    that is not finite and nonnegative, then an envelope scale that
-    underflows or overflows.
+    Raises the package's errors for the run, by its rule: the run's
+    constants first, a prior ratio that overflows and then an envelope
+    scale that underflows or overflows; then the first failing step's error,
+    naming the step. Step 0 has a likelihood ratio only. At a later step a
+    zero predicted mass (at step 1, a state unreachable in one step) comes
+    first, then a ρ entry out of the float range, then a likelihood ratio
+    that is not finite and nonnegative.
     """
     matrix, w = model.kernel.matrix, model.space.weights
     nu, theta0 = model.true_prior.values, model.wrong_prior.values
@@ -194,50 +197,53 @@ def reference_backward(model, coeffs, wrong):
             u = int(np.isfinite(ratio).argmin())
             raise NumericalError(f"prior ratio overflows at state {u}: "
                                  f"nu {float(nu[u])!r} / beta {float(theta0[u])!r}")
+        scale = None
+        if coeffs is not None and coeffs.mixing_coefficient > 0.0:
+            theta_min, avg = float(theta0.min()), coeffs.mixing_coefficient
+            top = coeffs.max_density
+            if theta_min * avg == 0.0:
+                raise NumericalError(f"envelope scale underflows: theta_min * mixing "
+                                     f"coefficient = {theta_min!r} * {avg!r} rounds to 0")
+            try:
+                square = top**2
+            except OverflowError:
+                square = math.inf
+            scale = square / (theta_min * avg) * theta0
+            if not np.isfinite(scale).all():
+                raise NumericalError(
+                    f"envelope scale overflows: max density**2 / (theta_min * mixing "
+                    f"coefficient) = {top!r}**2 / ({theta_min!r} * {avg!r})")
         row_min_weighted = row_minima(model.kernel) * w
-        denominator = (theta0 * w) @ matrix
-        if (denominator <= 0.0).any():
-            raise NumericalError(
-                "state unreachable in one step: conditioning event has probability 0")
-        rho = matrix * theta0[:, None] / denominator[None, :]
-        rho = rho / (w @ rho)[None, :]
         oscillations, ratios, decays = [], [float((ratio * theta0) @ w)], []
-        exponent, in_range = 0.0, True
-        for k in range(1, len(wrong)):
-            if k > 1:
+        exponent = 0.0
+        for k in range(len(wrong)):
+            if k == 1:
+                denominator = (theta0 * w) @ matrix
+                if (denominator <= 0.0).any():
+                    raise NumericalError(
+                        "state unreachable in one step: conditioning event has probability 0")
+                rho = matrix * theta0[:, None] / denominator[None, :]
+                rho = rho / (w @ rho)[None, :]
+            elif k > 1:
                 weighted = wrong[k - 1] * w
                 denominator = weighted @ matrix
                 if denominator.min() <= 0.0:
-                    raise NumericalError("state has zero predicted mass")
+                    raise NumericalError(f"state has zero predicted mass (at step {k})")
                 rho = ((rho * weighted[None, :]) @ matrix) / denominator[None, :]
                 rho = rho / (w @ rho)[None, :]
                 exponent += float(wrong[k - 1] @ row_min_weighted)
-            in_range = in_range and bool(np.isfinite(rho).all())
-            oscillations.append(rho.max(axis=1) - rho.min(axis=1))
-            ratios.append(float(((ratio * w) @ rho) @ (wrong[k] * w)))
-            decays.append(math.exp(-exponent / coeffs.max_density))
-    if not in_range:
-        raise NumericalError(RHO_RANGE)
-    for value in ratios:
-        if not 0.0 <= value < math.inf:
-            raise NumericalError(f"likelihood ratio must be finite and nonnegative, got {value!r}")
-    bounds = None
-    if coeffs.mixing_coefficient > 0.0:
-        theta_min, avg, top = float(theta0.min()), coeffs.mixing_coefficient, coeffs.max_density
-        if theta_min * avg == 0.0:
-            raise NumericalError(f"envelope scale underflows: theta_min * mixing coefficient = "
-                                 f"{theta_min!r} * {avg!r} rounds to 0")
-        try:
-            square = top**2
-        except OverflowError:
-            square = math.inf
-        with np.errstate(over="ignore"):
-            scale = square / (theta_min * avg) * theta0
-        if not np.isfinite(scale).all():
-            raise NumericalError(
-                f"envelope scale overflows: max density**2 / (theta_min * mixing coefficient) = "
-                f"{top!r}**2 / ({theta_min!r} * {avg!r})")
-        bounds = scale[None, :] * np.array(decays)[:, None]
+            if k:
+                if not np.isfinite(rho).all():
+                    raise NumericalError(f"{RHO_RANGE} (at step {k})")
+                oscillations.append(rho.max(axis=1) - rho.min(axis=1))
+                ratios.append(float(((ratio * w) @ rho) @ (wrong[k] * w)))
+                if scale is not None:
+                    decays.append(math.exp(-exponent / coeffs.max_density))
+            if not 0.0 <= ratios[k] < math.inf:
+                raise NumericalError(
+                    f"likelihood ratio must be finite and nonnegative, got {ratios[k]!r} "
+                    f"(at step {k})")
+    bounds = None if scale is None else scale[None, :] * np.array(decays)[:, None]
     return np.array(oscillations).reshape(-1, len(w)), bounds, np.array(ratios)
 
 

@@ -19,7 +19,12 @@ from filterstab import (
     sample_trajectory,
 )
 from filterstab.model import row_minima
-from helpers import random_positive_model, uniform_density
+from helpers import (
+    RHO_OVERFLOWS_AT_STEP_1,
+    random_positive_model,
+    rho_three_ways,
+    uniform_density,
+)
 from reference import (
     brute_force_backward,
     change_of_measure_residual,
@@ -188,14 +193,73 @@ class TestBackwardStep:
             "observation": {"type": "finite", "gamma": [[1.0]]},
             "nu": [1.3218991893534264e-300], "beta": [1.3218991893534264e-300],
         })
-        message = "backward density leaves the float range: an entry is inf or nan"
+        message = "backward density leaves the float range: an entry is inf or nan (at step 1)"
         ctx = BackwardContext(model, model.wrong_prior)
-        with pytest.raises(NumericalError, match=message):
+        with pytest.raises(NumericalError) as caught:
             ctx.step(0)
+        assert str(caught.value) == message
         assert ctx.rho is None
         run = run_filter(model.wrong_prior, [0, 0], model)
-        with pytest.raises(NumericalError, match=message):
+        with pytest.raises(NumericalError) as caught:
             backward_pass(model, None, run.densities)
+        assert str(caught.value) == message
+
+
+class TestFailureRule:
+    """ρ fails at its first failing step, after the run's constants, with the
+    step named, in `backward_pass`, `BackwardContext` and the reference loop
+    alike."""
+
+    def test_the_first_failing_step_is_named_on_every_history(self):
+        # ρ leaves the float range at step 1, and a state has zero predicted
+        # mass at step 2 of this record
+        model = build_model(RHO_OVERFLOWS_AT_STEP_1)
+        record = sample_trajectory(model, model.true_prior, 60, 902602949).observations
+        expected = "backward density leaves the float range: an entry is inf or nan (at step 1)"
+        for n in (1, 2, 60):
+            assert rho_three_ways(model, None, record[:n]) == [expected] * 3
+
+    def test_a_likelihood_ratio_that_is_nan_fails_its_step(self):
+        # the prior ratio of state 0 is 1e299, and times its weight 1e10 it is
+        # inf; ρ's row 0 is 0 in column 1, and inf * 0 is nan
+        model = build_model({
+            "states": 2, "psi": [1e10, 1.0], "transition": [[1e-10, 0.0], [5e-11, 0.5]],
+            "observation": {"type": "finite", "gamma": [[0.5, 0.5], [0.5, 0.5]]},
+            "nu": [1e-11, 0.9], "beta": [1e-310, 1.0],
+        })
+        expected = "likelihood ratio must be finite and nonnegative, got nan (at step 1)"
+        assert rho_three_ways(model, None, [0, 1, 0]) == [expected] * 3
+
+    def test_the_ratio_of_step_0_fails_before_step_1(self):
+        # nu / beta of state 0 rounds up, and times beta it overflows; state 0
+        # is also unreachable in one step
+        top = 1.7976931348623157e308
+        model = build_model({
+            "states": 2, "psi": [5e-309, 1.0], "transition": [[0.0, 1.0], [0.0, 1.0]],
+            "observation": {"type": "finite", "gamma": [[1.0, 0.0], [0.5, 0.5]]},
+            "nu": [top, 1.0 - top * 5e-309], "beta": [3.0, 1.0 - 1.5e-308],
+        })
+        expected = "likelihood ratio must be finite and nonnegative, got inf (at step 0)"
+        for observations in ([], [1], [1, 0]):
+            assert rho_three_ways(model, None, observations) == [expected] * 3
+
+    def test_the_envelope_scale_fails_before_rho(self):
+        # theta_min * mixing coefficient underflows, and ρ's first numerator
+        # underflows to 0, then 0/0
+        model = build_model({
+            "states": 1, "psi": [7.564873388636578e299], "transition": [[1.3218991893534264e-300]],
+            "observation": {"type": "finite", "gamma": [[1.0]]},
+            "nu": [1.3218991893534264e-300], "beta": [1.3218991893534264e-300],
+        })
+        coeffs = mixing_coefficients(model, model.wrong_prior)
+        expected = ("envelope scale underflows: theta_min * mixing coefficient = "
+                    "1.3218991893534264e-300 * 1.3218991893534264e-300 rounds to 0")
+        assert rho_three_ways(model, coeffs, [0, 0]) == [expected] * 3
+
+    def test_a_record_needs_a_step(self):
+        model = random_positive_model(7, 3)
+        with pytest.raises(NumericalError, match="^no observations consumed yet$"):
+            BackwardContext(model, model.wrong_prior).record
 
 
 class TestOscillation:

@@ -32,7 +32,7 @@ from filterstab.cli import _COMMANDS, build_parser, load_model, main
 from filterstab.ergodicity import BOUND_FLOOR, _running_averages
 from filterstab.errors import InvalidModelError
 from filterstab.harness import BUILTIN_DOCUMENTS
-from helpers import OVERFLOWING_DENSITY, random_kernel_matrix
+from helpers import OVERFLOWING_DENSITY, RHO_OVERFLOWS_AT_STEP_1, random_kernel_matrix
 from test_cli_bytes import GAUSSIAN3
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -497,11 +497,14 @@ def weight_scaled(name, scale):
                   "observation": {"type": "finite", "gamma": [[1.0], [1.0]]},
                   "nu": [0.0, 5e-300], "beta": [0.0, 5e-300]},
      1, "error: invalid kernel: 'transition' row 0 integrates to inf, not 1 (tolerance 1e-06)"),
-    # rho's first numerator underflows to 0, then 0/0: a numerical failure, not bad input
+    # the envelope scale underflows; it fails before rho, whose first numerator
+    # underflows to 0, then 0/0: a numerical failure, not bad input
     ("stability", one_state(7.564873388636578e+299, 1.3218991893534264e-300),
-     2, "numerical failure: backward density leaves the float range: an entry is inf or nan"),
+     2, "numerical failure: envelope scale underflows: theta_min * mixing coefficient = "
+        "1.3218991893534264e-300 * 1.3218991893534264e-300 rounds to 0"),
     ("backward", one_state(7.564873388636578e+299, 1.3218991893534264e-300),
-     2, "numerical failure: backward density leaves the float range: an entry is inf or nan"),
+     2, "numerical failure: envelope scale underflows: theta_min * mixing coefficient = "
+        "1.3218991893534264e-300 * 1.3218991893534264e-300 rounds to 0"),
     # the invariant density is weighed first, so the coefficient stays in range
     ("validate", one_state(1e-170, 1e170), 0, None),
     ("validate", {"states": 3, "psi": [1.0, 4.8552528789402365e+37, 2.7008240643429375e-271],
@@ -536,6 +539,11 @@ def weight_scaled(name, scale):
      1, "error: symbol weights must be finite and strictly positive"),
     ("validate", dict(BUILTIN_DOCUMENTS["mixing2"], nu=[-0.1, 1.1]),
      1, "error: invalid model document: 'nu': density values must be finite and nonnegative"),
+    # rho's first column divides by a subnormal prediction of the state of weight 1e-310
+    ("stability", RHO_OVERFLOWS_AT_STEP_1, 2, "numerical failure: backward density leaves "
+                                             "the float range: an entry is inf or nan (at step 1)"),
+    ("backward", RHO_OVERFLOWS_AT_STEP_1, 2, "numerical failure: backward density leaves "
+                                            "the float range: an entry is inf or nan (at step 1)"),
 ])
 def test_extreme_documents_exit_with_one_line(command, document, rc, line, tmp_path):
     model = write_model(tmp_path, document)

@@ -191,7 +191,8 @@ def test_zero_predicted_mass_on_a_chunk_boundary(monkeypatch, held, where):
     model = RETURN_MODEL
     coeffs = coefficients(model)
     wrong, _ = reference_filter(model, model.wrong_prior.values, failing)
-    with pytest.raises(NumericalError, match="zero predicted mass"):
+    zero_mass = rf"^state has zero predicted mass \(at step {m + 1}\)$"
+    with pytest.raises(NumericalError, match=zero_mass):
         reference_backward(model, coeffs, wrong)
     reference_backward(model, coeffs, wrong[:m + 1])  # ρ fails at step m + 1, not before
     # a later record whose ρ fails at step 2, and one whose filters fail at step 2
@@ -204,10 +205,10 @@ def test_zero_predicted_mass_on_a_chunk_boundary(monkeypatch, held, where):
         run_records(monkeypatch, model, [valid, failing, impossible])
     # each ρ fails on its own run; the valid record's equals the reference
     records = run_records(monkeypatch, model, [valid, failing, early])
-    for record in records[1:]:
+    for record, step in zip(records[1:], (m + 1, 2)):
         with pytest.raises(NumericalError) as caught:
             record_rho(model, record)
-        assert str(caught.value) == "state has zero predicted mass"
+        assert str(caught.value) == f"state has zero predicted mass (at step {step})"
     assert_record_equals_reference(model, records[0], valid)
 
 

@@ -12,8 +12,11 @@ each record must raise the plain ρ loop's error or equal its arrays. Under chun
 or the default, Gaussian records with outliers hold the rescued and resumed
 steps inside one chunk to the same loops, and records with NaNs or
 infinities must raise the same first error. On models with one state of
-subnormal weight, whose posterior density, ρ or envelope scale can leave
-the float range, the filter pass and ρ must do the same. On finite models with positive kernels, the
+tiny weight, whose posterior density, ρ or envelope scale can leave the
+float range, the filter pass and ρ must do the same. On finite models with
+one state of weight 1e-310 to 1e-200, `backward_pass`, `BackwardContext`
+and the plain ρ loop must raise the same error at the same step or agree
+bit for bit. On finite models with positive kernels, the
 gap between the two filters stays below the bound that ρ's oscillation and
 the likelihood ratio give it. The sampler, on the same kind of models with
 horizons up to 300, must draw what the scalar generator draws step by step.
@@ -35,11 +38,12 @@ from filterstab import (
     mixing_coefficients,
     run_filter,
     sample_trajectories,
+    sample_trajectory,
 )
 from filterstab import backward, filtering
 from filterstab.backward import backward_pass
 from filterstab.filtering import _engine
-from helpers import OVERFLOWING_DENSITY
+from helpers import OVERFLOWING_DENSITY, RHO_OVERFLOWS_AT_STEP_1, rho_three_ways
 from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
 
 
@@ -220,23 +224,27 @@ def first_failing_step(model, records):
 
 @st.composite
 def subnormal_weight_cases(draw):
-    """Models in which one state ``j`` has a subnormal weight, so that its
-    density is its probability over that weight: it leaves the float range
-    once the filter gives state ``j`` more than 0.018, 0.18 or 0.54 (weight
-    1e-310, 1e-309 or 3e-309). Each law puts 0, or 0.85e308 to 1.7e308 times
+    """Models in which one state ``j`` has a tiny weight, so that its density
+    is its probability over that weight. At a subnormal weight it leaves the
+    float range once the filter gives state ``j`` more than 0.018, 0.18 or
+    0.54 (weight 1e-310, 1e-309 or 3e-309); at a weight of 1e-150, 1e-100 or
+    1e-60 it stays in range, and so does ρ, whose arrays are then compared.
+    Each law puts 0, or 0.5 to 1 times the lesser of 0.9 and 1.7e308 times
     that weight, on ``j``, so the documents themselves are in range, and a
-    filter fails on about a third of the cases. 3 or 5 records of up to 40
-    steps, or, when some filter fails, records cut at the step of the last
-    record's first failure, so that a filter fails at the last step."""
+    filter fails on about a third of the subnormal cases. 3 or 5 records of
+    up to 40 steps, or, when some filter fails, records cut at the step of
+    the last record's first failure, so that a filter fails at the last
+    step."""
     d = draw(st.integers(2, 4))
     j = draw(st.integers(0, d - 1))
     psi = np.ones(d)
-    psi[j] = draw(st.sampled_from([1e-310, 1e-309, 3e-309]))
+    psi[j] = draw(st.sampled_from([1e-310, 1e-309, 3e-309, 1e-150, 1e-100, 1e-60]))
+    most = min(0.9, 1.7e308 * psi[j])  # the largest mass on j
 
     def law(zeros=True):
         others = np.array(draw(rows(1, np.ones(d - 1), zeros))[0])
         fraction = st.floats(0.5, 1.0)
-        on_j = draw(st.one_of(st.just(0.0), fraction) if zeros else fraction) * 1.7e308 * psi[j]
+        on_j = draw(st.one_of(st.just(0.0), fraction) if zeros else fraction) * most
         return np.insert(others * (1.0 - on_j), j, on_j / psi[j]).tolist()
 
     if draw(st.booleans()):
@@ -282,6 +290,72 @@ def test_overflowing_densities_raise_the_reference_error(case):
     """The filter pass and ρ against the reference loops, as in
     `test_engine_equals_reference`."""
     assert_engine_equals_reference(*case)
+
+
+@st.composite
+def tiny_weight_cases(draw):
+    """A finite model with d = 2..4 in which one state ``j`` has a weight in
+    [1e-310, 1e-200], with zero kernel entries, zero emissions and a zero
+    atom of the true prior. Each law has a density of order 1 on ``j``, so
+    ``j``'s masses and predictions are tiny or subnormal, and ρ's column
+    ``j`` divides by them. Half the weights lie below 6e-309, where ρ's
+    density ``1 / weight`` of state ``j`` overflows; the other half are
+    log-uniform. 1 or 3 records of up to 60 steps, and the Coefficients of a
+    uniform law or none."""
+    d = draw(st.integers(2, 4))
+    j = draw(st.integers(0, d - 1))
+    psi = np.ones(d)
+    psi[j] = draw(st.one_of(st.floats(1e-310, 6e-309),
+                            st.floats(-310.0, -200.0).map(lambda e: 10.0 ** e)))
+
+    def law(zeros=True):
+        # the other states carry the mass, which j's density changes by < 1e-199
+        others = draw(rows(1, np.ones(d - 1), zeros))[0]
+        on_j = draw(st.floats(0.01, 2.0) if not zeros else
+                    st.one_of(st.just(0.0), st.floats(0.01, 2.0)))
+        return np.insert(others, j, on_j).tolist()
+
+    model = build_model({
+        "states": d, "psi": psi.tolist(), "transition": [law() for _ in range(d)],
+        "observation": {"type": "finite",
+                        "gamma": draw(rows(d, np.ones(draw(st.integers(2, 3)))))},
+        "nu": law(), "beta": law(zeros=False),
+    })
+    seeds = [derive_seed(draw(st.integers(0, 2**16)), r)
+             for r in range(draw(st.sampled_from([1, 3])))]
+    _, records = sample_trajectories(model, model.true_prior, draw(st.integers(1, 60)), seeds)
+    return model, records, draw(st.booleans())
+
+
+# ρ leaves the float range at step 1 of every record, and along this one a
+# state has zero predicted mass at step 2
+REPRODUCER = build_model(RHO_OVERFLOWS_AT_STEP_1)
+REPRODUCER_RECORD = sample_trajectory(REPRODUCER, REPRODUCER.true_prior, 60, 902602949).observations
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(tiny_weight_cases())
+@example((REPRODUCER, np.array([REPRODUCER_RECORD]), False))
+def test_rho_fails_alike_on_tiny_weights(case):
+    """On every record whose wrong-prior filter passes, `backward_pass`,
+    `BackwardContext` and `reference_backward` raise the same error, which
+    names its step unless it is one of the run's constants' or step 1's
+    unreachable state, or agree bit for bit."""
+    model, records, with_coeffs = case
+    coeffs = None
+    if with_coeffs:
+        coeffs = mixing_coefficients(model, Density(np.full(model.space.num_states,
+                                                            1.0 / model.space.weights.sum())))
+    for record in records:
+        try:
+            run_filter(model.wrong_prior, record, model)
+        except NumericalError:
+            continue
+        along, stepped, plain = rho_three_ways(model, coeffs, record)
+        assert along == stepped == plain
+        if isinstance(along, str):  # the run's constants, or a step named
+            assert (along.startswith(("prior ratio", "envelope scale", "state unreachable in one"))
+                    or re.search(r"\(at step \d+\)$", along))
 
 
 @st.composite

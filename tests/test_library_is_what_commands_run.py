@@ -27,6 +27,8 @@ KEPT = {
         "builds the bases of the eight validating records at import, before any command runs",
     "filtering._log_domain_update":
         "the filter's log-domain redo of a Gaussian step; only an outlier record reaches it",
+    "backward._rho_error":
+        "ρ's error at its first failing step; only a record on which ρ fails reaches it",
     "filtering.FilterRun.log_normalizers":
         "the tests' independent route to likelihood ratios",
     "filtering.filter_step_with_likelihood":

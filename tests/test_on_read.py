@@ -21,7 +21,7 @@ from filterstab import (
     run_filter_pair,
     run_scenario,
 )
-from filterstab.backward import _envelope
+from filterstab.backward import _envelope, _envelope_scale
 from filterstab.filtering import _engine
 from reference import reference_backward, reference_filter
 
@@ -87,8 +87,9 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
     model = scenario.model
     for record in records:
         wrong = record.pair.run_wrong.densities
-        row = _envelope(model, model.wrong_prior, record.coeffs, wrong)
-        assert row is not None
+        scale = _envelope_scale(model.wrong_prior.values, record.coeffs)
+        assert scale is not None
+        row = _envelope(model, scale, record.coeffs, wrong)
         bounds = backward_pass(model, record.coeffs, wrong).bounds
         assert "log_normalizers" not in vars(record.pair.run_correct)
         assert "log_normalizers" not in vars(record.pair.run_wrong)

@@ -112,3 +112,15 @@ class TestLikelihoodVector:
         obs = finite_observation([[0.5, 0.5]])
         with pytest.raises(InvalidModelError, match="alphabet"):
             likelihood_rows(obs, [2])
+
+    def test_fractional_symbol(self):
+        obs = finite_observation([[0.5, 0.5]])
+        with pytest.raises(InvalidModelError) as caught:
+            likelihood_rows(obs, [1, 0.5])
+        assert str(caught.value) == "finite-alphabet observation must be integral, got 0.5"
+
+    def test_a_gaussian_channel_has_no_alphabet(self):
+        obs = ObservationModel("gaussian", means=[0.0, 2.0], sigma=1.0)
+        with pytest.raises(InvalidModelError) as caught:
+            obs.num_symbols
+        assert str(caught.value) == "num_symbols is defined for finite alphabets only"

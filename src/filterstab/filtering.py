@@ -123,15 +123,18 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     Each step advances every filter as one stack of rows, each rounding as
     it does alone. A lone row is 1-D: its product and normalizer are
     ``ndarray.dot`` calls, the normalizer a ddot into a 0-d view of the
-    chunk's normalizers. A stack of d <= 3 rows is 2-D: its product is one
-    ``(rows, d) @ (d, d)`` gemm, and its normalizer one gemm against the
-    (d, d) matrix whose every column is the state weights, tiled across each
-    row with column 0 read as the normalizer. Those gemms round as the
-    per-row calls; the product's identity fails from d = 4 and the
-    normalizer's from d = 16 (`test_a_gemm_rounds_as_the_stacked_rows`). So
-    a larger d keeps ``(rows, 1, d)`` stacks, one gemv per row, and a dot
-    per row for the normalizer: ``ndarray.dot`` for a pair, `np.matmul`,
-    faster there, for more rows; only its divide broadcasts. When every
+    chunk's normalizers. A stack of d <= 15 rows is 2-D: its normalizer is
+    one ``(rows, d) @ (d, d)`` gemm against the matrix whose every column is
+    the state weights, tiled across each row with column 0 read as the
+    normalizer, so its divide takes operands of one shape. Its product is
+    one such gemm at d <= 3, and from d = 4 one gemv per row, through a
+    ``(rows, 1, d)`` view. Every 2-D gemm is an ``ndarray.dot`` call, the
+    BLAS call of `np.matmul` at lower cost. Those gemms round as the per-row
+    calls; the product's identity fails from d = 4 and the normalizer's
+    from d = 16 (`test_a_gemm_rounds_as_the_stacked_rows`). So a stack of
+    d >= 16 keeps ``(rows, 1, d)`` rows, one gemv per row, and a dot per row
+    for the normalizer: ``ndarray.dot`` for a pair, `np.matmul`, faster
+    there, for more rows; only its divide broadcasts. When every
     state weight is exactly 1.0 the rows go to the product unweighted, since
     ``x * 1.0 == x`` bit for bit. The other elementwise steps run on
     same-shape operands tiled once per chunk. A step fails only at the check
@@ -156,12 +159,15 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     multiply, divide, matmul, dot = np.multiply, np.divide, np.matmul, np.ndarray.dot
     if n_rows == 1:  # 1-D, its normalizer a ddot into a 0-d array
         row, z_row, z_weights, row_product, normalize = (d,), (), weights, dot, dot
-    elif d <= 3:  # 2-D: one gemm per product, the normalizer tiled across each row
+    elif d <= 15:  # 2-D, the normalizer one gemm tiled across each row
         row = z_row = (n_rows, d)
-        z_weights, row_product, normalize = np.repeat(weights[:, None], d, 1), matmul, matmul
+        z_weights, normalize = np.repeat(weights[:, None], d, 1), dot
+        row_product = dot if d <= 3 else matmul  # one gemm, or one gemv per row
     else:  # one gemv and one dot per row; a pair's dots cost less in `ndarray.dot`
         row, z_row, z_weights = (n_rows, 1, d), (n_rows, 1, 1), weights[:, None]
         row_product, normalize = matmul, dot if n_rows == 2 else matmul
+    # the product's operand shape: a (rows, 1, d) view of a 2-D stack when it takes gemvs
+    product_row = (n_rows, 1, d) if row_product is matmul else row
     liks = likelihood_rows(model.observation, np.ravel(observations))
     liks = np.ascontiguousarray(liks.reshape(n_records, n_obs, d).swapaxes(0, 1))
     densities = np.empty((n_obs + 1,) + row)
@@ -171,15 +177,16 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     # normalizers are column 0 of its `zs`
     pis, zs = np.empty((held + 1,) + row), np.empty((held,) + z_row)
     row_pis, row_zs = pis.reshape(held + 1, n_rows, d), zs.reshape(held, n_rows, -1)[..., 0]
-    weighted, predicted = np.empty((2,) + row)  # read only by the step that writes them
+    weighted, predicted = np.empty((2,) + product_row)  # read only by the step that writes them
     tiled_liks = np.empty((held,) + row)  # each record's likelihoods, for every prior
-    tiled_weights = np.tile(weights, n_rows).reshape(row)
+    tiled_weights = np.tile(weights, n_rows).reshape(product_row)
     unit = bool((weights == 1.0).all())  # then weighting a row changes no bit
     unnormalized = np.empty(row)
+    predicted_row = predicted.reshape(row)
     # each buffer's per-step views, made once; step k writes the density step k + 1 reads
     # (`zs[k, ...]` is a view even when zs is 1-D, where iterating would copy)
-    pi_views = list(pis)
-    steps = pi_views, list(tiled_liks), [zs[k, ...] for k in range(held)], pi_views[1:]
+    steps = (list(pis.reshape((held + 1,) + product_row)), list(tiled_liks),
+             [zs[k, ...] for k in range(held)], list(pis)[1:])
     errors = {}  # row -> the error of its first failing step
     rescued_logs = {}
     with np.errstate(all="ignore"):  # every failure is caught by the check below
@@ -193,7 +200,7 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
                 for pi, lik, z, pi_next in zip(*(views[start:done] for views in steps)):
                     row_product(pi if unit else multiply(pi, tiled_weights, weighted),
                                 matrix, predicted)
-                    multiply(lik, predicted, unnormalized)
+                    multiply(lik, predicted_row, unnormalized)
                     normalize(unnormalized, z_weights, z)
                     divide(unnormalized, z, pi_next)
                 # which row failed, and where, is worked out only if one did (NaN fails

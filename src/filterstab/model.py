@@ -307,12 +307,9 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
     lo = float(kernel.matrix.min())
     hi = float(kernel.matrix.max())
     mins = row_minima(kernel)
-    with np.errstate(over="ignore"):
-        # m * w is a probability vector, so weighing it first stays in range
-        avg = float(np.sum(mins * (invariant.values * space.weights)))
-    if np.isinf(avg):
-        raise NumericalError("mixing coefficient overflows: row minimum * invariant density "
-                             "exceeds the float range")
+    # m * w is a probability vector, so weighing it first keeps avg within the largest row
+    # minimum, a finite entry of the validated kernel
+    avg = float(np.sum(mins * (invariant.values * space.weights)))
     rate = avg / hi if hi > 0.0 else 0.0
     degenerate = avg > 0.0 and abs(hi - avg) <= 1e-14 * hi
     prefactor = ratio = None
@@ -352,17 +349,15 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     error only by about ``1e-13 / (1 - lambda_2)``, with ``lambda_2`` the
     second eigenvalue: on ``K_e = [[1-e, e], [2e, 1-2e]]`` at ``e = 1e-3`` the
     result is off by about 1e-11. When a block's largest delta stays within 1%
-    of the previous block's three blocks in a row, the chain oscillates: the
-    loop goes on, within the same budget, and polishes with the lazy step
-    ``(I + K) / 2``, which has the same invariant law and no other eigenvalue
-    of modulus 1 (Levin, Peres and Wilmer, section 1.3). So periodic chains of
-    any period, and near-periodic ones such as ``[[a, 1-a], [1-b, b]]`` with
-    small ``a`` and ``b``, are solved. The probe firing again on the lazy step,
-    or all ``_POWER_BLOCKS`` blocks (10**6 steps) run, raises a slow-mixing
-    `NumericalError` naming the steps run. The result satisfies the fixed-point
-    residual, as probabilities, to 1e-10. ``K_e`` converges from ``e = 6e-6``
-    up; it runs out of steps from about ``3.4e-6`` to ``5e-6``, and the probe
-    fires on both steps within 8 000 at and below ``3.3e-6`` (ROADMAP item 2).
+    of the previous block's three blocks in a row, the chain oscillates or
+    mixes too slowly to finish, and the loop stops; so it does when all
+    ``_POWER_BLOCKS`` blocks (10**6 steps) have run. Either way the density
+    comes from `_gth` instead, exact to rounding, and must meet the
+    fixed-point residual, as probabilities, to 1e-10. So periodic chains of
+    any period, near-periodic ones such as ``[[a, 1-a], [1-b, b]]`` with
+    small ``a`` and ``b``, and ``K_e`` below ``e = 6e-6`` are solved (the
+    power iteration stays for every chain it solves, bit for bit; ROADMAP
+    item 2 replaces it).
 
     The iteration runs in blocks of ``_POWER_BLOCK`` steps written into one
     buffer, the first in runs of 1, 2, 4, ... steps, so a fast chain stops
@@ -418,8 +413,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     rows = np.empty((_POWER_BLOCK + 1, d))
     views = list(rows)
     v, total = np.empty(d), np.empty(())
-    step = adjoint
-    dot, vdot, divide = step.dot, v.dot, np.divide
+    dot, vdot, divide = adjoint.dot, v.dot, np.divide
     rows[0] = 1.0 / float(weights.sum())
     m = rows[0]
     stagnant_blocks, last_max = 0, np.inf
@@ -447,28 +441,46 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
         stagnant_blocks = stagnant_blocks + 1 if block_max > 0.99 * last_max else 0
         last_max = block_max
         if stagnant_blocks >= 3:
-            if step is not adjoint:
-                break
-            # the lazy chain (I + K) / 2: the same law, no other eigenvalue of modulus 1
-            step = 0.5 * (adjoint + np.eye(d))
-            dot, stagnant_blocks, last_max = step.dot, 0, np.inf
+            break
     if not hits.size:
-        raise NumericalError(f"slow mixing: the power iteration did not converge "
-                             f"in {(block + 1) * _POWER_BLOCK} steps")
+        return _gth(matrix, weights, classes[0], adjoint)
 
     # polish: keep iterating while the step keeps improving
     for _ in range(500):
         if delta <= 2.3e-16:
             break
-        m_next = normalize(step @ m)
+        m_next = normalize(adjoint @ m)
         new_delta = float(np.max(np.abs(m_next - m) * weights))
         if new_delta >= delta:
             break
         m, delta = m_next, new_delta
-
-    if float(np.max(np.abs(adjoint @ m - m) * weights)) > 1e-10:
-        raise NumericalError("no unique invariant density found")
     return Density(normalize(m))
+
+
+def _gth(matrix: np.ndarray, weights: np.ndarray, states: list[int],
+         adjoint: np.ndarray) -> Density:
+    """The invariant density by Grassmann, Taksar and Heyman's state
+    reduction (1985), on the probabilities ``P = K diag(w)`` of the closed
+    class `states`, with 0 on every transient state. It never subtracts,
+    and reads each diagonal entry as 1 minus the row's others, so it is
+    exact to rounding however slowly the chain mixes (O'Cinneide 1993). The
+    result must meet the fixed-point residual, as probabilities, to 1e-10;
+    a class whose float probabilities have lost an edge to underflow fails it."""
+    with np.errstate(all="ignore"):  # a lost edge gives 0 / 0, caught by the residual
+        p = (matrix * weights)[np.ix_(states, states)]
+        for k in range(len(states) - 1, 0, -1):  # censor state k out of the chain
+            p[:k, k] /= p[k, :k].sum()
+            p[:k, :k] += np.outer(p[:k, k], p[k, :k])
+        law = np.ones(len(states))
+        for k in range(1, len(states)):
+            law[k] = law[:k] @ p[:k, k]
+        m = np.zeros_like(weights)
+        m[states] = law / law.sum() / weights[states]
+        residual = float(np.max(np.abs(adjoint @ m - m) * weights))
+    if not residual <= 1e-10:
+        raise NumericalError(f"invariant density: the GTH solution misses its fixed point by "
+                             f"{residual!r} as probabilities")
+    return Density(m / float(m @ weights))
 
 
 def _closed_classes(matrix: np.ndarray) -> list[list[int]]:

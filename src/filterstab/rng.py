@@ -118,30 +118,36 @@ def _segments(count: int, lanes: int) -> tuple[int, int]:
     return segments, -(-count // segments)
 
 
+# shift counts and multipliers as 0-d uint64 arrays, which a ufunc takes on
+# its cheaper call path (a Python int is converted on every call)
+_5, _7, _9, _17, _19, _45, _57 = (np.array(k, dtype=np.uint64) for k in (5, 7, 9, 17, 19, 45, 57))
+
+
 def _advance(state: np.ndarray, steps: int, out: np.ndarray | None = None) -> None:
     """Step in place every lane of `state`, whose row w holds word w of all
     lane states; with `out`, ``out[k]`` receives the words of step k."""
     s0, s1, s2, s3 = state
     t = np.empty_like(s1)
+    xor, left, right, either = np.bitwise_xor, np.left_shift, np.right_shift, np.bitwise_or
     for k in range(steps):
         if out is not None:
             out[k] = s1  # scrambled below, all steps at once
-        np.left_shift(s1, 17, out=t)
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        np.right_shift(s3, 19, out=t)
-        s3 <<= 45
-        s3 |= t
+        left(s1, _17, t)
+        xor(s2, s0, s2)
+        xor(s3, s1, s3)
+        xor(s1, s2, s1)
+        xor(s0, s3, s0)
+        xor(s2, t, s2)
+        right(s3, _19, t)
+        left(s3, _45, s3)
+        either(s3, t, s3)
     if out is not None:
         words = out[:steps]
-        words *= 5
-        high = words >> 57
-        words <<= 7
-        words |= high
-        words *= 9
+        np.multiply(words, _5, words)
+        high = right(words, _57)
+        left(words, _7, words)
+        either(words, high, words)
+        np.multiply(words, _9, words)
 
 
 def _jump_map(steps: int) -> np.ndarray:

@@ -257,16 +257,18 @@ class TestValidateCommand:
         assert capsys.readouterr().err == ("numerical failure: no unique invariant density found: "
                                            "closed classes of states {0, 1} and {2, 3}\n")
 
-    def test_slow_mixing_exit_code(self, tmp_path, capsys):
-        # the power iteration runs out of steps at eps = 5e-6 (about 2 s)
+    def test_a_chain_out_of_steps_is_solved(self, tmp_path, capsys):
+        # the power iteration runs out of steps at eps = 5e-6 (about 1 s), and GTH
+        # solves the chain: its off-diagonals eps and 2 eps give the law (2/3, 1/3)
         eps = 5e-6
         doc = copy_of(SLOWMIX)
         doc["transition"] = [[1.0 - eps, eps], [2.0 * eps, 1.0 - 2.0 * eps]]
         out = tmp_path / "report.json"
         assert main(["validate", "--model", str(write_model(tmp_path, doc)),
-                     "--output", str(out)]) == 2
-        assert "slow mixing" in capsys.readouterr().err
-        assert not out.exists()
+                     "--output", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        np.testing.assert_allclose(json.loads(out.read_text())["invariant_density"],
+                                   [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
 
     def test_model_and_scenario_are_exclusive(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

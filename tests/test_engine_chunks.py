@@ -12,9 +12,9 @@ which have no chunks at all: both loops as `run_scenario` and
 record (R = 1), as a pair of filter rows and as a lone ``ndarray.dot`` row,
 meets the same reference, with unit and with other state weights. A record
 that fails at every step, or at every other one, costs time linear in its
-length, and about what a clean one costs. The gemms of a stack of d <= 3
-rows round as its rows do alone, and a step of such a stack makes two of
-them and one same-shape divide.
+length, and about what a clean one costs. The gemms of a stack of d <= 15
+rows round as its rows do alone, and a step of such a stack makes one
+product call, one 2-D normalizer gemm and one same-shape divide.
 """
 
 import time
@@ -328,55 +328,78 @@ def awkward_entries(rng, shape, zeros=True):
 
 
 @pytest.mark.parametrize("rows", [2, 3, 50, 257])
-@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("d", range(1, 16))
 def test_a_gemm_rounds_as_the_stacked_rows(d, rows):
-    """A stack of d <= 3 filter rows is one 2-D ``(rows, d) @ (d, d)`` gemm
-    per product, and its normalizer one gemm against the (d, d) matrix whose
-    every column is the state weights. The product rounds as the stacked
-    ``(rows, 1, d) @ (d, d)``, one gemv per row, and every column of the
-    normalizer as the per-row ``(rows, 1, d) @ (d, 1)``, on entries and
-    weights with subnormals and magnitudes near 1e300. With OpenBLAS
-    0.3.31 (DYNAMIC_ARCH, Haswell kernels) the product's identity holds for
-    d <= 3 and fails from d = 4; the normalizer's holds for d <= 15 and fails
-    from d = 16. A BLAS that rounds otherwise fails here first."""
+    """A stack of d <= 15 filter rows normalizes with one 2-D ``(rows, d) @
+    (d, d)`` gemm, through `ndarray.dot` as the engine calls it, against the
+    (d, d) matrix whose every column is the state weights; at d <= 3 its
+    product is one such gemm too. Every column of the normalizer rounds as
+    the per-row ``(rows, 1, d) @ (d, 1)``, and the product as the stacked
+    ``(rows, 1, d) @ (d, d)``, one gemv per row, on entries and weights with
+    subnormals and magnitudes near 1e300. With OpenBLAS 0.3.31 (DYNAMIC_ARCH,
+    Haswell kernels) the product's identity holds for d <= 3 and fails from
+    d = 4; the normalizer's holds for d <= 15 and fails from d = 16, and for
+    a single row from d = 4. A BLAS that rounds otherwise fails here first."""
     rng = np.random.default_rng(1000 * d + rows)
     product, normalizer = np.empty((2, rows, d))
+    dot = np.ndarray.dot
     with np.errstate(over="ignore"):
         for _ in range(100):
             x, matrix = awkward_entries(rng, (rows, d)), awkward_entries(rng, (d, d))
             w = awkward_entries(rng, d, zeros=False) * 4.0  # positive state weights
-            np.matmul(x, matrix, product)
-            assert np.array_equal(product, np.matmul(x[:, None], matrix)[:, 0])
-            np.matmul(x, np.repeat(w[:, None], d, 1), normalizer)
+            dot(x, np.repeat(w[:, None], d, 1), normalizer)
             assert (normalizer == np.matmul(x[:, None], w[:, None])[:, 0]).all()
+            if d <= 3:
+                dot(x, matrix, product)
+                assert np.array_equal(product, np.matmul(x[:, None], matrix)[:, 0])
 
 
-def test_a_stack_of_few_states_makes_two_gemms_and_one_divide_per_step(monkeypatch):
-    """A step of a stack of d <= 3 rows makes two `np.matmul` calls, the
-    product and the normalizer, each on 2-D operands, and one `np.divide` on
-    operands of one shape: here the 100 rows of mixing2's two priors on 50
-    records."""
-    model, steps = builtin_model("mixing2"), 40
-    seeds = [derive_seed(5, r) for r in range(50)]
-    _, records = sample_trajectories(model, model.true_prior, steps, seeds)
-    calls = {np.matmul: [], np.divide: []}
+class LoggedNumpy:
+    """numpy as `_engine` reads it, with each call of `np.matmul`,
+    `np.divide` and `np.ndarray.dot` logged as its name and operand shapes."""
 
-    def counted(function):
+    def __init__(self):
+        self.calls = []
+        self.matmul, self.divide = self.logged("matmul", np.matmul), self.logged("divide", np.divide)
+        self.ndarray = type("ndarray", (), {"dot": staticmethod(self.logged("dot", np.ndarray.dot))})
+
+    def logged(self, name, function):
         def call(*args):
-            calls[function].append([np.shape(a) for a in args])
+            self.calls.append((name, [np.shape(a) for a in args]))
             return function(*args)
         return call
 
-    for function in list(calls):
-        monkeypatch.setattr(np, function.__name__, counted(function))
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+STACKS = {  # a model, its records, and the product call of a step with its operand shapes
+    "mixing2, 100 rows": (builtin_model("mixing2"), 50, ("dot", [(100, 2), (2, 2), (100, 2)])),
+    "d = 4, a pair": (builtin_model("kaijser"), 1, ("matmul", [(2, 1, 4), (4, 4), (2, 1, 4)])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STACKS))
+def test_a_stack_step_makes_one_product_one_normalizer_gemm_and_one_same_shape_divide(
+        monkeypatch, name):
+    """Each step of a stack of d <= 15 rows makes three calls: the product,
+    one 2-D ``ndarray.dot`` gemm for the normalizer, and one `np.divide`
+    whose operands all have one shape; no 2-D `np.matmul` is left, and a
+    broadcasting divide fails here. Here mixing2's two priors on 50 records
+    (d = 2, a gemm product) and kaijser's pair of rows (d = 4, a gemv per
+    row)."""
+    model, n_records, product = STACKS[name]
+    d, steps = model.space.num_states, 40
+    seeds = [derive_seed(5, r) for r in range(n_records)]
+    _, records = sample_trajectories(model, model.true_prior, steps, seeds)
+    logged = LoggedNumpy()
+    monkeypatch.setattr(filterstab.filtering, "np", logged)
     runs = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
     monkeypatch.undo()
-    assert len(calls[np.matmul]) == 2 * steps
-    assert all(len(shape) == 2 for shapes in calls[np.matmul] for shape in shapes)
-    assert len(calls[np.divide]) == steps
-    assert all(shapes == [(100, 2)] * 3 for shapes in calls[np.divide])
-    densities, _ = reference_filter(model, model.wrong_prior.values, records[7])
-    np.testing.assert_array_equal(runs[7][1].densities, densities)
+    rows = (2 * n_records, d)
+    assert logged.calls == [product, ("dot", [rows, (d, d), rows]), ("divide", [rows] * 3)] * steps
+    densities, _ = reference_filter(model, model.wrong_prior.values, records[-1])
+    np.testing.assert_array_equal(runs[-1][1].densities, densities)
 
 
 @pytest.mark.parametrize("name, multiplies", [("unit-psi", 1), ("weighted-psi", 2)])

@@ -8,7 +8,9 @@ then through ρ along each record's wrong-prior run (as `backward_pass` runs
 it). When `reference.py`'s plain filter loop fails, the package must raise
 its first error in the order it runs the filters, in record and prior order.
 Otherwise every filter array must equal the loop's bit for bit, and ρ along
-each record must raise the plain ρ loop's error or equal its arrays. Under chunks of 1 to 4 steps in both loops
+each record must raise the plain ρ loop's error or equal its arrays. The
+same holds at d = 4..16 on 1, 2, 3 or 7 records, on both sides of d = 15,
+the largest d whose stack normalizes with one tiled gemm. Under chunks of 1 to 4 steps in both loops
 or the default, Gaussian records with outliers hold the rescued and resumed
 steps inside one chunk to the same loops, and records with NaNs or
 infinities must raise the same first error. On models with one state of
@@ -63,10 +65,10 @@ def rows(draw, n_rows, weights, zeros=True):
 
 
 @st.composite
-def models(draw, gaussian=st.booleans(), zeros=True):
-    """A finite or Gaussian model with d = 2..6, unit or other state weights,
-    and a kernel with zero entries unless `zeros` is false."""
-    d = draw(st.integers(2, 6))
+def models(draw, gaussian=st.booleans(), zeros=True, states=st.integers(2, 6)):
+    """A finite or Gaussian model with d from `states` (2..6), unit or other
+    state weights, and a kernel with zero entries unless `zeros` is false."""
+    d = draw(states)
     # unit state weights, or a reference measure with other weights
     psi = np.ones(d)
     if draw(st.booleans()):
@@ -88,9 +90,9 @@ def models(draw, gaussian=st.booleans(), zeros=True):
 
 
 @st.composite
-def cases(draw):
-    model = draw(models())
-    n_records = draw(st.sampled_from([3, 1]))
+def cases(draw, states=st.integers(2, 6), n_records=st.sampled_from([3, 1])):
+    model = draw(models(states=states))
+    n_records = draw(n_records)
     seeds = [derive_seed(draw(st.integers(0, 2**16)), r) for r in range(n_records)]
     _, records = sample_trajectories(model, model.true_prior, draw(st.integers(1, 40)), seeds)
     records = records.copy()
@@ -164,6 +166,15 @@ def assert_engine_equals_reference(model, records):
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
 @given(cases())
 def test_engine_equals_reference(case):
+    assert_engine_equals_reference(*case)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(cases(states=st.integers(4, 16), n_records=st.sampled_from([1, 2, 3, 7])))
+def test_engine_equals_reference_on_either_side_of_the_tiled_normalizer(case):
+    """As `test_engine_equals_reference`, at d = 4..16 on 1, 2, 3 or 7
+    records: a stack of d <= 15 rows normalizes with one tiled gemm, a stack
+    of d = 16 with one dot per row, and a lone row with a ddot."""
     assert_engine_equals_reference(*case)
 
 

@@ -27,6 +27,9 @@ KEPT = {
         "builds the bases of the eight validating records at import, before any command runs",
     "filtering._log_domain_update":
         "the filter's log-domain redo of a Gaussian step; only an outlier record reaches it",
+    "model._gth":
+        "the invariant density where the power iteration stalls or runs out of steps; no "
+        "builtin scenario and no model here is such a chain",
     "backward._rho_error":
         "ρ's error at its first failing step; only a record on which ρ fails reaches it",
     "filtering.FilterRun.log_normalizers":

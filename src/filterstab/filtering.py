@@ -132,9 +132,9 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
     BLAS call of `np.matmul` at lower cost. Those gemms round as the per-row
     calls; the product's identity fails from d = 4 and the normalizer's
     from d = 16 (`test_a_gemm_rounds_as_the_stacked_rows`). So a stack of
-    d >= 16 keeps ``(rows, 1, d)`` rows, one gemv per row, and a dot per row
-    for the normalizer: ``ndarray.dot`` for a pair, `np.matmul`, faster
-    there, for more rows; only its divide broadcasts. When every
+    d >= 16 keeps ``(rows, 1, d)`` rows, and `np.matmul` makes one gemv per
+    row for the product and one dot per row for the normalizer; only its
+    divide broadcasts. When every
     state weight is exactly 1.0 the rows go to the product unweighted, since
     ``x * 1.0 == x`` bit for bit. The other elementwise steps run on
     same-shape operands tiled once per chunk. A step fails only at the check
@@ -163,9 +163,9 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations) -> list[list[F
         row = z_row = (n_rows, d)
         z_weights, normalize = np.repeat(weights[:, None], d, 1), dot
         row_product = dot if d <= 3 else matmul  # one gemm, or one gemv per row
-    else:  # one gemv and one dot per row; a pair's dots cost less in `ndarray.dot`
+    else:  # one gemv and one dot per row
         row, z_row, z_weights = (n_rows, 1, d), (n_rows, 1, 1), weights[:, None]
-        row_product, normalize = matmul, dot if n_rows == 2 else matmul
+        row_product = normalize = matmul
     # the product's operand shape: a (rows, 1, d) view of a 2-D stack when it takes gemvs
     product_row = (n_rows, 1, d) if row_product is matmul else row
     liks = likelihood_rows(model.observation, np.ravel(observations))

@@ -352,8 +352,9 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     of the previous block's three blocks in a row, the chain oscillates or
     mixes too slowly to finish, and the loop stops; so it does when all
     ``_POWER_BLOCKS`` blocks (10**6 steps) have run. Either way the density
-    comes from `_gth` instead, exact to rounding, and must meet the
-    fixed-point residual, as probabilities, to 1e-10. So periodic chains of
+    comes from `_gth` instead, exact to rounding on the closed class of the
+    float probabilities ``K diag(w)``, and must meet the fixed-point
+    residual, as probabilities, to 1e-10. So periodic chains of
     any period, near-periodic ones such as ``[[a, 1-a], [1-b, b]]`` with
     small ``a`` and ``b``, and ``K_e`` below ``e = 6e-6`` are solved (the
     power iteration stays for every chain it solves, bit for bit; ROADMAP
@@ -401,11 +402,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     if not np.isfinite(adjoint).all():
         raise NumericalError("invariant density: a transition density times its state weight "
                              "overflows")
-    classes = _closed_classes(matrix)
-    if len(classes) > 1:
-        named = ["{" + ", ".join(map(str, states)) + "}" for states in classes]
-        raise NumericalError(f"no unique invariant density found: closed classes of states "
-                             f"{', '.join(named[:-1])} and {named[-1]}")
+    _the_closed_class(matrix)
 
     def normalize(v: np.ndarray) -> np.ndarray:
         return v / float(v @ weights)
@@ -443,7 +440,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
         if stagnant_blocks >= 3:
             break
     if not hits.size:
-        return _gth(matrix, weights, classes[0], adjoint)
+        return _gth(matrix, weights, adjoint)
 
     # polish: keep iterating while the step keeps improving
     for _ in range(500):
@@ -457,17 +454,20 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     return Density(normalize(m))
 
 
-def _gth(matrix: np.ndarray, weights: np.ndarray, states: list[int],
-         adjoint: np.ndarray) -> Density:
+def _gth(matrix: np.ndarray, weights: np.ndarray, adjoint: np.ndarray) -> Density:
     """The invariant density by Grassmann, Taksar and Heyman's state
-    reduction (1985), on the probabilities ``P = K diag(w)`` of the closed
-    class `states`, with 0 on every transient state. It never subtracts,
-    and reads each diagonal entry as 1 minus the row's others, so it is
-    exact to rounding however slowly the chain mixes (O'Cinneide 1993). The
-    result must meet the fixed-point residual, as probabilities, to 1e-10;
-    a class whose float probabilities have lost an edge to underflow fails it."""
-    with np.errstate(all="ignore"):  # a lost edge gives 0 / 0, caught by the residual
-        p = (matrix * weights)[np.ix_(states, states)]
+    reduction (1985), on the closed class of the probabilities
+    ``P = K diag(w)``, with 0 on every transient state. The class is read
+    from P's own zero pattern: an edge whose probability underflows to 0 is
+    lost, and a chain left with two closed classes has no unique law. It
+    never subtracts, and reads each diagonal entry as 1 minus the row's
+    others, so it is exact to rounding however slowly the chain mixes
+    (O'Cinneide 1993). The result must meet the fixed-point residual, as
+    probabilities, to 1e-10."""
+    probabilities = matrix * weights
+    states = _the_closed_class(probabilities)
+    with np.errstate(all="ignore"):  # a fill-in lost to underflow divides by 0: the residual fails
+        p = probabilities[np.ix_(states, states)]
         for k in range(len(states) - 1, 0, -1):  # censor state k out of the chain
             p[:k, k] /= p[k, :k].sum()
             p[:k, :k] += np.outer(p[:k, k], p[k, :k])
@@ -481,6 +481,17 @@ def _gth(matrix: np.ndarray, weights: np.ndarray, states: list[int],
         raise NumericalError(f"invariant density: the GTH solution misses its fixed point by "
                              f"{residual!r} as probabilities")
     return Density(m / float(m @ weights))
+
+
+def _the_closed_class(matrix: np.ndarray) -> list[int]:
+    """The states of the transition graph's one closed class; two or more
+    raise "no unique invariant density found", naming them."""
+    classes = _closed_classes(matrix)
+    if len(classes) > 1:
+        named = ["{" + ", ".join(map(str, states)) + "}" for states in classes]
+        raise NumericalError(f"no unique invariant density found: closed classes of states "
+                             f"{', '.join(named[:-1])} and {named[-1]}")
+    return classes[0]
 
 
 def _closed_classes(matrix: np.ndarray) -> list[list[int]]:

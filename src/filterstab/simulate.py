@@ -124,11 +124,13 @@ def _pick_table(probabilities: np.ndarray) -> np.ndarray:
     the uniform ``u`` above the total mass. ``np.cumsum`` adds left to right
     the same way, and every entry from the last positive atom on is raised
     to infinity, so the first index with ``u < table`` is the pick's result,
-    fallback included. The rows are validated laws, each of mass 1; an
-    all-zero row would pick its last atom.
+    fallback included. A row with no positive atom, such as a hand-built
+    all-zero initial `Density` (only `as_density` checks mass), has no pick.
     """
     table = np.cumsum(probabilities, axis=-1)
     positive = probabilities > 0.0
+    if not positive.any(axis=-1).all():
+        raise ValueError("cannot sample from an all-zero probability vector")
     last = positive.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
     table[np.arange(table.shape[-1]) >= last[..., None]] = np.inf
     return table

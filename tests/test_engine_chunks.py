@@ -276,10 +276,9 @@ def test_dot_rounds_as_matmul(d):
     """`ndarray.dot` makes the BLAS call `np.matmul` makes on the shapes the
     engine gives it: a row times a matrix, a matrix times a matrix, and a
     weight row times a matrix. A time-stacked ``(m, 1, d) @ (d, d)`` rounds
-    each row as `ndarray.dot` does. One record's normalizer, a lone row's
-    ``(d,) @ (d, 1)`` or a pair's ``(2, 1, d) @ (d, 1)``, rounds in
-    `ndarray.dot` as in `np.matmul`, and so does a lone row's ``(d,) @ (d,)``
-    written into a 0-d array, which it then divides by as by a ``(1,)`` array.
+    each row as `ndarray.dot` does. A lone row's normalizer, ``(d,) @ (d,)``
+    written into a 0-d array, rounds as `np.matmul`'s ``(d,) @ (d, 1)``, and
+    the row divided by it as by that ``(1,)`` array.
     Elementwise calls on operands tiled to one shape equal the broadcasting
     calls they replace."""
     rng = np.random.default_rng(d)
@@ -310,12 +309,6 @@ def test_dot_rounds_as_matmul(d):
         assert np.array_equal(np.multiply(np.tile(lik, 3).reshape(rows.shape), rows), lik * rows)
         assert np.array_equal(np.multiply(rho, tiled), rho * prior_rows)
         assert np.array_equal(np.divide(rho, tiled), rho / prior_rows)
-        # the normalizers of one record: a lone row and a pair of rows
-        for shape in [(d,), (2, 1, d)]:
-            unnormalized = rng.random(shape) * rng.random(shape[:-1] + (1,))
-            out = np.empty(shape[:-1] + (1,))
-            np.ndarray.dot(unnormalized, w[:, None], out)
-            assert np.array_equal(out, np.matmul(unnormalized, w[:, None]))
 
 
 def awkward_entries(rng, shape, zeros=True):

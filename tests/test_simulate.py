@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from filterstab import (
+    Density,
     InvalidModelError,
     ObservationModel,
     build_model,
@@ -63,6 +64,13 @@ class TestSampleTrajectory:
         model = two_state_model()
         with pytest.raises(InvalidModelError):
             sample_trajectory(model, model.true_prior, 0, seed=1)
+
+    def test_an_all_zero_initial_density_has_no_pick(self):
+        # `Density` checks no mass, so a zero prior reaches the sampler's pick table
+        model = two_state_model()
+        with pytest.raises(ValueError, match=r"^cannot sample from an all-zero probability "
+                           r"vector$"):
+            sample_trajectory(model, Density(np.zeros(2)), 10, seed=1)
 
     def test_empirical_frequencies_match_invariant(self):
         model = two_state_model()

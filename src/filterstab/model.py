@@ -440,7 +440,7 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
         if stagnant_blocks >= 3:
             break
     if not hits.size:
-        return _gth(matrix, weights, adjoint)
+        return _gth(matrix, weights, adjoint, m)
 
     # polish: keep iterating while the step keeps improving
     for _ in range(500):
@@ -454,7 +454,8 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
     return Density(normalize(m))
 
 
-def _gth(matrix: np.ndarray, weights: np.ndarray, adjoint: np.ndarray) -> Density:
+def _gth(matrix: np.ndarray, weights: np.ndarray, adjoint: np.ndarray,
+         iterate: np.ndarray) -> Density:
     """The invariant density by Grassmann, Taksar and Heyman's state
     reduction (1985), on the closed class of the probabilities
     ``P = K diag(w)``, with 0 on every transient state. The class is read
@@ -462,10 +463,14 @@ def _gth(matrix: np.ndarray, weights: np.ndarray, adjoint: np.ndarray) -> Densit
     lost, and a chain left with two closed classes has no unique law. It
     never subtracts, and reads each diagonal entry as 1 minus the row's
     others, so it is exact to rounding however slowly the chain mixes
-    (O'Cinneide 1993). The result must meet the fixed-point residual, as
-    probabilities, to 1e-10."""
+    (O'Cinneide 1993). The states are censored lightest first, by their
+    probability in the power iteration's last `iterate` (ties by index), so
+    the heaviest is reduced last: a fill-in that underflows to 0 on a light
+    state's path is then not a divisor. The result must meet the fixed-point
+    residual, as probabilities, to 1e-10."""
     probabilities = matrix * weights
-    states = _the_closed_class(probabilities)
+    mass = iterate * weights
+    states = sorted(_the_closed_class(probabilities), key=lambda i: (-mass[i], i))  # heaviest first
     with np.errstate(all="ignore"):  # a fill-in lost to underflow divides by 0: the residual fails
         p = probabilities[np.ix_(states, states)]
         for k in range(len(states) - 1, 0, -1):  # censor state k out of the chain

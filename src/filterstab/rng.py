@@ -79,9 +79,10 @@ class Xoshiro256StarStarLanes:
     def words(self, count: int) -> np.ndarray:
         """The next `count` words of every lane, as a ``(count, lanes)`` array.
 
-        Each lane's words are cut into K segments of J words (`_segments`)
-        whose starts are J-step jumps apart; all K segments of all lanes then
-        advance J steps together, each writing to its own rows.
+        Each lane's words are cut into K segments of J words (`_segments`,
+        sized by what a jump costs) whose starts are J-step jumps apart: K - 1
+        `_jump` calls, each moving every lane. All K segments of all lanes
+        then advance J steps together, each writing to its own rows.
         """
         lanes = self._state.shape[1]
         if lanes == 0:
@@ -112,9 +113,12 @@ def _seed_words(seed: int) -> list[int]:
 
 def _segments(count: int, lanes: int) -> tuple[int, int]:
     """K segments of J words, ``(K - 1) * J < count <= K * J``, with
-    ``K = min(256, floor(sqrt(count / lanes)))`` and at least 1: about as
-    many jumps as lockstep steps, and no more than the jump map's 256 lanes."""
-    segments = max(1, min(256, math.isqrt(count // max(lanes, 1))))
+    ``K = min(256, isqrt(count), isqrt(10 count / (lanes + 3)))`` and at
+    least 1. `words` makes K - 1 jumps, whose cost grows with the lanes
+    (about 5 µs at one lane, 40 µs at 50), and J lockstep steps, which cost
+    about the same at any width: K balances the two. ``K <= isqrt(count)``
+    keeps the last segment nonempty, and the jump map has 256 lanes."""
+    segments = max(1, min(256, math.isqrt(count), math.isqrt(10 * count // (lanes + 3))))
     return segments, -(-count // segments)
 
 
@@ -151,9 +155,9 @@ def _advance(state: np.ndarray, steps: int, out: np.ndarray | None = None) -> No
 
 
 def _jump_map(steps: int) -> np.ndarray:
-    """The map of `steps` steps as a ``(32, 256, 4)`` table: ``[b, v]`` is the
-    image of the state whose only nonzero byte, byte b (little-endian over
-    s0..s3), is v; the xor of the images of its bits, the 256 one-bit
+    """The map of `steps` steps as a ``(32 * 256, 4)`` table: row ``256 b + v``
+    is the image of the state whose only nonzero byte, byte b (little-endian
+    over s0..s3), is v; the xor of the images of its bits, the 256 one-bit
     states advanced `steps` steps."""
     bit = np.arange(256)
     basis = np.zeros((4, 256), dtype=np.uint64)
@@ -163,10 +167,14 @@ def _jump_map(steps: int) -> np.ndarray:
     table = np.zeros((32, 256, 4), dtype=np.uint64)
     for j in range(8):
         np.bitwise_xor(table[:, :1 << j], images[:, j, None], out=table[:, 1 << j:2 << j])
-    return table
+    return table.reshape(-1, 4)
+
+
+_BYTE_ROWS = np.arange(0, 32 * 256, 256)  # the first row of each byte's block of the table
 
 
 def _jump(table: np.ndarray, state: np.ndarray) -> np.ndarray:
-    """Apply the map of `table` to each lane of the ``(4, lanes)`` `state`."""
+    """Apply the map of `table` to each lane of the ``(4, lanes)`` `state`:
+    one ``take`` of the 32 rows its bytes select, then their xor."""
     little = np.ascontiguousarray(state.T, dtype="<u8").view(np.uint8)  # (lanes, 32)
-    return np.bitwise_xor.reduce(table[np.arange(32), little], axis=1).T
+    return np.bitwise_xor.reduce(table.take(little + _BYTE_ROWS, axis=0), axis=1).T

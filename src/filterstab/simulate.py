@@ -10,7 +10,7 @@ from .errors import InvalidModelError
 from .model import Density, FiniteModel, ObservationModel, validated_tuple
 from .rng import _DOUBLE_SCALE, Xoshiro256StarStarLanes
 
-_MAP_BLOCK = 1 << 16  # entries of the step-map comparison held at once
+_MAP_BLOCK = 1 << 16  # comparisons made at once to build the maps of a block of steps
 # up to this many records, walking each in plain Python beats a numpy gather per step
 _PYTHON_WALK_RECORDS = 8
 
@@ -62,9 +62,10 @@ def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
     stream of ``seeds[r]`` draws step by step: one word for ``X_0``, then per
     step one for the state pick and one, or two for Box-Muller, for the
     observation. So all the words come first, from jump-ahead lanes.
-    Step n maps each state x to ``pick(u_n, kernel row x)``; one comparison
-    builds the maps of a block of steps. A few records each walk their maps
-    in plain Python; more records take one numpy gather per step.
+    Step n maps each state x to ``pick(u_n, kernel row x)``; d - 1 counted
+    comparisons (`_picks`) build the maps of a block of steps. A few records
+    each walk their maps in plain Python; more records take one numpy gather
+    per step. The arrays are built in the layout they are returned in.
     """
     if horizon < 1:
         raise InvalidModelError(f"horizon must be at least 1, got {horizon}")
@@ -81,39 +82,42 @@ def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
 
     state_table = _pick_table(model.kernel.matrix * space.weights[None, :])
     records, d = draws.shape[1], state_table.shape[0]
-    states = np.empty((horizon + 1, records), dtype=np.int64)
-    states[0] = (draws[0][:, None] < _pick_table(initial.values * space.weights)).argmax(axis=1)
+    states = np.empty((records, horizon + 1), dtype=np.int64)
+    states[:, 0] = _picks(draws[0], _pick_table(initial.values * space.weights)[None])
     block = max(1, _MAP_BLOCK // (records * d * d or 1))  # steps whose maps are built at once
     offsets = np.arange(records) * d
     for n0 in range(0, horizon, block):
         n1 = min(n0 + block, horizon)
         # maps[n, r, x]: the state after x at step n0 + n of record r
-        maps = (draws[1 + per_step * n0:1 + per_step * n1:per_step, :, None, None]
-                < state_table).argmax(axis=3)
+        maps = _picks(draws[1 + per_step * n0:1 + per_step * n1:per_step, :, None], state_table)
         if records > _PYTHON_WALK_RECORDS:  # one gather per step serves every record
-            x = states[n0]
+            x = states[:, n0]
             for n, step in enumerate(maps.reshape(n1 - n0, -1), n0 + 1):
-                x = states[n] = step.take(offsets + x)
+                x = states[:, n] = step.take(offsets + x)
         else:
             for r in range(records):
                 flat = memoryview(np.ascontiguousarray(maps[:, r]).ravel())  # indexes like a list
-                x = int(states[n0, r])
+                x = int(states[r, n0])
                 path = []
                 for base in range(0, (n1 - n0) * d, d):
                     x = flat[base + x]
                     path.append(x)
-                states[n0 + 1:n1 + 1, r] = path
+                states[r, n0 + 1:n1 + 1] = path
     if finite:
+        # the pick of `_picks`, each cumulative column gathered by state
         symbol_table = _pick_table(obs.emission * obs.symbol_weights[None, :])
-        observations = (draws[2::2, :, None] < symbol_table[states[1:]]).argmax(axis=2)
+        observations = np.zeros((records, horizon), dtype=np.int64)
+        for column in symbol_table.T[:-1]:
+            observations += draws[2::2].T >= column[states[:, 1:]]
     else:
         # `math.log` and `math.cos`, whose last bits `np.log` and `np.cos` need not match;
         # `np.sqrt` is correctly rounded like `math.sqrt`
-        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, draws[2::3].ravel().tolist()), float))
-        cosine = np.fromiter(map(math.cos, (2.0 * math.pi * draws[3::3]).ravel().tolist()), float)
-        observations = (obs.means[states[1:]]
-                        + obs.sigma * radius.reshape(horizon, -1) * cosine.reshape(horizon, -1))
-    return _read_only(states.T), _read_only(observations.T)
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, draws[2::3].T.ravel().tolist()), float))
+        cosine = np.fromiter(map(math.cos, (2.0 * math.pi * draws[3::3].T).ravel().tolist()), float)
+        observations = (obs.means[states[:, 1:]] + obs.sigma * radius.reshape(records, horizon)
+                        * cosine.reshape(records, horizon))
+    states.flags.writeable = observations.flags.writeable = False
+    return states, observations
 
 
 def _pick_table(probabilities: np.ndarray) -> np.ndarray:
@@ -124,16 +128,29 @@ def _pick_table(probabilities: np.ndarray) -> np.ndarray:
     the uniform ``u`` above the total mass. ``np.cumsum`` adds left to right
     the same way, and every entry from the last positive atom on is raised
     to infinity, so the first index with ``u < table`` is the pick's result,
-    fallback included. A row with no positive atom, such as a hand-built
-    all-zero initial `Density` (only `as_density` checks mass), has no pick.
+    fallback included (`_picks`). A row with no positive atom, such as a
+    hand-built all-zero initial `Density` (only `as_density` checks mass),
+    has no pick.
     """
     table = np.cumsum(probabilities, axis=-1)
-    positive = probabilities > 0.0
-    if not positive.any(axis=-1).all():
+    index = np.arange(table.shape[-1])
+    last = np.where(probabilities > 0.0, index, -1).max(axis=-1)
+    if (last < 0).any():
         raise ValueError("cannot sample from an all-zero probability vector")
-    last = positive.shape[-1] - 1 - positive[..., ::-1].argmax(axis=-1)
-    table[np.arange(table.shape[-1]) >= last[..., None]] = np.inf
+    table[index >= last[..., None]] = np.inf
     return table
+
+
+def _picks(u: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """The pick of each uniform in `u` from each row of the `_pick_table`
+    `table`, broadcast: ``result[..., x]`` is the first j with
+    ``u < table[x, j]``. A row is nondecreasing and ends in infinity, so that
+    is the number of its entries at or below ``u``: d - 1 flat comparisons
+    added up, where an ``argmax`` would reduce over a tiny last axis."""
+    picks = np.zeros(np.broadcast_shapes(u.shape, table.shape[:-1]), dtype=np.int64)
+    for column in table.T[:-1]:
+        picks += u >= column
+    return picks
 
 
 def likelihood_rows(observation: ObservationModel, observations) -> np.ndarray:

@@ -138,3 +138,23 @@ def rho_three_ways(model, coeffs, observations):
         else:
             outcomes.append(tuple(None if a is None else a.tobytes() for a in arrays))
     return outcomes
+
+
+class LoggedNumpy:
+    """numpy as `filtering` reads it, with each call of `np.matmul`,
+    `np.divide` and `np.ndarray.dot` logged as its name and operand shapes,
+    an ``out`` operand last."""
+
+    def __init__(self):
+        self.calls = []
+        self.matmul, self.divide = self.logged("matmul", np.matmul), self.logged("divide", np.divide)
+        self.ndarray = type("ndarray", (), {"dot": staticmethod(self.logged("dot", np.ndarray.dot))})
+
+    def logged(self, name, function):
+        def call(*args, **kwargs):
+            self.calls.append((name, [np.shape(a) for a in (*args, *kwargs.values())]))
+            return function(*args, **kwargs)
+        return call
+
+    def __getattr__(self, name):
+        return getattr(np, name)

@@ -9,10 +9,15 @@ alone with plain 1-D arithmetic. Stacked products round like the one-row ones, s
 must agree exactly, not just to a tolerance.
 """
 
+import collections
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import filterstab.backward
 import filterstab.filtering
@@ -42,10 +47,11 @@ from filterstab import (
     sample_trajectory,
 )
 from filterstab.cli import main
-from filterstab.filtering import _engine, _pair_run
+from filterstab.filtering import _engine, _filter_pairs
 from filterstab.harness import KAIJSER_TRUE_PRIOR, _verify_kaijser_on
-from filterstab.simulate import _pick_table
-from helpers import random_positive_model, record_rho
+from filterstab.rng import _segments
+from filterstab.simulate import _pick_table, _picks
+from helpers import LoggedNumpy, random_positive_model, record_rho
 from reference import (
     Xoshiro256StarStar,
     brute_force_posterior,
@@ -348,8 +354,58 @@ def test_sample_trajectories_shortfall_and_zero_atoms():
 def test_pick_table_equals_scalar_pick(probabilities):
     table = _pick_table(np.array(probabilities))
     picker, drawer = Xoshiro256StarStar(5), Xoshiro256StarStar(5)
-    for _ in range(3000):
-        assert int((drawer.random() < table).argmax()) == picker.pick(probabilities)
+    draws = np.array([drawer.random() for _ in range(3000)])
+    picks = [picker.pick(probabilities) for _ in range(3000)]
+    assert _picks(draws, table[None]).tolist() == picks
+
+
+class Drawn:
+    """A stream whose next uniform is `u`: `Xoshiro256StarStar.pick` on it
+    picks at `u`."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@st.composite
+def pick_rows(draw):
+    """1 to 4 probability rows of d = 1..16 atoms: zero, subnormal, tiny and
+    ordinary atoms, the ordinary ones summing to 1 or falling short of it."""
+    d = draw(st.integers(1, 16))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        kinds = draw(st.lists(st.sampled_from(["zero", "subnormal", "tiny", "atom", "atom"]),
+                              min_size=d, max_size=d))
+        if "atom" not in kinds:
+            kinds[draw(st.integers(0, d - 1))] = "atom"
+        sizes = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+        ordinary = np.array([kind == "atom" for kind in kinds])
+        row = np.where(ordinary, sizes, 0.0)
+        row *= draw(st.sampled_from([1.0, 1.0 - 1e-3, 1.0 - 2.0**-50])) / row.sum()
+        row[[kind == "subnormal" for kind in kinds]] = draw(st.sampled_from([5e-324, 1e-310]))
+        row[[kind == "tiny" for kind in kinds]] = 1e-300
+        rows.append(row)
+    return np.array(rows)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(pick_rows(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+def test_a_pick_by_counting_equals_the_scalar_pick_and_the_argmax_rule(rows, uniforms):
+    """`_picks` counts the cumulative entries at or below each uniform; it
+    must pick what `Xoshiro256StarStar.pick` picks and what the first index
+    with ``u < table`` is, on uniforms drawn at random, 0, the largest below
+    1, and every cumulative entry itself (a draw on an entry passes it)."""
+    table = _pick_table(rows)
+    on_entries = np.cumsum(rows, axis=1).ravel()
+    u = np.array([*uniforms, 0.0, 1.0 - 2.0**-53, *on_entries[on_entries < 1.0]])
+    picks = _picks(u[:, None], table)  # [i, x]: the pick of u[i] from row x
+    for x, row in enumerate(rows):
+        scalar = [Xoshiro256StarStar.pick(Drawn(v), row.tolist()) for v in u]
+        argmax = (u[:, None] < table[x]).argmax(axis=1)
+        assert picks[:, x].tolist() == scalar == argmax.tolist()
 
 
 @pytest.mark.parametrize("replicates", [1, 3, 20])
@@ -405,11 +461,50 @@ def test_short_horizon_fails_before_drawing(monkeypatch, horizon):
         sample_trajectory(model, model.true_prior, horizon, 1)
 
 
+def test_mixing2_replicates_sample_without_argmax_and_take_tvs_by_blocks_of_records(monkeypatch):
+    """On mixing2's 50 records of 500 steps, the sampler makes no ``argmax``
+    (its picks count the cumulative entries below each uniform) and K - 1
+    jumps, K the `_segments` of the 1 001 words of each of 50 lanes, and
+    `_filter_pairs` takes the TVs of each block of 8 records from one stacked
+    `np.matmul`: 7 products, where one per record made 50."""
+    model = builtin_model("mixing2")
+    seeds = [derive_seed(7, r) for r in range(50)]
+    calls = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "c_call":
+            calls[getattr(arg, "__name__", None)] += 1
+        elif event == "call":
+            calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        _, records = sample_trajectories(model, model.true_prior, 500, seeds)
+    finally:
+        sys.setprofile(None)
+    assert calls["sample_trajectories"] == 1 and calls["argmax"] == 0
+    assert calls["_jump"] == _segments(1_001, 50)[0] - 1
+
+    logged = LoggedNumpy()
+    monkeypatch.setattr(filterstab.filtering, "np", logged)
+    pairs = _filter_pairs(model, records)
+    monkeypatch.undo()
+    # the engine's steps at d = 2 are `ndarray.dot` calls, so every product is
+    # a TV one: a block of 8 records fills a chunk (8 x 501 x 2 <= 8 192 gaps)
+    products = [shapes for name, shapes in logged.calls if name == "matmul"]
+    assert products == [[(501, n, 1, 2), (2, 1), (501, n, 1, 1)] for n in [8] * 6 + [2]]
+    for pair in pairs:
+        gaps = np.abs(pair.run_correct.densities - pair.run_wrong.densities)
+        assert pair.tv.tolist() == [row @ model.space.weights for row in gaps]
+
+
 def pair_records(model, records):
     """Both filters on every record in one engine pass: the densities, log
-    normalizers and TV gaps."""
-    runs = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
-    pairs = [_pair_run(correct, wrong, model.space.weights) for correct, wrong in runs]
+    normalizers and TV gaps. A true prior with zero atoms is not warned of."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "true prior has zero atoms")
+        pairs = _filter_pairs(model, records)
+    runs = [(pair.run_correct, pair.run_wrong) for pair in pairs]
     densities = np.array([[run.densities for run in filters] for filters in runs])
     log_norms = np.array([[run.log_normalizers for run in filters] for filters in runs])
     return densities, log_norms, np.array([pair.tv for pair in pairs])

@@ -39,8 +39,8 @@ from filterstab import (
     sample_trajectories,
     sample_trajectory,
 )
-from filterstab.filtering import _engine
-from helpers import random_positive_model, record_rho
+from filterstab.filtering import _engine, _runs
+from helpers import LoggedNumpy, random_positive_model, record_rho
 from reference import reference_backward, reference_filter
 
 HELD = [1, 2, 3]
@@ -347,25 +347,6 @@ def test_a_gemm_rounds_as_the_stacked_rows(d, rows):
                 assert np.array_equal(product, np.matmul(x[:, None], matrix)[:, 0])
 
 
-class LoggedNumpy:
-    """numpy as `_engine` reads it, with each call of `np.matmul`,
-    `np.divide` and `np.ndarray.dot` logged as its name and operand shapes."""
-
-    def __init__(self):
-        self.calls = []
-        self.matmul, self.divide = self.logged("matmul", np.matmul), self.logged("divide", np.divide)
-        self.ndarray = type("ndarray", (), {"dot": staticmethod(self.logged("dot", np.ndarray.dot))})
-
-    def logged(self, name, function):
-        def call(*args):
-            self.calls.append((name, [np.shape(a) for a in args]))
-            return function(*args)
-        return call
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
 STACKS = {  # a model, its records, and the product call of a step with its operand shapes
     "mixing2, 100 rows": (builtin_model("mixing2"), 50, ("dot", [(100, 2), (2, 2), (100, 2)])),
     "d = 4, a pair": (builtin_model("kaijser"), 1, ("matmul", [(2, 1, 4), (4, 4), (2, 1, 4)])),
@@ -387,7 +368,8 @@ def test_a_stack_step_makes_one_product_one_normalizer_gemm_and_one_same_shape_d
     _, records = sample_trajectories(model, model.true_prior, steps, seeds)
     logged = LoggedNumpy()
     monkeypatch.setattr(filterstab.filtering, "np", logged)
-    runs = _engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]), records)
+    runs = _runs(*_engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]),
+                          records))
     monkeypatch.undo()
     rows = (2 * n_records, d)
     assert logged.calls == [product, ("dot", [rows, (d, d), rows]), ("divide", [rows] * 3)] * steps

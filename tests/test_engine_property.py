@@ -44,7 +44,7 @@ from filterstab import (
 )
 from filterstab import backward, filtering
 from filterstab.backward import backward_pass
-from filterstab.filtering import _engine
+from filterstab.filtering import _engine, _runs
 from helpers import OVERFLOWING_DENSITY, RHO_OVERFLOWS_AT_STEP_1, rho_three_ways
 from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
 
@@ -125,6 +125,22 @@ def rescue_cases(draw, bad):
     return model, records, draw(st.sampled_from([1, 2, 3, 4, None]))
 
 
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(models(states=st.integers(1, 16)), st.sampled_from([1, 9, 13]), st.integers(0, 2**16),
+       st.integers(1, 25))
+def test_sampled_records_equal_the_scalar_reference(model, n_records, seed, horizon):
+    """Every record `sample_trajectories` draws, its states by counting picks
+    and walked in Python (1 record) or gathered (more than 8), equals
+    `reference_trajectory`'s scalar picks bit for bit, on finite and
+    Gaussian models with d = 1..16 and zero atoms."""
+    seeds = [derive_seed(seed, r) for r in range(n_records)]
+    states, observations = sample_trajectories(model, model.true_prior, horizon, seeds)
+    for r, seed_r in enumerate(seeds):
+        alone = reference_trajectory(model, model.true_prior, horizon, seed_r)
+        np.testing.assert_array_equal(states[r], alone.states)
+        np.testing.assert_array_equal(observations[r], alone.observations)
+
+
 def assert_engine_equals_reference(model, records):
     """One filter pass over both priors against `reference_filter`, record
     by record in prior order: the package raises its first error, or equals
@@ -143,7 +159,7 @@ def assert_engine_equals_reference(model, records):
         return
     # any Coefficients drive the envelope; a uniform law stands in for the invariant
     coeffs = mixing_coefficients(model, Density(np.full(d, 1.0 / model.space.weights.sum())))
-    for runs, filters in zip(_engine(model, priors, records), expected):
+    for runs, filters in zip(_runs(*_engine(model, priors, records)), expected):
         for run, (densities, log_norms) in zip(runs, filters):
             np.testing.assert_array_equal(run.densities, densities)
             np.testing.assert_array_equal(run.log_normalizers, log_norms)
@@ -189,10 +205,10 @@ def test_oscillation_bounds_forgetting(model, seed, horizon):
     bound of exactly 0. A positive kernel keeps ρ defined."""
     _, records = sample_trajectories(model, model.true_prior, horizon, [derive_seed(seed, 0)])
     true, wrong, w = model.true_prior.values, model.wrong_prior.values, model.space.weights
-    [runs] = _engine(model, np.stack([true, wrong]), records)
+    [runs] = _runs(*_engine(model, np.stack([true, wrong]), records))
     along = backward_pass(model, None, runs[1].densities)
     bound = along.oscillations @ (true / wrong * w) / along.likelihood_ratios[1:]
-    tv = filtering._pair_run(*runs, w).tv[1:]
+    tv = np.abs(runs[0].densities - runs[1].densities)[1:] @ w
     assert (tv <= bound * (1.0 + 1e-9) + 1e-15).all()
 
 

@@ -201,18 +201,27 @@ class TestInvariantDensity:
                            r"closed classes of states \{0\} and \{1\}$"):
             invariant_density(kernel, space)
 
-    @pytest.mark.xfail(strict=True, raises=NumericalError,
-                       reason="GTH divides by a censored row whose fill-in underflowed to 0 "
-                              "(FOUND in CHANGES.md)")
+    FILL_IN_LOST = [[1.0 - 1e-7, 1e-7, 0.0], [0.0, 1.0 - 1e-300, 1e-300], [1e-30, 1.0, 0.0]]
+
     def test_a_fill_in_lost_to_underflow_keeps_the_law(self):
-        # one closed class, also as float probabilities; censoring state 2 adds
-        # 1e-300 * 1e-30 to state 1's path back to 0, which underflows, and
-        # censoring state 1 then divides by 0. The law is about (1e-323, 1, 1e-300)
+        # one closed class, also as float probabilities, whose law is about
+        # (1e-323, 1, 1e-300). Censoring state 2 adds 1e-300 * 1e-30 to state
+        # 1's path back to 0, which underflows; in index order state 1 was then
+        # censored and divided by it. GTH censors the lightest states first, so
+        # state 1, the heaviest, is reduced last and never a divisor
         space = unit_space(3)
-        kernel = as_kernel([[1.0 - 1e-7, 1e-7, 0.0], [0.0, 1.0 - 1e-300, 1e-300],
-                            [1e-30, 1.0, 0.0]], space)
+        kernel = as_kernel(self.FILL_IN_LOST, space)
         m = invariant_density(kernel, space)
         np.testing.assert_allclose(m.values, [0.0, 1.0, 0.0], rtol=0, atol=1e-12)
+        assert m.values[2] == pytest.approx(1e-300, rel=1e-12)
+
+    def test_a_gth_solution_off_its_fixed_point_is_an_error(self):
+        # an iterate that weighs every state alike keeps the index order, in
+        # which state 1 divides by its lost fill-in: the residual check raises
+        matrix, weights = np.array(self.FILL_IN_LOST), np.ones(3)
+        with pytest.raises(NumericalError, match=r"^invariant density: the GTH solution misses "
+                                                 r"its fixed point by nan as probabilities$"):
+            model_module._gth(matrix, weights, (matrix * weights[:, None]).T, np.ones(3))
 
 
 class HandOff(Exception):

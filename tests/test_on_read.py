@@ -22,7 +22,7 @@ from filterstab import (
     run_scenario,
 )
 from filterstab.backward import _envelope, _envelope_scale
-from filterstab.filtering import _engine
+from filterstab.filtering import _engine, _runs
 from reference import reference_backward, reference_filter
 
 # sigma 0.5 and means 0 and 1: an observation at 25 or -30 underflows the
@@ -69,7 +69,7 @@ def test_batch_logs_on_first_read_and_a_failed_step_raises():
     with pytest.raises(NumericalError, match=r"\(at step 4\)$"):
         _engine(GAUSSIAN, priors, records)
     records[0, 3] = 0.5
-    runs = _engine(GAUSSIAN, priors, records)
+    runs = _runs(*_engine(GAUSSIAN, priors, records))
     for r, record in enumerate(records):
         for p, prior in enumerate(priors):
             densities, log_norms = reference_filter(GAUSSIAN, prior, record)

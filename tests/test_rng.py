@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from filterstab import Xoshiro256StarStarLanes, derive_seed
 from filterstab.rng import _jump, _jump_map, _segments, _splitmix64
@@ -161,6 +163,51 @@ def test_segments_without_lanes_or_words():
     assert _segments(0, 0) == (1, 0) and _segments(5, 0) == (2, 3)
     assert Xoshiro256StarStarLanes([]).words(10).shape == (10, 0)
     assert Xoshiro256StarStarLanes([4, 5]).words(0).shape == (0, 2)
+
+
+def assert_segments_cover(count, lanes):
+    segments, length = _segments(count, lanes)
+    assert 1 <= segments <= 256 and (segments - 1) * length < count <= segments * length
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(st.integers(1, 10**5), st.integers(0, 300))
+def test_segments_cover_the_words_once(count, lanes):
+    """K segments of J words hold every word and leave the last one nonempty:
+    ``(K - 1) J < count <= K J`` with ``1 <= K <= 256``."""
+    assert_segments_cover(count, lanes)
+
+
+@pytest.mark.parametrize("lanes", [1, 50, 300])
+def test_segments_cover_every_count(lanes):
+    for count in range(1, 10**5 + 1):
+        assert_segments_cover(count, lanes)
+
+
+def segment_boundaries(lanes, up_to):
+    """The counts at which the number of segments for `lanes` lanes changes."""
+    return [c for c in range(2, up_to) if _segments(c, lanes)[0] != _segments(c - 1, lanes)[0]]
+
+
+def counts_around_boundaries(lanes, up_to, near):
+    """Counts on either side of the first two segment boundaries and of the
+    one nearest `near`, and a full and a one-word last segment at `near`."""
+    boundaries = segment_boundaries(lanes, up_to)
+    nearest = min(boundaries, key=lambda c: abs(c - near))
+    segments, length = _segments(near, lanes)
+    around = {c + k for c in (*boundaries[:2], nearest) for k in (-1, 0, 1)}
+    return sorted(around | {segments * length, (segments - 1) * length + 1})
+
+
+@pytest.mark.parametrize("lanes, up_to, near", [(1, 1_100, 1_001), (2, 1_100, 1_001),
+                                                 (13, 1_100, 1_001), (50, 1_100, 1_001),
+                                                 (257, 400, 300)])
+def test_words_equal_the_scalar_streams_around_segment_boundaries(lanes, up_to, near):
+    # 50 lanes of 1 001 words are mixing2's 50 records of 500 steps: 13 segments
+    assert _segments(1_001, 50) == (13, 77)
+    seeds = [derive_seed(11, r) for r in range(lanes)]
+    for count in counts_around_boundaries(lanes, up_to, near):
+        assert_lanes_equal_scalar_streams(seeds, count)
 
 
 @pytest.mark.parametrize("steps", [1, 63, 64, 65, 1_000])

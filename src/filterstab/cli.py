@@ -311,7 +311,7 @@ def _cmd_stability(args) -> tuple:
 
     n_steps = len(first.trajectory.observations)
     # ρ along replicate 0 only, after every replicate's filters
-    back = backward_pass(model, coeffs, first.pair.run_wrong.densities)
+    back = backward_pass(model, coeffs, first.pair.run_wrong.probabilities)
     bound_max = [None] * n_steps if back.bounds is None else back.bounds.max(axis=1).tolist()
     # `math.log` once per distinct TV (`np.log` can differ from it in the last bit)
     distinct, inverse = np.unique(first.pair.tv, return_inverse=True)
@@ -389,7 +389,7 @@ def _cmd_backward(args) -> tuple:
     # the filter from the wrong prior, which `FiniteModel` keeps strictly
     # positive, then ρ along it
     run = run_filter(model.wrong_prior, trajectory.observations, model)
-    backward = backward_pass(model, coeffs, run.densities)
+    backward = backward_pass(model, coeffs, run.probabilities)
     bounds = backward.bounds
     violation = bounds is not None and bool(np.any(backward.oscillations > bounds + 1e-12))
     bound_max = [None] * len(trajectory.observations) if bounds is None else bounds.max(axis=1)
@@ -419,7 +419,7 @@ def _cmd_lln(args) -> tuple:
     prior = model.wrong_prior if args.wrong_prior else model.true_prior
     run = run_filter(prior, trajectory.observations, model)
     d = model.space.num_states
-    partial = _running_averages(run, model.space)
+    partial = _running_averages(run)
     targets = invariant.values * model.space.weights
     columns = [np.repeat(np.arange(1, horizon + 1), d), np.tile(np.arange(d), horizon),
                partial.ravel(), np.tile(targets, horizon), np.abs(partial - targets).ravel()]

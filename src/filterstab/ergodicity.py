@@ -4,8 +4,8 @@ of posterior expectations that the ``lln`` command tabulates.
 The multi-step transition density of a kernel with positive averaged row
 minimum converges to the invariant density in L1 at an explicit geometric
 envelope ``prefactor * ratio**n``. The verification here is pure matrix
-arithmetic: the n-step densities are computed exactly (up to float) and
-compared to the envelope pointwise in the starting state.
+arithmetic: the n-step transition laws are computed exactly (up to float)
+and their L1 gaps compared to the envelope pointwise in the starting state.
 
 Floating point limits how small an inequality can be certified: once the
 envelope falls below `BOUND_FLOOR` the measured gap consists of rounding
@@ -25,25 +25,20 @@ import numpy as np
 
 from .errors import InvalidModelError
 from .filtering import FilterRun
-from .model import Coefficients, Density, FiniteModel, StateSpace, TransitionKernel
+from .model import Coefficients, Density, FiniteModel
 
 BOUND_FLOOR = 1e-10
 
 
-def _n_step_densities(kernel: TransitionKernel, space: StateSpace, n_max: int) -> np.ndarray:
-    """The n-step densities for n = 1..n_max as one ``(n_max, d, d)`` stack:
-    the kernel, then each power contracted through it against the weights,
-    each product written into its slot. With every weight exactly 1.0 the
-    power goes to the product unweighted: ``x * 1.0 == x`` bit for bit, so
-    the multiply would change nothing."""
-    matrix = kernel.matrix
-    powers = np.empty((n_max,) + matrix.shape)
-    powers[0] = matrix
-    weights = None if (space.weights == 1.0).all() else space.weights
-    weighted, dot, multiply = np.empty(matrix.shape), np.ndarray.dot, np.multiply
-    power = matrix
+def _n_step_probabilities(probabilities: np.ndarray, n_max: int) -> np.ndarray:
+    """The n-step transition probabilities ``P**n`` for n = 1..n_max as one
+    ``(n_max, d, d)`` stack: P, then each power times P, each product written
+    into its slot."""
+    powers = np.empty((n_max,) + probabilities.shape)
+    powers[0] = probabilities
+    dot, power = np.ndarray.dot, probabilities
     for next_power in powers[1:]:
-        dot(power if weights is None else multiply(power, weights, weighted), matrix, next_power)
+        dot(power, probabilities, next_power)
         power = next_power
     return powers
 
@@ -91,8 +86,9 @@ def geometric_ergodicity_report(
     """
     if n_max < 1:
         raise InvalidModelError(f"horizon must be at least 1, got {n_max}")
-    powers = _n_step_densities(model.kernel, model.space, n_max)
-    gaps = np.abs(powers - invariant.values) @ model.space.weights
+    # the L1 gap of densities against the weights is that of the laws
+    powers = _n_step_probabilities(model.transition_probabilities, n_max)
+    gaps = np.abs(powers - invariant.values * model.space.weights) @ np.ones(len(powers[0]))
     envelope = worst_ratio = None
     unresolved_max = float(gaps.max()) if coeffs.degenerate else 0.0
     if coeffs.applicable:
@@ -102,9 +98,8 @@ def geometric_ergodicity_report(
     return ErgodicityReport(gaps, envelope, worst_ratio, unresolved_max)
 
 
-def _running_averages(run: FilterRun, space: StateSpace) -> np.ndarray:
-    """``(N, d)`` running means: row ``n-1`` is the mean of ``pi_k * w`` over
-    ``k < n``, so its dot with ``f`` is the average of ``pi_k<f>``."""
-    weighted = run.densities[:-1] * space.weights
-    return np.cumsum(weighted, axis=0) / np.arange(1, len(weighted) + 1)[:, None]
-
+def _running_averages(run: FilterRun) -> np.ndarray:
+    """``(N, d)`` running means of the posterior laws: row ``n-1`` is the mean
+    of ``p_k`` over ``k < n``, so its dot with ``f`` averages ``pi_k<f>``."""
+    laws = run.probabilities[:-1]
+    return np.cumsum(laws, axis=0) / np.arange(1, len(laws) + 1)[:, None]

@@ -206,7 +206,7 @@ def _verify_kaijser_on(model: FiniteModel, observations, pair: PairRun) -> Kaijs
     """Gate the generic filter pair of `model`'s two priors on `observations`
     against the closed form; `pair` is that pair, already computed."""
     gaps = kaijser_closed_form(model.true_prior.values, model.wrong_prior.values, observations)
-    generic_gaps = np.abs(pair.run_correct.densities - pair.run_wrong.densities)
+    generic_gaps = np.abs(pair.run_correct.probabilities - pair.run_wrong.probabilities)
     agreement_gap = float(np.abs(generic_gaps - gaps).max())
     s = model.true_prior.values - model.wrong_prior.values
     gap_one = abs(s[0] + s[3]) + abs(s[2] + s[1])

@@ -1,15 +1,17 @@
 """Finite-state hidden Markov model data types and stability coefficients.
 
-Conventions used throughout the package:
+Conventions used throughout the package: probabilities inside, densities at
+the edge.
 
 * The state space is a finite set of atoms ``0..d-1`` carrying strictly
-  positive reference weights ``w[i]``. Distributions are stored as densities
-  against these weights, so the probability of atom ``i`` is
-  ``density[i] * w[i]``. With the default unit weights a density is just a
-  probability vector.
-* The transition law is a matrix of one-step densities: ``matrix[i, j]`` is
-  the density of moving from ``i`` to ``j``, and each row integrates to one
-  against the weights.
+  positive reference weights ``w[i]``. A model gives its laws as densities
+  against them: atom ``i`` has probability ``density[i] * w[i]``, and each
+  row of the transition densities ``matrix`` integrates to one.
+* The filter, ρ, the sampler, the n-step powers and the invariant law carry
+  probabilities and step with ``P = K diag(w)``, which needs no ``w`` (and
+  is the kernel itself, bit for bit, at unit weights).
+* Only the paper's density quantities read ``w``: row minima, extreme and
+  averaged densities, the envelope, and each reported density ``p / w``.
 * Observations are either a finite alphabet with per-state emission densities
   (against positive symbol weights) or a Gaussian channel with state-dependent
   means and a common scale.
@@ -20,6 +22,7 @@ atoms with positive weight; zero-weight atoms cannot occur by construction.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict, namedtuple
 from typing import Mapping, Optional
@@ -226,10 +229,9 @@ class FiniteModel(validated_tuple("FiniteModel",
     filter starts from. The kernel, the observation channel and both priors
     must have the state space's dimension, each kernel row must integrate to
     1 within `ROW_TOL` and each prior have mass 1 within `MASS_TOL`. Nothing
-    is renormalized, so `_replace` keeps every bit.
+    is renormalized, so `_replace` keeps every bit. `transition_probabilities`
+    is cached in the instance ``__dict__``.
     """
-
-    __slots__ = ()
 
     def __new__(cls, space: StateSpace, kernel: TransitionKernel, observation: ObservationModel,
                 true_prior: Density, wrong_prior: Density):
@@ -248,6 +250,12 @@ class FiniteModel(validated_tuple("FiniteModel",
         if np.any(wrong_prior.values <= 0.0):
             raise InvalidModelError("beta not bounded below: filter prior has a zero atom")
         return super().__new__(cls, space, kernel, observation, true_prior, wrong_prior)
+
+    @functools.cached_property
+    def transition_probabilities(self) -> np.ndarray:
+        """``P = K diag(w)``, read-only: ``P[i, j]`` is the probability of
+        moving from ``i`` to ``j``, the step of every probability loop."""
+        return _frozen(self.kernel.matrix * self.space.weights)
 
 
 class Coefficients(validated_tuple("Coefficients",
@@ -336,29 +344,27 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
 
 
 def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
-    """Invariant density of the kernel by power iteration on the adjoint action.
+    """Invariant density of the kernel: the invariant law of ``P = K diag(w)``
+    over the weights, ``p / w``.
 
     A kernel whose transition graph has more than one closed communicating
     class has one invariant density per class, so none is unique: that raises
     "no unique invariant density found", naming the classes, before any step.
-    Otherwise it iterates ``m[y] <- sum_x matrix[x, y] * m[x] * w[x]`` from the
-    uniform density until successive iterates differ by less than
-    ``_POWER_TOL`` (1e-13) in max norm as probabilities (each difference times
-    its state weight, so the scale of the weights changes nothing), then
-    polishes a few more steps toward machine precision. That rule bounds the
-    error only by about ``1e-13 / (1 - lambda_2)``, with ``lambda_2`` the
-    second eigenvalue: on ``K_e = [[1-e, e], [2e, 1-2e]]`` at ``e = 1e-3`` the
-    result is off by about 1e-11. When a block's largest delta stays within 1%
-    of the previous block's three blocks in a row, the chain oscillates or
-    mixes too slowly to finish, and the loop stops; so it does when all
-    ``_POWER_BLOCKS`` blocks (10**6 steps) have run. Either way the density
-    comes from `_gth` instead, exact to rounding on the closed class of the
-    float probabilities ``K diag(w)``, and must meet the fixed-point
-    residual, as probabilities, to 1e-10. So periodic chains of
-    any period, near-periodic ones such as ``[[a, 1-a], [1-b, b]]`` with
-    small ``a`` and ``b``, and ``K_e`` below ``e = 6e-6`` are solved (the
-    power iteration stays for every chain it solves, bit for bit; ROADMAP
-    item 2 replaces it).
+    Otherwise it iterates ``p <- P^T p / sum(P^T p)`` from the uniform
+    probability ``1/d`` until successive iterates differ by less than
+    ``_POWER_TOL`` (1e-13) in max norm, then polishes a few more steps toward
+    machine precision. That rule bounds the error only by about
+    ``1e-13 / (1 - lambda_2)``, with ``lambda_2`` the second eigenvalue: on
+    ``K_e = [[1-e, e], [2e, 1-2e]]`` at ``e = 1e-3`` the result is off by
+    about 1e-11. When a block's largest delta stays within 1% of the previous
+    block's three blocks in a row, the chain oscillates or mixes too slowly to
+    finish, and the loop stops; so it does when all ``_POWER_BLOCKS`` blocks
+    (10**6 steps) have run. Either way the law comes from `_gth` instead,
+    exact to rounding on P's closed class, and must meet the fixed-point
+    residual to 1e-10. So periodic chains of any period, near-periodic ones
+    such as ``[[a, 1-a], [1-b, b]]`` with small ``a`` and ``b``, and ``K_e``
+    below ``e = 6e-6`` are solved (the power iteration stays for every chain
+    it solves, bit for bit; ROADMAP item 2 replaces it).
 
     The iteration runs in blocks of ``_POWER_BLOCK`` steps written into one
     buffer, the first in runs of 1, 2, 4, ... steps, so a fast chain stops
@@ -370,10 +376,10 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     Results are memoized per process: a call whose kernel matrix bytes,
     shape and strides and state weight bytes all equal an earlier call's
     returns that call's (frozen, read-only) `Density` without iterating
-    again. The strides are part of the key because the layout picks the
-    gemv, and two gemvs need not round alike. The memo keeps the
-    ``_INVARIANT_MEMO_SIZE`` most recently used results; a `NumericalError`
-    is never stored, so it is raised again on every call.
+    again. The strides are part of the key because P keeps the kernel's
+    layout, which picks the gemv, and two gemvs need not round alike. The
+    memo keeps the ``_INVARIANT_MEMO_SIZE`` most recently used results; a
+    `NumericalError` is never stored, so it is raised again on every call.
     """
     matrix, weights = kernel.matrix, space.weights
     key = (matrix.tobytes(), matrix.shape, matrix.strides, weights.tobytes())
@@ -381,56 +387,53 @@ def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
     # run the loop twice for one key, never get a wrong entry
     density = _INVARIANT_MEMO.pop(key, None)
     if density is None:
-        density = _power_iteration(matrix, weights)
+        with np.errstate(over="ignore"):  # an unvalidated pair may overflow
+            probabilities = matrix * weights
+        if not np.isfinite(probabilities).all():
+            raise NumericalError("invariant density: a transition density times its state "
+                                 "weight overflows")
+        density = Density(_power_iteration(probabilities) / weights)
     _INVARIANT_MEMO[key] = density
     if len(_INVARIANT_MEMO) > _INVARIANT_MEMO_SIZE:
         _INVARIANT_MEMO.popitem(last=False)
     return density
 
 
-def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
-    """The loop of `invariant_density`, run on each call that misses its memo.
-
-    A step is a gemv, a ddot into a 0-d array and a divide by that array,
-    each passing its output by position: numpy's cheaper call path, rounding
-    exactly as ``v / float(v @ weights)``."""
-    d = weights.shape[0]
-    # an F-ordered view: a contiguous copy would make numpy call another gemv,
+def _power_iteration(probabilities: np.ndarray) -> np.ndarray:
+    """The invariant law of `invariant_density`, on each call that misses its
+    memo. A step is a gemv, a ddot against ones into a 0-d array and a divide
+    by that array, each passing its output by position: numpy's cheaper call
+    path, rounding exactly as ``v / float(v @ ones)``."""
+    d = probabilities.shape[0]
+    # a transposed view: a contiguous copy would make numpy call another gemv,
     # which need not round alike
-    with np.errstate(over="ignore"):
-        adjoint = (matrix * weights[:, None]).T
-    if not np.isfinite(adjoint).all():
-        raise NumericalError("invariant density: a transition density times its state weight "
-                             "overflows")
-    _the_closed_class(matrix)
-
-    def normalize(v: np.ndarray) -> np.ndarray:
-        return v / float(v @ weights)
+    adjoint = probabilities.T
+    states = _the_closed_class(probabilities)
 
     rows = np.empty((_POWER_BLOCK + 1, d))
     views = list(rows)
-    v, total = np.empty(d), np.empty(())
+    v, total, ones = np.empty(d), np.empty(()), np.ones(d)
     dot, vdot, divide = adjoint.dot, v.dot, np.divide
-    rows[0] = 1.0 / float(weights.sum())
-    m = rows[0]
+    rows[0] = 1.0 / d
+    p = rows[0]
     stagnant_blocks, last_max = 0, np.inf
     for block in range(_POWER_BLOCKS):
-        rows[0] = m
+        rows[0] = p
         # the first block in runs of 1, 2, 4, ... steps, later blocks whole
         done, stop = 0, 1 if not block else _POWER_BLOCK
         while True:
-            # gemv, ddot and a divide per step, rounding exactly as `normalize`
+            # gemv, ddot and a divide per step, rounding exactly as v / float(v @ ones)
             for k in range(done, stop):
                 dot(views[k], v)
-                vdot(weights, total)
+                vdot(ones, total)
                 divide(v, total, views[k + 1])
-            deltas = (np.abs(rows[1:stop + 1] - rows[:stop]) * weights).max(axis=1)
+            deltas = np.abs(rows[1:stop + 1] - rows[:stop]).max(axis=1)
             hits = np.flatnonzero(deltas < _POWER_TOL)
             if hits.size or stop == _POWER_BLOCK:
                 break
             done, stop = stop, min(2 * stop + 1, _POWER_BLOCK)
         k = int(hits[0]) if hits.size else _POWER_BLOCK - 1
-        m, delta = rows[k + 1], float(deltas[k])
+        p, delta = rows[k + 1], float(deltas[k])
         if hits.size:
             break
         # stagnation probe: on each block's largest delta, whatever the period
@@ -440,37 +443,33 @@ def _power_iteration(matrix: np.ndarray, weights: np.ndarray) -> Density:
         if stagnant_blocks >= 3:
             break
     if not hits.size:
-        return _gth(matrix, weights, adjoint, m)
+        return _gth(probabilities, states, p)
 
     # polish: keep iterating while the step keeps improving
     for _ in range(500):
         if delta <= 2.3e-16:
             break
-        m_next = normalize(adjoint @ m)
-        new_delta = float(np.max(np.abs(m_next - m) * weights))
+        v = adjoint @ p
+        p_next = v / float(v @ ones)
+        new_delta = float(np.max(np.abs(p_next - p)))
         if new_delta >= delta:
             break
-        m, delta = m_next, new_delta
-    return Density(normalize(m))
+        p, delta = p_next, new_delta
+    return p / float(p @ ones)
 
 
-def _gth(matrix: np.ndarray, weights: np.ndarray, adjoint: np.ndarray,
-         iterate: np.ndarray) -> Density:
-    """The invariant density by Grassmann, Taksar and Heyman's state
-    reduction (1985), on the closed class of the probabilities
-    ``P = K diag(w)``, with 0 on every transient state. The class is read
-    from P's own zero pattern: an edge whose probability underflows to 0 is
-    lost, and a chain left with two closed classes has no unique law. It
-    never subtracts, and reads each diagonal entry as 1 minus the row's
-    others, so it is exact to rounding however slowly the chain mixes
-    (O'Cinneide 1993). The states are censored lightest first, by their
-    probability in the power iteration's last `iterate` (ties by index), so
-    the heaviest is reduced last: a fill-in that underflows to 0 on a light
-    state's path is then not a divisor. The result must meet the fixed-point
-    residual, as probabilities, to 1e-10."""
-    probabilities = matrix * weights
-    mass = iterate * weights
-    states = sorted(_the_closed_class(probabilities), key=lambda i: (-mass[i], i))  # heaviest first
+def _gth(probabilities: np.ndarray, states: list[int], iterate: np.ndarray) -> np.ndarray:
+    """The invariant law of ``P`` by Grassmann, Taksar and Heyman's state
+    reduction (1985), on P's closed class `states` (read from P's own zero
+    pattern, so an edge whose probability underflows to 0 is lost), with 0
+    on every transient state. It never subtracts, and reads each diagonal
+    entry as 1 minus the row's others, so it is exact to rounding however
+    slowly the chain mixes (O'Cinneide 1993). The states are censored
+    lightest first, by their probability in the power iteration's last
+    `iterate` (ties by index), so the heaviest is reduced last: a fill-in
+    that underflows to 0 on a light state's path is then not a divisor. The
+    result must meet the fixed-point residual to 1e-10."""
+    states = sorted(states, key=lambda i: (-iterate[i], i))  # heaviest first
     with np.errstate(all="ignore"):  # a fill-in lost to underflow divides by 0: the residual fails
         p = probabilities[np.ix_(states, states)]
         for k in range(len(states) - 1, 0, -1):  # censor state k out of the chain
@@ -479,13 +478,13 @@ def _gth(matrix: np.ndarray, weights: np.ndarray, adjoint: np.ndarray,
         law = np.ones(len(states))
         for k in range(1, len(states)):
             law[k] = law[:k] @ p[:k, k]
-        m = np.zeros_like(weights)
-        m[states] = law / law.sum() / weights[states]
-        residual = float(np.max(np.abs(adjoint @ m - m) * weights))
+        m = np.zeros(len(probabilities))
+        m[states] = law / law.sum()
+        residual = float(np.max(np.abs(probabilities.T @ m - m)))
     if not residual <= 1e-10:
         raise NumericalError(f"invariant density: the GTH solution misses its fixed point by "
                              f"{residual!r} as probabilities")
-    return Density(m / float(m @ weights))
+    return m
 
 
 def _the_closed_class(matrix: np.ndarray) -> list[int]:

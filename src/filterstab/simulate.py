@@ -80,7 +80,7 @@ def sample_trajectories(model: FiniteModel, initial: Density, horizon: int,
         draws[2::3] += 1.0  # the Box-Muller radius uniform lies in (0, 1]
     draws *= _DOUBLE_SCALE
 
-    state_table = _pick_table(model.kernel.matrix * space.weights[None, :])
+    state_table = _pick_table(model.transition_probabilities)
     records, d = draws.shape[1], state_table.shape[0]
     states = np.empty((records, horizon + 1), dtype=np.int64)
     states[:, 0] = _picks(draws[0], _pick_table(initial.values * space.weights)[None])

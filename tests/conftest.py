@@ -14,13 +14,14 @@ def cold_invariant_memo():
 
 @pytest.fixture
 def loop_calls(monkeypatch, cold_invariant_memo):
-    """The kernels the power loop ran on, in call order, starting from an empty memo."""
+    """The transition probabilities the power loop ran on, in call order,
+    starting from an empty memo."""
     calls = []
     loop = model._power_iteration
 
-    def counted(matrix, weights):
-        calls.append(matrix)
-        return loop(matrix, weights)
+    def counted(probabilities):
+        calls.append(probabilities)
+        return loop(probabilities)
 
     monkeypatch.setattr(model, "_power_iteration", counted)
     return calls

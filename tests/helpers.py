@@ -77,17 +77,16 @@ OVERFLOWING_DENSITY = {
 }
 
 # a valid document on which ρ leaves the float range at step 1, and along
-# some records a state has zero predicted mass at step 2: state 1 has the
-# weight 1e-310, so the one-step prediction of state 1 is subnormal, and ρ's
-# first column 1 divides by it
+# every record the true chain draws a state has zero predicted mass at step 2:
+# state 1 has the weight 1e-310, and state 2 is entered from state 1 alone, so
+# ρ's column 2 puts all its law on state 1, whose density is 1e310; the true
+# chain never visits state 1, which alone emits symbol 1, and every row has a
+# zero, so the envelope is vacuous
 RHO_OVERFLOWS_AT_STEP_1 = {
     "states": 3, "psi": [1.0, 1e-310, 1.0],
-    "transition": [[1.0, 0.0, 0.0],
-                   [0.5118578827946249, 1.283358680599553, 0.48814211720537515],
-                   [0.4573290270116041, 0.0, 0.542670972988396]],
+    "transition": [[1.0, 0.0, 0.0], [0.0, 5e307, 0.995], [1.0, 0.0, 0.0]],
     "observation": {"type": "finite", "gamma": [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]},
-    "nu": [0.16796552559238734, 0.36975354830965534, 0.8320344744076127],
-    "beta": [0.7854029358052751, 0.3032128812312252, 0.2145970641947248],
+    "nu": [0.5, 0.0, 0.5], "beta": [0.5, 1e308, 0.49],
 }
 
 
@@ -95,15 +94,9 @@ def uniform_density(space) -> Density:
     return Density(np.full(space.num_states, 1.0 / float(space.weights.sum())))
 
 
-def point_mass(state, space) -> Density:
-    values = np.zeros(space.num_states)
-    values[state] = 1.0 / space.weights[state]
-    return Density(values)
-
-
 def record_rho(model, record):
     """ρ along a replicate's wrong-prior run, as the commands run it."""
-    return backward_pass(model, record.coeffs, record.pair.run_wrong.densities)
+    return backward_pass(model, record.coeffs, record.pair.run_wrong.probabilities)
 
 
 def rho_three_ways(model, coeffs, observations):
@@ -113,10 +106,10 @@ def rho_three_ways(model, coeffs, observations):
     and `reference_backward`. Each outcome is the message of the error it
     raises, or the bytes of its oscillations, envelope (None when vacuous)
     and likelihood ratios, so that equal outcomes agree bit for bit."""
-    densities = run_filter(model.wrong_prior, observations, model).densities
+    laws = run_filter(model.wrong_prior, observations, model).probabilities
 
     def along():
-        return backward_pass(model, coeffs, densities)
+        return backward_pass(model, coeffs, laws)
 
     def stepped():
         ratio = _prior_ratio(model)
@@ -130,7 +123,7 @@ def rho_three_ways(model, coeffs, observations):
         return np.array([r.oscillation for r in records]), bounds, np.array(ratios)
 
     outcomes = []
-    for way in (along, stepped, lambda: reference_backward(model, coeffs, densities)):
+    for way in (along, stepped, lambda: reference_backward(model, coeffs, laws)):
         try:
             arrays = way()
         except NumericalError as exc:
@@ -142,12 +135,13 @@ def rho_three_ways(model, coeffs, observations):
 
 class LoggedNumpy:
     """numpy as `filtering` reads it, with each call of `np.matmul`,
-    `np.divide` and `np.ndarray.dot` logged as its name and operand shapes,
-    an ``out`` operand last."""
+    `np.multiply`, `np.divide` and `np.ndarray.dot` logged as its name and
+    operand shapes, an ``out`` operand last."""
 
     def __init__(self):
         self.calls = []
         self.matmul, self.divide = self.logged("matmul", np.matmul), self.logged("divide", np.divide)
+        self.multiply = self.logged("multiply", np.multiply)
         self.ndarray = type("ndarray", (), {"dot": staticmethod(self.logged("dot", np.ndarray.dot))})
 
     def logged(self, name, function):

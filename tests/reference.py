@@ -1,8 +1,9 @@
 """Reference loops the engine is held to, and checks of the theory.
 
 `reference_filter` and `reference_backward` redo one record from one prior
-with plain 1-D numpy arithmetic, one step at a time, with none of the
-engine's stacking, time-major buffers or chunks. Stacked products round
+with plain 1-D numpy arithmetic on laws, one step at a time through
+``P = K diag(w)``, with none of the engine's stacking, time-major buffers
+or chunks. Stacked products round
 like these one-row ones, so the engine must agree with them exactly, not
 just to a tolerance. Nothing here calls the package's own filter steps.
 `log_domain_filter` is the filter in logsumexp form, an oracle that never
@@ -126,71 +127,76 @@ def reference_trajectory(model, initial, horizon, seed):
 
 
 def reference_filter(model, prior, observations):
-    """The forward filter on one record: ``(N+1, d)`` densities and ``N`` log
-    normalizers.
+    """The forward filter on one record from the prior density `prior`:
+    ``(N+1, d)`` posterior laws, stepped through ``P = K diag(w)``, and ``N``
+    log normalizers.
 
     A Gaussian step whose normalizer leaves ``(UNDERFLOW_FLOOR, inf)`` is
     redone in the log domain (`log_domain_step`), as the engine does; any
-    other such step raises the engine's zero-likelihood error. A density,
-    rescued or not, with an entry that is not finite raises its range error.
+    other such step raises the engine's zero-likelihood error. A law, rescued
+    or not, whose density ``p / w`` has an entry that is not finite raises
+    its range error.
     """
-    matrix, w = model.kernel.matrix, model.space.weights
-    pis, logs = [np.asarray(prior, dtype=float)], []
+    matrix, w = model.transition_probabilities, model.space.weights
+    ones = np.ones(len(w))
+    laws, logs = [np.asarray(prior, dtype=float) * w], []
     for y, lik in zip(observations, likelihood_rows(model.observation, observations)):
         with np.errstate(all="ignore"):  # every failure is tested below
-            unnormalized = lik * (matrix.T @ (pis[-1] * w))
-            normalizer = float(unnormalized @ w)
+            unnormalized = lik * (matrix.T @ laws[-1])
+            normalizer = float(unnormalized @ ones)
             if UNDERFLOW_FLOOR < normalizer < math.inf:
-                pi, log = unnormalized / normalizer, math.log(normalizer)
+                law, log = unnormalized / normalizer, math.log(normalizer)
             else:
                 rescued = None
                 if model.observation.kind == "gaussian":
-                    rescued = log_domain_step(model, pis[-1], y)
+                    rescued = log_domain_step(model, laws[-1], y)
                 if rescued is None:
-                    raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {len(pis)})")
-                pi, log = rescued
-        if not np.isfinite(pi).all():
-            raise NumericalError(f"{DENSITY_RANGE} (at step {len(pis)})")
-        pis.append(pi)
+                    raise NumericalError(f"{ZERO_LIKELIHOOD} (at step {len(laws)})")
+                law, log = rescued
+            in_range = np.isfinite(law / w).all()
+        if not in_range:
+            raise NumericalError(f"{DENSITY_RANGE} (at step {len(laws)})")
+        laws.append(law)
         logs.append(log)
-    return np.array(pis), np.array(logs)
+    return np.array(laws), np.array(logs)
 
 
-def log_domain_step(model, pi, y):
-    """One Gaussian filter step from density ``pi`` in the log domain.
+def log_domain_step(model, law, y):
+    """One Gaussian filter step from the law `law` in the log domain.
 
-    The log joint ``log lik[x] + log(predicted[x] w[x])`` is shifted by its
+    The log joint ``log lik[x] + log(predicted[x])`` is shifted by its
     maximum before it is exponentiated, and the shift goes back into the log
-    normalizer. Returns the density and the log normalizer, or None when no
+    normalizer. Returns the law and the log normalizer, or None when no
     state has positive density.
     """
-    w = model.space.weights
     log_lik = log_likelihood_rows(model.observation, [y])[0]
     with np.errstate(divide="ignore"):
-        log_joint = log_lik + np.log((model.kernel.matrix.T @ (pi * w)) * w)
+        log_joint = log_lik + np.log(model.transition_probabilities.T @ law)
     top = float(log_joint.max())
     if not math.isfinite(top):
         return None
     joint = np.exp(log_joint - top)
     total = float(joint.sum())
-    return joint / total / w, top + math.log(total)
+    return joint / total, top + math.log(total)
 
 
 def reference_backward(model, coeffs, wrong):
-    """Oscillations, envelope (None when vacuous or `coeffs` is None) and
-    likelihood ratios along one wrong-prior run ``wrong`` (its ``(N+1, d)``
-    densities).
+    """Oscillations (densities), envelope (None when vacuous or `coeffs` is
+    None) and likelihood ratios along one wrong-prior run ``wrong`` (its
+    ``(N+1, d)`` posterior laws), with ρ's columns carried as laws.
 
     Raises the package's errors for the run, by its rule: the run's
     constants first, a prior ratio that overflows and then an envelope
     scale that underflows or overflows; then the first failing step's error,
     naming the step. Step 0 has a likelihood ratio only. At a later step a
     zero predicted mass (at step 1, a state unreachable in one step) comes
-    first, then a ρ entry out of the float range, then a likelihood ratio
-    that is not finite and nonnegative.
+    first, then a ρ density ``R / w`` out of the float range, then a
+    likelihood ratio that is not finite and nonnegative.
     """
-    matrix, w = model.kernel.matrix, model.space.weights
+    matrix, w = model.transition_probabilities, model.space.weights
+    ones = np.ones(len(w))
     nu, theta0 = model.true_prior.values, model.wrong_prior.values
+    prior = theta0 * w
     with np.errstate(all="ignore"):  # every failure is tested below
         ratio = nu / theta0
         if not np.isfinite(ratio).all():
@@ -213,30 +219,29 @@ def reference_backward(model, coeffs, wrong):
                 raise NumericalError(
                     f"envelope scale overflows: max density**2 / (theta_min * mixing "
                     f"coefficient) = {top!r}**2 / ({theta_min!r} * {avg!r})")
-        row_min_weighted = row_minima(model.kernel) * w
-        oscillations, ratios, decays = [], [float((ratio * theta0) @ w)], []
+        row_min = row_minima(model.kernel)
+        oscillations, ratios, decays = [], [float((ratio * prior) @ ones)], []
         exponent = 0.0
         for k in range(len(wrong)):
             if k == 1:
-                denominator = (theta0 * w) @ matrix
+                denominator = prior @ matrix
                 if (denominator <= 0.0).any():
                     raise NumericalError(
                         "state unreachable in one step: conditioning event has probability 0")
-                rho = matrix * theta0[:, None] / denominator[None, :]
-                rho = rho / (w @ rho)[None, :]
+                rho = matrix * prior[:, None] / denominator[None, :]
+                rho = rho / (ones @ rho)[None, :]
             elif k > 1:
-                weighted = wrong[k - 1] * w
-                denominator = weighted @ matrix
+                denominator = wrong[k - 1] @ matrix
                 if denominator.min() <= 0.0:
                     raise NumericalError(f"state has zero predicted mass (at step {k})")
-                rho = ((rho * weighted[None, :]) @ matrix) / denominator[None, :]
-                rho = rho / (w @ rho)[None, :]
-                exponent += float(wrong[k - 1] @ row_min_weighted)
+                rho = ((rho * wrong[k - 1][None, :]) @ matrix) / denominator[None, :]
+                rho = rho / (ones @ rho)[None, :]
+                exponent += float(wrong[k - 1] @ row_min)
             if k:
-                if not np.isfinite(rho).all():
+                if not np.isfinite(rho / w[:, None]).all():
                     raise NumericalError(f"{RHO_RANGE} (at step {k})")
-                oscillations.append(rho.max(axis=1) - rho.min(axis=1))
-                ratios.append(float(((ratio * w) @ rho) @ (wrong[k] * w)))
+                oscillations.append((rho.max(axis=1) - rho.min(axis=1)) / w)
+                ratios.append(float((ratio @ rho) @ wrong[k]))
                 if scale is not None:
                     decays.append(math.exp(-exponent / coeffs.max_density))
             if not 0.0 <= ratios[k] < math.inf:

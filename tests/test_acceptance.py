@@ -207,7 +207,7 @@ def test_ac6_oscillation_bounds_dominate():
     # the counterexample must flag its bound vacuous without erroring
     scenario = Scenario(builtin_model("kaijser"), horizon=50, replicates=1, seed=3)
     record = run_scenario(scenario)[0]
-    back = backward_pass(scenario.model, record.coeffs, record.pair.run_wrong.densities)
+    back = backward_pass(scenario.model, record.coeffs, record.pair.run_wrong.probabilities)
     vacuous_ok = back.bounds is None
 
     report(
@@ -228,7 +228,7 @@ def test_ac7_conditional_law_of_large_numbers():
         trajectory = sample_trajectory(model, model.true_prior, 10_000, seed=seed)
         run = run_filter(model.true_prior, trajectory.observations, model)
         # the last row of the `lln` table: one gap per state indicator
-        gaps = np.abs(_running_averages(run, model.space)[-1] - m.values * model.space.weights)
+        gaps = np.abs(_running_averages(run)[-1] - m.values * model.space.weights)
         worst_gap = max(worst_gap, float(gaps.max()))
 
     worst_residual = 0.0

@@ -146,7 +146,7 @@ class TestBackwardStep:
         for n, sb in enumerate(stationary, start=1):
             ctx.step(0)
             np.testing.assert_allclose(ctx.rho, sb.matrix, atol=1e-12)
-            np.testing.assert_allclose(ctx.pi.values, m.values, atol=1e-12)
+            np.testing.assert_allclose(ctx.law / model.space.weights, m.values, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_matches_path_enumeration(self, seed):
@@ -179,30 +179,30 @@ class TestBackwardStep:
         })
         ctx = BackwardContext(model, model.wrong_prior)
         ctx.step(0)
-        rho, pi, exponent_sum = ctx.rho, ctx.pi, ctx.exponent_sum
+        rho, law, exponent_sum = ctx.rho, ctx.law, ctx.exponent_sum
         with pytest.raises(NumericalError, match="zero-likelihood"):
             ctx.step(1)
-        assert ctx.rho is rho and ctx.pi is pi and ctx.exponent_sum == exponent_sum
+        assert ctx.rho.tobytes() == rho.tobytes()
+        assert ctx.law is law and ctx.exponent_sum == exponent_sum
 
-    def test_underflowing_rho_is_a_numerical_failure(self):
-        # one state of weight 7.6e299 and density 1.3e-300: rho's first
-        # numerator underflows to 0, and its normalization is 0/0
+    def test_a_tiny_density_on_a_huge_weight_keeps_its_rho(self):
+        # one state of weight 7.6e299 and density 1.3e-300: its probabilities
+        # are about 1, so ρ is the density 1 / weight, though a product of the
+        # density and the density underflows
+        weight = 7.564873388636578e299
         model = build_model({
-            "states": 1, "psi": [7.564873388636578e299],
+            "states": 1, "psi": [weight],
             "transition": [[1.3218991893534264e-300]],
             "observation": {"type": "finite", "gamma": [[1.0]]},
             "nu": [1.3218991893534264e-300], "beta": [1.3218991893534264e-300],
         })
-        message = "backward density leaves the float range: an entry is inf or nan (at step 1)"
         ctx = BackwardContext(model, model.wrong_prior)
-        with pytest.raises(NumericalError) as caught:
-            ctx.step(0)
-        assert str(caught.value) == message
-        assert ctx.rho is None
+        ctx.step(0)
+        assert ctx.rho.tolist() == [[1.0 / weight]]
         run = run_filter(model.wrong_prior, [0, 0], model)
-        with pytest.raises(NumericalError) as caught:
-            backward_pass(model, None, run.densities)
-        assert str(caught.value) == message
+        back = backward_pass(model, None, run.probabilities)
+        assert back.oscillations.tolist() == [[0.0], [0.0]]
+        assert back.likelihood_ratios.tolist() == [1.0, 1.0, 1.0]
 
 
 class TestFailureRule:
@@ -219,33 +219,36 @@ class TestFailureRule:
         for n in (1, 2, 60):
             assert rho_three_ways(model, None, record[:n]) == [expected] * 3
 
-    def test_a_likelihood_ratio_that_is_nan_fails_its_step(self):
-        # the prior ratio of state 0 is 1e299, and times its weight 1e10 it is
-        # inf; ρ's row 0 is 0 in column 1, and inf * 0 is nan
+    def test_a_huge_prior_ratio_on_a_huge_weight_keeps_a_finite_ratio(self):
+        # the prior ratio of state 0 is 1e299, and times its weight 1e10 it would
+        # be inf; ρ's laws never take that product, and the uninformative
+        # channel keeps every likelihood ratio at 1
         model = build_model({
             "states": 2, "psi": [1e10, 1.0], "transition": [[1e-10, 0.0], [5e-11, 0.5]],
             "observation": {"type": "finite", "gamma": [[0.5, 0.5], [0.5, 0.5]]},
             "nu": [1e-11, 0.9], "beta": [1e-310, 1.0],
         })
-        expected = "likelihood ratio must be finite and nonnegative, got nan (at step 1)"
-        assert rho_three_ways(model, None, [0, 1, 0]) == [expected] * 3
+        along, stepped, plain = rho_three_ways(model, None, [0, 1, 0])
+        assert along == stepped == plain
+        np.testing.assert_allclose(np.frombuffer(along[2]), 1.0, rtol=1e-15)
 
-    def test_the_ratio_of_step_0_fails_before_step_1(self):
-        # nu / beta of state 0 rounds up, and times beta it overflows; state 0
-        # is also unreachable in one step
+    def test_the_ratio_of_step_0_is_read_before_step_1_fails(self):
+        # nu / beta of state 0 rounds up to near the float maximum, and times the
+        # law beta * psi it is finite; state 0 is unreachable in one step
         top = 1.7976931348623157e308
         model = build_model({
             "states": 2, "psi": [5e-309, 1.0], "transition": [[0.0, 1.0], [0.0, 1.0]],
             "observation": {"type": "finite", "gamma": [[1.0, 0.0], [0.5, 0.5]]},
             "nu": [top, 1.0 - top * 5e-309], "beta": [3.0, 1.0 - 1.5e-308],
         })
-        expected = "likelihood ratio must be finite and nonnegative, got inf (at step 0)"
-        for observations in ([], [1], [1, 0]):
+        along, stepped, plain = rho_three_ways(model, None, [])
+        assert along == stepped == plain and np.frombuffer(along[2]).tolist() == [1.0]
+        expected = "state unreachable in one step: conditioning event has probability 0"
+        for observations in ([1], [1, 0]):
             assert rho_three_ways(model, None, observations) == [expected] * 3
 
     def test_the_envelope_scale_fails_before_rho(self):
-        # theta_min * mixing coefficient underflows, and ρ's first numerator
-        # underflows to 0, then 0/0
+        # theta_min * mixing coefficient underflows, before ρ's first step
         model = build_model({
             "states": 1, "psi": [7.564873388636578e299], "transition": [[1.3218991893534264e-300]],
             "observation": {"type": "finite", "gamma": [[1.0]]},
@@ -284,19 +287,19 @@ class TestOscillation:
         # the spread shrinks at least by the filter-averaged row-minimum factor
         model = random_positive_model(1000 * d + seed, d)
         coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
-        mins_weighted = row_minima(model.kernel) * model.space.weights
+        mins = row_minima(model.kernel)
         t = sample_trajectory(model, model.true_prior, 12, seed=seed)
         ctx = BackwardContext(model, model.wrong_prior)
         prev_spread = None
-        prev_pi = ctx.pi
+        prev_law = ctx.law
         for y in t.observations:
             ctx.step(y)
             spread = ctx.record.oscillation
             if prev_spread is not None:
-                factor = 1.0 - float(prev_pi.values @ mins_weighted) / coeffs.max_density
+                factor = 1.0 - float(prev_law @ mins) / coeffs.max_density
                 assert np.all(spread <= prev_spread * factor + 1e-14)
             prev_spread = spread
-            prev_pi = ctx.pi
+            prev_law = ctx.law
 
 
 class TestOscillationBound:
@@ -306,7 +309,7 @@ class TestOscillationBound:
         coeffs = mixing_coefficients(model, m)
         theta0 = model.wrong_prior
         run = run_filter(theta0, [0], model)
-        bounds = backward_pass(model, coeffs, run.densities).bounds
+        bounds = backward_pass(model, coeffs, run.probabilities).bounds
         assert bounds is not None
         theta_min = theta0.values.min()
         expected = coeffs.max_density**2 / (theta_min * coeffs.mixing_coefficient) * theta0.values
@@ -322,7 +325,7 @@ class TestOscillationBound:
         coeffs = mixing_coefficients(model, m)
         theta0 = uniform_density(model.space)
         run = run_filter(theta0, [0, 1, 0, 1, 1, 0], model)
-        bounds = backward_pass(model._replace(wrong_prior=theta0), coeffs, run.densities).bounds
+        bounds = backward_pass(model._replace(wrong_prior=theta0), coeffs, run.probabilities).bounds
         assert bounds is not None
         for n in range(1, 7):
             np.testing.assert_allclose(
@@ -334,7 +337,7 @@ class TestOscillationBound:
         m = invariant_density(model.kernel, model.space)
         coeffs = mixing_coefficients(model, m)
         run = run_filter(model.wrong_prior, [1, 0, 1], model)
-        back = backward_pass(model, coeffs, run.densities)
+        back = backward_pass(model, coeffs, run.probabilities)
         assert back.bounds is None
         assert back.oscillations.shape == (3, 4)
 
@@ -346,15 +349,15 @@ class TestOscillationBound:
         coeffs = mixing_coefficients(model, m)
         t = sample_trajectory(model, model.true_prior, 40, seed=seed)
         ctx = BackwardContext(model, model.wrong_prior, coeffs)
-        pis = [ctx.pi.values]
+        laws = [ctx.law]
         for y in t.observations:
             ctx.step(y)
-            pis.append(ctx.pi.values)
+            laws.append(ctx.law)
             rec = ctx.record
             assert not rec.bound_vacuous
             assert np.all(rec.oscillation <= rec.bound + 1e-12)
-        # the incremental context agrees with the pass over the density history
-        bounds = backward_pass(model, coeffs, np.array(pis)).bounds
+        # the incremental context agrees with the pass over the law history
+        bounds = backward_pass(model, coeffs, np.array(laws)).bounds
         np.testing.assert_allclose(bounds[-1], ctx.record.bound, rtol=1e-12)
 
 

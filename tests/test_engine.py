@@ -74,15 +74,15 @@ ENGINE_SCENARIOS = [Scenario(model, horizon=300, replicates=2, seed=5)
 
 
 def incremental_filter(model, prior, observations):
-    pi = prior
-    densities = [prior.values]
+    law = prior.values * model.space.weights
+    laws = [law]
     log_norms = []
     for y in observations:
         lik = likelihood_rows(model.observation, [y])[0]
-        pi, normalizer = filter_step_with_likelihood(pi, lik, model.kernel, model.space)
-        densities.append(pi.values)
+        law, normalizer = filter_step_with_likelihood(law, lik, model)
+        laws.append(law)
         log_norms.append(math.log(normalizer))
-    return np.array(densities), np.array(log_norms)
+    return np.array(laws), np.array(log_norms)
 
 
 def incremental_backward(model, coeffs, observations, prior_ratio):
@@ -107,11 +107,11 @@ def test_batch_engine_equals_incremental_api(scenario):
         obs = record.trajectory.observations
         correct, log_correct = incremental_filter(model, model.true_prior, obs)
         wrong, log_wrong = incremental_filter(model, model.wrong_prior, obs)
-        np.testing.assert_array_equal(record.pair.run_correct.densities, correct)
-        np.testing.assert_array_equal(record.pair.run_wrong.densities, wrong)
+        np.testing.assert_array_equal(record.pair.run_correct.probabilities, correct)
+        np.testing.assert_array_equal(record.pair.run_wrong.probabilities, wrong)
         np.testing.assert_array_equal(record.pair.run_correct.log_normalizers, log_correct)
         np.testing.assert_array_equal(record.pair.run_wrong.log_normalizers, log_wrong)
-        tv = [np.abs(p - q) @ model.space.weights for p, q in zip(correct, wrong)]
+        tv = [np.abs(p - q) @ np.ones_like(p) for p, q in zip(correct, wrong)]
         np.testing.assert_array_equal(record.pair.tv, tv)
 
         oscillations, bounds, ratios = incremental_backward(model, coeffs, obs, prior_ratio)
@@ -181,7 +181,7 @@ def test_backward_pass_runs_no_filter(monkeypatch):
         raise AssertionError("backward_pass ran a filter step")
 
     monkeypatch.setattr(filterstab.backward, "filter_step_with_likelihood", forbidden)
-    result = backward_pass(model, coeffs, run.densities)
+    result = backward_pass(model, coeffs, run.probabilities)
     assert result.oscillations.shape == (5, 4)
     assert result.likelihood_ratios.shape == (6,)
     assert not result.oscillations.flags.writeable
@@ -227,19 +227,17 @@ class TestGaussianUnderflow:
         model = self.model()
         run = run_filter(model.true_prior, self.RECORD, model)
         prefix = run_filter(model.true_prior, self.RECORD[:1], model)
-        np.testing.assert_array_equal(run.densities[:2], prefix.densities)
+        np.testing.assert_array_equal(run.probabilities[:2], prefix.probabilities)
         after, normalizer = filter_step_with_likelihood(
-            Density(run.densities[2]), likelihood_rows(model.observation, [self.RECORD[2]])[0],
-            model.kernel, model.space,
-        )
-        np.testing.assert_array_equal(run.densities[3], after.values)
+            run.probabilities[2], likelihood_rows(model.observation, [self.RECORD[2]])[0], model)
+        np.testing.assert_array_equal(run.probabilities[3], after)
         assert run.log_normalizers[2] == math.log(normalizer)
 
     def test_likelihood_ratio_through_the_outlier(self):
         model = self.model()
         coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
         pair = run_filter_pair(model, self.RECORD)
-        result = backward_pass(model, coeffs, pair.run_wrong.densities)
+        result = backward_pass(model, coeffs, pair.run_wrong.probabilities)
         marginal = math.exp(pair.run_correct.log_normalizers.sum()
                             - pair.run_wrong.log_normalizers.sum())
         assert result.likelihood_ratios[-1] == pytest.approx(marginal, rel=1e-10)
@@ -266,7 +264,7 @@ def test_backward_pass_rejects_mismatched_shapes():
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
     run = run_filter(model.wrong_prior, [0, 1], model)
     with pytest.raises(InvalidModelError, match="dimension mismatch"):
-        backward_pass(model, coeffs, run.densities[:, :1])
+        backward_pass(model, coeffs, run.probabilities[:, :1])
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -0.25])
@@ -274,7 +272,7 @@ def test_backward_pass_rejects_a_history_that_is_not_finite_and_nonnegative(valu
     # the history is outside input: it fails as invalid before rho reads it
     model = builtin_model("mixing2")
     coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
-    history = run_filter(model.wrong_prior, [0, 1, 1], model).densities.copy()
+    history = run_filter(model.wrong_prior, [0, 1, 1], model).probabilities.copy()
     history[2] = value
     with pytest.raises(InvalidModelError,
                        match="^filter history entries must be finite and nonnegative$"):
@@ -302,11 +300,11 @@ def test_batched_run_scenario_equals_replicates_run_alone(scenario, replicates):
         np.testing.assert_array_equal(record.trajectory.observations, alone.observations)
         correct, log_correct = reference_filter(model, model.true_prior.values, alone.observations)
         wrong, log_wrong = reference_filter(model, model.wrong_prior.values, alone.observations)
-        np.testing.assert_array_equal(record.pair.run_correct.densities, correct)
-        np.testing.assert_array_equal(record.pair.run_wrong.densities, wrong)
+        np.testing.assert_array_equal(record.pair.run_correct.probabilities, correct)
+        np.testing.assert_array_equal(record.pair.run_wrong.probabilities, wrong)
         np.testing.assert_array_equal(record.pair.run_correct.log_normalizers, log_correct)
         np.testing.assert_array_equal(record.pair.run_wrong.log_normalizers, log_wrong)
-        tv = np.array([row @ model.space.weights for row in np.abs(correct - wrong)])
+        tv = np.array([row @ np.ones_like(row) for row in np.abs(correct - wrong)])
         np.testing.assert_array_equal(record.pair.tv, tv)
         oscillations, bounds, ratios = reference_backward(model, coeffs, wrong)
         back = record_rho(model, record)
@@ -316,6 +314,7 @@ def test_batched_run_scenario_equals_replicates_run_alone(scenario, replicates):
         if bounds is not None:
             np.testing.assert_array_equal(back.bounds, bounds)
         assert record.decay == decay_rate(tv)
+        assert not record.pair.run_correct.probabilities.flags.writeable
         assert not record.pair.run_correct.densities.flags.writeable
 
 
@@ -494,20 +493,20 @@ def test_mixing2_replicates_sample_without_argmax_and_take_tvs_by_blocks_of_reco
     products = [shapes for name, shapes in logged.calls if name == "matmul"]
     assert products == [[(501, n, 1, 2), (2, 1), (501, n, 1, 1)] for n in [8] * 6 + [2]]
     for pair in pairs:
-        gaps = np.abs(pair.run_correct.densities - pair.run_wrong.densities)
-        assert pair.tv.tolist() == [row @ model.space.weights for row in gaps]
+        gaps = np.abs(pair.run_correct.probabilities - pair.run_wrong.probabilities)
+        assert pair.tv.tolist() == [row @ np.ones_like(row) for row in gaps]
 
 
 def pair_records(model, records):
-    """Both filters on every record in one engine pass: the densities, log
+    """Both filters on every record in one engine pass: the laws, log
     normalizers and TV gaps. A true prior with zero atoms is not warned of."""
     with warnings.catch_warnings():
         warnings.filterwarnings("ignore", "true prior has zero atoms")
         pairs = _filter_pairs(model, records)
     runs = [(pair.run_correct, pair.run_wrong) for pair in pairs]
-    densities = np.array([[run.densities for run in filters] for filters in runs])
+    laws = np.array([[run.probabilities for run in filters] for filters in runs])
     log_norms = np.array([[run.log_normalizers for run in filters] for filters in runs])
-    return densities, log_norms, np.array([pair.tv for pair in pairs])
+    return laws, log_norms, np.array([pair.tv for pair in pairs])
 
 
 def crafted_records(monkeypatch, observations):
@@ -533,7 +532,7 @@ def test_gaussian_batch_with_one_underflowing_replicate(monkeypatch):
             np.testing.assert_array_equal(batched.densities, alone.densities)
             np.testing.assert_array_equal(batched.log_normalizers, alone.log_normalizers)
         np.testing.assert_array_equal(record.pair.tv, pair.tv)
-        backward = backward_pass(model, coeffs, pair.run_wrong.densities)
+        backward = backward_pass(model, coeffs, pair.run_wrong.probabilities)
         batched = record_rho(model, record)
         np.testing.assert_array_equal(batched.oscillations, backward.oscillations)
         np.testing.assert_array_equal(batched.bounds, backward.bounds)
@@ -542,7 +541,7 @@ def test_gaussian_batch_with_one_underflowing_replicate(monkeypatch):
     assert records[1].pair.run_correct.log_normalizers[1] < -1000.0
     for record, observations in zip(records[::2], records_in[::2]):
         correct, log_correct = reference_filter(model, model.true_prior.values, observations)
-        np.testing.assert_array_equal(record.pair.run_correct.densities, correct)
+        np.testing.assert_array_equal(record.pair.run_correct.probabilities, correct)
         np.testing.assert_array_equal(record.pair.run_correct.log_normalizers, log_correct)
 
 
@@ -560,10 +559,10 @@ def test_overflowing_normalizer_is_redone_in_the_log_domain():
     np.testing.assert_array_equal(run.densities, [[0.7, 0.3], [1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
     assert np.all(run.log_normalizers > 700.0) and np.all(np.isfinite(run.log_normalizers))
     records = np.array([[0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
-    densities, log_norms, tv = pair_records(model, records)
+    laws, log_norms, tv = pair_records(model, records)
     for r, observations in enumerate(records):
         alone = run_filter_pair(model, observations)
-        np.testing.assert_array_equal(densities[r, 1], alone.run_wrong.densities)
+        np.testing.assert_array_equal(laws[r, 1], alone.run_wrong.probabilities)
         np.testing.assert_array_equal(log_norms[r, 0], alone.run_correct.log_normalizers)
         np.testing.assert_array_equal(tv[r], alone.tv)
 
@@ -601,7 +600,7 @@ class TestErrorPrecedence:
             with pytest.raises((NumericalError, InvalidModelError)) as caught:
                 pair = run_filter_pair(model, observations)
                 coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
-                backward_pass(model, coeffs, pair.run_wrong.densities)
+                backward_pass(model, coeffs, pair.run_wrong.probabilities)
         return caught.value
 
     def test_lowest_replicate_wins_over_an_earlier_step(self, monkeypatch):

@@ -40,6 +40,7 @@ from filterstab import (
     sample_trajectory,
 )
 from filterstab.filtering import _engine, _runs
+from exact import exact_run
 from helpers import LoggedNumpy, random_positive_model, record_rho
 from reference import reference_backward, reference_filter
 
@@ -119,8 +120,8 @@ def run_records(monkeypatch, model, records):
 def assert_record_equals_reference(model, record, observations):
     correct, log_correct = reference_filter(model, model.true_prior.values, observations)
     wrong, log_wrong = reference_filter(model, model.wrong_prior.values, observations)
-    np.testing.assert_array_equal(record.pair.run_correct.densities, correct)
-    np.testing.assert_array_equal(record.pair.run_wrong.densities, wrong)
+    np.testing.assert_array_equal(record.pair.run_correct.probabilities, correct)
+    np.testing.assert_array_equal(record.pair.run_wrong.probabilities, wrong)
     np.testing.assert_array_equal(record.pair.run_correct.log_normalizers, log_correct)
     np.testing.assert_array_equal(record.pair.run_wrong.log_normalizers, log_wrong)
     oscillations, bounds, ratios = reference_backward(model, coefficients(model), wrong)
@@ -260,15 +261,23 @@ def test_one_record_equals_the_reference(monkeypatch, name, held):
     assert_record_equals_reference(model, record, observations)
     # one prior: a lone filter row; ρ read along an existing history
     hold(monkeypatch, held, 1, model.space.num_states, priors=1)
-    densities, log_norms = reference_filter(model, model.wrong_prior.values, observations)
+    laws, log_norms = reference_filter(model, model.wrong_prior.values, observations)
     run = run_filter(model.wrong_prior, observations, model)
-    np.testing.assert_array_equal(run.densities, densities)
+    np.testing.assert_array_equal(run.probabilities, laws)
     np.testing.assert_array_equal(run.log_normalizers, log_norms)
     coeffs = coefficients(model)
-    oscillations, _, ratios = reference_backward(model, coeffs, densities)
-    along = backward_pass(model, coeffs, densities)
+    oscillations, _, ratios = reference_backward(model, coeffs, laws)
+    along = backward_pass(model, coeffs, laws)
     np.testing.assert_array_equal(along.oscillations, oscillations)
     np.testing.assert_array_equal(along.likelihood_ratios, ratios)
+    # and near the exact values, within a few roundings a step
+    exact, w = exact_run(model, observations), model.space.weights
+    np.testing.assert_allclose(record.pair.run_correct.probabilities, exact.correct,
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(laws, exact.wrong, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(record.pair.tv, exact.tv, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(along.likelihood_ratios, exact.likelihood_ratios, rtol=1e-13)
+    np.testing.assert_allclose(along.oscillations * w, exact.oscillations * w, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
@@ -324,9 +333,9 @@ def awkward_entries(rng, shape, zeros=True):
 @pytest.mark.parametrize("d", range(1, 16))
 def test_a_gemm_rounds_as_the_stacked_rows(d, rows):
     """A stack of d <= 15 filter rows normalizes with one 2-D ``(rows, d) @
-    (d, d)`` gemm, through `ndarray.dot` as the engine calls it, against the
-    (d, d) matrix whose every column is the state weights; at d <= 3 its
-    product is one such gemm too. Every column of the normalizer rounds as
+    (d, d)`` gemm, through `ndarray.dot` as the engine calls it, against a
+    (d, d) matrix whose every column is one positive vector (the engine's is
+    ones); at d <= 3 its product is one such gemm too. Every column of the normalizer rounds as
     the per-row ``(rows, 1, d) @ (d, 1)``, and the product as the stacked
     ``(rows, 1, d) @ (d, d)``, one gemv per row, on entries and weights with
     subnormals and magnitudes near 1e300. With OpenBLAS 0.3.31 (DYNAMIC_ARCH,
@@ -350,40 +359,44 @@ def test_a_gemm_rounds_as_the_stacked_rows(d, rows):
 STACKS = {  # a model, its records, and the product call of a step with its operand shapes
     "mixing2, 100 rows": (builtin_model("mixing2"), 50, ("dot", [(100, 2), (2, 2), (100, 2)])),
     "d = 4, a pair": (builtin_model("kaijser"), 1, ("matmul", [(2, 1, 4), (4, 4), (2, 1, 4)])),
+    "d = 3, other state weights": (PSI_MODELS["weighted-psi"], 1,
+                                   ("dot", [(2, 3), (3, 3), (2, 3)])),
 }
 
 
 @pytest.mark.parametrize("name", sorted(STACKS))
 def test_a_stack_step_makes_one_product_one_normalizer_gemm_and_one_same_shape_divide(
         monkeypatch, name):
-    """Each step of a stack of d <= 15 rows makes three calls: the product,
-    one 2-D ``ndarray.dot`` gemm for the normalizer, and one `np.divide`
-    whose operands all have one shape; no 2-D `np.matmul` is left, and a
-    broadcasting divide fails here. Here mixing2's two priors on 50 records
-    (d = 2, a gemm product) and kaijser's pair of rows (d = 4, a gemv per
-    row)."""
+    """Each step of a stack of d <= 15 rows makes four calls: the product,
+    the likelihood multiply, one 2-D ``ndarray.dot`` gemm for the normalizer,
+    and one `np.divide` whose operands all have one shape; no 2-D `np.matmul`
+    is left, and a broadcasting divide fails here. Here mixing2's two priors
+    on 50 records (d = 2, a gemm product), kaijser's pair of rows (d = 4, a
+    gemv per row), and a pair of rows on states whose weights are not 1,
+    which the step steps through ``P = K diag(w)`` with no weighting
+    multiply of its own."""
     model, n_records, product = STACKS[name]
     d, steps = model.space.num_states, 40
     seeds = [derive_seed(5, r) for r in range(n_records)]
     _, records = sample_trajectories(model, model.true_prior, steps, seeds)
     logged = LoggedNumpy()
     monkeypatch.setattr(filterstab.filtering, "np", logged)
-    runs = _runs(*_engine(model, np.stack([model.true_prior.values, model.wrong_prior.values]),
-                          records))
+    priors = np.stack([model.true_prior.values, model.wrong_prior.values]) * model.space.weights
+    runs = _runs(*_engine(model, priors, records), model.space.weights)
     monkeypatch.undo()
     rows = (2 * n_records, d)
-    assert logged.calls == [product, ("dot", [rows, (d, d), rows]), ("divide", [rows] * 3)] * steps
-    densities, _ = reference_filter(model, model.wrong_prior.values, records[-1])
-    np.testing.assert_array_equal(runs[-1][1].densities, densities)
+    assert logged.calls == [product, ("multiply", [rows] * 3), ("dot", [rows, (d, d), rows]),
+                            ("divide", [rows] * 3)] * steps
+    laws, _ = reference_filter(model, model.wrong_prior.values, records[-1])
+    np.testing.assert_array_equal(runs[-1][1].probabilities, laws)
 
 
-@pytest.mark.parametrize("name, multiplies", [("unit-psi", 1), ("weighted-psi", 2)])
-def test_unit_state_weights_skip_a_multiply_per_step(monkeypatch, name, multiplies):
-    """A step of one record's filter multiplies by the likelihoods, and by
-    the state weights only when one of them is not 1.0: an N-step run makes
-    N elementwise multiplies with unit weights and 2N with others."""
+@pytest.mark.parametrize("name", sorted(PSI_MODELS))
+def test_a_step_multiplies_once_whatever_the_state_weights(monkeypatch, name):
+    """A step of one record's filter multiplies by the likelihoods only: it
+    steps laws through ``P = K diag(w)``, so an N-step run makes N
+    elementwise multiplies with unit weights and with others."""
     model = PSI_MODELS[name]
-    assert (model.space.weights == 1.0).all() == (multiplies == 1)
     observations = sample_trajectory(model, model.true_prior, 40, seed=5).observations
     calls = []
     multiply = np.multiply
@@ -395,6 +408,7 @@ def test_unit_state_weights_skip_a_multiply_per_step(monkeypatch, name, multipli
     monkeypatch.setattr(np, "multiply", counted)
     run = run_filter(model.wrong_prior, observations, model)
     monkeypatch.undo()
-    assert len(calls) == multiplies * len(observations)
-    densities, _ = reference_filter(model, model.wrong_prior.values, observations)
-    np.testing.assert_array_equal(run.densities, densities)
+    assert len(calls) == len(observations)
+    laws, _ = reference_filter(model, model.wrong_prior.values, observations)
+    np.testing.assert_array_equal(run.probabilities, laws)
+    np.testing.assert_allclose(laws, exact_run(model, observations).wrong, rtol=0, atol=1e-14)

@@ -45,6 +45,7 @@ from filterstab import (
 from filterstab import backward, filtering
 from filterstab.backward import backward_pass
 from filterstab.filtering import _engine, _runs
+from exact import exact_run
 from helpers import OVERFLOWING_DENSITY, RHO_OVERFLOWS_AT_STEP_1, rho_three_ways
 from reference import log_domain_filter, reference_backward, reference_filter, reference_trajectory
 
@@ -141,12 +142,24 @@ def test_sampled_records_equal_the_scalar_reference(model, n_records, seed, hori
         np.testing.assert_array_equal(observations[r], alone.observations)
 
 
+def assert_near_exact(model, record, runs, along):
+    """The filter pair's laws, ρ's oscillations and the likelihood ratios
+    along `record` within a few roundings a step of `exact_run`: 1e-13 in
+    probability units and 1e-12 relative."""
+    exact, w = exact_run(model, record), model.space.weights
+    for run, laws in zip(runs, (exact.correct, exact.wrong)):
+        np.testing.assert_allclose(run.probabilities, laws, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(along.oscillations * w, exact.oscillations * w, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(along.likelihood_ratios, exact.likelihood_ratios, rtol=1e-12)
+
+
 def assert_engine_equals_reference(model, records):
     """One filter pass over both priors against `reference_filter`, record
     by record in prior order: the package raises its first error, or equals
     its arrays bit for bit. Then ρ along each record's wrong-prior run
     against `reference_backward`: the package raises its error, or equals
-    its arrays bit for bit."""
+    its arrays bit for bit. On a finite channel with d <= 4, the first
+    record's arrays are also near the exact ones (`assert_near_exact`)."""
     d = model.space.num_states
     priors = np.stack([model.true_prior.values, model.wrong_prior.values])
     try:
@@ -154,29 +167,33 @@ def assert_engine_equals_reference(model, records):
                     for record in records]
     except NumericalError as exc:
         with pytest.raises(NumericalError) as caught:
-            _engine(model, priors, records)
+            _engine(model, priors * model.space.weights, records)
         assert str(caught.value) == str(exc)
         return
     # any Coefficients drive the envelope; a uniform law stands in for the invariant
     coeffs = mixing_coefficients(model, Density(np.full(d, 1.0 / model.space.weights.sum())))
-    for runs, filters in zip(_runs(*_engine(model, priors, records)), expected):
-        for run, (densities, log_norms) in zip(runs, filters):
-            np.testing.assert_array_equal(run.densities, densities)
+    runs_by_record = _runs(*_engine(model, priors * model.space.weights, records),
+                           model.space.weights)
+    for r, (runs, filters) in enumerate(zip(runs_by_record, expected)):
+        for run, (laws, log_norms) in zip(runs, filters):
+            np.testing.assert_array_equal(run.probabilities, laws)
             np.testing.assert_array_equal(run.log_normalizers, log_norms)
         try:
             oscillations, bounds, ratios = reference_backward(model, coeffs, filters[1][0])
         except NumericalError as exc:
             with pytest.raises(NumericalError) as caught:
-                backward_pass(model, coeffs, runs[1].densities)
+                backward_pass(model, coeffs, runs[1].probabilities)
             assert str(caught.value) == str(exc)
             continue
-        along = backward_pass(model, coeffs, runs[1].densities)
+        along = backward_pass(model, coeffs, runs[1].probabilities)
         np.testing.assert_array_equal(along.oscillations, oscillations)
         np.testing.assert_array_equal(along.likelihood_ratios, ratios)
         if bounds is None:
             assert along.bounds is None
         else:
             np.testing.assert_array_equal(along.bounds, bounds)
+        if r == 0 and model.observation.kind == "finite" and d <= 4:
+            assert_near_exact(model, records[0], runs, along)
 
 
 @settings(max_examples=100, derandomize=True, deadline=None, database=None)
@@ -205,10 +222,10 @@ def test_oscillation_bounds_forgetting(model, seed, horizon):
     bound of exactly 0. A positive kernel keeps ρ defined."""
     _, records = sample_trajectories(model, model.true_prior, horizon, [derive_seed(seed, 0)])
     true, wrong, w = model.true_prior.values, model.wrong_prior.values, model.space.weights
-    [runs] = _runs(*_engine(model, np.stack([true, wrong]), records))
-    along = backward_pass(model, None, runs[1].densities)
+    [runs] = _runs(*_engine(model, np.stack([true, wrong]) * w, records), w)
+    along = backward_pass(model, None, runs[1].probabilities)
     bound = along.oscillations @ (true / wrong * w) / along.likelihood_ratios[1:]
-    tv = np.abs(runs[0].densities - runs[1].densities)[1:] @ w
+    tv = np.abs(runs[0].probabilities - runs[1].probabilities)[1:].sum(axis=1)
     assert (tv <= bound * (1.0 + 1e-9) + 1e-15).all()
 
 

@@ -6,9 +6,6 @@ import pytest
 from filterstab import (
     Density,
     NumericalError,
-    StateSpace,
-    TransitionKernel,
-    as_kernel,
     build_model,
     geometric_ergodicity_report,
     invariant_density,
@@ -18,7 +15,7 @@ from filterstab import (
     sample_trajectory,
     unit_space,
 )
-from filterstab.ergodicity import BOUND_FLOOR, _n_step_densities, _running_averages
+from filterstab.ergodicity import BOUND_FLOOR, _n_step_probabilities, _running_averages
 from helpers import random_kernel_matrix, random_positive_model, solve_exact
 from reference import solve_poisson, stationary_backward_sequence, stationary_bound_check
 
@@ -44,17 +41,18 @@ def uniform_model(d=3):
 
 
 class TestNStepDensity:
-    """The stack of n-step densities that the ergodicity report reads."""
+    """The stack of n-step transition laws ``P**n`` that the ergodicity
+    report reads; the n-step densities are their columns over the weights."""
 
     def test_one_step_is_the_kernel(self):
         model = two_state_model()
         np.testing.assert_array_equal(
-            _n_step_densities(model.kernel, model.space, 1), model.kernel.matrix[None]
+            _n_step_probabilities(model.transition_probabilities, 1), model.kernel.matrix[None]
         )
 
     def test_kaijser_cube_is_strictly_positive(self):
         model = builtin_model("kaijser")
-        three = _n_step_densities(model.kernel, model.space, 3)[-1]
+        three = _n_step_probabilities(model.transition_probabilities, 3)[-1]
         # brute-force oracle: literal matrix cube with unit weights
         expected = np.linalg.matrix_power(np.asarray(model.kernel.matrix), 3)
         np.testing.assert_allclose(three, expected, atol=1e-15)
@@ -62,29 +60,26 @@ class TestNStepDensity:
 
     def test_uniform_kernel_idempotent(self):
         model = uniform_model()
-        np.testing.assert_allclose(_n_step_densities(model.kernel, model.space, 7), 1.0 / 3.0,
-                                   atol=1e-14)
+        np.testing.assert_allclose(_n_step_probabilities(model.transition_probabilities, 7),
+                                   1.0 / 3.0, atol=1e-14)
 
-    @pytest.mark.parametrize("weights", [None, [0.5, 1.25, 2.0]])
-    def test_powers_are_the_weighted_recursion_bit_for_bit(self, weights):
-        """With unit weights the power skips the multiply by the weights,
-        which changes no bit; with other weights it still takes it."""
-        space = unit_space(3) if weights is None else StateSpace(3, np.array(weights))
-        kernel = TransitionKernel(random_kernel_matrix(7, 3) / space.weights)
-        powers = _n_step_densities(kernel, space, 30)
+    def test_powers_are_the_products_of_the_laws_bit_for_bit(self):
+        """Each power is the last one times ``P = K diag(w)``: the loop
+        takes no multiply by the state weights, whatever they are."""
+        probabilities = random_kernel_matrix(7, 3)
+        powers = _n_step_probabilities(probabilities, 30)
         assert powers.shape == (30, 3, 3)
-        power = kernel.matrix
+        power = probabilities
         for got in powers:
             assert np.array_equal(got, power)
-            power = (power * space.weights) @ kernel.matrix
+            power = power @ probabilities
 
     @pytest.mark.parametrize("seed", range(5))
     def test_multi_step_composition(self, seed):
-        space = unit_space(3)
-        kernel = as_kernel(random_kernel_matrix(90 + seed, 3), space)
+        probabilities = random_kernel_matrix(90 + seed, 3)
         a, b = 2 + seed % 3, 3
-        powers = _n_step_densities(kernel, space, a + b)
-        composed = (powers[a - 1] * space.weights[None, :]) @ powers[b - 1]
+        powers = _n_step_probabilities(probabilities, a + b)
+        composed = powers[a - 1] @ powers[b - 1]
         assert np.abs(powers[a + b - 1] - composed).max() <= 1e-12
 
 
@@ -341,7 +336,7 @@ class TestLlnAverage:
         m = invariant_density(model.kernel, model.space)
         t = sample_trajectory(model, model.true_prior, 50, seed=1)
         run = run_filter(model.true_prior, t.observations, model)
-        assert _running_averages(run, model.space)[-1] @ [1.0, 1.0] == \
+        assert _running_averages(run)[-1] @ [1.0, 1.0] == \
             pytest.approx(1.0, abs=1e-12)
         assert m.values @ model.space.weights == pytest.approx(1.0, abs=1e-12)
 
@@ -355,7 +350,7 @@ class TestLlnAverage:
         })
         t = sample_trajectory(model, model.true_prior, 10, seed=1)
         run = run_filter(model.true_prior, t.observations, model)
-        assert _running_averages(run, model.space)[-1] @ [2.5] == pytest.approx(2.5, abs=1e-12)
+        assert _running_averages(run)[-1] @ [2.5] == pytest.approx(2.5, abs=1e-12)
 
     def test_mixing_model_state_indicator(self):
         model = two_state_model()
@@ -364,4 +359,4 @@ class TestLlnAverage:
         run = run_filter(model.true_prior, t.observations, model)
         targets = m.values * model.space.weights
         assert targets[0] == pytest.approx(0.375, abs=1e-12)
-        assert abs(_running_averages(run, model.space)[-1, 0] - targets[0]) <= 0.05
+        assert abs(_running_averages(run)[-1, 0] - targets[0]) <= 0.05

@@ -8,7 +8,6 @@ from filterstab import (
     InvalidModelError,
     NumericalError,
     Scenario,
-    as_kernel,
     build_model,
     decay_rate,
     filter_step_with_likelihood,
@@ -19,10 +18,9 @@ from filterstab import (
     run_filter_pair,
     run_scenario,
     sample_trajectory,
-    unit_space,
 )
 from filterstab.filtering import TV_FLOOR
-from helpers import OVERFLOWING_DENSITY, point_mass, random_positive_model, uniform_density
+from helpers import OVERFLOWING_DENSITY, random_positive_model, uniform_density
 from reference import brute_force_posterior, kaijser_filter_recursion
 
 TWO_STATE = [[0.5, 0.5], [0.3, 0.7]]
@@ -42,42 +40,37 @@ class TestPredict:
     def test_invariant_density_is_fixed_point(self):
         model = two_state_model()
         m = invariant_density(model.kernel, model.space)
-        out, _ = filter_step_with_likelihood(m, np.ones(2), model.kernel, model.space)
-        np.testing.assert_allclose(out.values, m.values, atol=1e-14)
+        law = m.values * model.space.weights
+        out, _ = filter_step_with_likelihood(law, np.ones(2), model)
+        np.testing.assert_allclose(out, law, atol=1e-14)
 
     def test_doubly_stochastic_preserves_uniform(self):
         model = builtin_model("kaijser")
         # column sums of the transition matrix are 1 (checked by brute force),
         # so the uniform density is invariant under prediction
         np.testing.assert_allclose(model.kernel.matrix.sum(axis=0), 1.0)
-        out, _ = filter_step_with_likelihood(
-            uniform_density(model.space), np.ones(4), model.kernel, model.space
-        )
-        np.testing.assert_allclose(out.values, 0.25, atol=1e-15)
+        out, _ = filter_step_with_likelihood(np.full(4, 0.25), np.ones(4), model)
+        np.testing.assert_allclose(out, 0.25, atol=1e-15)
 
     def test_point_mass_reads_off_row(self):
-        space = unit_space(2)
-        kernel = as_kernel(TWO_STATE, space)
-        out, _ = filter_step_with_likelihood(point_mass(0, space), np.ones(2), kernel, space)
-        np.testing.assert_allclose(out.values, [0.5, 0.5], atol=1e-15)
+        out, _ = filter_step_with_likelihood(np.array([1.0, 0.0]), np.ones(2), two_state_model())
+        np.testing.assert_allclose(out, [0.5, 0.5], atol=1e-15)
 
 
 class TestFilterStep:
     def test_kaijser_uniform_prior_symbol_one(self):
         model = builtin_model("kaijser")
         posterior, _ = filter_step_with_likelihood(
-            uniform_density(model.space), likelihood_rows(model.observation, [1])[0],
-            model.kernel, model.space,
-        )
-        np.testing.assert_allclose(posterior.values, [0.5, 0.0, 0.5, 0.0], atol=1e-15)
+            np.full(4, 0.25), likelihood_rows(model.observation, [1])[0], model)
+        np.testing.assert_allclose(posterior, [0.5, 0.0, 0.5, 0.0], atol=1e-15)
 
     def test_constant_likelihood_reduces_to_prediction(self):
         model = random_positive_model(4, 3)
-        pi = model.true_prior
+        law = model.true_prior.values * model.space.weights
         lik = np.full(3, 0.7)
-        posterior, _ = filter_step_with_likelihood(pi, lik, model.kernel, model.space)
-        predicted = model.kernel.matrix.T @ (pi.values * model.space.weights)
-        np.testing.assert_allclose(posterior.values, predicted, atol=1e-14)
+        posterior, _ = filter_step_with_likelihood(law, lik, model)
+        predicted = model.kernel.matrix.T @ law * model.space.weights
+        np.testing.assert_allclose(posterior, predicted, atol=1e-14)
 
     def test_single_state(self):
         model = build_model({
@@ -88,17 +81,16 @@ class TestFilterStep:
             "beta": [1.0],
         })
         posterior, _ = filter_step_with_likelihood(
-            Density([1.0]), likelihood_rows(model.observation, [1])[0], model.kernel, model.space
-        )
-        np.testing.assert_allclose(posterior.values, [1.0])
+            np.array([1.0]), likelihood_rows(model.observation, [1])[0], model)
+        np.testing.assert_allclose(posterior, [1.0])
 
     def test_likelihood_scaling_invariance(self):
         model = random_positive_model(8, 4)
-        pi = model.true_prior
+        law = model.true_prior.values * model.space.weights
         lik = np.array([0.3, 0.1, 0.9, 0.2])
-        base, _ = filter_step_with_likelihood(pi, lik, model.kernel, model.space)
-        scaled, _ = filter_step_with_likelihood(pi, 7.3e5 * lik, model.kernel, model.space)
-        assert np.abs(base.values - scaled.values).max() <= 1e-14
+        base, _ = filter_step_with_likelihood(law, lik, model)
+        scaled, _ = filter_step_with_likelihood(law, 7.3e5 * lik, model)
+        assert np.abs(base - scaled).max() <= 1e-14
 
     def test_zero_likelihood_observation(self):
         # identity dynamics pinned at state 0 cannot emit symbol 1
@@ -111,17 +103,15 @@ class TestFilterStep:
         })
         with pytest.raises(NumericalError, match="zero-likelihood observation"):
             filter_step_with_likelihood(
-                model.true_prior, likelihood_rows(model.observation, [1])[0],
-                model.kernel, model.space,
-            )
+                model.true_prior.values * model.space.weights,
+                likelihood_rows(model.observation, [1])[0], model)
 
     def test_overflowing_posterior_density(self):
         model = build_model(OVERFLOWING_DENSITY)
         with pytest.raises(NumericalError, match=r"^posterior density leaves the float range"):
             filter_step_with_likelihood(
-                model.true_prior, likelihood_rows(model.observation, [1])[0],
-                model.kernel, model.space,
-            )
+                model.true_prior.values * model.space.weights,
+                likelihood_rows(model.observation, [1])[0], model)
 
 
 class TestRunFilter:
@@ -317,10 +307,8 @@ class TestBruteForcePosterior:
             "beta": [0.5, 0.5],
         })
         out = brute_force_posterior(model, model.true_prior, [1])
-        predicted, _ = filter_step_with_likelihood(
-            model.true_prior, np.ones(2), model.kernel, model.space
-        )
-        np.testing.assert_allclose(out.values, predicted.values, atol=1e-14)
+        predicted, _ = filter_step_with_likelihood(model.true_prior.values, np.ones(2), model)
+        np.testing.assert_allclose(out.values, predicted, atol=1e-14)
 
     def test_instance_too_large(self):
         model = random_positive_model(3, 3)

@@ -34,11 +34,13 @@ KEPT = {
         "ρ's error at its first failing step; only a record on which ρ fails reaches it",
     "filtering.FilterRun.log_normalizers":
         "the tests' independent route to likelihood ratios",
+    "filtering.FilterRun.densities":
+        "the posteriors as densities, the library's edge; every command reads the laws",
     "filtering.filter_step_with_likelihood":
         "the one filter step that `BackwardContext` takes; the benchmark's tracer counts it",
     **dict.fromkeys(
         [f"backward.BackwardContext.{name}"
-         for name in ("__init__", "step", "record", "likelihood_ratio")],
+         for name in ("__init__", "rho", "step", "record", "likelihood_ratio")],
         "ρ one step at a time, which tests hold `backward_pass` to; the benchmark's tracer "
         "wraps it"),
 }

@@ -1,5 +1,4 @@
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +17,8 @@ from filterstab import (
     unit_space,
 )
 from filterstab import model as model_module
-from helpers import random_kernel_matrix, random_positive_model, solve_exact
+from helpers import random_kernel_matrix, random_positive_model
+from exact import exact_stationary
 from reference import Xoshiro256StarStar
 
 KAIJSER_TRANSITION = [
@@ -221,7 +221,7 @@ class TestInvariantDensity:
         matrix, weights = np.array(self.FILL_IN_LOST), np.ones(3)
         with pytest.raises(NumericalError, match=r"^invariant density: the GTH solution misses "
                                                  r"its fixed point by nan as probabilities$"):
-            model_module._gth(matrix, weights, (matrix * weights[:, None]).T, np.ones(3))
+            model_module._gth(matrix * weights, [0, 1, 2], np.ones(3))
 
 
 class HandOff(Exception):
@@ -233,26 +233,26 @@ def reference_invariant_density(kernel, space, *, max_iter=10**6):
     """The step-by-step power iteration that `invariant_density` blocks,
     kept as the reference its iterates, stopping step and bytes must match.
     `max_iter` is the step budget, `_POWER_BLOCKS` blocks of 1000 in the
-    library; the stopping tolerance is its 1e-13. Differences are compared
-    as probabilities, each times its state weight, as the library does.
-    When a block's largest difference has shrunk by less than 1% for three
-    blocks in a row, or the budget is spent, it raises `HandOff` naming the
-    steps run: the library then solves by GTH."""
+    library; the stopping tolerance is its 1e-13. It steps the laws of
+    ``P = K diag(w)`` from the uniform law, as the library does, and returns
+    the law over the weights. When a block's largest difference has shrunk
+    by less than 1% for three blocks in a row, or the budget is spent, it
+    raises `HandOff` naming the steps run: the library then solves by GTH."""
     d = space.num_states
-    adjoint = (kernel.matrix * space.weights[:, None]).T
+    adjoint = (kernel.matrix * space.weights).T
 
     def normalize(v):
-        return v / float(v @ space.weights)
+        return v / float(v @ np.ones(d))
 
-    m = np.full(d, 1.0 / float(space.weights.sum()))
+    p = np.full(d, 1.0 / d)
     converged = False
     delta = np.inf
     stagnant_blocks = 0
     block_max, last_max = 0.0, np.inf
     for it in range(max_iter):
-        m_next = normalize(adjoint @ m)
-        delta = float(np.max(np.abs(m_next - m) * space.weights))
-        m = m_next
+        p_next = normalize(adjoint @ p)
+        delta = float(np.max(np.abs(p_next - p)))
+        p = p_next
         if delta < 1e-13:
             converged = True
             break
@@ -271,13 +271,13 @@ def reference_invariant_density(kernel, space, *, max_iter=10**6):
     for _ in range(500):
         if delta <= 2.3e-16:
             break
-        m_next = normalize(adjoint @ m)
-        new_delta = float(np.max(np.abs(m_next - m) * space.weights))
+        p_next = normalize(adjoint @ p)
+        new_delta = float(np.max(np.abs(p_next - p)))
         if new_delta >= delta:
             break
-        m = m_next
+        p = p_next
         delta = new_delta
-    return Density(normalize(m))
+    return Density(normalize(p) / space.weights)
 
 
 def slowmix_kernel(eps):
@@ -302,17 +302,23 @@ def random_weighted_kernel(seed):
 
 def assert_matches_the_stepwise_loop(kernel, space, hand_off=None, **kwargs):
     """`invariant_density` against `reference_invariant_density`: the same
-    bytes where the stepwise loop converges; where it hands the chain to GTH
-    (after `hand_off` steps, when given), the exact law to 1e-15."""
+    bytes where the stepwise loop converges, and the exact law within the
+    stopping rule's bound, ``1e-13 / (1 - |lambda_2|)`` as probabilities (ten
+    times over); where it hands the chain to GTH (after `hand_off` steps,
+    when given), the exact law to 1e-15."""
     m = invariant_density(kernel, space).values
+    exact = exact_stationary(kernel, space)
     try:
         expected = reference_invariant_density(kernel, space, **kwargs).values
     except HandOff as exc:
         assert hand_off is None or str(exc) == f"after {hand_off} steps"
-        np.testing.assert_allclose(m, exact_law(kernel, space), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(m, exact, rtol=0, atol=1e-15)
     else:
         assert hand_off is None
         assert m.tobytes() == expected.tobytes()
+        moduli = np.sort(np.abs(np.linalg.eigvals(kernel.matrix * space.weights)))
+        with np.errstate(divide="ignore"):  # a periodic chain has no bound
+            assert np.abs(m - exact).max() * space.weights.max() <= 1e-12 / (1.0 - moduli[-2])
 
 
 @pytest.mark.usefixtures("cold_invariant_memo")
@@ -330,7 +336,7 @@ class TestInvariantDensityMatchesStepwiseLoop:
         space = unit_space(4)
         assert_matches_the_stepwise_loop(as_kernel(PERIOD_THREE, space), space, hand_off=4000)
 
-    def test_a_probe_firing_hands_off_to_the_exact_law(self):
+    def test_a_probe_firing_hands_off_to_the_exact_stationary(self):
         # the probe fires after 4 blocks
         assert_matches_the_stepwise_loop(*slowmix_kernel(1e-6), hand_off=4000)
 
@@ -348,11 +354,11 @@ class TestInvariantDensityMatchesStepwiseLoop:
 
 def hits_by(kernel, space, step):
     """Whether the stepwise loop's stopping test holds at or before `step`."""
-    adjoint = (kernel.matrix * space.weights[:, None]).T
-    m = np.full(space.num_states, 1.0 / float(space.weights.sum()))
+    adjoint = (kernel.matrix * space.weights).T
+    m = np.full(space.num_states, 1.0 / space.num_states)
     for _ in range(step):
         v = adjoint @ m
-        m_next = v / float(v @ space.weights)
+        m_next = v / float(v @ np.ones(space.num_states))
         if float(np.max(np.abs(m_next - m))) < 1e-13:
             return True
         m = m_next
@@ -394,36 +400,22 @@ class TestPowerIterationStopsAtItsHit:
                                       255, 256, 511, 512, 513, 999, 1000, 1001])
     def test_hit_on_every_run_boundary(self, step):
         kernel, space = kernel_hitting_at(step)
-        assert (model_module._power_iteration(kernel.matrix, space.weights).values.tobytes()
+        assert (model_module._power_iteration(kernel.matrix * space.weights).tobytes()
                 == reference_invariant_density(kernel, space).values.tobytes())
 
     @pytest.mark.parametrize("eps", np.geomspace(1e-3, 0.3, 12).tolist())
     def test_eps_sweep(self, eps):
         kernel, space = slowmix_kernel(eps)
-        assert (model_module._power_iteration(kernel.matrix, space.weights).values.tobytes()
+        assert (model_module._power_iteration(kernel.matrix * space.weights).tobytes()
                 == reference_invariant_density(kernel, space).values.tobytes())
 
     def test_mixing2_takes_one_short_run_per_doubling(self):
         kernel, space = as_kernel(TWO_STATE, unit_space(2)), unit_space(2)
         CountingArray.calls = 0
-        m = model_module._power_iteration(kernel.matrix.view(CountingArray), space.weights)
+        m = model_module._power_iteration(kernel.matrix.view(CountingArray) * space.weights)
         # the hit is at step 19, in the run of steps 16..31
         assert CountingArray.calls == 31
-        assert m.values.tobytes() == reference_invariant_density(kernel, space).values.tobytes()
-
-
-def exact_law(kernel, space):
-    """The stationary density, from `fractions`, of the chain whose
-    probabilities are the float kernel's entries times their state weights,
-    each row scaled to sum to exactly 1."""
-    d = space.num_states
-    weights = [Fraction(w) for w in space.weights]
-    rows = [[Fraction(x) * w for x, w in zip(row, weights)] for row in kernel.matrix]
-    chain = [[x / sum(row) for x in row] for row in rows]
-    # balance at every state but the last, and total mass 1
-    balance = [[chain[i][j] - (i == j) for i in range(d)] for j in range(d - 1)]
-    law = solve_exact(balance + [[Fraction(1)] * d], [Fraction(0)] * (d - 1) + [Fraction(1)])
-    return np.array([float(p / w) for p, w in zip(law, weights)])
+        assert m.tobytes() == reference_invariant_density(kernel, space).values.tobytes()
 
 
 @pytest.mark.usefixtures("cold_invariant_memo")
@@ -438,14 +430,14 @@ class TestSlowMixingRegimes:
         monkeypatch.setattr(model_module, "_POWER_BLOCKS", 3)
         kernel, space = slowmix_kernel(eps)
         m = invariant_density(kernel, space)
-        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(m.values, exact_stationary(kernel, space), rtol=0, atol=1e-15)
 
     def test_convergence_near_the_budget_keeps_its_bits(self):
         # the loop stops at step 956 483 of 10**6
         kernel, space = slowmix_kernel(6e-6)
         m = invariant_density(kernel, space)
         assert [x.hex() for x in m.values] == ["0x1.555555259fee3p-1", "0x1.555555b4c023bp-2"]
-        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=6e-9)
+        np.testing.assert_allclose(m.values, exact_stationary(kernel, space), rtol=0, atol=6e-9)
 
     @pytest.mark.parametrize("eps", [1e-6, 3.3e-6])
     def test_slower_chain_is_read_as_oscillating(self, eps):
@@ -453,7 +445,7 @@ class TestSlowMixingRegimes:
         # fires after 4 000 steps and GTH solves the chain
         kernel, space = slowmix_kernel(eps)
         m = invariant_density(kernel, space)
-        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(m.values, exact_stationary(kernel, space), rtol=0, atol=1e-15)
 
 
 def block_cyclic_kernel(period, seed):
@@ -491,14 +483,14 @@ class TestPeriodicAndNearPeriodicChains:
     def test_block_cyclic(self, period, seed):
         kernel, space = block_cyclic_kernel(period, seed)
         m = invariant_density(kernel, space)
-        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.values, exact_stationary(kernel, space), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("a, b", NEAR_FLIP)
     def test_near_flip(self, a, b):
         space = unit_space(2)
         kernel = as_kernel([[a, 1.0 - a], [1.0 - b, b]], space)
         m = invariant_density(kernel, space)
-        np.testing.assert_allclose(m.values, exact_law(kernel, space), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m.values, exact_stationary(kernel, space), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("a, b", OUT_OF_STEPS)
     def test_near_flip_out_of_steps(self, monkeypatch, a, b):
@@ -526,8 +518,8 @@ class TestInvariantDensityMemo:
         cached = invariant_density(fortran, space)
         assert len(loop_calls) == 2
         assert loop_calls[1].flags.fnc
-        uncached = model_module._power_iteration(fortran.matrix, space.weights)
-        assert cached.values.tobytes() == uncached.values.tobytes()
+        uncached = model_module._power_iteration(fortran.matrix * space.weights)
+        assert cached.values.tobytes() == (uncached / space.weights).tobytes()
 
     def test_errors_are_raised_again_and_never_stored(self, loop_calls):
         space = unit_space(3)

@@ -69,13 +69,13 @@ def test_batch_logs_on_first_read_and_a_failed_step_raises():
     with pytest.raises(NumericalError, match=r"\(at step 4\)$"):
         _engine(GAUSSIAN, priors, records)
     records[0, 3] = 0.5
-    runs = _runs(*_engine(GAUSSIAN, priors, records))
+    runs = _runs(*_engine(GAUSSIAN, priors, records), GAUSSIAN.space.weights)
     for r, record in enumerate(records):
         for p, prior in enumerate(priors):
-            densities, log_norms = reference_filter(GAUSSIAN, prior, record)
+            laws, log_norms = reference_filter(GAUSSIAN, prior, record)
             assert (log_norms < -1000.0).sum() == (1 if r == 0 else 2)
             read = runs[r][p]
-            np.testing.assert_array_equal(read.densities, densities)
+            np.testing.assert_array_equal(read.probabilities, laws)
             assert_read_once(read, log_norms)
 
 
@@ -86,7 +86,7 @@ def test_every_replicate_reads_its_batched_envelope_row(name, replicates):
     records = run_scenario(scenario)
     model = scenario.model
     for record in records:
-        wrong = record.pair.run_wrong.densities
+        wrong = record.pair.run_wrong.probabilities
         scale = _envelope_scale(model.wrong_prior.values, record.coeffs)
         assert scale is not None
         row = _envelope(model, scale, record.coeffs, wrong)

@@ -4,8 +4,9 @@ No module defines a dataclass. The eight records that validate their fields
 (`StateSpace`, `Density`, `TransitionKernel`, `ObservationModel`, `FiniteModel`,
 `Coefficients`, `Trajectory`, `Scenario`) raise their documented error on every construction route:
 positional, keyword, `_make` and `_replace`. No field of any record can be
-assigned. `FilterRun.log_normalizers` is computed once, on first read, and
-then read from the instance's cache; every other record has no instance
+assigned. `FilterRun.densities` and `FilterRun.log_normalizers`, and
+`FiniteModel.transition_probabilities`, are computed once, on first read,
+and then read from the instance's cache; every other record has no instance
 dictionary.
 """
 
@@ -69,7 +70,7 @@ def record_instances():
     return [
         model, model.space, model.kernel, model.observation, model.true_prior, coeffs,
         trajectory, pair, pair.run_wrong, decay_rate(pair.tv),
-        backward_pass(model, coeffs, pair.run_wrong.densities),
+        backward_pass(model, coeffs, pair.run_wrong.probabilities),
         context.record, geometric_ergodicity_report(model, invariant, coeffs, 5),
         kaijser, scenario, run_scenario(scenario)[0],
     ]
@@ -86,8 +87,8 @@ def test_every_public_record_is_a_named_tuple_whose_fields_cannot_be_assigned():
         for field in instance._fields:
             with pytest.raises(AttributeError):
                 setattr(instance, field, getattr(instance, field))
-        # only a filter run caches a value in its instance
-        assert hasattr(instance, "__dict__") == isinstance(instance, FilterRun)
+        # only a filter run and a model cache a value in their instance
+        assert hasattr(instance, "__dict__") == isinstance(instance, (FilterRun, FiniteModel))
 
 
 # each validating record: valid fields, then field changes that break it,

@@ -148,22 +148,40 @@ def test_validate_and_ergodicity_are_scale_free_where_max_squared_leaves_the_ran
         assert_scale_free(tmp_path, argv, document, k)
 
 
-@pytest.mark.parametrize("k", [(1, -2, 3), (5, -7, 2), (-30, 0, 12)])
+# the columns in probability units, by command: they read no density
+PROBABILITY_COLUMNS = {
+    "simulate": {"n", "state", "observation"},
+    "stability": {"n", "tv", "log_tv", "likelihood_ratio"},
+    "ergodicity": {"u", "n", "gap"},
+    "backward": {"n"},
+    "lln": {"n", "state", "running_average", "target", "gap"},
+}
+
+
+@pytest.mark.parametrize("k", [(1, -2, 3, 0, -4, 2), (5, -7, 2, 1, 0, -3),
+                               (-30, 0, 12, 7, -9, 4)])
 @settings(max_examples=12, derandomize=True, deadline=None, database=None)
-@given(document=documents(max_states=3))
+@given(document=documents(max_states=6))
 def test_filter_and_sampler_outputs_are_free_of_per_state_powers_of_two(
         k, document, tmp_path_factory):
-    """Weight 2**k[j] on state j and densities 2**-k[j] at j: `simulate` and
-    `stability`'s probability-unit columns stay bit for bit, over 3
-    replicates, so a stack of filter rows runs with other weights."""
+    """Weight 2**k[j] on state j and densities 2**-k[j] at j: every column
+    in probability units stays bit for bit, `simulate`'s, `stability`'s tv,
+    log_tv and likelihood_ratio over 3 replicates (so a stack of filter rows
+    runs with other weights), `ergodicity`'s gap and `lln`'s table from
+    either prior; so does `validate`'s invariant density times the weights."""
     tmp_path = tmp_path_factory.mktemp("symmetry")
     scaled = rescaled(document, k[:document["states"]])
-    for argv in (COMMANDS[1], COMMANDS[2]):  # simulate, stability
+    for argv in COMMANDS:
         (unit_code, unit_err), unit_texts = outputs(tmp_path, argv, document)
         (code, err), texts = outputs(tmp_path, argv, scaled)
         assert (unit_code, unit_err) == (code, err) == (0, "")
+        if argv == VALIDATE:
+            laws = [np.multiply(report["invariant_density"], report["weights"]).tolist()
+                    for report in (json.loads(t[0]) for t in (unit_texts, texts))]
+            assert laws[1] == laws[0]
+            continue
         unit_rows, rows = (list(csv.reader(io.StringIO(t[0]))) for t in (unit_texts, texts))
         assert unit_rows[0] == rows[0] and len(unit_rows) == len(rows)
         for name, unit_column, column in zip(rows[0], zip(*unit_rows), zip(*rows)):
-            if argv == COMMANDS[1] or name in {"tv", "log_tv", "likelihood_ratio"}:
-                assert column == unit_column, name
+            if name in PROBABILITY_COLUMNS[argv[0]]:
+                assert column == unit_column, (argv, name)

@@ -4,9 +4,9 @@ envelope, and the likelihood ratio between the two priors.
 For a filter started from a strictly positive prior, the conditional law of
 ``X_0`` given the current state and all observations so far satisfies a
 forward-in-time recursion driven by the same filter laws. With
-``P = K diag(w)``, the prior law ``t`` and the filter laws ``p_n``:
+``P = K diag(w)`` and the filter laws ``p_n`` from the prior law ``p_0``:
 
-    R_1[u, x]  = t[u] * P[u, x] / sum_v t[v] * P[v, x]
+    R_0        = I
     R_n[u, x]  = sum_z R_{n-1}[u, z] * p_{n-1}[z] * P[z, x]
                  / sum_z p_{n-1}[z] * P[z, x]
 
@@ -21,8 +21,8 @@ minima of the transition density.
 The denominator is the filter's own prediction of step ``n``, so ρ reads
 the history of a filter already run by `filtering._engine`: `backward_pass`
 is its one loop, run by the commands that print ρ. `BackwardContext`
-advances ρ and its filter one observation at a time; tests hold the loop to
-it bit for bit.
+advances ρ and its filter one observation at a time, each ρ step one step of
+that loop.
 
 The expected prior ratio under the backward law is the likelihood ratio
 between the observation laws of the two priors. The change-of-measure
@@ -76,9 +76,10 @@ def backward_pass(model: FiniteModel, coeffs: Coefficients,
                   history: np.ndarray) -> BackwardPass:
     """Oscillations, envelope and likelihood ratios along an existing filter run.
 
-    ρ starts from the wrong prior, and the likelihood ratios are those of the
-    true prior to it. ``history`` is the ``(N+1, d)`` array of posterior laws
-    of the filter from the wrong prior (`FilterRun.probabilities`), read step
+    ρ starts from the identity, so its first step reads the wrong prior's law
+    in row 0 of ``history``, and the likelihood ratios are those of the true
+    prior to it. ``history`` is the ``(N+1, d)`` array of posterior laws of
+    the filter from the wrong prior (`FilterRun.probabilities`), read step
     by step with no filter run here, so its entries must be finite and
     nonnegative. Row ``n-1`` of the results, read-only arrays whose
     oscillations and envelope are densities, agrees bit for bit with
@@ -95,7 +96,7 @@ def backward_pass(model: FiniteModel, coeffs: Coefficients,
     if not np.isfinite(laws).all() or (laws < 0.0).any():
         raise InvalidModelError("filter history entries must be finite and nonnegative")
     ratio, scale = _prior_ratio(model), _envelope_scale(theta0.values, coeffs)
-    oscillations, ratios = _rho_along(model, theta0.values * model.space.weights, ratio, laws)
+    oscillations, ratios, _ = _rho_along(model, np.eye(d), ratio, laws)
     bounds = None if scale is None else _envelope(model, scale, coeffs, laws)
     for array in (oscillations, bounds, ratios):
         if array is not None:
@@ -107,11 +108,15 @@ def backward_pass(model: FiniteModel, coeffs: Coefficients,
 _RHO_ENTRIES = 2**13
 
 
-def _rho_along(model: FiniteModel, prior: np.ndarray, ratio: np.ndarray,
-               history: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """ρ from the strictly positive law `prior` along ``history``, the
-    ``(N+1, d)`` laws of the filter from `prior`: its ``(N, d)`` oscillations,
-    as densities, and the ``N+1`` likelihood ratios of the prior ratio `ratio`.
+def _rho_along(model: FiniteModel, rho: np.ndarray, ratio: np.ndarray, history: np.ndarray,
+               offset: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ρ's laws carried from `rho`, those of step `offset`, along ``history``,
+    the ``(N+1, d)`` filter laws from that step on: the ``(N, d)``
+    oscillations of the steps after it, as densities, the ``N+1`` likelihood
+    ratios of the prior ratio `ratio` from it on, and the last step's laws.
+    From the identity, the first step is ``diag(p_0) P / (p_0 P)``,
+    column-normalized, and the first ratio ``(ratio * p_0) @ ones``, bit for
+    bit: each product by the identity adds only exact zeros.
 
     A chunk's history rows are predicted by one time-stacked product, one
     gemv per row, so each rounds as it does alone, and tiled to ρ's shape
@@ -120,7 +125,7 @@ def _rho_along(model: FiniteModel, prior: np.ndarray, ratio: np.ndarray,
     against ones, then reduced: a row's spread and maximum over its weight
     are its density's. A step fails only at the check after its chunk, whose
     predicted masses, density maxima and likelihood ratios raise the first
-    failing step's `_rho_error`.
+    failing step's `_rho_error`, the step counted from `offset`.
     """
     matrix, weights = model.transition_probabilities, model.space.weights
     d = len(weights)
@@ -132,19 +137,15 @@ def _rho_along(model: FiniteModel, prior: np.ndarray, ratio: np.ndarray,
     scaled, numerator = np.empty((2, d, d))
     column_sums, ones = np.empty(d), np.ones(d)
     multiply, divide, dot = np.multiply, np.divide, np.ndarray.dot
-    steps = list(tiled_laws), list(tiled_predicted), list(rhos)
     with np.errstate(all="ignore"):  # every failure is caught by the check below
-        rho = rhos[0]  # ρ's step 1, from the prior itself
-        divide(matrix * prior[:, None], prior @ matrix, rho)
-        rho /= ones @ rho
-        ratios[0] = float((ratio * prior) @ ones)
-        # a history of one row is one chunk of no steps, which checks step 0's ratio
+        ratios[0] = float(((ratio @ rho) * history[0]) @ ones)
+        # a history of one row is one chunk of no steps, which checks the first ratio
         for first in range(0, max(n_obs, 1), held):
-            m, start = min(held, n_obs - first), 0 if first else 1  # step 1 is done
+            m = min(held, n_obs - first)
             laws = history[first:first + m, None]
             predicted = laws @ matrix  # row k: what ρ's step first + k + 1 divides by
             tiled_laws[:m], tiled_predicted[:m] = laws, predicted
-            for law, p, rho_next in zip(*(views[start:m] for views in steps)):
+            for law, p, rho_next in zip(tiled_laws[:m], tiled_predicted[:m], rhos[:m]):
                 multiply(rho, law, scaled)
                 dot(scaled, matrix, numerator)
                 divide(numerator, p, numerator)
@@ -159,7 +160,7 @@ def _rho_along(model: FiniteModel, prior: np.ndarray, ratio: np.ndarray,
             upper /= weights
             later = history[first + 1:first + 1 + m, :, None]
             ratios[first + 1:first + 1 + m] = ((ratio[None, :] @ chunk) @ later)[:, 0, 0]
-            # steps first..first + m, where step 0 has a ratio only; NaN fails every test
+            # steps first..first + m, where the first has a ratio only; NaN fails every test
             checked = ratios[first:first + 1 + m]
             mass, in_range = predicted[:, 0].min(axis=-1) > 0.0, upper.max(axis=-1) < math.inf
             ok = (checked >= 0.0) & (checked < math.inf)
@@ -170,8 +171,8 @@ def _rho_along(model: FiniteModel, prior: np.ndarray, ratio: np.ndarray,
             message = RATIO.format(float(checked[k]))
             if k and not (mass[k - 1] and in_range[k - 1]):
                 message = RHO_RANGE if mass[k - 1] else ZERO_MASS
-            raise _rho_error(first + k, message)
-    return oscillations, ratios
+            raise _rho_error(offset + first + k, message)
+    return oscillations, ratios, rho
 
 
 def _rho_error(n: int, message: str) -> NumericalError:
@@ -219,7 +220,7 @@ class BackwardContext:
         self.theta0 = theta0
         self.coeffs = coeffs
         self.law = theta0.values * model.space.weights
-        self._rho: Optional[np.ndarray] = None  # ρ's columns as laws
+        self._rho = np.eye(len(self.law))  # ρ's columns as laws, from the identity
         self.steps = 0
         self.exponent_sum = 0.0
         self._row_minima = row_minima(model.kernel)
@@ -228,45 +229,36 @@ class BackwardContext:
     @property
     def rho(self) -> Optional[np.ndarray]:
         weights = self.model.space.weights[:, None]
-        return None if self._rho is None else _frozen(self._rho / weights)
+        return _frozen(self._rho / weights) if self.steps else None
 
     def step(self, y) -> None:
-        model, matrix, law = self.model, self.model.transition_probabilities, self.law
-        n, exponent_sum = self.steps + 1, self.exponent_sum
-        predicted = law @ matrix
-        if predicted.min() <= 0.0:
-            raise _rho_error(n, ZERO_MASS)
-        with np.errstate(all="ignore"):  # an entry out of the float range is caught below
-            if self._rho is None:  # ρ's step 1, from theta0 itself
-                numerator = matrix * law[:, None]
-            else:
-                exponent_sum += float(law @ self._row_minima)
-                numerator = (self._rho * law) @ matrix
-            rho = numerator / predicted
-            rho = rho / (np.ones_like(law) @ rho)
-            in_range = (rho.max(axis=1) / model.space.weights).max() < math.inf
-        if not in_range:
-            raise _rho_error(n, RHO_RANGE)
+        model, law, exponent_sum = self.model, self.law, self.exponent_sum
+        # ρ's step is one step of `backward_pass`'s loop, taken before the filter's so that
+        # its errors come first; the second history row feeds only a ratio of ones
+        (spread,), _, rho = _rho_along(model, self._rho, np.ones(len(law)),
+                                       np.array([law, law]), self.steps)
+        if self.steps:
+            exponent_sum += float(law @ self._row_minima)
         lik = likelihood_rows(model.observation, [y])[0]
         self.law, _ = filter_step_with_likelihood(law, lik, model)
-        self._rho, self.exponent_sum, self.steps = rho, exponent_sum, n
+        self._rho, self._spread, self.exponent_sum, self.steps = (
+            rho, _frozen(spread), exponent_sum, self.steps + 1)
 
     @property
     def record(self) -> OscillationRecord:
-        if self._rho is None:
+        if not self.steps:
             raise NumericalError("no observations consumed yet")
-        spread = (self._rho.max(axis=1) - self._rho.min(axis=1)) / self.model.space.weights
         if self._scale is None:
-            return OscillationRecord(spread, None, self.coeffs is not None)
+            return OscillationRecord(self._spread, None, self.coeffs is not None)
         bound = self._scale * math.exp(-self.exponent_sum / self.coeffs.max_density)
-        return OscillationRecord(spread, bound, False)
+        return OscillationRecord(self._spread, bound, False)
 
     def likelihood_ratio(self, prior_ratio: np.ndarray) -> float:
         """Likelihood ratio after the steps taken so far (1 before any), or that step's error."""
         ratio = np.asarray(prior_ratio, dtype=float)
         with np.errstate(all="ignore"):  # a ratio out of range is caught below
-            value = float((ratio * self.law) @ np.ones_like(ratio) if self._rho is None
-                          else (ratio @ self._rho) @ self.law)
+            value = float((ratio @ self._rho) @ self.law if self.steps
+                          else (ratio * self.law) @ np.ones_like(ratio))
         if not 0.0 <= value < math.inf:
             raise _rho_error(self.steps, RATIO.format(value))
         return value

@@ -26,8 +26,9 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -101,12 +102,14 @@ def _resolve_output(path: Optional[str]) -> Optional[Path]:
 
 
 def _write_texts(paths, texts) -> Optional[str]:
-    """Write each text to its path, or to stdout for None, and return None;
-    or return the one error line that names the output that failed.
+    """Write each text, a string or the parts of one, to its path, or to
+    stdout for None, and return None; or return the one error line that
+    names the output that failed.
 
     Every file is opened once for writing, without truncating one that
-    exists, before any is written. When an open or a write fails, the files
-    that this call created are removed."""
+    exists, before any is written. Parts are formatted as they are written,
+    so on any exception the files that this call created are removed, and
+    one that is not an OSError is raised again."""
     created, path = [], None
     try:
         for path in filter(None, paths):
@@ -117,13 +120,13 @@ def _write_texts(paths, texts) -> Optional[str]:
             except FileExistsError:
                 os.close(os.open(path, os.O_WRONLY))
         for path, text in zip(paths, texts):
-            if path is None:
-                sys.stdout.write(text)
-            else:
-                path.write_text(text, encoding="utf-8")
-    except OSError as exc:
+            with open(path, "w", encoding="utf-8") if path else nullcontext(sys.stdout) as out:
+                out.writelines([text] if isinstance(text, str) else text)
+    except BaseException as exc:
         for created_path in created:
             created_path.unlink(missing_ok=True)
+        if not isinstance(exc, OSError):
+            raise
         return f"error: cannot write {path or 'stdout'}: {exc.strerror or exc}"
     return None
 
@@ -203,10 +206,11 @@ def _column_block(values, fmt: str) -> tuple[str, Optional[list]]:
     return "%s", list(map(cell, values))
 
 
-def _table_text(header, columns, fmt: str) -> str:
+def _table_text(header, columns, fmt: str) -> Iterator[str]:
     """Render a table, given as equal-length columns (arrays, lists or
-    ranges), as CSV (default) or a JSON array of records, in blocks of
-    `_BLOCK_ROWS` rows so that one block's cells are alive at a time.
+    ranges), as CSV (default) or a JSON array of records, yielded in parts:
+    its opening, each block of `_BLOCK_ROWS` rows after its separator, and
+    its tail, so that one block's cells and text are alive at a time.
 
     Each block is one `%` on a row template over the block's cells, in both
     formats. A CSV row is its cells joined by commas and needs no quoting. A
@@ -214,13 +218,14 @@ def _table_text(header, columns, fmt: str) -> str:
     name repeats, its last column wins."""
     if fmt == "csv":
         order, fields, row, sep, joiner = range(len(header)), [""] * len(header), "%s", ",", "\n"
+        yield ",".join(header)
     else:
         last = {key: i for i, key in enumerate(header)}
         keys = sorted(last)
         order = [last[key] for key in keys]
         fields = ["    " + json.dumps(key).replace("%", "%%") + ": " for key in keys]
         row, sep, joiner = "  {\n%s\n  }", ",\n", ",\n"
-    blocks = []
+        yield "["
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         block = [columns[i][start:start + _BLOCK_ROWS] for i in order]
         specs, cells = zip(*(_column_block(column, fmt) for column in block))
@@ -229,10 +234,9 @@ def _table_text(header, columns, fmt: str) -> str:
         for i, column in enumerate(cells):
             flat[i::len(cells)] = column
         template = row % sep.join(map(str.__add__, fields, specs))
-        blocks.append(joiner.join([template] * len(block[0])) % tuple(flat))
-    if fmt == "csv":
-        return "\n".join([",".join(header), *blocks]) + "\n"
-    return "[\n" + ",\n".join(blocks) + "\n]\n" if blocks else "[]\n"
+        yield joiner if start else "\n"
+        yield joiner.join([template] * len(block[0])) % tuple(flat)
+    yield "\n" if fmt == "csv" else "\n]\n" if len(columns[0]) else "]\n"
 
 
 # ---------------------------------------------------------------------------

@@ -962,13 +962,56 @@ def test_backward_prints_the_rho_columns_of_stability(source, seed, tmp_path):
     assert back.read_text().splitlines() == ["n,delta_max,osc_bound_max", *expected]
 
 
-def test_csv_cells_keep_their_format():
-    from filterstab.cli import _table_text
+def table_text(header, columns, fmt):
+    """The text of a table, joined from the parts that `_table_text` yields."""
+    import filterstab.cli as cli
 
+    return "".join(cli._table_text(header, columns, fmt))
+
+
+# the slowly mixing Gaussian model of the benchmark's session
+SLOWMIX = {
+    "states": 2, "transition": [[1.0 - 1e-4, 1e-4], [2e-4, 1.0 - 2e-4]],
+    "observation": {"type": "gaussian", "means": [0.0, 1.0], "sigma": 0.5},
+    "nu": [0.9, 0.1], "beta": [0.5, 0.5],
+}
+
+
+def test_a_table_is_written_while_it_is_rendered(tmp_path):
+    """Rendering and writing the `lln` table of a 20 000-step record rise
+    above the memory live when rendering starts by less than the file's size:
+    one block's text is alive at a time, and no copy of the whole table."""
+    import tracemalloc
+
+    import filterstab.cli as cli
+
+    out = tmp_path / "lln.csv"
+    argv = ["lln", "--model", str(write_model(tmp_path, SLOWMIX)), "--horizon", "20000",
+            "--output", str(out)]
+    rendering, live = cli._table_text.__code__, []
+
+    def at_rendering(frame, event, arg):  # the first frame of `_table_text` to run
+        if event == "call" and frame.f_code is rendering and not live:
+            tracemalloc.reset_peak()
+            live.append(tracemalloc.get_traced_memory()[0])
+
+    previous = sys.getprofile()
+    tracemalloc.start()
+    sys.setprofile(at_rendering)
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        sys.setprofile(previous)
+        tracemalloc.stop()
+    assert peak - live[0] < out.stat().st_size
+
+
+def test_csv_cells_keep_their_format():
     row = (0, None, float("nan"), float("inf"), float("-inf"), -0.0, 0.1,
            np.float64(1.0) / 3.0, np.int64(7), 2**40, 1e-300)
     columns = [[value] for value in row]
-    assert _table_text(["a"] * len(row), columns, "csv").splitlines()[1] == (
+    assert table_text(["a"] * len(row), columns, "csv").splitlines()[1] == (
         "0,,nan,inf,-inf,-0,0.10000000000000001,0.33333333333333331,7,1099511627776,1e-300"
     )
 
@@ -992,11 +1035,11 @@ def test_block_rendering_equals_row_rendering(monkeypatch, block_rows):
     writer.writerow(header)
     writer.writerows([["" if v is None else "%d" % v if isinstance(v, (int, np.integer))
                        else "%.17g" % v for v in row] for row in rows])
-    assert cli._table_text(header, columns, "csv") == buf.getvalue()
-    assert cli._table_text(header, columns, "json") == cli._json_text(
+    assert table_text(header, columns, "csv") == buf.getvalue()
+    assert table_text(header, columns, "json") == cli._json_text(
         [dict(zip(header, row)) for row in rows])
-    assert cli._table_text(header, [[] for _ in header], "csv") == "n,x,maybe,mixed\n"
-    assert cli._table_text(header, [[] for _ in header], "json") == "[]\n"
+    assert table_text(header, [[] for _ in header], "csv") == "n,x,maybe,mixed\n"
+    assert table_text(header, [[] for _ in header], "json") == "[]\n"
 
 
 def per_cell_csv(header, columns):
@@ -1071,8 +1114,8 @@ def test_table_template_equals_the_per_cell_rule(n_rows, data):
     columns = data.draw(table_columns(n_rows))
     header = [f"c{i}" for i in range(len(columns))]
     cells = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    assert_same_lines(cli._table_text(header, columns, "csv"), per_cell_csv(header, cells))
-    assert_same_lines(cli._table_text(header, columns, "json"),
+    assert_same_lines(table_text(header, columns, "csv"), per_cell_csv(header, cells))
+    assert_same_lines(table_text(header, columns, "json"),
                       cli._json_text([dict(zip(header, row)) for row in zip(*cells)]))
 
 
@@ -1080,8 +1123,8 @@ def assert_per_cell_rules(header, columns):
     import filterstab.cli as cli
 
     cells = [c.tolist() if isinstance(c, np.ndarray) else list(c) for c in columns]
-    assert_same_lines(cli._table_text(header, columns, "csv"), per_cell_csv(header, cells))
-    assert_same_lines(cli._table_text(header, columns, "json"),
+    assert_same_lines(table_text(header, columns, "csv"), per_cell_csv(header, cells))
+    assert_same_lines(table_text(header, columns, "json"),
                       cli._json_text([dict(zip(header, row)) for row in zip(*cells)]))
 
 

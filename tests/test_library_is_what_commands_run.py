@@ -41,8 +41,8 @@ KEPT = {
     **dict.fromkeys(
         [f"backward.BackwardContext.{name}"
          for name in ("__init__", "rho", "step", "record", "likelihood_ratio")],
-        "ρ one step at a time, which tests hold `backward_pass` to; the benchmark's tracer "
-        "wraps it"),
+        "ρ and its filter one observation at a time, each ρ step one step of "
+        "`backward_pass`'s loop; the tests step it, and the benchmark's tracer wraps it"),
 }
 
 PSI = np.array([0.5, 1.0, 2.0])

@@ -22,7 +22,7 @@ The denominator is the filter's own prediction of step ``n``, so ρ reads
 the history of a filter already run by `filtering._engine`: `backward_pass`
 is its one loop, run by the commands that print ρ. `BackwardContext`
 advances ρ and its filter one observation at a time, each ρ step one step of
-that loop.
+that loop and each filter step one step of `_engine`.
 
 The expected prior ratio under the backward law is the likelihood ratio
 between the observation laws of the two priors. The change-of-measure
@@ -38,9 +38,9 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvalidModelError, NumericalError
-from .filtering import filter_step_with_likelihood
+# filter_step_with_likelihood: unused here, but bench/spans.py counts it here (ROADMAP item 9)
+from .filtering import _engine, filter_step_with_likelihood
 from .model import Coefficients, Density, FiniteModel, _frozen, row_minima
-from .simulate import likelihood_rows
 
 RHO_RANGE = "backward density leaves the float range: an entry is inf or nan"
 ZERO_MASS = "state has zero predicted mass"
@@ -207,8 +207,9 @@ class BackwardContext:
     positive averaged row minimum were supplied).
 
     It fails as `backward_pass` does: the envelope scale at construction,
-    then at ρ's first failing step, in `step` or `likelihood_ratio`. A step
-    that raises leaves the context as it was.
+    then at ρ's first failing step, in `step` or `likelihood_ratio`. Its
+    filter fails as `run_filter` does, so a Gaussian outlier is redone in the
+    log domain. A step that raises leaves the context as it was.
     """
 
     def __init__(self, model: FiniteModel, theta0: Density,
@@ -239,8 +240,7 @@ class BackwardContext:
                                        np.array([law, law]), self.steps)
         if self.steps:
             exponent_sum += float(law @ self._row_minima)
-        lik = likelihood_rows(model.observation, [y])[0]
-        self.law, _ = filter_step_with_likelihood(law, lik, model)
+        self.law = _engine(model, law[None], [[y]], self.steps)[0][1, 0, 0]
         self._rho, self._spread, self.exponent_sum, self.steps = (
             rho, _frozen(spread), exponent_sum, self.steps + 1)
 

@@ -432,8 +432,9 @@ def _cmd_lln(args) -> tuple:
 
 
 def _kaijser_payload(report) -> dict:
-    """The report's fields and `passed`."""
-    return dict(report._asdict(), passed=report.passed)
+    """The report's fields and its properties `constant`, `floor` and `passed`."""
+    return dict(report._asdict(), constant=report.constant, floor=report.floor,
+                passed=report.passed)
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ def geometric_ergodicity_report(
     envelope = worst_ratio = None
     unresolved_max = float(gaps.max()) if coeffs.degenerate else 0.0
     if coeffs.applicable:
-        envelope = np.array([coeffs.geo_prefactor * coeffs.geo_ratio**n
-                             for n in range(1, n_max + 1)])
+        prefactor, ratio = coeffs.geo_prefactor, coeffs.geo_ratio  # properties: read once
+        envelope = np.array([prefactor * ratio**n for n in range(1, n_max + 1)])
         worst_ratio, unresolved_max = _gate(gaps, envelope[:, None])
     return ErgodicityReport(gaps, envelope, worst_ratio, unresolved_max)
 

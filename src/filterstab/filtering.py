@@ -115,13 +115,14 @@ def filter_step_with_likelihood(p_prev: np.ndarray, likelihood: np.ndarray,
 _CHUNK_ENTRIES = 2**13
 
 
-def _engine(model: FiniteModel, priors: np.ndarray, observations):
+def _engine(model: FiniteModel, priors: np.ndarray, observations, offset: int = 0):
     """The filter loop: the read-only ``(N+1, P, R, d)`` posterior laws and
     ``(N, P, R)`` normalizers from each of the ``(P, d)`` prior laws on each
     of the ``R`` records of ``observations``, with the log normalizers of
     rescued steps by ``(r, p)`` and step, a chunk of
-    ``_CHUNK_ENTRIES // (P R d)`` steps at a time. It runs no ρ: that is
-    `backward_pass`'s own loop, along one history.
+    ``_CHUNK_ENTRIES // (P R d)`` steps at a time. The priors are the laws
+    of step `offset`, from which an error counts its step. It runs no ρ: that
+    is `backward_pass`'s own loop, along one history.
 
     Each step advances every filter as one stack of rows through
     ``P = K diag(w)``, each row rounding as it does alone. A lone row is 1-D:
@@ -219,7 +220,7 @@ def _engine(model: FiniteModel, priors: np.ndarray, observations):
                         row_zs[k, i] = 1.0
                     else:
                         error = DENSITY_RANGE if rescued or z_ok[k - start, i] else ZERO_LIKELIHOOD
-                        errors[i] = f"{error} (at step {n + 1})"
+                        errors[i] = f"{error} (at step {offset + n + 1})"
                 done, size = k + 1, 1
             laws[first + 1:first + 1 + m] = pis[1:m + 1]
             normalizers[first:first + m] = row_zs[:m]

@@ -61,18 +61,25 @@ class KaijserReport(NamedTuple):
 
     ``gap_obs_one`` and ``gap_obs_zero`` are the possible first-step gap
     sizes of the pair: the first applies when the first observation is
-    symbol 1, the second when it is symbol 0. Their minimum, ``floor``, is
-    the permanent lower bound on the pair gap whenever it is positive.
+    symbol 1, the second when it is symbol 0. Their minimum, `floor`, is
+    the permanent lower bound on the pair gap whenever it is positive. The
+    gap is `constant` when its largest drift from step 1 is at most 1e-12.
     """
 
-    constant: bool
-    floor: float
     max_drift: float
     agreement_gap: float
     floor_ok: Optional[bool]
     tv_first: float
     gap_obs_one: float
     gap_obs_zero: float
+
+    @property
+    def constant(self) -> bool:
+        return self.max_drift <= 1e-12
+
+    @property
+    def floor(self) -> float:
+        return min(self.gap_obs_one, self.gap_obs_zero)
 
     @property
     def passed(self) -> bool:
@@ -214,7 +221,6 @@ def _verify_kaijser_on(model: FiniteModel, observations, pair: PairRun) -> Kaijs
     floor = min(gap_one, gap_zero)
     tv = pair.tv
     max_drift = float(np.abs(tv[1:] - tv[1]).max()) if tv.size > 1 else 0.0
-    constant = max_drift <= 1e-12
     # the floor claim needs a genuinely positive constant; float cancellation
     # in the prior differences can leave an epsilon-sized residue
     if floor > 1e-12:
@@ -222,8 +228,6 @@ def _verify_kaijser_on(model: FiniteModel, observations, pair: PairRun) -> Kaijs
     else:
         floor_ok = None
     return KaijserReport(
-        constant=constant,
-        floor=floor,
         max_drift=max_drift,
         agreement_gap=agreement_gap,
         floor_ok=floor_ok,

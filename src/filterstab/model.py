@@ -53,33 +53,35 @@ def validated_tuple(typename: str, field_names: str, **kwargs) -> type:
     return base
 
 
-def _frozen(values, dtype=float) -> np.ndarray:
-    out = np.array(values, dtype=dtype)
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
     out.flags.writeable = False
     return out
 
 
-class StateSpace(validated_tuple("StateSpace", "num_states weights")):
-    """Finite atomic state space with reference-measure weights."""
+class StateSpace(validated_tuple("StateSpace", "weights")):
+    """Finite atomic state space with reference-measure weights, one per state."""
 
     __slots__ = ()
 
-    def __new__(cls, num_states: int, weights: np.ndarray):
-        if num_states < 1:
-            raise InvalidModelError(f"need at least one state, got {num_states}")
+    def __new__(cls, weights: np.ndarray):
         w = np.asarray(weights, dtype=float)
-        if w.shape != (num_states,):
-            raise InvalidModelError(
-                f"dimension mismatch: {num_states} states but weights shape {w.shape}"
-            )
+        if w.ndim != 1:
+            raise InvalidModelError(f"state weights must be a vector, got shape {w.shape}")
+        if not len(w):
+            raise InvalidModelError("need at least one state, got 0")
         if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
             raise InvalidModelError("state weights must be finite and strictly positive")
-        return super().__new__(cls, num_states, _frozen(w))
+        return super().__new__(cls, _frozen(w))
+
+    @property
+    def num_states(self) -> int:
+        return len(self.weights)
 
 
 def unit_space(num_states: int) -> StateSpace:
     """State space with all-ones weights (counting reference measure)."""
-    return StateSpace(num_states, np.ones(num_states))
+    return StateSpace(np.ones(num_states))
 
 
 class Density(validated_tuple("Density", "values")):
@@ -259,17 +261,19 @@ class FiniteModel(validated_tuple("FiniteModel",
 
 
 class Coefficients(validated_tuple("Coefficients",
-                                   "min_density max_density mixing_coefficient "
-                                   "tv_decay_rate geo_prefactor geo_ratio degenerate")):
+                                   "min_density max_density mixing_coefficient")):
     """Stability coefficients of a transition kernel under an invariant density.
 
-    ``min_density``/``max_density`` are the global extrema of the one-step
-    density. ``mixing_coefficient`` averages the per-state row minima under
-    the invariant density; its positivity is the relaxed condition under
-    which the misspecified filter forgets its prior at exponential rate
-    ``tv_decay_rate = mixing_coefficient / max_density``. When
-    ``0 < mixing_coefficient < max_density`` the kernel is geometrically
-    ergodic with explicit constants ``geo_prefactor * geo_ratio**n``.
+    Three are stored: ``min_density``/``max_density``, the global extrema of
+    the one-step density, and ``mixing_coefficient``, the per-state row minima
+    averaged under the invariant density. Its positivity is the relaxed
+    condition under which the misspecified filter forgets its prior at
+    exponential rate ``tv_decay_rate = mixing_coefficient / max_density``.
+    When ``0 < avg < max`` the kernel is geometrically ergodic with explicit
+    constants ``geo_prefactor * geo_ratio**n``, ``max**2 / (avg (max - avg))``
+    and ``1 - avg / max``; ``avg == max`` (a constant-in-target kernel) is
+    `degenerate`, with ratio 0 and no prefactor. The rate and those constants
+    are properties, worked out on each read.
     """
 
     __slots__ = ()
@@ -290,6 +294,36 @@ class Coefficients(validated_tuple("Coefficients",
         return self
 
     @property
+    def tv_decay_rate(self) -> float:
+        hi = self.max_density
+        return self.mixing_coefficient / hi if hi > 0.0 else 0.0
+
+    @property
+    def degenerate(self) -> bool:
+        avg, hi = self.mixing_coefficient, self.max_density
+        return avg > 0.0 and abs(hi - avg) <= 1e-14 * hi
+
+    @property
+    def geo_ratio(self) -> Optional[float]:
+        if self.degenerate:
+            return 0.0
+        avg = self.mixing_coefficient
+        return 1.0 - avg / self.max_density if avg > 0.0 else None
+
+    @property
+    def geo_prefactor(self) -> Optional[float]:
+        if not self.applicable:
+            return None
+        avg, hi = self.mixing_coefficient, self.max_density
+        # on hi and avg times the power of two that brings hi into [0.5, 1): exact, so the
+        # bits of the raw form wherever that stays in range, at any scale of the weights;
+        # the spread underflows to 0 only where the prefactor, about hi / avg, overflows
+        e = math.frexp(hi)[1]
+        top, low = math.ldexp(hi, -e), math.ldexp(avg, -e)
+        spread = low * (top - low)
+        return top * top / spread if spread else math.inf
+
+    @property
     def applicable(self) -> bool:
         """True when the geometric bounds carry information (positive, nondegenerate)."""
         return self.mixing_coefficient > 0.0 and not self.degenerate
@@ -302,14 +336,9 @@ def row_minima(kernel: TransitionKernel) -> np.ndarray:
 
 
 def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
-    """Compute the density extrema and the invariant-averaged row minimum.
-
-    The averaged coefficient is ``sum_i row_min[i] * m[i] * w[i]`` where ``m``
-    is the invariant density. Geometric ergodicity constants are
-    ``prefactor = max**2 / (avg * (max - avg))`` and ``ratio = 1 - avg / max``,
-    defined when ``0 < avg < max``. ``avg == max`` forces a constant-in-target
-    kernel (one-step convergence); that case is flagged degenerate with the
-    ``ratio = 0`` convention.
+    """The density extrema and the invariant-averaged row minimum
+    ``sum_i row_min[i] * m[i] * w[i]``, where ``m`` is the invariant density;
+    `Coefficients` works out the rate and the geometric constants from them.
     """
     space, kernel = model.space, model.kernel
     lo = float(kernel.matrix.min())
@@ -318,29 +347,7 @@ def mixing_coefficients(model: FiniteModel, invariant: Density) -> Coefficients:
     # m * w is a probability vector, so weighing it first keeps avg within the largest row
     # minimum, a finite entry of the validated kernel
     avg = float(np.sum(mins * (invariant.values * space.weights)))
-    rate = avg / hi if hi > 0.0 else 0.0
-    degenerate = avg > 0.0 and abs(hi - avg) <= 1e-14 * hi
-    prefactor = ratio = None
-    if degenerate:
-        ratio = 0.0
-    elif avg > 0.0:
-        # on hi and avg times the power of two that brings hi into [0.5, 1): exact, so the
-        # bits of the raw form wherever that stays in range, at any scale of the weights;
-        # the spread underflows to 0 only where the prefactor, about hi / avg, overflows
-        e = math.frexp(hi)[1]
-        top, low = math.ldexp(hi, -e), math.ldexp(avg, -e)
-        spread = low * (top - low)
-        prefactor = top * top / spread if spread else math.inf
-        ratio = 1.0 - avg / hi
-    return Coefficients(
-        min_density=lo,
-        max_density=hi,
-        mixing_coefficient=avg,
-        tv_decay_rate=rate,
-        geo_prefactor=prefactor,
-        geo_ratio=ratio,
-        degenerate=degenerate,
-    )
+    return Coefficients(lo, hi, avg)
 
 
 def invariant_density(kernel: TransitionKernel, space: StateSpace) -> Density:
@@ -588,7 +595,7 @@ def build_model(document: Mapping) -> FiniteModel:
     # shape-check the document's own matrix before allocating d weights
     transition = _as_array("transition", document["transition"], (d, d))
     psi = document.get("psi")
-    space = unit_space(d) if psi is None else StateSpace(d, _as_array("psi", psi, (d,)))
+    space = unit_space(d) if psi is None else StateSpace(_as_array("psi", psi, (d,)))
     kernel = as_kernel(transition, space)
 
     obs = document["observation"]

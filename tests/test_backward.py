@@ -407,6 +407,19 @@ class TestLikelihoodRatio:
             ctx.step(y)
         assert ctx.likelihood_ratio(ratio) == pytest.approx(marginal, rel=1e-10)
 
+    @pytest.mark.parametrize("entry, text", [(np.inf, "inf"), (np.nan, "nan")])
+    def test_a_ratio_out_of_range_names_its_step(self, entry, text):
+        model = random_positive_model(13, 2)
+        ctx = BackwardContext(model, model.wrong_prior)
+        ratio = np.array([entry, 1.0])
+        for steps in (0, 3):
+            while ctx.steps < steps:
+                ctx.step(0)
+            expected = (rf"^likelihood ratio must be finite and nonnegative, "
+                        rf"got {text} \(at step {steps}\)$")
+            with pytest.raises(NumericalError, match=expected):
+                ctx.likelihood_ratio(ratio)
+
 
 class TestChangeOfMeasure:
     def test_equal_priors_zero_residual(self):

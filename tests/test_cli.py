@@ -338,7 +338,7 @@ class TestStabilityCommand:
         def second_fails(*args):
             calls.append(None)
             report = original(*args)
-            return report._replace(constant=False) if len(calls) == 2 else report
+            return report._replace(max_drift=1.0) if len(calls) == 2 else report
 
         monkeypatch.setattr(harness, "_verify_kaijser_on", second_fails)
         out = tmp_path / "run.csv"
@@ -943,6 +943,21 @@ def test_a_summary_that_fails_to_write_removes_the_table(tmp_path, monkeypatch):
                            "--output", str(out)]) == \
         (1, "error: cannot write /dev/full: No space left on device\n")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_part_that_fails_to_render_removes_its_file_and_propagates(tmp_path):
+    """An error other than an OSError while a table's parts are written is
+    raised again, after the file that the call created is removed."""
+    import filterstab.cli as cli
+
+    def parts():
+        yield "a,b\n"
+        raise ValueError("cell cannot be formatted")
+
+    path = tmp_path / "table.csv"
+    with pytest.raises(ValueError, match="^cell cannot be formatted$"):
+        cli._write_texts([path], [parts()])
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("seed", ["7", "3"])

@@ -181,6 +181,7 @@ def test_backward_pass_runs_no_filter(monkeypatch):
         raise AssertionError("backward_pass ran a filter step")
 
     monkeypatch.setattr(filterstab.backward, "filter_step_with_likelihood", forbidden)
+    monkeypatch.setattr(filterstab.backward, "_engine", forbidden)
     result = backward_pass(model, coeffs, run.probabilities)
     assert result.oscillations.shape == (5, 4)
     assert result.likelihood_ratios.shape == (6,)
@@ -241,6 +242,33 @@ class TestGaussianUnderflow:
         marginal = math.exp(pair.run_correct.log_normalizers.sum()
                             - pair.run_wrong.log_normalizers.sum())
         assert result.likelihood_ratios[-1] == pytest.approx(marginal, rel=1e-10)
+
+    def test_backward_context_rescues_the_outlier(self):
+        # two outliers, 25 and -30, whose linear normalizers underflow: the
+        # context's filter is `run_filter`'s, and its ρ that of `backward_pass`
+        model = self.model()
+        record = [0.3, 25.0, 0.9, 0.2, -30.0, 0.6, 1.1]
+        coeffs = mixing_coefficients(model, invariant_density(model.kernel, model.space))
+        run = run_filter(model.wrong_prior, record, model)
+        back = backward_pass(model, coeffs, run.probabilities)
+        prior_ratio = model.true_prior.values / model.wrong_prior.values
+        context = BackwardContext(model, model.wrong_prior, coeffs)
+        for n, y in enumerate(record, 1):
+            context.step(y)
+            assert context.law.tobytes() == run.probabilities[n].tobytes()
+            assert context.record.oscillation.tobytes() == back.oscillations[n - 1].tobytes()
+            assert context.record.bound.tobytes() == back.bounds[n - 1].tobytes()
+            assert context.likelihood_ratio(prior_ratio) == back.likelihood_ratios[n]
+        assert len(run.rescued_logs) == 2
+
+    def test_backward_context_names_the_failing_step(self):
+        model = self.model()
+        context = BackwardContext(model, model.wrong_prior)
+        context.step(0.3)
+        context.step(25.0)
+        with pytest.raises(NumericalError, match=r"^zero-likelihood observation.*\(at step 3\)$"):
+            context.step(float("nan"))
+        assert context.steps == 2
 
     def test_nan_observation_still_fails(self):
         model = self.model()

@@ -37,12 +37,14 @@ KEPT = {
     "filtering.FilterRun.densities":
         "the posteriors as densities, the library's edge; every command reads the laws",
     "filtering.filter_step_with_likelihood":
-        "the one filter step that `BackwardContext` takes; the benchmark's tracer counts it",
+        "one filter step from a law, for the tests; `bench/spans.py` counts it where "
+        "`filtering` and `backward` bind it, until ROADMAP item 9",
     **dict.fromkeys(
         [f"backward.BackwardContext.{name}"
          for name in ("__init__", "rho", "step", "record", "likelihood_ratio")],
         "ρ and its filter one observation at a time, each ρ step one step of "
-        "`backward_pass`'s loop; the tests step it, and the benchmark's tracer wraps it"),
+        "`backward_pass`'s loop and each filter step one of `_engine`; the tests step it, "
+        "and the benchmark's tracer wraps it"),
 }
 
 PSI = np.array([0.5, 1.0, 2.0])

@@ -139,7 +139,7 @@ class TestInvariantDensity:
     def test_weighted_space(self):
         # flip chain with unequal weights; iterates oscillate with period two
         # and the averaged pair is exactly invariant: m = (1/2, 1/4)
-        space = StateSpace(2, [1.0, 2.0])
+        space = StateSpace([1.0, 2.0])
         kernel = as_kernel([[0.0, 0.5], [1.0, 0.0]], space)
         m = invariant_density(kernel, space)
         np.testing.assert_allclose(m.values, [0.5, 0.25], atol=1e-12)
@@ -160,7 +160,7 @@ class TestInvariantDensity:
             invariant_density(kernel, space)
 
     def test_a_block_kernel_names_its_closed_classes(self):
-        space = StateSpace(3, [1.0, 2.0, 0.5])
+        space = StateSpace([1.0, 2.0, 0.5])
         kernel = as_kernel([[1.0, 0.0, 0.0], [0.0, 0.25, 1.0], [0.0, 0.25, 1.0]], space)
         with pytest.raises(NumericalError, match=r"^no unique invariant density found: "
                            r"closed classes of states \{0\} and \{1, 2\}$"):
@@ -180,7 +180,7 @@ class TestInvariantDensity:
         # state 2 fires the probe, and GTH solves on the float chain's closed class
         # {2}; the exact law differs from it by about 1e-317
         leak = 1e-7
-        space = StateSpace(3, [0.4, 0.4, 1.0])
+        space = StateSpace([0.4, 0.4, 1.0])
         kernel = as_kernel([[0.5 * (1.0 - leak) / 0.4] * 2 + [leak]] * 2
                            + [[5e-324, 5e-324, 1.0]], space)
         assert (kernel.matrix * space.weights)[2, :2].tolist() == [0.0, 0.0]
@@ -193,7 +193,7 @@ class TestInvariantDensity:
         # chain absorbs in either, and states 2 and 3 leak into them too slowly to
         # stop the power iteration
         leak = 1e-7
-        space = StateSpace(4, [1.0, 1.0, 0.4, 0.4])
+        space = StateSpace([1.0, 1.0, 0.4, 0.4])
         kernel = as_kernel([[1.0, 0.0, 5e-324, 0.0], [0.0, 1.0, 0.0, 5e-324],
                             [leak, 0.0, (1.0 - 2.0 * leak) / 0.4, leak / 0.4],
                             [0.0, leak, leak / 0.4, (1.0 - 2.0 * leak) / 0.4]], space)
@@ -214,6 +214,13 @@ class TestInvariantDensity:
         m = invariant_density(kernel, space)
         np.testing.assert_allclose(m.values, [0.0, 1.0, 0.0], rtol=0, atol=1e-12)
         assert m.values[2] == pytest.approx(1e-300, rel=1e-12)
+
+    def test_probabilities_that_overflow_are_an_error(self):
+        # a kernel checked only as a matrix: densities of 1e308 on weights of 10
+        kernel = TransitionKernel([[1e308, 1e308], [1e308, 1e308]])
+        with pytest.raises(NumericalError, match=r"^invariant density: a transition density "
+                                                 r"times its state weight overflows$"):
+            invariant_density(kernel, StateSpace([10.0, 10.0]))
 
     def test_a_gth_solution_off_its_fixed_point_is_an_error(self):
         # an iterate that weighs every state alike keeps the index order, in
@@ -296,7 +303,7 @@ def random_weighted_kernel(seed):
     raw[np.arange(d), [int(d * stream.random()) for _ in range(d)]] += 0.1
     if seed % 3 == 0:
         raw += (10.0 + 300.0 * stream.random()) * np.eye(d)
-    space = StateSpace(d, weights)
+    space = StateSpace(weights)
     return as_kernel(raw / (raw @ weights)[:, None], space), space
 
 
@@ -348,7 +355,7 @@ class TestInvariantDensityMatchesStepwiseLoop:
                                          max_iter=1000 * blocks)
 
     def test_weighted_flip_chain_average(self):
-        space = StateSpace(2, [1.0, 2.0])
+        space = StateSpace([1.0, 2.0])
         assert_matches_the_stepwise_loop(as_kernel([[0.0, 0.5], [1.0, 0.0]], space), space)
 
 
@@ -461,7 +468,7 @@ def block_cyclic_kernel(period, seed):
         for i in range(starts[block], starts[block + 1]):
             for j in range(starts[after], starts[after + 1]):
                 raw[i, j] = 0.1 + stream.random()
-    space = StateSpace(d, weights)
+    space = StateSpace(weights)
     return as_kernel(raw / (raw @ weights)[:, None], space), space
 
 

@@ -25,6 +25,7 @@ from filterstab import (
     FilterRun,
     FiniteModel,
     InvalidModelError,
+    KaijserReport,
     NumericalError,
     ObservationModel,
     Scenario,
@@ -94,21 +95,20 @@ def test_every_public_record_is_a_named_tuple_whose_fields_cannot_be_assigned():
 # each validating record: valid fields, then field changes that break it,
 # with the error and message they raise
 VALID = {
-    StateSpace: {"num_states": 2, "weights": [1.0, 2.0]},
+    StateSpace: {"weights": [1.0, 2.0]},
     Density: {"values": [0.25, 0.75]},
     TransitionKernel: {"matrix": [[0.5, 0.5], [0.3, 0.7]]},
     ObservationModel: {"kind": "finite", "emission": [[0.5, 0.5], [0.2, 0.8]],
                        "symbol_weights": [1.0, 1.0], "means": None, "sigma": None},
-    Coefficients: {"min_density": 0.3, "max_density": 0.7, "mixing_coefficient": 0.5,
-                   "tv_decay_rate": 0.5 / 0.7, "geo_prefactor": 4.9, "geo_ratio": 2.0 / 7.0,
-                   "degenerate": False},
+    Coefficients: {"min_density": 0.3, "max_density": 0.7, "mixing_coefficient": 0.5},
     Trajectory: {"states": [0, 1, 0], "observations": [1, 0], "seed": 3},
     Scenario: {"model": MIXING2, "horizon": 10, "replicates": 2, "seed": 7},
     FiniteModel: MIXING2._asdict(),
 }
 BAD = [
-    (StateSpace, {"num_states": 0}, InvalidModelError, "need at least one state"),
-    (StateSpace, {"weights": [1.0]}, InvalidModelError, "dimension mismatch"),
+    (StateSpace, {"weights": []}, InvalidModelError, "need at least one state"),
+    (StateSpace, {"weights": [[1.0, 2.0]]}, InvalidModelError,
+     r"^state weights must be a vector, got shape \(1, 2\)$"),
     (StateSpace, {"weights": [1.0, 0.0]}, InvalidModelError, "finite and strictly positive"),
     (Density, {"values": [[0.25, 0.75]]}, InvalidModelError, "density must be a vector"),
     (Density, {"values": [-0.25, 1.25]}, InvalidModelError, "finite and nonnegative"),
@@ -199,6 +199,18 @@ def test_a_validating_record_converts_its_fields_on_every_route(cls, route):
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
         else:
             assert mine is theirs
+
+
+def test_a_record_stores_only_what_it_cannot_derive():
+    """`Coefficients`, `KaijserReport` and `StateSpace` store 3, 6 and 1
+    fields and work out the rest on read, so that a record built on any
+    route, `_replace` included, agrees with itself."""
+    assert [len(cls._fields) for cls in (Coefficients, KaijserReport, StateSpace)] == [3, 6, 1]
+    coeffs = mixing_coefficients(MIXING2, invariant_density(MIXING2.kernel, MIXING2.space))
+    changed = coeffs._replace(mixing_coefficient=0.5)
+    assert changed.tv_decay_rate == 0.5 / 0.7 and changed.geo_ratio == 1 - 0.5 / 0.7
+    assert kaijser_verify(None, None, 200, 7)._replace(max_drift=0.5).passed is False
+    assert StateSpace([1.0, 2.0])._replace(weights=[1.0, 2.0, 3.0]).num_states == 3
 
 
 def test_log_normalizers_are_computed_once():
